@@ -8,8 +8,9 @@ without computing anything.
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 Determinism: all randomness flows from the single seed recorded in the
 report; reductions are fixed-order, so identical configurations and seeds
-give bit-identical reports (the thread count only sizes task-internal pools
-and is recorded, never load-bearing).
+give bit-identical reports.  The thread count sizes the pool that reduces
+the property-D oscillation blocks; it is recorded in timings.json and never
+changes a report.
 """
 from __future__ import annotations
 
@@ -96,10 +97,11 @@ def _load(config_path: str):
 # task implementations
 # ---------------------------------------------------------------------------
 class _Context:
-    def __init__(self, cfg: dict, seed: int, out: Path):
+    def __init__(self, cfg: dict, seed: int, out: Path, threads: int = 1):
         self.cfg = cfg
         self.seed = seed
         self.out = out
+        self.threads = threads
         sgc = cfg.get("signal_grid", {})
         self.sg = SignalGrid(float(sgc.get("T", 10.0)), int(sgc.get("n", 512)))
         famc = cfg["family"]
@@ -135,7 +137,7 @@ class _Context:
                     initial_cell=cc.get("cell_size"),
                     overlap=float(cc.get("overlap", 0.0)),
                     z_per_cell=self.z_per_cell, seed=self.seed,
-                    rel_cut=self.rel_cut)
+                    rel_cut=self.rel_cut, threads=self.threads)
                 self._covering = cov
                 self._osc_report = rep
                 self._trajectory = traj
@@ -175,7 +177,7 @@ def task_property_d(ctx: _Context) -> dict:
     if ctx._osc_report is None:
         ctx._osc_report = property_D_check(
             ctx.family, cov, ctx.m, ctx.grid, z_per_cell=ctx.z_per_cell,
-            seed=ctx.seed, rel_cut=ctx.rel_cut)
+            seed=ctx.seed, rel_cut=ctx.rel_cut, threads=ctx.threads)
     rep = ctx._osc_report
     out = {"osc_report": rep.as_dict(),
            "moderation": verify_moderate(cov, ctx.m).as_dict()}
@@ -313,6 +315,8 @@ def run(config_path: str, out_dir: str | None = None, seed: int | None = None,
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     diags = validate_config(cfg)
+    if threads < 1:
+        diags.append(f"threads must be >= 1, got {threads}")
     if diags:
         for d in diags:
             print(f"invalid config: {d}", file=sys.stderr)
@@ -332,17 +336,17 @@ def run(config_path: str, out_dir: str | None = None, seed: int | None = None,
     # across thread counts
     timings = {"threads": int(threads)}
     try:
-        ctx = _Context(cfg, seed, out)
+        ctx = _Context(cfg, seed, out, threads)
         for name in cfg["tasks"]:
             t0 = time.perf_counter()
             report["tasks"][name] = _TASKS[name](ctx)
             timings[name] = time.perf_counter() - t0
+        _assert_finite(report["tasks"])
     except (FamilyError, CoveringError, OscillationError, DiscretizationError,
             SolverError, ValueError) as exc:
         print(f"numerical failure in task pipeline: {exc}", file=sys.stderr)
         return 3
 
-    _assert_finite(report["tasks"])
     (out / "report.json").write_text(
         json.dumps(report, sort_keys=True, indent=1, default=_json_default))
     (out / "timings.json").write_text(
@@ -378,9 +382,10 @@ def validate(config_path: str) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    for d in validate_config(cfg):
+    diags = validate_config(cfg)
+    for d in diags:
         print(d)
-    return 0
+    return 2 if diags else 0
 
 
 def main(argv=None) -> int:

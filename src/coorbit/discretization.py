@@ -120,13 +120,14 @@ class UPhiOperator:
         pot = self.calc.atom_matrix[:, self.node_index] @ \
             (self.masses * samp.T).T if F.ndim > 1 else \
             self.calc.atom_matrix[:, self.node_index] @ (self.masses * samp)
-        return h * (self._u().conj().T @ pot)
+        return h * (self._u() @ pot)
 
     def apply_adjoint(self, G: np.ndarray) -> np.ndarray:
         """Adjoint w.r.t. the mu-weighted inner product on the grid."""
         h = self.calc.family.signal_grid.h
         w = self.grid.weights
-        pot = self._u() @ (w * G.T).T if G.ndim > 1 else self._u() @ (w * G)
+        u = self._u().conj().T
+        pot = u @ (w * G.T).T if G.ndim > 1 else u @ (w * G)
         y = h * (self.calc.atom_matrix[:, self.node_index].conj().T @ pot)
         out = np.zeros_like(G)
         scale = self.masses / w[self.node_index]
@@ -138,7 +139,7 @@ class UPhiOperator:
         h = self.calc.family.signal_grid.h
         w = self.grid.weights
         pot = self.calc.atom_matrix @ ((w * F.T).T if F.ndim > 1 else w * F)
-        return h * (self._u().conj().T @ pot)
+        return h * (self._u() @ pot)
 
 
 def build_uphi(R: Kernel, cov: Covering, pu: PartitionOfUnity,
@@ -330,7 +331,7 @@ def dual_frame(family: FrameFamily, cov: Covering, pu: PartitionOfUnity,
     h = family.signal_grid.h
     # W psi_{x_i} = R(., x_i): analysis of the pseudo-inverted sampled atoms
     u = op._u()
-    cols = h * (u.conj().T @ op.calc.atom_matrix[:, op.node_index[indices]])
+    cols = h * (u @ op.calc.atom_matrix[:, op.node_index[indices]])
     inv_cols, _ = invert_uphi(op, cols, method="neumann", tol=tol, defect=defect)
     e_fields = op.masses[indices] * inv_cols
     pots = op.calc.synthesize(e_fields)
@@ -364,7 +365,7 @@ def banach_frame_reconstruct(samples: np.ndarray, family: FrameFamily,
         defect = uphi_defect_norm(op)
     h = family.signal_grid.h
     pot = op.calc.atom_matrix[:, op.node_index] @ (op.masses * samples)
-    G = h * (op._u().conj().T @ pot)
+    G = h * (op._u() @ pot)
     u, iters = invert_uphi(op, G, method=method, tol=tol, defect=defect)
     f_rec = op.calc.s_pinv(op.calc.synthesize(u), op.rel_cut)
     sg = family.signal_grid

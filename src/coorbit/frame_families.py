@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.signal import czt
 
 from ._linalg import HermitianEig, cg_solve, extreme_rayleigh_bounds, \
     psd_factorize
@@ -237,10 +236,16 @@ class FrameCalculus:
         return self.s_eig(rel_cut).apply_pinv(f)
 
     def u_factor(self, rel_cut: float = 1e-10) -> np.ndarray:
-        """S^+ applied to every grid atom; rows of the Gramian factor."""
+        """Left Gramian factor conj(S^+ psi_x)^T, shape (M, n).
+
+        Row x is the conjugated pseudo-inverted atom at grid node x, so
+        R = h * (u_factor @ psi) on the grid.  Cached once per cut, in the
+        layout every consumer multiplies with.
+        """
         u = self._u_factor.get(rel_cut)
         if u is None:
-            u = self.s_eig(rel_cut).apply_pinv(self.atom_matrix)
+            dual = self.s_eig(rel_cut).apply_pinv(self.atom_matrix)
+            u = np.conjugate(dual, out=dual).T
             self._u_factor[rel_cut] = u
         return u
 
@@ -606,6 +611,8 @@ def analyze_V(family: FrameFamily, f: np.ndarray, x_grid: QuadGrid,
 
 
 def _gabor_fast_V(family: FrameFamily, f: np.ndarray, x_grid: QuadGrid) -> np.ndarray:
+    from scipy.signal import czt     # scipy.signal is slow to import
+
     sg = family.signal_grid
     xs, ws = x_grid.structure["tensor_axes"]
     window = family.params["window"]
@@ -693,14 +700,13 @@ def gram_kernel(family: FrameFamily, x_grid: QuadGrid, rel_cut: float = 1e-10,
         raise FamilyError(f"unknown gram_kernel mode {mode!r}")
 
     def ev(pr, pc):
-        u = calc.s_pinv(family.atoms(pr), rel_cut) if pr is not x_grid.points \
-            else calc.u_factor(rel_cut)
+        u = calc.u_factor(rel_cut) if pr is x_grid.points \
+            else calc.s_pinv(family.atoms(pr), rel_cut).conj().T
         right = calc.atom_matrix if pc is x_grid.points else family.atoms(pc)
-        return h * (u.conj().T @ right)
+        return h * (u @ right)
 
     def fast(F, grid):
-        u = calc.u_factor(rel_cut)
-        return h * (u.conj().T @ calc.synthesize(F))
+        return h * (calc.u_factor(rel_cut) @ calc.synthesize(F))
 
     return Kernel(evaluator=ev, provenance="gramian", native_grid=x_grid,
                   fast_apply=fast, context={"calc": calc, "rel_cut": rel_cut})

@@ -16,17 +16,36 @@ therefore taken modulo a unimodular factor,
 (the best phase-aligned comparison), which is the quotient image of the
 group-covering oscillation.  The comparison mode is recorded in the report;
 `comparison="strict"` forces the literal kernel difference.
+
+`osc_norm_streaming` walks the cells in covering order, grouped into blocks
+of consecutive nonempty cells whose y- and z-columns fit a fixed entry
+budget (`_BLOCK_ENTRIES` / M columns; a cell larger than that is a block of
+its own).  Per block it makes one `R.block` call for all y-columns and one
+for all z-samples, always on the calling thread.  The per-cell sups and the
+per-cell row and column sums are then computed for the block, by up to
+`threads - 1` worker threads while the caller evaluates the next blocks,
+and folded into the running sums in cell order; for overlapping coverings
+the per-node running maximum is updated in the same order.  Block
+boundaries depend only on the covering and the grid size, so the result is
+the same for every thread count.
 """
 from __future__ import annotations
 
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coverings import Covering, build_covering, weight_sup_on_cells
+from .coverings import Covering, build_covering, q_set, weight_sup_on_cells
 from .kernel_algebra import Kernel, am_norm
 from .measure_space import AdmissibleWeight, QuadGrid
 from .frame_families import FrameFamily, default_index_grid, gram_kernel
+
+
+# complex entries of the two R.block results of one streamed block of cells
+_BLOCK_ENTRIES = 2 ** 20
 
 
 class OscillationError(ValueError):
@@ -81,13 +100,35 @@ def _cell_z_samples(cov: Covering, z_per_cell: int, seed: int) -> list:
     return out
 
 
-def _pair_osc(r_y: np.ndarray, r_z: np.ndarray, aligned: bool) -> np.ndarray:
-    """max_z of the (phase-aligned) difference; r_y (M, Y), r_z (M, Z)."""
+def _pair_osc(r_y: np.ndarray, r_z: np.ndarray, counts,
+              aligned: bool) -> np.ndarray:
+    """Per-cell sup over z of the (phase-aligned) difference.
+
+    r_y (M, sum(counts)) holds counts[c] y-columns of cell c, cells side by
+    side; r_z (M, C * Z) holds the Z z-columns of each of the C cells in the
+    same order.  Returns (M, sum(counts)).  The aligned sup uses
+    max(|a| - min_z |b_z|, max_z |b_z| - |a|): rounding is monotone, so this
+    equals max_z | |a| - |b_z| | bit for bit without an (M, Y, Z) temporary.
+    """
+    n_cells = len(counts)
+    r_z = r_z.reshape(r_z.shape[0], n_cells, r_z.shape[1] // n_cells)
     if aligned:
-        diff = np.abs(np.abs(r_y)[:, :, None] - np.abs(r_z)[:, None, :])
-    else:
-        diff = np.abs(r_y[:, :, None] - r_z[:, None, :])
-    return diff.max(axis=2)
+        b = np.abs(r_z)
+        lo, hi = b[:, :, 0], b[:, :, 0]
+        for j in range(1, b.shape[2]):
+            lo = np.minimum(lo, b[:, :, j])
+            hi = np.maximum(hi, b[:, :, j])
+        a = np.abs(r_y)
+        lo = np.repeat(lo, counts, axis=1)
+        hi = np.repeat(hi, counts, axis=1)
+        np.subtract(a, lo, out=lo)
+        np.subtract(hi, a, out=hi)
+        return np.maximum(lo, hi, out=lo)
+    out = np.abs(r_y - np.repeat(r_z[:, :, 0], counts, axis=1))
+    for j in range(1, r_z.shape[2]):
+        np.maximum(out, np.abs(r_y - np.repeat(r_z[:, :, j], counts, axis=1)),
+                   out=out)
+    return out
 
 
 def osc_kernel(R: Kernel, cov: Covering, grid: QuadGrid, z_per_cell: int = 4,
@@ -104,88 +145,131 @@ def osc_kernel(R: Kernel, cov: Covering, grid: QuadGrid, z_per_cell: int = 4,
         out = np.zeros((pr.shape[0], pc.shape[0]))
         r_rows_y = R.block(pr, pc)
         for j in range(pc.shape[0]):
-            from .coverings import q_set
-            cells = q_set(cov, pc[j])
-            zs = np.concatenate([z_sets[i] for i in cells] + [pc[j:j + 1]])
-            r_z = R.block(pr, zs)
-            out[:, j] = _pair_osc(r_rows_y[:, j:j + 1], r_z, aligned)[:, 0]
+            zs = np.concatenate([z_sets[i] for i in q_set(cov, pc[j])]
+                                + [pc[j:j + 1]])
+            out[:, j] = _pair_osc(r_rows_y[:, j:j + 1], R.block(pr, zs), [1],
+                                  aligned)[:, 0]
         return out
 
     return Kernel(evaluator=ev, provenance=f"oscillation({comparison})",
                   native_grid=grid)
 
 
+def _cell_blocks(cov: Covering, z_per_cell: int) -> list:
+    """Consecutive nonempty cells grouped so that the y- and z-columns of a
+    block stay within _BLOCK_ENTRIES / M; a cell never straddles blocks."""
+    budget = max(1, _BLOCK_ENTRIES // cov.grid.size)
+    blocks, cur, cols = [], [], 0
+    for i, idx in enumerate(cov.members):
+        if idx.size == 0:
+            continue
+        if cur and cols + idx.size + z_per_cell > budget:
+            blocks.append(cur)
+            cur, cols = [], 0
+        cur.append(i)
+        cols += idx.size + z_per_cell
+    if cur:
+        blocks.append(cur)
+    return blocks
+
+
+def _stream(blocks: list, gemms, reduce, fold, threads: int) -> None:
+    """fold(reduce(block, *gemms(block))) for every block, in block order.
+
+    `gemms` always runs on the calling thread.  With threads > 1, threads - 1
+    workers (no more than the CPU count allows) run `reduce` on earlier
+    blocks meanwhile; at most `threads` blocks are in flight.
+    """
+    threads = min(threads, len(blocks), os.cpu_count() or 1)
+    if threads <= 1:
+        for b in blocks:
+            fold(reduce(b, *gemms(b)))
+        return
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        pending = deque()
+        for b in blocks:
+            pending.append(pool.submit(reduce, b, *gemms(b)))
+            if len(pending) >= threads:
+                fold(pending.popleft().result())
+        while pending:
+            fold(pending.popleft().result())
+
+
 def osc_norm_streaming(R: Kernel, cov: Covering, grid: QuadGrid,
                        m: AdmissibleWeight, z_per_cell: int = 4,
-                       comparison: str = "strict", seed: int = 0) -> float:
+                       comparison: str = "strict", seed: int = 0,
+                       threads: int = 1) -> float:
     """||osc_U | A_m|| without materializing the M x M oscillation matrix.
 
-    Processes one cell at a time: columns y in the cell are compared against
-    the cell's z-samples (plus y itself); for nodes shared by several cells
-    the running maximum across cells realizes the sup over the union Q_y.
+    Streams blocks of consecutive cells: columns y of each cell are compared
+    against the cell's z-samples.  On a partition every node lies in one
+    cell; for nodes shared by several cells the running maximum across
+    cells realizes the sup over the union Q_y.  `threads` sizes the pool
+    that reduces the blocks; the result does not depend on it.
     """
+    if threads < 1:
+        raise OscillationError(f"threads must be >= 1, got {threads}")
     aligned = comparison == "phase_aligned"
     z_sets = _cell_z_samples(cov, z_per_cell, seed)
     pts, w = grid.points, grid.weights
     M = grid.size
-
-    multi = any(len(v) > 1 for v in _membership_counts(cov))
+    members = cov.members
+    remaining = np.bincount(np.concatenate(members), minlength=M)
+    overlapping = bool(remaining.max() > 1)
     row_acc = np.zeros(M)
     col_val = np.zeros(M)
-    if multi:
-        # overlapping covering: keep per-column running maxima
-        col_cells = cov.node_cells()
-        osc_cols: dict[int, np.ndarray] = {}
-        remaining = np.array([len(c) for c in col_cells])
-        for i in range(cov.size):
-            idx = cov.members[i]
-            if idx.size == 0:
+
+    def gemms(block):
+        idx = np.concatenate([members[i] for i in block])
+        zs = np.concatenate([z_sets[i] for i in block])
+        return idx, R.block(pts, pts[idx]), R.block(pts, zs)
+
+    def reduce(block, idx, r_y, r_z):
+        counts = [members[i].size for i in block]
+        vals = _pair_osc(r_y, r_z, counts, aligned)
+        mm = m(pts, pts[idx])
+        if overlapping:
+            return idx, vals, mm
+        vals *= mm
+        stops = np.cumsum(counts)
+        rows = [vals[:, b - c:b] @ w[idx[b - c:b]] for b, c in zip(stops, counts)]
+        cols = [w @ vals[:, b - c:b] for b, c in zip(stops, counts)]
+        return idx, rows, cols
+
+    def fold_partition(res):
+        idx, rows, cols = res
+        for r in rows:
+            np.add(row_acc, r, out=row_acc)
+        col_val[idx] = np.concatenate(cols)
+
+    osc_cols: dict[int, np.ndarray] = {}
+
+    def fold_overlapping(res):
+        idx, vals, mm = res
+        for pos, node in enumerate(idx):
+            prev = osc_cols.pop(node, None)
+            cur = vals[:, pos] if prev is None else np.maximum(prev, vals[:, pos])
+            remaining[node] -= 1
+            if remaining[node]:
+                osc_cols[node] = cur.copy() if prev is None else cur
                 continue
-            r_y = R.block(pts, pts[idx])
-            r_z = R.block(pts, z_sets[i])
-            part = _pair_osc(r_y, r_z, aligned)
-            if aligned:
-                part = np.maximum(part, 0.0)
-            for col_pos, node in enumerate(idx):
-                prev = osc_cols.get(node)
-                cur = part[:, col_pos]
-                osc_cols[node] = cur if prev is None else np.maximum(prev, cur)
-                remaining[node] -= 1
-                if remaining[node] == 0:
-                    vals = osc_cols.pop(node)
-                    mm = m(pts, pts[node:node + 1])[:, 0]
-                    row_acc += vals * mm * w[node]
-                    col_val[node] = float(np.dot(w, vals * mm))
-    else:
-        for i in range(cov.size):
-            idx = cov.members[i]
-            if idx.size == 0:
-                continue
-            r_y = R.block(pts, pts[idx])
-            r_z = R.block(pts, z_sets[i])
-            vals = _pair_osc(r_y, r_z, aligned)
-            mm = m(pts, pts[idx])
-            row_acc += (vals * mm) @ w[idx]
-            col_val[idx] = w @ (vals * mm)
+            np.add(row_acc, cur * mm[:, pos] * w[node], out=row_acc)
+            col_val[node] = float(np.dot(w, cur * mm[:, pos]))
+
+    _stream(_cell_blocks(cov, z_per_cell), gemms, reduce,
+            fold_overlapping if overlapping else fold_partition, threads)
     return float(max(row_acc.max(), col_val.max()))
-
-
-def _membership_counts(cov: Covering) -> list:
-    counts = [[] for _ in range(cov.grid.size)]
-    for i, idx in enumerate(cov.members):
-        for k in idx:
-            counts[k].append(i)
-    return counts
 
 
 def property_D_check(family: FrameFamily, cov: Covering, m: AdmissibleWeight,
                      grid: QuadGrid, z_per_cell: int = 4, seed: int = 0,
                      comparison: str | None = None,
-                     rel_cut: float = 1e-10) -> OscReport:
+                     rel_cut: float = 1e-10, threads: int = 1) -> OscReport:
     """Assemble the discretization report for one covering.
 
     delta_est = ||osc_U | A_m|| (sampled sup), sigma and the threshold value
-    delta (||R|| + sigma) with the three flags.  Deterministic given seed.
+    delta (||R|| + sigma) with the three flags.  Deterministic given seed,
+    whatever the number of `threads` reducing the oscillation blocks.
     """
     if comparison is None:
         comparison = "phase_aligned" if family.phase_quotient else "strict"
@@ -195,7 +279,8 @@ def property_D_check(family: FrameFamily, cov: Covering, m: AdmissibleWeight,
     if not np.isfinite(r_norm):
         raise OscillationError("||R|A_m|| is not finite at this truncation")
     delta = osc_norm_streaming(R, cov, grid, m, z_per_cell=z_per_cell,
-                               comparison=comparison, seed=seed)
+                               comparison=comparison, seed=seed,
+                               threads=threads)
     c_m_u = weight_sup_on_cells(cov, m)
     sigma = max(c_m_u * r_norm, r_norm + delta)
     cond = delta * (r_norm + sigma)
@@ -220,7 +305,7 @@ def refine_until(family: FrameFamily, domain, m: AdmissibleWeight,
                  initial_cell=None, overlap: float = 0.0,
                  nodes_per_cell_axis: int = 2, z_per_cell: int = 4,
                  seed: int = 0, max_cells: int = 40000,
-                 rel_cut: float = 1e-10):
+                 rel_cut: float = 1e-10, threads: int = 1):
     """Dyadic refinement until the target flag holds.
 
     Rebuilds a matched index grid per level (`nodes_per_cell_axis` quadrature
@@ -254,7 +339,7 @@ def refine_until(family: FrameFamily, domain, m: AdmissibleWeight,
                                   resolution=resolution)
         cov = build_covering(grid, cell, overlap_fraction=overlap)
         rep = property_D_check(family, cov, m, grid, z_per_cell=z_per_cell,
-                               seed=seed, rel_cut=rel_cut)
+                               seed=seed, rel_cut=rel_cut, threads=threads)
         trajectory.append(RefinementStep(level=level, cells=cov.size,
                                          grid_nodes=grid.size, report=rep))
         hit = {"full": rep.full, "atomic": rep.atomic_only,

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from coorbit import cli
 from coorbit.cli import main, run, validate_config
 
 
@@ -50,6 +53,11 @@ class TestValidate:
         assert main(["validate", str(path)]) == 0
         assert capsys.readouterr().out.strip() == ""
 
+    def test_validate_entry_point_exits_2_on_diagnostics(self, tmp_path, capsys):
+        path = write_config(tmp_path, dict(MINIMAL, tasks=["resample"]))
+        assert main(["validate", str(path)]) == 2
+        assert "unknown task" in capsys.readouterr().out
+
 
 class TestRun:
     def test_minimal_run_produces_report(self, tmp_path):
@@ -73,6 +81,20 @@ class TestRun:
     def test_invalid_config_exits_2(self, tmp_path):
         path = write_config(tmp_path, dict(MINIMAL, tasks=[]))
         assert run(str(path), out_dir=str(tmp_path / "o")) == 2
+
+    def test_threads_below_one_exits_2(self, tmp_path):
+        path = write_config(tmp_path, MINIMAL)
+        out = tmp_path / "o0"
+        assert run(str(path), out_dir=str(out), threads=0) == 2
+        assert not (out / "report.json").exists()
+
+    def test_non_finite_report_exits_3(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(cli._TASKS, "norms",
+                            lambda ctx: {"gramian": {"am_norm": float("nan")}})
+        path = write_config(tmp_path, MINIMAL)
+        out = tmp_path / "o_nan"
+        assert run(str(path), out_dir=str(out)) == 3
+        assert not (out / "report.json").exists()
 
     def test_numerical_failure_exits_3(self, tmp_path):
         cfg = dict(MINIMAL, tasks=["property-d"],
@@ -126,3 +148,18 @@ class TestRun:
             assert run(str(path), out_dir=str(out), threads=threads) == 0
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("overlap", [0.0, 0.25])
+    def test_property_d_identical_across_thread_counts(self, tmp_path, overlap):
+        cfg = dict(MINIMAL, tasks=["property-d"], z_per_cell=3,
+                   covering={"cell_size": 1.0, "overlap": overlap})
+        path = write_config(tmp_path, cfg)
+        blobs = []
+        for threads in (1, 2, 3):
+            out = tmp_path / f"t{threads}"
+            assert run(str(path), out_dir=str(out), threads=threads) == 0
+            blobs.append((out / "report.json").read_bytes())
+            timings = json.loads((out / "timings.json").read_text())
+            assert timings["threads"] == threads
+        assert "osc_report" in json.loads(blobs[0])["tasks"]["property-d"]
+        assert blobs[0] == blobs[1] == blobs[2]

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from coorbit.coverings import build_covering, refine_covering
 from coorbit.frame_families import gram_kernel, make_family
 from coorbit.kernel_algebra import Kernel
-from coorbit.measure_space import (SignalGrid, polynomial_weight,
+from coorbit.measure_space import (SignalGrid, build_quad_grid,
+                                   polynomial_weight,
                                    trivial_admissible_weight, weight_from_w)
-from coorbit.oscillation import (OscillationError, osc_kernel,
+from coorbit.oscillation import (OscillationError, _cell_blocks,
+                                 _cell_z_samples, _pair_osc, osc_kernel,
                                  osc_norm_streaming, property_D_check,
                                  refine_until)
 
@@ -79,6 +84,143 @@ class TestOscKernel:
         norm_stream = osc_norm_streaming(R, cov, grid, m_trivial, z_per_cell=3,
                                          seed=2)
         assert norm_dense == pytest.approx(norm_stream, rel=1e-12)
+
+
+def _reference_osc_sups(R, cov, grid, m, z_per_cell, comparison, seed):
+    """The per-cell streaming loop: two R.block calls per cell, the (M, Y, Z)
+    difference tensor, and a per-node running max on overlapping coverings.
+    Returns the row and the column sup of the weighted oscillation."""
+    def pair(r_y, r_z):
+        if comparison == "phase_aligned":
+            return np.abs(np.abs(r_y)[:, :, None]
+                          - np.abs(r_z)[:, None, :]).max(axis=2)
+        return np.abs(r_y[:, :, None] - r_z[:, None, :]).max(axis=2)
+
+    z_sets = _cell_z_samples(cov, z_per_cell, seed)
+    pts, w = grid.points, grid.weights
+    col_cells = cov.node_cells()
+    remaining = np.array([len(c) for c in col_cells])
+    row_acc = np.zeros(grid.size)
+    col_val = np.zeros(grid.size)
+    osc_cols = {}
+    for i, idx in enumerate(cov.members):
+        if idx.size == 0:
+            continue
+        part = pair(R.block(pts, pts[idx]), R.block(pts, z_sets[i]))
+        for col_pos, node in enumerate(idx):
+            prev = osc_cols.get(node)
+            cur = part[:, col_pos]
+            osc_cols[node] = cur if prev is None else np.maximum(prev, cur)
+            remaining[node] -= 1
+            if remaining[node] == 0:
+                vals = osc_cols.pop(node)
+                mm = m(pts, pts[node:node + 1])[:, 0]
+                row_acc += vals * mm * w[node]
+                col_val[node] = float(np.dot(w, vals * mm))
+    return float(row_acc.max()), float(col_val.max())
+
+
+@pytest.fixture(scope="module")
+def gabor_blocks():
+    """Gabor box whose coverings stream in four or more blocks."""
+    fam = make_family("gabor", None, SignalGrid(8.0, 64))
+    from coorbit.frame_families import default_index_grid
+    grid = default_index_grid(fam, bounds=[[-5.0, 5.0], [-5.0, 5.0]],
+                              resolution=[40, 40])
+    return fam, grid, gram_kernel(fam, grid, rel_cut=0.2)
+
+
+class TestStreamingBlocks:
+    @pytest.mark.parametrize("overlap", [0.0, 0.3])
+    @pytest.mark.parametrize("comparison", ["strict", "phase_aligned"])
+    def test_matches_per_cell_loop(self, gabor_blocks, overlap, comparison):
+        _, grid, R = gabor_blocks
+        cov = build_covering(grid, 0.625, overlap_fraction=overlap)
+        assert len(_cell_blocks(cov, 3)) >= 4       # several blocks in flight
+        m = weight_from_w(polynomial_weight(1.0))
+        ref = max(_reference_osc_sups(R, cov, grid, m, 3, comparison, seed=7))
+        got = [osc_norm_streaming(R, cov, grid, m, z_per_cell=3,
+                                  comparison=comparison, seed=7, threads=t)
+               for t in (1, 2, 3)]
+        assert got[0] == pytest.approx(ref, rel=1e-13, abs=0.0)
+        assert got[1] == got[0] and got[2] == got[0]
+
+    @pytest.mark.parametrize("overlap", [0.0, 0.3])
+    @pytest.mark.parametrize("comparison", ["strict", "phase_aligned"])
+    def test_row_sums_match_per_cell_loop(self, monkeypatch, overlap,
+                                          comparison):
+        # a peaked row factor makes the row sup the larger one, a small entry
+        # budget streams the 64-node grid in many blocks, and the density and
+        # weight make every node's quadrature weight and m-column distinct
+        import coorbit.oscillation as osc
+        monkeypatch.setattr(osc, "_BLOCK_ENTRIES", 64 * 12)
+        grid = build_quad_grid([[0.0, 1.0]], [64],
+                               measure=lambda p: 1.0 + 3.0 * p[:, 0])
+        m = weight_from_w(polynomial_weight(1.0))
+
+        def ev(p, q):
+            f = 10.0 * np.exp(-200.0 * (p[:, 0] - 0.3) ** 2)
+            return (f[:, None] * np.exp(1j * 9.0 * q[None, :, 0] ** 2)
+                    * np.sin(20.0 * q[None, :, 0]))
+        K = Kernel(ev)
+        cov = build_covering(grid, 1.0 / 16, overlap_fraction=overlap)
+        assert len(_cell_blocks(cov, 2)) >= 8
+        row_sup, col_sup = _reference_osc_sups(K, cov, grid, m, 2,
+                                               comparison, seed=3)
+        assert row_sup > col_sup
+        for t in (1, 2, 3):
+            got = osc_norm_streaming(K, cov, grid, m, z_per_cell=2,
+                                     comparison=comparison, seed=3, threads=t)
+            assert got == pytest.approx(row_sup, rel=1e-13, abs=0.0)
+
+    def test_blocks_are_consecutive_cells_within_budget(self, gabor_blocks):
+        import coorbit.oscillation as osc
+        _, grid, _ = gabor_blocks
+        cov = build_covering(grid, 0.625, overlap_fraction=0.3)
+        blocks = _cell_blocks(cov, 3)
+        flat = [i for b in blocks for i in b]
+        assert flat == [i for i, idx in enumerate(cov.members) if idx.size]
+        budget = osc._BLOCK_ENTRIES // grid.size
+        for b in blocks:
+            assert sum(cov.members[i].size + 3 for i in b) <= budget
+
+    def test_threads_must_be_positive(self, gabor_blocks, m_trivial):
+        _, grid, R = gabor_blocks
+        with pytest.raises(OscillationError, match="threads"):
+            osc_norm_streaming(R, build_covering(grid, 1.25), grid, m_trivial,
+                               threads=0)
+
+
+_parts = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _cell_columns(draw):
+    """Complex y- and z-columns of a few cells with Z z-samples each."""
+    M = draw(st.integers(1, 5))
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    Z = draw(st.integers(1, 4))
+    def cplx(cols):
+        re = draw(arrays(np.float64, (M, cols), elements=_parts))
+        im = draw(arrays(np.float64, (M, cols), elements=_parts))
+        return re + 1j * im
+    return cplx(sum(counts)), cplx(len(counts) * Z), counts, Z
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cell_columns())
+def test_pair_osc_is_the_difference_tensor_max(case):
+    r_y, r_z, counts, Z = case
+    stops = np.cumsum(counts)
+    for aligned in (True, False):
+        got = _pair_osc(r_y, r_z, counts, aligned)
+        for c, (stop, cnt) in enumerate(zip(stops, counts)):
+            a = r_y[:, stop - cnt:stop]
+            b = r_z[:, c * Z:(c + 1) * Z]
+            if aligned:
+                a, b = np.abs(a), np.abs(b)
+            ref = np.abs(a[:, :, None] - b[:, None, :]).max(axis=2)
+            assert np.array_equal(got[:, stop - cnt:stop], ref)
 
 
 class TestPropertyD:
