@@ -212,6 +212,8 @@ def task_reconstruct(ctx: _Context) -> dict:
     battery = make_battery(ctx.family, ctx.grid,
                            int(ctx.cfg.get("battery_size", 5)), seed=ctx.seed)
     defect = getattr(ctx, "_defect", None)
+    node_index = build_uphi(gram_kernel(ctx.family, ctx.grid, rel_cut=ctx.rel_cut),
+                            cov, pu, ctx.grid).node_index
     atomic_errors, banach_errors, ratios = [], [], []
     lam = None
     for f in battery:
@@ -219,9 +221,8 @@ def task_reconstruct(ctx: _Context) -> dict:
                                        defect=defect, rel_cut=ctx.rel_cut)
         defect = rep.defect_estimate
         atomic_errors.append(rep.relative_error)
-        samples = analyze_V(ctx.family, f, ctx.grid, use_fast_path=False).values[
-            build_uphi(gram_kernel(ctx.family, ctx.grid, rel_cut=ctx.rel_cut),
-                       cov, pu, ctx.grid).node_index]
+        samples = analyze_V(ctx.family, f, ctx.grid,
+                            use_fast_path=False).values[node_index]
         f_rec, brep = banach_frame_reconstruct(samples, ctx.family, cov, pu,
                                                ctx.grid, f_true=f, defect=defect,
                                                rel_cut=ctx.rel_cut)

@@ -86,22 +86,60 @@ def _contains(cells: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def _open_overlap(cells: np.ndarray) -> list:
-    n = cells.shape[0]
+    """i* for every cell: open-interior overlap, or coincident sheet axes.
+
+    Candidates come from a sweep over axis 0.  Either rule implies that the
+    axis-0 hulls [min(lo, hi), max(lo, hi)] of the two cells meet once
+    widened by a pad far above the 1e-12 sheet tolerance and the rounding
+    of the window arithmetic, so the candidates are a superset of i* and
+    the unchanged exact test on them gives the dense result.
+    """
     lo = cells[:, :, 0]
     hi = cells[:, :, 1]
+    a = np.minimum(lo[:, 0], hi[:, 0])
+    b = np.maximum(lo[:, 0], hi[:, 0])
+    pad = 1e-9 * (1.0 + float(np.max(np.abs(cells[:, 0]))))
+    order = np.argsort(a, kind="stable")
+    a_sorted = a[order]
+    # a candidate j has b_j >= a_i - pad, so a_j >= a_i - pad - (b_j - a_j)
+    span = float(np.max(b - a))
+    first = np.searchsorted(a_sorted, a - span - 2.0 * pad, side="left")
+    last = np.searchsorted(a_sorted, b + pad, side="right")
     neighbors = []
-    for i in range(n):
-        ov = np.all((lo[i][None, :] < hi) & (lo < hi[i][None, :]), axis=-1)
+    for i in range(cells.shape[0]):
+        cand = order[first[i]:last[i]]
+        cand = cand[b[cand] >= a[i] - pad]
+        lo_c, hi_c = lo[cand], hi[cand]
+        ov = np.all((lo[i][None, :] < hi_c) & (lo_c < hi[i][None, :]), axis=-1)
         # degenerate intervals (sheet cells) overlap when they coincide
         deg = hi[i] <= lo[i]
         if np.any(deg):
-            same = np.all(np.abs(lo[:, deg] - lo[i][deg][None, :]) < 1e-12, axis=-1) & \
-                np.all(np.abs(hi[:, deg] - hi[i][deg][None, :]) < 1e-12, axis=-1)
+            same = np.all(np.abs(lo_c[:, deg] - lo[i][deg][None, :]) < 1e-12, axis=-1) & \
+                np.all(np.abs(hi_c[:, deg] - hi[i][deg][None, :]) < 1e-12, axis=-1)
             rest = ~deg
-            ov = same & np.all((lo[:, rest] < hi[i][rest][None, :]) &
-                               (lo[i][rest][None, :] < hi[:, rest]), axis=-1)
-        neighbors.append(np.flatnonzero(ov))
+            ov = same & np.all((lo_c[:, rest] < hi[i][rest][None, :]) &
+                               (lo[i][rest][None, :] < hi_c[:, rest]), axis=-1)
+        neighbors.append(np.sort(cand[ov]))
     return neighbors
+
+
+def _members(cells: np.ndarray, points: np.ndarray) -> list:
+    """Closed-box member nodes of every cell, ascending.
+
+    Nodes are sorted once by axis 0; a node can pass the closed test of a
+    cell only inside the axis-0 window found by bisection with the same
+    +-1e-12 tolerance, so the test runs on that window alone.
+    """
+    order = np.argsort(points[:, 0], kind="stable")
+    x0 = points[order, 0]
+    first = np.searchsorted(x0, cells[:, 0, 0] - 1e-12, side="left")
+    last = np.searchsorted(x0, cells[:, 0, 1] + 1e-12, side="right")
+    members = []
+    for i in range(cells.shape[0]):
+        window = order[first[i]:last[i]]
+        hit = _contains(cells[i:i + 1], points[window])[0]
+        members.append(np.sort(window[hit]))
+    return members
 
 
 def build_covering(grid: QuadGrid, cell_size, overlap_fraction: float = 0.0,
@@ -196,19 +234,19 @@ def _banded_cells(grid, domain, cell_size, stretch, overlap_fraction):
 
 
 def _covering_from_cells(cells, grid, sample, seed, overlap_fraction, descriptor):
+    """Covering record of the given cells.
+
+    Members and i* come from axis-0 sweeps whose windows are supersets of
+    every node and cell the exact tests can accept, so they equal the dense
+    all-pairs results.
+    """
     n_cells = cells.shape[0]
-    members = []
+    members = _members(cells, grid.points)
     measures = np.empty(n_cells)
-    block = max(1, 4_000_000 // max(grid.size, 1))
     inside = np.zeros(grid.size, dtype=bool)
-    for start in range(0, n_cells, block):
-        stop = min(start + block, n_cells)
-        mem = _contains(cells[start:stop], grid.points)
-        for i in range(start, stop):
-            idx = np.flatnonzero(mem[i - start])
-            members.append(idx)
-            measures[i] = float(np.sum(grid.weights[idx]))
-            inside[idx] = True
+    for i, idx in enumerate(members):
+        measures[i] = float(np.sum(grid.weights[idx]))
+        inside[idx] = True
     empty = np.flatnonzero(measures <= 0.0)
     if empty.size:
         raise CoveringError(

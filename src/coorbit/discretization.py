@@ -49,16 +49,22 @@ class SampledFrame:
 
 
 def _sample_nodes(cov: Covering) -> np.ndarray:
-    """Grid node inside each cell, nearest to the cell's sample point."""
+    """Grid node inside each cell, nearest to the cell's sample point.
+
+    The members of a cell are exactly the nodes passing its closed-box test,
+    so the snapped node is tested against the box directly.
+    """
     idx = cov.sample_node_index.copy()
     pts = cov.grid.points
-    for i in range(cov.size):
+    snapped = pts[idx]
+    inside = np.all((snapped >= cov.cells[:, :, 0] - 1e-12) &
+                    (snapped <= cov.cells[:, :, 1] + 1e-12), axis=1)
+    for i in np.flatnonzero(~inside):
+        # nearest overall node fell outside the (clipped) cell; take the
+        # member node closest to the sample point instead
         members = cov.members[i]
-        if idx[i] not in members:
-            # nearest overall node fell outside the (clipped) cell; take the
-            # member node closest to the sample point instead
-            d = np.sum((pts[members] - cov.sample_points[i]) ** 2, axis=1)
-            idx[i] = members[int(np.argmin(d))]
+        d = np.sum((pts[members] - cov.sample_points[i]) ** 2, axis=1)
+        idx[i] = members[int(np.argmin(d))]
     return idx
 
 

@@ -133,6 +133,7 @@ class FrameFamily:
         return self.atoms(np.atleast_2d(point))[:, 0]
 
     def calculus(self, grid: QuadGrid) -> "FrameCalculus":
+        # keyed by id(grid): safe, as the cached FrameCalculus holds its grid
         op = self._ops.get(id(grid))
         if op is None:
             op = FrameCalculus(self, grid)

@@ -40,7 +40,9 @@ class Kernel:
     fast_apply: Optional[Callable[[np.ndarray, QuadGrid], np.ndarray]] = None
     context: dict = field(default_factory=dict, repr=False)
     _cache: Optional[np.ndarray] = field(default=None, repr=False)
-    _cache_key: Optional[int] = field(default=None, repr=False)
+    # the grid the cache was sampled on, held (not its id, which can be
+    # reused by another grid once this one is freed)
+    _cache_grid: Optional[QuadGrid] = field(default=None, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def block(self, points_r: np.ndarray, points_c: np.ndarray) -> np.ndarray:
@@ -57,10 +59,9 @@ class Kernel:
                 f"grid with {grid.size} nodes exceeds the {CACHE_NODE_LIMIT}-node "
                 "cache bound; use block() streaming instead")
         with self._lock:
-            key = id(grid)
-            if self._cache is None or self._cache_key != key:
+            if self._cache is None or self._cache_grid is not grid:
                 self._cache = self.block(grid.points, grid.points)
-                self._cache_key = key
+                self._cache_grid = grid
             return self._cache
 
 
@@ -77,7 +78,7 @@ def kernel_from_matrix(mat: np.ndarray, grid: QuadGrid,
 
     kern = Kernel(evaluator=ev, provenance=provenance, native_grid=grid)
     kern._cache = mat
-    kern._cache_key = id(grid)
+    kern._cache_grid = grid
     return kern
 
 
@@ -156,7 +157,7 @@ def involution(kern: Kernel) -> Kernel:
                  native_grid=kern.native_grid)
     if kern._cache is not None:
         out._cache = np.conj(kern._cache).T
-        out._cache_key = kern._cache_key
+        out._cache_grid = kern._cache_grid
     return out
 
 

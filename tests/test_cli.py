@@ -128,6 +128,22 @@ class TestRun:
         assert report["tasks"]["reconstruct"]["atomic_max_relative_error"] <= 1e-3
         assert (out / "coefficients.csv").exists()
 
+    @pytest.mark.parametrize("battery_size", [1, 3])
+    def test_reconstruct_builds_one_uphi(self, tmp_path, monkeypatch, battery_size):
+        calls = []
+        real = cli.build_uphi
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_uphi", counting)
+        cfg = dict(MINIMAL, tasks=["reconstruct"], covering={"cell_size": 0.5},
+                   battery_size=battery_size)
+        path = write_config(tmp_path, cfg)
+        assert run(str(path), out_dir=str(tmp_path / "out")) == 0
+        assert len(calls) == 1
+
     def test_localize_task(self, tmp_path):
         cfg = dict(MINIMAL, tasks=["localize"], covering={"cell_size": 2.0},
                    index_domain={"bounds": [[-4.0, 4.0], [-4.0, 4.0]],

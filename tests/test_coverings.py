@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coorbit.coverings import (Covering, CoveringError, build_covering, build_pu,
-                               m_equivalent, q_set, refine_covering,
-                               verify_moderate, weight_sup_on_cells)
-from coorbit.measure_space import (build_quad_grid, polynomial_weight,
+from coorbit.coverings import (Covering, CoveringError, _open_overlap,
+                               build_covering, build_pu, m_equivalent, q_set,
+                               refine_covering, verify_moderate,
+                               weight_sup_on_cells)
+from coorbit.discretization import _sample_nodes
+from coorbit.frame_families import default_index_grid, make_family
+from coorbit.measure_space import (QuadGrid, SignalGrid, build_quad_grid,
+                                   polynomial_weight, trivial_admissible_weight,
                                    weight_from_w)
 
 
@@ -196,3 +202,151 @@ class TestSerialization:
         payload = json.loads(cov.to_json())
         assert payload["overlap_count"] == cov.overlap_count
         assert len(payload["cells"]) == cov.size
+
+
+# ---------------------------------------------------------------------------
+# the sweep against the dense construction
+# ---------------------------------------------------------------------------
+def _dense_contains(cells, points):
+    """Reference: (N_c, P) closed-box membership, every cell x every node."""
+    lo = cells[:, :, 0][:, None, :]
+    hi = cells[:, :, 1][:, None, :]
+    p = points[None, :, :]
+    return np.all((p >= lo - 1e-12) & (p <= hi + 1e-12), axis=-1)
+
+
+def _dense_open_overlap(cells):
+    """Reference: every cell against every cell."""
+    lo = cells[:, :, 0]
+    hi = cells[:, :, 1]
+    neighbors = []
+    for i in range(cells.shape[0]):
+        ov = np.all((lo[i][None, :] < hi) & (lo < hi[i][None, :]), axis=-1)
+        deg = hi[i] <= lo[i]
+        if np.any(deg):
+            same = np.all(np.abs(lo[:, deg] - lo[i][deg][None, :]) < 1e-12, axis=-1) & \
+                np.all(np.abs(hi[:, deg] - hi[i][deg][None, :]) < 1e-12, axis=-1)
+            rest = ~deg
+            ov = same & np.all((lo[:, rest] < hi[i][rest][None, :]) &
+                               (lo[i][rest][None, :] < hi[:, rest]), axis=-1)
+        neighbors.append(np.flatnonzero(ov))
+    return neighbors
+
+
+def _dense_sample_nodes(cov):
+    """Reference: the snapped node is kept when it is a member."""
+    idx = cov.sample_node_index.copy()
+    pts = cov.grid.points
+    for i in range(cov.size):
+        members = cov.members[i]
+        if idx[i] not in members:
+            d = np.sum((pts[members] - cov.sample_points[i]) ** 2, axis=1)
+            idx[i] = members[int(np.argmin(d))]
+    return idx
+
+
+def _assert_matches_dense(cov):
+    grid = cov.grid
+    mem = _dense_contains(cov.cells, grid.points)
+    assert len(cov.members) == cov.size
+    for i in range(cov.size):
+        ref = np.flatnonzero(mem[i])
+        assert cov.members[i].dtype == ref.dtype
+        assert np.array_equal(cov.members[i], ref)
+        assert cov.measures[i] == float(np.sum(grid.weights[ref]))
+    ref_nb = _dense_open_overlap(cov.cells)
+    for got, ref in zip(cov.neighbors, ref_nb, strict=True):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert cov.overlap_count == max(len(v) for v in ref_nb)
+    from scipy.spatial import cKDTree
+    assert np.array_equal(cov.sample_node_index,
+                          cKDTree(grid.points).query(cov.sample_points)[1])
+    assert np.array_equal(_sample_nodes(cov), _dense_sample_nodes(cov))
+
+
+@st.composite
+def lattice_grids(draw, min_cells=1, min_split=1):
+    """Shuffled node lattices whose nodes sit on the covering's cell edges,
+    some moved by up to 2e-12 (across the closed-box tolerance)."""
+    d = draw(st.integers(1, 3))
+    strides, lo, hi, axes = [], [], [], []
+    for _ in range(d):
+        stride = draw(st.sampled_from([0.25, 0.5, 1.0]))
+        n = draw(st.integers(min_cells, 5 if d < 3 else 4))
+        split = draw(st.sampled_from([s for s in (1, 2, 3, 4) if s >= min_split]))
+        a = draw(st.integers(-4, 4)) * stride
+        strides.append(stride)
+        lo.append(a)
+        hi.append(a + n * stride)
+        axes.append(a + np.arange(n * split + 1) * (stride / split))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    seed = draw(st.integers(0, 2 ** 16))
+    gen = np.random.default_rng(seed)
+    jitter = gen.choice([0.0, 0.0, 1e-12, -1e-12, 0.5e-12, -0.5e-12, 2e-12, -2e-12],
+                        size=pts.shape)
+    pts = np.clip(pts + jitter, lo, hi)[gen.permutation(pts.shape[0])]
+    grid = QuadGrid(points=pts, weights=gen.uniform(0.5, 1.5, pts.shape[0]),
+                    bounds=np.column_stack([lo, hi]))
+    return grid, strides
+
+
+class TestSweepExactness:
+    @settings(max_examples=60, deadline=None)
+    @given(lattice_grids(), st.sampled_from([0.0, 0.2, 0.5]),
+           st.sampled_from(["center", "random"]))
+    def test_random_lattice_matches_dense(self, case, overlap, sample):
+        grid, strides = case
+        _assert_matches_dense(build_covering(grid, strides, overlap, sample=sample))
+
+    @pytest.mark.parametrize("overlap", [0.0, 0.25])
+    def test_banded_grid_with_sheet_cells_matches_dense(self, overlap):
+        fam = make_family("inhom_wavelet", None, SignalGrid(16.0, 128))
+        grid = default_index_grid(fam, band_spacing=0.9, scales_per_octave=6)
+        cov = build_covering(grid, [0.5, 2.0], overlap)
+        sheet = (cov.cells[:, 0, 0] == 0.0) & (cov.cells[:, 0, 1] == 0.0)
+        assert 1 < sheet.sum() < cov.size
+        _assert_matches_dense(cov)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 16), st.integers(1, 3), st.integers(2, 40))
+    def test_open_overlap_matches_dense_on_degenerate_cells(self, seed, d, n):
+        # lattice intervals, some collapsed to sheets (also inverted, and
+        # off by less than the 1e-12 coincidence tolerance)
+        gen = np.random.default_rng(seed)
+        lo = gen.integers(-3, 3, size=(n, d)) * 0.5
+        hi = lo + gen.integers(1, 3, size=(n, d)) * 0.5
+        sheet = gen.random((n, d)) < 0.4
+        base = gen.integers(-3, 3, size=(n, d)) * 0.5
+        lo = np.where(sheet, base + gen.choice([0.0, 4e-13, -4e-13], (n, d)), lo)
+        hi = np.where(sheet, base - gen.choice([0.0, 0.0, 3e-13, 0.5], (n, d)), hi)
+        cells = np.stack([lo, hi], axis=-1)
+        for got, ref in zip(_open_overlap(cells), _dense_open_overlap(cells),
+                            strict=True):
+            assert np.array_equal(got, ref)
+
+
+# ---------------------------------------------------------------------------
+# invariants of the paper's coverings
+# ---------------------------------------------------------------------------
+class TestCoveringInvariants:
+    @settings(max_examples=40, deadline=None)
+    @given(lattice_grids(), st.sampled_from([0.0, 0.2, 0.5]),
+           st.sampled_from(["indicator", "tent"]))
+    def test_partition_of_unity_sums_to_one(self, case, overlap, flavor):
+        grid, strides = case
+        pu = build_pu(build_covering(grid, strides, overlap), flavor)
+        assert np.abs(pu.sum_at_nodes() - 1.0).max() <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(lattice_grids(min_cells=3, min_split=2), st.sampled_from([0.0, 0.2, 0.5]))
+    def test_refinement_stays_moderate(self, case, overlap):
+        # with at least three cells per axis the parent already shows the
+        # interior overlap number, which halving the cells cannot raise
+        grid, strides = case
+        m = trivial_admissible_weight()
+        cov = build_covering(grid, strides, overlap)
+        fine = refine_covering(cov)
+        assert verify_moderate(cov, m).moderate
+        assert verify_moderate(fine, m).moderate
+        assert fine.overlap_count <= cov.overlap_count

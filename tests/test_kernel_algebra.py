@@ -4,8 +4,9 @@ import pytest
 from coorbit.kernel_algebra import (Kernel, KernelError, am_norm, apply_kernel,
                                     compose, export_kernel_csv, involution,
                                     lp_w_norm)
-from coorbit.measure_space import (GridError, build_quad_grid, polynomial_weight,
-                                   trivial_weight, weight_from_w)
+from coorbit.measure_space import (GridError, QuadGrid, build_quad_grid,
+                                   polynomial_weight, trivial_weight,
+                                   weight_from_w)
 
 
 def gaussian_kernel():
@@ -71,6 +72,20 @@ class TestCompose:
         probe = unit_grid_1d.points[5] + 1e-6
         assert k.block(np.array([probe]), np.array([unit_grid_1d.points[7]]))[0, 0] \
             == pytest.approx(mat[5, 7])
+
+    def test_matrix_recomputes_on_another_grid(self):
+        k = gaussian_kernel()
+        a = build_quad_grid([[0.0, 1.0]], [16])
+        b = build_quad_grid([[0.0, 3.0]], [16])
+        for _ in range(8):
+            # the first grid is unreferenced once matrix() returns, so an
+            # id-keyed cache would meet the second grid at the same address
+            m1 = k.matrix(QuadGrid(points=a.points, weights=a.weights,
+                                   bounds=a.bounds)).copy()
+            g2 = QuadGrid(points=b.points, weights=b.weights, bounds=b.bounds)
+            m2 = k.matrix(g2)
+            assert np.array_equal(m2, k.block(g2.points, g2.points))
+            assert not np.array_equal(m1, m2)
 
 
 class TestInvolution:
