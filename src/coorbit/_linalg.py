@@ -9,6 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# relative cut on the probe Gram matrix of `restricted_rayleigh_bounds`
+PROBE_GRAM_CUT = 1e-2
+
 
 class SolverError(RuntimeError):
     """An iterative solver failed to reach its tolerance."""
@@ -144,15 +147,20 @@ def psd_factorize(mat: np.ndarray, rel_cut: float = 1e-10) -> HermitianEig:
     return HermitianEig(eigvals=lam, eigvecs=q, kept=kept)
 
 
-def extreme_rayleigh_bounds(mat: np.ndarray, iters: int = 200, seed: int = 3):
-    """(min, max) eigenvalue of a small Hermitian matrix by power iteration.
+def restricted_rayleigh_bounds(probes: np.ndarray, s_mat: np.ndarray, h: float):
+    """Exact extreme Rayleigh quotients of `s_mat` on the span of `probes`.
 
-    The maximum is found by plain power iteration, the minimum by power
-    iteration on (c*I - A) with c slightly above the estimated maximum.
+    Directions the probe atoms (columns, inner product weighted by `h`) do
+    not span stably are removed by the relative cut `PROBE_GRAM_CUT` on their
+    Gram matrix G = V diag(lam) V^*.  With Q = V_kept diag(lam_kept)^(-1/2),
+    the reduced operator Q^* (h P^* S P) Q is Hermitian, and its extreme
+    eigenvalues are the bounds.  Returns (c1, c2, kept rank).
     """
-    n = mat.shape[0]
-    lam_max = power_iteration(lambda v: mat @ v, n, iters=iters, seed=seed)
-    c = 1.01 * lam_max + 1e-12
-    shifted = power_iteration(lambda v: c * v - mat @ v, n, iters=iters, seed=seed + 1)
-    lam_min = c - shifted
-    return float(lam_min), float(lam_max)
+    gram = h * (probes.conj().T @ probes)
+    gram = 0.5 * (gram + gram.conj().T)
+    eig = psd_factorize(gram, rel_cut=PROBE_GRAM_CUT)
+    q = eig.eigvecs[:, eig.kept] / np.sqrt(eig.eigvals[eig.kept])[None, :]
+    reduced = q.conj().T @ (h * (probes.conj().T @ (s_mat @ probes))) @ q
+    reduced = 0.5 * (reduced + reduced.conj().T)
+    lam = np.linalg.eigvalsh(reduced)
+    return float(lam[0]), float(lam[-1]), eig.rank

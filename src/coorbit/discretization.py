@@ -14,10 +14,10 @@ from typing import Optional
 
 import numpy as np
 
-from ._linalg import SolverError, cg_solve, operator_norm_estimate, psd_factorize, \
-    extreme_rayleigh_bounds
+from ._linalg import PROBE_GRAM_CUT, SolverError, cg_solve, operator_norm_estimate, \
+    restricted_rayleigh_bounds
 from .coverings import Covering, PartitionOfUnity
-from .frame_families import FrameCalculus, FrameFamily
+from .frame_families import FrameCalculus, FrameFamily, _interior_probes
 from .kernel_algebra import Kernel
 from .measure_space import QuadGrid, SignalGrid
 
@@ -392,14 +392,14 @@ def banach_frame_reconstruct(samples: np.ndarray, family: FrameFamily,
 # ---------------------------------------------------------------------------
 # Hilbert frame bounds of the sampled system
 # ---------------------------------------------------------------------------
-def hilbert_frame_bounds(sframe: SampledFrame, signal_grid: SignalGrid,
-                         rel_cut: float = 1e-2, iters: int = 400):
+def hilbert_frame_bounds(sframe: SampledFrame, signal_grid: SignalGrid):
     """Frame bounds of {sqrt(a_i) psi_{x_i}} on the resolvable atom span.
 
-    Extreme Rayleigh quotients of the discrete frame operator
-    S_d = sum_i a_i psi_i psi_i^* restricted to the span of atoms at
-    interior sample points; truncation zero-modes are excluded by the
-    relative Gram cut.  Returns (C1, C2, subspace description).
+    The discrete frame operator S_d = sum_i a_i psi_i psi_i^* restricted to
+    the span of atoms at interior sample points, thinned as in
+    `frame_bounds_continuous`; truncation zero-modes are excluded by the
+    relative Gram cut.  The bounds are the exact extreme eigenvalues of the
+    reduced operator.  Returns (C1, C2, subspace description).
     """
     if sframe.size == 0:
         raise DiscretizationError("empty sample set")
@@ -407,27 +407,9 @@ def hilbert_frame_bounds(sframe: SampledFrame, signal_grid: SignalGrid,
     atoms = sframe.atoms
     s_mat = h * ((atoms * sframe.measures[None, :]) @ atoms.conj().T)
     s_mat = 0.5 * (s_mat + s_mat.conj().T)
-
-    fam = sframe.family
-    box = fam.interior_box(sframe.covering.grid)
-    pts = sframe.points
-    mask = np.ones(sframe.size, dtype=bool)
-    for k in range(pts.shape[1]):
-        if fam.tag == "inhom_wavelet" and k == 0:
-            mask &= (pts[:, 0] <= 0) | ((pts[:, k] >= box[k, 0]) & (pts[:, k] <= box[k, 1]))
-        else:
-            mask &= (pts[:, k] >= box[k, 0]) & (pts[:, k] <= box[k, 1])
-    if not mask.any():
+    idx, interior = _interior_probes(sframe.family, sframe.covering.grid, sframe.points)
+    if idx.size == 0:
         raise DiscretizationError("no interior sampled atoms; enlarge the domain")
-    probes = atoms[:, mask]
-    if probes.shape[1] > 1024:
-        probes = probes[:, ::int(np.ceil(probes.shape[1] / 1024))]
-    gram = h * (probes.conj().T @ probes)
-    gram = 0.5 * (gram + gram.conj().T)
-    eig = psd_factorize(gram, rel_cut=rel_cut)
-    q = eig.eigvecs[:, eig.kept] / np.sqrt(eig.eigvals[eig.kept])[None, :]
-    reduced = q.conj().T @ (h * (probes.conj().T @ (s_mat @ probes))) @ q
-    reduced = 0.5 * (reduced + reduced.conj().T)
-    c1, c2 = extreme_rayleigh_bounds(reduced, iters=iters)
-    sub = (f"span of {int(mask.sum())} interior sampled atoms, Gram cut {rel_cut:g}")
-    return float(c1), float(c2), sub
+    c1, c2, _ = restricted_rayleigh_bounds(atoms[:, idx], s_mat, h)
+    sub = f"span of {interior} interior sampled atoms, Gram cut {PROBE_GRAM_CUT:g}"
+    return c1, c2, sub

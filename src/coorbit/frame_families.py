@@ -26,8 +26,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._linalg import HermitianEig, cg_solve, extreme_rayleigh_bounds, \
-    psd_factorize
+from ._linalg import PROBE_GRAM_CUT, HermitianEig, cg_solve, psd_factorize, \
+    restricted_rayleigh_bounds
 from .kernel_algebra import Kernel
 from .measure_space import GridError, QuadGrid, SignalGrid, build_quad_grid
 
@@ -49,10 +49,6 @@ def gaussian_window(t: np.ndarray) -> np.ndarray:
 def mexican_hat(t: np.ndarray) -> np.ndarray:
     """(1 - t^2) exp(-t^2/2) scaled so that int_0^inf |psihat(u)|^2 du/u = 1."""
     return np.pi ** (-0.5) * (1.0 - t * t) * np.exp(-0.5 * t * t)
-
-
-def mexican_hat_spectrum(w: np.ndarray) -> np.ndarray:
-    return np.sqrt(2.0) * w * w * np.exp(-0.5 * w * w)
 
 
 class GaussDerivProfile:
@@ -716,6 +712,9 @@ def gram_kernel(family: FrameFamily, x_grid: QuadGrid, rel_cut: float = 1e-10,
 # ---------------------------------------------------------------------------
 # frame bounds on the resolvable subspace
 # ---------------------------------------------------------------------------
+PROBE_CAP = 1024             # probe atoms per frame-bound evaluation
+
+
 @dataclass(frozen=True)
 class FrameBoundsReport:
     c1: float
@@ -729,56 +728,44 @@ class FrameBoundsReport:
                 "probes": self.probe_count, "rank": self.rank}
 
 
-def _interior_mask(family: FrameFamily, grid: QuadGrid) -> np.ndarray:
+def _interior_probes(family: FrameFamily, grid: QuadGrid, pts: np.ndarray):
+    """Indices of the index points `pts` in the family's interior box of
+    `grid`, thinned by an even stride to at most `PROBE_CAP`, and the
+    number of interior points before thinning."""
     box = family.interior_box(grid)
-    pts = grid.points
-    mask = np.ones(grid.size, dtype=bool)
-    for k in range(grid.dim):
+    mask = np.ones(pts.shape[0], dtype=bool)
+    for k in range(pts.shape[1]):
+        inside = (pts[:, k] >= box[k, 0]) & (pts[:, k] <= box[k, 1])
         if family.tag == "inhom_wavelet" and k == 0:
-            sheet = pts[:, 0] <= 0.0
-            mask &= sheet | ((pts[:, k] >= box[k, 0]) & (pts[:, k] <= box[k, 1]))
-        else:
-            mask &= (pts[:, k] >= box[k, 0]) & (pts[:, k] <= box[k, 1])
-    return mask
+            inside |= pts[:, 0] <= 0.0
+        mask &= inside
+    idx = np.flatnonzero(mask)
+    return idx[::max(1, -(-idx.size // PROBE_CAP))], idx.size
 
 
-def frame_bounds_continuous(family: FrameFamily, x_grid: QuadGrid,
-                            probe_cap: int = 1024, rel_cut: float = 1e-2,
-                            iters: int = 400) -> FrameBoundsReport:
+def frame_bounds_continuous(family: FrameFamily, x_grid: QuadGrid) -> FrameBoundsReport:
     """Extreme Rayleigh quotients of the quadrature frame operator.
 
     The operator is restricted to the span of atoms at interior index
-    points (family margins shrink the truncated box); directions that the
-    truncation cannot represent stably are removed by a relative cut on the
-    probe Gram matrix.  Extremes come from power iteration on the reduced
-    operator and on its reflection about an upper bound.
+    points (family margins shrink the truncated box), at most `PROBE_CAP` of
+    them by even stride; directions that the truncation cannot represent
+    stably are removed by a relative cut on the probe Gram matrix.  The
+    bounds are the exact extreme eigenvalues of the reduced operator.
     """
-    mask = _interior_mask(family, x_grid)
-    if not mask.any():
+    idx, _ = _interior_probes(family, x_grid, x_grid.points)
+    if idx.size == 0:
         raise FamilyError("no interior probe points; enlarge the index box")
-    idx = np.flatnonzero(mask)
-    if idx.size > probe_cap:
-        stride = int(np.ceil(idx.size / probe_cap))
-        idx = idx[::stride]
     probes = family.atoms(x_grid.points[idx])
     if np.max(np.abs(probes)) == 0.0:
         raise FamilyError("zero family: all probe atoms vanish")
-    h = family.signal_grid.h
-    calc = family.calculus(x_grid)
-    gram = h * (probes.conj().T @ probes)
-    gram = 0.5 * (gram + gram.conj().T)
-    eig = psd_factorize(gram, rel_cut=rel_cut)
-    q = eig.eigvecs[:, eig.kept] / np.sqrt(eig.eigvals[eig.kept])[None, :]
-    s_probe = h * (probes.conj().T @ (calc.s_matrix @ probes))
-    reduced = q.conj().T @ s_probe @ q
-    reduced = 0.5 * (reduced + reduced.conj().T)
-    c1, c2 = extreme_rayleigh_bounds(reduced, iters=iters)
+    c1, c2, rank = restricted_rayleigh_bounds(
+        probes, family.calculus(x_grid).s_matrix, family.signal_grid.h)
     return FrameBoundsReport(
         c1=c1, c2=c2,
         subspace=(f"span of {idx.size} interior atoms, margins "
                   f"{np.round(family.interior_margins, 3).tolist()}, "
-                  f"Gram cut {rel_cut:g}"),
-        probe_count=int(idx.size), rank=eig.rank)
+                  f"Gram cut {PROBE_GRAM_CUT:g}"),
+        probe_count=int(idx.size), rank=rank)
 
 
 # ---------------------------------------------------------------------------

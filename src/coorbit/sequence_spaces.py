@@ -58,10 +58,6 @@ def natural_norm(lam: np.ndarray, spec: SeqSpaceSpec) -> float:
     return lp_w_norm(field, spec.p, spec.weight, cov.grid)
 
 
-def sequence_norm(lam: np.ndarray, spec: SeqSpaceSpec) -> float:
-    return flat_norm(lam, spec) if spec.flavor == "flat" else natural_norm(lam, spec)
-
-
 def cell_weight_sups(cov: Covering, w: WeightOnX) -> np.ndarray:
     """w~(i) = sup of w over the cell's quadrature nodes."""
     vals = w(cov.grid.points)

@@ -269,13 +269,14 @@ def lattice_grids(draw, min_cells=1, min_split=1):
     """Shuffled node lattices whose nodes sit on the covering's cell edges,
     some moved by up to 2e-12 (across the closed-box tolerance)."""
     d = draw(st.integers(1, 3))
-    strides, lo, hi, axes = [], [], [], []
+    strides, splits, lo, hi, axes = [], [], [], [], []
     for _ in range(d):
         stride = draw(st.sampled_from([0.25, 0.5, 1.0]))
         n = draw(st.integers(min_cells, 5 if d < 3 else 4))
         split = draw(st.sampled_from([s for s in (1, 2, 3, 4) if s >= min_split]))
         a = draw(st.integers(-4, 4)) * stride
         strides.append(stride)
+        splits.append(split)
         lo.append(a)
         hi.append(a + n * stride)
         axes.append(a + np.arange(n * split + 1) * (stride / split))
@@ -285,6 +286,11 @@ def lattice_grids(draw, min_cells=1, min_split=1):
     gen = np.random.default_rng(seed)
     jitter = gen.choice([0.0, 0.0, 1e-12, -1e-12, 0.5e-12, -0.5e-12, 2e-12, -2e-12],
                         size=pts.shape)
+    # along an axis with one node per stride every node is a cell corner, and
+    # moving a cell's corners out of it past the tolerance leaves it without
+    # nodes, which build_covering rightly rejects: stay within the tolerance
+    corner = np.array(splits) == 1
+    jitter[:, corner] = np.clip(jitter[:, corner], -1e-12, 1e-12)
     pts = np.clip(pts + jitter, lo, hi)[gen.permutation(pts.shape[0])]
     grid = QuadGrid(points=pts, weights=gen.uniform(0.5, 1.5, pts.shape[0]),
                     bounds=np.column_stack([lo, hi]))
@@ -339,10 +345,13 @@ class TestCoveringInvariants:
         assert np.abs(pu.sum_at_nodes() - 1.0).max() <= 1e-12
 
     @settings(max_examples=30, deadline=None)
-    @given(lattice_grids(min_cells=3, min_split=2), st.sampled_from([0.0, 0.2, 0.5]))
+    @given(lattice_grids(min_cells=3, min_split=3), st.sampled_from([0.0, 0.2, 0.5]))
     def test_refinement_stays_moderate(self, case, overlap):
         # with at least three cells per axis the parent already shows the
-        # interior overlap number, which halving the cells cannot raise
+        # interior overlap number, which halving the cells cannot raise; with
+        # three or more nodes per stride every halved cell keeps a node off
+        # its edges (at two, its only nodes are edge nodes, which the 2e-12
+        # jitter can push out of it, and build_covering rightly rejects it)
         grid, strides = case
         m = trivial_admissible_weight()
         cov = build_covering(grid, strides, overlap)

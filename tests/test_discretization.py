@@ -275,6 +275,16 @@ class TestHilbertBounds:
         assert 0.5 <= c1 and c2 <= 2.0
         assert "interior" in sub
 
+    def test_sinc_shannon_bounds_ordered(self):
+        # the sinc_shannon configuration: a tight sampled frame, whose two
+        # bounds differ only by rounding and must still come out ordered
+        sg = SignalGrid(10.0, 512)
+        fam = make_family("sinc_rkhs", {"bandlimit": np.pi / 2}, sg)
+        grid = default_index_grid(fam, resolution=[100])
+        cov = build_covering(grid, 1.0)
+        c1, c2, _ = hilbert_frame_bounds(sample_frame(fam, cov, build_pu(cov)), sg)
+        assert c1 <= c2
+
     def test_empty_samples_rejected(self, small_pipeline):
         fam, grid, cov, pu, R, op = small_pipeline
         sf = sample_frame(fam, cov, pu)

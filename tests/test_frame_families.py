@@ -90,6 +90,7 @@ class TestSincReproducing:
         rep = frame_bounds_continuous(fam, grid)
         assert rep.c1 == pytest.approx(1.0, abs=1e-6)
         assert rep.c2 == pytest.approx(1.0, abs=1e-6)
+        assert rep.c1 <= rep.c2
 
 
 class TestTransforms:
@@ -277,6 +278,13 @@ class TestFrameBounds:
         fam, grid = gabor_small
         rep = frame_bounds_continuous(fam, grid)
         assert 0.98 <= rep.c1 <= rep.c2 <= 1.02
+
+    def test_reference_gabor_upper_bound_exact(self, gabor_reference):
+        # the unit Gaussian Gabor frame is tight with constant 1; on the
+        # interior probe span the reduced operator's top eigenvalue is 1
+        fam, grid = gabor_reference
+        rep = frame_bounds_continuous(fam, grid)
+        assert abs(rep.c2 - 1.0) <= 1e-9
 
     def test_zero_family_rejected(self, sg):
         fam = make_family("gabor", None, sg)
