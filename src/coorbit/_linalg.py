@@ -150,17 +150,24 @@ def psd_factorize(mat: np.ndarray, rel_cut: float = 1e-10) -> HermitianEig:
 def restricted_rayleigh_bounds(probes: np.ndarray, s_mat: np.ndarray, h: float):
     """Exact extreme Rayleigh quotients of `s_mat` on the span of `probes`.
 
-    Directions the probe atoms (columns, inner product weighted by `h`) do
-    not span stably are removed by the relative cut `PROBE_GRAM_CUT` on their
-    Gram matrix G = V diag(lam) V^*.  With Q = V_kept diag(lam_kept)^(-1/2),
-    the reduced operator Q^* (h P^* S P) Q is Hermitian, and its extreme
-    eigenvalues are the bounds.  Returns (c1, c2, kept rank).
+    Directions the probe atoms (the k columns of the n x k `probes`, inner
+    product weighted by `h`) do not span stably are removed by the relative
+    cut `PROBE_GRAM_CUT` on their Gram matrix.  h P^* P (k x k) and
+    h P P^* (n x n) share their nonzero eigenvalues, so the smaller one is
+    factored.  For n < k the kept eigenvectors of h P P^* are an orthonormal
+    basis B of the cut span; otherwise h P^* P = V diag(lam) V^* gives
+    B = sqrt(h) P V_kept diag(lam_kept)^(-1/2).  The reduced operator
+    B^* S B is Hermitian, and its extreme eigenvalues are the bounds.
+    Returns (c1, c2, kept rank).
     """
-    gram = h * (probes.conj().T @ probes)
+    wide = probes.shape[0] < probes.shape[1]
+    gram = h * (probes @ probes.conj().T if wide else probes.conj().T @ probes)
     gram = 0.5 * (gram + gram.conj().T)
     eig = psd_factorize(gram, rel_cut=PROBE_GRAM_CUT)
-    q = eig.eigvecs[:, eig.kept] / np.sqrt(eig.eigvals[eig.kept])[None, :]
-    reduced = q.conj().T @ (h * (probes.conj().T @ (s_mat @ probes))) @ q
+    basis = eig.eigvecs[:, eig.kept]
+    if not wide:
+        basis = np.sqrt(h) * (probes @ (basis / np.sqrt(eig.eigvals[eig.kept])[None, :]))
+    reduced = basis.conj().T @ (s_mat @ basis)
     reduced = 0.5 * (reduced + reduced.conj().T)
     lam = np.linalg.eigvalsh(reduced)
     return float(lam[0]), float(lam[-1]), eig.rank

@@ -2,14 +2,16 @@
 
 Sample points snap to quadrature nodes inside their cells (the theorems
 allow any point of the cell), which keeps every operator exact on the grid:
-fields are sampled by indexing, and U_Phi factorizes through the signal
-space, so applications cost O(M n) without ever materializing an M x M
-matrix.
+fields are sampled by indexing, and U_Phi factorizes through the Gramian's
+half factor C (R = h * C^H C, see `FrameCalculus`), so applications cost
+O(M r), r the rank of the frame-operator cut, without ever materializing an
+M x M matrix.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -102,9 +104,9 @@ def sample_frame(family: FrameFamily, cov: Covering,
 class UPhiOperator:
     """U_Phi F = sum_i c_i F(x_i) R(., x_i) on the index grid.
 
-    Factorized through the signal space: columns R(., x_i) are analysis
-    images of the pseudo-inverted sampled atoms, so one application costs
-    two thin matrix products.
+    Factorized through the Gramian's half factor, R = h * C^H C: column
+    R(., x_i) is h * C^H C_{x_i}, so one application costs two thin matrix
+    products of inner dimension r, the rank of the frame-operator cut.
     """
 
     calc: FrameCalculus
@@ -120,21 +122,23 @@ class UPhiOperator:
     def _u(self) -> np.ndarray:
         return self.calc.u_factor(self.rel_cut)
 
+    @cached_property
+    def _c_nodes(self) -> np.ndarray:
+        """Half-factor columns C_{x_i} at the sample nodes, shape (r, N)."""
+        return self.calc.half_factor(self.rel_cut)[:, self.node_index]
+
     def apply(self, F: np.ndarray) -> np.ndarray:
         h = self.calc.family.signal_grid.h
         samp = F[self.node_index]
-        pot = self.calc.atom_matrix[:, self.node_index] @ \
-            (self.masses * samp.T).T if F.ndim > 1 else \
-            self.calc.atom_matrix[:, self.node_index] @ (self.masses * samp)
+        pot = self._c_nodes @ (self.masses * samp.T).T if F.ndim > 1 else \
+            self._c_nodes @ (self.masses * samp)
         return h * (self._u() @ pot)
 
     def apply_adjoint(self, G: np.ndarray) -> np.ndarray:
         """Adjoint w.r.t. the mu-weighted inner product on the grid."""
         h = self.calc.family.signal_grid.h
         w = self.grid.weights
-        u = self._u().conj().T
-        pot = u @ (w * G.T).T if G.ndim > 1 else u @ (w * G)
-        y = h * (self.calc.atom_matrix[:, self.node_index].conj().T @ pot)
+        y = h * (self._c_nodes.conj().T @ self.calc.half_synthesize(G, self.rel_cut))
         out = np.zeros_like(G)
         scale = self.masses / w[self.node_index]
         out[self.node_index] = (scale * y.T).T if G.ndim > 1 else scale * y
@@ -142,10 +146,7 @@ class UPhiOperator:
 
     def project(self, F: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto ran V, realized as the Gramian action."""
-        h = self.calc.family.signal_grid.h
-        w = self.grid.weights
-        pot = self.calc.atom_matrix @ ((w * F.T).T if F.ndim > 1 else w * F)
-        return h * (self._u() @ pot)
+        return self.calc.gramian_apply(F, self.rel_cut)
 
 
 def build_uphi(R: Kernel, cov: Covering, pu: PartitionOfUnity,
@@ -335,9 +336,8 @@ def dual_frame(family: FrameFamily, cov: Covering, pu: PartitionOfUnity,
             indices = np.linspace(0, n_cells - 1, cap).astype(int)
     indices = np.asarray(indices, dtype=int)
     h = family.signal_grid.h
-    # W psi_{x_i} = R(., x_i): analysis of the pseudo-inverted sampled atoms
-    u = op._u()
-    cols = h * (u @ op.calc.atom_matrix[:, op.node_index[indices]])
+    # W psi_{x_i} = R(., x_i) = h * C^H C_{x_i}
+    cols = h * (op._u() @ op._c_nodes[:, indices])
     inv_cols, _ = invert_uphi(op, cols, method="neumann", tol=tol, defect=defect)
     e_fields = op.masses[indices] * inv_cols
     pots = op.calc.synthesize(e_fields)
@@ -370,8 +370,7 @@ def banach_frame_reconstruct(samples: np.ndarray, family: FrameFamily,
     if defect is None:
         defect = uphi_defect_norm(op)
     h = family.signal_grid.h
-    pot = op.calc.atom_matrix[:, op.node_index] @ (op.masses * samples)
-    G = h * (op._u() @ pot)
+    G = h * (op._u() @ (op._c_nodes @ (op.masses * samples)))
     u, iters = invert_uphi(op, G, method=method, tol=tol, defect=defect)
     f_rec = op.calc.s_pinv(op.calc.synthesize(u), op.rel_cut)
     sg = family.signal_grid

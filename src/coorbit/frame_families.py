@@ -182,7 +182,14 @@ class FrameFamily:
 
 
 class FrameCalculus:
-    """Cached analysis/synthesis machinery for one (family, grid) pair."""
+    """Cached analysis/synthesis machinery for one (family, grid) pair.
+
+    The Gramian factors through the kept eigenpairs (Lambda_k, Q_k) of the
+    frame operator S:  R = h * C^H C on the grid, with the half factor
+    C = Lambda_k^(-1/2) Q_k^H Psi of shape (r, M), r = rank of the cut.
+    Every Gramian product runs through C; r is at most the signal length n
+    and usually much smaller.
+    """
 
     def __init__(self, family: FrameFamily, grid: QuadGrid):
         self.family = family
@@ -190,6 +197,8 @@ class FrameCalculus:
         self._atoms: Optional[np.ndarray] = None
         self._s_matrix: Optional[np.ndarray] = None
         self._s_eig: dict[float, HermitianEig] = {}
+        self._half_map: dict[float, np.ndarray] = {}
+        self._half_factor: dict[float, np.ndarray] = {}
         self._u_factor: dict[float, np.ndarray] = {}
 
     @property
@@ -232,19 +241,42 @@ class FrameCalculus:
     def s_pinv(self, f: np.ndarray, rel_cut: float = 1e-10) -> np.ndarray:
         return self.s_eig(rel_cut).apply_pinv(f)
 
-    def u_factor(self, rel_cut: float = 1e-10) -> np.ndarray:
-        """Left Gramian factor conj(S^+ psi_x)^T, shape (M, n).
+    def half_map(self, rel_cut: float = 1e-10) -> np.ndarray:
+        """Lambda_k^(-1/2) Q_k^H, shape (r, n): atoms to half-factor columns."""
+        p = self._half_map.get(rel_cut)
+        if p is None:
+            eig = self.s_eig(rel_cut)
+            q = eig.eigvecs[:, eig.kept] / np.sqrt(eig.eigvals[eig.kept])[None, :]
+            p = np.ascontiguousarray(q.conj().T)
+            self._half_map[rel_cut] = p
+        return p
 
-        Row x is the conjugated pseudo-inverted atom at grid node x, so
-        R = h * (u_factor @ psi) on the grid.  Cached once per cut, in the
-        layout every consumer multiplies with.
-        """
+    def half_factor(self, rel_cut: float = 1e-10) -> np.ndarray:
+        """C = Lambda_k^(-1/2) Q_k^H Psi on the grid, shape (r, M)."""
+        c = self._half_factor.get(rel_cut)
+        if c is None:
+            c = self.half_map(rel_cut) @ self.atom_matrix
+            self._half_factor[rel_cut] = c
+        return c
+
+    def u_factor(self, rel_cut: float = 1e-10) -> np.ndarray:
+        """Left Gramian factor C^H, shape (M, r): R = h * (u_factor @ C)
+        on the grid.  Cached once per cut."""
         u = self._u_factor.get(rel_cut)
         if u is None:
-            dual = self.s_eig(rel_cut).apply_pinv(self.atom_matrix)
-            u = np.conjugate(dual, out=dual).T
+            u = self.half_factor(rel_cut).conj().T
             self._u_factor[rel_cut] = u
         return u
+
+    def half_synthesize(self, F: np.ndarray, rel_cut: float = 1e-10) -> np.ndarray:
+        """integral F(y) C_y dmu(y): C applied to the mu-weighted field(s)."""
+        w = self.grid.weights
+        return self.half_factor(rel_cut) @ (w[:, None] * F if F.ndim > 1 else w * F)
+
+    def gramian_apply(self, F: np.ndarray, rel_cut: float = 1e-10) -> np.ndarray:
+        """R(F) = h * C^H C (w F) at every grid node."""
+        h = self.family.signal_grid.h
+        return h * (self.u_factor(rel_cut) @ self.half_synthesize(F, rel_cut))
 
 
 # ---------------------------------------------------------------------------
@@ -697,13 +729,14 @@ def gram_kernel(family: FrameFamily, x_grid: QuadGrid, rel_cut: float = 1e-10,
         raise FamilyError(f"unknown gram_kernel mode {mode!r}")
 
     def ev(pr, pc):
-        u = calc.u_factor(rel_cut) if pr is x_grid.points \
-            else calc.s_pinv(family.atoms(pr), rel_cut).conj().T
-        right = calc.atom_matrix if pc is x_grid.points else family.atoms(pc)
-        return h * (u @ right)
+        left = calc.u_factor(rel_cut) if pr is x_grid.points \
+            else (calc.half_map(rel_cut) @ family.atoms(pr)).conj().T
+        right = calc.half_factor(rel_cut) if pc is x_grid.points \
+            else calc.half_map(rel_cut) @ family.atoms(pc)
+        return h * (left @ right)
 
     def fast(F, grid):
-        return h * (calc.u_factor(rel_cut) @ calc.synthesize(F))
+        return calc.gramian_apply(F, rel_cut)
 
     return Kernel(evaluator=ev, provenance="gramian", native_grid=x_grid,
                   fast_apply=fast, context={"calc": calc, "rel_cut": rel_cut})

@@ -75,8 +75,8 @@ def test_criterion_03_kernel_calculus(gabor_reference, rng):
     calc = fam.calculus(grid)
     pts = grid.points
     h = sg.h
-    u = calc.u_factor(1e-8)
-    psi = calc.atom_matrix
+    u = calc.u_factor(1e-8)              # C^H, (M, r)
+    c = calc.half_factor(1e-8)           # C = Lambda_k^(-1/2) Q_k^H Psi, (r, M)
 
     # self-adjointness, streamed over row blocks
     sa = 0.0
@@ -87,9 +87,9 @@ def test_criterion_03_kernel_calculus(gabor_reference, rng):
         sa = max(sa, float(np.abs(blk - blk_t.conj().T).max()))
     assert sa <= 1e-8
 
-    # R o R vs R through the signal-space factorization
-    core = h * ((psi * grid.weights[None, :]) @ u)   # S S^+
-    d_mat = core @ psi - psi
+    # R o R - R = h C^H (h C W C^H - I_r) C through the half factor
+    core = h * ((c * grid.weights[None, :]) @ u) - np.eye(c.shape[0])
+    d_mat = core @ c
     roro = 0.0
     for start in range(0, grid.size, 512):
         rows = slice(start, min(start + 512, grid.size))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coorbit.coverings import build_covering, build_pu, PartitionOfUnity
 from coorbit.discretization import (DiscretizationError, atomic_coefficients,
@@ -117,6 +119,55 @@ def _mu_norm(G, grid):
     return float(np.sqrt(np.sum(grid.weights * np.abs(G) ** 2)))
 
 
+@pytest.fixture(scope="module", params=[0.0, 0.5], ids=["partition", "overlap"])
+def small_uphi(request):
+    """U_Phi on a 24 x 24 Gabor grid, partition and half-overlap covering."""
+    sg = SignalGrid(8.0, 64)
+    fam = make_family("gabor", None, sg)
+    grid = default_index_grid(fam, bounds=[[-3.0, 3.0], [-3.0, 3.0]],
+                              resolution=[24, 24])
+    cov = build_covering(grid, 0.5, overlap_fraction=request.param)
+    return build_uphi(gram_kernel(fam, grid, rel_cut=CUT), cov, build_pu(cov), grid)
+
+
+def _random_fields(seed, size, cols):
+    rng = np.random.default_rng(seed)
+    shape = (size,) if cols == 0 else (size, cols)
+    return [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for _ in range(2)]
+
+
+def _mu_inner(F, G, grid):
+    """<F, G>_mu per column."""
+    return np.sum((grid.weights * (F * np.conj(G)).T).T, axis=0)
+
+
+class TestUPhiAdjoint:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0, 3]))
+    def test_apply_adjoint(self, small_uphi, seed, cols):
+        op = small_uphi
+        F, G = _random_fields(seed, op.grid.size, cols)
+        UF, UsG = op.apply(F), op.apply_adjoint(G)
+        lhs, rhs = _mu_inner(UF, G, op.grid), _mu_inner(F, UsG, op.grid)
+        scale = (_mu_inner(UF, UF, op.grid).real * _mu_inner(G, G, op.grid).real) ** 0.5 + \
+            (_mu_inner(F, F, op.grid).real * _mu_inner(UsG, UsG, op.grid).real) ** 0.5
+        assert np.all(np.abs(lhs - rhs) <= 1e-12 * scale)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0, 3]))
+    def test_project_idempotent_and_self_adjoint(self, small_uphi, seed, cols):
+        op = small_uphi
+        F, G = _random_fields(seed, op.grid.size, cols)
+        PF, PG = op.project(F), op.project(G)
+        f_norm = _mu_inner(F, F, op.grid).real ** 0.5
+        g_norm = _mu_inner(G, G, op.grid).real ** 0.5
+        assert np.all(_mu_inner(op.project(PF) - PF, op.project(PF) - PF,
+                                op.grid).real ** 0.5 <= 1e-12 * f_norm)
+        assert np.all(np.abs(_mu_inner(PF, G, op.grid) - _mu_inner(F, PG, op.grid))
+                      <= 1e-12 * f_norm * g_norm)
+
+
 class TestDefect:
     def test_node_limit_defect_vanishes(self, node_limit):
         fam, grid, cov, pu, R, op = node_limit
@@ -138,6 +189,23 @@ class TestDefect:
         assert defect >= 1.0
         with pytest.raises(DiscretizationError):
             invert_uphi(op, np.ones(grid.size, dtype=complex), defect=defect)
+
+    def test_defect_bound_on_small_ladder(self, gabor_ladder):
+        """||P (Id - U_Phi) P|| <= delta (||R|| + sigma) at ladder levels 0-2."""
+        fam = gabor_ladder["family"]
+        domain = np.asarray(gabor_ladder["domain"])
+        steps = [s for s in gabor_ladder["trajectory"] if s.level <= 2]
+        assert [s.level for s in steps] == [0, 1, 2]
+        for step in steps:
+            cell = 0.9 / 2 ** step.level
+            res = [round((hi - lo) / cell) * 2 for lo, hi in domain]
+            grid = default_index_grid(fam, bounds=domain.tolist(), resolution=res)
+            cov = build_covering(grid, cell)
+            assert cov.size == step.cells
+            R = gram_kernel(fam, grid, rel_cut=gabor_ladder["rel_cut"])
+            defect = uphi_defect_norm(build_uphi(R, cov, build_pu(cov), grid))
+            rep = step.report
+            assert defect <= rep.delta_est * (rep.r_norm + rep.sigma), step.level
 
     def test_requires_gramian_kernel(self, small_pipeline):
         fam, grid, cov, pu, R, op = small_pipeline

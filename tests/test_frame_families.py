@@ -273,6 +273,62 @@ class TestGramKernel:
         assert np.abs(a - b).max() <= 5e-3
 
 
+# small grids whose frame-operator cut keeps all, or only some, eigenvalues
+HALF_FACTOR_CASES = [
+    ("gabor", None, 4.0, 16, [[-5.0, 5.0], [-8.0, 8.0]], [20, 24], 1e-10, True),
+    ("gabor", None, 4.0, 16, [[-5.0, 5.0], [-8.0, 8.0]], [20, 24], 0.6, False),
+    ("cwt", None, 8.0, 32, None, None, 1e-6, False),
+    ("cwt", None, 8.0, 32, None, None, 0.2, False),
+    ("sinc_rkhs", {"bandlimit": np.pi / 2}, 8.0, 32, None, None, 1e-10, False),
+]
+
+
+class TestHalfFactor:
+    """R = h * C^H C with C = Lambda_k^(-1/2) Q_k^H Psi, against
+    h * conj(S^+ Psi)^T Psi built from the pseudo-inverse."""
+
+    @pytest.fixture(scope="class", params=HALF_FACTOR_CASES,
+                    ids=lambda c: f"{c[0]}-cut{c[6]:g}")
+    def case(self, request):
+        tag, params, T, n, bounds, res, cut, keeps_all = request.param
+        fam = make_family(tag, params, SignalGrid(T, n))
+        grid = default_index_grid(fam, bounds=bounds, resolution=res)
+        calc = fam.calculus(grid)
+        eig = calc.s_eig(cut)
+        assert bool(eig.kept.all()) == keeps_all
+        psi = calc.atom_matrix
+        ref = fam.signal_grid.h * (calc.s_pinv(psi, cut).conj().T @ psi)
+        return fam, grid, calc, cut, ref
+
+    def test_factor_matches_pinv_gramian(self, case):
+        fam, grid, calc, cut, ref = case
+        u, c = calc.u_factor(cut), calc.half_factor(cut)
+        r = calc.s_eig(cut).rank
+        assert u.shape == (grid.size, r) and c.shape == (r, grid.size)
+        assert np.abs(fam.signal_grid.h * (u @ c) - ref).max() <= \
+            1e-12 * np.abs(ref).max()
+        R = gram_kernel(fam, grid, rel_cut=cut)
+        assert np.abs(R.block(grid.points, grid.points) - ref).max() <= \
+            1e-12 * np.abs(ref).max()
+
+    def test_sliced_and_off_grid_blocks(self, case, rng):
+        fam, grid, calc, cut, ref = case
+        R = gram_kernel(fam, grid, rel_cut=cut)
+        pts, tol = grid.points, 1e-12 * np.abs(ref).max()
+        rows = np.sort(rng.choice(grid.size, min(grid.size, 7), replace=False))
+        assert np.abs(R.block(pts[rows], pts) - ref[rows]).max() <= tol
+        assert np.abs(R.block(pts, pts[rows]) - ref[:, rows]).max() <= tol
+        assert np.abs(R.block(pts[2:5], pts[rows]) - ref[2:5][:, rows]).max() <= tol
+        # off-grid points inside the box
+        box = grid.bounds
+        off = box[:, 0] + rng.random((5, grid.dim)) * (box[:, 1] - box[:, 0])
+        h, psi, psi_off = fam.signal_grid.h, calc.atom_matrix, fam.atoms(off)
+        ref_rows = h * (calc.s_pinv(psi_off, cut).conj().T @ psi)
+        ref_cols = h * (calc.s_pinv(psi, cut).conj().T @ psi_off)
+        assert np.abs(R.block(off, pts) - ref_rows).max() <= tol
+        assert np.abs(R.block(pts, off) - ref_cols).max() <= tol
+
+
 class TestFrameBounds:
     def test_gabor_near_tight(self, gabor_small):
         fam, grid = gabor_small
