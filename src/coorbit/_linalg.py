@@ -129,10 +129,6 @@ class HermitianEig:
         return q @ ((q.conj().T @ f).T / lam).T if f.ndim > 1 else \
             q @ ((q.conj().T @ f) / lam)
 
-    def apply_projection(self, f: np.ndarray) -> np.ndarray:
-        q = self.eigvecs[:, self.kept]
-        return q @ (q.conj().T @ f)
-
 
 def psd_factorize(mat: np.ndarray, rel_cut: float = 1e-10) -> HermitianEig:
     """eigh with a relative eigenvalue cut; raises on total rank collapse."""

@@ -712,7 +712,10 @@ def gram_kernel(family: FrameFamily, x_grid: QuadGrid, rel_cut: float = 1e-10,
     quadrature frame operator; this keeps R exactly self-adjoint and exactly
     idempotent under composition, also at truncation.  mode "direct" returns
     the plain crossed Gramian <psi_y, psi_x> (the continuum R of a tight
-    family); it matches "pinv" away from the truncation boundary.
+    family); it matches "pinv" away from the truncation boundary.  Both are
+    Hermitian by construction.  "pinv" evaluates grid nodes
+    (`Kernel.node_block`) as h * u_factor[rows] @ C[:, cols], slices of the
+    cached half factor, without synthesizing their atoms again.
     """
     calc = family.calculus(x_grid)
     h = family.signal_grid.h
@@ -724,7 +727,7 @@ def gram_kernel(family: FrameFamily, x_grid: QuadGrid, rel_cut: float = 1e-10,
         def fast(F, grid):
             return h * (calc.atom_matrix.conj().T @ calc.synthesize(F))
         return Kernel(evaluator=ev, provenance="gramian-direct",
-                      native_grid=x_grid, fast_apply=fast)
+                      native_grid=x_grid, fast_apply=fast, hermitian=True)
     if mode != "pinv":
         raise FamilyError(f"unknown gram_kernel mode {mode!r}")
 
@@ -735,11 +738,15 @@ def gram_kernel(family: FrameFamily, x_grid: QuadGrid, rel_cut: float = 1e-10,
             else calc.half_map(rel_cut) @ family.atoms(pc)
         return h * (left @ right)
 
+    def nodes(rows, cols):
+        return h * (calc.u_factor(rel_cut)[rows] @ calc.half_factor(rel_cut)[:, cols])
+
     def fast(F, grid):
         return calc.gramian_apply(F, rel_cut)
 
     return Kernel(evaluator=ev, provenance="gramian", native_grid=x_grid,
-                  fast_apply=fast, context={"calc": calc, "rel_cut": rel_cut})
+                  fast_apply=fast, context={"calc": calc, "rel_cut": rel_cut},
+                  node_evaluator=nodes, hermitian=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Kernel calculus on X x X and the weighted Schur-type algebra norms.
 
 A Kernel is a complex-valued function on pairs of index points, evaluated
-block-wise.  Norms are computed by streaming row blocks, so nothing ever
-materializes an M x M matrix unless the grid is small enough to cache
-(<= CACHE_NODE_LIMIT nodes per side).
+block-wise: at arbitrary points through `block`, and at grid nodes through
+`node_block`, which a Gramian serves by slicing its cached half factor.
+Norms are computed by streaming row blocks, so nothing ever materializes an
+M x M matrix unless the grid is small enough to cache (<= CACHE_NODE_LIMIT
+nodes per side).  A kernel that is Hermitian by construction (the Gramian
+R = h C^H C) streams only the upper block triangle: with a symmetric weight
+its row and column sums are one and the same vector.
 """
 from __future__ import annotations
 
@@ -29,9 +33,12 @@ class Kernel:
     """Complex kernel on X x X with an optional sampled-matrix cache.
 
     evaluator(points_r, points_c) returns the complex matrix
-    K(points_r[j], points_c[k]).  The cache, when built, agrees with the
-    evaluator at every node (same code path), and building it is the only
-    mutation; reads after that are concurrency-safe.
+    K(points_r[j], points_c[k]).  node_evaluator(rows, cols), when given,
+    returns the same matrix at the nodes rows x cols (index arrays or
+    slices) of `native_grid`.  `hermitian` marks a kernel with
+    K(x, y) = conj(K(y, x)) by construction.  The cache, when built, agrees
+    with the evaluator at every node (same code path), and building it is
+    the only mutation; reads after that are concurrency-safe.
     """
 
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -39,6 +46,8 @@ class Kernel:
     native_grid: Optional[QuadGrid] = None
     fast_apply: Optional[Callable[[np.ndarray, QuadGrid], np.ndarray]] = None
     context: dict = field(default_factory=dict, repr=False)
+    node_evaluator: Optional[Callable] = field(default=None, repr=False)
+    hermitian: bool = False
     _cache: Optional[np.ndarray] = field(default=None, repr=False)
     # the grid the cache was sampled on, held (not its id, which can be
     # reused by another grid once this one is freed)
@@ -46,8 +55,22 @@ class Kernel:
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def block(self, points_r: np.ndarray, points_c: np.ndarray) -> np.ndarray:
-        vals = np.asarray(self.evaluator(np.atleast_2d(points_r),
-                                         np.atleast_2d(points_c)))
+        return self._finite(self.evaluator(np.atleast_2d(points_r),
+                                           np.atleast_2d(points_c)))
+
+    def node_block(self, grid: QuadGrid, rows, cols) -> np.ndarray:
+        """K at the grid nodes rows x cols (index arrays or slices).
+
+        On its native grid a kernel with a node evaluator never sees the
+        points; every other kernel evaluates grid.points[rows] x
+        grid.points[cols] through `block`.
+        """
+        if self.node_evaluator is None or grid is not self.native_grid:
+            return self.block(grid.points[rows], grid.points[cols])
+        return self._finite(self.node_evaluator(rows, cols))
+
+    def _finite(self, vals) -> np.ndarray:
+        vals = np.asarray(vals)
         if not np.all(np.isfinite(vals)):
             raise KernelError(f"non-finite kernel value ({self.provenance})")
         return vals
@@ -107,25 +130,36 @@ def am_norm(kern: Kernel, m: AdmissibleWeight, grid: QuadGrid,
     """Weighted algebra norm: max of the two sup-integrals of |K| m.
 
     The essential sup is realized as the max over grid nodes; integrals use
-    the grid quadrature.  Streaming over row blocks keeps memory at
-    O(block * M).
+    the grid quadrature.  Streaming over row blocks of grid nodes
+    (`Kernel.node_block`) keeps memory at O(block * M).  For a kernel that
+    is Hermitian by construction |K| m is symmetric (every AdmissibleWeight
+    is), so its row and column sums agree: each row block then evaluates
+    only its columns from the block's first row on, adds its row sums to its
+    rows and the column sums of its part right of the diagonal block to
+    those columns, and row_sup = col_sup.  Other kernels take the full
+    two-sided pass.
     """
     pts, w = grid.points, grid.weights
     M = grid.size
-    row_sup_m = 0.0
-    row_sup_1 = 0.0
-    col_acc_m = np.zeros(M)
-    col_acc_1 = np.zeros(M)
+    herm = kern.hermitian
+    row_acc_m, row_acc_1 = np.zeros(M), np.zeros(M)
+    col_acc_m, col_acc_1 = np.zeros(M), np.zeros(M)
     for start in range(0, M, row_block):
-        rows = slice(start, min(start + row_block, M))
-        amp = np.abs(kern.block(pts[rows], pts))
-        mm = m(pts[rows], pts)
-        row_sup_1 = max(row_sup_1, float(np.max(amp @ w)))
-        row_sup_m = max(row_sup_m, float(np.max((amp * mm) @ w)))
-        col_acc_1 += w[rows] @ amp
-        col_acc_m += w[rows] @ (amp * mm)
-    col_sup_m = float(np.max(col_acc_m))
-    col_sup_1 = float(np.max(col_acc_1))
+        stop = min(start + row_block, M)
+        lo = start if herm else 0          # first column evaluated
+        right = stop - lo if herm else 0   # offset of the first column summed
+        amp = np.abs(kern.node_block(grid, slice(start, stop), slice(lo, M)))
+        amp_m = amp * m(pts[start:stop], pts[lo:])
+        row_acc_1[start:stop] += amp @ w[lo:]
+        row_acc_m[start:stop] += amp_m @ w[lo:]
+        col_acc_1[lo + right:] += w[start:stop] @ amp[:, right:]
+        col_acc_m[lo + right:] += w[start:stop] @ amp_m[:, right:]
+    if herm:
+        row_acc_1 += col_acc_1
+        row_acc_m += col_acc_m
+        col_acc_1, col_acc_m = row_acc_1, row_acc_m
+    row_sup_m, row_sup_1 = float(np.max(row_acc_m)), float(np.max(row_acc_1))
+    col_sup_m, col_sup_1 = float(np.max(col_acc_m)), float(np.max(col_acc_1))
     return KernelNormReport(
         a1_norm=max(row_sup_1, col_sup_1),
         am_norm=max(row_sup_m, col_sup_m),

@@ -20,12 +20,17 @@ group-covering oscillation.  The comparison mode is recorded in the report;
 `osc_norm_streaming` walks the cells in covering order, grouped into blocks
 of consecutive nonempty cells whose y- and z-columns fit a fixed entry
 budget (`_BLOCK_ENTRIES` / M columns; a cell larger than that is a block of
-its own).  Per block it makes one `R.block` call for all y-columns and one
-for all z-samples, always on the calling thread.  The per-cell sups and the
-per-cell row and column sums are then computed for the block, by up to
-`threads - 1` worker threads while the caller evaluates the next blocks,
-and folded into the running sums in cell order; for overlapping coverings
-the per-node running maximum is updated in the same order.  Block
+its own).  Per block it makes one `R.node_block` call for all y-columns
+(grid nodes: a Gramian slices its half factor) and one `R.block` call for
+all z-samples (off the grid), always on the calling thread.  The per-cell
+sups and the per-cell row and column sums are then computed for the block,
+by up to `threads - 1` worker threads while the caller evaluates the next
+blocks, and folded into the running sums in cell order; for overlapping
+coverings the per-node running maximum is updated in the same order.  The
+same y-columns feed the row and column sums of |R| m, so ||R | A_m|| comes
+out of this one pass over the Gramian (`property_D_check` makes no other):
+a node's column counts once, at its first cell in covering order, and the
+columns of nodes that no cell holds are added after the stream.  Block
 boundaries depend only on the covering and the grid size, so the result is
 the same for every thread count.
 """
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverings import Covering, build_covering, q_set, weight_sup_on_cells
-from .kernel_algebra import Kernel, am_norm
+from .kernel_algebra import Kernel
 from .measure_space import AdmissibleWeight, QuadGrid
 from .frame_families import FrameFamily, default_index_grid, gram_kernel
 
@@ -100,8 +105,8 @@ def _cell_z_samples(cov: Covering, z_per_cell: int, seed: int) -> list:
     return out
 
 
-def _pair_osc(r_y: np.ndarray, r_z: np.ndarray, counts,
-              aligned: bool) -> np.ndarray:
+def _pair_osc(r_y: np.ndarray, r_z: np.ndarray, counts, aligned: bool,
+              abs_y: np.ndarray | None = None) -> np.ndarray:
     """Per-cell sup over z of the (phase-aligned) difference.
 
     r_y (M, sum(counts)) holds counts[c] y-columns of cell c, cells side by
@@ -109,6 +114,7 @@ def _pair_osc(r_y: np.ndarray, r_z: np.ndarray, counts,
     same order.  Returns (M, sum(counts)).  The aligned sup uses
     max(|a| - min_z |b_z|, max_z |b_z| - |a|): rounding is monotone, so this
     equals max_z | |a| - |b_z| | bit for bit without an (M, Y, Z) temporary.
+    `abs_y`, when given, is |r_y| already computed by the caller.
     """
     n_cells = len(counts)
     r_z = r_z.reshape(r_z.shape[0], n_cells, r_z.shape[1] // n_cells)
@@ -118,7 +124,7 @@ def _pair_osc(r_y: np.ndarray, r_z: np.ndarray, counts,
         for j in range(1, b.shape[2]):
             lo = np.minimum(lo, b[:, :, j])
             hi = np.maximum(hi, b[:, :, j])
-        a = np.abs(r_y)
+        a = np.abs(r_y) if abs_y is None else abs_y
         lo = np.repeat(lo, counts, axis=1)
         hi = np.repeat(hi, counts, axis=1)
         np.subtract(a, lo, out=lo)
@@ -195,17 +201,31 @@ def _stream(blocks: list, gemms, reduce, fold, threads: int) -> None:
             fold(pending.popleft().result())
 
 
+class OscNorm(float):
+    """||osc_U | A_m||, the value of `osc_norm_streaming`; its `r_norm` is
+    ||R | A_m||, summed from the same streamed y-columns of R."""
+
+    def __new__(cls, delta: float, r_norm: float):
+        out = super().__new__(cls, delta)
+        out.r_norm = r_norm
+        return out
+
+
 def osc_norm_streaming(R: Kernel, cov: Covering, grid: QuadGrid,
                        m: AdmissibleWeight, z_per_cell: int = 4,
                        comparison: str = "strict", seed: int = 0,
-                       threads: int = 1) -> float:
+                       threads: int = 1) -> OscNorm:
     """||osc_U | A_m|| without materializing the M x M oscillation matrix.
 
     Streams blocks of consecutive cells: columns y of each cell are compared
     against the cell's z-samples.  On a partition every node lies in one
     cell; for nodes shared by several cells the running maximum across
-    cells realizes the sup over the union Q_y.  `threads` sizes the pool
-    that reduces the blocks; the result does not depend on it.
+    cells realizes the sup over the union Q_y.  The same y-columns R(., y)
+    also give ||R | A_m|| (the `r_norm` of the result): each node's column
+    of |R| m enters the row and column sums once, at the node's first cell
+    in covering order, and the columns of nodes no cell holds are evaluated
+    after the stream.  `threads` sizes the pool that reduces the blocks;
+    the result does not depend on it.
     """
     if threads < 1:
         raise OscillationError(f"threads must be >= 1, got {threads}")
@@ -214,38 +234,66 @@ def osc_norm_streaming(R: Kernel, cov: Covering, grid: QuadGrid,
     pts, w = grid.points, grid.weights
     M = grid.size
     members = cov.members
-    remaining = np.bincount(np.concatenate(members), minlength=M)
+    # every member list side by side in cell order; a block of consecutive
+    # cells is the slice span(block) of it
+    flat = np.concatenate(members)
+    starts = np.cumsum([0] + [idx.size for idx in members])
+    remaining = np.bincount(flat, minlength=M)
     overlapping = bool(remaining.max() > 1)
+    unheld = np.flatnonzero(remaining == 0)
+    # a node's column of |R| m is summed at its first position in `flat`
+    first = np.zeros(flat.size, dtype=bool)
+    first[np.unique(flat, return_index=True)[1]] = True
     row_acc = np.zeros(M)
     col_val = np.zeros(M)
+    r_row = np.zeros(M)
+    r_col = np.zeros(M)
+
+    def span(block):
+        return slice(starts[block[0]], starts[block[-1] + 1])
+
+    def r_sums(amp, mm, idx):
+        """Row and column sums of the columns idx of |R| m; amp holds those
+        columns of |R| and is overwritten."""
+        amp *= mm
+        return idx, amp @ w[idx], w @ amp
 
     def gemms(block):
-        idx = np.concatenate([members[i] for i in block])
+        idx = flat[span(block)]
         zs = np.concatenate([z_sets[i] for i in block])
-        return idx, R.block(pts, pts[idx]), R.block(pts, zs)
+        return idx, R.node_block(grid, slice(None), idx), R.block(pts, zs)
 
     def reduce(block, idx, r_y, r_z):
         counts = [members[i].size for i in block]
-        vals = _pair_osc(r_y, r_z, counts, aligned)
+        amp = np.abs(r_y)
+        vals = _pair_osc(r_y, r_z, counts, aligned, abs_y=amp)
         mm = m(pts, pts[idx])
         if overlapping:
-            return idx, vals, mm
+            sel = first[span(block)]
+            return idx, vals, mm, r_sums(amp[:, sel], mm[:, sel], idx[sel])
+        r_part = r_sums(amp, mm, idx)
         vals *= mm
         stops = np.cumsum(counts)
         rows = [vals[:, b - c:b] @ w[idx[b - c:b]] for b, c in zip(stops, counts)]
         cols = [w @ vals[:, b - c:b] for b, c in zip(stops, counts)]
-        return idx, rows, cols
+        return idx, rows, cols, r_part
+
+    def fold_r(r_part):
+        idx, rows, cols = r_part
+        np.add(r_row, rows, out=r_row)
+        r_col[idx] = cols
 
     def fold_partition(res):
-        idx, rows, cols = res
+        idx, rows, cols, r_part = res
         for r in rows:
             np.add(row_acc, r, out=row_acc)
         col_val[idx] = np.concatenate(cols)
+        fold_r(r_part)
 
     osc_cols: dict[int, np.ndarray] = {}
 
     def fold_overlapping(res):
-        idx, vals, mm = res
+        idx, vals, mm, r_part = res
         for pos, node in enumerate(idx):
             prev = osc_cols.pop(node, None)
             cur = vals[:, pos] if prev is None else np.maximum(prev, vals[:, pos])
@@ -255,10 +303,17 @@ def osc_norm_streaming(R: Kernel, cov: Covering, grid: QuadGrid,
                 continue
             np.add(row_acc, cur * mm[:, pos] * w[node], out=row_acc)
             col_val[node] = float(np.dot(w, cur * mm[:, pos]))
+        fold_r(r_part)
 
     _stream(_cell_blocks(cov, z_per_cell), gemms, reduce,
             fold_overlapping if overlapping else fold_partition, threads)
-    return float(max(row_acc.max(), col_val.max()))
+    step = max(1, _BLOCK_ENTRIES // M)
+    for k in range(0, unheld.size, step):
+        idx = unheld[k:k + step]
+        fold_r(r_sums(np.abs(R.node_block(grid, slice(None), idx)),
+                      m(pts, pts[idx]), idx))
+    return OscNorm(max(row_acc.max(), col_val.max()),
+                   float(max(r_row.max(), r_col.max())))
 
 
 def property_D_check(family: FrameFamily, cov: Covering, m: AdmissibleWeight,
@@ -268,19 +323,21 @@ def property_D_check(family: FrameFamily, cov: Covering, m: AdmissibleWeight,
     """Assemble the discretization report for one covering.
 
     delta_est = ||osc_U | A_m|| (sampled sup), sigma and the threshold value
-    delta (||R|| + sigma) with the three flags.  Deterministic given seed,
-    whatever the number of `threads` reducing the oscillation blocks.
+    delta (||R|| + sigma) with the three flags.  One pass over the Gramian
+    gives both norms: `osc_norm_streaming` sums ||R | A_m|| from the
+    y-columns it evaluates for the oscillation anyway.  Deterministic given
+    seed, whatever the number of `threads` reducing the oscillation blocks.
     """
     if comparison is None:
         comparison = "phase_aligned" if family.phase_quotient else "strict"
     R = gram_kernel(family, grid, rel_cut=rel_cut)
-    r_report = am_norm(R, m, grid)
-    r_norm = r_report.am_norm
-    if not np.isfinite(r_norm):
-        raise OscillationError("||R|A_m|| is not finite at this truncation")
     delta = osc_norm_streaming(R, cov, grid, m, z_per_cell=z_per_cell,
                                comparison=comparison, seed=seed,
                                threads=threads)
+    r_norm = delta.r_norm
+    if not np.isfinite(r_norm):
+        raise OscillationError("||R|A_m|| is not finite at this truncation")
+    delta = float(delta)
     c_m_u = weight_sup_on_cells(cov, m)
     sigma = max(c_m_u * r_norm, r_norm + delta)
     cond = delta * (r_norm + sigma)

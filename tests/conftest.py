@@ -84,3 +84,28 @@ def gabor_ladder():
                                   seed=0, rel_cut=0.2)
     return {"family": fam, "domain": domain, "covering": cov, "report": rep,
             "trajectory": traj, "rel_cut": 0.2, "signal_grid": sg}
+
+
+@pytest.fixture(scope="session")
+def reference_am_norm():
+    """The plain row-block am_norm loop: every row block against every
+    column through `Kernel.block`, row and column sums of |K| m kept apart.
+    Returns {"row_sup", "col_sup", "a1_norm", "am_norm"}."""
+    def ref(kern, m, grid, row_block=256):
+        pts, w = grid.points, grid.weights
+        rows_m, rows_1 = [], []
+        col_m, col_1 = np.zeros(grid.size), np.zeros(grid.size)
+        for start in range(0, grid.size, row_block):
+            rows = slice(start, start + row_block)
+            amp = np.abs(kern.block(pts[rows], pts))
+            amp_m = amp * m(pts[rows], pts)
+            rows_1.append(amp @ w)
+            rows_m.append(amp_m @ w)
+            col_1 += w[rows] @ amp
+            col_m += w[rows] @ amp_m
+        row_sup = float(np.concatenate(rows_m).max())
+        return {"row_sup": row_sup, "col_sup": float(col_m.max()),
+                "a1_norm": max(float(np.concatenate(rows_1).max()),
+                               float(col_1.max())),
+                "am_norm": max(row_sup, float(col_m.max()))}
+    return ref

@@ -328,6 +328,19 @@ class TestHalfFactor:
         assert np.abs(R.block(off, pts) - ref_rows).max() <= tol
         assert np.abs(R.block(pts, off) - ref_cols).max() <= tol
 
+    def test_node_blocks_slice_the_half_factor(self, case, rng, monkeypatch):
+        fam, grid, calc, cut, ref = case
+        R = gram_kernel(fam, grid, rel_cut=cut)
+        tol = 1e-12 * np.abs(ref).max()
+        rows = np.sort(rng.choice(grid.size, min(grid.size, 7), replace=False))
+        calc.u_factor(cut)
+        # grid nodes are columns of C: no atom is synthesized again
+        monkeypatch.setattr(fam, "atom_fn", None)
+        assert np.abs(R.node_block(grid, rows, slice(None)) - ref[rows]).max() <= tol
+        assert np.abs(R.node_block(grid, slice(None), rows) - ref[:, rows]).max() <= tol
+        assert np.abs(R.node_block(grid, slice(2, 5), rows)
+                      - ref[2:5][:, rows]).max() <= tol
+
 
 class TestFrameBounds:
     def test_gabor_near_tight(self, gabor_small):

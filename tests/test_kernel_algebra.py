@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from coorbit.frame_families import default_index_grid, gram_kernel, make_family
 from coorbit.kernel_algebra import (Kernel, KernelError, am_norm, apply_kernel,
                                     compose, export_kernel_csv, involution,
-                                    lp_w_norm)
-from coorbit.measure_space import (GridError, QuadGrid, build_quad_grid,
-                                   polynomial_weight, trivial_weight,
+                                    kernel_from_matrix, lp_w_norm)
+from coorbit.measure_space import (GridError, QuadGrid, SignalGrid,
+                                   build_quad_grid, polynomial_weight,
+                                   trivial_admissible_weight, trivial_weight,
                                    weight_from_w)
 
 
@@ -46,6 +51,119 @@ class TestAmNorm:
         k = Kernel(lambda p, q: np.full((p.shape[0], q.shape[0]), np.inf))
         with pytest.raises(KernelError):
             am_norm(k, m_trivial, unit_grid_1d)
+
+
+# Gram kernels on small grids, at a cut that keeps every eigenvalue of the
+# frame operator S or only some.  Only the Gabor S here has no null
+# direction: the cwt wavelet has zero mean and the sinc atoms are band
+# limited, so their S has eigenvalues at rounding level that no cut keeps.
+TRIANGLE_CASES = [
+    ("gabor", None, 4.0, 16, [[-5.0, 5.0], [-8.0, 8.0]], [20, 24], 1e-10, True),
+    ("gabor", None, 4.0, 16, [[-5.0, 5.0], [-8.0, 8.0]], [20, 24], 0.6, False),
+    ("cwt", None, 8.0, 32, None, None, 1e-10, False),
+    ("cwt", None, 8.0, 32, None, None, 0.2, False),
+    ("sinc_rkhs", {"bandlimit": np.pi / 2}, 8.0, 32, None, [300], 1e-10, False),
+    ("sinc_rkhs", {"bandlimit": 3.0}, 8.0, 16, None, [300], 1e-10, False),
+]
+
+
+class TestHermitianTriangle:
+    """am_norm of a Gramian sums the upper block triangle only; it must
+    agree with the full two-sided row-block pass."""
+
+    @pytest.fixture(scope="class", params=TRIANGLE_CASES,
+                    ids=lambda c: f"{c[0]}-n{c[3]}-cut{c[6]:g}")
+    def gram(self, request):
+        tag, params, T, n, bounds, res, cut, keeps_all = request.param
+        fam = make_family(tag, params, SignalGrid(T, n))
+        grid = default_index_grid(fam, bounds=bounds, resolution=res)
+        assert bool(fam.calculus(grid).s_eig(cut).kept.all()) == keeps_all
+        return grid, gram_kernel(fam, grid, rel_cut=cut)
+
+    @pytest.mark.parametrize("row_block", [16, 256])
+    @pytest.mark.parametrize("poly", [False, True])
+    def test_triangle_matches_full_pass(self, gram, row_block, poly,
+                                        reference_am_norm):
+        grid, R = gram
+        m = weight_from_w(polynomial_weight(1.0)) if poly \
+            else trivial_admissible_weight()
+        assert R.hermitian
+        assert grid.size > row_block          # off-diagonal blocks exist
+        ref = reference_am_norm(R, m, grid)
+        rep = am_norm(R, m, grid, row_block=row_block)
+        assert rep.row_sup == rep.col_sup
+        for key in ("row_sup", "col_sup", "a1_norm", "am_norm"):
+            assert getattr(rep, key) == pytest.approx(ref[key], rel=1e-13,
+                                                      abs=0.0), key
+
+    def test_general_kernels_take_the_full_pass(self, reference_am_norm):
+        # rows peaked at 0.5, columns spread: the row and column sups differ,
+        # where a one-sided (triangle) sum would report them equal
+        grid = build_quad_grid([[-2.0, 2.0]], [90],
+                               measure=lambda p: 1.0 + p[:, 0] ** 2)
+        m = weight_from_w(polynomial_weight(1.0))
+
+        def ev(p, q):
+            return (np.exp(-8.0 * (p[:, None, 0] - 0.5) ** 2)
+                    * np.exp(1j * q[None, :, 0]) * (1.0 + 0.3 * q[None, :, 0]))
+        k = Kernel(ev)
+        for kern in (k, involution(k), compose(k, k, grid),
+                     kernel_from_matrix(k.matrix(grid), grid)):
+            assert not kern.hermitian
+            ref = reference_am_norm(kern, m, grid)
+            rep = am_norm(kern, m, grid, row_block=16)
+            for key in ("row_sup", "col_sup", "a1_norm", "am_norm"):
+                assert getattr(rep, key) == pytest.approx(ref[key], rel=1e-13,
+                                                          abs=0.0), key
+            assert abs(rep.row_sup - rep.col_sup) > 0.1 * rep.am_norm
+
+    def test_gramians_are_hermitian_by_construction(self, gabor_small):
+        fam, grid = gabor_small
+        assert gram_kernel(fam, grid, rel_cut=0.2).hermitian
+        assert gram_kernel(fam, grid, mode="direct").hermitian
+        # the flag comes from how a kernel is built, never from its values
+        assert not involution(gram_kernel(fam, grid, rel_cut=0.2)).hermitian
+        assert not Kernel(lambda p, q: np.ones((p.shape[0], q.shape[0]))).hermitian
+
+    def test_node_block_rejects_non_finite(self, unit_grid_1d):
+        k = Kernel(lambda p, q: np.ones((p.shape[0], q.shape[0])),
+                   native_grid=unit_grid_1d,
+                   node_evaluator=lambda r, c: np.full((3, 2), np.nan))
+        with pytest.raises(KernelError, match="non-finite"):
+            k.node_block(unit_grid_1d, slice(0, 3), slice(0, 2))
+        # off its native grid the node path is `block`
+        other = build_quad_grid([[0.0, 1.0]], [64])
+        assert np.all(k.node_block(other, slice(0, 3), [1, 4]) == 1.0)
+
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def _kernel_triple(draw):
+    """A small 1-D grid with positive weights and three complex matrices."""
+    n = draw(st.integers(1, 10))
+    density = draw(arrays(np.float64, (n,), elements=st.floats(0.25, 4.0)))
+    mats = [draw(arrays(np.float64, (n, n), elements=_unit))
+            + 1j * draw(arrays(np.float64, (n, n), elements=_unit))
+            for _ in range(3)]
+    return n, density, mats
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kernel_triple())
+def test_compose_is_associative(case):
+    n, density, mats = case
+    base = build_quad_grid([[0.0, 1.0]], [n])
+    grid = QuadGrid(points=base.points, weights=base.weights * density,
+                    bounds=base.bounds)
+    k1, k2, k3 = (kernel_from_matrix(mat, grid) for mat in mats)
+    lhs = compose(compose(k1, k2, grid), k3, grid).matrix(grid)
+    rhs = compose(k1, compose(k2, k3, grid), grid).matrix(grid)
+    # relative to the sum of the moduli of every term of the double integral
+    w = grid.weights[None, :]
+    scale = ((np.abs(mats[0]) * w) @ (np.abs(mats[1]) * w) @ np.abs(mats[2])).max()
+    assert np.abs(lhs - rhs).max() <= 1e-12 * scale
 
 
 class TestCompose:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from coorbit.coverings import build_covering, refine_covering
-from coorbit.frame_families import gram_kernel, make_family
+from coorbit.frame_families import default_index_grid, gram_kernel, make_family
 from coorbit.kernel_algebra import Kernel
 from coorbit.measure_space import (SignalGrid, build_quad_grid,
                                    polynomial_weight,
@@ -130,6 +130,19 @@ def gabor_blocks():
     return fam, grid, gram_kernel(fam, grid, rel_cut=0.2)
 
 
+def _peaked_setup():
+    """A 64-node grid with unequal quadrature weights and a kernel whose
+    rows peak at 0.3, so that its row sup exceeds its column sup."""
+    grid = build_quad_grid([[0.0, 1.0]], [64],
+                           measure=lambda p: 1.0 + 3.0 * p[:, 0])
+
+    def ev(p, q):
+        f = 10.0 * np.exp(-200.0 * (p[:, 0] - 0.3) ** 2)
+        return (f[:, None] * np.exp(1j * 9.0 * q[None, :, 0] ** 2)
+                * np.sin(20.0 * q[None, :, 0]))
+    return grid, Kernel(ev)
+
+
 class TestStreamingBlocks:
     @pytest.mark.parametrize("overlap", [0.0, 0.3])
     @pytest.mark.parametrize("comparison", ["strict", "phase_aligned"])
@@ -154,15 +167,8 @@ class TestStreamingBlocks:
         # weight make every node's quadrature weight and m-column distinct
         import coorbit.oscillation as osc
         monkeypatch.setattr(osc, "_BLOCK_ENTRIES", 64 * 12)
-        grid = build_quad_grid([[0.0, 1.0]], [64],
-                               measure=lambda p: 1.0 + 3.0 * p[:, 0])
+        grid, K = _peaked_setup()
         m = weight_from_w(polynomial_weight(1.0))
-
-        def ev(p, q):
-            f = 10.0 * np.exp(-200.0 * (p[:, 0] - 0.3) ** 2)
-            return (f[:, None] * np.exp(1j * 9.0 * q[None, :, 0] ** 2)
-                    * np.sin(20.0 * q[None, :, 0]))
-        K = Kernel(ev)
         cov = build_covering(grid, 1.0 / 16, overlap_fraction=overlap)
         assert len(_cell_blocks(cov, 2)) >= 8
         row_sup, col_sup = _reference_osc_sups(K, cov, grid, m, 2,
@@ -189,6 +195,76 @@ class TestStreamingBlocks:
         with pytest.raises(OscillationError, match="threads"):
             osc_norm_streaming(R, build_covering(grid, 1.25), grid, m_trivial,
                                threads=0)
+
+
+@pytest.fixture(scope="module", params=["gabor", "cwt", "peaked"])
+def fold_case(request, gabor_blocks):
+    """(grid, kernel, cell size): a Gramian on equal weights whose overlap-0
+    covering is a partition; a Gramian on unequal weights whose closed cells
+    share boundary nodes; a general kernel on unequal weights."""
+    if request.param == "gabor":
+        _, grid, R = gabor_blocks
+        return grid, R, 0.625
+    if request.param == "cwt":
+        fam = make_family("cwt", None, SignalGrid(8.0, 32))
+        grid = default_index_grid(fam)
+        return grid, gram_kernel(fam, grid, rel_cut=0.2), [1.0, 2.0]
+    return (*_peaked_setup(), 1.0 / 16)
+
+
+class TestFoldedRNorm:
+    """||R | A_m|| summed from the streamed y-columns against the plain
+    row-block loop over the whole grid."""
+
+    @pytest.mark.parametrize("overlap", [0.0, 0.25])
+    @pytest.mark.parametrize("poly", [False, True])
+    @pytest.mark.parametrize("comparison", ["strict", "phase_aligned"])
+    def test_matches_row_block_loop(self, fold_case, monkeypatch, overlap,
+                                    poly, comparison, reference_am_norm):
+        import coorbit.oscillation as osc
+        grid, K, cell = fold_case
+        monkeypatch.setattr(osc, "_BLOCK_ENTRIES", grid.size * 20)
+        cov = build_covering(grid, cell, overlap_fraction=overlap)
+        assert len(_cell_blocks(cov, 2)) >= 4
+        if overlap:
+            assert max(len(c) for c in cov.node_cells()) > 1
+        m = weight_from_w(polynomial_weight(1.0)) if poly \
+            else trivial_admissible_weight()
+        ref = reference_am_norm(K, m, grid)["am_norm"]
+        got = [osc_norm_streaming(K, cov, grid, m, z_per_cell=2,
+                                  comparison=comparison, seed=1,
+                                  threads=t).r_norm for t in (1, 2, 3)]
+        assert got[0] == pytest.approx(ref, rel=1e-13, abs=0.0)
+        assert got[1] == got[0] and got[2] == got[0]
+
+    def test_nodes_no_cell_holds_still_count(self, reference_am_norm):
+        # empty the cells around the row peak: without their columns the
+        # row sums, and with them the norm, would fall
+        import dataclasses
+        grid, K = _peaked_setup()
+        m = weight_from_w(polynomial_weight(1.0))
+        cov = build_covering(grid, 1.0 / 16)
+        members = [idx[:0] if 4 <= i < 7 else idx
+                   for i, idx in enumerate(cov.members)]
+        cov = dataclasses.replace(cov, members=members)
+        got = osc_norm_streaming(K, cov, grid, m, z_per_cell=2)
+        ref = reference_am_norm(K, m, grid)
+        assert ref["row_sup"] > ref["col_sup"]
+        assert got.r_norm == pytest.approx(ref["am_norm"], rel=1e-13, abs=0.0)
+
+    def test_property_d_reports_the_streamed_r_norm(self, gabor_small,
+                                                    reference_am_norm):
+        fam, grid = gabor_small
+        cov = build_covering(grid, 1.25)
+        m = trivial_admissible_weight()
+        rep = property_D_check(fam, cov, m, grid, z_per_cell=2, rel_cut=0.2)
+        R = gram_kernel(fam, grid, rel_cut=0.2)
+        streamed = osc_norm_streaming(R, cov, grid, m, z_per_cell=2,
+                                      comparison="phase_aligned")
+        assert type(rep.delta_est) is float and rep.delta_est == streamed
+        assert rep.r_norm == streamed.r_norm
+        assert rep.r_norm == pytest.approx(
+            reference_am_norm(R, m, grid)["am_norm"], rel=1e-13, abs=0.0)
 
 
 _parts = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
