@@ -131,9 +131,10 @@ class HermitianEig:
 
 
 def psd_factorize(mat: np.ndarray, rel_cut: float = 1e-10) -> HermitianEig:
-    """eigh with a relative eigenvalue cut; raises on total rank collapse."""
-    if not np.isfinite(rel_cut):
-        raise ValueError("relative eigenvalue cut must be finite")
+    """eigh with a relative eigenvalue cut in [0, inf); raises on total rank
+    collapse.  A negative cut would keep zero eigenvalues and divide by them."""
+    if not (np.isfinite(rel_cut) and rel_cut >= 0.0):
+        raise ValueError(f"relative eigenvalue cut must be finite and >= 0, got {rel_cut}")
     lam, q = np.linalg.eigh(mat)
     lam = np.maximum(lam, 0.0)
     top = lam[-1] if lam.size else 0.0

@@ -85,6 +85,15 @@ def validate_config(cfg: dict) -> list[str]:
         ov = cfg["covering"].get("overlap", 0.0)
         if not 0.0 <= ov < 1.0:
             diags.append(f"covering.overlap must be in [0,1), got {ov}")
+    cut = cfg.get("stable_cut", 1e-10)
+    if isinstance(cut, bool) or not isinstance(cut, (int, float)) or not 0.0 <= cut < 1.0:
+        diags.append(f"stable_cut must be a number in [0,1), got {cut!r}")
+    for key, default in (("z_per_cell", 4), ("battery_size", 5)):
+        val = cfg.get(key, default)
+        if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+            diags.append(f"{key} must be an integer >= 1, got {val!r}")
+    if cfg.get("pu_flavor", "indicator") not in ("indicator", "tent"):
+        diags.append(f"unknown pu_flavor {cfg['pu_flavor']!r}")
     return diags
 
 
@@ -122,6 +131,7 @@ class _Context:
         self.z_per_cell = int(cfg.get("z_per_cell", 4))
         self._covering = None
         self._osc_report = None
+        self._uphi = None
 
     def covering(self):
         if self._covering is None:
@@ -148,6 +158,17 @@ class _Context:
                     overlap_fraction=float(cc.get("overlap", 0.0)))
                 self._trajectory = None
         return self._covering
+
+    def uphi(self):
+        """(partition of unity, U_Phi, its defect) on the covering, built once
+        per run and shared by the discretize and reconstruct tasks."""
+        if self._uphi is None:
+            cov = self.covering()
+            pu = build_pu(cov, self.cfg.get("pu_flavor", "indicator"))
+            op = build_uphi(gram_kernel(self.family, self.grid, rel_cut=self.rel_cut),
+                            cov, pu, self.grid)
+            self._uphi = (pu, op, uphi_defect_norm(op))
+        return self._uphi
 
 
 def task_frame_info(ctx: _Context) -> dict:
@@ -194,38 +215,24 @@ def task_property_d(ctx: _Context) -> dict:
 
 
 def task_discretize(ctx: _Context) -> dict:
-    cov = ctx.covering()
-    pu = build_pu(cov, ctx.cfg.get("pu_flavor", "indicator"))
-    R = gram_kernel(ctx.family, ctx.grid, rel_cut=ctx.rel_cut)
-    op = build_uphi(R, cov, pu, ctx.grid)
-    defect = uphi_defect_norm(op)
-    sframe = sample_frame(ctx.family, cov, pu)
+    pu, op, defect = ctx.uphi()
+    sframe = sample_frame(ctx.family, op.covering, pu)
     c1, c2, sub = hilbert_frame_bounds(sframe, ctx.sg)
-    ctx._defect = defect
-    return {"cells": cov.size, "defect_estimate": defect,
+    return {"cells": op.covering.size, "defect_estimate": defect,
             "hilbert_bounds": {"c1": c1, "c2": c2, "subspace": sub}}
 
 
 def task_reconstruct(ctx: _Context) -> dict:
-    cov = ctx.covering()
-    pu = build_pu(cov, ctx.cfg.get("pu_flavor", "indicator"))
+    _, op, defect = ctx.uphi()
     battery = make_battery(ctx.family, ctx.grid,
                            int(ctx.cfg.get("battery_size", 5)), seed=ctx.seed)
-    defect = getattr(ctx, "_defect", None)
-    node_index = build_uphi(gram_kernel(ctx.family, ctx.grid, rel_cut=ctx.rel_cut),
-                            cov, pu, ctx.grid).node_index
     atomic_errors, banach_errors, ratios = [], [], []
-    lam = None
     for f in battery:
-        lam, rep = atomic_coefficients(f, ctx.family, cov, pu, ctx.grid,
-                                       defect=defect, rel_cut=ctx.rel_cut)
-        defect = rep.defect_estimate
+        lam, rep = atomic_coefficients(f, op, defect)
         atomic_errors.append(rep.relative_error)
         samples = analyze_V(ctx.family, f, ctx.grid,
-                            use_fast_path=False).values[node_index]
-        f_rec, brep = banach_frame_reconstruct(samples, ctx.family, cov, pu,
-                                               ctx.grid, f_true=f, defect=defect,
-                                               rel_cut=ctx.rel_cut)
+                            use_fast_path=False).values[op.node_index]
+        _, brep = banach_frame_reconstruct(samples, op, defect, f_true=f)
         banach_errors.append(brep.relative_error)
         ratios.append(brep.norm_ratios["flat_l2_over_f"])
     with open(ctx.out / "coefficients.csv", "w", newline="") as fh:

@@ -5,7 +5,9 @@ allow any point of the cell), which keeps every operator exact on the grid:
 fields are sampled by indexing, and U_Phi factorizes through the Gramian's
 half factor C (R = h * C^H C, see `FrameCalculus`), so applications cost
 O(M r), r the rank of the frame-operator cut, without ever materializing an
-M x M matrix.
+M x M matrix.  One U_Phi (`build_uphi`) and its defect (`uphi_defect_norm`)
+serve the atomic decomposition, the dual atoms and the Banach-frame
+reconstruction; W f = V S^+ f is `FrameCalculus.analyze_dual` at its cut.
 """
 from __future__ import annotations
 
@@ -21,7 +23,8 @@ from ._linalg import PROBE_GRAM_CUT, SolverError, cg_solve, operator_norm_estima
 from .coverings import Covering, PartitionOfUnity
 from .frame_families import FrameCalculus, FrameFamily, _interior_probes
 from .kernel_algebra import Kernel
-from .measure_space import QuadGrid, SignalGrid
+from .measure_space import QuadGrid, SignalGrid, trivial_weight
+from .sequence_spaces import SeqSpaceSpec, flat_norm, natural_norm
 
 
 class DiscretizationError(ValueError):
@@ -127,12 +130,21 @@ class UPhiOperator:
         """Half-factor columns C_{x_i} at the sample nodes, shape (r, N)."""
         return self.calc.half_factor(self.rel_cut)[:, self.node_index]
 
-    def apply(self, F: np.ndarray) -> np.ndarray:
+    @cached_property
+    def atoms(self) -> np.ndarray:
+        """Sampled atoms psi_{x_i} on the signal grid, shape (n, N); the
+        same matrix `sample_frame` synthesizes, built once per operator."""
+        return self.calc.family.atoms(self.covering.grid.points[self.node_index])
+
+    def from_samples(self, samp: np.ndarray) -> np.ndarray:
+        """sum_i c_i samp_i R(., x_i) for values samp_i at the sample nodes."""
         h = self.calc.family.signal_grid.h
-        samp = F[self.node_index]
-        pot = self._c_nodes @ (self.masses * samp.T).T if F.ndim > 1 else \
+        pot = self._c_nodes @ (self.masses * samp.T).T if samp.ndim > 1 else \
             self._c_nodes @ (self.masses * samp)
         return h * (self._u() @ pot)
+
+    def apply(self, F: np.ndarray) -> np.ndarray:
+        return self.from_samples(F[self.node_index])
 
     def apply_adjoint(self, G: np.ndarray) -> np.ndarray:
         """Adjoint w.r.t. the mu-weighted inner product on the grid."""
@@ -264,45 +276,29 @@ class ReconstructionReport:
         }
 
 
-def _w_field(calc: FrameCalculus, f: np.ndarray, rel_cut: float) -> np.ndarray:
-    """W f = V(S^+ f) evaluated on the grid."""
-    return calc.analyze(calc.s_pinv(f, rel_cut))
-
-
-def atomic_coefficients(f: np.ndarray, family: FrameFamily, cov: Covering,
-                        pu: PartitionOfUnity, grid: QuadGrid,
-                        method: str = "neumann", tol: float = 1e-10,
-                        defect: Optional[float] = None, v_weight=None,
-                        rel_cut: float = 1e-10):
+def atomic_coefficients(f: np.ndarray, op: UPhiOperator, defect: float,
+                        method: str = "neumann", tol: float = 1e-10):
     """Coefficients lam_i(f) = c_i (U_Phi^{-1} W f)(x_i) and the synthesis
     residual of f = sum lam_i psi_{x_i}.
 
-    Returns (lam, ReconstructionReport); the report logs the natural-norm
-    ratios ||lam|Y-natural|| / ||f|| for Y = L^2 and L^1_v.
+    `op` is the covering's U_Phi (`build_uphi`) and `defect` its measured
+    ||P (Id - U_Phi) P|| (`uphi_defect_norm`), both built once and shared by
+    every signal.  Returns (lam, ReconstructionReport); the report logs the
+    natural-norm ratios ||lam|Y-natural|| / ||f|| for Y = L^2 and L^1_v,
+    v the trivial weight.
     """
-    from .frame_families import gram_kernel
-    from .sequence_spaces import SeqSpaceSpec, natural_norm
-    from .measure_space import trivial_weight
-
     t0 = time.perf_counter()
-    R = gram_kernel(family, grid, rel_cut=rel_cut)
-    op = build_uphi(R, cov, pu, grid)
-    if defect is None:
-        defect = uphi_defect_norm(op)
-    wf = _w_field(op.calc, np.asarray(f, dtype=complex), op.rel_cut)
+    wf = op.calc.analyze_dual(np.asarray(f, dtype=complex), op.rel_cut)
     u, iters = invert_uphi(op, wf, method=method, tol=tol, defect=defect)
     lam = op.masses * u[op.node_index]
-    sframe = sample_frame(family, cov, pu)
-    synth = sframe.atoms @ lam
-    sg = family.signal_grid
+    synth = op.atoms @ lam
+    sg = op.calc.family.signal_grid
     f_norm = sg.norm(f)
     rel = sg.norm(synth - f) / f_norm if f_norm > 0 else 0.0
-    if v_weight is None:
-        v_weight = trivial_weight()
     ratios = {}
-    for name, p, wgt in (("natural_l2", 2, trivial_weight()),
-                         ("natural_l1_v", 1, v_weight)):
-        spec = SeqSpaceSpec(p=p, weight=wgt, covering=cov, flavor="natural")
+    for name, p in (("natural_l2", 2), ("natural_l1_v", 1)):
+        spec = SeqSpaceSpec(p=p, weight=trivial_weight(), covering=op.covering,
+                            flavor="natural")
         ratios[name] = natural_norm(np.abs(lam), spec) / f_norm if f_norm > 0 else 0.0
     report = ReconstructionReport(
         method=method, coefficients=lam, relative_error=float(rel),
@@ -311,31 +307,27 @@ def atomic_coefficients(f: np.ndarray, family: FrameFamily, cov: Covering,
     return lam, report
 
 
-def dual_frame(family: FrameFamily, cov: Covering, pu: PartitionOfUnity,
-               grid: QuadGrid, indices: Optional[np.ndarray] = None,
-               cap: int = 512, tol: float = 1e-10,
-               defect: Optional[float] = None,
-               rel_cut: float = 1e-10) -> np.ndarray:
+DUAL_CAP = 512               # dual atoms computed when no indices are given
+
+
+def dual_frame(op: UPhiOperator, defect: float,
+               indices: Optional[np.ndarray] = None,
+               tol: float = 1e-10) -> np.ndarray:
     """Discrete dual atoms e_i with <f, e_i> = lam_i(f).
 
-    e_i = W*(c_i U_Phi^{-1} W psi_{x_i}); computed for `indices` (default:
-    all cells when the count is within `cap`, otherwise an evenly spaced
-    subset).  Returns the atoms as columns on the signal grid.
+    e_i = W*(c_i U_Phi^{-1} W psi_{x_i}), from the covering's U_Phi and its
+    measured defect; computed for `indices` (default: all cells when the
+    count is within `DUAL_CAP`, otherwise an evenly spaced subset).  Returns
+    the atoms as columns on the signal grid.
     """
-    from .frame_families import gram_kernel
-
-    R = gram_kernel(family, grid, rel_cut=rel_cut)
-    op = build_uphi(R, cov, pu, grid)
-    if defect is None:
-        defect = uphi_defect_norm(op)
-    n_cells = cov.size
+    n_cells = op.covering.size
     if indices is None:
-        if n_cells <= cap:
+        if n_cells <= DUAL_CAP:
             indices = np.arange(n_cells)
         else:
-            indices = np.linspace(0, n_cells - 1, cap).astype(int)
+            indices = np.linspace(0, n_cells - 1, DUAL_CAP).astype(int)
     indices = np.asarray(indices, dtype=int)
-    h = family.signal_grid.h
+    h = op.calc.family.signal_grid.h
     # W psi_{x_i} = R(., x_i) = h * C^H C_{x_i}
     cols = h * (op._u() @ op._c_nodes[:, indices])
     inv_cols, _ = invert_uphi(op, cols, method="neumann", tol=tol, defect=defect)
@@ -344,41 +336,30 @@ def dual_frame(family: FrameFamily, cov: Covering, pu: PartitionOfUnity,
     return op.calc.s_pinv(pots, op.rel_cut)
 
 
-def banach_frame_reconstruct(samples: np.ndarray, family: FrameFamily,
-                             cov: Covering, pu: PartitionOfUnity, grid: QuadGrid,
-                             f_true: Optional[np.ndarray] = None,
-                             method: str = "neumann", tol: float = 1e-10,
-                             defect: Optional[float] = None,
-                             rel_cut: float = 1e-10):
+def banach_frame_reconstruct(samples: np.ndarray, op: UPhiOperator,
+                             defect: float, f_true: Optional[np.ndarray] = None,
+                             method: str = "neumann", tol: float = 1e-10):
     """Recover f from its frame samples (V f(x_i))_i.
 
-    Assembles G = sum_i c_i samples_i R(., x_i), applies U_Phi^{-1} and
+    Assembles G = sum_i c_i samples_i R(., x_i) with the covering's U_Phi,
+    applies U_Phi^{-1} (Neumann series under the measured `defect`) and
     synthesizes through W*.  Returns (signal, ReconstructionReport); the
     report logs the flat-norm equivalence ratio ||samples|Y-flat|| / ||f||
     at Y = L^2.
     """
-    from .frame_families import gram_kernel
-    from .sequence_spaces import SeqSpaceSpec, flat_norm
-    from .measure_space import trivial_weight
-
     t0 = time.perf_counter()
     samples = np.asarray(samples, dtype=complex)
-    if samples.shape[0] != cov.size:
+    if samples.shape[0] != op.covering.size:
         raise DiscretizationError("one sample per cell required")
-    R = gram_kernel(family, grid, rel_cut=rel_cut)
-    op = build_uphi(R, cov, pu, grid)
-    if defect is None:
-        defect = uphi_defect_norm(op)
-    h = family.signal_grid.h
-    G = h * (op._u() @ (op._c_nodes @ (op.masses * samples)))
+    G = op.from_samples(samples)
     u, iters = invert_uphi(op, G, method=method, tol=tol, defect=defect)
     f_rec = op.calc.s_pinv(op.calc.synthesize(u), op.rel_cut)
-    sg = family.signal_grid
+    sg = op.calc.family.signal_grid
     rel = float("nan")
     if f_true is not None:
         denom = sg.norm(f_true)
         rel = sg.norm(f_rec - f_true) / denom if denom > 0 else 0.0
-    spec = SeqSpaceSpec(p=2, weight=trivial_weight(), covering=cov, flavor="flat")
+    spec = SeqSpaceSpec(p=2, weight=trivial_weight(), covering=op.covering, flavor="flat")
     ratio = flat_norm(np.abs(samples), spec) / sg.norm(f_rec) if sg.norm(f_rec) > 0 else 0.0
     report = ReconstructionReport(
         method=method, coefficients=samples, relative_error=float(rel),

@@ -222,6 +222,11 @@ class FrameCalculus:
     def frame_apply(self, f: np.ndarray) -> np.ndarray:
         return self.synthesize(self.analyze(f))
 
+    def analyze_dual(self, f: np.ndarray, rel_cut: float = 1e-10) -> np.ndarray:
+        """W f = V(S^+ f) on the grid, S^+ the spectral pseudo-inverse at
+        relative cut `rel_cut`: analysis against the canonical dual frame."""
+        return self.analyze(self.s_pinv(f, rel_cut))
+
     @property
     def s_matrix(self) -> np.ndarray:
         if self._s_matrix is None:
@@ -659,33 +664,17 @@ def _gabor_fast_V(family: FrameFamily, f: np.ndarray, x_grid: QuadGrid) -> np.nd
 
 
 def analyze_W(family: FrameFamily, f: np.ndarray, x_grid: QuadGrid,
-              tol: float = 1e-6, max_iter: int = 400) -> TransformField:
-    """W f = V(S^{-1} f), with the inverse frame operator applied by CG.
-
-    The default tolerance matches what a truncated frame model supports;
-    residuals below the truncation floor are unreachable.
-    """
-    u, _ = _inv_frame_solve(family, f, x_grid, tol, max_iter)
-    field = analyze_V(family, u, x_grid, use_fast_path=False)
-    return TransformField(field.values, "W", x_grid)
+              rel_cut: float = 1e-10) -> TransformField:
+    """W f = V(S^+ f), S^+ the spectral pseudo-inverse of the frame operator
+    at relative cut `rel_cut`; W f lies in the range of `gram_kernel` at
+    the same cut."""
+    vals = family.calculus(x_grid).analyze_dual(np.asarray(f, dtype=complex), rel_cut)
+    return TransformField(vals, "W", x_grid)
 
 
 def frame_operator_apply(family: FrameFamily, f: np.ndarray, x_grid: QuadGrid) -> np.ndarray:
     """S f = integral <f, psi_x> psi_x dmu(x) by index-grid quadrature."""
     return family.calculus(x_grid).frame_apply(np.asarray(f))
-
-
-def _inv_frame_solve(family, f, x_grid, tol, max_iter, precond="spectral",
-                     precond_cut=1e-6):
-    calc = family.calculus(x_grid)
-    pc = None
-    if precond == "spectral":
-        pc = lambda r: calc.s_pinv(r, precond_cut)          # noqa: E731
-    elif precond not in (None, "none"):
-        raise FamilyError(f"unknown preconditioner {precond!r}")
-    return cg_solve(calc.frame_apply, np.asarray(f, dtype=complex),
-                    tol=tol, max_iter=max_iter, weight=family.signal_grid.h,
-                    precond=pc)
 
 
 def inv_frame_operator_apply(family: FrameFamily, f: np.ndarray, x_grid: QuadGrid,
@@ -701,7 +690,15 @@ def inv_frame_operator_apply(family: FrameFamily, f: np.ndarray, x_grid: QuadGri
     for plain CG.  Raises SolverError when the residual does not reach
     `tol` within `max_iter` steps (an under-resolved truncation).
     """
-    return _inv_frame_solve(family, f, x_grid, tol, max_iter, precond, precond_cut)
+    calc = family.calculus(x_grid)
+    pc = None
+    if precond == "spectral":
+        pc = lambda r: calc.s_pinv(r, precond_cut)          # noqa: E731
+    elif precond not in (None, "none"):
+        raise FamilyError(f"unknown preconditioner {precond!r}")
+    return cg_solve(calc.frame_apply, np.asarray(f, dtype=complex),
+                    tol=tol, max_iter=max_iter, weight=family.signal_grid.h,
+                    precond=pc)
 
 
 def gram_kernel(family: FrameFamily, x_grid: QuadGrid, rel_cut: float = 1e-10,

@@ -16,8 +16,8 @@ from coorbit.coverings import build_covering, build_pu
 from coorbit.discretization import (atomic_coefficients,
                                     banach_frame_reconstruct, build_uphi,
                                     hilbert_frame_bounds, invert_uphi,
-                                    sample_frame, uphi_defect_norm, _w_field)
-from coorbit.frame_families import (alpha_admissibility, analyze_V,
+                                    sample_frame, uphi_defect_norm)
+from coorbit.frame_families import (alpha_admissibility, analyze_V, analyze_W,
                                     default_index_grid, frame_bounds_continuous,
                                     gaussian_window, gram_kernel, make_battery,
                                     make_family)
@@ -183,13 +183,12 @@ def test_criterion_06_atomic_round_trip(passing_pipeline):
     fam, grid, cov, pu, op, defect, battery = passing_pipeline
     worst = 0.0
     for f in battery:
-        lam, rep = atomic_coefficients(f, fam, cov, pu, grid, defect=defect,
-                                       rel_cut=LADDER_CUT)
+        lam, rep = atomic_coefficients(f, op, defect)
         worst = max(worst, rep.relative_error)
     assert worst <= 1e-3
 
     f = battery[0]
-    wf = _w_field(op.calc, f, op.rel_cut)
+    wf = analyze_W(fam, f, grid, rel_cut=op.rel_cut).values
     u1, _ = invert_uphi(op, wf, method="neumann", tol=1e-12, defect=defect)
     u2, _ = invert_uphi(op, wf, method="solve", tol=1e-12)
     w = grid.weights
@@ -204,9 +203,7 @@ def test_criterion_07_banach_reconstruction(passing_pipeline, gabor_ladder):
     brackets = []
     for f in battery:
         samples = analyze_V(fam, f, grid, use_fast_path=False).values[op.node_index]
-        rec, rep = banach_frame_reconstruct(samples, fam, cov, pu, grid,
-                                            f_true=f, defect=defect,
-                                            rel_cut=LADDER_CUT)
+        rec, rep = banach_frame_reconstruct(samples, op, defect, f_true=f)
         worst = max(worst, rep.relative_error)
         brackets.append(rep.norm_ratios["flat_l2_over_f"])
     assert worst <= 1e-3
@@ -227,9 +224,7 @@ def test_criterion_07_banach_reconstruction(passing_pipeline, gabor_ladder):
     brackets_c = []
     for f in battery[:5]:
         samples = analyze_V(fam_l, f, grid_c, use_fast_path=False).values[op_c.node_index]
-        _, rep = banach_frame_reconstruct(samples, fam_l, cov_c, pu_c, grid_c,
-                                          f_true=f, defect=defect_c,
-                                          rel_cut=LADDER_CUT)
+        _, rep = banach_frame_reconstruct(samples, op_c, defect_c, f_true=f)
         brackets_c.append(rep.norm_ratios["flat_l2_over_f"])
     mid_fine = 0.5 * (bracket_fine[0] + bracket_fine[1])
     mid_coarse = 0.5 * (min(brackets_c) + max(brackets_c))
@@ -264,6 +259,7 @@ def test_criterion_09_shannon_sampling_oracle():
     cov = build_covering(grid, 1.0)                      # samples at spacing 1
     pu = build_pu(cov)
     op = build_uphi(gram_kernel(fam, grid, rel_cut=1e-10), cov, pu, grid)
+    defect = uphi_defect_norm(op)
     x_s = sample_frame(fam, cov, pu).points[:, 0]
     assert np.allclose(np.diff(np.sort(x_s)), 1.0, atol=1e-12)
 
@@ -281,8 +277,8 @@ def test_criterion_09_shannon_sampling_oracle():
         f = np.fft.ifft(spec)
         f /= sg.norm(f)
         samples = analyze_V(fam, f, grid).values[op.node_index]
-        rec, _ = banach_frame_reconstruct(samples, fam, cov, pu, grid,
-                                          f_true=f, method=method, tol=1e-12)
+        rec, _ = banach_frame_reconstruct(samples, op, defect, f_true=f,
+                                          method=method, tol=1e-12)
         # FFT interpolation oracle, independent of the pipeline: the 20
         # unit-spaced samples determine the 11 active frequencies exactly
         order = np.argsort(x_s)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from coorbit import cli
+from coorbit import cli, discretization, frame_families
 from coorbit.cli import main, run, validate_config
 
 
@@ -47,6 +47,28 @@ class TestValidate:
     def test_bad_signal_grid(self):
         cfg = dict(MINIMAL, signal_grid={"T": 8.0, "n": 100})
         assert any("power of two" in d for d in validate_config(cfg))
+
+    @pytest.mark.parametrize("key,value", [
+        ("battery_size", 0), ("battery_size", -2), ("battery_size", 2.5),
+        ("battery_size", "3"), ("battery_size", True),
+        ("stable_cut", -1e-3), ("stable_cut", 1.0), ("stable_cut", "0.2"),
+        ("z_per_cell", 0), ("z_per_cell", 1.5),
+        ("pu_flavor", "hat")])
+    def test_out_of_range_setting_exits_2(self, tmp_path, key, value):
+        cfg = dict(MINIMAL, tasks=["discretize", "reconstruct"],
+                   covering={"cell_size": 0.5}, **{key: value})
+        assert any(key in d for d in validate_config(cfg))
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert run(str(path), out_dir=str(out)) == 2
+        assert not (out / "report.json").exists()
+        assert main(["validate", str(path)]) == 2
+
+    @pytest.mark.parametrize("key,value", [
+        ("battery_size", 1), ("stable_cut", 0), ("stable_cut", 0.5),
+        ("z_per_cell", 1), ("pu_flavor", "tent")])
+    def test_in_range_setting(self, key, value):
+        assert validate_config(dict(MINIMAL, **{key: value})) == []
 
     def test_validate_entry_point(self, tmp_path, capsys):
         path = write_config(tmp_path, MINIMAL)
@@ -130,19 +152,27 @@ class TestRun:
 
     @pytest.mark.parametrize("battery_size", [1, 3])
     def test_reconstruct_builds_one_uphi(self, tmp_path, monkeypatch, battery_size):
-        calls = []
-        real = cli.build_uphi
+        """discretize and reconstruct share one Gramian, one U_Phi and one
+        defect, counted at every module binding of the three functions."""
+        calls = {}
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(cli, "build_uphi", counting)
-        cfg = dict(MINIMAL, tasks=["reconstruct"], covering={"cell_size": 0.5},
-                   battery_size=battery_size)
+        for name, home in (("gram_kernel", frame_families),
+                           ("build_uphi", discretization),
+                           ("uphi_defect_norm", discretization)):
+            wrapped = counting(name, getattr(home, name))
+            for mod in (cli, home):
+                monkeypatch.setattr(mod, name, wrapped)
+        cfg = dict(MINIMAL, tasks=["discretize", "reconstruct"],
+                   covering={"cell_size": 0.5}, battery_size=battery_size)
         path = write_config(tmp_path, cfg)
         assert run(str(path), out_dir=str(tmp_path / "out")) == 0
-        assert len(calls) == 1
+        assert calls == {"gram_kernel": 1, "build_uphi": 1, "uphi_defect_norm": 1}
 
     def test_localize_task(self, tmp_path):
         cfg = dict(MINIMAL, tasks=["localize"], covering={"cell_size": 2.0},

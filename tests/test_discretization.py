@@ -241,13 +241,13 @@ class TestAtomicDecomposition:
         fam, grid, cov, pu, R, op = small_pipeline
         k = int(np.argmin(np.sum(cov.sample_points ** 2, axis=1)))
         f = fam.atom(grid.points[op.node_index[k]])
-        lam, rep = atomic_coefficients(f, fam, cov, pu, grid, rel_cut=CUT)
+        lam, rep = atomic_coefficients(f, op, uphi_defect_norm(op))
         assert rep.relative_error <= 1e-3
 
     def test_zero_signal(self, small_pipeline):
         fam, grid, cov, pu, R, op = small_pipeline
         lam, rep = atomic_coefficients(np.zeros(fam.signal_grid.n, dtype=complex),
-                                       fam, cov, pu, grid, rel_cut=CUT, defect=0.5)
+                                       op, 0.5)
         assert np.all(lam == 0)
 
     def test_battery_round_trip_and_ratios(self, small_pipeline):
@@ -255,8 +255,7 @@ class TestAtomicDecomposition:
         defect = uphi_defect_norm(op)
         for seed in range(3):
             f = make_battery(fam, grid, 1, seed=seed)[0]
-            lam, rep = atomic_coefficients(f, fam, cov, pu, grid,
-                                           defect=defect, rel_cut=CUT)
+            lam, rep = atomic_coefficients(f, op, defect)
             assert rep.relative_error <= 1e-3
             assert 0.5 <= rep.norm_ratios["natural_l2"] <= 2.0
 
@@ -266,7 +265,7 @@ class TestDualFrame:
         # tight frame, U_Phi -> R: e_i -> a_i S^+ psi_i ~ a_i psi_i away from
         # the truncation boundary
         fam, grid, cov, pu, R, op = node_limit
-        duals = dual_frame(fam, cov, pu, grid, cap=cov.size, rel_cut=CUT)
+        duals = dual_frame(op, uphi_defect_norm(op))
         sf = sample_frame(fam, cov, pu)
         dev = np.sqrt(fam.signal_grid.h * np.sum(
             np.abs(duals - sf.atoms * sf.measures[None, :]) ** 2, axis=0))
@@ -278,7 +277,7 @@ class TestDualFrame:
     def test_duals_reconstruct(self, node_limit):
         fam, grid, cov, pu, R, op = node_limit
         sg = fam.signal_grid
-        duals = dual_frame(fam, cov, pu, grid, cap=cov.size, rel_cut=CUT)
+        duals = dual_frame(op, uphi_defect_norm(op))
         sf = sample_frame(fam, cov, pu)
         f = make_battery(fam, grid, 1, seed=4)[0]
         coeffs = sg.h * (duals.conj().T @ f)
@@ -289,9 +288,10 @@ class TestDualFrame:
         fam, grid, cov, pu, R, op = node_limit
         sg = fam.signal_grid
         idx = np.array([45, 200, 350])
-        duals = dual_frame(fam, cov, pu, grid, indices=idx, rel_cut=CUT)
+        defect = uphi_defect_norm(op)
+        duals = dual_frame(op, defect, indices=idx)
         f = make_battery(fam, grid, 1, seed=6)[0]
-        lam, _ = atomic_coefficients(f, fam, cov, pu, grid, rel_cut=CUT)
+        lam, _ = atomic_coefficients(f, op, defect)
         inner = sg.h * (duals.conj().T @ f)
         assert np.abs(inner - lam[idx]).max() <= 1e-6
 
@@ -300,7 +300,8 @@ class TestDualFrame:
         masses = pu.masses.copy()
         masses[7] = 0.0
         pu0 = PartitionOfUnity(covering=cov, values=pu.values, masses=masses)
-        duals = dual_frame(fam, cov, pu0, grid, indices=np.array([7]), rel_cut=CUT)
+        op0 = build_uphi(R, cov, pu0, grid)
+        duals = dual_frame(op0, uphi_defect_norm(op0), indices=np.array([7]))
         assert np.abs(duals[:, 0]).max() == 0.0
 
 
@@ -311,14 +312,13 @@ class TestBanachReconstruct:
                                   np.array([0.7, -0.4])) ** 2, axis=1)))
         f = fam.atom(grid.points[op.node_index[k]])
         samples = analyze_V(fam, f, grid, use_fast_path=False).values[op.node_index]
-        rec, rep = banach_frame_reconstruct(samples, fam, cov, pu, grid,
-                                            f_true=f, rel_cut=CUT)
+        rec, rep = banach_frame_reconstruct(samples, op, uphi_defect_norm(op),
+                                            f_true=f)
         assert rep.relative_error <= 1e-3
 
     def test_zero_samples(self, small_pipeline):
         fam, grid, cov, pu, R, op = small_pipeline
-        rec, rep = banach_frame_reconstruct(np.zeros(cov.size), fam, cov, pu,
-                                            grid, defect=0.5, rel_cut=CUT)
+        rec, rep = banach_frame_reconstruct(np.zeros(cov.size), op, 0.5)
         assert np.all(rec == 0)
 
     def test_norm_bracket_logged(self, small_pipeline):
@@ -328,8 +328,7 @@ class TestBanachReconstruct:
         for seed in range(5):
             f = make_battery(fam, grid, 1, seed=seed)[0]
             samples = analyze_V(fam, f, grid, use_fast_path=False).values[op.node_index]
-            _, rep = banach_frame_reconstruct(samples, fam, cov, pu, grid,
-                                              f_true=f, defect=defect, rel_cut=CUT)
+            _, rep = banach_frame_reconstruct(samples, op, defect, f_true=f)
             ratios.append(rep.norm_ratios["flat_l2_over_f"])
         assert max(ratios) / min(ratios) <= 1.1
 

@@ -225,6 +225,25 @@ class TestAnalyzeW:
         wf = analyze_W(fam, np.zeros(fam.signal_grid.n, dtype=complex), grid)
         assert np.all(wf.values == 0)
 
+    @pytest.mark.parametrize("tag", ["gabor", "cwt"])
+    def test_w_lies_in_gramian_range(self, gabor_small, tag):
+        """R(W f) = V S^+ S S^+ f = W f: W lands in ran R at the same cut."""
+        if tag == "gabor":
+            fam, grid = gabor_small
+        else:
+            fam = make_family("cwt", None, SignalGrid(8.0, 32))
+            grid = default_index_grid(fam)
+        cut = 0.2
+        eig = fam.calculus(grid).s_eig(cut)
+        assert 0 < eig.rank < fam.signal_grid.n
+        gen = np.random.default_rng(33)
+        f = gen.standard_normal(fam.signal_grid.n) + 1j * gen.standard_normal(fam.signal_grid.n)
+        wf = analyze_W(fam, f, grid, rel_cut=cut).values
+        rwf = apply_kernel(gram_kernel(fam, grid, rel_cut=cut), wf, grid)
+        w = grid.weights
+        err = np.sqrt(np.sum(w * np.abs(rwf - wf) ** 2))
+        assert err <= 1e-12 * np.sqrt(np.sum(w * np.abs(wf) ** 2))
+
 
 class TestGramKernel:
     def test_self_adjoint(self, gabor_small, rng):

@@ -1,9 +1,10 @@
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coorbit._linalg import PROBE_GRAM_CUT, restricted_rayleigh_bounds
+from coorbit._linalg import PROBE_GRAM_CUT, psd_factorize, restricted_rayleigh_bounds
 
 
 def _complex(rng, *shape):
@@ -48,3 +49,14 @@ class TestRestrictedRayleighBounds:
             y = _complex(rng, lam.size)
             q = np.real(y.conj() @ a @ y) / np.real(y.conj() @ (lam * y))
             assert c1 - 1e-12 * scale <= q <= c2 + 1e-12 * scale
+
+
+class TestPsdFactorize:
+    @pytest.mark.parametrize("cut", [-1e-3, -1.0, float("nan"), float("inf")])
+    def test_invalid_cut_rejected(self, cut):
+        with pytest.raises(ValueError):
+            psd_factorize(np.diag([0.0, 1.0, 2.0]), rel_cut=cut)
+
+    def test_zero_cut_drops_zero_eigenvalues(self):
+        eig = psd_factorize(np.diag([0.0, 1.0, 2.0]), rel_cut=0.0)
+        assert eig.rank == 2
