@@ -215,9 +215,8 @@ def task_property_d(ctx: _Context) -> dict:
 
 
 def task_discretize(ctx: _Context) -> dict:
-    pu, op, defect = ctx.uphi()
-    sframe = sample_frame(ctx.family, op.covering, pu)
-    c1, c2, sub = hilbert_frame_bounds(sframe, ctx.sg)
+    _, op, defect = ctx.uphi()
+    c1, c2, sub = hilbert_frame_bounds(op.sampled_frame(), ctx.sg)
     return {"cells": op.covering.size, "defect_estimate": defect,
             "hilbert_bounds": {"c1": c1, "c2": c2, "subspace": sub}}
 

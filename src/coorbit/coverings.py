@@ -5,17 +5,24 @@ for wavelet half-plane grids), carrying node membership against a fixed
 quadrature grid, overlap structure, moderation constants and partitions of
 unity.  Neighbor sets use open-interior intersection: cells that share only
 a boundary facet do not count as overlapping, so an exact partition has
-N = 1 and i* = {i}.
+N = 1 and i* = {i}.  Membership and neighbor sets come from two-axis sweeps
+with array code; the nearest grid node of each sample point is a kd-tree
+query made on first use.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .measure_space import AdmissibleWeight, QuadGrid
+
+# candidate (cell, node) or (cell, cell) pairs that one sweep block tests at
+# once, and (cell, column) pairs that one block bisects
+_BLOCK_PAIRS = 2 ** 16
 
 
 class CoveringError(ValueError):
@@ -39,12 +46,18 @@ class Covering:
     overlap_count: int             # N
     min_measure: float             # D
     measure_ratio: float           # C~ over neighboring cells
-    sample_node_index: np.ndarray  # nearest grid node of each sample point
     descriptor: dict = field(default_factory=dict)
 
     @property
     def size(self) -> int:
         return self.cells.shape[0]
+
+    @cached_property
+    def sample_node_index(self) -> np.ndarray:
+        """Nearest grid node of each sample point, by a kd-tree query on
+        first use (only a sampled frame reads it)."""
+        from scipy.spatial import cKDTree
+        return cKDTree(self.grid.points).query(self.sample_points)[1]
 
     def node_cells(self) -> list:
         """Inverse membership: for each grid node the cells containing it."""
@@ -85,61 +98,158 @@ def _contains(cells: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.all((p >= lo - 1e-12) & (p <= hi + 1e-12), axis=-1)
 
 
+def _bisect(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            value: np.ndarray, side: str) -> np.ndarray:
+    """np.searchsorted(keys[lo[k]:hi[k]], value[k], side) + lo[k] for every
+    run k at once; each run of keys must be ascending."""
+    lo, hi = lo.copy(), hi.copy()
+    live = np.flatnonzero(lo < hi)
+    while live.size:
+        mid = (lo[live] + hi[live]) // 2
+        key = keys[mid]
+        up = key <= value[live] if side == "right" else key < value[live]
+        lo[live] = np.where(up, mid + 1, lo[live])
+        hi[live] = np.where(up, hi[live], mid)
+        live = live[lo[live] < hi[live]]
+    return lo
+
+
+def _expand(first: np.ndarray, length: np.ndarray):
+    """(owner k, position) for every position in first[k] + range(length[k])."""
+    owner = np.repeat(np.arange(first.size), length)
+    start = np.cumsum(length) - length
+    return owner, np.arange(owner.size) + np.repeat(first - start, length)
+
+
+def _chunks(counts: np.ndarray, bound: int):
+    """Consecutive ranges [k0, k1) whose counts sum to at most `bound` (an
+    entry above the bound is a range of its own)."""
+    ends = np.cumsum(counts)
+    k0 = 0
+    while k0 < counts.size:
+        base = ends[k0 - 1] if k0 else 0
+        k1 = max(k0 + 1, int(np.searchsorted(ends, base + bound, side="right")))
+        yield k0, k1
+        k0 = k1
+
+
+def _sweep(starts, y, col_first, col_last, y_lo, y_hi, y_shift=None):
+    """Candidate (query, sorted position) pairs of a two-axis sweep, in blocks.
+
+    The items are sorted into columns: column c holds sorted positions
+    starts[c]:starts[c + 1], ascending in the axis-1 key y.  Query q reads the
+    columns col_first[q]:col_last[q] and, in column c, the run of items with
+    y_lo[q] - y_shift[c] <= y <= y_hi[q], found by bisection (with no y,
+    the whole column).  Neither the (query, column) pairs nor the candidate
+    pairs of one block exceed _BLOCK_PAIRS, unless a single query or run does.
+    """
+    n_cols = col_last - col_first
+    for q0, q1 in _chunks(n_cols, _BLOCK_PAIRS):
+        owner, col = _expand(col_first[q0:q1], n_cols[q0:q1])
+        query = owner + q0
+        first, stop = starts[col], starts[col + 1]
+        if y is not None:
+            lo_v = y_lo[query] if y_shift is None else y_lo[query] - y_shift[col]
+            first = _bisect(y, first, stop, lo_v, "left")
+            stop = _bisect(y, first, stop, y_hi[query], "right")
+        length = stop - first
+        for p0, p1 in _chunks(length, _BLOCK_PAIRS):
+            run, pos = _expand(first[p0:p1], length[p0:p1])
+            yield query[run + p0], pos
+
+
+def _columns(keys: np.ndarray) -> np.ndarray:
+    """Start offsets of the runs of equal rows of sorted `keys` (n, k), with
+    the end offset appended."""
+    change = np.any(keys[1:] != keys[:-1], axis=1)
+    return np.flatnonzero(np.concatenate([[True], change, [True]]))
+
+
+def _split_pairs(hits: list, n_queries: int, n_items: int) -> list:
+    """Per query, its accepted items ascending, from blocks of pair keys
+    query * n_items + item."""
+    key = np.concatenate(hits)
+    key.sort()
+    ends = np.cumsum(np.bincount(key // n_items, minlength=n_queries)).tolist()
+    items = key % n_items
+    return [items[e0:e1] for e0, e1 in zip([0] + ends[:-1], ends)]
+
+
 def _open_overlap(cells: np.ndarray) -> list:
     """i* for every cell: open-interior overlap, or coincident sheet axes.
 
-    Candidates come from a sweep over axis 0.  Either rule implies that the
-    axis-0 hulls [min(lo, hi), max(lo, hi)] of the two cells meet once
-    widened by a pad far above the 1e-12 sheet tolerance and the rounding
-    of the window arithmetic, so the candidates are a superset of i* and
-    the unchanged exact test on them gives the dense result.
+    Candidates come from a two-axis sweep over the cells' hulls
+    [min(lo, hi), max(lo, hi)] per axis.  Either rule implies that the hulls
+    of the two cells meet on every axis once widened by a pad far above the
+    1e-12 sheet tolerance and the rounding of the window arithmetic.  Cells
+    are grouped into columns of equal axis-0 hull; query i reads the columns
+    whose hull starts in [a_i - span - 2 pad, b_i + pad] (span: the widest
+    axis-0 hull) and, inside each, the cells whose axis-1 hull starts in
+    [a1_i - span1 - 2 pad, b1_i + pad] (span1: the column's widest axis-1
+    hull).  So the candidates are a superset of i*, and the unchanged exact
+    test on them gives the dense result.
     """
+    n, d = cells.shape[:2]
     lo = cells[:, :, 0]
     hi = cells[:, :, 1]
-    a = np.minimum(lo[:, 0], hi[:, 0])
-    b = np.maximum(lo[:, 0], hi[:, 0])
-    pad = 1e-9 * (1.0 + float(np.max(np.abs(cells[:, 0]))))
-    order = np.argsort(a, kind="stable")
-    a_sorted = a[order]
-    # a candidate j has b_j >= a_i - pad, so a_j >= a_i - pad - (b_j - a_j)
-    span = float(np.max(b - a))
-    first = np.searchsorted(a_sorted, a - span - 2.0 * pad, side="left")
-    last = np.searchsorted(a_sorted, b + pad, side="right")
-    neighbors = []
-    for i in range(cells.shape[0]):
-        cand = order[first[i]:last[i]]
-        cand = cand[b[cand] >= a[i] - pad]
-        lo_c, hi_c = lo[cand], hi[cand]
-        ov = np.all((lo[i][None, :] < hi_c) & (lo_c < hi[i][None, :]), axis=-1)
+    a = np.minimum(lo, hi)
+    b = np.maximum(lo, hi)
+    pad = 1e-9 * (1.0 + float(np.max(np.abs(cells))))
+    keys = [a[:, 1]] if d > 1 else []
+    order = np.lexsort(keys + [b[:, 0], a[:, 0]])
+    starts = _columns(np.column_stack([a[order, 0], b[order, 0]]))
+    col_a = a[order[starts[:-1]], 0]
+    span = float(np.max(b[:, 0] - a[:, 0]))
+    col_first = np.searchsorted(col_a, a[:, 0] - span - 2.0 * pad, side="left")
+    col_last = np.searchsorted(col_a, b[:, 0] + pad, side="right")
+    y = y_lo = y_hi = y_shift = None
+    if d > 1:
+        y = a[order, 1]
+        y_lo, y_hi = a[:, 1] - 2.0 * pad, b[:, 1] + pad
+        y_shift = np.maximum.reduceat((b[:, 1] - a[:, 1])[order], starts[:-1])
+    hits = []
+    for i, pos in _sweep(starts, y, col_first, col_last, y_lo, y_hi, y_shift):
+        j = order[pos]
+        lo_i, hi_i, lo_c, hi_c = lo[i], hi[i], lo[j], hi[j]
+        ov = (lo_i < hi_c) & (lo_c < hi_i)
         # degenerate intervals (sheet cells) overlap when they coincide
-        deg = hi[i] <= lo[i]
-        if np.any(deg):
-            same = np.all(np.abs(lo_c[:, deg] - lo[i][deg][None, :]) < 1e-12, axis=-1) & \
-                np.all(np.abs(hi_c[:, deg] - hi[i][deg][None, :]) < 1e-12, axis=-1)
-            rest = ~deg
-            ov = same & np.all((lo_c[:, rest] < hi[i][rest][None, :]) &
-                               (lo[i][rest][None, :] < hi_c[:, rest]), axis=-1)
-        neighbors.append(np.sort(cand[ov]))
-    return neighbors
+        same = (np.abs(lo_c - lo_i) < 1e-12) & (np.abs(hi_c - hi_i) < 1e-12)
+        ok = np.all(np.where(hi_i <= lo_i, same, ov), axis=1)
+        hits.append(i[ok] * n + j[ok])
+    return _split_pairs(hits, n, n)
 
 
 def _members(cells: np.ndarray, points: np.ndarray) -> list:
     """Closed-box member nodes of every cell, ascending.
 
-    Nodes are sorted once by axis 0; a node can pass the closed test of a
-    cell only inside the axis-0 window found by bisection with the same
-    +-1e-12 tolerance, so the test runs on that window alone.
+    Nodes are sorted once by axis 0, then by axis 1, into columns of equal
+    axis-0 coordinate.  Bisection with the same +-1e-12 tolerance finds the
+    columns inside a cell's axis-0 window and, in each, the run inside its
+    axis-1 window; no node outside those runs can pass the closed test, so
+    the test runs on the runs alone.  When no two nodes share an axis-0
+    coordinate every column is one node, and the columns read are the plain
+    axis-0 window.
     """
-    order = np.argsort(points[:, 0], kind="stable")
+    n, d = points.shape
+    keys = [points[:, 1]] if d > 1 else []
+    order = np.lexsort(keys + [points[:, 0]])
     x0 = points[order, 0]
-    first = np.searchsorted(x0, cells[:, 0, 0] - 1e-12, side="left")
-    last = np.searchsorted(x0, cells[:, 0, 1] + 1e-12, side="right")
-    members = []
-    for i in range(cells.shape[0]):
-        window = order[first[i]:last[i]]
-        hit = _contains(cells[i:i + 1], points[window])[0]
-        members.append(np.sort(window[hit]))
-    return members
+    starts = _columns(x0[:, None])
+    cols = x0[starts[:-1]]
+    col_first = np.searchsorted(cols, cells[:, 0, 0] - 1e-12, side="left")
+    col_last = np.searchsorted(cols, cells[:, 0, 1] + 1e-12, side="right")
+    y = y_lo = y_hi = None
+    if d > 1:
+        y = points[order, 1]
+        y_lo, y_hi = cells[:, 1, 0] - 1e-12, cells[:, 1, 1] + 1e-12
+    hits = []
+    for i, pos in _sweep(starts, y, col_first, col_last, y_lo, y_hi):
+        node = order[pos]
+        p = points[node]
+        ok = np.all((p >= cells[i, :, 0] - 1e-12) & (p <= cells[i, :, 1] + 1e-12),
+                    axis=1)
+        hits.append(i[ok] * n + node[ok])
+    return _split_pairs(hits, cells.shape[0], n)
 
 
 def build_covering(grid: QuadGrid, cell_size, overlap_fraction: float = 0.0,
@@ -236,54 +346,43 @@ def _banded_cells(grid, domain, cell_size, stretch, overlap_fraction):
 def _covering_from_cells(cells, grid, sample, seed, overlap_fraction, descriptor):
     """Covering record of the given cells.
 
-    Members and i* come from axis-0 sweeps whose windows are supersets of
-    every node and cell the exact tests can accept, so they equal the dense
-    all-pairs results.
+    Members and i* come from two-axis sweeps whose candidates are supersets
+    of every node and cell the exact tests can accept, so they equal the
+    dense all-pairs results.  Center samples are the arithmetic midpoints of
+    the cell intervals on every axis, log-spaced scale axes included.
     """
     n_cells = cells.shape[0]
     members = _members(cells, grid.points)
-    measures = np.empty(n_cells)
-    inside = np.zeros(grid.size, dtype=bool)
-    for i, idx in enumerate(members):
-        measures[i] = float(np.sum(grid.weights[idx]))
-        inside[idx] = True
+    measures = np.array([float(np.sum(grid.weights[idx])) for idx in members])
     empty = np.flatnonzero(measures <= 0.0)
     if empty.size:
         raise CoveringError(
             f"{empty.size} cells capture no quadrature node (first: cell {empty[0]}); "
             "cell size is below the grid resolution")
+    inside = np.zeros(grid.size, dtype=bool)
+    inside[np.concatenate(members)] = True
     if not inside.all():
         raise CoveringError(
             f"{int((~inside).sum())} grid nodes lie outside every cell")
 
     rng = np.random.default_rng(np.random.PCG64(seed))
     if sample == "center":
-        pts = np.empty((n_cells, grid.dim))
-        for k in range(grid.dim):
-            lo, hi = cells[:, k, 0], cells[:, k, 1]
-            log_like = np.all(lo > 0) and descriptor.get("log_axis_" + str(k), False)
-            pts[:, k] = np.sqrt(lo * hi) if log_like else 0.5 * (lo + hi)
+        pts = 0.5 * (cells[:, :, 0] + cells[:, :, 1])
     elif sample == "random":
         u = rng.random((n_cells, grid.dim))
         pts = cells[:, :, 0] + u * (cells[:, :, 1] - cells[:, :, 0])
     else:
         raise CoveringError(f"unknown sample rule {sample!r}")
-    # snap the record of the nearest node (exact for center samples on
-    # odd-aligned grids; used by fast paths only, never for correctness)
-    from scipy.spatial import cKDTree
-    nearest = cKDTree(grid.points).query(pts)[1]
 
     neighbors = _open_overlap(cells)
     counts = np.array([len(v) for v in neighbors])
-    ratio = 1.0
-    for i, idx in enumerate(neighbors):
-        if idx.size:
-            ratio = max(ratio, float(np.max(measures[i] / measures[idx])))
+    owner = np.repeat(np.arange(n_cells), counts)
+    ratio = max(1.0, float(np.max(measures[owner] / measures[np.concatenate(neighbors)])))
     return Covering(
         cells=cells, sample_points=pts, grid=grid, members=members,
         measures=measures, neighbors=neighbors,
         overlap_count=int(counts.max()), min_measure=float(measures.min()),
-        measure_ratio=ratio, sample_node_index=nearest, descriptor=descriptor)
+        measure_ratio=ratio, descriptor=descriptor)
 
 
 def refine_covering(cov: Covering) -> Covering:

@@ -56,8 +56,9 @@ class SampledFrame:
 def _sample_nodes(cov: Covering) -> np.ndarray:
     """Grid node inside each cell, nearest to the cell's sample point.
 
-    The members of a cell are exactly the nodes passing its closed-box test,
-    so the snapped node is tested against the box directly.
+    Reading `cov.sample_node_index` runs the covering's kd-tree query, on
+    first use.  The members of a cell are exactly the nodes passing its
+    closed-box test, so the snapped node is tested against the box directly.
     """
     idx = cov.sample_node_index.copy()
     pts = cov.grid.points
@@ -135,6 +136,15 @@ class UPhiOperator:
         """Sampled atoms psi_{x_i} on the signal grid, shape (n, N); the
         same matrix `sample_frame` synthesizes, built once per operator."""
         return self.calc.family.atoms(self.covering.grid.points[self.node_index])
+
+    def sampled_frame(self) -> SampledFrame:
+        """The sampled frame at this operator's nodes and masses, sharing its
+        atoms: the arrays `sample_frame(family, covering, pu)` builds."""
+        cov = self.covering
+        return SampledFrame(
+            family=self.calc.family, covering=cov, node_index=self.node_index,
+            points=cov.grid.points[self.node_index], atoms=self.atoms,
+            measures=cov.measures.copy(), masses=self.masses)
 
     def from_samples(self, samp: np.ndarray) -> np.ndarray:
         """sum_i c_i samp_i R(., x_i) for values samp_i at the sample nodes."""

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coorbit import coverings
 from coorbit.coverings import (Covering, CoveringError, _open_overlap,
                                build_covering, build_pu, m_equivalent, q_set,
                                refine_covering, verify_moderate,
@@ -93,8 +99,7 @@ class TestVerifyModerate:
             cells=cov.cells, sample_points=cov.sample_points, grid=cov.grid,
             members=cov.members, measures=cov.measures,
             neighbors=cov.neighbors, overlap_count=cov.overlap_count,
-            min_measure=0.0, measure_ratio=cov.measure_ratio,
-            sample_node_index=cov.sample_node_index)
+            min_measure=0.0, measure_ratio=cov.measure_ratio)
         rep = verify_moderate(broken, m_trivial)
         assert not rep.min_measure_positive
         assert not rep.moderate
@@ -183,8 +188,7 @@ class TestMEquivalent:
                 members=cov_a.members[::-1], measures=cov_a.measures[::-1].copy(),
                 neighbors=cov_a.neighbors,
                 overlap_count=cov_a.overlap_count,
-                min_measure=cov_a.min_measure, measure_ratio=cov_a.measure_ratio,
-                sample_node_index=cov_a.sample_node_index[::-1].copy())
+                min_measure=cov_a.min_measure, measure_ratio=cov_a.measure_ratio)
             c_primes.append(m_equivalent(cov_a, cov_b, m).c_prime)
         assert c_primes[1] > 5.0 * c_primes[0]
 
@@ -193,6 +197,35 @@ class TestMEquivalent:
         cov_b = build_covering(line_grid, 1.0)
         with pytest.raises(CoveringError):
             m_equivalent(cov_a, cov_b, m_trivial)
+
+
+_KDTREE_PROBE = """
+import sys
+import numpy as np
+from coorbit.frame_families import make_family
+from coorbit.measure_space import SignalGrid, trivial_admissible_weight
+from coorbit.oscillation import refine_until
+fam = make_family("gabor", {}, SignalGrid(8.0, 64))
+cov, rep, traj = refine_until(fam, [[-4.0, 4.0], [-4.0, 4.0]],
+                              trivial_admissible_weight(), target="banach",
+                              initial_cell=0.9, z_per_cell=3, rel_cut=0.2)
+assert rep.banach_only and len(traj) > 1
+assert "scipy.spatial" not in sys.modules, "property-d imported the kd-tree"
+from scipy.spatial import cKDTree
+ref = cKDTree(cov.grid.points).query(cov.sample_points)[1]
+assert np.array_equal(cov.sample_node_index, ref)
+"""
+
+
+def test_property_d_does_not_import_kdtree():
+    # a fresh interpreter: the nearest-node query runs on first use only,
+    # so refinement to the banach flag never loads scipy.spatial
+    src = str(Path(coverings.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", _KDTREE_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestSerialization:
@@ -266,8 +299,9 @@ def _assert_matches_dense(cov):
 
 @st.composite
 def lattice_grids(draw, min_cells=1, min_split=1):
-    """Shuffled node lattices whose nodes sit on the covering's cell edges,
-    some moved by up to 2e-12 (across the closed-box tolerance)."""
+    """Shuffled node lattices whose nodes sit on the covering's cell edges:
+    exact, so whole node columns share an axis-0 coordinate, or with some
+    nodes moved by up to 2e-12 (across the closed-box tolerance)."""
     d = draw(st.integers(1, 3))
     strides, splits, lo, hi, axes = [], [], [], [], []
     for _ in range(d):
@@ -286,6 +320,8 @@ def lattice_grids(draw, min_cells=1, min_split=1):
     gen = np.random.default_rng(seed)
     jitter = gen.choice([0.0, 0.0, 1e-12, -1e-12, 0.5e-12, -0.5e-12, 2e-12, -2e-12],
                         size=pts.shape)
+    if not draw(st.booleans()):
+        jitter[:] = 0.0
     # along an axis with one node per stride every node is a cell corner, and
     # moving a cell's corners out of it past the tolerance leaves it without
     # nodes, which build_covering rightly rejects: stay within the tolerance
@@ -313,6 +349,31 @@ class TestSweepExactness:
         sheet = (cov.cells[:, 0, 0] == 0.0) & (cov.cells[:, 0, 1] == 0.0)
         assert 1 < sheet.sum() < cov.size
         _assert_matches_dense(cov)
+
+    @pytest.mark.parametrize("overlap", [0.0, 0.25])
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_refinement_ladder_grids_match_dense(self, level, overlap):
+        # the gabor_refinement levels (81/324/1296 cells): unjittered
+        # lattices, where every node column shares one axis-0 coordinate
+        fam = make_family("gabor", {}, SignalGrid(8.0, 64))
+        res = 18 * 2 ** level
+        grid = default_index_grid(fam, bounds=[[-4.0, 4.0], [-4.0, 4.0]],
+                                  resolution=[res, res])
+        cov = build_covering(grid, 0.9 / 2 ** level, overlap)
+        assert cov.size == 81 * 4 ** level
+        _assert_matches_dense(cov)
+
+    def test_blocked_sweep_matches_dense(self, monkeypatch):
+        # blocks far smaller than one query's runs: every block boundary
+        # case of the sweep on a banded grid and an overlapping lattice
+        monkeypatch.setattr(coverings, "_BLOCK_PAIRS", 3)
+        fam = make_family("inhom_wavelet", None, SignalGrid(16.0, 128))
+        grid = default_index_grid(fam, band_spacing=0.9, scales_per_octave=6)
+        _assert_matches_dense(build_covering(grid, [0.5, 2.0], 0.25))
+        fam = make_family("gabor", {}, SignalGrid(8.0, 64))
+        grid = default_index_grid(fam, bounds=[[-4.0, 4.0], [-4.0, 4.0]],
+                                  resolution=[36, 36])
+        _assert_matches_dense(build_covering(grid, 0.45, 0.25))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2 ** 16), st.integers(1, 3), st.integers(2, 40))
