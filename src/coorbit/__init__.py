@@ -27,9 +27,9 @@ from .oscillation import OscReport, osc_kernel, property_D_check, refine_until
 from .sequence_spaces import (SeqSpaceSpec, flat_norm, natural_norm,
                               plus_operator, decomposition_norm)
 from .discretization import (SampledFrame, UPhiOperator, ReconstructionReport,
-                             sample_frame, build_uphi, uphi_defect_norm,
-                             invert_uphi, atomic_coefficients, dual_frame,
-                             banach_frame_reconstruct, hilbert_frame_bounds)
+                             sample_frame, build_uphi, atomic_coefficients,
+                             dual_frame, banach_frame_reconstruct,
+                             hilbert_frame_bounds)
 from .localization import (CrossGramian, DiscreteAlgebraReport, cross_gramian,
                            a_flat_norm, gab_domination_check,
                            empirical_pseudoinverse)

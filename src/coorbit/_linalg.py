@@ -1,7 +1,8 @@
 """Shared iterative solvers and spectral helpers.
 
-All routines are deterministic: iteration starts from seeded vectors and
-reductions run in fixed order, so repeated runs give bit-identical output.
+All routines are deterministic: conjugate gradients start from the zero
+vector and reductions run in fixed order, so repeated runs give
+bit-identical output.
 """
 from __future__ import annotations
 
@@ -15,14 +16,6 @@ PROBE_GRAM_CUT = 1e-2
 
 class SolverError(RuntimeError):
     """An iterative solver failed to reach its tolerance."""
-
-
-def seeded_vector(n: int, seed: int, complex_: bool = True) -> np.ndarray:
-    rng = np.random.default_rng(np.random.PCG64(seed))
-    v = rng.standard_normal(n)
-    if complex_:
-        v = v + 1j * rng.standard_normal(n)
-    return v / np.linalg.norm(v)
 
 
 def cg_solve(apply_op, b: np.ndarray, tol: float = 1e-10, max_iter: int = 500,
@@ -72,42 +65,6 @@ def cg_solve(apply_op, b: np.ndarray, tol: float = 1e-10, max_iter: int = 500,
     raise SolverError(
         f"cg_solve stagnated: residual {res / b_norm:.3e} > tol {tol:.3e} "
         f"after {max_iter} iterations")
-
-
-def power_iteration(apply_op, n: int, iters: int = 60, seed: int = 7,
-                    weight: float | np.ndarray = 1.0) -> float:
-    """Largest eigenvalue of a self-adjoint PSD operator by power iteration.
-
-    The estimate is a Rayleigh quotient, hence a lower bound of the true
-    extreme eigenvalue.
-    """
-    if iters < 1:
-        raise SolverError("power_iteration requires iters >= 1")
-    v = seeded_vector(n, seed)
-
-    def norm(u):
-        return float(np.sqrt(np.sum(weight * np.abs(u) ** 2).real))
-
-    lam = 0.0
-    for _ in range(iters):
-        w = apply_op(v)
-        nw = norm(w)
-        if nw == 0.0:
-            return 0.0
-        lam = float(np.sum(weight * w * np.conj(v)).real)
-        v = w / nw
-    return lam
-
-
-def operator_norm_estimate(apply_op, apply_adjoint, n: int, iters: int = 40,
-                           seed: int = 11, weight: float | np.ndarray = 1.0) -> float:
-    """Largest singular value of an operator via power iteration on T*T.
-
-    Lower bound of the true operator norm (Rayleigh-quotient estimate).
-    """
-    lam = power_iteration(lambda v: apply_adjoint(apply_op(v)), n, iters=iters,
-                          seed=seed, weight=weight)
-    return float(np.sqrt(max(lam, 0.0)))
 
 
 @dataclass

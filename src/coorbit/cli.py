@@ -34,13 +34,15 @@ from .kernel_algebra import am_norm
 from .coverings import CoveringError, build_covering, build_pu, verify_moderate
 from .oscillation import OscillationError, property_D_check, refine_until
 from .discretization import DiscretizationError, atomic_coefficients, \
-    banach_frame_reconstruct, build_uphi, hilbert_frame_bounds, sample_frame, \
-    uphi_defect_norm
+    banach_frame_reconstruct, build_uphi, hilbert_frame_bounds, sample_frame
 from .localization import a_flat_norm, cross_gramian, gab_domination_check
 
 KNOWN_TASKS = ("frame-info", "property-d", "discretize", "reconstruct",
                "localize", "norms", "sequence-spaces")
 KNOWN_FAMILIES = ("gabor", "cwt", "sinc_rkhs", "inhom_wavelet", "alpha_mod")
+COVERING_TASKS = ("property-d", "discretize", "reconstruct", "localize",
+                  "sequence-spaces")
+REFINE_TARGETS = ("full", "atomic", "banach")
 
 
 # ---------------------------------------------------------------------------
@@ -81,12 +83,9 @@ def validate_config(cfg: dict) -> list[str]:
     wc = cfg.get("weight", {"type": "trivial"})
     if wc.get("type") not in ("trivial", "polynomial"):
         diags.append(f"unknown weight type {wc.get('type')!r}")
-    if cfg.get("covering") is not None:
-        ov = cfg["covering"].get("overlap", 0.0)
-        if not 0.0 <= ov < 1.0:
-            diags.append(f"covering.overlap must be in [0,1), got {ov}")
+    diags += _covering_diags(cfg, tasks if isinstance(tasks, list) else [])
     cut = cfg.get("stable_cut", 1e-10)
-    if isinstance(cut, bool) or not isinstance(cut, (int, float)) or not 0.0 <= cut < 1.0:
+    if not (_is_number(cut) and 0.0 <= cut < 1.0):
         diags.append(f"stable_cut must be a number in [0,1), got {cut!r}")
     for key, default in (("z_per_cell", 4), ("battery_size", 5)):
         val = cfg.get(key, default)
@@ -94,6 +93,45 @@ def validate_config(cfg: dict) -> list[str]:
             diags.append(f"{key} must be an integer >= 1, got {val!r}")
     if cfg.get("pu_flavor", "indicator") not in ("indicator", "tent"):
         diags.append(f"unknown pu_flavor {cfg['pu_flavor']!r}")
+    return diags
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _covering_diags(cfg: dict, tasks: list) -> list[str]:
+    """Diagnostics of the `covering` block against the tasks that use it."""
+    cc = cfg.get("covering")
+    if cc is None:
+        return [f"task {t!r} requires a 'covering' block"
+                for t in tasks if t in COVERING_TASKS]
+    if not isinstance(cc, dict):
+        return ["covering must be an object"]
+    diags = []
+    ov = cc.get("overlap", 0.0)
+    if not (_is_number(ov) and 0.0 <= ov < 1.0):
+        diags.append(f"covering.overlap must be in [0,1), got {ov!r}")
+    refine = cc.get("refine")
+    if refine is not None:
+        if not isinstance(refine, dict):
+            diags.append("covering.refine must be an object")
+        elif refine.get("target", "full") not in REFINE_TARGETS:
+            diags.append(f"covering.refine.target must be one of "
+                         f"{', '.join(REFINE_TARGETS)}, got {refine['target']!r}")
+    cell = cc.get("cell_size")
+    if cell is None:
+        if not refine:
+            diags.append("covering.cell_size is required unless covering.refine is set")
+        elif "sequence-spaces" in tasks:
+            diags.append("covering.cell_size is required by task 'sequence-spaces'")
+        return diags
+    dim = 1 if cfg["family"].get("tag") == "sinc_rkhs" else 2
+    entries = cell if isinstance(cell, list) else [cell]
+    if (isinstance(cell, list) and len(cell) != dim) or \
+            not all(_is_number(c) and c > 0 for c in entries):
+        diags.append(f"covering.cell_size must be a positive number or a list of "
+                     f"{dim} positive numbers, got {cell!r}")
     return diags
 
 
@@ -160,14 +198,14 @@ class _Context:
         return self._covering
 
     def uphi(self):
-        """(partition of unity, U_Phi, its defect) on the covering, built once
-        per run and shared by the discretize and reconstruct tasks."""
+        """(partition of unity, U_Phi) on the covering, built once per run and
+        shared by the discretize and reconstruct tasks."""
         if self._uphi is None:
             cov = self.covering()
             pu = build_pu(cov, self.cfg.get("pu_flavor", "indicator"))
             op = build_uphi(gram_kernel(self.family, self.grid, rel_cut=self.rel_cut),
                             cov, pu, self.grid)
-            self._uphi = (pu, op, uphi_defect_norm(op))
+            self._uphi = (pu, op)
         return self._uphi
 
 
@@ -215,23 +253,26 @@ def task_property_d(ctx: _Context) -> dict:
 
 
 def task_discretize(ctx: _Context) -> dict:
-    _, op, defect = ctx.uphi()
+    _, op = ctx.uphi()
+    # the defect first: it builds the Gramian factors, whose peak memory
+    # should not overlap the sampled atoms
+    defect = op.defect
     c1, c2, sub = hilbert_frame_bounds(op.sampled_frame(), ctx.sg)
     return {"cells": op.covering.size, "defect_estimate": defect,
             "hilbert_bounds": {"c1": c1, "c2": c2, "subspace": sub}}
 
 
 def task_reconstruct(ctx: _Context) -> dict:
-    _, op, defect = ctx.uphi()
+    _, op = ctx.uphi()
     battery = make_battery(ctx.family, ctx.grid,
                            int(ctx.cfg.get("battery_size", 5)), seed=ctx.seed)
     atomic_errors, banach_errors, ratios = [], [], []
     for f in battery:
-        lam, rep = atomic_coefficients(f, op, defect)
+        lam, rep = atomic_coefficients(f, op)
         atomic_errors.append(rep.relative_error)
         samples = analyze_V(ctx.family, f, ctx.grid,
                             use_fast_path=False).values[op.node_index]
-        _, brep = banach_frame_reconstruct(samples, op, defect, f_true=f)
+        _, brep = banach_frame_reconstruct(samples, op, f_true=f)
         banach_errors.append(brep.relative_error)
         ratios.append(brep.norm_ratios["flat_l2_over_f"])
     with open(ctx.out / "coefficients.csv", "w", newline="") as fh:
@@ -243,7 +284,7 @@ def task_reconstruct(ctx: _Context) -> dict:
             "atomic_max_relative_error": max(atomic_errors),
             "banach_max_relative_error": max(banach_errors),
             "flat_norm_ratio_bracket": [min(ratios), max(ratios)],
-            "defect_estimate": defect}
+            "defect_estimate": op.defect}
 
 
 def task_localize(ctx: _Context) -> dict:

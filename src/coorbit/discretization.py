@@ -5,9 +5,14 @@ allow any point of the cell), which keeps every operator exact on the grid:
 fields are sampled by indexing, and U_Phi factorizes through the Gramian's
 half factor C (R = h * C^H C, see `FrameCalculus`), so applications cost
 O(M r), r the rank of the frame-operator cut, without ever materializing an
-M x M matrix.  One U_Phi (`build_uphi`) and its defect (`uphi_defect_norm`)
-serve the atomic decomposition, the dual atoms and the Banach-frame
-reconstruction; W f = V S^+ f is `FrameCalculus.analyze_dual` at its cut.
+M x M matrix.  B = sqrt(h) C^H is a mu-orthonormal basis of ran R, and in
+that basis U_Phi is the Hermitian r x r matrix K = h C_X diag(c) C_X^H
+(C_X the columns at the sample nodes, c the masses).  Its eigenvalues give
+the defect ||P (Id - U_Phi) P|| = max |1 - kappa| exactly, and its inverse
+gives U_Phi^{-1} on ran R, so no iteration is needed.  One U_Phi
+(`build_uphi`) serves the atomic decomposition, the dual atoms and the
+Banach-frame reconstruction; W f = V S^+ f is `FrameCalculus.analyze_dual`
+at its cut.
 """
 from __future__ import annotations
 
@@ -18,8 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._linalg import PROBE_GRAM_CUT, SolverError, cg_solve, operator_norm_estimate, \
-    restricted_rayleigh_bounds
+from ._linalg import PROBE_GRAM_CUT, restricted_rayleigh_bounds
 from .coverings import Covering, PartitionOfUnity
 from .frame_families import FrameCalculus, FrameFamily, _interior_probes
 from .kernel_algebra import Kernel
@@ -110,7 +114,9 @@ class UPhiOperator:
 
     Factorized through the Gramian's half factor, R = h * C^H C: column
     R(., x_i) is h * C^H C_{x_i}, so one application costs two thin matrix
-    products of inner dimension r, the rank of the frame-operator cut.
+    products of inner dimension r, the rank of the frame-operator cut.  On
+    ran R it is the r x r matrix K of the module docstring, whose
+    eigendecomposition gives the exact `defect` and `solve`.
     """
 
     calc: FrameCalculus
@@ -156,19 +162,42 @@ class UPhiOperator:
     def apply(self, F: np.ndarray) -> np.ndarray:
         return self.from_samples(F[self.node_index])
 
-    def apply_adjoint(self, G: np.ndarray) -> np.ndarray:
-        """Adjoint w.r.t. the mu-weighted inner product on the grid."""
-        h = self.calc.family.signal_grid.h
-        w = self.grid.weights
-        y = h * (self._c_nodes.conj().T @ self.calc.half_synthesize(G, self.rel_cut))
-        out = np.zeros_like(G)
-        scale = self.masses / w[self.node_index]
-        out[self.node_index] = (scale * y.T).T if G.ndim > 1 else scale * y
-        return out
-
     def project(self, F: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto ran V, realized as the Gramian action."""
         return self.calc.gramian_apply(F, self.rel_cut)
+
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """eigh of K = h C_X diag(c) C_X^H: U_Phi on ran R in the
+        mu-orthonormal basis sqrt(h) C^H, ascending eigenvalues kappa."""
+        h = self.calc.family.signal_grid.h
+        k = h * ((self._c_nodes * self.masses) @ self._c_nodes.conj().T)
+        return np.linalg.eigh(0.5 * (k + k.conj().T))
+
+    @cached_property
+    def defect(self) -> float:
+        """||P (Id - U_Phi) P|| on L2(mu), exactly: max |1 - kappa|.
+
+        Theorem-level consistency is the inequality
+        defect <= delta_est (||R|| + sigma).
+        """
+        return float(np.max(np.abs(1.0 - self._spectrum[0])))
+
+    def solve(self, F: np.ndarray) -> np.ndarray:
+        """U_Phi^{-1} P F on ran R, for one field or a block of columns.
+
+        In the basis B = sqrt(h) C^H the coordinates of P F are
+        sqrt(h) C (w F), so U_Phi^{-1} P F = h C^H K^{-1} C (w F).  The paper
+        inverts U_Phi by its Neumann series, which converges when the defect
+        is below 1; a defect >= 1 is refused.
+        """
+        if self.defect >= 1.0:
+            raise DiscretizationError(
+                f"U_Phi inversion refused: defect {self.defect:.3f} >= 1")
+        kappa, v = self._spectrum
+        a = v.conj().T @ self.calc.half_synthesize(F, self.rel_cut)
+        a = (a.T / kappa).T
+        return self.calc.family.signal_grid.h * (self._u() @ (v @ a))
 
 
 def build_uphi(R: Kernel, cov: Covering, pu: PartitionOfUnity,
@@ -192,115 +221,38 @@ def build_uphi(R: Kernel, cov: Covering, pu: PartitionOfUnity,
                         rel_cut=ctx.get("rel_cut", 1e-10))
 
 
-def uphi_defect_norm(op: UPhiOperator, iters: int = 40, seed: int = 17) -> float:
-    """Power-iteration estimate of || P (Id - U_Phi) P || on L2(mu).
-
-    A Rayleigh-quotient estimate, hence a lower bound of the true norm;
-    Theorem-level consistency is the inequality
-    defect <= delta_est (||R|| + sigma).
-    """
-    if iters < 1:
-        raise DiscretizationError("iters must be >= 1")
-    P = op.project
-
-    def T(F):
-        G = P(F)
-        return P(G - op.apply(G))
-
-    def T_star(F):
-        G = P(F)
-        return P(G - op.apply_adjoint(G))
-
-    return operator_norm_estimate(T, T_star, op.grid.size, iters=iters,
-                                  seed=seed, weight=op.grid.weights)
-
-
-def invert_uphi(op: UPhiOperator, F: np.ndarray, method: str = "neumann",
-                tol: float = 1e-10, max_iter: int = 10000,
-                defect: Optional[float] = None):
-    """U_Phi^{-1} F on ran(R), by Neumann series or normal-equation CG.
-
-    neumann requires a measured defect < 1 (pass it in or it is estimated);
-    the series stops when the increment falls below tol * (1 - defect) *
-    ||F|| (geometric tail bound), capped at `max_iter` terms.
-    Returns (values, iterations).
-    """
-    if tol <= 0.0:
-        raise DiscretizationError("tol must be > 0 (unreachable stopping rule)")
-    w = op.grid.weights
-
-    def mu_norm(G):
-        return float(np.sqrt(np.sum((np.abs(G) ** 2).T * w)))
-
-    F = op.project(F)
-    if method == "neumann":
-        if defect is None:
-            defect = uphi_defect_norm(op)
-        if defect >= 1.0:
-            raise DiscretizationError(
-                f"neumann inversion refused: measured defect {defect:.3f} >= 1")
-        thresh = tol * (1.0 - defect) * mu_norm(F)
-        x = F.copy()
-        term = F.copy()
-        for it in range(1, max_iter + 1):
-            term = op.project(term - op.apply(term))
-            x = x + term
-            if mu_norm(term) <= thresh:
-                return x, it
-        raise SolverError(f"neumann series did not converge in {max_iter} terms")
-    if method == "solve":
-        if F.ndim != 1:
-            raise DiscretizationError("solve method handles one field at a time")
-        rhs = op.project(op.apply_adjoint(F))
-
-        def normal(u):
-            return op.project(op.apply_adjoint(op.apply(op.project(u))))
-
-        x, it = cg_solve(normal, rhs, tol=tol, max_iter=min(max_iter, 2000),
-                         weight=w)
-        return op.project(x), it
-    raise DiscretizationError(f"unknown inversion method {method!r}")
-
-
 # ---------------------------------------------------------------------------
 # reconstruction pipelines
 # ---------------------------------------------------------------------------
 @dataclass
 class ReconstructionReport:
-    method: str
     coefficients: np.ndarray
     relative_error: float
-    iterations: int
     defect_estimate: float
     wall_time: float
     norm_ratios: dict = field(default_factory=dict)
 
     def as_dict(self):
         return {
-            "method": self.method,
             "relative_error": self.relative_error,
-            "iterations": self.iterations,
             "defect_estimate": self.defect_estimate,
             "wall_time": self.wall_time,
             "norm_ratios": self.norm_ratios,
         }
 
 
-def atomic_coefficients(f: np.ndarray, op: UPhiOperator, defect: float,
-                        method: str = "neumann", tol: float = 1e-10):
+def atomic_coefficients(f: np.ndarray, op: UPhiOperator):
     """Coefficients lam_i(f) = c_i (U_Phi^{-1} W f)(x_i) and the synthesis
     residual of f = sum lam_i psi_{x_i}.
 
-    `op` is the covering's U_Phi (`build_uphi`) and `defect` its measured
-    ||P (Id - U_Phi) P|| (`uphi_defect_norm`), both built once and shared by
-    every signal.  Returns (lam, ReconstructionReport); the report logs the
-    natural-norm ratios ||lam|Y-natural|| / ||f|| for Y = L^2 and L^1_v,
-    v the trivial weight.
+    `op` is the covering's U_Phi (`build_uphi`), built once and shared by
+    every signal.  Returns (lam, ReconstructionReport); the report logs
+    `op.defect` and the natural-norm ratios ||lam|Y-natural|| / ||f|| for
+    Y = L^2 and L^1_v, v the trivial weight.
     """
     t0 = time.perf_counter()
     wf = op.calc.analyze_dual(np.asarray(f, dtype=complex), op.rel_cut)
-    u, iters = invert_uphi(op, wf, method=method, tol=tol, defect=defect)
-    lam = op.masses * u[op.node_index]
+    lam = op.masses * op.solve(wf)[op.node_index]
     synth = op.atoms @ lam
     sg = op.calc.family.signal_grid
     f_norm = sg.norm(f)
@@ -311,8 +263,7 @@ def atomic_coefficients(f: np.ndarray, op: UPhiOperator, defect: float,
                             flavor="natural")
         ratios[name] = natural_norm(np.abs(lam), spec) / f_norm if f_norm > 0 else 0.0
     report = ReconstructionReport(
-        method=method, coefficients=lam, relative_error=float(rel),
-        iterations=iters, defect_estimate=float(defect),
+        coefficients=lam, relative_error=float(rel), defect_estimate=op.defect,
         wall_time=time.perf_counter() - t0, norm_ratios=ratios)
     return lam, report
 
@@ -320,15 +271,13 @@ def atomic_coefficients(f: np.ndarray, op: UPhiOperator, defect: float,
 DUAL_CAP = 512               # dual atoms computed when no indices are given
 
 
-def dual_frame(op: UPhiOperator, defect: float,
-               indices: Optional[np.ndarray] = None,
-               tol: float = 1e-10) -> np.ndarray:
+def dual_frame(op: UPhiOperator, indices: Optional[np.ndarray] = None) -> np.ndarray:
     """Discrete dual atoms e_i with <f, e_i> = lam_i(f).
 
-    e_i = W*(c_i U_Phi^{-1} W psi_{x_i}), from the covering's U_Phi and its
-    measured defect; computed for `indices` (default: all cells when the
-    count is within `DUAL_CAP`, otherwise an evenly spaced subset).  Returns
-    the atoms as columns on the signal grid.
+    e_i = W*(c_i U_Phi^{-1} W psi_{x_i}), from the covering's U_Phi;
+    computed for `indices` (default: all cells when the count is within
+    `DUAL_CAP`, otherwise an evenly spaced subset).  Returns the atoms as
+    columns on the signal grid.
     """
     n_cells = op.covering.size
     if indices is None:
@@ -340,29 +289,25 @@ def dual_frame(op: UPhiOperator, defect: float,
     h = op.calc.family.signal_grid.h
     # W psi_{x_i} = R(., x_i) = h * C^H C_{x_i}
     cols = h * (op._u() @ op._c_nodes[:, indices])
-    inv_cols, _ = invert_uphi(op, cols, method="neumann", tol=tol, defect=defect)
-    e_fields = op.masses[indices] * inv_cols
+    e_fields = op.masses[indices] * op.solve(cols)
     pots = op.calc.synthesize(e_fields)
     return op.calc.s_pinv(pots, op.rel_cut)
 
 
 def banach_frame_reconstruct(samples: np.ndarray, op: UPhiOperator,
-                             defect: float, f_true: Optional[np.ndarray] = None,
-                             method: str = "neumann", tol: float = 1e-10):
+                             f_true: Optional[np.ndarray] = None):
     """Recover f from its frame samples (V f(x_i))_i.
 
     Assembles G = sum_i c_i samples_i R(., x_i) with the covering's U_Phi,
-    applies U_Phi^{-1} (Neumann series under the measured `defect`) and
-    synthesizes through W*.  Returns (signal, ReconstructionReport); the
-    report logs the flat-norm equivalence ratio ||samples|Y-flat|| / ||f||
-    at Y = L^2.
+    applies U_Phi^{-1} (`op.solve`) and synthesizes through W*.  Returns
+    (signal, ReconstructionReport); the report logs `op.defect` and the
+    flat-norm equivalence ratio ||samples|Y-flat|| / ||f|| at Y = L^2.
     """
     t0 = time.perf_counter()
     samples = np.asarray(samples, dtype=complex)
     if samples.shape[0] != op.covering.size:
         raise DiscretizationError("one sample per cell required")
-    G = op.from_samples(samples)
-    u, iters = invert_uphi(op, G, method=method, tol=tol, defect=defect)
+    u = op.solve(op.from_samples(samples))
     f_rec = op.calc.s_pinv(op.calc.synthesize(u), op.rel_cut)
     sg = op.calc.family.signal_grid
     rel = float("nan")
@@ -372,8 +317,7 @@ def banach_frame_reconstruct(samples: np.ndarray, op: UPhiOperator,
     spec = SeqSpaceSpec(p=2, weight=trivial_weight(), covering=op.covering, flavor="flat")
     ratio = flat_norm(np.abs(samples), spec) / sg.norm(f_rec) if sg.norm(f_rec) > 0 else 0.0
     report = ReconstructionReport(
-        method=method, coefficients=samples, relative_error=float(rel),
-        iterations=iters, defect_estimate=float(defect),
+        coefficients=samples, relative_error=float(rel), defect_estimate=op.defect,
         wall_time=time.perf_counter() - t0,
         norm_ratios={"flat_l2_over_f": ratio})
     return f_rec, report

@@ -765,10 +765,10 @@ class FrameBoundsReport:
                 "probes": self.probe_count, "rank": self.rank}
 
 
-def _interior_probes(family: FrameFamily, grid: QuadGrid, pts: np.ndarray):
-    """Indices of the index points `pts` in the family's interior box of
-    `grid`, thinned by an even stride to at most `PROBE_CAP`, and the
-    number of interior points before thinning."""
+def _interior_mask(family: FrameFamily, grid: QuadGrid, pts: np.ndarray) -> np.ndarray:
+    """Which index points `pts` lie in the family's interior box of `grid`;
+    for `inhom_wavelet` the low-pass sheet (axis 0 <= 0) counts as interior
+    on axis 0."""
     box = family.interior_box(grid)
     mask = np.ones(pts.shape[0], dtype=bool)
     for k in range(pts.shape[1]):
@@ -776,7 +776,14 @@ def _interior_probes(family: FrameFamily, grid: QuadGrid, pts: np.ndarray):
         if family.tag == "inhom_wavelet" and k == 0:
             inside |= pts[:, 0] <= 0.0
         mask &= inside
-    idx = np.flatnonzero(mask)
+    return mask
+
+
+def _interior_probes(family: FrameFamily, grid: QuadGrid, pts: np.ndarray):
+    """Indices of the interior points of `pts` (`_interior_mask`), thinned
+    by an even stride to at most `PROBE_CAP`, and the number of interior
+    points before thinning."""
+    idx = np.flatnonzero(_interior_mask(family, grid, pts))
     return idx[::max(1, -(-idx.size // PROBE_CAP))], idx.size
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverings import Covering
-from .frame_families import FrameFamily, gram_kernel
+from .discretization import _sample_nodes
+from .frame_families import FrameFamily, _interior_mask, gram_kernel
 from .measure_space import AdmissibleWeight, QuadGrid
 
 
@@ -152,7 +153,7 @@ def gab_domination_check(frame_f: FrameFamily, frame_g: FrameFamily,
     M = grid.size
     w = grid.weights
 
-    samples = cov.grid.points[_sample_nodes_for(cov)]
+    samples = cov.grid.points[_sample_nodes(cov)]
     gram = cross_gramian(frame_f, frame_g, samples, samples)
 
     # membership matrix C[i, node] and the covering kernel L = C^T diag(1/a) C
@@ -174,22 +175,10 @@ def gab_domination_check(frame_f: FrameFamily, frame_g: FrameFamily,
     # compositions with quadrature weights folded in
     h_f_star = (t_f * w[None, :]) @ L            # T_F o L
     h_g_star = (t_g * w[None, :]) @ L
-    big_g = np.abs(cross_gramian_on_grid(frame_f, frame_g, grid))
+    big_g = np.abs(cross_gramian(frame_f, frame_g, pts, pts).matrix)
     right = (h_g_star.T * w[None, :]) @ big_g
     right = (right * w[None, :]) @ h_f_star
     return float(max(np.max(left - right), 0.0))
-
-
-def cross_gramian_on_grid(frame_f, frame_g, grid) -> np.ndarray:
-    h = frame_f.signal_grid.h
-    a_f = frame_f.atoms(grid.points)
-    a_g = frame_g.atoms(grid.points)
-    return h * (a_f.conj().T @ a_g)
-
-
-def _sample_nodes_for(cov: Covering) -> np.ndarray:
-    from .discretization import _sample_nodes
-    return _sample_nodes(cov)
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +242,8 @@ def empirical_pseudoinverse(family: FrameFamily, grid: QuadGrid,
     R = gram_kernel(family, grid, rel_cut=max(rank_tol, 1e-12)).matrix(grid)
     dual_defect = float(np.max(np.abs(dual_gram - comp(A_pinv, R))))
 
-    box = family.interior_box(grid)
     pts = grid.points
-    inner = np.ones(grid.size, dtype=bool)
-    for k in range(grid.dim):
-        if family.tag == "inhom_wavelet" and k == 0:
-            inner &= (pts[:, 0] <= 0) | ((pts[:, k] >= box[k, 0]) &
-                                         (pts[:, k] <= box[k, 1]))
-        else:
-            inner &= (pts[:, k] >= box[k, 0]) & (pts[:, k] <= box[k, 1])
+    inner = _interior_mask(family, grid, pts)
     ii = np.ix_(inner, inner)
     d = grid.metric(pts[inner], pts[inner])
     e_a, p_a = decay_profile(A[ii], d)

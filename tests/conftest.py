@@ -109,3 +109,64 @@ def reference_am_norm():
                                float(col_1.max())),
                 "am_norm": max(row_sup, float(col_m.max()))}
     return ref
+
+
+@pytest.fixture(scope="session")
+def reference_defect_power_iteration():
+    """The power-iteration estimate of ||P (Id - U_Phi) P|| on L2(mu) that
+    the engine used before the exact U_Phi spectrum: 40 steps on T* T,
+    T = P (Id - U_Phi) P, from a seeded complex start vector, with the
+    adjoint of U_Phi in the mu-weighted inner product.  A Rayleigh quotient,
+    hence a lower bound of the true norm."""
+    def ref(op, iters=40, seed=17):
+        h = op.calc.family.signal_grid.h
+        w = op.grid.weights
+        P = op.project
+
+        def adjoint(G):
+            y = h * (op._c_nodes.conj().T @ op.calc.half_synthesize(G, op.rel_cut))
+            out = np.zeros_like(G)
+            out[op.node_index] = op.masses / w[op.node_index] * y
+            return out
+
+        def normal(F):
+            G = P(F)
+            G = P(P(G - op.apply(G)))
+            return P(G - adjoint(G))
+
+        rng = np.random.default_rng(np.random.PCG64(seed))
+        v = rng.standard_normal(op.grid.size) + 1j * rng.standard_normal(op.grid.size)
+        v = v / np.linalg.norm(v)
+        lam = 0.0
+        for _ in range(iters):
+            x = normal(v)
+            nx = float(np.sqrt(np.sum(w * np.abs(x) ** 2).real))
+            if nx == 0.0:
+                return 0.0
+            lam = float(np.sum(w * x * np.conj(v)).real)
+            v = x / nx
+        return float(np.sqrt(max(lam, 0.0)))
+    return ref
+
+
+@pytest.fixture(scope="session")
+def reference_neumann():
+    """U_Phi^{-1} P F by the Neumann series sum_k (P (Id - U_Phi))^k P F, the
+    paper's inversion.  The series stops when the mu-norm of a term falls
+    below tol * (1 - defect) * ||P F||_mu (geometric tail bound)."""
+    def ref(op, F, tol=1e-12, max_iter=10000):
+        w = op.grid.weights
+
+        def mu_norm(G):
+            return float(np.sqrt(np.sum((np.abs(G) ** 2).T * w)))
+
+        F = op.project(F)
+        thresh = tol * (1.0 - op.defect) * mu_norm(F)
+        x, term = F.copy(), F.copy()
+        for _ in range(max_iter):
+            term = op.project(term - op.apply(term))
+            x = x + term
+            if mu_norm(term) <= thresh:
+                return x
+        raise AssertionError(f"Neumann series did not converge in {max_iter} terms")
+    return ref

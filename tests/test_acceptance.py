@@ -15,8 +15,7 @@ import pytest
 from coorbit.coverings import build_covering, build_pu
 from coorbit.discretization import (atomic_coefficients,
                                     banach_frame_reconstruct, build_uphi,
-                                    hilbert_frame_bounds, invert_uphi,
-                                    sample_frame, uphi_defect_norm)
+                                    hilbert_frame_bounds, sample_frame)
 from coorbit.frame_families import (alpha_admissibility, analyze_V, analyze_W,
                                     default_index_grid, frame_bounds_continuous,
                                     gaussian_window, gram_kernel, make_battery,
@@ -159,10 +158,9 @@ def test_criterion_05_defect_bound_consistency(gabor_ladder):
         cov = build_covering(grid, cell)
         pu = build_pu(cov)
         op = build_uphi(gram_kernel(fam, grid, rel_cut=LADDER_CUT), cov, pu, grid)
-        defect = uphi_defect_norm(op)
         bound = step.report.delta_est * (step.report.r_norm + step.report.sigma)
-        assert defect <= bound + 1e-6, f"level {step.level}"
-        lines.append(f"L{step.level}:{defect:.3f}<={bound:.3f}")
+        assert op.defect <= bound + 1e-6, f"level {step.level}"
+        lines.append(f"L{step.level}:{op.defect:.3f}<={bound:.3f}")
     report(5, " ".join(lines))
 
 
@@ -174,23 +172,21 @@ def passing_pipeline(gabor_ladder):
     grid = cov.grid
     pu = build_pu(cov)
     op = build_uphi(gram_kernel(fam, grid, rel_cut=LADDER_CUT), cov, pu, grid)
-    defect = uphi_defect_norm(op)
     battery = make_battery(fam, grid, 10, seed=2024)
-    return fam, grid, cov, pu, op, defect, battery
+    return fam, grid, cov, pu, op, battery
 
 
-def test_criterion_06_atomic_round_trip(passing_pipeline):
-    fam, grid, cov, pu, op, defect, battery = passing_pipeline
+def test_criterion_06_atomic_round_trip(passing_pipeline, reference_neumann):
+    fam, grid, cov, pu, op, battery = passing_pipeline
     worst = 0.0
     for f in battery:
-        lam, rep = atomic_coefficients(f, op, defect)
+        lam, rep = atomic_coefficients(f, op)
         worst = max(worst, rep.relative_error)
     assert worst <= 1e-3
 
     f = battery[0]
     wf = analyze_W(fam, f, grid, rel_cut=op.rel_cut).values
-    u1, _ = invert_uphi(op, wf, method="neumann", tol=1e-12, defect=defect)
-    u2, _ = invert_uphi(op, wf, method="solve", tol=1e-12)
+    u1, u2 = reference_neumann(op, wf), op.solve(wf)
     w = grid.weights
     rel = np.sqrt(np.sum(w * np.abs(u1 - u2) ** 2) / np.sum(w * np.abs(u1) ** 2))
     assert rel <= 1e-8
@@ -198,12 +194,12 @@ def test_criterion_06_atomic_round_trip(passing_pipeline):
 
 
 def test_criterion_07_banach_reconstruction(passing_pipeline, gabor_ladder):
-    fam, grid, cov, pu, op, defect, battery = passing_pipeline
+    fam, grid, cov, pu, op, battery = passing_pipeline
     worst = 0.0
     brackets = []
     for f in battery:
         samples = analyze_V(fam, f, grid, use_fast_path=False).values[op.node_index]
-        rec, rep = banach_frame_reconstruct(samples, op, defect, f_true=f)
+        rec, rep = banach_frame_reconstruct(samples, op, f_true=f)
         worst = max(worst, rep.relative_error)
         brackets.append(rep.norm_ratios["flat_l2_over_f"])
     assert worst <= 1e-3
@@ -220,11 +216,10 @@ def test_criterion_07_banach_reconstruction(passing_pipeline, gabor_ladder):
     pu_c = build_pu(cov_c)
     op_c = build_uphi(gram_kernel(fam_l, grid_c, rel_cut=LADDER_CUT),
                       cov_c, pu_c, grid_c)
-    defect_c = uphi_defect_norm(op_c)
     brackets_c = []
     for f in battery[:5]:
         samples = analyze_V(fam_l, f, grid_c, use_fast_path=False).values[op_c.node_index]
-        _, rep = banach_frame_reconstruct(samples, op_c, defect_c, f_true=f)
+        _, rep = banach_frame_reconstruct(samples, op_c, f_true=f)
         brackets_c.append(rep.norm_ratios["flat_l2_over_f"])
     mid_fine = 0.5 * (bracket_fine[0] + bracket_fine[1])
     mid_coarse = 0.5 * (min(brackets_c) + max(brackets_c))
@@ -234,7 +229,7 @@ def test_criterion_07_banach_reconstruction(passing_pipeline, gabor_ladder):
 
 
 def test_criterion_08_hilbert_frame_bounds(passing_pipeline, gabor_reference):
-    fam, grid, cov, pu, op, defect, battery = passing_pipeline
+    fam, grid, cov, pu, op, battery = passing_pipeline
     sframe = sample_frame(fam, cov, pu)
     c1, c2, _ = hilbert_frame_bounds(sframe, fam.signal_grid)
     assert c1 >= 0.5 and c2 <= 2.0
@@ -259,7 +254,6 @@ def test_criterion_09_shannon_sampling_oracle():
     cov = build_covering(grid, 1.0)                      # samples at spacing 1
     pu = build_pu(cov)
     op = build_uphi(gram_kernel(fam, grid, rel_cut=1e-10), cov, pu, grid)
-    defect = uphi_defect_norm(op)
     x_s = sample_frame(fam, cov, pu).points[:, 0]
     assert np.allclose(np.diff(np.sort(x_s)), 1.0, atol=1e-12)
 
@@ -267,9 +261,6 @@ def test_criterion_09_shannon_sampling_oracle():
     keep = np.abs(w) <= np.pi / 2 + 1e-12
     t = sg.points
     gen = np.random.default_rng(99)
-    m1 = trivial_admissible_weight()
-    osc_rep = property_D_check(fam, cov, m1, grid, z_per_cell=4, seed=0)
-    method = "neumann" if (osc_rep.banach_only or osc_rep.full) else "solve"
     worst_oracle, worst_truth = 0.0, 0.0
     for _ in range(5):
         spec = np.where(keep, gen.standard_normal(sg.n) +
@@ -277,8 +268,7 @@ def test_criterion_09_shannon_sampling_oracle():
         f = np.fft.ifft(spec)
         f /= sg.norm(f)
         samples = analyze_V(fam, f, grid).values[op.node_index]
-        rec, _ = banach_frame_reconstruct(samples, op, defect, f_true=f,
-                                          method=method, tol=1e-12)
+        rec, _ = banach_frame_reconstruct(samples, op, f_true=f)
         # FFT interpolation oracle, independent of the pipeline: the 20
         # unit-spaced samples determine the 11 active frequencies exactly
         order = np.argsort(x_s)
@@ -292,7 +282,7 @@ def test_criterion_09_shannon_sampling_oracle():
     assert worst_oracle <= 1e-6
     assert worst_truth <= 1e-6
     report(9, f"vs oracle {worst_oracle:.2e}; vs truth {worst_truth:.2e}; "
-              f"method {method}")
+              f"defect {op.defect:.2e}")
 
 
 def test_criterion_10_sequence_space_closed_forms():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +73,60 @@ class TestValidate:
         ("z_per_cell", 1), ("pu_flavor", "tent")])
     def test_in_range_setting(self, key, value):
         assert validate_config(dict(MINIMAL, **{key: value})) == []
+
+    @pytest.mark.parametrize("tag,tasks,covering,needle", [
+        ("gabor", ["discretize"], None, "requires a 'covering' block"),
+        ("gabor", ["localize"], None, "requires a 'covering' block"),
+        ("gabor", ["frame-info", "discretize"], {}, "cell_size is required"),
+        ("gabor", ["property-d"], {"overlap": 0.25}, "cell_size is required"),
+        ("gabor", ["sequence-spaces"], {"refine": {"target": "full"}},
+         "required by task 'sequence-spaces'"),
+        ("gabor", ["discretize"], {"cell_size": -0.5}, "cell_size"),
+        ("gabor", ["discretize"], {"cell_size": 0}, "cell_size"),
+        ("gabor", ["discretize"], {"cell_size": "big"}, "cell_size"),
+        ("gabor", ["discretize"], {"cell_size": True}, "cell_size"),
+        ("gabor", ["discretize"], {"cell_size": [0.5, 0.5, 0.5]}, "cell_size"),
+        ("gabor", ["discretize"], {"cell_size": [0.5]}, "cell_size"),
+        ("gabor", ["discretize"], {"cell_size": [0.5, -1.0]}, "cell_size"),
+        ("sinc_rkhs", ["discretize"], {"cell_size": [1.0, 1.0]}, "cell_size"),
+        ("gabor", ["property-d"], {"cell_size": 1.0, "refine": {"target": "nope"}},
+         "refine.target"),
+        ("gabor", ["property-d"], {"cell_size": 1.0, "refine": "full"},
+         "refine must be an object"),
+        ("gabor", ["discretize"], [0.5], "covering must be an object"),
+        ("gabor", ["discretize"], {"cell_size": 0.5, "overlap": "half"}, "overlap"),
+    ])
+    def test_bad_covering_block_exits_2(self, tmp_path, tag, tasks, covering, needle):
+        cfg = dict(MINIMAL, tasks=tasks, family={"tag": tag, "params": {}})
+        if tag == "sinc_rkhs":
+            cfg.update(signal_grid={"T": 10.0, "n": 512},
+                       index_domain={"resolution": [100]})
+        if covering is not None:
+            cfg["covering"] = covering
+        assert any(needle in d for d in validate_config(cfg)), validate_config(cfg)
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert run(str(path), out_dir=str(out)) == 2
+        assert not (out / "report.json").exists()
+        assert main(["validate", str(path)]) == 2
+
+    @pytest.mark.parametrize("tag,tasks,covering", [
+        ("gabor", ["frame-info", "norms"], None),
+        ("gabor", ["discretize"], {"cell_size": 0.5}),
+        ("gabor", ["discretize"], {"cell_size": [0.5, 1]}),
+        ("gabor", ["property-d"], {"refine": {"target": "banach"}}),
+        ("gabor", ["property-d"], {"cell_size": 1.0, "refine": {"max_levels": 0}}),
+        ("sinc_rkhs", ["discretize"], {"cell_size": 1.0}),
+        ("sinc_rkhs", ["sequence-spaces"], {"cell_size": [1.0],
+                                            "refine": {"target": "atomic"}}),
+    ])
+    def test_good_covering_block(self, tag, tasks, covering):
+        cfg = dict(MINIMAL, tasks=tasks, family={"tag": tag, "params": {}})
+        if tag == "sinc_rkhs":
+            cfg.update(signal_grid={"T": 10.0, "n": 512})
+        if covering is not None:
+            cfg["covering"] = covering
+        assert validate_config(cfg) == []
 
     def test_validate_entry_point(self, tmp_path, capsys):
         path = write_config(tmp_path, MINIMAL)
@@ -152,8 +210,9 @@ class TestRun:
 
     @pytest.mark.parametrize("battery_size", [1, 3])
     def test_reconstruct_builds_one_uphi(self, tmp_path, monkeypatch, battery_size):
-        """discretize and reconstruct share one Gramian, one U_Phi and one
-        defect, counted at every module binding of the three functions."""
+        """discretize and reconstruct share one Gramian and one U_Phi (which
+        caches its spectrum), counted at every module binding of the two
+        functions."""
         calls = {}
 
         def counting(name, real):
@@ -163,8 +222,7 @@ class TestRun:
             return wrapper
 
         for name, home in (("gram_kernel", frame_families),
-                           ("build_uphi", discretization),
-                           ("uphi_defect_norm", discretization)):
+                           ("build_uphi", discretization)):
             wrapped = counting(name, getattr(home, name))
             for mod in (cli, home):
                 monkeypatch.setattr(mod, name, wrapped)
@@ -172,7 +230,7 @@ class TestRun:
                    covering={"cell_size": 0.5}, battery_size=battery_size)
         path = write_config(tmp_path, cfg)
         assert run(str(path), out_dir=str(tmp_path / "out")) == 0
-        assert calls == {"gram_kernel": 1, "build_uphi": 1, "uphi_defect_norm": 1}
+        assert calls == {"gram_kernel": 1, "build_uphi": 1}
 
     def test_localize_task(self, tmp_path):
         cfg = dict(MINIMAL, tasks=["localize"], covering={"cell_size": 2.0},
@@ -209,3 +267,37 @@ class TestRun:
             assert timings["threads"] == threads
         assert "osc_report" in json.loads(blobs[0])["tasks"]["property-d"]
         assert blobs[0] == blobs[1] == blobs[2]
+
+
+_TRACED_PROBE = """
+import json, sys
+from pathlib import Path
+import coorbit.cli as cli
+import spans
+cfg, out = sys.argv[1], Path(sys.argv[2])
+assert cli.run(cfg, out_dir=str(out / "plain")) == 0
+rec = spans.Recorder()
+spans.install(rec)
+assert cli.run(cfg, out_dir=str(out / "traced")) == 0
+names = {s[0] for s in rec.spans}
+assert "discretization.atomic_coefficients" in names, sorted(names)
+assert (out / "plain" / "report.json").read_bytes() == \\
+    (out / "traced" / "report.json").read_bytes(), "traced report bytes differ"
+"""
+
+
+def test_traced_harness_runs_reconstruct(tmp_path):
+    # the benchmark's traced run wraps every public coorbit function by
+    # name and binds their arguments; a fresh interpreter runs discretize +
+    # reconstruct with and without the wrappers and compares report bytes
+    root = Path(cli.__file__).resolve().parents[2]
+    cfg = dict(MINIMAL, tasks=["discretize", "reconstruct"],
+               covering={"cell_size": 0.5}, battery_size=2)
+    path = write_config(tmp_path, cfg)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root / "perfbench"),
+                                         env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", _TRACED_PROBE, str(path),
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
