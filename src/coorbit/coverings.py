@@ -6,8 +6,10 @@ quadrature grid, overlap structure, moderation constants and partitions of
 unity.  Neighbor sets use open-interior intersection: cells that share only
 a boundary facet do not count as overlapping, so an exact partition has
 N = 1 and i* = {i}.  Membership and neighbor sets come from two-axis sweeps
-with array code; the nearest grid node of each sample point is a kd-tree
-query made on first use.
+with array code.  The sampled node of a cell is its member nearest to the
+cell's sample point, the lowest node index among equal distances: the
+theorems allow any point x_i in U_i, and this rule fixes one that depends
+on the covering alone.
 """
 from __future__ import annotations
 
@@ -54,10 +56,25 @@ class Covering:
 
     @cached_property
     def sample_node_index(self) -> np.ndarray:
-        """Nearest grid node of each sample point, by a kd-tree query on
-        first use (only a sampled frame reads it)."""
-        from scipy.spatial import cKDTree
-        return cKDTree(self.grid.points).query(self.sample_points)[1]
+        """The member of each cell nearest to its sample point.
+
+        Distance is the float64 sum((p - s)**2) over the axes; among equal
+        distances the lowest node index wins.  One pass over the
+        concatenated member lists: the per-cell minimum by reduceat, then
+        the first member at it, which is the lowest index since members are
+        ascending.  The node lies in its cell by construction.
+        """
+        counts = np.array([idx.size for idx in self.members])
+        if np.any(counts == 0):
+            raise CoveringError(
+                f"cell {int(np.argmin(counts))} has no member node to sample")
+        flat = np.concatenate(self.members)
+        owner = np.repeat(np.arange(self.size), counts)
+        dist = np.sum((self.grid.points[flat] - self.sample_points[owner]) ** 2,
+                      axis=1)
+        starts = np.cumsum(counts) - counts
+        hit = np.flatnonzero(dist == np.minimum.reduceat(dist, starts)[owner])
+        return flat[hit[np.searchsorted(owner[hit], np.arange(self.size))]]
 
     def node_cells(self) -> list:
         """Inverse membership: for each grid node the cells containing it."""

@@ -58,24 +58,10 @@ class SampledFrame:
 
 
 def _sample_nodes(cov: Covering) -> np.ndarray:
-    """Grid node inside each cell, nearest to the cell's sample point.
-
-    Reading `cov.sample_node_index` runs the covering's kd-tree query, on
-    first use.  The members of a cell are exactly the nodes passing its
-    closed-box test, so the snapped node is tested against the box directly.
-    """
-    idx = cov.sample_node_index.copy()
-    pts = cov.grid.points
-    snapped = pts[idx]
-    inside = np.all((snapped >= cov.cells[:, :, 0] - 1e-12) &
-                    (snapped <= cov.cells[:, :, 1] + 1e-12), axis=1)
-    for i in np.flatnonzero(~inside):
-        # nearest overall node fell outside the (clipped) cell; take the
-        # member node closest to the sample point instead
-        members = cov.members[i]
-        d = np.sum((pts[members] - cov.sample_points[i]) ** 2, axis=1)
-        idx[i] = members[int(np.argmin(d))]
-    return idx
+    """Grid node of each cell: its member nearest to the cell's sample
+    point, the lowest node index among ties (`Covering.sample_node_index`),
+    so x_i lies in U_i as the theorems require."""
+    return cov.sample_node_index.copy()
 
 
 def sample_frame(family: FrameFamily, cov: Covering,

@@ -35,11 +35,12 @@ class SeqSpaceSpec:
 def _assemble(lam: np.ndarray, cov: Covering, scale: np.ndarray) -> np.ndarray:
     if lam.shape[0] != cov.size:
         raise SequenceError(f"sequence length {lam.shape[0]} != cell count {cov.size}")
-    field = np.zeros(cov.grid.size)
-    amp = np.abs(lam) * scale
-    for i, idx in enumerate(cov.members):
-        field[idx] += amp[i]
-    return field
+    # bincount adds in input order, so every node sums the amplitudes of its
+    # cells in cell order, starting from 0
+    counts = np.array([idx.size for idx in cov.members])
+    amp = np.repeat(np.abs(lam) * scale, counts)
+    return np.bincount(np.concatenate(cov.members), weights=amp,
+                       minlength=cov.grid.size)
 
 
 def flat_norm(lam: np.ndarray, spec: SeqSpaceSpec) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -199,7 +200,7 @@ class TestMEquivalent:
             m_equivalent(cov_a, cov_b, m_trivial)
 
 
-_KDTREE_PROBE = """
+_SPATIAL_PROBE = """
 import sys
 import numpy as np
 from coorbit.frame_families import make_family
@@ -210,21 +211,53 @@ cov, rep, traj = refine_until(fam, [[-4.0, 4.0], [-4.0, 4.0]],
                               trivial_admissible_weight(), target="banach",
                               initial_cell=0.9, z_per_cell=3, rel_cut=0.2)
 assert rep.banach_only and len(traj) > 1
-assert "scipy.spatial" not in sys.modules, "property-d imported the kd-tree"
-from scipy.spatial import cKDTree
-ref = cKDTree(cov.grid.points).query(cov.sample_points)[1]
-assert np.array_equal(cov.sample_node_index, ref)
+idx = cov.sample_node_index
+for i, members in enumerate(cov.members):
+    d = np.sum((cov.grid.points[members] - cov.sample_points[i]) ** 2, axis=1)
+    assert idx[i] == members[d == d.min()].min()
+assert "scipy.spatial" not in sys.modules, "property-d imported scipy.spatial"
+"""
+
+_CLI_SPATIAL_PROBE = """
+import json, sys, tempfile
+from pathlib import Path
+from coorbit import cli
+cfg = {"family": {"tag": "gabor", "params": {}},
+       "signal_grid": {"T": 8.0, "n": 64},
+       "index_domain": {"bounds": [[-4.0, 4.0], [-4.0, 4.0]],
+                        "resolution": [16, 16]},
+       "covering": {"cell_size": 1.0}, "weight": {"type": "trivial"},
+       "stable_cut": 0.2, "battery_size": 2, "seed": 0,
+       "tasks": ["discretize", "reconstruct", "localize"]}
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.run(str(path), str(Path(tmp) / "out")) == 0
+    tasks = json.loads((Path(tmp) / "out" / "report.json").read_text())["tasks"]
+    assert set(tasks) == set(cfg["tasks"]), sorted(tasks)
+assert "scipy.spatial" not in sys.modules, "a sampling task imported scipy.spatial"
 """
 
 
-def test_property_d_does_not_import_kdtree():
-    # a fresh interpreter: the nearest-node query runs on first use only,
-    # so refinement to the banach flag never loads scipy.spatial
+def _fresh_interpreter(code):
     src = str(Path(coverings.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-    proc = subprocess.run([sys.executable, "-c", _KDTREE_PROBE], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+def test_property_d_does_not_import_kdtree():
+    # a fresh interpreter: refinement to the banach flag, then the sampled
+    # nodes by the in-cell rule, never load scipy.spatial
+    proc = _fresh_interpreter(_SPATIAL_PROBE)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_sampling_tasks_do_not_import_scipy_spatial():
+    # the tasks that sample nodes (discretize, reconstruct, localize) run
+    # through cli.run on a small Gabor box without scipy.spatial
+    proc = _fresh_interpreter(_CLI_SPATIAL_PROBE)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -267,14 +300,14 @@ def _dense_open_overlap(cells):
 
 
 def _dense_sample_nodes(cov):
-    """Reference: the snapped node is kept when it is a member."""
-    idx = cov.sample_node_index.copy()
+    """Reference: per cell, every member's float64 squared distance to the
+    sample point, and the lowest node index at the minimum."""
     pts = cov.grid.points
+    idx = np.empty(cov.size, dtype=int)
     for i in range(cov.size):
         members = cov.members[i]
-        if idx[i] not in members:
-            d = np.sum((pts[members] - cov.sample_points[i]) ** 2, axis=1)
-            idx[i] = members[int(np.argmin(d))]
+        d = np.sum((pts[members] - cov.sample_points[i]) ** 2, axis=1)
+        idx[i] = np.min(members[d == np.min(d)])
     return idx
 
 
@@ -291,10 +324,10 @@ def _assert_matches_dense(cov):
     for got, ref in zip(cov.neighbors, ref_nb, strict=True):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
     assert cov.overlap_count == max(len(v) for v in ref_nb)
-    from scipy.spatial import cKDTree
-    assert np.array_equal(cov.sample_node_index,
-                          cKDTree(grid.points).query(cov.sample_points)[1])
-    assert np.array_equal(_sample_nodes(cov), _dense_sample_nodes(cov))
+    ref_nodes = _dense_sample_nodes(cov)
+    assert np.array_equal(cov.sample_node_index, ref_nodes)
+    assert np.array_equal(_sample_nodes(cov), ref_nodes)
+    assert mem[np.arange(cov.size), ref_nodes].all()
 
 
 @st.composite
@@ -391,6 +424,81 @@ class TestSweepExactness:
         for got, ref in zip(_open_overlap(cells), _dense_open_overlap(cells),
                             strict=True):
             assert np.array_equal(got, ref)
+
+
+# ---------------------------------------------------------------------------
+# the sampled node of each cell
+# ---------------------------------------------------------------------------
+class TestSampleNodeRule:
+    """x_i is the member of U_i nearest to its sample point, the lowest node
+    index among equal float64 distances."""
+
+    def test_two_by_two_cells_take_lowest_of_four_ties(self):
+        # dyadic node lattice with two nodes per axis in every cell: the four
+        # members lie at exactly the same distance from the cell center, and
+        # shuffled node indices put the lowest one at different corners
+        axis = (np.arange(8) + 0.5) * 0.25
+        mesh = np.meshgrid(axis, axis, indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        pts = pts[np.random.default_rng(5).permutation(pts.shape[0])]
+        grid = QuadGrid(points=pts, weights=np.full(pts.shape[0], 1.0 / 16),
+                        bounds=np.array([[0.0, 2.0], [0.0, 2.0]]))
+        cov = build_covering(grid, 0.5)
+        idx = cov.sample_node_index
+        assert cov.size == 16
+        for i, members in enumerate(cov.members):
+            d = np.sum((pts[members] - cov.sample_points[i]) ** 2, axis=1)
+            assert members.size == 4 and np.all(d == d[0])
+            assert idx[i] == members.min()
+        corners = np.sign(pts[idx] - cov.sample_points)
+        assert len({tuple(c) for c in corners}) > 1
+        assert np.array_equal(_sample_nodes(cov), _dense_sample_nodes(cov))
+
+    @pytest.mark.parametrize("sample", ["center", "random"])
+    def test_clipped_edge_cells_match_reference(self, sample):
+        # half overlap enlarges the cells, and those at the box edge are
+        # clipped to it, so their sample points move off the lattice
+        fam = make_family("gabor", {}, SignalGrid(8.0, 64))
+        grid = default_index_grid(fam, bounds=[[-4.0, 4.0], [-4.0, 4.0]],
+                                  resolution=[36, 36])
+        cov = build_covering(grid, 0.9, 0.5, sample=sample, seed=3)
+        width = cov.cells[:, :, 1] - cov.cells[:, :, 0]
+        clipped = np.any(width < width.max() - 1e-9, axis=1)
+        assert 0 < clipped.sum() < cov.size
+        _assert_matches_dense(cov)
+
+    def test_nearest_member_not_nearest_node(self):
+        # the cell [0, 1] holds the nodes 0.2 and 0.5; from its sample point
+        # 0.95 the nearest node overall is 1.05, a member of [1, 2] only
+        pts = np.array([[0.2], [0.5], [1.05], [1.5], [1.9]])
+        grid = QuadGrid(points=pts, weights=np.full(5, 0.4),
+                        bounds=np.array([[0.0, 2.0]]))
+        cov = dataclasses.replace(build_covering(grid, 1.0),
+                                  sample_points=np.array([[0.95], [1.02]]))
+        assert np.array_equal(cov.sample_node_index, [1, 2])
+        assert np.array_equal(_sample_nodes(cov), [1, 2])
+
+    def test_cell_without_members_rejected(self, line_grid):
+        cov = build_covering(line_grid, 0.5)
+        members = list(cov.members)
+        members[3] = members[3][:0]
+        with pytest.raises(CoveringError):
+            dataclasses.replace(cov, members=members).sample_node_index
+
+    @pytest.mark.parametrize("tag", ["cwt", "inhom_wavelet"])
+    def test_banded_grids_match_reference(self, tag):
+        # scale-banded coverings; inhom_wavelet adds low-pass sheet cells,
+        # whose scale interval is [0, 0] and whose members are sheet nodes
+        fam = make_family(tag, None, SignalGrid(16.0, 128))
+        grid = default_index_grid(fam, band_spacing=0.9, scales_per_octave=6)
+        cov = build_covering(grid, [0.5, 2.0], 0.25)
+        sheet = (cov.cells[:, 0, 0] == 0.0) & (cov.cells[:, 0, 1] == 0.0)
+        assert (sheet.sum() > 1) == (tag == "inhom_wavelet")
+        idx = cov.sample_node_index
+        assert np.array_equal(idx, _dense_sample_nodes(cov))
+        assert all(idx[i] in cov.members[i] for i in range(cov.size))
+        assert np.all(grid.points[idx[sheet], 0] == 0.0)
+        assert np.all(grid.points[idx[~sheet], 0] > 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from coorbit.coverings import build_covering
+from coorbit.frame_families import default_index_grid, make_family
 from coorbit.kernel_algebra import lp_w_norm
-from coorbit.measure_space import (WeightOnX, build_quad_grid,
+from coorbit.measure_space import (SignalGrid, WeightOnX, build_quad_grid,
                                    trivial_weight)
-from coorbit.sequence_spaces import (SeqSpaceSpec, SequenceError,
+from coorbit.sequence_spaces import (SeqSpaceSpec, SequenceError, _assemble,
                                      closed_form_norm, decomposition_norm,
                                      flat_norm, natural_norm, plus_bound_ratio,
                                      plus_operator, plus_theoretical_bound)
@@ -23,6 +24,40 @@ def setup():
 
 def spec_for(cov, w, p, flavor):
     return SeqSpaceSpec(p=p, weight=w, covering=cov, flavor=flavor)
+
+
+def _assemble_per_cell(lam, cov, scale):
+    """Reference: one indexed add per cell, in cell order."""
+    field = np.zeros(cov.grid.size)
+    amp = np.abs(lam) * scale
+    for i, idx in enumerate(cov.members):
+        field[idx] += amp[i]
+    return field
+
+
+class TestAssemble:
+    @pytest.mark.parametrize("case", ["overlap", "banded"])
+    def test_bit_identical_to_per_cell_loop(self, case):
+        if case == "overlap":
+            fam = make_family("gabor", {}, SignalGrid(8.0, 64))
+            grid = default_index_grid(fam, bounds=[[-4.0, 4.0], [-4.0, 4.0]],
+                                      resolution=[36, 36])
+            cov = build_covering(grid, 0.9, 0.25)
+        else:
+            fam = make_family("inhom_wavelet", None, SignalGrid(16.0, 128))
+            grid = default_index_grid(fam, band_spacing=0.9, scales_per_octave=6)
+            cov = build_covering(grid, [0.5, 2.0], 0.25)
+        # nodes in several cells, where the order of the additions matters
+        depth = np.bincount(np.concatenate(cov.members), minlength=grid.size)
+        assert depth.max() == (4 if case == "overlap" else 2)
+        gen = np.random.default_rng(11)
+        lam = gen.standard_normal(cov.size) + 1j * gen.standard_normal(cov.size)
+        for scale in (np.ones(cov.size), 1.0 / cov.measures,
+                      gen.uniform(1e-3, 1e3, cov.size)):
+            got = _assemble(lam, cov, scale)
+            ref = _assemble_per_cell(lam, cov, scale)
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestFlatNorm:
