@@ -18,9 +18,9 @@ from .kernel_algebra import (Kernel, KernelNormReport, am_norm, compose,
                              export_kernel_csv)
 from .frame_families import (FrameFamily, TransformField, make_family,
                              default_index_grid, analyze_V, analyze_W,
-                             frame_operator_apply, inv_frame_operator_apply,
-                             gram_kernel, frame_bounds_continuous,
-                             alpha_admissibility, make_battery)
+                             frame_operator_apply, gram_kernel,
+                             frame_bounds_continuous, alpha_admissibility,
+                             make_battery)
 from .coverings import (Covering, PartitionOfUnity, build_covering, build_pu,
                         verify_moderate, q_set, m_equivalent, refine_covering)
 from .oscillation import OscReport, osc_kernel, property_D_check, refine_until

@@ -1,8 +1,8 @@
-"""Shared iterative solvers and spectral helpers.
+"""Shared spectral helpers: Hermitian eigendecompositions with a relative
+eigenvalue cut, and exact Rayleigh bounds on a probe span.
 
-All routines are deterministic: conjugate gradients start from the zero
-vector and reductions run in fixed order, so repeated runs give
-bit-identical output.
+Every routine is a fixed sequence of dense LAPACK/BLAS calls with no
+iteration or random start, so repeated runs give bit-identical output.
 """
 from __future__ import annotations
 
@@ -15,56 +15,8 @@ PROBE_GRAM_CUT = 1e-2
 
 
 class SolverError(RuntimeError):
-    """An iterative solver failed to reach its tolerance."""
-
-
-def cg_solve(apply_op, b: np.ndarray, tol: float = 1e-10, max_iter: int = 500,
-             weight: float | np.ndarray = 1.0, precond=None):
-    """(Preconditioned) conjugate gradients for a self-adjoint positive operator.
-
-    `apply_op` must be self-adjoint w.r.t. the weighted inner product
-    <u, v> = sum(weight * u * conj(v)); `precond`, when given, approximates
-    its inverse.  Returns (solution, iterations); the stopping rule uses the
-    true relative residual.  Raises SolverError on stagnation.
-    """
-    if max_iter < 1:
-        raise SolverError("cg_solve requires max_iter >= 1")
-    if tol <= 0.0:
-        raise SolverError("cg_solve requires tol > 0")
-
-    def dot(u, v):
-        return complex(np.sum(weight * u * np.conj(v)))
-
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = precond(r) if precond else r
-    p = z.copy()
-    rz = dot(r, z).real
-    b_norm = np.sqrt(dot(b, b).real)
-    if b_norm == 0.0:
-        return x, 0
-    for it in range(1, max_iter + 1):
-        Ap = apply_op(p)
-        denom = dot(p, Ap).real
-        if denom <= 0.0:
-            raise SolverError("cg_solve: operator not positive on Krylov space")
-        alpha = rz / denom
-        x = x + alpha * p
-        r = r - alpha * Ap
-        res = np.sqrt(dot(r, r).real)
-        if res <= tol * b_norm:
-            return x, it
-        z = precond(r) if precond else r
-        rz_new = dot(r, z).real
-        if rz_new <= 0.0 or rz <= 0.0:
-            raise SolverError(
-                f"cg_solve: residual {res / b_norm:.3e} lies outside the "
-                f"preconditioner range (truncation floor); tol {tol:.3e} unreachable")
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise SolverError(
-        f"cg_solve stagnated: residual {res / b_norm:.3e} > tol {tol:.3e} "
-        f"after {max_iter} iterations")
+    """A numerical result is unusable: `psd_factorize` kept no eigenvalue
+    above its cut, or a report value is not finite (the CLI exits 3)."""
 
 
 @dataclass

@@ -29,7 +29,7 @@ from .measure_space import SignalGrid, polynomial_weight, trivial_weight, \
     trivial_admissible_weight, weight_from_w
 from .frame_families import FamilyError, alpha_admissibility, default_index_grid, \
     frame_bounds_continuous, gaussian_window, gram_kernel, leakage_report, \
-    make_battery, make_family, analyze_V
+    make_battery, make_family
 from .kernel_algebra import am_norm
 from .coverings import CoveringError, build_covering, build_pu, verify_moderate
 from .oscillation import OscillationError, property_D_check, refine_until
@@ -270,8 +270,7 @@ def task_reconstruct(ctx: _Context) -> dict:
     for f in battery:
         lam, rep = atomic_coefficients(f, op)
         atomic_errors.append(rep.relative_error)
-        samples = analyze_V(ctx.family, f, ctx.grid,
-                            use_fast_path=False).values[op.node_index]
+        samples = ctx.sg.h * (op.atoms.conj().T @ f)
         _, brep = banach_frame_reconstruct(samples, op, f_true=f)
         banach_errors.append(brep.relative_error)
         ratios.append(brep.norm_ratios["flat_l2_over_f"])

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._linalg import PROBE_GRAM_CUT, HermitianEig, cg_solve, psd_factorize, \
+from ._linalg import PROBE_GRAM_CUT, HermitianEig, psd_factorize, \
     restricted_rayleigh_bounds
 from .kernel_algebra import Kernel
 from .measure_space import GridError, QuadGrid, SignalGrid, build_quad_grid
@@ -675,30 +675,6 @@ def analyze_W(family: FrameFamily, f: np.ndarray, x_grid: QuadGrid,
 def frame_operator_apply(family: FrameFamily, f: np.ndarray, x_grid: QuadGrid) -> np.ndarray:
     """S f = integral <f, psi_x> psi_x dmu(x) by index-grid quadrature."""
     return family.calculus(x_grid).frame_apply(np.asarray(f))
-
-
-def inv_frame_operator_apply(family: FrameFamily, f: np.ndarray, x_grid: QuadGrid,
-                             tol: float = 1e-10, max_iter: int = 400,
-                             precond: str = "spectral", precond_cut: float = 1e-6):
-    """Solve S u = f by (preconditioned) conjugate gradients.
-
-    Returns (u, iterations); the stopping rule is the true relative residual
-    of the quadrature frame operator.  The default preconditioner is the
-    spectral pseudo-inverse of S at relative cut `precond_cut`, which also
-    confines the Krylov space to the stably-covered span (directions below
-    the cut belong to the truncation, not the frame).  Pass precond="none"
-    for plain CG.  Raises SolverError when the residual does not reach
-    `tol` within `max_iter` steps (an under-resolved truncation).
-    """
-    calc = family.calculus(x_grid)
-    pc = None
-    if precond == "spectral":
-        pc = lambda r: calc.s_pinv(r, precond_cut)          # noqa: E731
-    elif precond not in (None, "none"):
-        raise FamilyError(f"unknown preconditioner {precond!r}")
-    return cg_solve(calc.frame_apply, np.asarray(f, dtype=complex),
-                    tol=tol, max_iter=max_iter, weight=family.signal_grid.h,
-                    precond=pc)
 
 
 def gram_kernel(family: FrameFamily, x_grid: QuadGrid, rel_cut: float = 1e-10,

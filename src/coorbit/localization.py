@@ -15,7 +15,8 @@ import numpy as np
 
 from .coverings import Covering
 from .discretization import _sample_nodes
-from .frame_families import FrameFamily, _interior_mask, gram_kernel
+from .frame_families import FrameCalculus, FrameFamily, _interior_mask, \
+    gram_kernel
 from .measure_space import AdmissibleWeight, QuadGrid
 
 
@@ -200,57 +201,73 @@ class PseudoInverseReport:
                   "truncation's boundary modes do not mask the kernel decay")
 
 
+# entries of one row block of an (M, M) defect
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _pinv_factor(calc: FrameCalculus, rank_tol: float) -> np.ndarray:
+    """D = Lambda_k^-1 Q_k^H Psi of shape (r, M), from the eigenpairs of S
+    that `FrameCalculus.s_eig` keeps at `rank_tol`: A^+ = h D^H D."""
+    eig = calc.s_eig(rank_tol)
+    return calc.half_factor(rank_tol) / np.sqrt(eig.eigvals[eig.kept])[:, None]
+
+
+def _sup_of_products(pairs) -> float:
+    """max |sum_k L_k^H R_k| over all entries of the (M, M) sum, formed in
+    row blocks of at most `_BLOCK_ENTRIES` entries."""
+    m = pairs[0][0].shape[1]
+    step = max(1, _BLOCK_ENTRIES // m)
+    sup = 0.0
+    for s in range(0, m, step):
+        blk = sum(left[:, s:s + step].conj().T @ right for left, right in pairs)
+        sup = max(sup, float(np.max(np.abs(blk))))
+    return sup
+
+
 def empirical_pseudoinverse(family: FrameFamily, grid: QuadGrid,
                             rank_tol: float = 1e-10) -> PseudoInverseReport:
     """Spectral pseudo-inverse of the self-Gramian with decay profiles.
 
     The kernel A(x,y) = <psi_y, psi_x> is treated as an operator on L2(mu)
-    through the quadrature weights; rank_tol is the relative spectral cut.
+    through the quadrature weights W.  The nonzero eigenvalues of
+    W^1/2 A W^1/2 = h W^1/2 Psi^H Psi W^1/2 are those of the frame operator
+    S = h Psi W Psi^H, so with the eigenpairs (Q_k, Lambda_k) of S kept at
+    the relative cut `rank_tol`, A^+ = h D^H D for D = Lambda_k^-1 Q_k^H Psi
+    (`_pinv_factor`).  Every defect is a composition of D, Psi and W through
+    thin (r, n) and (r, r) products, never its algebraic value, so it still
+    measures the consistency of S with the atoms; each (M, M) sup is taken
+    in row blocks.  A non-finite cut raises LocalizationError; a cut that
+    keeps no eigenvalue raises `psd_factorize`'s SolverError.
     """
     if not np.isfinite(rank_tol):
         raise LocalizationError("rank_tol must be finite")
-    if grid.size > 2048:
-        raise LocalizationError("empirical_pseudoinverse is dense; use <= 2048 nodes")
     h = family.signal_grid.h
-    atoms = family.atoms(grid.points)
-    A = h * (atoms.conj().T @ atoms)
     w = grid.weights
-    sq = np.sqrt(w)
-    sym = sq[:, None] * A * sq[None, :]
-    sym = 0.5 * (sym + sym.conj().T)
-    lam, q = np.linalg.eigh(sym)
-    keep = lam > rank_tol * max(lam.max(), 0)
-    if not keep.any():
-        raise LocalizationError("rank collapse: all singular values below rank_tol")
-    inv = np.zeros_like(lam)
-    inv[keep] = 1.0 / lam[keep]
-    pinv_sym = (q * inv[None, :]) @ q.conj().T
-    proj_sym = (q[:, keep]) @ q[:, keep].conj().T
-    A_pinv = pinv_sym / sq[:, None] / sq[None, :]
-
-    def comp(K1, K2):
-        return (K1 * w[None, :]) @ K2
-
-    pa = comp(A_pinv, A)
-    ap = comp(A, A_pinv)
-    proj_defect = float(np.max(np.abs(pa - ap)))
-    idem_defect = float(np.max(np.abs(comp(pa, pa) - pa)))
-
     calc = family.calculus(grid)
-    duals = calc.s_pinv(atoms, rank_tol if rank_tol > 0 else 1e-10)
-    dual_gram = h * (duals.conj().T @ duals)
-    R = gram_kernel(family, grid, rel_cut=max(rank_tol, 1e-12)).matrix(grid)
-    dual_defect = float(np.max(np.abs(dual_gram - comp(A_pinv, R))))
+    eig = calc.s_eig(rank_tol)
+    psi = calc.atom_matrix
+    c = calc.half_factor(rank_tol)                # R = h C^H C
+    d = _pinv_factor(calc, rank_tol)
+    q = eig.eigvecs[:, eig.kept]
+    # A^+ o A = h D^H E, E = (h D W Psi^H) Psi; A o A^+ is its adjoint
+    e = (h * ((d * w) @ psi.conj().T)) @ psi
+    proj_defect = h * _sup_of_products([(d, e), (e, -d)])
+    # (A^+ o A) o (A^+ o A) = h D^H K E, K = h E W D^H
+    k = h * ((e * w) @ d.conj().T)
+    idem_defect = h * _sup_of_products([(d, k @ e - e)])
+    # G(S^+F, S^+F) = h D^H (Q_k^H Q_k) D and A^+ o R = h D^H (h D W C^H) C
+    g = (q.conj().T @ q) @ d - (h * ((d * w) @ c.conj().T)) @ c
+    dual_defect = h * _sup_of_products([(d, g)])
 
     pts = grid.points
     inner = _interior_mask(family, grid, pts)
-    ii = np.ix_(inner, inner)
-    d = grid.metric(pts[inner], pts[inner])
-    e_a, p_a = decay_profile(A[ii], d)
-    e_p, p_p = decay_profile(A_pinv[ii], d)
-    agreement = float(np.max(np.abs(A[ii] - A_pinv[ii])))
+    dist = grid.metric(pts[inner], pts[inner])
+    a_in = h * (psi[:, inner].conj().T @ psi[:, inner])
+    p_in = h * (d[:, inner].conj().T @ d[:, inner])
+    e_a, p_a = decay_profile(a_in, dist)
+    e_p, p_p = decay_profile(p_in, dist)
     return PseudoInverseReport(
-        rank=int(keep.sum()), projection_defect=proj_defect,
+        rank=eig.rank, projection_defect=proj_defect,
         idempotent_defect=idem_defect, dual_gramian_defect=dual_defect,
-        interior_agreement=agreement,
+        interior_agreement=float(np.max(np.abs(a_in - p_in))),
         decay_edges_a=e_a, decay_a=p_a, decay_edges_pinv=e_p, decay_pinv=p_p)

@@ -170,3 +170,48 @@ def reference_neumann():
                 return x
         raise AssertionError(f"Neumann series did not converge in {max_iter} terms")
     return ref
+
+
+@pytest.fixture(scope="session")
+def reference_pseudoinverse():
+    """The dense route of `empirical_pseudoinverse` before it moved onto the
+    spectrum of S: eigh of the weighted (M, M) self-Gramian
+    W^1/2 A W^1/2, its pseudo-inverse A^+ and the defects as (M, M)
+    compositions.  Returns the report fields plus "pinv" (A^+)."""
+    from coorbit.frame_families import _interior_mask, gram_kernel
+    from coorbit.localization import decay_profile
+
+    def ref(family, grid, rank_tol):
+        h = family.signal_grid.h
+        atoms = family.atoms(grid.points)
+        A = h * (atoms.conj().T @ atoms)
+        w = grid.weights
+        sq = np.sqrt(w)
+        sym = sq[:, None] * A * sq[None, :]
+        lam, q = np.linalg.eigh(0.5 * (sym + sym.conj().T))
+        keep = lam > rank_tol * max(lam.max(), 0)
+        qk = q[:, keep]
+        A_pinv = ((qk / lam[keep][None, :]) @ qk.conj().T) / sq[:, None] / sq[None, :]
+
+        def comp(K1, K2):
+            return (K1 * w[None, :]) @ K2
+
+        pa = comp(A_pinv, A)
+        duals = family.calculus(grid).s_pinv(atoms, rank_tol)
+        R = gram_kernel(family, grid, rel_cut=rank_tol).matrix(grid)
+        pts = grid.points
+        inner = _interior_mask(family, grid, pts)
+        ii = np.ix_(inner, inner)
+        d = grid.metric(pts[inner], pts[inner])
+        e_a, p_a = decay_profile(A[ii], d)
+        e_p, p_p = decay_profile(A_pinv[ii], d)
+        return {
+            "pinv": A_pinv, "rank": int(keep.sum()),
+            "projection_defect": float(np.max(np.abs(pa - comp(A, A_pinv)))),
+            "idempotent_defect": float(np.max(np.abs(comp(pa, pa) - pa))),
+            "dual_gramian_defect": float(np.max(np.abs(
+                h * (duals.conj().T @ duals) - comp(A_pinv, R)))),
+            "interior_agreement": float(np.max(np.abs(A[ii] - A_pinv[ii]))),
+            "decay_edges_a": e_a, "decay_a": p_a,
+            "decay_edges_pinv": e_p, "decay_pinv": p_p}
+    return ref

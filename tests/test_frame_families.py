@@ -6,9 +6,8 @@ from coorbit.frame_families import (FamilyError, alpha_admissibility, analyze_V,
                                     analyze_W, default_index_grid,
                                     frame_bounds_continuous,
                                     frame_operator_apply, gaussian_window,
-                                    gram_kernel, inv_frame_operator_apply,
-                                    leakage_report, make_battery, make_family,
-                                    wavelet_admissibility_fft)
+                                    gram_kernel, leakage_report, make_battery,
+                                    make_family, wavelet_admissibility_fft)
 from coorbit.kernel_algebra import apply_kernel, compose
 from coorbit.measure_space import SignalGrid
 
@@ -183,9 +182,10 @@ class TestInverseFrameOperator:
         fam, grid = gabor_small
         sg = fam.signal_grid
         f = make_battery(fam, grid, 1, seed=21)[0]
-        u, iters = inv_frame_operator_apply(fam, f, grid, tol=1e-8)
+        # at cut 1e-6: below it lie the box's boundary modes (relative
+        # eigenvalues down to 1e-10), whose inverses amplify f's share there
+        u = fam.calculus(grid).s_pinv(f, 1e-6)
         assert sg.norm(u - f) <= 1e-2 * sg.norm(f)
-        assert iters >= 1
 
     def test_alpha_mod_round_trip(self):
         sg = SignalGrid(10.0, 256)
@@ -193,15 +193,9 @@ class TestInverseFrameOperator:
         grid = default_index_grid(fam, bounds=[[-5.0, 5.0], [-10.0, 10.0]],
                                   resolution=[40, 56])
         f = make_battery(fam, grid, 1, seed=5)[0]
-        u, _ = inv_frame_operator_apply(fam, f, grid, tol=1e-6)
+        u = fam.calculus(grid).s_pinv(f)
         sf = frame_operator_apply(fam, u, grid)
         assert sg.norm(sf - f) <= 1.5e-6 * sg.norm(f)
-
-    def test_zero_iteration_budget_rejected(self, gabor_small):
-        fam, grid = gabor_small
-        with pytest.raises(SolverError):
-            inv_frame_operator_apply(fam, np.ones(fam.signal_grid.n, dtype=complex),
-                                     grid, max_iter=0)
 
 
 class TestAnalyzeW:

@@ -4,8 +4,8 @@ import pytest
 from coorbit.coverings import build_covering
 from coorbit.discretization import sample_frame
 from coorbit.frame_families import default_index_grid, make_family
-from coorbit.localization import (LocalizationError, a_flat_multiply,
-                                  a_flat_norm, cross_gramian,
+from coorbit.localization import (LocalizationError, _pinv_factor,
+                                  a_flat_multiply, a_flat_norm, cross_gramian,
                                   empirical_pseudoinverse,
                                   gab_domination_check)
 from coorbit.measure_space import (SignalGrid, polynomial_weight,
@@ -208,12 +208,53 @@ class TestEmpiricalPseudoInverse:
             empirical_pseudoinverse(fam, grid, rank_tol=np.inf)
 
     def test_grid_size_guard(self):
+        # 4096 nodes, past the 2048-node cap of the former dense route
         sg = SignalGrid(8.0, 64)
         fam = make_family("gabor", None, sg)
         grid = default_index_grid(fam, bounds=[[-4, 4], [-4, 4]],
                                   resolution=[64, 64])
-        with pytest.raises(LocalizationError):
-            empirical_pseudoinverse(fam, grid)
+        rep = empirical_pseudoinverse(fam, grid, rank_tol=0.2)
+        assert rep.projection_defect <= 1e-6
+        assert rep.idempotent_defect <= 1e-6
+        assert rep.dual_gramian_defect <= 1e-6
+
+
+_REFERENCE_GRIDS = {
+    "gabor": (SignalGrid(8.0, 64),
+              {"bounds": [[-5.0, 5.0], [-5.0, 5.0]], "resolution": [24, 24]}),
+    "cwt": (SignalGrid(16.0, 256),
+            {"bounds": [[0.2, 10.5], [-16.0, 16.0]], "band_spacing": 1.2,
+             "scales_per_octave": 3}),
+}
+
+
+class TestPseudoInverseMatchesDense:
+    """The S-spectrum route against the dense (M, M) eigh route, at a cut
+    that keeps most eigenvalues and at the fixture's cut.  Not at 1e-10:
+    there the dense route itself loses digits to its smallest kept
+    eigenvalues."""
+
+    @pytest.mark.parametrize("rank_tol", [1e-3, 0.2])
+    @pytest.mark.parametrize("tag", sorted(_REFERENCE_GRIDS))
+    def test_matches_dense_route(self, tag, rank_tol, reference_pseudoinverse):
+        sg, grid_kw = _REFERENCE_GRIDS[tag]
+        fam = make_family(tag, None, sg)
+        grid = default_index_grid(fam, **grid_kw)
+        assert grid.size <= 800
+        ref = reference_pseudoinverse(fam, grid, rank_tol)
+        rep = empirical_pseudoinverse(fam, grid, rank_tol)
+        d = _pinv_factor(fam.calculus(grid), rank_tol)
+        scale = np.abs(ref["pinv"]).max()
+        assert rep.rank == ref["rank"] == d.shape[0]
+        assert np.abs(sg.h * (d.conj().T @ d) - ref["pinv"]).max() <= 1e-12 * scale
+        for name in ("projection_defect", "idempotent_defect",
+                     "dual_gramian_defect", "interior_agreement"):
+            assert abs(getattr(rep, name) - ref[name]) <= 1e-12 * scale, name
+        for name in ("decay_edges_a", "decay_a", "decay_edges_pinv",
+                     "decay_pinv"):
+            got, want = getattr(rep, name), ref[name]
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
 
 class TestSemieqEcho:
