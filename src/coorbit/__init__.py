@@ -23,7 +23,7 @@ from .frame_families import (FrameFamily, TransformField, make_family,
                              make_battery)
 from .coverings import (Covering, PartitionOfUnity, build_covering, build_pu,
                         verify_moderate, q_set, m_equivalent, refine_covering)
-from .oscillation import OscReport, osc_kernel, property_D_check, refine_until
+from .oscillation import OscReport, osc_matrix, property_D_check, refine_until
 from .sequence_spaces import (SeqSpaceSpec, flat_norm, natural_norm,
                               plus_operator, decomposition_norm)
 from .discretization import (SampledFrame, UPhiOperator, ReconstructionReport,

@@ -76,13 +76,18 @@ class Covering:
         hit = np.flatnonzero(dist == np.minimum.reduceat(dist, starts)[owner])
         return flat[hit[np.searchsorted(owner[hit], np.arange(self.size))]]
 
-    def node_cells(self) -> list:
-        """Inverse membership: for each grid node the cells containing it."""
-        out = [[] for _ in range(self.grid.size)]
-        for i, idx in enumerate(self.members):
-            for k in idx:
-                out[k].append(i)
-        return [np.asarray(v, dtype=int) for v in out]
+    def node_cells(self) -> np.ndarray:
+        """Inverse membership as an (M, K) table: row y lists the cells that
+        hold node y, ascending, padded by repeating its last cell; the row
+        of a node that no cell holds is -1."""
+        flat = np.concatenate(self.members)
+        order = np.argsort(flat, kind="stable")     # cells stay ascending
+        cells = np.repeat(np.arange(self.size),
+                          [idx.size for idx in self.members])[order]
+        count = np.bincount(flat, minlength=self.grid.size)[:, None]
+        pos = np.cumsum(count) - count[:, 0]
+        pos = pos[:, None] + np.minimum(np.arange(max(1, count.max())), count - 1)
+        return np.append(cells, -1)[np.where(count > 0, pos, -1)]
 
     def to_json(self) -> str:
         payload = {
@@ -458,8 +463,7 @@ def weight_sup_on_cells(cov: Covering, m: AdmissibleWeight) -> float:
 def verify_moderate(cov: Covering, m: AdmissibleWeight,
                     ratio_cap: float = 1e6) -> ModerationReport:
     covered = np.zeros(cov.grid.size, dtype=bool)
-    for idx in cov.members:
-        covered[idx] = True
+    covered[np.concatenate(cov.members)] = True
     return ModerationReport(
         covers_domain=bool(covered.all()),
         finite_overlap=bool(np.isfinite(cov.overlap_count)),
@@ -481,10 +485,12 @@ class PartitionOfUnity:
     masses: np.ndarray           # c_i = integral of phi_i
 
     def sum_at_nodes(self) -> np.ndarray:
-        out = np.zeros(self.covering.grid.size)
-        for idx, val in zip(self.covering.members, self.values):
-            out[idx] += val
-        return out
+        # bincount adds in input order: every node sums its cells' values in
+        # cell order, starting from 0
+        cov = self.covering
+        return np.bincount(np.concatenate(cov.members),
+                           weights=np.concatenate(self.values),
+                           minlength=cov.grid.size)
 
 
 def build_pu(cov: Covering, flavor: str = "indicator") -> PartitionOfUnity:
@@ -495,9 +501,8 @@ def build_pu(cov: Covering, flavor: str = "indicator") -> PartitionOfUnity:
     """
     grid = cov.grid
     if flavor == "indicator":
-        count = np.zeros(grid.size)
-        for idx in cov.members:
-            count[idx] += 1.0
+        count = np.bincount(np.concatenate(cov.members),
+                            minlength=grid.size).astype(float)
         if np.any(count == 0):
             raise CoveringError("node covered by no cell")
         values = [1.0 / count[idx] for idx in cov.members]

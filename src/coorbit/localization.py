@@ -146,7 +146,7 @@ def gab_domination_check(frame_f: FrameFamily, frame_g: FrameFamily,
     Returns max(left - right, 0) over all node pairs.  `drop_osc` removes
     the oscillation term (for counterexample tests).
     """
-    from .oscillation import osc_kernel
+    from .oscillation import osc_matrix
 
     if cov.size > 64:
         raise LocalizationError("domination check is brute-force; use <= 64 cells")
@@ -163,14 +163,12 @@ def gab_domination_check(frame_f: FrameFamily, frame_g: FrameFamily,
         C[i, idx] = 1.0
     left = C.T @ np.abs(gram.matrix) @ C
 
-    R_f = gram_kernel(frame_f, grid, rel_cut=rel_cut).matrix(grid)
-    R_g = gram_kernel(frame_g, grid, rel_cut=rel_cut).matrix(grid)
-    osc_f = osc_kernel(gram_kernel(frame_f, grid, rel_cut=rel_cut), cov, grid,
-                       z_per_cell=z_per_cell, seed=seed).block(pts, pts)
-    osc_g = osc_kernel(gram_kernel(frame_g, grid, rel_cut=rel_cut), cov, grid,
-                       z_per_cell=z_per_cell, seed=seed).block(pts, pts)
-    t_f = np.abs(R_f) + (0.0 if drop_osc else 1.0) * osc_f
-    t_g = np.abs(R_g) + (0.0 if drop_osc else 1.0) * osc_g
+    kern_f = gram_kernel(frame_f, grid, rel_cut=rel_cut)
+    kern_g = gram_kernel(frame_g, grid, rel_cut=rel_cut)
+    osc_f = osc_matrix(kern_f, cov, grid, z_per_cell=z_per_cell, seed=seed)
+    osc_g = osc_matrix(kern_g, cov, grid, z_per_cell=z_per_cell, seed=seed)
+    t_f = np.abs(kern_f.matrix(grid)) + (0.0 if drop_osc else 1.0) * osc_f
+    t_g = np.abs(kern_g.matrix(grid)) + (0.0 if drop_osc else 1.0) * osc_g
 
     L = C.T @ (C / cov.measures[:, None])
     # compositions with quadrature weights folded in

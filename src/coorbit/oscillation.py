@@ -2,9 +2,10 @@
 
 The oscillation of the Gramian over a covering,
     osc_U(x, y) = sup_{z in Q_y} |R(x, y) - R(x, z)|,
-is estimated with per-cell deterministic z-samples (the sup is sampled, so
-delta_est is a lower bound of the true oscillation norm; the report records
-the sample density).
+where Q_y is the union of the cells that hold y, is estimated with per-cell
+deterministic z-samples (the sup is sampled, so delta_est is a lower bound
+of the true oscillation norm; the report records the sample density).  A
+node that no cell holds has an empty Q_y and a zero column.
 
 Modulation families (gabor, alpha_mod) drop the torus phase of the
 underlying index group.  Their sampled systems and every reconstruction
@@ -17,22 +18,17 @@ therefore taken modulo a unimodular factor,
 group-covering oscillation.  The comparison mode is recorded in the report;
 `comparison="strict"` forces the literal kernel difference.
 
-`osc_norm_streaming` walks the cells in covering order, grouped into blocks
-of consecutive nonempty cells whose y- and z-columns fit a fixed entry
-budget (`_BLOCK_ENTRIES` / M columns; a cell larger than that is a block of
-its own).  Per block it makes one `R.node_block` call for all y-columns
-(grid nodes: a Gramian slices its half factor) and one `R.block` call for
-all z-samples (off the grid), always on the calling thread.  The per-cell
-sups and the per-cell row and column sums are then computed for the block,
-by up to `threads - 1` worker threads while the caller evaluates the next
-blocks, and folded into the running sums in cell order; for overlapping
-coverings the per-node running maximum is updated in the same order.  The
-same y-columns feed the row and column sums of |R| m, so ||R | A_m|| comes
-out of this one pass over the Gramian (`property_D_check` makes no other):
-a node's column counts once, at its first cell in covering order, and the
-columns of nodes that no cell holds are added after the stream.  Block
-boundaries depend only on the covering and the grid size, so the result is
-the same for every thread count.
+One routine streams the grid nodes, one column osc_U(., y) per node y
+whatever the covering: y is compared against the z-samples of every cell in
+its row of `Covering.node_cells`.  Nodes go in the order of their first
+cell, in blocks cut at cell boundaries that fit `_BLOCK_ENTRIES` / M
+columns; the nodes no cell holds are a block of their own.  Per block, on
+the calling thread, one `R.node_block` call evaluates the y-columns and one
+`R.block` call the z-samples of the block's cells.  `osc_matrix` keeps the
+columns.  `osc_norm_streaming` reduces each block, on up to `threads - 1`
+worker threads, to the row and column sums of osc m and of |R| m, folded in
+block order: ||R | A_m|| comes from the same pass over the Gramian, and the
+result does not depend on the thread count.
 """
 from __future__ import annotations
 
@@ -43,13 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverings import Covering, build_covering, q_set, weight_sup_on_cells
+from .coverings import Covering, _chunks, build_covering, weight_sup_on_cells
 from .kernel_algebra import Kernel
 from .measure_space import AdmissibleWeight, QuadGrid
 from .frame_families import FrameFamily, default_index_grid, gram_kernel
 
 
-# complex entries of the two R.block results of one streamed block of cells
+# complex entries of the two R.block results of one streamed block of nodes
 _BLOCK_ENTRIES = 2 ** 20
 
 
@@ -87,118 +83,155 @@ class OscReport:
         }
 
 
-def _cell_z_samples(cov: Covering, z_per_cell: int, seed: int) -> list:
-    """Nested deterministic z-streams, one per cell.
+def _cell_z_samples(cov: Covering, z_per_cell: int, seed: int) -> np.ndarray:
+    """Nested deterministic z-streams, (cells, z_per_cell, d).
 
     Points come from a per-cell seeded stream, so enlarging z_per_cell only
     appends samples (the sampled sup is monotone in z_per_cell).
     """
     if z_per_cell < 1:
         raise OscillationError("z_per_cell must be >= 1")
-    out = []
+    out = np.empty((cov.size, z_per_cell, cov.cells.shape[1]))
     for i in range(cov.size):
         rng = np.random.default_rng(np.random.PCG64([seed, i]))
-        u = rng.random((z_per_cell, cov.cells.shape[1]))
+        u = rng.random(out.shape[1:])
         lo = cov.cells[i, :, 0]
         hi = cov.cells[i, :, 1]
-        out.append(lo + u * (hi - lo))
+        out[i] = lo + u * (hi - lo)
     return out
 
 
-def _pair_osc(r_y: np.ndarray, r_z: np.ndarray, counts, aligned: bool,
-              abs_y: np.ndarray | None = None) -> np.ndarray:
-    """Per-cell sup over z of the (phase-aligned) difference.
+def _pair_osc(r_y: np.ndarray, r_z: np.ndarray, slots: np.ndarray,
+              aligned: bool, abs_y: np.ndarray | None = None) -> np.ndarray:
+    """Per y-column, the sup of the (phase-aligned) difference over the
+    z-samples of its cells, (M, Y).
 
-    r_y (M, sum(counts)) holds counts[c] y-columns of cell c, cells side by
-    side; r_z (M, C * Z) holds the Z z-columns of each of the C cells in the
-    same order.  Returns (M, sum(counts)).  The aligned sup uses
-    max(|a| - min_z |b_z|, max_z |b_z| - |a|): rounding is monotone, so this
-    equals max_z | |a| - |b_z| | bit for bit without an (M, Y, Z) temporary.
+    r_y (M, Y) holds the y-columns, r_z (M, C, Z) the z-columns of C cells;
+    row j of slots (Y, K) lists the cells of column j, padded by repeating
+    the last (min and max are idempotent).  The aligned sup is
+    max(|a| - min |b|, max |b| - |a|) over the z of all those cells:
+    rounding is monotone, so this is max_z | |a| - |b_z| | bit for bit.
     `abs_y`, when given, is |r_y| already computed by the caller.
     """
-    n_cells = len(counts)
-    r_z = r_z.reshape(r_z.shape[0], n_cells, r_z.shape[1] // n_cells)
     if aligned:
         b = np.abs(r_z)
         lo, hi = b[:, :, 0], b[:, :, 0]
         for j in range(1, b.shape[2]):
             lo = np.minimum(lo, b[:, :, j])
             hi = np.maximum(hi, b[:, :, j])
+        lo_y = lo.take(slots[:, 0], axis=1)
+        hi_y = hi.take(slots[:, 0], axis=1)
+        for k in range(1, slots.shape[1]):
+            np.minimum(lo_y, lo.take(slots[:, k], axis=1), out=lo_y)
+            np.maximum(hi_y, hi.take(slots[:, k], axis=1), out=hi_y)
         a = np.abs(r_y) if abs_y is None else abs_y
-        lo = np.repeat(lo, counts, axis=1)
-        hi = np.repeat(hi, counts, axis=1)
-        np.subtract(a, lo, out=lo)
-        np.subtract(hi, a, out=hi)
-        return np.maximum(lo, hi, out=lo)
-    out = np.abs(r_y - np.repeat(r_z[:, :, 0], counts, axis=1))
-    for j in range(1, r_z.shape[2]):
-        np.maximum(out, np.abs(r_y - np.repeat(r_z[:, :, j], counts, axis=1)),
-                   out=out)
+        np.subtract(a, lo_y, out=lo_y)
+        np.subtract(hi_y, a, out=hi_y)
+        return np.maximum(lo_y, hi_y, out=lo_y)
+
+    def strict(y, cells):
+        out = np.abs(y - r_z[:, :, 0].take(cells, axis=1))
+        for j in range(1, r_z.shape[2]):
+            np.maximum(out, np.abs(y - r_z[:, :, j].take(cells, axis=1)),
+                       out=out)
+        return out
+
+    out = strict(r_y, slots[:, 0])
+    for k in range(1, slots.shape[1]):
+        sel = np.flatnonzero(slots[:, k] != slots[:, k - 1])   # not padding
+        out[:, sel] = np.maximum(out[:, sel],
+                                 strict(r_y.take(sel, axis=1), slots[sel, k]))
     return out
 
 
-def osc_kernel(R: Kernel, cov: Covering, grid: QuadGrid, z_per_cell: int = 4,
-               comparison: str = "strict", seed: int = 0) -> Kernel:
-    """Oscillation kernel as an evaluator (sampled sup over Q_y)."""
-    if comparison not in ("strict", "phase_aligned"):
-        raise OscillationError(f"unknown comparison {comparison!r}")
-    z_sets = _cell_z_samples(cov, z_per_cell, seed)
-    aligned = comparison == "phase_aligned"
+def _node_blocks(table: np.ndarray, z_per_cell: int) -> list:
+    """[(nodes, cells, slots)] per block: the nodes, ordered by first cell
+    in the (M, K) `Covering.node_cells` table and then by index, the cells
+    they lie in, ascending, and their table rows as positions in `cells`.
 
-    def ev(pr, pc):
-        pr = np.atleast_2d(pr)
-        pc = np.atleast_2d(pc)
-        out = np.zeros((pr.shape[0], pc.shape[0]))
-        r_rows_y = R.block(pr, pc)
-        for j in range(pc.shape[0]):
-            zs = np.concatenate([z_sets[i] for i in q_set(cov, pc[j])]
-                                + [pc[j:j + 1]])
-            out[:, j] = _pair_osc(r_rows_y[:, j:j + 1], R.block(pr, zs), [1],
-                                  aligned)[:, 0]
-        return out
-
-    return Kernel(evaluator=ev, provenance=f"oscillation({comparison})",
-                  native_grid=grid)
-
-
-def _cell_blocks(cov: Covering, z_per_cell: int) -> list:
-    """Consecutive nonempty cells grouped so that the y- and z-columns of a
-    block stay within _BLOCK_ENTRIES / M; a cell never straddles blocks."""
-    budget = max(1, _BLOCK_ENTRIES // cov.grid.size)
-    blocks, cur, cols = [], [], 0
-    for i, idx in enumerate(cov.members):
-        if idx.size == 0:
-            continue
-        if cur and cols + idx.size + z_per_cell > budget:
-            blocks.append(cur)
-            cur, cols = [], 0
-        cur.append(i)
-        cols += idx.size + z_per_cell
-    if cur:
-        blocks.append(cur)
+    A block takes consecutive first cells while its nodes plus z_per_cell
+    per first cell fit _BLOCK_ENTRIES / M; on a partition it is a run of
+    consecutive nonempty cells.  The nodes no cell holds are a block of
+    their own, with no cells.
+    """
+    M = table.shape[0]
+    order = np.argsort(table[:, 0], kind="stable")
+    first, starts = np.unique(table[order, 0], return_index=True)
+    bounds = np.append(starts, M)
+    blocks = []
+    if first[0] < 0:
+        nodes = order[:bounds[1]]
+        blocks.append((nodes, first[:0], table[nodes]))
+        bounds = bounds[1:]
+    budget = max(1, _BLOCK_ENTRIES // M)
+    for k0, k1 in _chunks(np.diff(bounds) + z_per_cell, budget):
+        nodes = order[bounds[k0]:bounds[k1]]
+        rows = table[nodes]
+        cells = np.unique(rows)
+        blocks.append((nodes, cells, np.searchsorted(cells, rows)))
     return blocks
 
 
-def _stream(blocks: list, gemms, reduce, fold, threads: int) -> None:
-    """fold(reduce(block, *gemms(block))) for every block, in block order.
+def _osc_stream(R: Kernel, cov: Covering, grid: QuadGrid, z_per_cell: int,
+                comparison: str, seed: int, reduce, fold,
+                threads: int = 1) -> None:
+    """fold(reduce(nodes, osc, amp)) for every block of nodes, in block
+    order: osc (M, Y) holds the sampled oscillation columns of the nodes,
+    amp (M, Y) the moduli of their columns of R; both may be overwritten.
 
-    `gemms` always runs on the calling thread.  With threads > 1, threads - 1
-    workers (no more than the CPU count allows) run `reduce` on earlier
+    The GEMMs always run on the calling thread.  With threads > 1,
+    threads - 1 workers (no more than the CPU count allows) reduce earlier
     blocks meanwhile; at most `threads` blocks are in flight.
     """
+    if comparison not in ("strict", "phase_aligned"):
+        raise OscillationError(f"unknown comparison {comparison!r}")
+    aligned = comparison == "phase_aligned"
+    z_sets = _cell_z_samples(cov, z_per_cell, seed)
+    pts = grid.points
+
+    def gemms(block):
+        nodes, cells, _ = block
+        zs = z_sets[cells].reshape(-1, pts.shape[1])
+        return (R.node_block(grid, slice(None), nodes),
+                R.block(pts, zs) if cells.size else None)
+
+    def osc(block, r_y, r_z):
+        nodes, cells, slots = block
+        amp = np.abs(r_y)
+        if r_z is None:                     # Q_y is empty
+            return reduce(nodes, np.zeros(amp.shape), amp)
+        r_z = r_z.reshape(len(pts), cells.size, z_per_cell)
+        return reduce(nodes, _pair_osc(r_y, r_z, slots, aligned, amp), amp)
+
+    blocks = _node_blocks(cov.node_cells(), z_per_cell)
     threads = min(threads, len(blocks), os.cpu_count() or 1)
     if threads <= 1:
         for b in blocks:
-            fold(reduce(b, *gemms(b)))
+            fold(osc(b, *gemms(b)))
         return
     with ThreadPoolExecutor(max_workers=threads - 1) as pool:
         pending = deque()
         for b in blocks:
-            pending.append(pool.submit(reduce, b, *gemms(b)))
+            pending.append(pool.submit(osc, b, *gemms(b)))
             if len(pending) >= threads:
                 fold(pending.popleft().result())
         while pending:
             fold(pending.popleft().result())
+
+
+def osc_matrix(R: Kernel, cov: Covering, grid: QuadGrid, z_per_cell: int = 4,
+               comparison: str = "strict", seed: int = 0) -> np.ndarray:
+    """The sampled oscillation osc_U(x, y) at all grid nodes x, y, (M, M):
+    the columns that `osc_norm_streaming` reduces."""
+    out = np.empty((grid.size, grid.size))
+
+    def fold(res):
+        nodes, vals = res
+        out[:, nodes] = vals
+
+    _osc_stream(R, cov, grid, z_per_cell, comparison, seed,
+                lambda nodes, vals, amp: (nodes, vals), fold)
+    return out
 
 
 class OscNorm(float):
@@ -217,101 +250,38 @@ def osc_norm_streaming(R: Kernel, cov: Covering, grid: QuadGrid,
                        threads: int = 1) -> OscNorm:
     """||osc_U | A_m|| without materializing the M x M oscillation matrix.
 
-    Streams blocks of consecutive cells: columns y of each cell are compared
-    against the cell's z-samples.  On a partition every node lies in one
-    cell; for nodes shared by several cells the running maximum across
-    cells realizes the sup over the union Q_y.  The same y-columns R(., y)
-    also give ||R | A_m|| (the `r_norm` of the result): each node's column
-    of |R| m enters the row and column sums once, at the node's first cell
-    in covering order, and the columns of nodes no cell holds are evaluated
-    after the stream.  `threads` sizes the pool that reduces the blocks;
-    the result does not depend on it.
+    Streams the oscillation columns in blocks of nodes (module docstring).
+    The same y-columns R(., y) also give ||R | A_m|| (the `r_norm` of the
+    result): every node's column of |R| m enters the row and column sums
+    once.  `threads` sizes the pool that reduces the blocks; the result
+    does not depend on it.
     """
     if threads < 1:
         raise OscillationError(f"threads must be >= 1, got {threads}")
-    aligned = comparison == "phase_aligned"
-    z_sets = _cell_z_samples(cov, z_per_cell, seed)
     pts, w = grid.points, grid.weights
     M = grid.size
-    members = cov.members
-    # every member list side by side in cell order; a block of consecutive
-    # cells is the slice span(block) of it
-    flat = np.concatenate(members)
-    starts = np.cumsum([0] + [idx.size for idx in members])
-    remaining = np.bincount(flat, minlength=M)
-    overlapping = bool(remaining.max() > 1)
-    unheld = np.flatnonzero(remaining == 0)
-    # a node's column of |R| m is summed at its first position in `flat`
-    first = np.zeros(flat.size, dtype=bool)
-    first[np.unique(flat, return_index=True)[1]] = True
     row_acc = np.zeros(M)
     col_val = np.zeros(M)
     r_row = np.zeros(M)
     r_col = np.zeros(M)
 
-    def span(block):
-        return slice(starts[block[0]], starts[block[-1] + 1])
-
-    def r_sums(amp, mm, idx):
-        """Row and column sums of the columns idx of |R| m; amp holds those
-        columns of |R| and is overwritten."""
+    def reduce(nodes, vals, amp):
+        mm = m(pts, pts[nodes])
+        wy = w[nodes]
         amp *= mm
-        return idx, amp @ w[idx], w @ amp
-
-    def gemms(block):
-        idx = flat[span(block)]
-        zs = np.concatenate([z_sets[i] for i in block])
-        return idx, R.node_block(grid, slice(None), idx), R.block(pts, zs)
-
-    def reduce(block, idx, r_y, r_z):
-        counts = [members[i].size for i in block]
-        amp = np.abs(r_y)
-        vals = _pair_osc(r_y, r_z, counts, aligned, abs_y=amp)
-        mm = m(pts, pts[idx])
-        if overlapping:
-            sel = first[span(block)]
-            return idx, vals, mm, r_sums(amp[:, sel], mm[:, sel], idx[sel])
-        r_part = r_sums(amp, mm, idx)
+        r_part = amp @ wy, w @ amp
         vals *= mm
-        stops = np.cumsum(counts)
-        rows = [vals[:, b - c:b] @ w[idx[b - c:b]] for b, c in zip(stops, counts)]
-        cols = [w @ vals[:, b - c:b] for b, c in zip(stops, counts)]
-        return idx, rows, cols, r_part
+        return nodes, vals @ wy, w @ vals, r_part
 
-    def fold_r(r_part):
-        idx, rows, cols = r_part
-        np.add(r_row, rows, out=r_row)
-        r_col[idx] = cols
+    def fold(res):
+        nodes, rows, cols, (r_rows, r_cols) = res
+        np.add(row_acc, rows, out=row_acc)
+        col_val[nodes] = cols
+        np.add(r_row, r_rows, out=r_row)
+        r_col[nodes] = r_cols
 
-    def fold_partition(res):
-        idx, rows, cols, r_part = res
-        for r in rows:
-            np.add(row_acc, r, out=row_acc)
-        col_val[idx] = np.concatenate(cols)
-        fold_r(r_part)
-
-    osc_cols: dict[int, np.ndarray] = {}
-
-    def fold_overlapping(res):
-        idx, vals, mm, r_part = res
-        for pos, node in enumerate(idx):
-            prev = osc_cols.pop(node, None)
-            cur = vals[:, pos] if prev is None else np.maximum(prev, vals[:, pos])
-            remaining[node] -= 1
-            if remaining[node]:
-                osc_cols[node] = cur.copy() if prev is None else cur
-                continue
-            np.add(row_acc, cur * mm[:, pos] * w[node], out=row_acc)
-            col_val[node] = float(np.dot(w, cur * mm[:, pos]))
-        fold_r(r_part)
-
-    _stream(_cell_blocks(cov, z_per_cell), gemms, reduce,
-            fold_overlapping if overlapping else fold_partition, threads)
-    step = max(1, _BLOCK_ENTRIES // M)
-    for k in range(0, unheld.size, step):
-        idx = unheld[k:k + step]
-        fold_r(r_sums(np.abs(R.node_block(grid, slice(None), idx)),
-                      m(pts, pts[idx]), idx))
+    _osc_stream(R, cov, grid, z_per_cell, comparison, seed, reduce, fold,
+                threads)
     return OscNorm(max(row_acc.max(), col_val.max()),
                    float(max(r_row.max(), r_col.max())))
 

@@ -61,8 +61,11 @@ def natural_norm(lam: np.ndarray, spec: SeqSpaceSpec) -> float:
 
 def cell_weight_sups(cov: Covering, w: WeightOnX) -> np.ndarray:
     """w~(i) = sup of w over the cell's quadrature nodes."""
-    vals = w(cov.grid.points)
-    return np.array([float(np.max(vals[idx])) for idx in cov.members])
+    counts = np.array([idx.size for idx in cov.members])
+    if np.any(counts == 0):
+        raise SequenceError(f"cell {int(np.argmin(counts))} holds no node")
+    vals = w(cov.grid.points)[np.concatenate(cov.members)]
+    return np.maximum.reduceat(vals, np.cumsum(counts) - counts)
 
 
 def closed_form_weights(spec: SeqSpaceSpec) -> np.ndarray:

@@ -112,6 +112,35 @@ def reference_am_norm():
 
 
 @pytest.fixture(scope="session")
+def reference_osc_matrix():
+    """The pointwise oscillation loop the engine used before it streamed
+    nodes: per column y, the cells that hold y by `q_set`, one `R.block`
+    call for their z-samples and the sup of the (phase-aligned) difference
+    against R(., y) from one whole-grid `R.block`.  A node outside every
+    cell has an empty Q_y and a zero column."""
+    from coorbit.coverings import CoveringError, q_set
+    from coorbit.oscillation import _cell_z_samples
+
+    def ref(R, cov, grid, z_per_cell=4, comparison="strict", seed=0):
+        z_sets = _cell_z_samples(cov, z_per_cell, seed)
+        pts = grid.points
+        r_y = R.block(pts, pts)
+        out = np.zeros((grid.size, grid.size))
+        for j in range(grid.size):
+            try:
+                cells = q_set(cov, pts[j])
+            except CoveringError:
+                continue
+            a = r_y[:, j:j + 1]
+            b = R.block(pts, np.concatenate([z_sets[i] for i in cells]))
+            if comparison == "phase_aligned":
+                a, b = np.abs(a), np.abs(b)
+            out[:, j] = np.abs(a - b).max(axis=1)
+        return out
+    return ref
+
+
+@pytest.fixture(scope="session")
 def reference_defect_power_iteration():
     """The power-iteration estimate of ||P (Id - U_Phi) P|| on L2(mu) that
     the engine used before the exact U_Phi spectrum: 40 steps on T* T,

@@ -517,6 +517,43 @@ class TestCoveringInvariants:
         assert np.abs(pu.sum_at_nodes() - 1.0).max() <= 1e-12
 
     @settings(max_examples=30, deadline=None)
+    @given(lattice_grids(), st.sampled_from([0.0, 0.2, 0.5]))
+    def test_segmented_passes_match_cell_loops(self, case, overlap):
+        # the node->cells table, the PU sums and the weight sups are one
+        # pass each; per-cell loops give the same bits, also with a cell
+        # emptied so that nodes lie in no cell
+        from coorbit.sequence_spaces import cell_weight_sups
+        grid, strides = case
+        cov = build_covering(grid, strides, overlap)
+        w = polynomial_weight(1.0)
+        vals = w(grid.points)
+        assert np.array_equal(cell_weight_sups(cov, w),
+                              [np.max(vals[idx]) for idx in cov.members])
+        count = np.zeros(grid.size)
+        for idx in cov.members:
+            count[idx] += 1.0
+        for idx, val in zip(cov.members, build_pu(cov).values):
+            assert np.array_equal(val, 1.0 / count[idx])
+        for flavor in ("indicator", "tent"):
+            pu = build_pu(cov, flavor)
+            total = np.zeros(grid.size)
+            for idx, val in zip(cov.members, pu.values):
+                total[idx] += val
+            assert np.array_equal(pu.sum_at_nodes(), total)
+        emptied = dataclasses.replace(cov, members=[cov.members[0][:0]]
+                                      + cov.members[1:])
+        for c in (cov, emptied):
+            held = [[] for _ in range(grid.size)]
+            for i, idx in enumerate(c.members):
+                for k in idx:
+                    held[k].append(i)
+            table = c.node_cells()
+            assert table.shape[1] == max(1, max(len(h) for h in held))
+            for row, cells in zip(table.tolist(), held):
+                pad = (cells[-1:] or [-1]) * (len(row) - len(cells))
+                assert row == cells + pad
+
+    @settings(max_examples=30, deadline=None)
     @given(lattice_grids(min_cells=3, min_split=3), st.sampled_from([0.0, 0.2, 0.5]))
     def test_refinement_stays_moderate(self, case, overlap):
         # with at least three cells per axis the parent already shows the

@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from coorbit.coverings import build_covering, refine_covering
+from coorbit.coverings import Covering, build_covering, refine_covering
 from coorbit.frame_families import default_index_grid, gram_kernel, make_family
 from coorbit.kernel_algebra import Kernel
 from coorbit.measure_space import (SignalGrid, build_quad_grid,
                                    polynomial_weight,
                                    trivial_admissible_weight, weight_from_w)
-from coorbit.oscillation import (OscillationError, _cell_blocks,
-                                 _cell_z_samples, _pair_osc, osc_kernel,
+from coorbit.oscillation import (OscillationError, _cell_z_samples,
+                                 _node_blocks, _pair_osc, osc_matrix,
                                  osc_norm_streaming, property_D_check,
                                  refine_until)
 
@@ -28,18 +28,18 @@ def sinc_setup():
 class TestOscKernel:
     def test_constant_kernel_has_zero_oscillation(self, unit_grid_1d, m_trivial):
         const = Kernel(lambda p, q: np.ones((p.shape[0], q.shape[0])) + 0j)
-        cov = build_covering(unit_grid_1d, 0.25)
-        osc = osc_kernel(const, cov, unit_grid_1d)
-        vals = osc.block(unit_grid_1d.points[:8], unit_grid_1d.points[:8])
-        assert np.abs(vals).max() == 0.0
+        cov = build_covering(unit_grid_1d, 0.25, overlap_fraction=0.5)
+        for comparison in ("strict", "phase_aligned"):
+            vals = osc_matrix(const, cov, unit_grid_1d, comparison=comparison)
+            assert np.abs(vals).max() == 0.0
         assert osc_norm_streaming(const, cov, unit_grid_1d, m_trivial) == 0.0
 
     def test_nonnegative(self, sinc_setup, m_trivial):
         fam, grid = sinc_setup
         R = gram_kernel(fam, grid)
         cov = build_covering(grid, 1.0)
-        osc = osc_kernel(R, cov, grid, z_per_cell=3)
-        vals = osc.block(grid.points[::16], grid.points[::16])
+        vals = osc_matrix(R, cov, grid, z_per_cell=3)
+        assert vals.shape == (grid.size, grid.size)
         assert np.all(vals >= 0.0)
 
     def test_tiny_cells_give_small_oscillation(self, sinc_setup, m_trivial):
@@ -72,13 +72,12 @@ class TestOscKernel:
         # the phase quotient removes the position-growing gauge term
         assert aligned <= 0.7 * strict
 
-    def test_streaming_matches_pointwise_кernel(self, sinc_setup, m_trivial):
+    def test_streaming_matches_pointwise_кernel(self, sinc_setup, m_trivial,
+                                               reference_osc_matrix):
         fam, grid = sinc_setup
         R = gram_kernel(fam, grid)
         cov = build_covering(grid, 1.0)
-        osc = osc_kernel(R, cov, grid, z_per_cell=3, seed=2)
-        pts = grid.points
-        mat = osc.block(pts, pts)
+        mat = reference_osc_matrix(R, cov, grid, z_per_cell=3, seed=2)
         w = grid.weights
         norm_dense = max(float((mat @ w).max()), float((w @ mat).max()))
         norm_stream = osc_norm_streaming(R, cov, grid, m_trivial, z_per_cell=3,
@@ -98,8 +97,7 @@ def _reference_osc_sups(R, cov, grid, m, z_per_cell, comparison, seed):
 
     z_sets = _cell_z_samples(cov, z_per_cell, seed)
     pts, w = grid.points, grid.weights
-    col_cells = cov.node_cells()
-    remaining = np.array([len(c) for c in col_cells])
+    remaining = np.bincount(np.concatenate(cov.members), minlength=grid.size)
     row_acc = np.zeros(grid.size)
     col_val = np.zeros(grid.size)
     osc_cols = {}
@@ -149,7 +147,7 @@ class TestStreamingBlocks:
     def test_matches_per_cell_loop(self, gabor_blocks, overlap, comparison):
         _, grid, R = gabor_blocks
         cov = build_covering(grid, 0.625, overlap_fraction=overlap)
-        assert len(_cell_blocks(cov, 3)) >= 4       # several blocks in flight
+        assert len(_node_blocks(cov.node_cells(), 3)) >= 4   # several in flight
         m = weight_from_w(polynomial_weight(1.0))
         ref = max(_reference_osc_sups(R, cov, grid, m, 3, comparison, seed=7))
         got = [osc_norm_streaming(R, cov, grid, m, z_per_cell=3,
@@ -170,7 +168,7 @@ class TestStreamingBlocks:
         grid, K = _peaked_setup()
         m = weight_from_w(polynomial_weight(1.0))
         cov = build_covering(grid, 1.0 / 16, overlap_fraction=overlap)
-        assert len(_cell_blocks(cov, 2)) >= 8
+        assert len(_node_blocks(cov.node_cells(), 2)) >= 8
         row_sup, col_sup = _reference_osc_sups(K, cov, grid, m, 2,
                                                comparison, seed=3)
         assert row_sup > col_sup
@@ -180,15 +178,25 @@ class TestStreamingBlocks:
             assert got == pytest.approx(row_sup, rel=1e-13, abs=0.0)
 
     def test_blocks_are_consecutive_cells_within_budget(self, gabor_blocks):
+        # every node once, ordered by first cell and then by index; a block
+        # is a run of first cells whose nodes and z-samples fit the budget
         import coorbit.oscillation as osc
         _, grid, _ = gabor_blocks
-        cov = build_covering(grid, 0.625, overlap_fraction=0.3)
-        blocks = _cell_blocks(cov, 3)
-        flat = [i for b in blocks for i in b]
-        assert flat == [i for i, idx in enumerate(cov.members) if idx.size]
         budget = osc._BLOCK_ENTRIES // grid.size
-        for b in blocks:
-            assert sum(cov.members[i].size + 3 for i in b) <= budget
+        for overlap in (0.0, 0.3):
+            cov = build_covering(grid, 0.625, overlap_fraction=overlap)
+            table = cov.node_cells()
+            blocks = _node_blocks(table, 3)
+            nodes = np.concatenate([b[0] for b in blocks])
+            assert np.array_equal(np.sort(nodes), np.arange(grid.size))
+            assert np.all(np.diff(table[nodes, 0] * grid.size + nodes) > 0)
+            firsts = [np.unique(table[b[0], 0]) for b in blocks]
+            assert np.array_equal(np.concatenate(firsts),
+                                  np.unique(table[:, 0]))
+            for (idx, cells, slots), first in zip(blocks, firsts):
+                assert idx.size + 3 * first.size <= budget
+                assert np.all(np.diff(cells) > 0)
+                assert np.array_equal(cells[slots], table[idx])
 
     def test_threads_must_be_positive(self, gabor_blocks, m_trivial):
         _, grid, R = gabor_blocks
@@ -225,9 +233,9 @@ class TestFoldedRNorm:
         grid, K, cell = fold_case
         monkeypatch.setattr(osc, "_BLOCK_ENTRIES", grid.size * 20)
         cov = build_covering(grid, cell, overlap_fraction=overlap)
-        assert len(_cell_blocks(cov, 2)) >= 4
+        assert len(_node_blocks(cov.node_cells(), 2)) >= 4
         if overlap:
-            assert max(len(c) for c in cov.node_cells()) > 1
+            assert cov.node_cells().shape[1] > 1
         m = weight_from_w(polynomial_weight(1.0)) if poly \
             else trivial_admissible_weight()
         ref = reference_am_norm(K, m, grid)["am_norm"]
@@ -271,32 +279,96 @@ _parts = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def _cell_columns(draw):
-    """Complex y- and z-columns of a few cells with Z z-samples each."""
+def _node_slots(draw):
+    """Complex y-columns, the z-columns of C cells with Z samples each, and
+    per y-column an ascending row of cells padded by repeating its last."""
     M = draw(st.integers(1, 5))
-    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    C = draw(st.integers(1, 4))
     Z = draw(st.integers(1, 4))
-    def cplx(cols):
-        re = draw(arrays(np.float64, (M, cols), elements=_parts))
-        im = draw(arrays(np.float64, (M, cols), elements=_parts))
+    K = draw(st.integers(1, C))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        cells = sorted(draw(st.sets(st.integers(0, C - 1), min_size=1,
+                                    max_size=K)))
+        rows.append(cells + cells[-1:] * (K - len(cells)))
+
+    def cplx(shape):
+        re = draw(arrays(np.float64, shape, elements=_parts))
+        im = draw(arrays(np.float64, shape, elements=_parts))
         return re + 1j * im
-    return cplx(sum(counts)), cplx(len(counts) * Z), counts, Z
+    return cplx((M, len(rows))), cplx((M, C, Z)), np.array(rows)
 
 
 @settings(max_examples=200, deadline=None)
-@given(_cell_columns())
+@given(_node_slots())
 def test_pair_osc_is_the_difference_tensor_max(case):
-    r_y, r_z, counts, Z = case
-    stops = np.cumsum(counts)
+    r_y, r_z, slots = case
+    M, Y = r_y.shape
     for aligned in (True, False):
-        got = _pair_osc(r_y, r_z, counts, aligned)
-        for c, (stop, cnt) in enumerate(zip(stops, counts)):
-            a = r_y[:, stop - cnt:stop]
-            b = r_z[:, c * Z:(c + 1) * Z]
-            if aligned:
-                a, b = np.abs(a), np.abs(b)
-            ref = np.abs(a[:, :, None] - b[:, None, :]).max(axis=2)
-            assert np.array_equal(got[:, stop - cnt:stop], ref)
+        got = _pair_osc(r_y, r_z, slots, aligned)
+        a, b = r_y, r_z[:, slots].reshape(M, Y, -1)      # (M, Y, K Z)
+        if aligned:
+            a, b = np.abs(a), np.abs(b)
+        assert np.array_equal(got, np.abs(a[:, :, None] - b).max(axis=2))
+
+
+def _wave_kernel():
+    """A kernel evaluated entry by entry (no BLAS), so that any split of its
+    columns into blocks gives the same bits."""
+    def ev(p, q):
+        d = p[:, None, :] - q[None, :, :]
+        return np.exp(-4.0 * np.sum(d * d, axis=-1)
+                      + 3j * p[:, None, 0] * q[None, :, -1])
+    return Kernel(ev)
+
+
+def _drop_cells(cov, drop):
+    """The covering without the cells `drop`: the nodes only they held lie
+    in no cell."""
+    keep = np.setdiff1d(np.arange(cov.size), drop)
+    return Covering(
+        cells=cov.cells[keep], sample_points=cov.sample_points[keep],
+        grid=cov.grid, members=[cov.members[i] for i in keep],
+        measures=cov.measures[keep], neighbors=cov.neighbors,
+        overlap_count=cov.overlap_count, min_measure=cov.min_measure,
+        measure_ratio=cov.measure_ratio)
+
+
+class TestOscMatrix:
+    @pytest.mark.parametrize("case", ["partition", "overlap", "unheld"])
+    @pytest.mark.parametrize("comparison", ["strict", "phase_aligned"])
+    def test_matches_pointwise_reference(self, monkeypatch, case, comparison,
+                                         reference_osc_matrix):
+        import coorbit.oscillation as osc
+        grid = build_quad_grid([[0.0, 1.0], [0.0, 1.0]], [12, 12])
+        cov = build_covering(grid, 0.25, overlap_fraction=0.0 if
+                             case == "partition" else 0.3)
+        if case == "unheld":
+            cov = _drop_cells(cov, [5, 6, 9, 10])
+        table = cov.node_cells()
+        assert (table.shape[1] > 1) == (case != "partition")
+        assert np.any(table[:, 0] < 0) == (case == "unheld")
+        monkeypatch.setattr(osc, "_BLOCK_ENTRIES", grid.size * 24)
+        assert len(_node_blocks(table, 3)) >= 4
+        K = _wave_kernel()
+        got = osc_matrix(K, cov, grid, z_per_cell=3, comparison=comparison,
+                         seed=4)
+        ref = reference_osc_matrix(K, cov, grid, z_per_cell=3,
+                                   comparison=comparison, seed=4)
+        assert np.array_equal(got, ref)
+
+    def test_unknown_comparison_is_rejected(self, gabor_small, m_trivial):
+        fam, grid = gabor_small
+        cov = build_covering(grid, 1.25)
+        R = gram_kernel(fam, grid, rel_cut=0.2)
+        for run in (lambda: osc_matrix(R, cov, grid, comparison="aligned"),
+                    lambda: osc_norm_streaming(R, cov, grid, m_trivial,
+                                               comparison="aligned"),
+                    lambda: property_D_check(fam, cov, m_trivial, grid,
+                                             comparison="aligned",
+                                             rel_cut=0.2)):
+            with pytest.raises(OscillationError, match="comparison"):
+                run()
 
 
 class TestPropertyD:
