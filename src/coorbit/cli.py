@@ -8,9 +8,10 @@ without computing anything.
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 Determinism: all randomness flows from the single seed recorded in the
 report; reductions are fixed-order, so identical configurations and seeds
-give bit-identical reports.  The thread count sizes the pool that reduces
-the property-D oscillation blocks; it is recorded in timings.json and never
-changes a report.
+give bit-identical reports.  The thread count sizes the pools that reduce
+the property-D oscillation blocks, build the frame operator S in column
+blocks and evaluate the row blocks of `am_norm`; it is recorded in
+timings.json and never changes a report.
 """
 from __future__ import annotations
 
@@ -211,7 +212,7 @@ class _Context:
 
 def task_frame_info(ctx: _Context) -> dict:
     out = {}
-    bounds = frame_bounds_continuous(ctx.family, ctx.grid)
+    bounds = frame_bounds_continuous(ctx.family, ctx.grid, threads=ctx.threads)
     out["frame_bounds"] = bounds.as_dict()
     out["leakage"] = leakage_report(ctx.family, ctx.grid, seed=ctx.seed)
     from coorbit.frame_families import export_atoms_csv
@@ -308,8 +309,11 @@ def task_localize(ctx: _Context) -> dict:
 
 
 def task_norms(ctx: _Context) -> dict:
+    # S on the pool (a no-op when frame-info built it): the Gramian factors
+    # that am_norm resolves first are computed from it
+    ctx.family.calculus(ctx.grid).s_matrix(ctx.threads)
     R = gram_kernel(ctx.family, ctx.grid, rel_cut=ctx.rel_cut)
-    return {"gramian": am_norm(R, ctx.m, ctx.grid).as_dict()}
+    return {"gramian": am_norm(R, ctx.m, ctx.grid, threads=ctx.threads).as_dict()}
 
 
 def task_sequence_spaces(ctx: _Context) -> dict:

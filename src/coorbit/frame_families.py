@@ -21,6 +21,7 @@ for it when comparing kernel values (see `phase_quotient`).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -28,10 +29,11 @@ import numpy as np
 
 from ._linalg import PROBE_GRAM_CUT, HermitianEig, psd_factorize, \
     restricted_rayleigh_bounds
-from .kernel_algebra import Kernel
+from .kernel_algebra import Kernel, _even_blocks, _on_pool
 from .measure_space import GridError, QuadGrid, SignalGrid, build_quad_grid
 
 TWO_PI = 2.0 * np.pi
+_S_COLS = 128                # columns of one frame-operator block
 
 
 class FamilyError(ValueError):
@@ -56,16 +58,17 @@ class GaussDerivProfile:
 
     c = 2/Gamma(k) normalizes the one-sided admissibility integral to 1, and
     the scale CDF has the closed form Theta(v) = P(k, v^2) (regularized lower
-    incomplete gamma).  The polynomial low-frequency rise keeps the time
-    tails Gaussian; k = 2 is the Mexican hat.
+    incomplete gamma), for integer k the finite sum
+    P(k, x) = 1 - e^(-x) sum_{j<k} x^j / j!.  The polynomial low-frequency
+    rise keeps the time tails Gaussian; k = 2 is the Mexican hat.
     """
 
     def __init__(self, order: int):
-        from scipy.special import gammaln
         if order < 1:
             raise FamilyError("wavelet order must be >= 1")
         self.order = int(order)
-        self._sqrt_c = np.exp(0.5 * (np.log(2.0) - gammaln(order)))
+        log_gamma = math.log(math.factorial(self.order - 1))
+        self._sqrt_c = np.exp(0.5 * (np.log(2.0) - log_gamma))
 
     def spectrum(self, u: np.ndarray) -> np.ndarray:
         au = np.abs(np.asarray(u, dtype=float))
@@ -76,9 +79,14 @@ class GaussDerivProfile:
 
     def theta(self, v: np.ndarray) -> np.ndarray:
         """Theta(|v|) = int_0^|v| |psihat(u)|^2 du/u, in [0, 1]."""
-        from scipy.special import gammainc
         v = np.abs(np.asarray(v, dtype=float))
-        return gammainc(self.order, v * v)
+        x = v * v
+        term = np.ones_like(x)
+        partial = np.ones_like(x)
+        for j in range(1, self.order):
+            term = term * x / j
+            partial = partial + term
+        return 1.0 - np.exp(-x) * partial
 
     def coverage_log_margin(self, target: float = 4e-4) -> float:
         """Smallest symmetric log-scale margin with coverage error <= target.
@@ -227,19 +235,39 @@ class FrameCalculus:
         relative cut `rel_cut`: analysis against the canonical dual frame."""
         return self.analyze(self.s_pinv(f, rel_cut))
 
-    @property
-    def s_matrix(self) -> np.ndarray:
+    def s_matrix(self, threads: int = 1) -> np.ndarray:
+        """The quadrature frame operator S = h (Psi W) Psi^H, (n, n),
+        symmetrized to be exactly Hermitian and cached.
+
+        Built in column blocks of at most `_S_COLS`,
+        S[:, j0:j1] = (Psi W) @ conj(Psi[j0:j1]).T, spread over `threads`
+        (`_on_pool`); each thread conjugates its rows of Psi into a buffer
+        it owns, so no conjugate copy of all of Psi is made.  The blocks
+        are disjoint, so S does not depend on `threads`.
+        """
         if self._s_matrix is None:
             psi = self.atom_matrix
-            h = self.family.signal_grid.h
-            self._s_matrix = h * ((psi * self.grid.weights[None, :]) @ psi.conj().T)
-            self._s_matrix = 0.5 * (self._s_matrix + self._s_matrix.conj().T)
+            psi_w = psi * self.grid.weights[None, :]
+            s = np.empty((psi.shape[0], psi.shape[0]), dtype=psi_w.dtype)
+
+            def make():
+                return np.empty((min(_S_COLS, psi.shape[0]), psi.shape[1]),
+                                dtype=psi.dtype)
+
+            def work(cols, conj):
+                j0, j1 = cols
+                conj = np.conjugate(psi[j0:j1], out=conj[:j1 - j0])
+                np.matmul(psi_w, conj.T, out=s[:, j0:j1])
+
+            _on_pool(_even_blocks(psi.shape[0], _S_COLS), threads, make, work)
+            s *= self.family.signal_grid.h
+            self._s_matrix = 0.5 * (s + s.conj().T)
         return self._s_matrix
 
     def s_eig(self, rel_cut: float = 1e-10) -> HermitianEig:
         eig = self._s_eig.get(rel_cut)
         if eig is None:
-            eig = psd_factorize(self.s_matrix, rel_cut=rel_cut)
+            eig = psd_factorize(self.s_matrix(), rel_cut=rel_cut)
             self._s_eig[rel_cut] = eig
         return eig
 
@@ -686,9 +714,9 @@ def gram_kernel(family: FrameFamily, x_grid: QuadGrid, rel_cut: float = 1e-10,
     idempotent under composition, also at truncation.  mode "direct" returns
     the plain crossed Gramian <psi_y, psi_x> (the continuum R of a tight
     family); it matches "pinv" away from the truncation boundary.  Both are
-    Hermitian by construction.  "pinv" evaluates grid nodes
-    (`Kernel.node_block`) as h * u_factor[rows] @ C[:, cols], slices of the
-    cached half factor, without synthesizing their atoms again.
+    Hermitian by construction.  "pinv" evaluates grid nodes from its node
+    factors (u_factor, C, h): h * u_factor[rows] @ C[:, cols], slices of
+    the cached half factor, without synthesizing their atoms again.
     """
     calc = family.calculus(x_grid)
     h = family.signal_grid.h
@@ -711,15 +739,15 @@ def gram_kernel(family: FrameFamily, x_grid: QuadGrid, rel_cut: float = 1e-10,
             else calc.half_map(rel_cut) @ family.atoms(pc)
         return h * (left @ right)
 
-    def nodes(rows, cols):
-        return h * (calc.u_factor(rel_cut)[rows] @ calc.half_factor(rel_cut)[:, cols])
+    def factors():
+        return calc.u_factor(rel_cut), calc.half_factor(rel_cut), h
 
     def fast(F, grid):
         return calc.gramian_apply(F, rel_cut)
 
     return Kernel(evaluator=ev, provenance="gramian", native_grid=x_grid,
                   fast_apply=fast, context={"calc": calc, "rel_cut": rel_cut},
-                  node_evaluator=nodes, hermitian=True)
+                  node_factors=factors, hermitian=True)
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +791,8 @@ def _interior_probes(family: FrameFamily, grid: QuadGrid, pts: np.ndarray):
     return idx[::max(1, -(-idx.size // PROBE_CAP))], idx.size
 
 
-def frame_bounds_continuous(family: FrameFamily, x_grid: QuadGrid) -> FrameBoundsReport:
+def frame_bounds_continuous(family: FrameFamily, x_grid: QuadGrid,
+                            threads: int = 1) -> FrameBoundsReport:
     """Extreme Rayleigh quotients of the quadrature frame operator.
 
     The operator is restricted to the span of atoms at interior index
@@ -771,6 +800,8 @@ def frame_bounds_continuous(family: FrameFamily, x_grid: QuadGrid) -> FrameBound
     them by even stride; directions that the truncation cannot represent
     stably are removed by a relative cut on the probe Gram matrix.  The
     bounds are the exact extreme eigenvalues of the reduced operator.
+    `threads` builds S (`FrameCalculus.s_matrix`); the bounds do not
+    depend on it.
     """
     idx, _ = _interior_probes(family, x_grid, x_grid.points)
     if idx.size == 0:
@@ -779,7 +810,7 @@ def frame_bounds_continuous(family: FrameFamily, x_grid: QuadGrid) -> FrameBound
     if np.max(np.abs(probes)) == 0.0:
         raise FamilyError("zero family: all probe atoms vanish")
     c1, c2, rank = restricted_rayleigh_bounds(
-        probes, family.calculus(x_grid).s_matrix, family.signal_grid.h)
+        probes, family.calculus(x_grid).s_matrix(threads), family.signal_grid.h)
     return FrameBoundsReport(
         c1=c1, c2=c2,
         subspace=(f"span of {idx.size} interior atoms, margins "

@@ -2,17 +2,23 @@
 
 A Kernel is a complex-valued function on pairs of index points, evaluated
 block-wise: at arbitrary points through `block`, and at grid nodes through
-`node_block`, which a Gramian serves by slicing its cached half factor.
+`node_block`, which a Gramian serves from its factors R = h U V (U = C^H,
+V = C, the cached half factor) without synthesizing atoms again.
 Norms are computed by streaming row blocks, so nothing ever materializes an
 M x M matrix unless the grid is small enough to cache (<= CACHE_NODE_LIMIT
 nodes per side).  A kernel that is Hermitian by construction (the Gramian
 R = h C^H C) streams only the upper block triangle: with a symmetric weight
-its row and column sums are one and the same vector.
+its row and column sums are one and the same vector.  `am_norm` spreads the
+row blocks of a factored kernel over `threads` (`_on_pool`): each thread
+writes its GEMMs and their moduli into buffers it owns, and the block sums
+are folded in block order, so the norm does not depend on the thread count.
 """
 from __future__ import annotations
 
 import csv
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -22,6 +28,7 @@ from .measure_space import AdmissibleWeight, GridError, QuadGrid, WeightOnX
 
 CACHE_NODE_LIMIT = 4096
 _ROW_BLOCK = 256
+_GEMM_ROWS = 128              # rows of one buffered Gramian GEMM in am_norm
 
 
 class KernelError(ValueError):
@@ -33,12 +40,12 @@ class Kernel:
     """Complex kernel on X x X with an optional sampled-matrix cache.
 
     evaluator(points_r, points_c) returns the complex matrix
-    K(points_r[j], points_c[k]).  node_evaluator(rows, cols), when given,
-    returns the same matrix at the nodes rows x cols (index arrays or
-    slices) of `native_grid`.  `hermitian` marks a kernel with
-    K(x, y) = conj(K(y, x)) by construction.  The cache, when built, agrees
-    with the evaluator at every node (same code path), and building it is
-    the only mutation; reads after that are concurrency-safe.
+    K(points_r[j], points_c[k]).  node_factors(), when given, returns
+    (U, V, s) with K = s U V at the nodes of `native_grid`: U is (M, r),
+    V is (r, M).  `hermitian` marks a kernel with K(x, y) = conj(K(y, x))
+    by construction.  The cache, when built, agrees with the evaluator at
+    every node (same code path), and building it is the only mutation;
+    reads after that are concurrency-safe.
     """
 
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -46,7 +53,7 @@ class Kernel:
     native_grid: Optional[QuadGrid] = None
     fast_apply: Optional[Callable[[np.ndarray, QuadGrid], np.ndarray]] = None
     context: dict = field(default_factory=dict, repr=False)
-    node_evaluator: Optional[Callable] = field(default=None, repr=False)
+    node_factors: Optional[Callable[[], tuple]] = field(default=None, repr=False)
     hermitian: bool = False
     _cache: Optional[np.ndarray] = field(default=None, repr=False)
     # the grid the cache was sampled on, held (not its id, which can be
@@ -61,13 +68,16 @@ class Kernel:
     def node_block(self, grid: QuadGrid, rows, cols) -> np.ndarray:
         """K at the grid nodes rows x cols (index arrays or slices).
 
-        On its native grid a kernel with a node evaluator never sees the
-        points; every other kernel evaluates grid.points[rows] x
-        grid.points[cols] through `block`.
+        On its native grid a kernel with node factors is the product
+        s U[rows] V[:, cols] and never sees the points; every other kernel
+        evaluates grid.points[rows] x grid.points[cols] through `block`.
         """
-        if self.node_evaluator is None or grid is not self.native_grid:
+        if self.node_factors is None or grid is not self.native_grid:
             return self.block(grid.points[rows], grid.points[cols])
-        return self._finite(self.node_evaluator(rows, cols))
+        u, v, scale = self.node_factors()
+        out = u[rows] @ v[:, cols]
+        out *= scale
+        return self._finite(out)
 
     def _finite(self, vals) -> np.ndarray:
         vals = np.asarray(vals)
@@ -125,35 +135,123 @@ class KernelNormReport:
         }
 
 
+def _even_blocks(total: int, cap: int) -> list:
+    """[(start, stop)] cutting range(total) into the fewest near-equal runs
+    of at most `cap`.  No run is a single index unless total is 1: numpy
+    multiplies a one-row (or one-column) operand by GEMV, whose rounding
+    differs from the GEMM of the whole product."""
+    parts = max(1, -(-total // cap))
+    cuts = [total * k // parts for k in range(parts + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _on_pool(blocks: list, threads: int, make, work, fold=None) -> None:
+    """fold(work(block, own)) for every block, folded in block order.
+
+    With threads > 1 (no more than the blocks and the CPU count allow) the
+    calling thread takes every `threads`-th block and threads - 1 workers
+    take the rest, one round of `threads` blocks at a time.  `own` is the
+    set of buffers make() allocated once for the thread running the block.
+    """
+    threads = min(threads, len(blocks), os.cpu_count() or 1)
+    local = threading.local()
+
+    def run(block):
+        own = getattr(local, "own", None)
+        if own is None:
+            own = local.own = make()
+        return work(block, own)
+
+    fold = fold or (lambda res: None)
+    if threads <= 1:
+        for b in blocks:
+            fold(run(b))
+        return
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        for r in range(0, len(blocks), threads):
+            futures = [pool.submit(run, b) for b in blocks[r + 1:r + threads]]
+            fold(run(blocks[r]))
+            for fut in futures:
+                fold(fut.result())
+
+
 def am_norm(kern: Kernel, m: AdmissibleWeight, grid: QuadGrid,
-            row_block: int = _ROW_BLOCK) -> KernelNormReport:
+            row_block: int = _ROW_BLOCK, threads: int = 1) -> KernelNormReport:
     """Weighted algebra norm: max of the two sup-integrals of |K| m.
 
     The essential sup is realized as the max over grid nodes; integrals use
-    the grid quadrature.  Streaming over row blocks of grid nodes
-    (`Kernel.node_block`) keeps memory at O(block * M).  For a kernel that
-    is Hermitian by construction |K| m is symmetric (every AdmissibleWeight
-    is), so its row and column sums agree: each row block then evaluates
-    only its columns from the block's first row on, adds its row sums to its
-    rows and the column sums of its part right of the diagonal block to
-    those columns, and row_sup = col_sup.  Other kernels take the full
-    two-sided pass.
+    the grid quadrature.  Streaming over row blocks of grid nodes keeps
+    memory at O(block * M).  For a kernel that is Hermitian by construction
+    |K| m is symmetric (every AdmissibleWeight is), so its row and column
+    sums agree: each row block then evaluates only its columns from the
+    block's first row on, adds its row sums to its rows and the column sums
+    of its part right of the diagonal block to those columns, and
+    row_sup = col_sup.  Other kernels take the full two-sided pass.
+
+    A kernel with node factors K = s U V on this grid runs its row blocks
+    on `threads` (`_on_pool`); the caller resolves the factors first.  Each
+    thread owns one complex buffer for a GEMM of at most `_GEMM_ROWS` rows
+    and one real buffer for the moduli of a row block, reused by every
+    block it takes; each GEMM is checked for non-finite values.  Other
+    kernels evaluate `Kernel.node_block` on the calling thread.  Block sums
+    are folded in block order, so the result does not depend on `threads`.
+    The trivial weight (`AdmissibleWeight.trivial`) is never evaluated:
+    the sums of |K| serve for both norms.
     """
+    if threads < 1:
+        raise KernelError(f"threads must be >= 1, got {threads}")
     pts, w = grid.points, grid.weights
     M = grid.size
     herm = kern.hermitian
+    factors = kern.node_factors() \
+        if kern.node_factors is not None and grid is kern.native_grid else None
     row_acc_m, row_acc_1 = np.zeros(M), np.zeros(M)
     col_acc_m, col_acc_1 = np.zeros(M), np.zeros(M)
-    for start in range(0, M, row_block):
+
+    def make():
+        if factors is None:
+            return None
+        return (np.empty(min(row_block, _GEMM_ROWS) * M, dtype=complex),
+                np.empty(row_block * M))
+
+    def moduli(start, stop, lo, own):
+        """|K| on rows start:stop and columns lo:M, in the thread's buffer."""
+        if factors is None:
+            return np.abs(kern.node_block(grid, slice(start, stop), slice(lo, M)))
+        u, v, scale = factors
+        cplx, amp = own
+        cols = M - lo
+        amp = amp[:(stop - start) * cols].reshape(stop - start, cols)
+        for a0, a1 in _even_blocks(stop - start, _GEMM_ROWS):
+            prod = cplx[:(a1 - a0) * cols].reshape(a1 - a0, cols)
+            np.matmul(u[start + a0:start + a1], v[:, lo:], out=prod)
+            prod *= scale
+            np.abs(kern._finite(prod), out=amp[a0:a1])
+        return amp
+
+    def work(start, own):
         stop = min(start + row_block, M)
         lo = start if herm else 0          # first column evaluated
         right = stop - lo if herm else 0   # offset of the first column summed
-        amp = np.abs(kern.node_block(grid, slice(start, stop), slice(lo, M)))
+        amp = moduli(start, stop, lo, own)
+        sums_1 = amp @ w[lo:], w[start:stop] @ amp[:, right:]
+        if m.trivial:
+            return start, stop, lo + right, sums_1, sums_1
         amp_m = amp * m(pts[start:stop], pts[lo:])
-        row_acc_1[start:stop] += amp @ w[lo:]
-        row_acc_m[start:stop] += amp_m @ w[lo:]
-        col_acc_1[lo + right:] += w[start:stop] @ amp[:, right:]
-        col_acc_m[lo + right:] += w[start:stop] @ amp_m[:, right:]
+        return (start, stop, lo + right, sums_1,
+                (amp_m @ w[lo:], w[start:stop] @ amp_m[:, right:]))
+
+    def fold(res):
+        start, stop, c0, (rows_1, cols_1), (rows_m, cols_m) = res
+        row_acc_1[start:stop] += rows_1
+        row_acc_m[start:stop] += rows_m
+        col_acc_1[c0:] += cols_1
+        col_acc_m[c0:] += cols_m
+
+    # kernels without factors stay on the calling thread: their node_block
+    # temporaries and evaluator calls are not for workers
+    _on_pool(list(range(0, M, row_block)), threads if factors else 1,
+             make, work, fold)
     if herm:
         row_acc_1 += col_acc_1
         row_acc_m += col_acc_m

@@ -216,10 +216,15 @@ def polynomial_weight(s: float) -> WeightOnX:
 
 @dataclass(frozen=True)
 class AdmissibleWeight:
-    """Symmetric submultiplicative weight m >= 1 on X x X."""
+    """Symmetric submultiplicative weight m >= 1 on X x X.
+
+    `trivial` marks m = 1 by construction (only `trivial_admissible_weight`
+    sets it), so a norm can skip evaluating and multiplying by it.
+    """
 
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     descriptor: str = "custom"
+    trivial: bool = False
 
     def __call__(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return np.asarray(self.evaluator(np.atleast_2d(p), np.atleast_2d(q)), dtype=float)
@@ -228,7 +233,7 @@ class AdmissibleWeight:
 def trivial_admissible_weight() -> AdmissibleWeight:
     def ev(p, q):
         return np.ones((p.shape[0], q.shape[0]))
-    return AdmissibleWeight(ev, descriptor="trivial")
+    return AdmissibleWeight(ev, descriptor="trivial", trivial=True)
 
 
 def weight_from_w(w: WeightOnX) -> AdmissibleWeight:

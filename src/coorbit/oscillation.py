@@ -266,12 +266,12 @@ def osc_norm_streaming(R: Kernel, cov: Covering, grid: QuadGrid,
     r_col = np.zeros(M)
 
     def reduce(nodes, vals, amp):
-        mm = m(pts, pts[nodes])
         wy = w[nodes]
-        amp *= mm
-        r_part = amp @ wy, w @ amp
-        vals *= mm
-        return nodes, vals @ wy, w @ vals, r_part
+        if not m.trivial:
+            mm = m(pts, pts[nodes])
+            amp *= mm
+            vals *= mm
+        return nodes, vals @ wy, w @ vals, (amp @ wy, w @ amp)
 
     def fold(res):
         nodes, rows, cols, (r_rows, r_cols) = res

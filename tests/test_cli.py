@@ -176,6 +176,23 @@ class TestRun:
         assert run(str(path), out_dir=str(out)) == 3
         assert not (out / "report.json").exists()
 
+    def test_non_finite_gramian_exits_3_on_the_pool(self, tmp_path, monkeypatch,
+                                                    capsys):
+        # a non-finite half-factor row (node 300, row block 1 of 256: a
+        # worker's block at two threads) fails am_norm's buffered GEMM check
+        real = frame_families.FrameCalculus.u_factor
+
+        def poisoned(self, rel_cut=1e-10):
+            u = real(self, rel_cut).copy()
+            u[300] = float("nan")
+            return u
+        monkeypatch.setattr(frame_families.FrameCalculus, "u_factor", poisoned)
+        path = write_config(tmp_path, dict(MINIMAL, tasks=["norms"]))
+        out = tmp_path / "o_pool"
+        assert run(str(path), out_dir=str(out), threads=2) == 3
+        assert "non-finite kernel value" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_numerical_failure_exits_3(self, tmp_path):
         cfg = dict(MINIMAL, tasks=["property-d"],
                    covering={"cell_size": 1.0,
@@ -267,6 +284,34 @@ class TestRun:
             assert timings["threads"] == threads
         assert "osc_report" in json.loads(blobs[0])["tasks"]["property-d"]
         assert blobs[0] == blobs[1] == blobs[2]
+
+
+_SCIPY_PROBE = """
+import json, sys, tempfile
+from pathlib import Path
+from coorbit import cli
+cfg = {"family": {"tag": "cwt", "params": {"order": 6}},
+       "signal_grid": {"T": 16.0, "n": 64}, "weight": {"type": "trivial"},
+       "index_domain": {"scales_per_octave": 4, "band_spacing": 0.9},
+       "stable_cut": 0.2, "seed": 0, "tasks": ["frame-info", "norms"]}
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.run(str(path), str(Path(tmp) / "out"), threads=2) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+"""
+
+
+def test_wavelet_run_does_not_import_scipy():
+    # GaussDerivProfile sums the regularized incomplete gamma function of
+    # integer order itself: a cwt frame-info + norms run loads no scipy
+    root = Path(cli.__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 _TRACED_PROBE = """

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from coorbit._linalg import SolverError
-from coorbit.frame_families import (FamilyError, alpha_admissibility, analyze_V,
-                                    analyze_W, default_index_grid,
+from coorbit.frame_families import (FamilyError, FrameCalculus,
+                                    GaussDerivProfile, alpha_admissibility,
+                                    analyze_V, analyze_W, default_index_grid,
                                     frame_bounds_continuous,
                                     frame_operator_apply, gaussian_window,
                                     gram_kernel, leakage_report, make_battery,
                                     make_family, wavelet_admissibility_fft)
-from coorbit.kernel_algebra import apply_kernel, compose
+from coorbit.kernel_algebra import _even_blocks, apply_kernel, compose
 from coorbit.measure_space import SignalGrid
 
 
@@ -353,6 +354,56 @@ class TestHalfFactor:
         assert np.abs(R.node_block(grid, slice(None), rows) - ref[:, rows]).max() <= tol
         assert np.abs(R.node_block(grid, slice(2, 5), rows)
                       - ref[2:5][:, rows]).max() <= tol
+
+
+# every family, and both built-in wavelets, at n = 256: S has two column
+# blocks
+S_BLOCK_CASES = [
+    ("gabor", None, {"resolution": [16, 20]}),
+    ("cwt", None, {"scales_per_octave": 4, "band_spacing": 0.9}),
+    ("cwt", {"wavelet": "mexican_hat"}, {"scales_per_octave": 4, "band_spacing": 0.9}),
+    ("sinc_rkhs", None, {}),
+    ("inhom_wavelet", None, {"scales_per_octave": 4, "band_spacing": 0.9}),
+    ("alpha_mod", None, {"resolution": [16, 20]}),
+]
+
+
+class TestFrameOperatorBlocks:
+    """S = h (Psi W) Psi^H in column blocks on the thread pool."""
+
+    @pytest.mark.parametrize("tag,params,grid_kw", S_BLOCK_CASES,
+                             ids=[f"{c[0]}-{i}" for i, c in enumerate(S_BLOCK_CASES)])
+    def test_blocked_s_matches_one_gemm(self, tag, params, grid_kw):
+        fam = make_family(tag, params, SignalGrid(8.0, 256))
+        grid = default_index_grid(fam, **grid_kw)
+        mats = [FrameCalculus(fam, grid).s_matrix(threads) for threads in (1, 2, 3)]
+        assert mats[0].tobytes() == mats[1].tobytes() == mats[2].tobytes()
+        psi = fam.atoms(grid.points)
+        ref = fam.signal_grid.h * ((psi * grid.weights[None, :]) @ psi.conj().T)
+        ref = 0.5 * (ref + ref.conj().T)
+        # bit equality with the one-GEMM product depends on the BLAS build
+        assert np.abs(mats[0] - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.array_equal(mats[0], mats[0].conj().T)
+
+    def test_even_blocks_never_leave_one_column(self):
+        # a one-column (or one-row) operand turns a GEMM into a GEMV
+        assert _even_blocks(512, 128) == [(0, 128), (128, 256), (256, 384), (384, 512)]
+        assert _even_blocks(129, 128) == [(0, 64), (64, 129)]
+        assert _even_blocks(1, 128) == [(0, 1)]
+        for total in range(2, 600):
+            sizes = [b - a for a, b in _even_blocks(total, 128)]
+            assert sum(sizes) == total and max(sizes) <= 128 and min(sizes) >= 2
+
+
+class TestGaussDerivProfile:
+    @pytest.mark.parametrize("order", range(1, 13))
+    def test_theta_is_the_regularized_gamma(self, order):
+        from scipy.special import gammainc, gammaln
+        prof = GaussDerivProfile(order)
+        v = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 20001)])
+        assert np.abs(prof.theta(v) - gammainc(order, v * v)).max() <= 1e-15
+        assert prof.theta(-v).tobytes() == prof.theta(v).tobytes()
+        assert prof._sqrt_c == np.exp(0.5 * (np.log(2.0) - gammaln(order)))
 
 
 class TestFrameBounds:

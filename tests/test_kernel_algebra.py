@@ -1,3 +1,9 @@
+import json
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +11,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from coorbit.frame_families import default_index_grid, gram_kernel, make_family
-from coorbit.kernel_algebra import (Kernel, KernelError, am_norm, apply_kernel,
-                                    compose, export_kernel_csv, involution,
-                                    kernel_from_matrix, lp_w_norm)
-from coorbit.measure_space import (GridError, QuadGrid, SignalGrid,
-                                   build_quad_grid, polynomial_weight,
-                                   trivial_admissible_weight, trivial_weight,
-                                   weight_from_w)
+from coorbit.kernel_algebra import (Kernel, KernelError, _on_pool, am_norm,
+                                    apply_kernel, compose, export_kernel_csv,
+                                    involution, kernel_from_matrix, lp_w_norm)
+from coorbit.measure_space import (AdmissibleWeight, GridError, QuadGrid,
+                                   SignalGrid, build_quad_grid,
+                                   polynomial_weight, trivial_admissible_weight,
+                                   trivial_weight, weight_from_w)
 
 
 def gaussian_kernel():
@@ -117,6 +123,23 @@ class TestHermitianTriangle:
                                                           abs=0.0), key
             assert abs(rep.row_sup - rep.col_sup) > 0.1 * rep.am_norm
 
+    @pytest.mark.parametrize("row_block", [16, 256])
+    @pytest.mark.parametrize("poly", [False, True])
+    def test_bit_equal_across_threads(self, gram, row_block, poly,
+                                      reference_am_norm):
+        # the buffered row blocks of a Gramian run on the thread pool; their
+        # sums are folded in block order, so the report is the same bytes
+        grid, R = gram
+        m = weight_from_w(polynomial_weight(1.0)) if poly \
+            else trivial_admissible_weight()
+        reps = [am_norm(R, m, grid, row_block=row_block, threads=t)
+                for t in (1, 2, 3)]
+        assert _bits(reps[0]) == _bits(reps[1]) == _bits(reps[2])
+        ref = reference_am_norm(R, m, grid)
+        for key in ("row_sup", "col_sup", "a1_norm", "am_norm"):
+            assert getattr(reps[1], key) == pytest.approx(ref[key], rel=1e-13,
+                                                          abs=0.0), key
+
     def test_gramians_are_hermitian_by_construction(self, gabor_small):
         fam, grid = gabor_small
         assert gram_kernel(fam, grid, rel_cut=0.2).hermitian
@@ -128,12 +151,102 @@ class TestHermitianTriangle:
     def test_node_block_rejects_non_finite(self, unit_grid_1d):
         k = Kernel(lambda p, q: np.ones((p.shape[0], q.shape[0])),
                    native_grid=unit_grid_1d,
-                   node_evaluator=lambda r, c: np.full((3, 2), np.nan))
+                   node_factors=lambda: (np.full((unit_grid_1d.size, 1), np.nan),
+                                         np.ones((1, unit_grid_1d.size)), 1.0))
         with pytest.raises(KernelError, match="non-finite"):
             k.node_block(unit_grid_1d, slice(0, 3), slice(0, 2))
         # off its native grid the node path is `block`
         other = build_quad_grid([[0.0, 1.0]], [64])
         assert np.all(k.node_block(other, slice(0, 3), [1, 4]) == 1.0)
+
+
+def _bits(rep):
+    return json.dumps(rep.as_dict())   # repr round-trips every float
+
+
+def _factored_kernel(grid, rng, rank=5):
+    """A general (not Hermitian) kernel K = s U V with node factors; its
+    evaluator looks the same matrix up by node, for the reference pass."""
+    u = rng.standard_normal((grid.size, rank)) + 1j * rng.standard_normal((grid.size, rank))
+    v = rng.standard_normal((rank, grid.size)) + 1j * rng.standard_normal((rank, grid.size))
+    v *= np.exp(-np.abs(grid.points[:, 0]))[None, :]
+    mat = 0.3 * (u @ v)
+    x = grid.points[:, 0]
+
+    def ev(p, q):
+        return mat[np.ix_(np.searchsorted(x, p[:, 0]), np.searchsorted(x, q[:, 0]))]
+    return Kernel(ev, native_grid=grid, node_factors=lambda: (u, v, 0.3))
+
+
+class TestThreadContract:
+    """am_norm spreads the row blocks of a factored kernel over `threads`
+    and folds their sums in block order."""
+
+    @pytest.mark.parametrize("row_block", [16, 256])
+    @pytest.mark.parametrize("poly", [False, True])
+    def test_general_kernels_bit_equal_across_threads(self, row_block, poly,
+                                                      reference_am_norm):
+        grid = build_quad_grid([[-3.0, 3.0]], [600],
+                               measure=lambda p: 1.0 + 0.1 * p[:, 0] ** 2)
+        m = weight_from_w(polynomial_weight(1.0)) if poly \
+            else trivial_admissible_weight()
+        kern = _factored_kernel(grid, np.random.default_rng(5))
+        plain = Kernel(kern.evaluator)          # no factors: the caller's path
+        for k in (kern, plain):
+            reps = [am_norm(k, m, grid, row_block=row_block, threads=t)
+                    for t in (1, 2, 3)]
+            assert _bits(reps[0]) == _bits(reps[1]) == _bits(reps[2])
+            ref = reference_am_norm(k, m, grid)
+            for key in ("row_sup", "col_sup", "a1_norm", "am_norm"):
+                assert getattr(reps[2], key) == pytest.approx(
+                    ref[key], rel=1e-13, abs=0.0), key
+
+    def test_trivial_weight_is_marked_by_construction(self):
+        assert trivial_admissible_weight().trivial
+        assert not weight_from_w(polynomial_weight(1.0)).trivial
+        # a weight of ones built by hand is not marked: it is evaluated
+        ones = AdmissibleWeight(lambda p, q: np.ones((p.shape[0], q.shape[0])),
+                                descriptor="trivial")
+        assert not ones.trivial
+
+    def test_non_finite_factor_raises_on_a_worker(self, gabor_small):
+        fam, grid = gabor_small
+        R = gram_kernel(fam, grid, rel_cut=0.2)
+        u, c, h = R.node_factors()
+        bad = u.copy()
+        bad[20] = np.nan            # row 20: row block 1 of 16, a worker's
+        R.node_factors = lambda: (bad, c, h)
+        with pytest.raises(KernelError, match="non-finite"):
+            am_norm(R, trivial_admissible_weight(), grid, row_block=16,
+                    threads=2)
+
+    def test_pool_buffers_are_per_thread_and_folds_in_order(self):
+        # each block stamps its buffer, yields, and checks the stamp: a
+        # buffer shared between threads would be overwritten meanwhile
+        made, folded = [], []
+
+        def make():
+            made.append(threading.get_ident())
+            return np.zeros(64)
+
+        def work(block, own):
+            own[:] = block
+            time.sleep(0)
+            assert np.all(own == block), "buffer shared between threads"
+            return block
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _on_pool(list(range(400)), 8, make, work, folded.append)
+        finally:
+            sys.setswitchinterval(old)
+        assert folded == list(range(400))
+        assert len(made) == len(set(made)) <= min(8, os.cpu_count() or 1)
+
+    def test_threads_below_one_rejected(self, unit_grid_1d, m_trivial):
+        with pytest.raises(KernelError, match="threads"):
+            am_norm(gaussian_kernel(), m_trivial, unit_grid_1d, threads=0)
 
 
 # Entries are zero or of modulus at least 2**-100, so every product and
