@@ -716,7 +716,8 @@ def gram_kernel(family: FrameFamily, x_grid: QuadGrid, rel_cut: float = 1e-10,
     family); it matches "pinv" away from the truncation boundary.  Both are
     Hermitian by construction.  "pinv" evaluates grid nodes from its node
     factors (u_factor, C, h): h * u_factor[rows] @ C[:, cols], slices of
-    the cached half factor, without synthesizing their atoms again.
+    the cached half factor, without synthesizing their atoms again; its
+    column factor at other points is half_map @ atoms(points).
     """
     calc = family.calculus(x_grid)
     h = family.signal_grid.h
@@ -732,11 +733,14 @@ def gram_kernel(family: FrameFamily, x_grid: QuadGrid, rel_cut: float = 1e-10,
     if mode != "pinv":
         raise FamilyError(f"unknown gram_kernel mode {mode!r}")
 
+    def col_factor(points):
+        return calc.half_map(rel_cut) @ family.atoms(points)
+
     def ev(pr, pc):
         left = calc.u_factor(rel_cut) if pr is x_grid.points \
-            else (calc.half_map(rel_cut) @ family.atoms(pr)).conj().T
+            else col_factor(pr).conj().T
         right = calc.half_factor(rel_cut) if pc is x_grid.points \
-            else calc.half_map(rel_cut) @ family.atoms(pc)
+            else col_factor(pc)
         return h * (left @ right)
 
     def factors():
@@ -747,7 +751,7 @@ def gram_kernel(family: FrameFamily, x_grid: QuadGrid, rel_cut: float = 1e-10,
 
     return Kernel(evaluator=ev, provenance="gramian", native_grid=x_grid,
                   fast_apply=fast, context={"calc": calc, "rel_cut": rel_cut},
-                  node_factors=factors, hermitian=True)
+                  node_factors=factors, col_factor=col_factor, hermitian=True)
 
 
 # ---------------------------------------------------------------------------
@@ -801,16 +805,18 @@ def frame_bounds_continuous(family: FrameFamily, x_grid: QuadGrid,
     stably are removed by a relative cut on the probe Gram matrix.  The
     bounds are the exact extreme eigenvalues of the reduced operator.
     `threads` builds S (`FrameCalculus.s_matrix`); the bounds do not
-    depend on it.
+    depend on it.  The probes are columns of the atom matrix that S was
+    built from, so no atom is synthesized twice.
     """
     idx, _ = _interior_probes(family, x_grid, x_grid.points)
     if idx.size == 0:
         raise FamilyError("no interior probe points; enlarge the index box")
-    probes = family.atoms(x_grid.points[idx])
+    calc = family.calculus(x_grid)
+    s = calc.s_matrix(threads)
+    probes = calc.atom_matrix[:, idx]
     if np.max(np.abs(probes)) == 0.0:
         raise FamilyError("zero family: all probe atoms vanish")
-    c1, c2, rank = restricted_rayleigh_bounds(
-        probes, family.calculus(x_grid).s_matrix(threads), family.signal_grid.h)
+    c1, c2, rank = restricted_rayleigh_bounds(probes, s, family.signal_grid.h)
     return FrameBoundsReport(
         c1=c1, c2=c2,
         subspace=(f"span of {idx.size} interior atoms, margins "

@@ -3,7 +3,8 @@
 A Kernel is a complex-valued function on pairs of index points, evaluated
 block-wise: at arbitrary points through `block`, and at grid nodes through
 `node_block`, which a Gramian serves from its factors R = h U V (U = C^H,
-V = C, the cached half factor) without synthesizing atoms again.
+V = C, the cached half factor) without synthesizing atoms again; off the
+grid its `col_factor` gives V at any points.
 Norms are computed by streaming row blocks, so nothing ever materializes an
 M x M matrix unless the grid is small enough to cache (<= CACHE_NODE_LIMIT
 nodes per side).  A kernel that is Hermitian by construction (the Gramian
@@ -42,8 +43,10 @@ class Kernel:
     evaluator(points_r, points_c) returns the complex matrix
     K(points_r[j], points_c[k]).  node_factors(), when given, returns
     (U, V, s) with K = s U V at the nodes of `native_grid`: U is (M, r),
-    V is (r, M).  `hermitian` marks a kernel with K(x, y) = conj(K(y, x))
-    by construction.  The cache, when built, agrees with the evaluator at
+    V is (r, M).  col_factor(points), when given with them, returns the
+    (r, P) right factor at any P points: K(x_i, p) = s U[i] col_factor(p).
+    `hermitian` marks a kernel with K(x, y) = conj(K(y, x)) by
+    construction.  The cache, when built, agrees with the evaluator at
     every node (same code path), and building it is the only mutation;
     reads after that are concurrency-safe.
     """
@@ -54,6 +57,8 @@ class Kernel:
     fast_apply: Optional[Callable[[np.ndarray, QuadGrid], np.ndarray]] = None
     context: dict = field(default_factory=dict, repr=False)
     node_factors: Optional[Callable[[], tuple]] = field(default=None, repr=False)
+    col_factor: Optional[Callable[[np.ndarray], np.ndarray]] = field(
+        default=None, repr=False)
     hermitian: bool = False
     _cache: Optional[np.ndarray] = field(default=None, repr=False)
     # the grid the cache was sampled on, held (not its id, which can be
@@ -75,15 +80,31 @@ class Kernel:
         if self.node_factors is None or grid is not self.native_grid:
             return self.block(grid.points[rows], grid.points[cols])
         u, v, scale = self.node_factors()
-        out = u[rows] @ v[:, cols]
+        u, v = u[rows], v[:, cols]
+        self._check_factors(u, v, scale)
+        out = u @ v
         out *= scale
-        return self._finite(out)
+        return out
 
     def _finite(self, vals) -> np.ndarray:
         vals = np.asarray(vals)
         if not np.all(np.isfinite(vals)):
             raise KernelError(f"non-finite kernel value ({self.provenance})")
         return vals
+
+    def _check_factors(self, u, v, scale) -> None:
+        """Raise KernelError unless every entry of s (u @ v) is finite.
+
+        Checks the factors instead of the product: u (., r) and v (r, .)
+        must be finite, and 2 r max|u| max|v| max(|s|, 1) below the float
+        maximum, so that no partial sum of the GEMM, before or after the
+        scaling by s, can overflow.  A NaN anywhere fails the comparison.
+        """
+        top = (2.0 * u.shape[1] * max(abs(scale), 1.0)
+               * float(np.max(np.abs(u), initial=0.0))
+               * float(np.max(np.abs(v), initial=0.0)))
+        if not top < np.finfo(float).max:
+            raise KernelError(f"non-finite kernel value ({self.provenance})")
 
     def matrix(self, grid: QuadGrid) -> np.ndarray:
         """Full sampled matrix on grid x grid, cached for small grids."""
@@ -189,12 +210,13 @@ def am_norm(kern: Kernel, m: AdmissibleWeight, grid: QuadGrid,
     row_sup = col_sup.  Other kernels take the full two-sided pass.
 
     A kernel with node factors K = s U V on this grid runs its row blocks
-    on `threads` (`_on_pool`); the caller resolves the factors first.  Each
-    thread owns one complex buffer for a GEMM of at most `_GEMM_ROWS` rows
-    and one real buffer for the moduli of a row block, reused by every
-    block it takes; each GEMM is checked for non-finite values.  Other
-    kernels evaluate `Kernel.node_block` on the calling thread.  Block sums
-    are folded in block order, so the result does not depend on `threads`.
+    on `threads` (`_on_pool`); the caller resolves the factors first and
+    checks them once (`Kernel._check_factors`).  Each thread owns one
+    complex buffer for a GEMM of at most `_GEMM_ROWS` rows and one real
+    buffer for the moduli of a row block, reused by every block it takes.
+    Other kernels evaluate `Kernel.node_block` on the calling thread.
+    Block sums are folded in block order, so the result does not depend on
+    `threads`.
     The trivial weight (`AdmissibleWeight.trivial`) is never evaluated:
     the sums of |K| serve for both norms.
     """
@@ -205,6 +227,8 @@ def am_norm(kern: Kernel, m: AdmissibleWeight, grid: QuadGrid,
     herm = kern.hermitian
     factors = kern.node_factors() \
         if kern.node_factors is not None and grid is kern.native_grid else None
+    if factors is not None:
+        kern._check_factors(*factors)
     row_acc_m, row_acc_1 = np.zeros(M), np.zeros(M)
     col_acc_m, col_acc_1 = np.zeros(M), np.zeros(M)
 
@@ -226,7 +250,7 @@ def am_norm(kern: Kernel, m: AdmissibleWeight, grid: QuadGrid,
             prod = cplx[:(a1 - a0) * cols].reshape(a1 - a0, cols)
             np.matmul(u[start + a0:start + a1], v[:, lo:], out=prod)
             prod *= scale
-            np.abs(kern._finite(prod), out=amp[a0:a1])
+            np.abs(prod, out=amp[a0:a1])
         return amp
 
     def work(start, own):

@@ -18,34 +18,55 @@ therefore taken modulo a unimodular factor,
 group-covering oscillation.  The comparison mode is recorded in the report;
 `comparison="strict"` forces the literal kernel difference.
 
-One routine streams the grid nodes, one column osc_U(., y) per node y
-whatever the covering: y is compared against the z-samples of every cell in
-its row of `Covering.node_cells`.  Nodes go in the order of their first
-cell, in blocks cut at cell boundaries that fit `_BLOCK_ENTRIES` / M
-columns; the nodes no cell holds are a block of their own.  Per block, on
-the calling thread, one `R.node_block` call evaluates the y-columns and one
-`R.block` call the z-samples of the block's cells.  `osc_matrix` keeps the
-columns.  `osc_norm_streaming` reduces each block, on up to `threads - 1`
-worker threads, to the row and column sums of osc m and of |R| m, folded in
-block order: ||R | A_m|| comes from the same pass over the Gramian, and the
-result does not depend on the thread count.
+One routine streams the oscillation whatever the covering: a node y is
+compared against the z-samples of every cell in its row of
+`Covering.node_cells`.  Nodes go in the order of their first cell, cut at
+cell boundaries into column chunks; the nodes no cell holds are a chunk of
+their own.  A unit is one row tile of x-nodes against one column chunk.
+
+For a kernel with node factors R = s U V on its grid and a column factor
+(the Gramian), the calling thread synthesizes the column factors of all
+z-samples once per level (`Kernel.col_factor`, which calls the family's
+`atoms`), checks the factors once (`Kernel._check_factors`) and gathers
+each chunk's columns of s V, its nodes' and its z-samples'.  A unit is then
+one GEMM of a chunk (at most `_CHUNK_COLS` y- and z-columns) against a
+tile of about `_TILE_ROWS` rows of U, the moduli, the z min and max (or the
+strict differences), a `take` gather of each node's cells and the row and
+column sums, every intermediate in scratch memory that the running thread
+owns.  The row tiles run on `threads` (`kernel_algebra._on_pool`), each
+tile's units in chunk order on one thread; the workers run numpy and the
+weight m, never `Kernel.block`, `FrameFamily.atoms` or `u_factor`.  Unit
+results are folded in tile order, then chunk order, so the result does not
+depend on the thread count.  Any other kernel runs one whole-height tile
+on the calling thread, its chunks narrowed to `_BLOCK_ENTRIES` / M
+columns, through `R.node_block` and `R.block`.
+
+`osc_matrix` keeps the values.  `osc_norm_streaming` reduces each unit to
+its row and column sums of osc m and of |R| m: ||R | A_m|| comes from the
+same pass over the Gramian.
 """
 from __future__ import annotations
 
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coverings import Covering, _chunks, build_covering, weight_sup_on_cells
-from .kernel_algebra import Kernel
+from .kernel_algebra import Kernel, _even_blocks, _on_pool
 from .measure_space import AdmissibleWeight, QuadGrid
 from .frame_families import FrameFamily, default_index_grid, gram_kernel
 
 
-# complex entries of the two R.block results of one streamed block of nodes
+# one unit of a kernel with node factors: a row tile of about _TILE_ROWS
+# x-nodes against a column chunk of at most _CHUNK_COLS y-nodes and
+# z-samples.  Its product is at most 2 MB complex and each real array about
+# 0.6 MB, near a core's L2 cache; smaller units measured slower at two
+# threads, larger ones slower at one (BENCH_osc_tiles.json)
+_TILE_ROWS = 512
+_CHUNK_COLS = 256
+# complex entries of the two products of one whole-height unit of any other
+# kernel
 _BLOCK_ENTRIES = 2 ** 20
 
 
@@ -102,135 +123,228 @@ def _cell_z_samples(cov: Covering, z_per_cell: int, seed: int) -> np.ndarray:
 
 
 def _pair_osc(r_y: np.ndarray, r_z: np.ndarray, slots: np.ndarray,
-              aligned: bool, abs_y: np.ndarray | None = None) -> np.ndarray:
-    """Per y-column, the sup of the (phase-aligned) difference over the
-    z-samples of its cells, (M, Y).
+              aligned: bool, abs_y: np.ndarray | None = None,
+              buf=np.empty) -> np.ndarray:
+    """Per node y, the sup of the (phase-aligned) difference over the
+    z-samples of its cells at every x, (Y, M): row j is the column
+    osc_U(., y_j), so every intermediate is a run of contiguous rows.
 
-    r_y (M, Y) holds the y-columns, r_z (M, C, Z) the z-columns of C cells;
-    row j of slots (Y, K) lists the cells of column j, padded by repeating
-    the last (min and max are idempotent).  The aligned sup is
-    max(|a| - min |b|, max |b| - |a|) over the z of all those cells:
+    r_y (Y, M) holds R(x, y) in row y, r_z (C, Z, M) the rows of the Z
+    z-samples of C cells; row j of slots (Y, K) lists the cells of y_j,
+    padded by repeating the last (min and max are idempotent).  The aligned
+    sup is max(|a| - min |b|, max |b| - |a|) over the z of all those cells:
     rounding is monotone, so this is max_z | |a| - |b_z| | bit for bit.
     `abs_y`, when given, is |r_y| already computed by the caller.
+    `buf(shape, dtype)` (dtype float or complex) supplies the intermediate
+    arrays and the result.
     """
+    Y, M = r_y.shape
     if aligned:
-        b = np.abs(r_z)
-        lo, hi = b[:, :, 0], b[:, :, 0]
-        for j in range(1, b.shape[2]):
-            lo = np.minimum(lo, b[:, :, j])
-            hi = np.maximum(hi, b[:, :, j])
-        lo_y = lo.take(slots[:, 0], axis=1)
-        hi_y = hi.take(slots[:, 0], axis=1)
-        for k in range(1, slots.shape[1]):
-            np.minimum(lo_y, lo.take(slots[:, k], axis=1), out=lo_y)
-            np.maximum(hi_y, hi.take(slots[:, k], axis=1), out=hi_y)
+        b = np.abs(r_z, out=buf(r_z.shape, float))
+        shape = (b.shape[0], M)
+        lo = np.minimum.reduce(b, axis=1, out=buf(shape, float))
+        hi = np.maximum.reduce(b, axis=1, out=buf(shape, float))
+        # mode="clip" takes straight into `out`; every index is in range
+        lo_y = np.take(lo, slots[:, 0], axis=0, out=buf((Y, M), float),
+                       mode="clip")
+        hi_y = np.take(hi, slots[:, 0], axis=0, out=buf((Y, M), float),
+                       mode="clip")
+        if slots.shape[1] > 1:
+            tmp = buf((Y, M), float)
+            for k in range(1, slots.shape[1]):
+                np.minimum(lo_y, np.take(lo, slots[:, k], axis=0, out=tmp,
+                                         mode="clip"), out=lo_y)
+                np.maximum(hi_y, np.take(hi, slots[:, k], axis=0, out=tmp,
+                                         mode="clip"), out=hi_y)
         a = np.abs(r_y) if abs_y is None else abs_y
         np.subtract(a, lo_y, out=lo_y)
         np.subtract(hi_y, a, out=hi_y)
         return np.maximum(lo_y, hi_y, out=lo_y)
 
     def strict(y, cells):
-        out = np.abs(y - r_z[:, :, 0].take(cells, axis=1))
-        for j in range(1, r_z.shape[2]):
-            np.maximum(out, np.abs(y - r_z[:, :, j].take(cells, axis=1)),
-                       out=out)
+        shape = (cells.size, M)
+        out, mod, diff = buf(shape, float), buf(shape, float), \
+            buf(shape, complex)
+        for j in range(r_z.shape[1]):
+            np.take(r_z[:, j], cells, axis=0, out=diff, mode="clip")
+            np.subtract(y, diff, out=diff)
+            np.abs(diff, out=mod if j else out)
+            if j:
+                np.maximum(out, mod, out=out)
         return out
 
     out = strict(r_y, slots[:, 0])
     for k in range(1, slots.shape[1]):
         sel = np.flatnonzero(slots[:, k] != slots[:, k - 1])   # not padding
-        out[:, sel] = np.maximum(out[:, sel],
-                                 strict(r_y.take(sel, axis=1), slots[sel, k]))
+        out[sel] = np.maximum(out[sel], strict(r_y[sel], slots[sel, k]))
     return out
 
 
-def _node_blocks(table: np.ndarray, z_per_cell: int) -> list:
-    """[(nodes, cells, slots)] per block: the nodes, ordered by first cell
-    in the (M, K) `Covering.node_cells` table and then by index, the cells
-    they lie in, ascending, and their table rows as positions in `cells`.
+def _column_chunks(table: np.ndarray, z_per_cell: int, cols: int) -> list:
+    """[(nodes, cells, slots)] per column chunk: the nodes, ordered by first
+    cell in the (M, K) `Covering.node_cells` table and then by index, the
+    cells they lie in, ascending, and their table rows as positions in
+    `cells`.
 
-    A block takes consecutive first cells while its nodes plus z_per_cell
-    per first cell fit _BLOCK_ENTRIES / M; on a partition it is a run of
-    consecutive nonempty cells.  The nodes no cell holds are a block of
-    their own, with no cells.
+    A chunk takes consecutive first cells while its nodes plus z_per_cell
+    per first cell fit `cols` (a first cell that alone exceeds it is a
+    chunk of its own); on a partition it is a run of consecutive nonempty
+    cells.  The nodes no cell holds are a chunk of their own, with no cells.
     """
     M = table.shape[0]
     order = np.argsort(table[:, 0], kind="stable")
     first, starts = np.unique(table[order, 0], return_index=True)
     bounds = np.append(starts, M)
-    blocks = []
+    chunks = []
     if first[0] < 0:
         nodes = order[:bounds[1]]
-        blocks.append((nodes, first[:0], table[nodes]))
+        chunks.append((nodes, first[:0], table[nodes]))
         bounds = bounds[1:]
-    budget = max(1, _BLOCK_ENTRIES // M)
-    for k0, k1 in _chunks(np.diff(bounds) + z_per_cell, budget):
+    for k0, k1 in _chunks(np.diff(bounds) + z_per_cell, cols):
         nodes = order[bounds[k0]:bounds[k1]]
         rows = table[nodes]
         cells = np.unique(rows)
-        blocks.append((nodes, cells, np.searchsorted(cells, rows)))
-    return blocks
+        chunks.append((nodes, cells, np.searchsorted(cells, rows)))
+    return chunks
+
+
+def _unit_plan(R: Kernel, grid: QuadGrid, table: np.ndarray,
+               z_per_cell: int):
+    """(factored, row tiles, column chunks) of the stream of R on grid.
+
+    A kernel with node factors and a column factor on this grid (factored)
+    takes row tiles of about `_TILE_ROWS` rows and chunks of `_CHUNK_COLS`
+    columns, whatever M; any other kernel one tile of all M rows and chunks
+    of `_BLOCK_ENTRIES` / M columns.
+    """
+    M = grid.size
+    factored = (R.node_factors is not None and R.col_factor is not None
+                and grid is R.native_grid)
+    if factored:
+        tiles, cols = _even_blocks(M, _TILE_ROWS), _CHUNK_COLS
+    else:
+        tiles, cols = [(0, M)], max(1, _BLOCK_ENTRIES // M)
+    return factored, tiles, _column_chunks(table, z_per_cell, cols)
+
+
+class _Scratch:
+    """One thread's scratch memory for the units it runs: arrays carved one
+    after another from a byte buffer kept across units, and handed out
+    again after `reset`.  A request past the end of the buffer is a fresh
+    array; the next `reset` grows the buffer to the largest unit seen."""
+
+    _ALIGN = 64
+
+    def __init__(self):
+        self.data = np.empty(0, dtype=np.uint8)
+        self.used = self.peak = 0
+
+    def reset(self) -> None:
+        if self.peak > self.data.size:
+            self.data = np.empty(self.peak, dtype=np.uint8)
+        self.used = 0
+
+    def __call__(self, shape, dtype) -> np.ndarray:
+        size = math.prod(shape) * (16 if dtype is complex else 8)
+        start = self.used
+        self.used += -(-size // self._ALIGN) * self._ALIGN
+        if self.used > self.data.size:
+            self.peak = max(self.peak, self.used)
+            return np.empty(shape, dtype)
+        return self.data[start:start + size].view(dtype).reshape(shape)
 
 
 def _osc_stream(R: Kernel, cov: Covering, grid: QuadGrid, z_per_cell: int,
-                comparison: str, seed: int, reduce, fold,
+                comparison: str, seed: int, reduce, fold=None,
                 threads: int = 1) -> None:
-    """fold(reduce(nodes, osc, amp)) for every block of nodes, in block
-    order: osc (M, Y) holds the sampled oscillation columns of the nodes,
-    amp (M, Y) the moduli of their columns of R; both may be overwritten.
+    """fold(reduce(rows, nodes, osc, amp)) for every unit, in unit order
+    (module docstring): row j of osc (Y, T) holds the sampled oscillation
+    osc_U(x, y_j) at the x of the row tile `rows` (a slice of grid nodes),
+    for the chunk's `nodes` y_j, and amp (Y, T) the moduli |R(x, y_j)|.
+    Both live in the running thread's scratch memory: reduce may overwrite
+    them but must not keep them.
 
-    The GEMMs always run on the calling thread.  With threads > 1,
-    threads - 1 workers (no more than the CPU count allows) reduce earlier
-    blocks meanwhile; at most `threads` blocks are in flight.
+    A kernel with node factors and a column factor on this grid runs its
+    row tiles on `threads` (`_on_pool`); every other kernel runs one
+    whole-height tile on the calling thread.
     """
     if comparison not in ("strict", "phase_aligned"):
         raise OscillationError(f"unknown comparison {comparison!r}")
     aligned = comparison == "phase_aligned"
     z_sets = _cell_z_samples(cov, z_per_cell, seed)
     pts = grid.points
+    factored, tiles, plan = _unit_plan(R, grid, cov.node_cells(), z_per_cell)
+    if factored:
+        u, v, scale = R.node_factors()
+        v_z = R.col_factor(z_sets.reshape(-1, pts.shape[1]))
+        R._check_factors(u, v, scale)
+        R._check_factors(u, v_z, scale)
+        u_t = u.T                       # (r, M): a tile is a column run
+    else:
+        threads = 1
+    zs = np.arange(z_per_cell)
+    chunks = []
+    for nodes, cells, slots in plan:
+        right = None
+        if factored:
+            # the chunk's columns of s V, its nodes' then its z-samples',
+            # transposed and scaled once here, not per tile
+            z_cols = (cells[:, None] * z_per_cell + zs).ravel()
+            right = (np.concatenate([v[:, nodes], v_z[:, z_cols]], axis=1)
+                     * scale).T
+        chunks.append((nodes, cells, slots, right))
 
-    def gemms(block):
-        nodes, cells, _ = block
-        zs = z_sets[cells].reshape(-1, pts.shape[1])
-        return (R.node_block(grid, slice(None), nodes),
-                R.block(pts, zs) if cells.size else None)
+    def products(t0, t1, chunk, buf):
+        """R(x, y) and R(x, z) for the x in t0:t1, one row per y and z."""
+        nodes, cells, _, right = chunk
+        if right is None:
+            return (R.node_block(grid, slice(t0, t1), nodes).T,
+                    R.block(pts[t0:t1],
+                            z_sets[cells].reshape(-1, pts.shape[1])).T
+                    if cells.size else None)
+        prod = np.matmul(right, u_t[:, t0:t1],
+                         out=buf((right.shape[0], t1 - t0), complex))
+        return prod[:nodes.size], prod[nodes.size:] if cells.size else None
 
-    def osc(block, r_y, r_z):
-        nodes, cells, slots = block
-        amp = np.abs(r_y)
+    def work(t0, t1, chunk, buf):
+        nodes, cells, slots, _ = chunk
+        buf.reset()
+        r_y, r_z = products(t0, t1, chunk, buf)
+        amp = np.abs(r_y, out=buf(r_y.shape, float))
         if r_z is None:                     # Q_y is empty
-            return reduce(nodes, np.zeros(amp.shape), amp)
-        r_z = r_z.reshape(len(pts), cells.size, z_per_cell)
-        return reduce(nodes, _pair_osc(r_y, r_z, slots, aligned, amp), amp)
+            osc = buf(amp.shape, float)
+            osc.fill(0.0)
+        else:
+            osc = _pair_osc(r_y, r_z.reshape(cells.size, z_per_cell, t1 - t0),
+                            slots, aligned, amp, buf)
+        return reduce(slice(t0, t1), nodes, osc, amp)
 
-    blocks = _node_blocks(cov.node_cells(), z_per_cell)
-    threads = min(threads, len(blocks), os.cpu_count() or 1)
-    if threads <= 1:
-        for b in blocks:
-            fold(osc(b, *gemms(b)))
-        return
-    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-        pending = deque()
-        for b in blocks:
-            pending.append(pool.submit(osc, b, *gemms(b)))
-            if len(pending) >= threads:
-                fold(pending.popleft().result())
-        while pending:
-            fold(pending.popleft().result())
+    fold = fold or (lambda res: None)
+
+    def work_run(run, buf):
+        return [work(*tile, chunk, buf) for tile, chunk in run]
+
+    def fold_run(results):
+        for res in results:
+            fold(res)
+
+    # the pool hands out whole row tiles of a Gramian, so threads meet once
+    # per tile; any other kernel's units are folded one by one as they come
+    runs = ([[(t, c) for c in chunks] for t in tiles] if factored
+            else [[(t, c)] for t in tiles for c in chunks])
+    _on_pool(runs, threads, _Scratch, work_run, fold_run)
 
 
 def osc_matrix(R: Kernel, cov: Covering, grid: QuadGrid, z_per_cell: int = 4,
                comparison: str = "strict", seed: int = 0) -> np.ndarray:
     """The sampled oscillation osc_U(x, y) at all grid nodes x, y, (M, M):
-    the columns that `osc_norm_streaming` reduces."""
+    the values that `osc_norm_streaming` reduces."""
     out = np.empty((grid.size, grid.size))
 
-    def fold(res):
-        nodes, vals = res
-        out[:, nodes] = vals
+    def reduce(rows, nodes, vals, amp):
+        out[rows, nodes] = vals.T
 
-    _osc_stream(R, cov, grid, z_per_cell, comparison, seed,
-                lambda nodes, vals, amp: (nodes, vals), fold)
+    _osc_stream(R, cov, grid, z_per_cell, comparison, seed, reduce)
     return out
 
 
@@ -250,10 +364,13 @@ def osc_norm_streaming(R: Kernel, cov: Covering, grid: QuadGrid,
                        threads: int = 1) -> OscNorm:
     """||osc_U | A_m|| without materializing the M x M oscillation matrix.
 
-    Streams the oscillation columns in blocks of nodes (module docstring).
-    The same y-columns R(., y) also give ||R | A_m|| (the `r_norm` of the
-    result): every node's column of |R| m enters the row and column sums
-    once.  `threads` sizes the pool that reduces the blocks; the result
+    Streams the oscillation in units of a row tile against a column chunk
+    (module docstring).  The same values R(x, y) also give ||R | A_m|| (the
+    `r_norm` of the result): every node's column of |R| m enters the row
+    and column sums once.  A row tile's sums accumulate over the chunks in
+    chunk order, a node's column sums over the tiles in tile order.  For a
+    Gramian the calling thread synthesizes the z-samples' column factors
+    once, and `threads` sizes the pool that runs the row tiles; the result
     does not depend on it.
     """
     if threads < 1:
@@ -265,20 +382,20 @@ def osc_norm_streaming(R: Kernel, cov: Covering, grid: QuadGrid,
     r_row = np.zeros(M)
     r_col = np.zeros(M)
 
-    def reduce(nodes, vals, amp):
-        wy = w[nodes]
+    def reduce(rows, nodes, vals, amp):
+        wx, wy = w[rows], w[nodes]
         if not m.trivial:
-            mm = m(pts, pts[nodes])
+            mm = m(pts[rows], pts[nodes]).T
             amp *= mm
             vals *= mm
-        return nodes, vals @ wy, w @ vals, (amp @ wy, w @ amp)
+        return rows, nodes, (wy @ vals, vals @ wx), (wy @ amp, amp @ wx)
 
     def fold(res):
-        nodes, rows, cols, (r_rows, r_cols) = res
-        np.add(row_acc, rows, out=row_acc)
-        col_val[nodes] = cols
-        np.add(r_row, r_rows, out=r_row)
-        r_col[nodes] = r_cols
+        rows, nodes, (o_rows, o_cols), (r_rows, r_cols) = res
+        row_acc[rows] += o_rows
+        col_val[nodes] += o_cols
+        r_row[rows] += r_rows
+        r_col[nodes] += r_cols
 
     _osc_stream(R, cov, grid, z_per_cell, comparison, seed, reduce, fold,
                 threads)
@@ -296,7 +413,7 @@ def property_D_check(family: FrameFamily, cov: Covering, m: AdmissibleWeight,
     delta (||R|| + sigma) with the three flags.  One pass over the Gramian
     gives both norms: `osc_norm_streaming` sums ||R | A_m|| from the
     y-columns it evaluates for the oscillation anyway.  Deterministic given
-    seed, whatever the number of `threads` reducing the oscillation blocks.
+    seed, whatever the number of `threads` running the oscillation tiles.
     """
     if comparison is None:
         comparison = "phase_aligned" if family.phase_quotient else "strict"

@@ -179,7 +179,7 @@ class TestRun:
     def test_non_finite_gramian_exits_3_on_the_pool(self, tmp_path, monkeypatch,
                                                     capsys):
         # a non-finite half-factor row (node 300, row block 1 of 256: a
-        # worker's block at two threads) fails am_norm's buffered GEMM check
+        # worker's block at two threads) fails am_norm's factor check
         real = frame_families.FrameCalculus.u_factor
 
         def poisoned(self, rel_cut=1e-10):
@@ -189,6 +189,24 @@ class TestRun:
         monkeypatch.setattr(frame_families.FrameCalculus, "u_factor", poisoned)
         path = write_config(tmp_path, dict(MINIMAL, tasks=["norms"]))
         out = tmp_path / "o_pool"
+        assert run(str(path), out_dir=str(out), threads=2) == 3
+        assert "non-finite kernel value" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_non_finite_gramian_exits_3_in_a_property_d_tile(
+            self, tmp_path, monkeypatch, capsys):
+        # node 700 of the 1024 lies in row tile 1 of 2 of the oscillation
+        # stream, a worker's at two threads; the one factor check rejects it
+        real = frame_families.FrameCalculus.u_factor
+
+        def poisoned(self, rel_cut=1e-10):
+            u = real(self, rel_cut).copy()
+            u[700] = float("nan")
+            return u
+        monkeypatch.setattr(frame_families.FrameCalculus, "u_factor", poisoned)
+        cfg = dict(MINIMAL, tasks=["property-d"], covering={"cell_size": 1.0})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "o_tile"
         assert run(str(path), out_dir=str(out), threads=2) == 3
         assert "non-finite kernel value" in capsys.readouterr().err
         assert not (out / "report.json").exists()

@@ -155,6 +155,13 @@ class TestHermitianTriangle:
                                          np.ones((1, unit_grid_1d.size)), 1.0))
         with pytest.raises(KernelError, match="non-finite"):
             k.node_block(unit_grid_1d, slice(0, 3), slice(0, 2))
+        # finite factors whose product could overflow fail the bound
+        M = unit_grid_1d.size
+        big = Kernel(k.evaluator, native_grid=unit_grid_1d,
+                     node_factors=lambda: (np.full((M, 2), 1e160),
+                                           np.full((2, M), 1e150), 1e-300))
+        with pytest.raises(KernelError, match="non-finite"):
+            big.node_block(unit_grid_1d, slice(0, 3), slice(0, 2))
         # off its native grid the node path is `block`
         other = build_quad_grid([[0.0, 1.0]], [64])
         assert np.all(k.node_block(other, slice(0, 3), [1, 4]) == 1.0)
@@ -214,7 +221,8 @@ class TestThreadContract:
         R = gram_kernel(fam, grid, rel_cut=0.2)
         u, c, h = R.node_factors()
         bad = u.copy()
-        bad[20] = np.nan            # row 20: row block 1 of 16, a worker's
+        bad[20] = np.nan            # row 20: row block 1 of 16, a worker's,
+        # rejected by the one factor check before any block runs
         R.node_factors = lambda: (bad, c, h)
         with pytest.raises(KernelError, match="non-finite"):
             am_norm(R, trivial_admissible_weight(), grid, row_block=16,

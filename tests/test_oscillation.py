@@ -6,12 +6,13 @@ from hypothesis.extra.numpy import arrays
 
 from coorbit.coverings import Covering, build_covering, refine_covering
 from coorbit.frame_families import default_index_grid, gram_kernel, make_family
-from coorbit.kernel_algebra import Kernel
+import coorbit.oscillation as osc
+from coorbit.kernel_algebra import Kernel, KernelError
 from coorbit.measure_space import (SignalGrid, build_quad_grid,
                                    polynomial_weight,
                                    trivial_admissible_weight, weight_from_w)
 from coorbit.oscillation import (OscillationError, _cell_z_samples,
-                                 _node_blocks, _pair_osc, osc_matrix,
+                                 _pair_osc, _Scratch, _unit_plan, osc_matrix,
                                  osc_norm_streaming, property_D_check,
                                  refine_until)
 
@@ -118,9 +119,15 @@ def _reference_osc_sups(R, cov, grid, m, z_per_cell, comparison, seed):
     return float(row_acc.max()), float(col_val.max())
 
 
+def _plan(K, cov, grid, z_per_cell):
+    """(factored, row tiles, column chunks) of the stream of K over cov."""
+    return _unit_plan(K, grid, cov.node_cells(), z_per_cell)
+
+
 @pytest.fixture(scope="module")
 def gabor_blocks():
-    """Gabor box whose coverings stream in four or more blocks."""
+    """Gabor box whose Gramian streams in four row tiles and four or more
+    column chunks."""
     fam = make_family("gabor", None, SignalGrid(8.0, 64))
     from coorbit.frame_families import default_index_grid
     grid = default_index_grid(fam, bounds=[[-5.0, 5.0], [-5.0, 5.0]],
@@ -147,7 +154,9 @@ class TestStreamingBlocks:
     def test_matches_per_cell_loop(self, gabor_blocks, overlap, comparison):
         _, grid, R = gabor_blocks
         cov = build_covering(grid, 0.625, overlap_fraction=overlap)
-        assert len(_node_blocks(cov.node_cells(), 3)) >= 4   # several in flight
+        factored, tiles, chunks = _plan(R, cov, grid, 3)
+        # several tiles in flight, each against several chunks
+        assert factored and len(tiles) >= 4 and len(chunks) >= 4
         m = weight_from_w(polynomial_weight(1.0))
         ref = max(_reference_osc_sups(R, cov, grid, m, 3, comparison, seed=7))
         got = [osc_norm_streaming(R, cov, grid, m, z_per_cell=3,
@@ -161,14 +170,14 @@ class TestStreamingBlocks:
     def test_row_sums_match_per_cell_loop(self, monkeypatch, overlap,
                                           comparison):
         # a peaked row factor makes the row sup the larger one, a small entry
-        # budget streams the 64-node grid in many blocks, and the density and
+        # budget streams the 64-node grid in many chunks, and the density and
         # weight make every node's quadrature weight and m-column distinct
-        import coorbit.oscillation as osc
         monkeypatch.setattr(osc, "_BLOCK_ENTRIES", 64 * 12)
         grid, K = _peaked_setup()
         m = weight_from_w(polynomial_weight(1.0))
         cov = build_covering(grid, 1.0 / 16, overlap_fraction=overlap)
-        assert len(_node_blocks(cov.node_cells(), 2)) >= 8
+        factored, tiles, chunks = _plan(K, cov, grid, 2)
+        assert not factored and tiles == [(0, 64)] and len(chunks) >= 8
         row_sup, col_sup = _reference_osc_sups(K, cov, grid, m, 2,
                                                comparison, seed=3)
         assert row_sup > col_sup
@@ -177,26 +186,49 @@ class TestStreamingBlocks:
                                      comparison=comparison, seed=3, threads=t)
             assert got == pytest.approx(row_sup, rel=1e-13, abs=0.0)
 
-    def test_blocks_are_consecutive_cells_within_budget(self, gabor_blocks):
-        # every node once, ordered by first cell and then by index; a block
+    def test_chunks_are_consecutive_cells_within_budget(self, gabor_blocks):
+        # every node once, ordered by first cell and then by index; a chunk
         # is a run of first cells whose nodes and z-samples fit the budget
-        import coorbit.oscillation as osc
-        _, grid, _ = gabor_blocks
-        budget = osc._BLOCK_ENTRIES // grid.size
+        _, grid, R = gabor_blocks
         for overlap in (0.0, 0.3):
             cov = build_covering(grid, 0.625, overlap_fraction=overlap)
             table = cov.node_cells()
-            blocks = _node_blocks(table, 3)
-            nodes = np.concatenate([b[0] for b in blocks])
+            chunks = _plan(R, cov, grid, 3)[2]
+            nodes = np.concatenate([c[0] for c in chunks])
             assert np.array_equal(np.sort(nodes), np.arange(grid.size))
             assert np.all(np.diff(table[nodes, 0] * grid.size + nodes) > 0)
-            firsts = [np.unique(table[b[0], 0]) for b in blocks]
+            firsts = [np.unique(table[c[0], 0]) for c in chunks]
             assert np.array_equal(np.concatenate(firsts),
                                   np.unique(table[:, 0]))
-            for (idx, cells, slots), first in zip(blocks, firsts):
-                assert idx.size + 3 * first.size <= budget
+            for (idx, cells, slots), first in zip(chunks, firsts):
+                assert idx.size + 3 * first.size <= osc._CHUNK_COLS
                 assert np.all(np.diff(cells) > 0)
                 assert np.array_equal(cells[slots], table[idx])
+
+    def test_row_tiles_cover_the_grid(self, gabor_blocks):
+        _, grid, R = gabor_blocks
+        _, tiles, _ = _plan(R, build_covering(grid, 0.625), grid, 3)
+        assert tiles[0][0] == 0 and tiles[-1][1] == grid.size
+        assert all(a[1] == b[0] for a, b in zip(tiles, tiles[1:]))
+        assert max(b - a for a, b in tiles) <= osc._TILE_ROWS
+
+    def test_chunk_count_does_not_grow_with_the_grid(self):
+        # the reference box: 458 x 914 nodes in 229 x 457 = 104653 cells of
+        # 2 x 2 nodes.  A whole-height budget of _BLOCK_ENTRIES / M columns
+        # would give every cell a chunk of its own; a Gramian's chunks hold
+        # about _CHUNK_COLS nodes and z-samples whatever M is
+        grid = build_quad_grid([[-8.0, 8.0], [-16.0, 16.0]], [458, 914])
+        i, j = np.divmod(np.arange(grid.size), 914)
+        table = ((i // 2) * 457 + j // 2)[:, None]
+        R = Kernel(None, native_grid=grid, node_factors=lambda: None,
+                   col_factor=lambda p: None)
+        factored, tiles, chunks = _unit_plan(R, grid, table, 4)
+        cols = grid.size + 4 * 104653
+        assert factored and len(tiles) == -(-grid.size // osc._TILE_ROWS)
+        # each chunk but the last leaves fewer columns free than one cell
+        # (4 nodes and 4 z-samples) takes
+        assert len(chunks) <= cols // (osc._CHUNK_COLS - 8) + 1
+        assert sum(c[0].size for c in chunks) == grid.size
 
     def test_threads_must_be_positive(self, gabor_blocks, m_trivial):
         _, grid, R = gabor_blocks
@@ -229,11 +261,13 @@ class TestFoldedRNorm:
     @pytest.mark.parametrize("comparison", ["strict", "phase_aligned"])
     def test_matches_row_block_loop(self, fold_case, monkeypatch, overlap,
                                     poly, comparison, reference_am_norm):
-        import coorbit.oscillation as osc
         grid, K, cell = fold_case
         monkeypatch.setattr(osc, "_BLOCK_ENTRIES", grid.size * 20)
+        monkeypatch.setattr(osc, "_TILE_ROWS", grid.size // 4)
+        monkeypatch.setattr(osc, "_CHUNK_COLS", 64)
         cov = build_covering(grid, cell, overlap_fraction=overlap)
-        assert len(_node_blocks(cov.node_cells(), 2)) >= 4
+        factored, tiles, chunks = _plan(K, cov, grid, 2)
+        assert len(chunks) >= 4 and (len(tiles) >= 4 or not factored)
         if overlap:
             assert cov.node_cells().shape[1] > 1
         m = weight_from_w(polynomial_weight(1.0)) if poly \
@@ -280,8 +314,8 @@ _parts = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
 
 @st.composite
 def _node_slots(draw):
-    """Complex y-columns, the z-columns of C cells with Z samples each, and
-    per y-column an ascending row of cells padded by repeating its last."""
+    """Complex y-rows, the z-rows of C cells with Z samples each, and per
+    y-row an ascending row of cells padded by repeating its last."""
     M = draw(st.integers(1, 5))
     C = draw(st.integers(1, 4))
     Z = draw(st.integers(1, 4))
@@ -296,20 +330,40 @@ def _node_slots(draw):
         re = draw(arrays(np.float64, shape, elements=_parts))
         im = draw(arrays(np.float64, shape, elements=_parts))
         return re + 1j * im
-    return cplx((M, len(rows))), cplx((M, C, Z)), np.array(rows)
+    return cplx((len(rows), M)), cplx((C, Z, M)), np.array(rows)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_node_slots())
 def test_pair_osc_is_the_difference_tensor_max(case):
     r_y, r_z, slots = case
-    M, Y = r_y.shape
+    Y, M = r_y.shape
+    scratch = _Scratch()
     for aligned in (True, False):
-        got = _pair_osc(r_y, r_z, slots, aligned)
-        a, b = r_y, r_z[:, slots].reshape(M, Y, -1)      # (M, Y, K Z)
+        a, b = r_y, r_z[slots].reshape(Y, -1, M)         # (Y, K Z, M)
         if aligned:
             a, b = np.abs(a), np.abs(b)
-        assert np.array_equal(got, np.abs(a[:, :, None] - b).max(axis=2))
+        ref = np.abs(a[:, None, :] - b).max(axis=1)
+        assert np.array_equal(_pair_osc(r_y, r_z, slots, aligned), ref)
+        # the same bits from a thread's scratch memory, twice over
+        for _ in range(2):
+            scratch.reset()
+            assert np.array_equal(
+                _pair_osc(r_y, r_z, slots, aligned, buf=scratch), ref)
+
+
+def test_scratch_hands_out_disjoint_arrays_and_reuses_them():
+    scratch = _Scratch()
+    for unit in range(3):
+        scratch.reset()
+        parts = [scratch((5, 7), float), scratch((3, 4), complex),
+                 scratch((1,), float)]
+        for k, part in enumerate(parts):
+            part.fill(k + 1)
+        assert [np.all(p == k + 1) for k, p in enumerate(parts)] == [True] * 3
+        # after the first unit grew the buffer, every array is carved from it
+        carved = [np.shares_memory(p, scratch.data) for p in parts]
+        assert carved == [unit > 0] * 3
 
 
 def _wave_kernel():
@@ -334,12 +388,87 @@ def _drop_cells(cov, drop):
         measure_ratio=cov.measure_ratio)
 
 
+def _stream_matrix(K, cov, grid, comparison, threads):
+    """The values `osc_matrix` keeps, as `_osc_stream` yields them on
+    `threads`; every entry is written exactly by some unit."""
+    out = np.full((grid.size, grid.size), np.nan)
+
+    def reduce(rows, nodes, vals, amp):
+        out[rows, nodes] = vals.T
+
+    osc._osc_stream(K, cov, grid, 3, comparison, 4, reduce, threads=threads)
+    assert not np.isnan(out).any()
+    return out
+
+
+class TestThreadInvariance:
+    """The units of a Gramian run on the pool and are folded in tile order,
+    then chunk order; any other kernel runs on the calling thread.  Either
+    way the bits do not depend on `threads`."""
+
+    @pytest.mark.parametrize("kind", ["factored", "plain"])
+    @pytest.mark.parametrize("unheld", [False, True])
+    @pytest.mark.parametrize("overlap", [0.0, 0.3])
+    @pytest.mark.parametrize("comparison", ["strict", "phase_aligned"])
+    def test_bits_do_not_depend_on_threads(self, gabor_blocks, monkeypatch,
+                                           kind, unheld, overlap, comparison):
+        if kind == "factored":
+            _, grid, K = gabor_blocks
+            cell, drop = 0.625, [17, 18, 33, 34]
+        else:
+            grid, K = build_quad_grid([[0.0, 1.0], [0.0, 1.0]], [12, 12]), \
+                _wave_kernel()
+            cell, drop = 0.25, [5, 6, 9, 10]
+            monkeypatch.setattr(osc, "_BLOCK_ENTRIES", grid.size * 24)
+        cov = build_covering(grid, cell, overlap_fraction=overlap)
+        if unheld:
+            cov = _drop_cells(cov, drop)
+        assert np.any(cov.node_cells()[:, 0] < 0) == unheld
+        factored, tiles, chunks = _plan(K, cov, grid, 3)
+        assert factored == (kind == "factored")
+        assert len(tiles) >= 4 if factored else len(chunks) >= 4
+        mats = [_stream_matrix(K, cov, grid, comparison, t) for t in (1, 2, 3)]
+        assert mats[0].tobytes() == mats[1].tobytes() == mats[2].tobytes()
+        assert np.array_equal(mats[0], osc_matrix(
+            K, cov, grid, z_per_cell=3, comparison=comparison, seed=4))
+        for m in (trivial_admissible_weight(),
+                  weight_from_w(polynomial_weight(1.0))):
+            got = [osc_norm_streaming(K, cov, grid, m, z_per_cell=3,
+                                      comparison=comparison, seed=4, threads=t)
+                   for t in (1, 2, 3)]
+            assert len({(float(g).hex(), g.r_norm.hex()) for g in got}) == 1
+
+    def test_non_finite_factor_in_a_workers_tile(self, gabor_blocks,
+                                                 m_trivial):
+        # row 500 lies in row tile 1, which a worker takes at two threads;
+        # the factors are checked once, before any unit runs
+        _, grid, R = gabor_blocks
+        cov = build_covering(grid, 0.625)
+        _, tiles, _ = _plan(R, cov, grid, 3)
+        assert [a <= 500 < b for a, b in tiles].index(True) % 2 == 1
+        u, c, h = R.node_factors()
+        bad_u = u.copy()
+        bad_u[500] = np.nan
+
+        def bad_col_factor(points):
+            v = R.col_factor(points)
+            v[0, -1] = np.inf
+            return v
+
+        for factors, col_factor in (((bad_u, c, h), R.col_factor),
+                                    ((u, c, h), bad_col_factor)):
+            K = Kernel(R.evaluator, provenance="gramian", native_grid=grid,
+                       node_factors=lambda f=factors: f, col_factor=col_factor)
+            with pytest.raises(KernelError, match="non-finite"):
+                osc_norm_streaming(K, cov, grid, m_trivial, z_per_cell=3,
+                                   threads=2)
+
+
 class TestOscMatrix:
     @pytest.mark.parametrize("case", ["partition", "overlap", "unheld"])
     @pytest.mark.parametrize("comparison", ["strict", "phase_aligned"])
     def test_matches_pointwise_reference(self, monkeypatch, case, comparison,
                                          reference_osc_matrix):
-        import coorbit.oscillation as osc
         grid = build_quad_grid([[0.0, 1.0], [0.0, 1.0]], [12, 12])
         cov = build_covering(grid, 0.25, overlap_fraction=0.0 if
                              case == "partition" else 0.3)
@@ -349,8 +478,8 @@ class TestOscMatrix:
         assert (table.shape[1] > 1) == (case != "partition")
         assert np.any(table[:, 0] < 0) == (case == "unheld")
         monkeypatch.setattr(osc, "_BLOCK_ENTRIES", grid.size * 24)
-        assert len(_node_blocks(table, 3)) >= 4
         K = _wave_kernel()
+        assert len(_plan(K, cov, grid, 3)[2]) >= 4
         got = osc_matrix(K, cov, grid, z_per_cell=3, comparison=comparison,
                          seed=4)
         ref = reference_osc_matrix(K, cov, grid, z_per_cell=3,
