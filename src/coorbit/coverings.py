@@ -451,7 +451,10 @@ class ModerationReport:
 
 
 def weight_sup_on_cells(cov: Covering, m: AdmissibleWeight) -> float:
-    """C_{m,U} = max over cells of the in-cell sup of m on node pairs."""
+    """C_{m,U} = max over cells of the in-cell sup of m on node pairs; 1 for
+    the trivial weight (`AdmissibleWeight.trivial`), which is not evaluated."""
+    if m.trivial:
+        return 1.0
     out = 1.0
     pts = cov.grid.points
     for i, idx in enumerate(cov.members):

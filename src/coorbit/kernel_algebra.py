@@ -1,10 +1,10 @@
 """Kernel calculus on X x X and the weighted Schur-type algebra norms.
 
 A Kernel is a complex-valued function on pairs of index points, evaluated
-block-wise: at arbitrary points through `block`, and at grid nodes through
-`node_block`, which a Gramian serves from its factors R = h U V (U = C^H,
-V = C, the cached half factor) without synthesizing atoms again; off the
-grid its `col_factor` gives V at any points.
+block-wise at arbitrary points through `block`.  A Gramian also carries its
+node factors R = h U V (U = C^H, V = C, the cached half factor), which its
+consumers multiply at grid nodes without synthesizing atoms again, and a
+`col_factor` that gives V at any points.
 Norms are computed by streaming row blocks, so nothing ever materializes an
 M x M matrix unless the grid is small enough to cache (<= CACHE_NODE_LIMIT
 nodes per side).  A kernel that is Hermitian by construction (the Gramian
@@ -45,6 +45,8 @@ class Kernel:
     (U, V, s) with K = s U V at the nodes of `native_grid`: U is (M, r),
     V is (r, M).  col_factor(points), when given with them, returns the
     (r, P) right factor at any P points: K(x_i, p) = s U[i] col_factor(p).
+    `am_norm` multiplies the node factors on their grid, and the oscillation
+    stream needs both and refuses a kernel without them.
     `hermitian` marks a kernel with K(x, y) = conj(K(y, x)) by
     construction.  The cache, when built, agrees with the evaluator at
     every node (same code path), and building it is the only mutation;
@@ -69,22 +71,6 @@ class Kernel:
     def block(self, points_r: np.ndarray, points_c: np.ndarray) -> np.ndarray:
         return self._finite(self.evaluator(np.atleast_2d(points_r),
                                            np.atleast_2d(points_c)))
-
-    def node_block(self, grid: QuadGrid, rows, cols) -> np.ndarray:
-        """K at the grid nodes rows x cols (index arrays or slices).
-
-        On its native grid a kernel with node factors is the product
-        s U[rows] V[:, cols] and never sees the points; every other kernel
-        evaluates grid.points[rows] x grid.points[cols] through `block`.
-        """
-        if self.node_factors is None or grid is not self.native_grid:
-            return self.block(grid.points[rows], grid.points[cols])
-        u, v, scale = self.node_factors()
-        u, v = u[rows], v[:, cols]
-        self._check_factors(u, v, scale)
-        out = u @ v
-        out *= scale
-        return out
 
     def _finite(self, vals) -> np.ndarray:
         vals = np.asarray(vals)
@@ -214,7 +200,8 @@ def am_norm(kern: Kernel, m: AdmissibleWeight, grid: QuadGrid,
     checks them once (`Kernel._check_factors`).  Each thread owns one
     complex buffer for a GEMM of at most `_GEMM_ROWS` rows and one real
     buffer for the moduli of a row block, reused by every block it takes.
-    Other kernels evaluate `Kernel.node_block` on the calling thread.
+    Other kernels, and a factored kernel off its native grid, evaluate
+    `Kernel.block` on the calling thread.
     Block sums are folded in block order, so the result does not depend on
     `threads`.
     The trivial weight (`AdmissibleWeight.trivial`) is never evaluated:
@@ -241,7 +228,7 @@ def am_norm(kern: Kernel, m: AdmissibleWeight, grid: QuadGrid,
     def moduli(start, stop, lo, own):
         """|K| on rows start:stop and columns lo:M, in the thread's buffer."""
         if factors is None:
-            return np.abs(kern.node_block(grid, slice(start, stop), slice(lo, M)))
+            return np.abs(kern.block(pts[start:stop], pts[lo:]))
         u, v, scale = factors
         cplx, amp = own
         cols = M - lo
@@ -272,8 +259,8 @@ def am_norm(kern: Kernel, m: AdmissibleWeight, grid: QuadGrid,
         col_acc_1[c0:] += cols_1
         col_acc_m[c0:] += cols_m
 
-    # kernels without factors stay on the calling thread: their node_block
-    # temporaries and evaluator calls are not for workers
+    # kernels without factors stay on the calling thread: their evaluator
+    # calls are not for workers
     _on_pool(list(range(0, M, row_block)), threads if factors else 1,
              make, work, fold)
     if herm:

@@ -159,8 +159,8 @@ def gab_domination_check(frame_f: FrameFamily, frame_g: FrameFamily,
 
     # membership matrix C[i, node] and the covering kernel L = C^T diag(1/a) C
     C = np.zeros((cov.size, M))
-    for i, idx in enumerate(cov.members):
-        C[i, idx] = 1.0
+    C[np.repeat(np.arange(cov.size), [idx.size for idx in cov.members]),
+      np.concatenate(cov.members)] = 1.0
     left = C.T @ np.abs(gram.matrix) @ C
 
     kern_f = gram_kernel(frame_f, grid, rel_cut=rel_cut)

@@ -24,22 +24,21 @@ compared against the z-samples of every cell in its row of
 cell boundaries into column chunks; the nodes no cell holds are a chunk of
 their own.  A unit is one row tile of x-nodes against one column chunk.
 
-For a kernel with node factors R = s U V on its grid and a column factor
-(the Gramian), the calling thread synthesizes the column factors of all
-z-samples once per level (`Kernel.col_factor`, which calls the family's
-`atoms`), checks the factors once (`Kernel._check_factors`) and gathers
-each chunk's columns of s V, its nodes' and its z-samples'.  A unit is then
-one GEMM of a chunk (at most `_CHUNK_COLS` y- and z-columns) against a
-tile of about `_TILE_ROWS` rows of U, the moduli, the z min and max (or the
-strict differences), a `take` gather of each node's cells and the row and
-column sums, every intermediate in scratch memory that the running thread
-owns.  The row tiles run on `threads` (`kernel_algebra._on_pool`), each
-tile's units in chunk order on one thread; the workers run numpy and the
-weight m, never `Kernel.block`, `FrameFamily.atoms` or `u_factor`.  Unit
-results are folded in tile order, then chunk order, so the result does not
-depend on the thread count.  Any other kernel runs one whole-height tile
-on the calling thread, its chunks narrowed to `_BLOCK_ENTRIES` / M
-columns, through `R.node_block` and `R.block`.
+The stream takes a kernel with node factors R = s U V on its grid and a
+column factor (the Gramian) and refuses any other.  The calling thread
+synthesizes the column factors of all z-samples once per level
+(`Kernel.col_factor`, which calls the family's `atoms`), checks the factors
+once (`Kernel._check_factors`) and gathers each chunk's columns of s V, its
+nodes' and its z-samples'.  A unit is then one GEMM of a chunk (at most
+`_CHUNK_COLS` y- and z-columns) against a tile of about `_TILE_ROWS` rows
+of U, the moduli, the z min and max (or the strict differences), a `take`
+gather of each node's cells and the row and column sums, every
+intermediate in scratch memory that the running thread owns.  The row
+tiles run on `threads` (`kernel_algebra._on_pool`), each tile's units in
+chunk order on one thread; the workers run numpy and the weight m, never
+`Kernel.block`, `FrameFamily.atoms` or `u_factor`.  Unit results are folded
+in tile order, then chunk order, so the result does not depend on the
+thread count.
 
 `osc_matrix` keeps the values.  `osc_norm_streaming` reduces each unit to
 its row and column sums of osc m and of |R| m: ||R | A_m|| comes from the
@@ -58,16 +57,13 @@ from .measure_space import AdmissibleWeight, QuadGrid
 from .frame_families import FrameFamily, default_index_grid, gram_kernel
 
 
-# one unit of a kernel with node factors: a row tile of about _TILE_ROWS
-# x-nodes against a column chunk of at most _CHUNK_COLS y-nodes and
-# z-samples.  Its product is at most 2 MB complex and each real array about
-# 0.6 MB, near a core's L2 cache; smaller units measured slower at two
-# threads, larger ones slower at one (BENCH_osc_tiles.json)
+# one unit: a row tile of about _TILE_ROWS x-nodes against a column chunk of
+# at most _CHUNK_COLS y-nodes and z-samples.  Its product is at most 2 MB
+# complex and each real array about 0.6 MB, near a core's L2 cache; smaller
+# units measured slower at two threads, larger ones slower at one
+# (BENCH_osc_tiles.json)
 _TILE_ROWS = 512
 _CHUNK_COLS = 256
-# complex entries of the two products of one whole-height unit of any other
-# kernel
-_BLOCK_ENTRIES = 2 ** 20
 
 
 class OscillationError(ValueError):
@@ -208,25 +204,6 @@ def _column_chunks(table: np.ndarray, z_per_cell: int, cols: int) -> list:
     return chunks
 
 
-def _unit_plan(R: Kernel, grid: QuadGrid, table: np.ndarray,
-               z_per_cell: int):
-    """(factored, row tiles, column chunks) of the stream of R on grid.
-
-    A kernel with node factors and a column factor on this grid (factored)
-    takes row tiles of about `_TILE_ROWS` rows and chunks of `_CHUNK_COLS`
-    columns, whatever M; any other kernel one tile of all M rows and chunks
-    of `_BLOCK_ENTRIES` / M columns.
-    """
-    M = grid.size
-    factored = (R.node_factors is not None and R.col_factor is not None
-                and grid is R.native_grid)
-    if factored:
-        tiles, cols = _even_blocks(M, _TILE_ROWS), _CHUNK_COLS
-    else:
-        tiles, cols = [(0, M)], max(1, _BLOCK_ENTRIES // M)
-    return factored, tiles, _column_chunks(table, z_per_cell, cols)
-
-
 class _Scratch:
     """One thread's scratch memory for the units it runs: arrays carved one
     after another from a byte buffer kept across units, and handed out
@@ -264,75 +241,63 @@ def _osc_stream(R: Kernel, cov: Covering, grid: QuadGrid, z_per_cell: int,
     Both live in the running thread's scratch memory: reduce may overwrite
     them but must not keep them.
 
-    A kernel with node factors and a column factor on this grid runs its
-    row tiles on `threads` (`_on_pool`); every other kernel runs one
-    whole-height tile on the calling thread.
+    R must have node factors and a column factor on this grid; the row
+    tiles run on `threads` (`_on_pool`).
     """
     if comparison not in ("strict", "phase_aligned"):
         raise OscillationError(f"unknown comparison {comparison!r}")
+    if R.node_factors is None or R.col_factor is None \
+            or grid is not R.native_grid:
+        raise OscillationError(
+            f"the oscillation stream needs node factors and a column factor "
+            f"on the kernel's native grid ({R.provenance})")
     aligned = comparison == "phase_aligned"
     z_sets = _cell_z_samples(cov, z_per_cell, seed)
-    pts = grid.points
-    factored, tiles, plan = _unit_plan(R, grid, cov.node_cells(), z_per_cell)
-    if factored:
-        u, v, scale = R.node_factors()
-        v_z = R.col_factor(z_sets.reshape(-1, pts.shape[1]))
-        R._check_factors(u, v, scale)
-        R._check_factors(u, v_z, scale)
-        u_t = u.T                       # (r, M): a tile is a column run
-    else:
-        threads = 1
+    u, v, scale = R.node_factors()
+    v_z = R.col_factor(z_sets.reshape(-1, grid.points.shape[1]))
+    R._check_factors(u, v, scale)
+    R._check_factors(u, v_z, scale)
+    u_t = u.T                           # (r, M): a tile is a column run
     zs = np.arange(z_per_cell)
     chunks = []
-    for nodes, cells, slots in plan:
-        right = None
-        if factored:
-            # the chunk's columns of s V, its nodes' then its z-samples',
-            # transposed and scaled once here, not per tile
-            z_cols = (cells[:, None] * z_per_cell + zs).ravel()
-            right = (np.concatenate([v[:, nodes], v_z[:, z_cols]], axis=1)
-                     * scale).T
+    for nodes, cells, slots in _column_chunks(cov.node_cells(), z_per_cell,
+                                              _CHUNK_COLS):
+        # the chunk's columns of s V, its nodes' then its z-samples',
+        # transposed and scaled once here, not per tile
+        z_cols = (cells[:, None] * z_per_cell + zs).ravel()
+        right = (np.concatenate([v[:, nodes], v_z[:, z_cols]], axis=1)
+                 * scale).T
         chunks.append((nodes, cells, slots, right))
 
-    def products(t0, t1, chunk, buf):
-        """R(x, y) and R(x, z) for the x in t0:t1, one row per y and z."""
-        nodes, cells, _, right = chunk
-        if right is None:
-            return (R.node_block(grid, slice(t0, t1), nodes).T,
-                    R.block(pts[t0:t1],
-                            z_sets[cells].reshape(-1, pts.shape[1])).T
-                    if cells.size else None)
+    def work(t0, t1, chunk, buf):
+        """R(x, y) and R(x, z) for the x in t0:t1, one row per y and z, and
+        the unit's reduction."""
+        nodes, cells, slots, right = chunk
+        buf.reset()
         prod = np.matmul(right, u_t[:, t0:t1],
                          out=buf((right.shape[0], t1 - t0), complex))
-        return prod[:nodes.size], prod[nodes.size:] if cells.size else None
-
-    def work(t0, t1, chunk, buf):
-        nodes, cells, slots, _ = chunk
-        buf.reset()
-        r_y, r_z = products(t0, t1, chunk, buf)
+        r_y = prod[:nodes.size]
         amp = np.abs(r_y, out=buf(r_y.shape, float))
-        if r_z is None:                     # Q_y is empty
+        if not cells.size:                  # Q_y is empty
             osc = buf(amp.shape, float)
             osc.fill(0.0)
         else:
-            osc = _pair_osc(r_y, r_z.reshape(cells.size, z_per_cell, t1 - t0),
-                            slots, aligned, amp, buf)
+            osc = _pair_osc(r_y, prod[nodes.size:].reshape(
+                cells.size, z_per_cell, t1 - t0), slots, aligned, amp, buf)
         return reduce(slice(t0, t1), nodes, osc, amp)
 
     fold = fold or (lambda res: None)
 
-    def work_run(run, buf):
-        return [work(*tile, chunk, buf) for tile, chunk in run]
+    def work_tile(tile, buf):
+        return [work(*tile, chunk, buf) for chunk in chunks]
 
-    def fold_run(results):
+    def fold_tile(results):
         for res in results:
             fold(res)
 
-    # the pool hands out whole row tiles of a Gramian, so threads meet once
-    # per tile; any other kernel's units are folded one by one as they come
-    runs = ([[(t, c) for c in chunks] for t in tiles] if factored
-            else [[(t, c)] for t in tiles for c in chunks])
-    _on_pool(runs, threads, _Scratch, work_run, fold_run)
+    # the pool hands out whole row tiles, so threads meet once per tile
+    _on_pool(_even_blocks(grid.size, _TILE_ROWS), threads, _Scratch,
+             work_tile, fold_tile)
 
 
 def osc_matrix(R: Kernel, cov: Covering, grid: QuadGrid, z_per_cell: int = 4,
@@ -368,10 +333,12 @@ def osc_norm_streaming(R: Kernel, cov: Covering, grid: QuadGrid,
     (module docstring).  The same values R(x, y) also give ||R | A_m|| (the
     `r_norm` of the result): every node's column of |R| m enters the row
     and column sums once.  A row tile's sums accumulate over the chunks in
-    chunk order, a node's column sums over the tiles in tile order.  For a
-    Gramian the calling thread synthesizes the z-samples' column factors
-    once, and `threads` sizes the pool that runs the row tiles; the result
-    does not depend on it.
+    chunk order, a node's column sums over the tiles in tile order.  The
+    calling thread synthesizes the z-samples' column factors once, and
+    `threads` sizes the pool that runs the row tiles; the result does not
+    depend on it.  R must have node factors and a column factor on this
+    grid, as the Gramian of `gram_kernel` does; any other kernel raises
+    OscillationError.
     """
     if threads < 1:
         raise OscillationError(f"threads must be >= 1, got {threads}")

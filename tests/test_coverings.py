@@ -16,9 +16,9 @@ from coorbit.coverings import (Covering, CoveringError, _open_overlap,
                                weight_sup_on_cells)
 from coorbit.discretization import _sample_nodes
 from coorbit.frame_families import default_index_grid, make_family
-from coorbit.measure_space import (QuadGrid, SignalGrid, build_quad_grid,
-                                   polynomial_weight, trivial_admissible_weight,
-                                   weight_from_w)
+from coorbit.measure_space import (AdmissibleWeight, QuadGrid, SignalGrid,
+                                   build_quad_grid, polynomial_weight,
+                                   trivial_admissible_weight, weight_from_w)
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +93,16 @@ class TestVerifyModerate:
             vals.append(weight_sup_on_cells(cov, m))
             cov = refine_covering(cov)
         assert vals[0] > vals[1] > vals[2] > 1.0
+
+    def test_trivial_weight_is_not_evaluated(self, line_grid):
+        # m = 1 by construction: C_{m,U} is 1 without a single evaluation
+        def refuse(p, q):
+            raise AssertionError("the trivial weight was evaluated")
+        m = AdmissibleWeight(refuse, descriptor="trivial", trivial=True)
+        for overlap in (0.0, 0.5):
+            cov = build_covering(line_grid, 0.5, overlap_fraction=overlap)
+            assert weight_sup_on_cells(cov, m) == 1.0
+            assert verify_moderate(cov, m).c_m_u == 1.0
 
     def test_zero_measure_cell_reported(self, line_grid, m_trivial):
         cov = build_covering(line_grid, 0.5)

@@ -350,10 +350,10 @@ class TestHalfFactor:
         calc.u_factor(cut)
         # grid nodes are columns of C: no atom is synthesized again
         monkeypatch.setattr(fam, "atom_fn", None)
-        assert np.abs(R.node_block(grid, rows, slice(None)) - ref[rows]).max() <= tol
-        assert np.abs(R.node_block(grid, slice(None), rows) - ref[:, rows]).max() <= tol
-        assert np.abs(R.node_block(grid, slice(2, 5), rows)
-                      - ref[2:5][:, rows]).max() <= tol
+        u, c, h = R.node_factors()
+        assert np.abs(h * (u[rows] @ c) - ref[rows]).max() <= tol
+        assert np.abs(h * (u @ c[:, rows]) - ref[:, rows]).max() <= tol
+        assert np.abs(h * (u[2:5] @ c[:, rows]) - ref[2:5][:, rows]).max() <= tol
 
 
 # every family, and both built-in wavelets, at n = 256: S has two column

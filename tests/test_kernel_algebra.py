@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from coorbit.coverings import build_covering
 from coorbit.frame_families import default_index_grid, gram_kernel, make_family
 from coorbit.kernel_algebra import (Kernel, KernelError, _on_pool, am_norm,
                                     apply_kernel, compose, export_kernel_csv,
@@ -18,6 +19,7 @@ from coorbit.measure_space import (AdmissibleWeight, GridError, QuadGrid,
                                    SignalGrid, build_quad_grid,
                                    polynomial_weight, trivial_admissible_weight,
                                    trivial_weight, weight_from_w)
+from coorbit.oscillation import osc_norm_streaming
 
 
 def gaussian_kernel():
@@ -148,23 +150,32 @@ class TestHermitianTriangle:
         assert not involution(gram_kernel(fam, grid, rel_cut=0.2)).hermitian
         assert not Kernel(lambda p, q: np.ones((p.shape[0], q.shape[0]))).hermitian
 
-    def test_node_block_rejects_non_finite(self, unit_grid_1d):
-        k = Kernel(lambda p, q: np.ones((p.shape[0], q.shape[0])),
-                   native_grid=unit_grid_1d,
-                   node_factors=lambda: (np.full((unit_grid_1d.size, 1), np.nan),
-                                         np.ones((1, unit_grid_1d.size)), 1.0))
-        with pytest.raises(KernelError, match="non-finite"):
-            k.node_block(unit_grid_1d, slice(0, 3), slice(0, 2))
-        # finite factors whose product could overflow fail the bound
+    def test_factor_check_rejects_non_finite(self, unit_grid_1d, m_trivial):
+        # both paths that multiply node factors check them first: am_norm
+        # and the oscillation stream
         M = unit_grid_1d.size
-        big = Kernel(k.evaluator, native_grid=unit_grid_1d,
-                     node_factors=lambda: (np.full((M, 2), 1e160),
-                                           np.full((2, M), 1e150), 1e-300))
-        with pytest.raises(KernelError, match="non-finite"):
-            big.node_block(unit_grid_1d, slice(0, 3), slice(0, 2))
-        # off its native grid the node path is `block`
+        cov = build_covering(unit_grid_1d, 0.25)
+
+        def factored(u, v, scale):
+            r = u.shape[1]
+            return Kernel(lambda p, q: np.ones((p.shape[0], q.shape[0])),
+                          native_grid=unit_grid_1d,
+                          node_factors=lambda: (u, v, scale),
+                          col_factor=lambda q: np.full((r, len(q)), v[0, 0]))
+
+        nan = factored(np.full((M, 1), np.nan), np.ones((1, M)), 1.0)
+        # finite factors whose product could overflow fail the bound
+        big = factored(np.full((M, 2), 1e160), np.full((2, M), 1e150), 1e-300)
+        for k in (nan, big):
+            with pytest.raises(KernelError, match="non-finite"):
+                am_norm(k, m_trivial, unit_grid_1d)
+            with pytest.raises(KernelError, match="non-finite"):
+                osc_norm_streaming(k, cov, unit_grid_1d, m_trivial)
+        # off its native grid am_norm evaluates the kernel, here all ones
         other = build_quad_grid([[0.0, 1.0]], [64])
-        assert np.all(k.node_block(other, slice(0, 3), [1, 4]) == 1.0)
+        rep = am_norm(nan, m_trivial, other)
+        assert rep.a1_norm == pytest.approx(float(other.weights.sum()),
+                                            rel=1e-13)
 
 
 def _bits(rep):

@@ -7,12 +7,13 @@ from hypothesis.extra.numpy import arrays
 from coorbit.coverings import Covering, build_covering, refine_covering
 from coorbit.frame_families import default_index_grid, gram_kernel, make_family
 import coorbit.oscillation as osc
-from coorbit.kernel_algebra import Kernel, KernelError
+from coorbit.kernel_algebra import Kernel, KernelError, _even_blocks
 from coorbit.measure_space import (SignalGrid, build_quad_grid,
                                    polynomial_weight,
                                    trivial_admissible_weight, weight_from_w)
 from coorbit.oscillation import (OscillationError, _cell_z_samples,
-                                 _pair_osc, _Scratch, _unit_plan, osc_matrix,
+                                 _column_chunks, _pair_osc, _Scratch,
+                                 osc_matrix,
                                  osc_norm_streaming, property_D_check,
                                  refine_until)
 
@@ -28,7 +29,13 @@ def sinc_setup():
 
 class TestOscKernel:
     def test_constant_kernel_has_zero_oscillation(self, unit_grid_1d, m_trivial):
-        const = Kernel(lambda p, q: np.ones((p.shape[0], q.shape[0])) + 0j)
+        # rank 1: U, V and the column factor are all ones
+        def ones(p):
+            return np.ones((1, np.atleast_2d(p).shape[0]))
+        const = Kernel(lambda p, q: ones(p).T @ ones(q) + 0j,
+                       native_grid=unit_grid_1d, col_factor=ones,
+                       node_factors=lambda: (ones(unit_grid_1d.points).T,
+                                             ones(unit_grid_1d.points), 1.0))
         cov = build_covering(unit_grid_1d, 0.25, overlap_fraction=0.5)
         for comparison in ("strict", "phase_aligned"):
             vals = osc_matrix(const, cov, unit_grid_1d, comparison=comparison)
@@ -119,9 +126,11 @@ def _reference_osc_sups(R, cov, grid, m, z_per_cell, comparison, seed):
     return float(row_acc.max()), float(col_val.max())
 
 
-def _plan(K, cov, grid, z_per_cell):
-    """(factored, row tiles, column chunks) of the stream of K over cov."""
-    return _unit_plan(K, grid, cov.node_cells(), z_per_cell)
+def _plan(cov, grid, z_per_cell):
+    """(row tiles, column chunks) of the stream over cov, at the unit sizes
+    `_TILE_ROWS` and `_CHUNK_COLS` in force."""
+    return (_even_blocks(grid.size, osc._TILE_ROWS),
+            _column_chunks(cov.node_cells(), z_per_cell, osc._CHUNK_COLS))
 
 
 @pytest.fixture(scope="module")
@@ -137,15 +146,25 @@ def gabor_blocks():
 
 def _peaked_setup():
     """A 64-node grid with unequal quadrature weights and a kernel whose
-    rows peak at 0.3, so that its row sup exceeds its column sup."""
+    rows peak at 0.3, so that its row sup exceeds its column sup.  The
+    kernel is separable, f(p) g(q): its node factors are U = f and V = g,
+    its column factor g."""
     grid = build_quad_grid([[0.0, 1.0]], [64],
                            measure=lambda p: 1.0 + 3.0 * p[:, 0])
 
+    def f(p):
+        return 10.0 * np.exp(-200.0 * (p[:, 0] - 0.3) ** 2)
+
+    def g(q):
+        return (np.exp(1j * 9.0 * q[:, 0] ** 2) * np.sin(20.0 * q[:, 0]))
+
     def ev(p, q):
-        f = 10.0 * np.exp(-200.0 * (p[:, 0] - 0.3) ** 2)
-        return (f[:, None] * np.exp(1j * 9.0 * q[None, :, 0] ** 2)
-                * np.sin(20.0 * q[None, :, 0]))
-    return grid, Kernel(ev)
+        return f(p)[:, None] * g(q)[None, :]
+    pts = grid.points
+    return grid, Kernel(ev, native_grid=grid,
+                        node_factors=lambda: (f(pts)[:, None],
+                                              g(pts)[None, :], 1.0),
+                        col_factor=lambda q: g(np.atleast_2d(q))[None, :])
 
 
 class TestStreamingBlocks:
@@ -154,9 +173,9 @@ class TestStreamingBlocks:
     def test_matches_per_cell_loop(self, gabor_blocks, overlap, comparison):
         _, grid, R = gabor_blocks
         cov = build_covering(grid, 0.625, overlap_fraction=overlap)
-        factored, tiles, chunks = _plan(R, cov, grid, 3)
+        tiles, chunks = _plan(cov, grid, 3)
         # several tiles in flight, each against several chunks
-        assert factored and len(tiles) >= 4 and len(chunks) >= 4
+        assert len(tiles) >= 4 and len(chunks) >= 4
         m = weight_from_w(polynomial_weight(1.0))
         ref = max(_reference_osc_sups(R, cov, grid, m, 3, comparison, seed=7))
         got = [osc_norm_streaming(R, cov, grid, m, z_per_cell=3,
@@ -169,15 +188,17 @@ class TestStreamingBlocks:
     @pytest.mark.parametrize("comparison", ["strict", "phase_aligned"])
     def test_row_sums_match_per_cell_loop(self, monkeypatch, overlap,
                                           comparison):
-        # a peaked row factor makes the row sup the larger one, a small entry
-        # budget streams the 64-node grid in many chunks, and the density and
-        # weight make every node's quadrature weight and m-column distinct
-        monkeypatch.setattr(osc, "_BLOCK_ENTRIES", 64 * 12)
+        # a peaked row factor makes the row sup the larger one, small units
+        # stream the 64-node grid in four tiles and many chunks, and the
+        # density and weight make every node's quadrature weight and
+        # m-column distinct
+        monkeypatch.setattr(osc, "_TILE_ROWS", 16)
+        monkeypatch.setattr(osc, "_CHUNK_COLS", 12)
         grid, K = _peaked_setup()
         m = weight_from_w(polynomial_weight(1.0))
         cov = build_covering(grid, 1.0 / 16, overlap_fraction=overlap)
-        factored, tiles, chunks = _plan(K, cov, grid, 2)
-        assert not factored and tiles == [(0, 64)] and len(chunks) >= 8
+        tiles, chunks = _plan(cov, grid, 2)
+        assert len(tiles) >= 4 and len(chunks) >= 8
         row_sup, col_sup = _reference_osc_sups(K, cov, grid, m, 2,
                                                comparison, seed=3)
         assert row_sup > col_sup
@@ -193,7 +214,7 @@ class TestStreamingBlocks:
         for overlap in (0.0, 0.3):
             cov = build_covering(grid, 0.625, overlap_fraction=overlap)
             table = cov.node_cells()
-            chunks = _plan(R, cov, grid, 3)[2]
+            chunks = _plan(cov, grid, 3)[1]
             nodes = np.concatenate([c[0] for c in chunks])
             assert np.array_equal(np.sort(nodes), np.arange(grid.size))
             assert np.all(np.diff(table[nodes, 0] * grid.size + nodes) > 0)
@@ -207,24 +228,23 @@ class TestStreamingBlocks:
 
     def test_row_tiles_cover_the_grid(self, gabor_blocks):
         _, grid, R = gabor_blocks
-        _, tiles, _ = _plan(R, build_covering(grid, 0.625), grid, 3)
+        tiles, _ = _plan(build_covering(grid, 0.625), grid, 3)
         assert tiles[0][0] == 0 and tiles[-1][1] == grid.size
         assert all(a[1] == b[0] for a, b in zip(tiles, tiles[1:]))
         assert max(b - a for a, b in tiles) <= osc._TILE_ROWS
 
     def test_chunk_count_does_not_grow_with_the_grid(self):
         # the reference box: 458 x 914 nodes in 229 x 457 = 104653 cells of
-        # 2 x 2 nodes.  A whole-height budget of _BLOCK_ENTRIES / M columns
-        # would give every cell a chunk of its own; a Gramian's chunks hold
-        # about _CHUNK_COLS nodes and z-samples whatever M is
+        # 2 x 2 nodes.  A chunk budget that shrank as 1 / M would give every
+        # cell a chunk of its own; the chunks hold about _CHUNK_COLS nodes
+        # and z-samples whatever M is
         grid = build_quad_grid([[-8.0, 8.0], [-16.0, 16.0]], [458, 914])
         i, j = np.divmod(np.arange(grid.size), 914)
         table = ((i // 2) * 457 + j // 2)[:, None]
-        R = Kernel(None, native_grid=grid, node_factors=lambda: None,
-                   col_factor=lambda p: None)
-        factored, tiles, chunks = _unit_plan(R, grid, table, 4)
+        tiles = _even_blocks(grid.size, osc._TILE_ROWS)
+        chunks = _column_chunks(table, 4, osc._CHUNK_COLS)
         cols = grid.size + 4 * 104653
-        assert factored and len(tiles) == -(-grid.size // osc._TILE_ROWS)
+        assert len(tiles) == -(-grid.size // osc._TILE_ROWS)
         # each chunk but the last leaves fewer columns free than one cell
         # (4 nodes and 4 z-samples) takes
         assert len(chunks) <= cols // (osc._CHUNK_COLS - 8) + 1
@@ -241,7 +261,8 @@ class TestStreamingBlocks:
 def fold_case(request, gabor_blocks):
     """(grid, kernel, cell size): a Gramian on equal weights whose overlap-0
     covering is a partition; a Gramian on unequal weights whose closed cells
-    share boundary nodes; a general kernel on unequal weights."""
+    share boundary nodes; a separable, not Hermitian kernel on unequal
+    weights."""
     if request.param == "gabor":
         _, grid, R = gabor_blocks
         return grid, R, 0.625
@@ -262,12 +283,12 @@ class TestFoldedRNorm:
     def test_matches_row_block_loop(self, fold_case, monkeypatch, overlap,
                                     poly, comparison, reference_am_norm):
         grid, K, cell = fold_case
-        monkeypatch.setattr(osc, "_BLOCK_ENTRIES", grid.size * 20)
         monkeypatch.setattr(osc, "_TILE_ROWS", grid.size // 4)
-        monkeypatch.setattr(osc, "_CHUNK_COLS", 64)
+        # the 64-node peaked grid needs narrow chunks to stream in several
+        monkeypatch.setattr(osc, "_CHUNK_COLS", 64 if grid.size > 64 else 20)
         cov = build_covering(grid, cell, overlap_fraction=overlap)
-        factored, tiles, chunks = _plan(K, cov, grid, 2)
-        assert len(chunks) >= 4 and (len(tiles) >= 4 or not factored)
+        tiles, chunks = _plan(cov, grid, 2)
+        assert len(chunks) >= 4 and len(tiles) >= 4
         if overlap:
             assert cov.node_cells().shape[1] > 1
         m = weight_from_w(polynomial_weight(1.0)) if poly \
@@ -366,14 +387,28 @@ def test_scratch_hands_out_disjoint_arrays_and_reuses_them():
         assert carved == [unit > 0] * 3
 
 
-def _wave_kernel():
-    """A kernel evaluated entry by entry (no BLAS), so that any split of its
-    columns into blocks gives the same bits."""
+def _exact_kernel(grid):
+    """A rank-3 kernel K = s U V on the unit square whose every value any
+    GEMM split gives is exact: the real and imaginary parts of U, V and the
+    column factor are multiples of 1/8 of modulus at most 2, and s = 0.5,
+    so every partial sum is a multiple of 1/64 far below 2^53 / 64.  The
+    evaluator and the stream then agree bit for bit."""
+    def factor(p, freq):                          # (3, P)
+        ang = np.atleast_2d(p) @ freq
+        return ((np.round(16.0 * np.cos(ang))
+                 + 1j * np.round(16.0 * np.sin(ang))) / 8.0).T
+
+    left = np.array([[3.0, -5.0, 7.0], [4.0, 6.0, -2.0]])
+    right = np.array([[-6.0, 2.0, 9.0], [5.0, -8.0, 3.0]])
+
+    def col_factor(q):
+        return factor(q, right)
+
     def ev(p, q):
-        d = p[:, None, :] - q[None, :, :]
-        return np.exp(-4.0 * np.sum(d * d, axis=-1)
-                      + 3j * p[:, None, 0] * q[None, :, -1])
-    return Kernel(ev)
+        return 0.5 * (factor(p, left).T @ col_factor(q))
+    return Kernel(ev, native_grid=grid, col_factor=col_factor,
+                  node_factors=lambda: (factor(grid.points, left).T,
+                                        col_factor(grid.points), 0.5))
 
 
 def _drop_cells(cov, drop):
@@ -402,11 +437,11 @@ def _stream_matrix(K, cov, grid, comparison, threads):
 
 
 class TestThreadInvariance:
-    """The units of a Gramian run on the pool and are folded in tile order,
-    then chunk order; any other kernel runs on the calling thread.  Either
-    way the bits do not depend on `threads`."""
+    """The units run on the pool and are folded in tile order, then chunk
+    order, so the bits do not depend on `threads`: for a Gramian, and for
+    the exact rank-3 kernel."""
 
-    @pytest.mark.parametrize("kind", ["factored", "plain"])
+    @pytest.mark.parametrize("kind", ["factored", "exact"])
     @pytest.mark.parametrize("unheld", [False, True])
     @pytest.mark.parametrize("overlap", [0.0, 0.3])
     @pytest.mark.parametrize("comparison", ["strict", "phase_aligned"])
@@ -416,17 +451,17 @@ class TestThreadInvariance:
             _, grid, K = gabor_blocks
             cell, drop = 0.625, [17, 18, 33, 34]
         else:
-            grid, K = build_quad_grid([[0.0, 1.0], [0.0, 1.0]], [12, 12]), \
-                _wave_kernel()
+            grid = build_quad_grid([[0.0, 1.0], [0.0, 1.0]], [12, 12])
+            K = _exact_kernel(grid)
             cell, drop = 0.25, [5, 6, 9, 10]
-            monkeypatch.setattr(osc, "_BLOCK_ENTRIES", grid.size * 24)
+            monkeypatch.setattr(osc, "_TILE_ROWS", 36)
+            monkeypatch.setattr(osc, "_CHUNK_COLS", 24)
         cov = build_covering(grid, cell, overlap_fraction=overlap)
         if unheld:
             cov = _drop_cells(cov, drop)
         assert np.any(cov.node_cells()[:, 0] < 0) == unheld
-        factored, tiles, chunks = _plan(K, cov, grid, 3)
-        assert factored == (kind == "factored")
-        assert len(tiles) >= 4 if factored else len(chunks) >= 4
+        tiles, chunks = _plan(cov, grid, 3)
+        assert len(tiles) >= 4 and len(chunks) >= 4
         mats = [_stream_matrix(K, cov, grid, comparison, t) for t in (1, 2, 3)]
         assert mats[0].tobytes() == mats[1].tobytes() == mats[2].tobytes()
         assert np.array_equal(mats[0], osc_matrix(
@@ -444,7 +479,7 @@ class TestThreadInvariance:
         # the factors are checked once, before any unit runs
         _, grid, R = gabor_blocks
         cov = build_covering(grid, 0.625)
-        _, tiles, _ = _plan(R, cov, grid, 3)
+        tiles, _ = _plan(cov, grid, 3)
         assert [a <= 500 < b for a, b in tiles].index(True) % 2 == 1
         u, c, h = R.node_factors()
         bad_u = u.copy()
@@ -477,9 +512,11 @@ class TestOscMatrix:
         table = cov.node_cells()
         assert (table.shape[1] > 1) == (case != "partition")
         assert np.any(table[:, 0] < 0) == (case == "unheld")
-        monkeypatch.setattr(osc, "_BLOCK_ENTRIES", grid.size * 24)
-        K = _wave_kernel()
-        assert len(_plan(K, cov, grid, 3)[2]) >= 4
+        monkeypatch.setattr(osc, "_TILE_ROWS", 36)
+        monkeypatch.setattr(osc, "_CHUNK_COLS", 24)
+        K = _exact_kernel(grid)
+        tiles, chunks = _plan(cov, grid, 3)
+        assert len(tiles) >= 4 and len(chunks) >= 4
         got = osc_matrix(K, cov, grid, z_per_cell=3, comparison=comparison,
                          seed=4)
         ref = reference_osc_matrix(K, cov, grid, z_per_cell=3,
@@ -498,6 +535,27 @@ class TestOscMatrix:
                                              rel_cut=0.2)):
             with pytest.raises(OscillationError, match="comparison"):
                 run()
+
+    def test_only_factored_kernels_on_their_grid_stream(self, gabor_small,
+                                                        m_trivial):
+        # the stream multiplies node factors and column factors; a kernel
+        # without either, or a Gramian on a grid equal to its own but not
+        # it, is refused before any unit runs
+        fam, grid = gabor_small
+        R = gram_kernel(fam, grid, rel_cut=0.2)
+        no_nodes = Kernel(R.evaluator, native_grid=grid,
+                          col_factor=R.col_factor)
+        no_cols = Kernel(R.evaluator, native_grid=grid,
+                         node_factors=R.node_factors)
+        other = default_index_grid(fam, bounds=[[-5.0, 5.0], [-5.0, 5.0]],
+                                   resolution=[56, 56])
+        assert np.array_equal(other.points, grid.points)
+        for K, g in ((no_nodes, grid), (no_cols, grid), (R, other)):
+            cov = build_covering(g, 1.25)
+            for run in (lambda: osc_matrix(K, cov, g),
+                        lambda: osc_norm_streaming(K, cov, g, m_trivial)):
+                with pytest.raises(OscillationError, match="node factors"):
+                    run()
 
 
 class TestPropertyD:
