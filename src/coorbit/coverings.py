@@ -31,6 +31,56 @@ class CoveringError(ValueError):
     pass
 
 
+@dataclass(frozen=True, eq=False)
+class FlatLayout:
+    """Per-cell index lists in one flat array, in cell order: cell i holds
+    flat[starts[i]:starts[i] + counts[i]]."""
+
+    flat: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def of(cls, lists: list) -> "FlatLayout":
+        counts = np.array([idx.size for idx in lists], dtype=np.intp)
+        flat = np.concatenate(lists) if lists else np.zeros(0, dtype=np.intp)
+        return cls(flat=flat, counts=counts)
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        return np.cumsum(self.counts) - self.counts
+
+    @property
+    def owner(self) -> np.ndarray:
+        """The cell of every flat position (not cached: it is as long as
+        `flat` and cheap to rebuild)."""
+        return np.repeat(np.arange(self.counts.size), self.counts)
+
+    def split(self, vals: np.ndarray) -> list:
+        """Per-cell views of an array aligned with `flat`."""
+        ends = np.cumsum(self.counts).tolist()
+        return [vals[e0:e1] for e0, e1 in zip([0] + ends[:-1], ends)]
+
+    @cached_property
+    def _groups(self) -> list:
+        """(cells, k) for every count k present, the cells ascending."""
+        order = np.argsort(self.counts, kind="stable")
+        bounds = np.flatnonzero(np.diff(self.counts[order])) + 1
+        return [(cells, int(self.counts[cells[0]]))
+                for cells in np.split(order, bounds) if cells.size]
+
+    def sums(self, vals: np.ndarray) -> np.ndarray:
+        """Per-cell sums of an array aligned with `flat`.
+
+        One (cells, k) row sum per member count k: a row sum adds in the
+        order of `np.sum` over the cell's entries, so every sum has the
+        bits of the per-cell loop (a segmented `np.add.reduceat` or
+        `np.bincount` adds in another order and does not)."""
+        out = np.zeros(self.counts.size, dtype=np.sum(vals[:0]).dtype)
+        for cells, k in self._groups:
+            out[cells] = np.sum(vals[self.starts[cells, None] + np.arange(k)], axis=1)
+        return out
+
+
 @dataclass
 class Covering:
     """Cells U_i with sample points, measures and overlap structure.
@@ -55,6 +105,16 @@ class Covering:
         return self.cells.shape[0]
 
     @cached_property
+    def member_layout(self) -> FlatLayout:
+        """The member lists as one `FlatLayout`, built once per covering."""
+        return FlatLayout.of(self.members)
+
+    @cached_property
+    def neighbor_layout(self) -> FlatLayout:
+        """The neighbor sets i* as one `FlatLayout`."""
+        return FlatLayout.of(self.neighbors)
+
+    @cached_property
     def sample_node_index(self) -> np.ndarray:
         """The member of each cell nearest to its sample point.
 
@@ -64,27 +124,24 @@ class Covering:
         the first member at it, which is the lowest index since members are
         ascending.  The node lies in its cell by construction.
         """
-        counts = np.array([idx.size for idx in self.members])
-        if np.any(counts == 0):
+        lay = self.member_layout
+        if np.any(lay.counts == 0):
             raise CoveringError(
-                f"cell {int(np.argmin(counts))} has no member node to sample")
-        flat = np.concatenate(self.members)
-        owner = np.repeat(np.arange(self.size), counts)
+                f"cell {int(np.argmin(lay.counts))} has no member node to sample")
+        flat, owner = lay.flat, lay.owner
         dist = np.sum((self.grid.points[flat] - self.sample_points[owner]) ** 2,
                       axis=1)
-        starts = np.cumsum(counts) - counts
-        hit = np.flatnonzero(dist == np.minimum.reduceat(dist, starts)[owner])
+        hit = np.flatnonzero(dist == np.minimum.reduceat(dist, lay.starts)[owner])
         return flat[hit[np.searchsorted(owner[hit], np.arange(self.size))]]
 
     def node_cells(self) -> np.ndarray:
         """Inverse membership as an (M, K) table: row y lists the cells that
         hold node y, ascending, padded by repeating its last cell; the row
         of a node that no cell holds is -1."""
-        flat = np.concatenate(self.members)
-        order = np.argsort(flat, kind="stable")     # cells stay ascending
-        cells = np.repeat(np.arange(self.size),
-                          [idx.size for idx in self.members])[order]
-        count = np.bincount(flat, minlength=self.grid.size)[:, None]
+        lay = self.member_layout
+        order = np.argsort(lay.flat, kind="stable")     # cells stay ascending
+        cells = lay.owner[order]
+        count = np.bincount(lay.flat, minlength=self.grid.size)[:, None]
         pos = np.cumsum(count) - count[:, 0]
         pos = pos[:, None] + np.minimum(np.arange(max(1, count.max())), count - 1)
         return np.append(cells, -1)[np.where(count > 0, pos, -1)]
@@ -187,14 +244,13 @@ def _columns(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate([[True], change, [True]]))
 
 
-def _split_pairs(hits: list, n_queries: int, n_items: int) -> list:
+def _split_pairs(hits: list, n_queries: int, n_items: int) -> FlatLayout:
     """Per query, its accepted items ascending, from blocks of pair keys
     query * n_items + item."""
     key = np.concatenate(hits)
     key.sort()
-    ends = np.cumsum(np.bincount(key // n_items, minlength=n_queries)).tolist()
-    items = key % n_items
-    return [items[e0:e1] for e0, e1 in zip([0] + ends[:-1], ends)]
+    return FlatLayout(flat=key % n_items,
+                      counts=np.bincount(key // n_items, minlength=n_queries))
 
 
 def _open_overlap(cells: np.ndarray) -> list:
@@ -238,11 +294,12 @@ def _open_overlap(cells: np.ndarray) -> list:
         same = (np.abs(lo_c - lo_i) < 1e-12) & (np.abs(hi_c - hi_i) < 1e-12)
         ok = np.all(np.where(hi_i <= lo_i, same, ov), axis=1)
         hits.append(i[ok] * n + j[ok])
-    return _split_pairs(hits, n, n)
+    lay = _split_pairs(hits, n, n)
+    return lay.split(lay.flat)
 
 
-def _members(cells: np.ndarray, points: np.ndarray) -> list:
-    """Closed-box member nodes of every cell, ascending.
+def _members(cells: np.ndarray, points: np.ndarray) -> FlatLayout:
+    """Closed-box member nodes of every cell, ascending, as a flat layout.
 
     Nodes are sorted once by axis 0, then by axis 1, into columns of equal
     axis-0 coordinate.  Bisection with the same +-1e-12 tolerance finds the
@@ -374,15 +431,15 @@ def _covering_from_cells(cells, grid, sample, seed, overlap_fraction, descriptor
     the cell intervals on every axis, log-spaced scale axes included.
     """
     n_cells = cells.shape[0]
-    members = _members(cells, grid.points)
-    measures = np.array([float(np.sum(grid.weights[idx])) for idx in members])
+    layout = _members(cells, grid.points)
+    measures = layout.sums(grid.weights[layout.flat])
     empty = np.flatnonzero(measures <= 0.0)
     if empty.size:
         raise CoveringError(
             f"{empty.size} cells capture no quadrature node (first: cell {empty[0]}); "
             "cell size is below the grid resolution")
     inside = np.zeros(grid.size, dtype=bool)
-    inside[np.concatenate(members)] = True
+    inside[layout.flat] = True
     if not inside.all():
         raise CoveringError(
             f"{int((~inside).sum())} grid nodes lie outside every cell")
@@ -397,14 +454,17 @@ def _covering_from_cells(cells, grid, sample, seed, overlap_fraction, descriptor
         raise CoveringError(f"unknown sample rule {sample!r}")
 
     neighbors = _open_overlap(cells)
-    counts = np.array([len(v) for v in neighbors])
-    owner = np.repeat(np.arange(n_cells), counts)
-    ratio = max(1.0, float(np.max(measures[owner] / measures[np.concatenate(neighbors)])))
-    return Covering(
-        cells=cells, sample_points=pts, grid=grid, members=members,
+    nb = FlatLayout.of(neighbors)
+    ratio = max(1.0, float(np.max(measures[nb.owner] / measures[nb.flat])))
+    cov = Covering(
+        cells=cells, sample_points=pts, grid=grid,
+        members=layout.split(layout.flat),
         measures=measures, neighbors=neighbors,
-        overlap_count=int(counts.max()), min_measure=float(measures.min()),
+        overlap_count=int(nb.counts.max()), min_measure=float(measures.min()),
         measure_ratio=ratio, descriptor=descriptor)
+    # the layouts built here are the covering's cached ones
+    cov.__dict__.update(member_layout=layout, neighbor_layout=nb)
+    return cov
 
 
 def refine_covering(cov: Covering) -> Covering:
@@ -466,7 +526,7 @@ def weight_sup_on_cells(cov: Covering, m: AdmissibleWeight) -> float:
 def verify_moderate(cov: Covering, m: AdmissibleWeight,
                     ratio_cap: float = 1e6) -> ModerationReport:
     covered = np.zeros(cov.grid.size, dtype=bool)
-    covered[np.concatenate(cov.members)] = True
+    covered[cov.member_layout.flat] = True
     return ModerationReport(
         covers_domain=bool(covered.all()),
         finite_overlap=bool(np.isfinite(cov.overlap_count)),
@@ -491,7 +551,7 @@ class PartitionOfUnity:
         # bincount adds in input order: every node sums its cells' values in
         # cell order, starting from 0
         cov = self.covering
-        return np.bincount(np.concatenate(cov.members),
+        return np.bincount(cov.member_layout.flat,
                            weights=np.concatenate(self.values),
                            minlength=cov.grid.size)
 
@@ -501,36 +561,34 @@ def build_pu(cov: Covering, flavor: str = "indicator") -> PartitionOfUnity:
 
     indicator: chi_{U_i} / #covering cells at the node.
     tent: product of per-axis hat functions, renormalized to sum 1.
+
+    Both are evaluated on the flat member layout; the tent totals add in
+    cell order (bincount), as a per-cell loop adds them.
     """
     grid = cov.grid
+    lay = cov.member_layout
     if flavor == "indicator":
-        count = np.bincount(np.concatenate(cov.members),
-                            minlength=grid.size).astype(float)
+        count = np.bincount(lay.flat, minlength=grid.size).astype(float)
         if np.any(count == 0):
             raise CoveringError("node covered by no cell")
-        values = [1.0 / count[idx] for idx in cov.members]
+        vals = 1.0 / count[lay.flat]
     elif flavor == "tent":
-        raw = []
-        total = np.zeros(grid.size)
-        for i, idx in enumerate(cov.members):
-            pts = grid.points[idx]
-            t = np.ones(idx.size)
-            for k in range(grid.dim):
-                lo, hi = cov.cells[i, k]
-                if hi <= lo:
-                    continue
-                mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-                t = t * np.maximum(1e-9, 1.0 - np.abs(pts[:, k] - mid) / (half + 1e-300))
-            raw.append(t)
-            total[idx] += t
+        pts, owner = grid.points[lay.flat], lay.owner
+        vals = np.ones(lay.flat.size)
+        for k in range(grid.dim):
+            lo, hi = cov.cells[owner, k, 0], cov.cells[owner, k, 1]
+            live = hi > lo
+            mid, half = 0.5 * (lo[live] + hi[live]), 0.5 * (hi[live] - lo[live])
+            vals[live] *= np.maximum(
+                1e-9, 1.0 - np.abs(pts[live, k] - mid) / (half + 1e-300))
+        total = np.bincount(lay.flat, weights=vals, minlength=grid.size)
         if np.any(total == 0):
             raise CoveringError("node covered by no cell")
-        values = [raw[i] / total[idx] for i, idx in enumerate(cov.members)]
+        vals = vals / total[lay.flat]
     else:
         raise CoveringError(f"unknown PU flavor {flavor!r}")
-    masses = np.array([float(np.sum(grid.weights[idx] * val))
-                       for idx, val in zip(cov.members, values)])
-    return PartitionOfUnity(covering=cov, values=values, masses=masses)
+    masses = lay.sums(grid.weights[lay.flat] * vals)
+    return PartitionOfUnity(covering=cov, values=lay.split(vals), masses=masses)
 
 
 def q_set(cov: Covering, y) -> np.ndarray:

@@ -212,8 +212,11 @@ def build_uphi(R: Kernel, cov: Covering, pu: PartitionOfUnity,
 # ---------------------------------------------------------------------------
 @dataclass
 class ReconstructionReport:
+    """Errors and norm ratios are floats for one signal and arrays with one
+    entry per column for a block of signals."""
+
     coefficients: np.ndarray
-    relative_error: float
+    relative_error: float | np.ndarray
     defect_estimate: float
     wall_time: float
     norm_ratios: dict = field(default_factory=dict)
@@ -227,30 +230,52 @@ class ReconstructionReport:
         }
 
 
+def _columns(a: np.ndarray) -> list:
+    """The one signal of an (n,) array, or the columns of an (n, B) block."""
+    return [a] if a.ndim == 1 else list(a.T)
+
+
+def _ratio(num: float, den: float) -> float:
+    return num / den if den > 0 else 0.0
+
+
+def _per_signal(vals: list, block: bool):
+    """A float for one signal, an array over the columns of a block."""
+    return np.array(vals, dtype=float) if block else float(vals[0])
+
+
 def atomic_coefficients(f: np.ndarray, op: UPhiOperator):
     """Coefficients lam_i(f) = c_i (U_Phi^{-1} W f)(x_i) and the synthesis
     residual of f = sum lam_i psi_{x_i}.
 
-    `op` is the covering's U_Phi (`build_uphi`), built once and shared by
-    every signal.  Returns (lam, ReconstructionReport); the report logs
-    `op.defect` and the natural-norm ratios ||lam|Y-natural|| / ||f|| for
-    Y = L^2 and L^1_v, v the trivial weight.
+    `f` is one signal (n,) or a block of signals (n, B), decomposed by one
+    pass of block products; lam then has one column per signal.  `op` is
+    the covering's U_Phi (`build_uphi`), built once and shared by every
+    signal.  Returns (lam, ReconstructionReport); the report logs
+    `op.defect` and, per signal, the relative error and the natural-norm
+    ratios ||lam|Y-natural|| / ||f|| for Y = L^2 and L^1_v, v the trivial
+    weight.
     """
     t0 = time.perf_counter()
-    wf = op.calc.analyze_dual(np.asarray(f, dtype=complex), op.rel_cut)
-    lam = op.masses * op.solve(wf)[op.node_index]
+    f = np.asarray(f, dtype=complex)
+    wf = op.calc.analyze_dual(f, op.rel_cut)
+    lam = (op.masses * op.solve(wf)[op.node_index].T).T
     synth = op.atoms @ lam
     sg = op.calc.family.signal_grid
-    f_norm = sg.norm(f)
-    rel = sg.norm(synth - f) / f_norm if f_norm > 0 else 0.0
-    ratios = {}
-    for name, p in (("natural_l2", 2), ("natural_l1_v", 1)):
-        spec = SeqSpaceSpec(p=p, weight=trivial_weight(), covering=op.covering,
-                            flavor="natural")
-        ratios[name] = natural_norm(np.abs(lam), spec) / f_norm if f_norm > 0 else 0.0
+    specs = {name: SeqSpaceSpec(p=p, weight=trivial_weight(), covering=op.covering,
+                                flavor="natural")
+             for name, p in (("natural_l2", 2), ("natural_l1_v", 1))}
+    rel, ratios = [], {name: [] for name in specs}
+    for fc, sc, lc in zip(_columns(f), _columns(synth), _columns(lam)):
+        f_norm = sg.norm(fc)
+        rel.append(_ratio(sg.norm(sc - fc), f_norm))
+        for name, spec in specs.items():
+            ratios[name].append(_ratio(natural_norm(np.abs(lc), spec), f_norm))
+    block = f.ndim > 1
     report = ReconstructionReport(
-        coefficients=lam, relative_error=float(rel), defect_estimate=op.defect,
-        wall_time=time.perf_counter() - t0, norm_ratios=ratios)
+        coefficients=lam, relative_error=_per_signal(rel, block),
+        defect_estimate=op.defect, wall_time=time.perf_counter() - t0,
+        norm_ratios={k: _per_signal(v, block) for k, v in ratios.items()})
     return lam, report
 
 
@@ -284,9 +309,12 @@ def banach_frame_reconstruct(samples: np.ndarray, op: UPhiOperator,
                              f_true: Optional[np.ndarray] = None):
     """Recover f from its frame samples (V f(x_i))_i.
 
-    Assembles G = sum_i c_i samples_i R(., x_i) with the covering's U_Phi,
-    applies U_Phi^{-1} (`op.solve`) and synthesizes through W*.  Returns
-    (signal, ReconstructionReport); the report logs `op.defect` and the
+    `samples` is one sample vector (N,) or a block (N, B), one column per
+    signal (`f_true` then has the same number of columns).  Assembles
+    G = sum_i c_i samples_i R(., x_i) with the covering's U_Phi, applies
+    U_Phi^{-1} (`op.solve`) and synthesizes through W*.  Returns
+    (signal, ReconstructionReport); the report logs `op.defect` and, per
+    signal, the relative error against `f_true` (nan without it) and the
     flat-norm equivalence ratio ||samples|Y-flat|| / ||f|| at Y = L^2.
     """
     t0 = time.perf_counter()
@@ -296,16 +324,19 @@ def banach_frame_reconstruct(samples: np.ndarray, op: UPhiOperator,
     u = op.solve(op.from_samples(samples))
     f_rec = op.calc.s_pinv(op.calc.synthesize(u), op.rel_cut)
     sg = op.calc.family.signal_grid
-    rel = float("nan")
-    if f_true is not None:
-        denom = sg.norm(f_true)
-        rel = sg.norm(f_rec - f_true) / denom if denom > 0 else 0.0
     spec = SeqSpaceSpec(p=2, weight=trivial_weight(), covering=op.covering, flavor="flat")
-    ratio = flat_norm(np.abs(samples), spec) / sg.norm(f_rec) if sg.norm(f_rec) > 0 else 0.0
+    cols = _columns(samples)
+    truth = [None] * len(cols) if f_true is None else _columns(np.asarray(f_true))
+    rel, ratios = [], []
+    for sc, rc, tc in zip(cols, _columns(f_rec), truth):
+        rel.append(float("nan") if tc is None else
+                   _ratio(sg.norm(rc - tc), sg.norm(tc)))
+        ratios.append(_ratio(flat_norm(np.abs(sc), spec), sg.norm(rc)))
+    block = samples.ndim > 1
     report = ReconstructionReport(
-        coefficients=samples, relative_error=float(rel), defect_estimate=op.defect,
-        wall_time=time.perf_counter() - t0,
-        norm_ratios={"flat_l2_over_f": ratio})
+        coefficients=samples, relative_error=_per_signal(rel, block),
+        defect_estimate=op.defect, wall_time=time.perf_counter() - t0,
+        norm_ratios={"flat_l2_over_f": _per_signal(ratios, block)})
     return f_rec, report
 
 

@@ -216,9 +216,11 @@ class FrameCalculus:
         return self._atoms
 
     def analyze(self, f: np.ndarray) -> np.ndarray:
-        """V f on the grid: <f, psi_x> by signal-grid quadrature."""
+        """V f on the grid: <f, psi_x> by signal-grid quadrature, for one
+        signal or a block of columns.  Taken as conj(Psi^T conj(f)), so no
+        conjugate copy of the atom matrix is made."""
         h = self.family.signal_grid.h
-        return h * (self.atom_matrix.conj().T @ f)
+        return h * np.conj(self.atom_matrix.T @ np.conj(f))
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """V*_mu: integral F(y) psi_y dmu(y); columns handled in batch."""

@@ -159,8 +159,7 @@ def gab_domination_check(frame_f: FrameFamily, frame_g: FrameFamily,
 
     # membership matrix C[i, node] and the covering kernel L = C^T diag(1/a) C
     C = np.zeros((cov.size, M))
-    C[np.repeat(np.arange(cov.size), [idx.size for idx in cov.members]),
-      np.concatenate(cov.members)] = 1.0
+    C[cov.member_layout.owner, cov.member_layout.flat] = 1.0
     left = C.T @ np.abs(gram.matrix) @ C
 
     kern_f = gram_kernel(frame_f, grid, rel_cut=rel_cut)

@@ -37,10 +37,9 @@ def _assemble(lam: np.ndarray, cov: Covering, scale: np.ndarray) -> np.ndarray:
         raise SequenceError(f"sequence length {lam.shape[0]} != cell count {cov.size}")
     # bincount adds in input order, so every node sums the amplitudes of its
     # cells in cell order, starting from 0
-    counts = np.array([idx.size for idx in cov.members])
-    amp = np.repeat(np.abs(lam) * scale, counts)
-    return np.bincount(np.concatenate(cov.members), weights=amp,
-                       minlength=cov.grid.size)
+    lay = cov.member_layout
+    amp = np.repeat(np.abs(lam) * scale, lay.counts)
+    return np.bincount(lay.flat, weights=amp, minlength=cov.grid.size)
 
 
 def flat_norm(lam: np.ndarray, spec: SeqSpaceSpec) -> float:
@@ -61,11 +60,10 @@ def natural_norm(lam: np.ndarray, spec: SeqSpaceSpec) -> float:
 
 def cell_weight_sups(cov: Covering, w: WeightOnX) -> np.ndarray:
     """w~(i) = sup of w over the cell's quadrature nodes."""
-    counts = np.array([idx.size for idx in cov.members])
-    if np.any(counts == 0):
-        raise SequenceError(f"cell {int(np.argmin(counts))} holds no node")
-    vals = w(cov.grid.points)[np.concatenate(cov.members)]
-    return np.maximum.reduceat(vals, np.cumsum(counts) - counts)
+    lay = cov.member_layout
+    if np.any(lay.counts == 0):
+        raise SequenceError(f"cell {int(np.argmin(lay.counts))} holds no node")
+    return np.maximum.reduceat(w(cov.grid.points)[lay.flat], lay.starts)
 
 
 def closed_form_weights(spec: SeqSpaceSpec) -> np.ndarray:
@@ -95,12 +93,16 @@ def closed_form_norm(lam: np.ndarray, spec: SeqSpaceSpec) -> float:
 
 
 def plus_operator(lam: np.ndarray, cov: Covering) -> np.ndarray:
-    """Neighbor sum lam_i^+ = sum_{j in i*} lam_j."""
+    """Neighbor sum lam_i^+ = sum_{j in i*} lam_j (lam_i for an empty i*),
+    each sum with the bits of `lam[i*].sum()` (`FlatLayout.sums`)."""
     lam = np.asarray(lam)
     if lam.shape[0] != cov.size:
         raise SequenceError("sequence length != cell count")
-    return np.array([lam[idx].sum() if idx.size else lam[i]
-                     for i, idx in enumerate(cov.neighbors)])
+    nb = cov.neighbor_layout
+    out = nb.sums(lam[nb.flat])
+    lone = nb.counts == 0
+    out[lone] = lam[lone]
+    return out
 
 
 def plus_bound_ratio(lam: np.ndarray, spec: SeqSpaceSpec) -> float:
@@ -126,5 +128,4 @@ def decomposition_norm(values: np.ndarray, spec: SeqSpaceSpec) -> float:
     if values.shape[0] != cov.grid.size:
         raise SequenceError("value list length != grid size")
     amp = np.abs(values) * cov.grid.weights
-    cell_mass = np.array([float(np.sum(amp[idx])) for idx in cov.members])
-    return natural_norm(cell_mass, spec)
+    return natural_norm(cov.member_layout.sums(amp[cov.member_layout.flat]), spec)

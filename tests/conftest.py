@@ -33,6 +33,23 @@ def m_trivial():
     return trivial_admissible_weight()
 
 
+@pytest.fixture(scope="session", params=["overlap", "banded"])
+def uneven_covering(request):
+    """(case, covering): overlapping coverings whose cells hold unequal node
+    counts, 25-36 per cell on a Gabor box at overlap 0.25 (nodes in up to 4
+    cells) and 3-16 per cell on a banded wavelet grid with low-pass sheet
+    cells (nodes in up to 2 cells)."""
+    from coorbit.coverings import build_covering
+    if request.param == "overlap":
+        fam = make_family("gabor", {}, SignalGrid(8.0, 64))
+        grid = default_index_grid(fam, bounds=[[-4.0, 4.0], [-4.0, 4.0]],
+                                  resolution=[36, 36])
+        return request.param, build_covering(grid, 0.9, 0.25)
+    fam = make_family("inhom_wavelet", None, SignalGrid(16.0, 128))
+    grid = default_index_grid(fam, band_spacing=0.9, scales_per_octave=6)
+    return request.param, build_covering(grid, [0.5, 2.0], 0.25)
+
+
 @pytest.fixture(scope="session")
 def gabor_small():
     """Small Gabor configuration used across module tests."""

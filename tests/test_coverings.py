@@ -150,6 +150,37 @@ class TestPartitionOfUnity:
             assert np.all(pu.masses <= cov.measures + 1e-12)
 
 
+def _tent_per_cell(cov):
+    """Reference tent PU: per-axis hats cell by cell (sheet axes skipped),
+    totals added cell by cell, then renormalized."""
+    pts, raw = cov.grid.points, []
+    total = np.zeros(cov.grid.size)
+    for i, idx in enumerate(cov.members):
+        t = np.ones(idx.size)
+        for k in range(cov.grid.dim):
+            lo, hi = cov.cells[i, k]
+            if hi <= lo:
+                continue
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            t = t * np.maximum(1e-9, 1.0 - np.abs(pts[idx, k] - mid) / (half + 1e-300))
+        raw.append(t)
+        total[idx] += t
+    return [t / total[idx] for t, idx in zip(raw, cov.members)]
+
+
+def test_tent_matches_per_cell_loop(uneven_covering):
+    # the flat tent evaluation has the bits of the per-cell loop, sheet cells
+    # of the banded grid (a [0, 0] scale axis) included
+    case, cov = uneven_covering
+    if case == "banded":
+        assert np.any(cov.cells[:, 0, 1] <= cov.cells[:, 0, 0])
+    pu = build_pu(cov, "tent")
+    ref = _tent_per_cell(cov)
+    assert len(pu.values) == len(ref)
+    for got, want in zip(pu.values, ref):
+        assert got.tobytes() == want.tobytes()
+
+
 class TestQSet:
     def test_partition_gives_single_cell(self, line_grid):
         cov = build_covering(line_grid, 0.5)

@@ -1,11 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from coorbit.coverings import build_covering
-from coorbit.frame_families import default_index_grid, make_family
+from coorbit.coverings import build_covering, build_pu
 from coorbit.kernel_algebra import lp_w_norm
-from coorbit.measure_space import (SignalGrid, WeightOnX, build_quad_grid,
-                                   trivial_weight)
+from coorbit.measure_space import WeightOnX, build_quad_grid, trivial_weight
 from coorbit.sequence_spaces import (SeqSpaceSpec, SequenceError, _assemble,
                                      closed_form_norm, decomposition_norm,
                                      flat_norm, natural_norm, plus_bound_ratio,
@@ -36,17 +36,9 @@ def _assemble_per_cell(lam, cov, scale):
 
 
 class TestAssemble:
-    @pytest.mark.parametrize("case", ["overlap", "banded"])
-    def test_bit_identical_to_per_cell_loop(self, case):
-        if case == "overlap":
-            fam = make_family("gabor", {}, SignalGrid(8.0, 64))
-            grid = default_index_grid(fam, bounds=[[-4.0, 4.0], [-4.0, 4.0]],
-                                      resolution=[36, 36])
-            cov = build_covering(grid, 0.9, 0.25)
-        else:
-            fam = make_family("inhom_wavelet", None, SignalGrid(16.0, 128))
-            grid = default_index_grid(fam, band_spacing=0.9, scales_per_octave=6)
-            cov = build_covering(grid, [0.5, 2.0], 0.25)
+    def test_bit_identical_to_per_cell_loop(self, uneven_covering):
+        case, cov = uneven_covering
+        grid = cov.grid
         # nodes in several cells, where the order of the additions matters
         depth = np.bincount(np.concatenate(cov.members), minlength=grid.size)
         assert depth.max() == (4 if case == "overlap" else 2)
@@ -58,6 +50,46 @@ class TestAssemble:
             ref = _assemble_per_cell(lam, cov, scale)
             assert got.dtype == ref.dtype and got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
+
+
+class TestFlatLayoutSums:
+    """Per-cell sums on the flat member layout carry the bits of np.sum
+    over each cell's entries."""
+
+    def test_bit_identical_to_per_cell_sums(self, uneven_covering):
+        _, cov = uneven_covering
+        w = cov.grid.weights
+        counts = cov.member_layout.counts
+        assert np.unique(counts).size > 1 and counts.max() >= 8
+        ref = np.array([np.sum(w[idx]) for idx in cov.members])
+        assert cov.measures.tobytes() == ref.tobytes()
+        for flavor in ("indicator", "tent"):
+            pu = build_pu(cov, flavor)
+            ref = np.array([np.sum(w[idx] * val)
+                            for idx, val in zip(cov.members, pu.values)])
+            assert pu.masses.tobytes() == ref.tobytes()
+        gen = np.random.default_rng(5)
+        values = gen.standard_normal(cov.grid.size) * \
+            np.exp(4.0 * gen.standard_normal(cov.grid.size))
+        amp = np.abs(values) * w
+        mass = np.array([np.sum(amp[idx]) for idx in cov.members])
+        lay = cov.member_layout
+        assert lay.sums(amp[lay.flat]).tobytes() == mass.tobytes()
+        spec = SeqSpaceSpec(p=2, weight=trivial_weight(), covering=cov,
+                            flavor="natural")
+        assert decomposition_norm(values, spec) == natural_norm(mass, spec)
+        lam = gen.standard_normal(cov.size) * np.exp(4.0 * gen.standard_normal(cov.size))
+        ref = np.array([lam[idx].sum() for idx in cov.neighbors])
+        assert plus_operator(lam, cov).tobytes() == ref.tobytes()
+
+    def test_plus_operator_keeps_a_cell_without_neighbors(self, uneven_covering):
+        _, cov = uneven_covering
+        lone = dataclasses.replace(cov, neighbors=[cov.neighbors[0][:0]]
+                                   + cov.neighbors[1:])
+        lam = np.random.default_rng(6).standard_normal(cov.size)
+        got, ref = plus_operator(lam, lone), plus_operator(lam, cov)
+        assert got[0] == lam[0]
+        assert got[1:].tobytes() == ref[1:].tobytes()
 
 
 class TestFlatNorm:
