@@ -35,7 +35,7 @@ from .kernel_algebra import am_norm
 from .coverings import CoveringError, build_covering, build_pu, verify_moderate
 from .oscillation import OscillationError, property_D_check, refine_until
 from .discretization import DiscretizationError, atomic_coefficients, \
-    banach_frame_reconstruct, build_uphi, hilbert_frame_bounds, sample_frame
+    banach_frame_reconstruct, build_uphi, hilbert_frame_bounds
 from .localization import a_flat_norm, cross_gramian, gab_domination_check
 
 KNOWN_TASKS = ("frame-info", "property-d", "discretize", "reconstruct",
@@ -61,19 +61,24 @@ def validate_config(cfg: dict) -> list[str]:
     sgc = cfg.get("signal_grid", {})
     T = sgc.get("T", 10.0)
     n = sgc.get("n", 512)
-    if not (isinstance(n, int) and n >= 8 and (n & (n - 1)) == 0):
-        diags.append(f"signal_grid.n must be a power of two >= 8, got {n}")
-    if not T > 0:
-        diags.append("signal_grid.T must be positive")
-    if fam.get("tag") == "sinc_rkhs" and n >= 8 and T > 0:
+    n_ok = isinstance(n, int) and n >= 8 and (n & (n - 1)) == 0
+    if not n_ok:
+        diags.append(f"signal_grid.n must be a power of two >= 8, got {n!r}")
+    T_ok = _is_number(T) and T > 0
+    if not T_ok:
+        diags.append(f"signal_grid.T must be a positive number, got {T!r}")
+    if fam.get("tag") == "sinc_rkhs" and n_ok and T_ok:
         omega = fam.get("params", {}).get("bandlimit")
-        if omega is not None and omega >= np.pi * n / (2 * T):
+        if omega is not None and not _is_number(omega):
+            diags.append(f"family.params.bandlimit must be a number, got {omega!r}")
+        elif omega is not None and omega >= np.pi * n / (2 * T):
             diags.append(f"bandlimit {omega} at or above grid Nyquist "
                          f"{np.pi * n / (2 * T):.4f}")
     if fam.get("tag") == "alpha_mod":
         alpha = fam.get("params", {}).get("alpha", 0.5)
-        if not 0.0 <= alpha < 1.0:
-            diags.append(f"alpha must lie in [0, 1), got {alpha}")
+        if not (_is_number(alpha) and 0.0 <= alpha < 1.0):
+            diags.append(f"family.params.alpha must be a number in [0, 1), "
+                         f"got {alpha!r}")
     tasks = cfg.get("tasks")
     if not tasks:
         diags.append("tasks must be a nonempty list")
@@ -84,6 +89,8 @@ def validate_config(cfg: dict) -> list[str]:
     wc = cfg.get("weight", {"type": "trivial"})
     if wc.get("type") not in ("trivial", "polynomial"):
         diags.append(f"unknown weight type {wc.get('type')!r}")
+    elif wc["type"] == "polynomial" and not _is_number(wc.get("s", 1.0)):
+        diags.append(f"weight.s must be a number, got {wc['s']!r}")
     diags += _covering_diags(cfg, tasks if isinstance(tasks, list) else [])
     cut = cfg.get("stable_cut", 1e-10)
     if not (_is_number(cut) and 0.0 <= cut < 1.0):
@@ -117,9 +124,14 @@ def _covering_diags(cfg: dict, tasks: list) -> list[str]:
     if refine is not None:
         if not isinstance(refine, dict):
             diags.append("covering.refine must be an object")
-        elif refine.get("target", "full") not in REFINE_TARGETS:
-            diags.append(f"covering.refine.target must be one of "
-                         f"{', '.join(REFINE_TARGETS)}, got {refine['target']!r}")
+        else:
+            if refine.get("target", "full") not in REFINE_TARGETS:
+                diags.append(f"covering.refine.target must be one of "
+                             f"{', '.join(REFINE_TARGETS)}, got {refine['target']!r}")
+            levels = refine.get("max_levels", 8)
+            if isinstance(levels, bool) or not isinstance(levels, int) or levels < 1:
+                diags.append(f"covering.refine.max_levels must be an integer >= 1, "
+                             f"got {levels!r}")
     cell = cc.get("cell_size")
     if cell is None:
         if not refine:
@@ -287,8 +299,8 @@ def task_reconstruct(ctx: _Context) -> dict:
 
 def task_localize(ctx: _Context) -> dict:
     cov = ctx.covering()
-    sframe = sample_frame(ctx.family, cov)
-    gram = cross_gramian(ctx.family, ctx.family, sframe.points, sframe.points)
+    pts = cov.grid.points[cov.sample_node_index]
+    gram = cross_gramian(ctx.family, ctx.family, pts, pts)
     rep = a_flat_norm(gram, cov, ctx.m)
     with open(ctx.out / "decay_profile.csv", "w", newline="") as fh:
         wtr = csv.writer(fh)

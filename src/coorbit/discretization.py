@@ -57,20 +57,14 @@ class SampledFrame:
         return self.atoms * np.sqrt(self.measures)[None, :]
 
 
-def _sample_nodes(cov: Covering) -> np.ndarray:
-    """Grid node of each cell: its member nearest to the cell's sample
-    point, the lowest node index among ties (`Covering.sample_node_index`),
-    so x_i lies in U_i as the theorems require."""
-    return cov.sample_node_index.copy()
-
-
 def sample_frame(family: FrameFamily, cov: Covering,
                  pu: Optional[PartitionOfUnity] = None,
                  points: Optional[np.ndarray] = None) -> SampledFrame:
     """Materialize atoms at one sample point per cell.
 
-    Default points are grid nodes inside the cells; explicitly supplied
-    points are validated against the membership invariant x_i in U_i.
+    Default points are the cells' sampled nodes (grid nodes inside the
+    cells, `Covering.sample_node_index`); explicitly supplied points are
+    validated against the membership invariant x_i in U_i.
     """
     if points is not None:
         points = np.atleast_2d(points)
@@ -82,7 +76,7 @@ def sample_frame(family: FrameFamily, cov: Covering,
                 f"sample point {points[bad].tolist()} outside its cell {bad}")
         node_index = np.full(cov.size, -1)
     else:
-        node_index = _sample_nodes(cov)
+        node_index = cov.sample_node_index.copy()
         points = cov.grid.points[node_index]
     masses = pu.masses if pu is not None else cov.measures
     return SampledFrame(
@@ -125,9 +119,13 @@ class UPhiOperator:
 
     @cached_property
     def atoms(self) -> np.ndarray:
-        """Sampled atoms psi_{x_i} on the signal grid, shape (n, N); the
-        same matrix `sample_frame` synthesizes, built once per operator."""
-        return self.calc.family.atoms(self.covering.grid.points[self.node_index])
+        """Sampled atoms psi_{x_i} on the signal grid, shape (n, N): the
+        columns of the grid's atom matrix at the sample nodes, the same
+        matrix `sample_frame` synthesizes.  `np.take` copies them in C
+        order, the layout of a synthesized atom block; a column slice of
+        the F-ordered atom matrix would stay F-ordered, and BLAS rounds the
+        block and one-signal products on the two layouts differently."""
+        return np.take(self.calc.atom_matrix, self.node_index, axis=1)
 
     def sampled_frame(self) -> SampledFrame:
         """The sampled frame at this operator's nodes and masses, sharing its
@@ -201,8 +199,8 @@ def build_uphi(R: Kernel, cov: Covering, pu: PartitionOfUnity,
     calc: FrameCalculus = ctx["calc"]
     if calc.grid is not grid:
         raise DiscretizationError("kernel grid does not match the given grid")
-    node_index = _sample_nodes(cov)
-    return UPhiOperator(calc=calc, covering=cov, node_index=node_index,
+    return UPhiOperator(calc=calc, covering=cov,
+                        node_index=cov.sample_node_index.copy(),
                         masses=np.asarray(pu.masses, dtype=float),
                         rel_cut=ctx.get("rel_cut", 1e-10))
 

@@ -652,45 +652,13 @@ class TransformField:
     grid: QuadGrid
 
 
-def analyze_V(family: FrameFamily, f: np.ndarray, x_grid: QuadGrid,
-              use_fast_path: Optional[bool] = None) -> TransformField:
-    """V f(x) = <f, psi_x> at every grid node.
-
-    For Gabor families on tensor grids an FFT (chirp-z) fast path evaluates
-    the frequency axis; it agrees with direct quadrature to ~1e-12 and is
-    used automatically.
-    """
+def analyze_V(family: FrameFamily, f: np.ndarray, x_grid: QuadGrid) -> TransformField:
+    """V f(x) = <f, psi_x> at every grid node, by signal-grid quadrature
+    (`FrameCalculus.analyze`)."""
     f = np.asarray(f)
     if f.shape[0] != family.signal_grid.n:
         raise GridError("signal length does not match the family's signal grid")
-    fast_ok = family.tag == "gabor" and "tensor_axes" in x_grid.structure
-    if use_fast_path is None:
-        use_fast_path = fast_ok
-    if use_fast_path:
-        if not fast_ok:
-            raise FamilyError("fast path requires a gabor family on a tensor grid")
-        return TransformField(_gabor_fast_V(family, f, x_grid), "V", x_grid)
-    vals = family.calculus(x_grid).analyze(f)
-    return TransformField(vals, "V", x_grid)
-
-
-def _gabor_fast_V(family: FrameFamily, f: np.ndarray, x_grid: QuadGrid) -> np.ndarray:
-    from scipy.signal import czt     # scipy.signal is slow to import
-
-    sg = family.signal_grid
-    xs, ws = x_grid.structure["tensor_axes"]
-    window = family.params["window"]
-    gfun = gaussian_window if window == "gaussian" else window
-    t = sg.points
-    m = len(ws)
-    w0, dw = ws[0], ws[1] - ws[0] if m > 1 else 1.0
-    out = np.empty((len(xs), m), dtype=complex)
-    phase = np.exp(1j * np.asarray(ws) * (-sg.half_width))
-    for j, x in enumerate(xs):
-        p = f * np.conj(gfun(t - x))
-        spec = czt(p, m=m, w=np.exp(-1j * dw * sg.h), a=np.exp(1j * w0 * sg.h))
-        out[j] = sg.h * np.conj(phase) * spec
-    return out.reshape(-1)
+    return TransformField(family.calculus(x_grid).analyze(f), "V", x_grid)
 
 
 def analyze_W(family: FrameFamily, f: np.ndarray, x_grid: QuadGrid,

@@ -30,6 +30,7 @@ from .measure_space import AdmissibleWeight, GridError, QuadGrid, WeightOnX
 CACHE_NODE_LIMIT = 4096
 _ROW_BLOCK = 256
 _GEMM_ROWS = 128              # rows of one buffered Gramian GEMM in am_norm
+_LOOKUP_ENTRIES = 1 << 18     # point-node distances of one nearest-node block
 
 
 class KernelError(ValueError):
@@ -105,16 +106,28 @@ class Kernel:
             return self._cache
 
 
+def _nearest_nodes(points: np.ndarray, grid: QuadGrid) -> np.ndarray:
+    """Index of the grid node nearest to each point: the float64 squared
+    distance sum((p - x)**2) over the axes, the lowest node index among
+    equal distances, so a node maps to itself (grid nodes are distinct).
+    Points run in row blocks of at most `_LOOKUP_ENTRIES` point-node
+    distances."""
+    points = np.atleast_2d(points)
+    nodes = grid.points
+    rows = max(1, _LOOKUP_ENTRIES // nodes.shape[0])
+    out = np.empty(points.shape[0], dtype=np.intp)
+    for start in range(0, points.shape[0], rows):
+        diff = points[start:start + rows, None, :] - nodes[None, :, :]
+        out[start:start + rows] = np.argmin(np.sum(diff * diff, axis=-1), axis=1)
+    return out
+
+
 def kernel_from_matrix(mat: np.ndarray, grid: QuadGrid,
                        provenance: str = "composed") -> Kernel:
-    """Wrap a sampled matrix; the evaluator snaps points to nearest nodes."""
-    from scipy.spatial import cKDTree
-    tree = cKDTree(grid.points)
-
+    """Wrap a sampled matrix; the evaluator snaps points to their nearest
+    nodes (`_nearest_nodes`)."""
     def ev(pr, pc):
-        ir = tree.query(np.atleast_2d(pr))[1]
-        ic = tree.query(np.atleast_2d(pc))[1]
-        return mat[np.ix_(ir, ic)]
+        return mat[np.ix_(_nearest_nodes(pr, grid), _nearest_nodes(pc, grid))]
 
     kern = Kernel(evaluator=ev, provenance=provenance, native_grid=grid)
     kern._cache = mat

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverings import Covering
-from .discretization import _sample_nodes
 from .frame_families import FrameCalculus, FrameFamily, _interior_mask, \
     gram_kernel
 from .measure_space import AdmissibleWeight, QuadGrid
@@ -154,7 +153,7 @@ def gab_domination_check(frame_f: FrameFamily, frame_g: FrameFamily,
     M = grid.size
     w = grid.weights
 
-    samples = cov.grid.points[_sample_nodes(cov)]
+    samples = cov.grid.points[cov.sample_node_index]
     gram = cross_gramian(frame_f, frame_g, samples, samples)
 
     # membership matrix C[i, node] and the covering kernel L = C^T diag(1/a) C

@@ -79,8 +79,8 @@ class QuadGrid:
     bounds:  (d, 2) bounding box
     metric:  callable (P, Q) -> pairwise distance matrix; symmetric, zero
              on the diagonal (semi-metric allowed)
-    structure: optional metadata for fast paths (tensor axes, scale bands);
-             never required for correctness
+    structure: optional layout metadata (the scale bands of a banded
+             wavelet grid, which its coverings follow)
     """
 
     points: np.ndarray
@@ -146,8 +146,7 @@ def _axis_cells(lo: float, hi: float, res: int, scale: str):
 
 def build_quad_grid(bounds: Sequence[Sequence[float]], resolution: Sequence[int] | int,
                     measure="lebesgue", axis_scales: Sequence[str] | None = None,
-                    metric=euclidean_metric, scale_axis: int = 0,
-                    structure: dict | None = None) -> QuadGrid:
+                    metric=euclidean_metric, scale_axis: int = 0) -> QuadGrid:
     """Tensor-product midpoint rule on a box.
 
     measure: "lebesgue", "wavelet_halfplane" (density a^-2 on `scale_axis`),
@@ -181,11 +180,8 @@ def build_quad_grid(bounds: Sequence[Sequence[float]], resolution: Sequence[int]
     if np.any(density <= 0) or not np.all(np.isfinite(density)):
         raise GridError("measure density must be positive and finite at all midpoints")
 
-    info = dict(structure or {})
-    info.setdefault("tensor_axes", [m for m, _ in per_axis])
-    info.setdefault("axis_widths", [w for _, w in per_axis])
     return QuadGrid(points=points, weights=density * volumes, bounds=bounds,
-                    metric=metric, structure=info)
+                    metric=metric)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ def test_criterion_02_reproducing_formula(gabor_reference, cwt_reference,
         errs = []
         for seed in range(5):
             f = make_battery(fam, grid, 1, seed=100 + seed)[0]
-            vf = analyze_V(fam, f, grid, use_fast_path=False).values
+            vf = analyze_V(fam, f, grid).values
             rv = apply_kernel(R, vf, grid)
             errs.append(np.abs(rv - vf).max() / np.abs(vf).max())
         worst[name] = max(errs)
@@ -198,7 +198,7 @@ def test_criterion_07_banach_reconstruction(passing_pipeline, gabor_ladder):
     worst = 0.0
     brackets = []
     for f in battery:
-        samples = analyze_V(fam, f, grid, use_fast_path=False).values[op.node_index]
+        samples = analyze_V(fam, f, grid).values[op.node_index]
         rec, rep = banach_frame_reconstruct(samples, op, f_true=f)
         worst = max(worst, rep.relative_error)
         brackets.append(rep.norm_ratios["flat_l2_over_f"])
@@ -218,7 +218,7 @@ def test_criterion_07_banach_reconstruction(passing_pipeline, gabor_ladder):
                       cov_c, pu_c, grid_c)
     brackets_c = []
     for f in battery[:5]:
-        samples = analyze_V(fam_l, f, grid_c, use_fast_path=False).values[op_c.node_index]
+        samples = analyze_V(fam_l, f, grid_c).values[op_c.node_index]
         _, rep = banach_frame_reconstruct(samples, op_c, f_true=f)
         brackets_c.append(rep.norm_ratios["flat_l2_over_f"])
     mid_fine = 0.5 * (bracket_fine[0] + bracket_fine[1])

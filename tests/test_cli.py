@@ -57,7 +57,13 @@ class TestValidate:
         ("battery_size", "3"), ("battery_size", True),
         ("stable_cut", -1e-3), ("stable_cut", 1.0), ("stable_cut", "0.2"),
         ("z_per_cell", 0), ("z_per_cell", 1.5),
-        ("pu_flavor", "hat")])
+        ("pu_flavor", "hat"),
+        ("signal_grid", {"T": "abc", "n": 64}), ("signal_grid", {"T": 0.0}),
+        ("signal_grid", {"T": 8.0, "n": "64"}),
+        ("weight", {"type": "polynomial", "s": "1"}),
+        ("weight", {"type": "polynomial", "s": None}),
+        ("family", {"tag": "alpha_mod", "params": {"alpha": "0.5"}}),
+        ("family", {"tag": "sinc_rkhs", "params": {"bandlimit": "2"}})])
     def test_out_of_range_setting_exits_2(self, tmp_path, key, value):
         cfg = dict(MINIMAL, tasks=["discretize", "reconstruct"],
                    covering={"cell_size": 0.5}, **{key: value})
@@ -70,7 +76,9 @@ class TestValidate:
 
     @pytest.mark.parametrize("key,value", [
         ("battery_size", 1), ("stable_cut", 0), ("stable_cut", 0.5),
-        ("z_per_cell", 1), ("pu_flavor", "tent")])
+        ("z_per_cell", 1), ("pu_flavor", "tent"),
+        ("signal_grid", {"T": 8, "n": 64}),
+        ("weight", {"type": "polynomial", "s": 2})])
     def test_in_range_setting(self, key, value):
         assert validate_config(dict(MINIMAL, **{key: value})) == []
 
@@ -95,6 +103,14 @@ class TestValidate:
          "refine must be an object"),
         ("gabor", ["discretize"], [0.5], "covering must be an object"),
         ("gabor", ["discretize"], {"cell_size": 0.5, "overlap": "half"}, "overlap"),
+        ("gabor", ["property-d"], {"cell_size": 1.0, "refine": {"max_levels": 0}},
+         "refine.max_levels"),
+        ("gabor", ["property-d"], {"cell_size": 1.0, "refine": {"max_levels": 2.5}},
+         "refine.max_levels"),
+        ("gabor", ["property-d"], {"cell_size": 1.0, "refine": {"max_levels": "8"}},
+         "refine.max_levels"),
+        ("gabor", ["property-d"], {"cell_size": 1.0, "refine": {"max_levels": True}},
+         "refine.max_levels"),
     ])
     def test_bad_covering_block_exits_2(self, tmp_path, tag, tasks, covering, needle):
         cfg = dict(MINIMAL, tasks=tasks, family={"tag": tag, "params": {}})
@@ -115,7 +131,7 @@ class TestValidate:
         ("gabor", ["discretize"], {"cell_size": 0.5}),
         ("gabor", ["discretize"], {"cell_size": [0.5, 1]}),
         ("gabor", ["property-d"], {"refine": {"target": "banach"}}),
-        ("gabor", ["property-d"], {"cell_size": 1.0, "refine": {"max_levels": 0}}),
+        ("gabor", ["property-d"], {"cell_size": 1.0, "refine": {"max_levels": 1}}),
         ("sinc_rkhs", ["discretize"], {"cell_size": 1.0}),
         ("sinc_rkhs", ["sequence-spaces"], {"cell_size": [1.0],
                                             "refine": {"target": "atomic"}}),
@@ -211,12 +227,15 @@ class TestRun:
         assert "non-finite kernel value" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
-    def test_numerical_failure_exits_3(self, tmp_path):
-        cfg = dict(MINIMAL, tasks=["property-d"],
-                   covering={"cell_size": 1.0,
-                             "refine": {"target": "full", "max_levels": 0}})
+    def test_numerical_failure_exits_3(self, tmp_path, capsys):
+        # one level of refinement from cells of width 2 does not reach the
+        # full discretization flag
+        cfg = dict(MINIMAL, tasks=["property-d"], z_per_cell=2,
+                   covering={"cell_size": 2.0,
+                             "refine": {"target": "full", "max_levels": 1}})
         path = write_config(tmp_path, cfg)
         assert run(str(path), out_dir=str(tmp_path / "o3")) == 3
+        assert "not reached in 1 levels" in capsys.readouterr().err
 
     def test_refinement_task_reports_trajectory(self, tmp_path):
         cfg = dict(MINIMAL, tasks=["property-d"],
@@ -304,30 +323,66 @@ class TestRun:
         assert blobs[0] == blobs[1] == blobs[2]
 
 
-_SCIPY_PROBE = """
-import json, sys, tempfile
+_SCIPY_BLOCKED_PROBE = """
+import importlib.abc, json, sys, tempfile
 from pathlib import Path
+
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"scipy is blocked: import {name}")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+import numpy as np
 from coorbit import cli
-cfg = {"family": {"tag": "cwt", "params": {"order": 6}},
+from coorbit.frame_families import analyze_V, gram_kernel, make_family
+from coorbit.kernel_algebra import compose, kernel_from_matrix
+from coorbit.measure_space import SignalGrid, build_quad_grid
+
+gabor = {"family": {"tag": "gabor", "params": {}},
+         "signal_grid": {"T": 8.0, "n": 64},
+         "index_domain": {"bounds": [[-4.0, 4.0], [-4.0, 4.0]],
+                          "resolution": [16, 16]},
+         "covering": {"cell_size": 1.0}, "weight": {"type": "trivial"},
+         "stable_cut": 0.2, "battery_size": 2, "z_per_cell": 2, "seed": 0,
+         "tasks": list(cli.KNOWN_TASKS)}
+cwt = {"family": {"tag": "cwt", "params": {"order": 6}},
        "signal_grid": {"T": 16.0, "n": 64}, "weight": {"type": "trivial"},
        "index_domain": {"scales_per_octave": 4, "band_spacing": 0.9},
        "stable_cut": 0.2, "seed": 0, "tasks": ["frame-info", "norms"]}
 with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert cli.run(str(path), str(Path(tmp) / "out"), threads=2) == 0
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-assert not loaded, loaded
+    for k, cfg in enumerate((gabor, cwt)):
+        path = Path(tmp) / f"cfg{k}.json"
+        path.write_text(json.dumps(cfg))
+        out = Path(tmp) / f"out{k}"
+        assert cli.run(str(path), str(out), threads=2) == 0, cfg["family"]
+        tasks = json.loads((out / "report.json").read_text())["tasks"]
+        assert set(tasks) == set(cfg["tasks"]), sorted(tasks)
+
+fam = make_family("gabor", {}, SignalGrid(8.0, 64))
+grid = build_quad_grid([[-4.0, 4.0], [-4.0, 4.0]], [12, 12])
+f = fam.atom([0.5, -1.0])
+assert np.array_equal(analyze_V(fam, f, grid).values,
+                      fam.calculus(grid).analyze(f))
+R = gram_kernel(fam, grid, rel_cut=0.2)
+rows, cols = np.arange(0, 144, 7), np.arange(3, 144, 5)
+for kern in (compose(R, R, grid), kernel_from_matrix(R.matrix(grid), grid)):
+    assert np.array_equal(kern.block(grid.points[rows], grid.points[cols]),
+                          kern.matrix(grid)[np.ix_(rows, cols)])
 """
 
 
-def test_wavelet_run_does_not_import_scipy():
-    # GaussDerivProfile sums the regularized incomplete gamma function of
-    # integer order itself: a cwt frame-info + norms run loads no scipy
+def test_engine_runs_with_scipy_blocked():
+    # numpy is the only runtime dependency: with every import of scipy
+    # refused, a Gabor run of every task, a wavelet frame-info + norms run,
+    # analyze_V on a tensor grid and composed kernels all work
     root = Path(cli.__file__).resolve().parents[2]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), env.get("PYTHONPATH", "")])
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env,
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_BLOCKED_PROBE], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
 

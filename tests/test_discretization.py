@@ -65,6 +65,24 @@ class TestSampleFrame:
         with pytest.raises(DiscretizationError):
             sample_frame(fam, cov, pu, points=pts)
 
+    @pytest.mark.parametrize("tag,T,cell", [
+        ("gabor", 8.0, 1.0), ("cwt", 16.0, [0.5, 2.0]),
+        ("inhom_wavelet", 16.0, [0.5, 2.0]), ("sinc_rkhs", 8.0, 2.0),
+        ("alpha_mod", 8.0, 1.0)])
+    def test_operator_atoms_equal_synthesized_atoms(self, tag, T, cell):
+        # UPhiOperator.atoms slices the grid's atom matrix; its bits equal
+        # the atoms sample_frame synthesizes at the sample nodes
+        fam = make_family(tag, None, SignalGrid(T, 64))
+        grid = default_index_grid(fam)
+        cov = build_covering(grid, cell)
+        pu = build_pu(cov)
+        op = build_uphi(gram_kernel(fam, grid, rel_cut=CUT), cov, pu, grid)
+        sf, osf = sample_frame(fam, cov, pu), op.sampled_frame()
+        assert np.array_equal(op.atoms, sf.atoms)
+        assert op.atoms.flags.c_contiguous == sf.atoms.flags.c_contiguous
+        for name in ("node_index", "points", "atoms", "measures", "masses"):
+            assert np.array_equal(getattr(osf, name), getattr(sf, name)), name
+
     def test_renormalized_atoms(self, small_pipeline):
         fam, grid, cov, pu, R, op = small_pipeline
         sf = sample_frame(fam, cov, pu)
@@ -82,11 +100,11 @@ class TestUPhi:
         # the coarser covering has a visible gap, the node limit none
         fam, grid, cov, pu, R, op = node_limit
         f = make_battery(fam, grid, 1, seed=3)[0]
-        F = op.project(analyze_V(fam, f, grid, use_fast_path=False).values)
+        F = op.project(analyze_V(fam, f, grid).values)
         gap_fine = _mu_norm(op.apply(F) - apply_kernel(R, F, grid), grid)
         famc, gridc, covc, puc, Rc, opc = small_pipeline
         fc = make_battery(famc, gridc, 1, seed=3)[0]
-        Fc = opc.project(analyze_V(famc, fc, gridc, use_fast_path=False).values)
+        Fc = opc.project(analyze_V(famc, fc, gridc).values)
         gap_coarse = _mu_norm(opc.apply(Fc) - apply_kernel(Rc, Fc, gridc), gridc)
         assert gap_fine <= 1e-10
         assert gap_coarse > 10 * gap_fine
@@ -107,7 +125,7 @@ class TestUPhi:
         fam, grid, cov, pu, R, op = small_pipeline
         w = grid.weights
         f = make_battery(fam, grid, 1, seed=8)[0]
-        F = op.project(analyze_V(fam, f, grid, use_fast_path=False).values)
+        F = op.project(analyze_V(fam, f, grid).values)
         for k in (10, 100, 480):
             col = R.block(grid.points, grid.points[op.node_index[k]:op.node_index[k] + 1])[:, 0]
             lhs = np.sum(w * op.apply(F) * np.conj(col))
@@ -241,14 +259,14 @@ class TestSolve:
     def test_node_limit_is_identity_on_range(self, node_limit):
         fam, grid, cov, pu, R, op = node_limit
         f = make_battery(fam, grid, 1, seed=13)[0]
-        F = op.project(analyze_V(fam, f, grid, use_fast_path=False).values)
+        F = op.project(analyze_V(fam, f, grid).values)
         out = op.solve(F)
         assert _mu_norm(out - F, grid) <= 1e-8 * _mu_norm(F, grid)
 
     def test_matches_neumann_series(self, small_pipeline, reference_neumann):
         fam, grid, cov, pu, R, op = small_pipeline
         f = make_battery(fam, grid, 1, seed=14)[0]
-        F = op.project(analyze_V(fam, f, grid, use_fast_path=False).values)
+        F = op.project(analyze_V(fam, f, grid).values)
         u1, u2 = reference_neumann(op, F), op.solve(F)
         assert _mu_norm(u1 - u2, grid) <= 1e-8 * _mu_norm(u1, grid)
 
@@ -336,7 +354,7 @@ class TestBanachReconstruct:
         k = int(np.argmin(np.sum((cov.sample_points -
                                   np.array([0.7, -0.4])) ** 2, axis=1)))
         f = fam.atom(grid.points[op.node_index[k]])
-        samples = analyze_V(fam, f, grid, use_fast_path=False).values[op.node_index]
+        samples = analyze_V(fam, f, grid).values[op.node_index]
         rec, rep = banach_frame_reconstruct(samples, op, f_true=f)
         assert rep.relative_error <= 1e-3
 
@@ -350,7 +368,7 @@ class TestBanachReconstruct:
         ratios = []
         for seed in range(5):
             f = make_battery(fam, grid, 1, seed=seed)[0]
-            samples = analyze_V(fam, f, grid, use_fast_path=False).values[op.node_index]
+            samples = analyze_V(fam, f, grid).values[op.node_index]
             _, rep = banach_frame_reconstruct(samples, op, f_true=f)
             ratios.append(rep.norm_ratios["flat_l2_over_f"])
         assert max(ratios) / min(ratios) <= 1.1

@@ -103,24 +103,17 @@ class TestTransforms:
         fam, grid = gabor_small
         x0 = np.array([0.7, -1.3])
         f = fam.atom(x0)
-        vf = analyze_V(fam, f, grid, use_fast_path=False).values
+        vf = analyze_V(fam, f, grid).values
         R = gram_kernel(fam, grid, mode="direct")
         nodes = rng.integers(0, grid.size, 5)
         col = R.block(grid.points[nodes], x0[None, :])[:, 0]
         assert np.abs(vf[nodes] - col).max() <= 1e-10
 
-    def test_fast_path_agrees(self, gabor_small, rng):
-        fam, grid = gabor_small
-        f = make_battery(fam, grid, 1, seed=11)[0]
-        direct = analyze_V(fam, f, grid, use_fast_path=False).values
-        fast = analyze_V(fam, f, grid, use_fast_path=True).values
-        assert np.abs(direct - fast).max() <= 1e-10
-
     def test_plancherel_for_tight_families(self, gabor_small):
         fam, grid = gabor_small
         for seed in range(3):
             f = make_battery(fam, grid, 1, seed=seed)[0]
-            vf = analyze_V(fam, f, grid, use_fast_path=False).values
+            vf = analyze_V(fam, f, grid).values
             ratio = np.sum(grid.weights * np.abs(vf) ** 2) / \
                 fam.signal_grid.norm(f) ** 2
             assert 0.99 <= ratio <= 1.01
@@ -128,7 +121,7 @@ class TestTransforms:
     def test_cauchy_schwarz_bound(self, gabor_small, rng):
         fam, grid = gabor_small
         f = make_battery(fam, grid, 1, seed=5)[0]
-        vf = analyze_V(fam, f, grid, use_fast_path=False).values
+        vf = analyze_V(fam, f, grid).values
         norms = np.sqrt(fam.signal_grid.h *
                         np.sum(np.abs(fam.atoms(grid.points)) ** 2, axis=0))
         assert np.all(np.abs(vf) <= norms * fam.signal_grid.norm(f) + 1e-12)
@@ -140,8 +133,8 @@ class TestTransforms:
         g = make_battery(fam, grid, 1, seed=2)[0]
         sf = frame_operator_apply(fam, f, grid)
         lhs = sg.inner(sf, g)
-        vf = analyze_V(fam, f, grid, use_fast_path=False).values
-        vg = analyze_V(fam, g, grid, use_fast_path=False).values
+        vf = analyze_V(fam, f, grid).values
+        vg = analyze_V(fam, g, grid).values
         rhs = np.sum(grid.weights * vf * np.conj(vg))
         assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
@@ -203,7 +196,7 @@ class TestAnalyzeW:
     def test_tight_w_equals_v(self, gabor_small):
         fam, grid = gabor_small
         f = make_battery(fam, grid, 1, seed=31)[0]
-        vf = analyze_V(fam, f, grid, use_fast_path=False).values
+        vf = analyze_V(fam, f, grid).values
         wf = analyze_W(fam, f, grid).values
         assert np.abs(wf - vf).max() <= 1e-2 * np.abs(vf).max()
 
@@ -253,7 +246,7 @@ class TestGramKernel:
         R = gram_kernel(fam, grid)
         for seed in range(3):
             f = make_battery(fam, grid, 1, seed=seed)[0]
-            vf = analyze_V(fam, f, grid, use_fast_path=False).values
+            vf = analyze_V(fam, f, grid).values
             rv = apply_kernel(R, vf, grid)
             assert np.abs(rv - vf).max() <= 1e-3 * np.abs(vf).max()
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from coorbit import kernel_algebra
 from coorbit.coverings import build_covering
 from coorbit.frame_families import default_index_grid, gram_kernel, make_family
 from coorbit.kernel_algebra import (Kernel, KernelError, _on_pool, am_norm,
@@ -327,6 +328,24 @@ class TestCompose:
         probe = unit_grid_1d.points[5] + 1e-6
         assert k.block(np.array([probe]), np.array([unit_grid_1d.points[7]]))[0, 0] \
             == pytest.approx(mat[5, 7])
+
+    @pytest.mark.parametrize("lookup_entries", [7, 1 << 18])
+    def test_evaluator_nearest_node_rule(self, rng, monkeypatch, lookup_entries):
+        # entry (i, j) of the wrapped matrix is i * M + j, so a block reads
+        # back the nodes each point snapped to; midpoints between lattice
+        # nodes tie, and the lowest node index wins
+        monkeypatch.setattr(kernel_algebra, "_LOOKUP_ENTRIES", lookup_entries)
+        grid = build_quad_grid([[0.0, 3.0], [0.0, 2.0]], [6, 4])
+        M, nodes = grid.size, grid.points
+        kern = kernel_from_matrix(np.arange(M * M, dtype=float).reshape(M, M), grid)
+        mids = 0.5 * (nodes[:-1] + nodes[1:])
+        pts = np.vstack([nodes, mids, rng.uniform(-0.5, 3.5, size=(40, 2))])
+        dist = [np.sum((nodes - p) ** 2, axis=1) for p in pts]
+        want = np.array([np.flatnonzero(d == d.min()).min() for d in dist])
+        assert np.array_equal(want[:M], np.arange(M))
+        assert sum(np.count_nonzero(d == d.min()) > 1 for d in dist) >= M // 2
+        assert np.array_equal(kern.block(pts, nodes[:3])[:, 0] // M, want)
+        assert np.array_equal(kern.block(nodes[:2], pts)[0] % M, want)
 
     def test_matrix_recomputes_on_another_grid(self):
         k = gaussian_kernel()
