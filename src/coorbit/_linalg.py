@@ -41,7 +41,9 @@ class HermitianEig:
 
 def psd_factorize(mat: np.ndarray, rel_cut: float = 1e-10) -> HermitianEig:
     """eigh with a relative eigenvalue cut in [0, inf); raises on total rank
-    collapse.  A negative cut would keep zero eigenvalues and divide by them."""
+    collapse.  A negative cut would keep zero eigenvalues and divide by them.
+    A real symmetric matrix takes the real eigh (LAPACK dsyevd) and keeps
+    real eigenvectors."""
     if not (np.isfinite(rel_cut) and rel_cut >= 0.0):
         raise ValueError(f"relative eigenvalue cut must be finite and >= 0, got {rel_cut}")
     lam, q = np.linalg.eigh(mat)

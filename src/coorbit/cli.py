@@ -51,6 +51,8 @@ REFINE_TARGETS = ("full", "atomic", "banach")
 # ---------------------------------------------------------------------------
 def validate_config(cfg: dict) -> list[str]:
     """Schema and cross-field diagnostics; empty list means valid."""
+    if not isinstance(cfg, dict):
+        return ["the configuration must be an object"]
     diags = []
     fam = cfg.get("family")
     if not isinstance(fam, dict) or "tag" not in fam:
@@ -58,7 +60,9 @@ def validate_config(cfg: dict) -> list[str]:
         return diags
     if fam["tag"] not in KNOWN_FAMILIES:
         diags.append(f"unknown family tag {fam['tag']!r}")
-    sgc = cfg.get("signal_grid", {})
+    params = _object(fam, "params", "family.params", diags)
+    sgc = _object(cfg, "signal_grid", "signal_grid", diags)
+    _object(cfg, "index_domain", "index_domain", diags)
     T = sgc.get("T", 10.0)
     n = sgc.get("n", 512)
     n_ok = isinstance(n, int) and n >= 8 and (n & (n - 1)) == 0
@@ -68,25 +72,25 @@ def validate_config(cfg: dict) -> list[str]:
     if not T_ok:
         diags.append(f"signal_grid.T must be a positive number, got {T!r}")
     if fam.get("tag") == "sinc_rkhs" and n_ok and T_ok:
-        omega = fam.get("params", {}).get("bandlimit")
+        omega = params.get("bandlimit")
         if omega is not None and not _is_number(omega):
             diags.append(f"family.params.bandlimit must be a number, got {omega!r}")
         elif omega is not None and omega >= np.pi * n / (2 * T):
             diags.append(f"bandlimit {omega} at or above grid Nyquist "
                          f"{np.pi * n / (2 * T):.4f}")
     if fam.get("tag") == "alpha_mod":
-        alpha = fam.get("params", {}).get("alpha", 0.5)
+        alpha = params.get("alpha", 0.5)
         if not (_is_number(alpha) and 0.0 <= alpha < 1.0):
             diags.append(f"family.params.alpha must be a number in [0, 1), "
                          f"got {alpha!r}")
     tasks = cfg.get("tasks")
-    if not tasks:
+    if not tasks or not isinstance(tasks, list):
         diags.append("tasks must be a nonempty list")
     else:
         for t in tasks:
             if t not in KNOWN_TASKS:
                 diags.append(f"unknown task {t!r}")
-    wc = cfg.get("weight", {"type": "trivial"})
+    wc = _object(cfg, "weight", "weight", diags, {"type": "trivial"})
     if wc.get("type") not in ("trivial", "polynomial"):
         diags.append(f"unknown weight type {wc.get('type')!r}")
     elif wc["type"] == "polynomial" and not _is_number(wc.get("s", 1.0)):
@@ -102,6 +106,18 @@ def validate_config(cfg: dict) -> list[str]:
     if cfg.get("pu_flavor", "indicator") not in ("indicator", "tent"):
         diags.append(f"unknown pu_flavor {cfg['pu_flavor']!r}")
     return diags
+
+
+def _object(block: dict, key: str, name: str, diags: list,
+            default=None) -> dict:
+    """block[key], `default` ({} unless given) when absent; a value that is
+    not an object adds a diagnostic and reads as the default."""
+    default = {} if default is None else default
+    val = block.get(key, default)
+    if isinstance(val, dict):
+        return val
+    diags.append(f"{name} must be an object, got {val!r}")
+    return default
 
 
 def _is_number(val) -> bool:

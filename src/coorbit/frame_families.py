@@ -13,6 +13,10 @@ Conventions, fixed once for the whole engine:
   * Wavelet admissibility is normalized per frequency sign:
     integral_0^inf |psihat(u)|^2 du/u = 1, which makes the half-plane family
     and the inhomogeneous family tight with constant 1.
+  * Atoms carry their family's field: float64 for the real atoms of the
+    wavelet, inhomogeneous-wavelet and bandlimited families, complex128 for
+    the modulation families.  Every product built from them (S, the
+    Gramian factors) takes the atoms' dtype.
 
 The torus phase variable of the modulation families is dropped; atoms are
 indexed by (position, frequency) alone.  All norms and reconstruction
@@ -196,7 +200,9 @@ class FrameCalculus:
     frame operator S:  R = h * C^H C on the grid, with the half factor
     C = Lambda_k^(-1/2) Q_k^H Psi of shape (r, M), r = rank of the cut.
     Every Gramian product runs through C; r is at most the signal length n
-    and usually much smaller.
+    and usually much smaller.  Everything here follows the atoms' dtype:
+    for a family with real atoms (cwt, inhom_wavelet, sinc_rkhs) S, its
+    eigenpairs (a real `eigh`), the half map, C and C^H are float64.
     """
 
     def __init__(self, family: FrameFamily, grid: QuadGrid):
@@ -239,27 +245,32 @@ class FrameCalculus:
 
     def s_matrix(self, threads: int = 1) -> np.ndarray:
         """The quadrature frame operator S = h (Psi W) Psi^H, (n, n),
-        symmetrized to be exactly Hermitian and cached.
+        symmetrized to be exactly Hermitian and cached, in the atoms' dtype.
 
         Built in column blocks of at most `_S_COLS`,
         S[:, j0:j1] = (Psi W) @ conj(Psi[j0:j1]).T, spread over `threads`
-        (`_on_pool`); each thread conjugates its rows of Psi into a buffer
-        it owns, so no conjugate copy of all of Psi is made.  The blocks
-        are disjoint, so S does not depend on `threads`.
+        (`_on_pool`).  For complex atoms each thread conjugates its rows of
+        Psi into a buffer it owns, so no conjugate copy of all of Psi is
+        made; real atoms enter the GEMM as they are.  The blocks are
+        disjoint, so S does not depend on `threads`.
         """
         if self._s_matrix is None:
             psi = self.atom_matrix
             psi_w = psi * self.grid.weights[None, :]
             s = np.empty((psi.shape[0], psi.shape[0]), dtype=psi_w.dtype)
+            real = not np.iscomplexobj(psi)
 
             def make():
+                if real:
+                    return None
                 return np.empty((min(_S_COLS, psi.shape[0]), psi.shape[1]),
                                 dtype=psi.dtype)
 
             def work(cols, conj):
                 j0, j1 = cols
-                conj = np.conjugate(psi[j0:j1], out=conj[:j1 - j0])
-                np.matmul(psi_w, conj.T, out=s[:, j0:j1])
+                right = psi[j0:j1] if real else \
+                    np.conjugate(psi[j0:j1], out=conj[:j1 - j0])
+                np.matmul(psi_w, right.T, out=s[:, j0:j1])
 
             _on_pool(_even_blocks(psi.shape[0], _S_COLS), threads, make, work)
             s *= self.family.signal_grid.h
@@ -391,14 +402,18 @@ def _gabor_family(params: dict, sg: SignalGrid) -> FrameFamily:
 
 
 def _spectral_atoms(sg: SignalGrid, spectra: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Atoms from spectra: psi(t_k) = (1/2pi) integral S(w) e^{-iwb} e^{iwt_k} dw.
+    """Real atoms from real even spectra:
+    psi(t_k) = (1/2pi) integral S(w) e^{-iwb} e^{iwt_k} dw.
 
-    Midpoint sum over the FFT frequencies, evaluated by one inverse FFT;
-    with t_k = -T + kh the spectrum picks up the phase e^{-iw(b+T)}.
+    Midpoint sum over the FFT frequencies; with t_k = -T + kh the spectrum
+    picks up the phase e^{-iw(b+T)}.  S is even, so the phased spectrum is
+    Hermitian-symmetric: `spectra` holds S on the n/2 + 1 non-negative
+    frequencies only (`SignalGrid.rfft_freqs`), and one inverse real FFT
+    returns the float64 atoms, the real part of the full inverse FFT.
     """
-    w = sg.fft_freqs()
+    w = sg.rfft_freqs()
     spec = spectra * np.exp(-1j * w[:, None] * (shifts[None, :] + sg.half_width))
-    return np.fft.ifft(spec, axis=0) / sg.h
+    return np.fft.irfft(spec, n=sg.n, axis=0) / sg.h
 
 
 def _resolve_wavelet(params: dict) -> tuple[GaussDerivProfile, str]:
@@ -413,13 +428,13 @@ def _resolve_wavelet(params: dict) -> tuple[GaussDerivProfile, str]:
 def _cwt_family(params: dict, sg: SignalGrid) -> FrameFamily:
     profile, name = _resolve_wavelet(params)
     t = sg.points
-    w = sg.fft_freqs()
+    w = sg.rfft_freqs()
 
     if profile.order == 2:
         def atom_fn(points):
             a, b = points[:, 0], points[:, 1]
             arg = (t[:, None] - b[None, :]) / a[None, :]
-            return mexican_hat(arg) / np.sqrt(a[None, :]) + 0j
+            return mexican_hat(arg) / np.sqrt(a[None, :])
     else:
         def atom_fn(points):
             a, b = points[:, 0], points[:, 1]
@@ -486,8 +501,7 @@ def _sinc_family(params: dict, sg: SignalGrid) -> FrameFamily:
         den = np.sin(np.pi * u / (2 * T))
         small = np.abs(den) < 1e-13
         den = np.where(small, 1.0, den)
-        vals = np.where(small, float(2 * J + 1), num / den) / (2 * T)
-        return vals + 0j
+        return np.where(small, float(2 * J + 1), num / den) / (2 * T)
 
     return FrameFamily(
         tag="sinc_rkhs", signal_grid=sg,
@@ -500,7 +514,7 @@ def _sinc_family(params: dict, sg: SignalGrid) -> FrameFamily:
 
 def _inhom_family(params: dict, sg: SignalGrid) -> FrameFamily:
     profile, name = _resolve_wavelet(params)
-    w = sg.fft_freqs()
+    w = sg.rfft_freqs()
 
     def phi_spectrum(freq):
         # |phihat|^2 + int_0^1 |psihat(t xi)|^2 dt/t = 1, clamped against rounding
@@ -508,7 +522,7 @@ def _inhom_family(params: dict, sg: SignalGrid) -> FrameFamily:
 
     def atom_fn(points):
         scale, pos = points[:, 0], points[:, 1]
-        spec = np.empty((sg.n, points.shape[0]))
+        spec = np.empty((w.size, points.shape[0]))
         lowpass = scale <= 0.0
         if lowpass.any():
             spec[:, lowpass] = phi_spectrum(w)[:, None]

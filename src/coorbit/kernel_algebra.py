@@ -1,9 +1,10 @@
 """Kernel calculus on X x X and the weighted Schur-type algebra norms.
 
-A Kernel is a complex-valued function on pairs of index points, evaluated
-block-wise at arbitrary points through `block`.  A Gramian also carries its
-node factors R = h U V (U = C^H, V = C, the cached half factor), which its
-consumers multiply at grid nodes without synthesizing atoms again, and a
+A Kernel is a real- or complex-valued function on pairs of index points
+(the Gramian of a family with real atoms is real), evaluated block-wise at
+arbitrary points through `block`.  A Gramian also carries its node factors
+R = h U V (U = C^H, V = C, the cached half factor), which its consumers
+multiply at grid nodes without synthesizing atoms again, and a
 `col_factor` that gives V at any points.
 Norms are computed by streaming row blocks, so nothing ever materializes an
 M x M matrix unless the grid is small enough to cache (<= CACHE_NODE_LIMIT
@@ -39,9 +40,9 @@ class KernelError(ValueError):
 
 @dataclass
 class Kernel:
-    """Complex kernel on X x X with an optional sampled-matrix cache.
+    """Kernel on X x X with an optional sampled-matrix cache.
 
-    evaluator(points_r, points_c) returns the complex matrix
+    evaluator(points_r, points_c) returns the real or complex matrix
     K(points_r[j], points_c[k]).  node_factors(), when given, returns
     (U, V, s) with K = s U V at the nodes of `native_grid`: U is (M, r),
     V is (r, M).  col_factor(points), when given with them, returns the
@@ -211,8 +212,9 @@ def am_norm(kern: Kernel, m: AdmissibleWeight, grid: QuadGrid,
     A kernel with node factors K = s U V on this grid runs its row blocks
     on `threads` (`_on_pool`); the caller resolves the factors first and
     checks them once (`Kernel._check_factors`).  Each thread owns one
-    complex buffer for a GEMM of at most `_GEMM_ROWS` rows and one real
-    buffer for the moduli of a row block, reused by every block it takes.
+    buffer of the factors' result dtype (float64 for a real Gramian) for a
+    GEMM of at most `_GEMM_ROWS` rows and one real buffer for the moduli of
+    a row block, reused by every block it takes.
     Other kernels, and a factored kernel off its native grid, evaluate
     `Kernel.block` on the calling thread.
     Block sums are folded in block order, so the result does not depend on
@@ -235,7 +237,8 @@ def am_norm(kern: Kernel, m: AdmissibleWeight, grid: QuadGrid,
     def make():
         if factors is None:
             return None
-        return (np.empty(min(row_block, _GEMM_ROWS) * M, dtype=complex),
+        return (np.empty(min(row_block, _GEMM_ROWS) * M,
+                         dtype=np.result_type(*factors)),
                 np.empty(row_block * M))
 
     def moduli(start, stop, lo, own):
@@ -243,11 +246,11 @@ def am_norm(kern: Kernel, m: AdmissibleWeight, grid: QuadGrid,
         if factors is None:
             return np.abs(kern.block(pts[start:stop], pts[lo:]))
         u, v, scale = factors
-        cplx, amp = own
+        gemm, amp = own
         cols = M - lo
         amp = amp[:(stop - start) * cols].reshape(stop - start, cols)
         for a0, a1 in _even_blocks(stop - start, _GEMM_ROWS):
-            prod = cplx[:(a1 - a0) * cols].reshape(a1 - a0, cols)
+            prod = gemm[:(a1 - a0) * cols].reshape(a1 - a0, cols)
             np.matmul(u[start + a0:start + a1], v[:, lo:], out=prod)
             prod *= scale
             np.abs(prod, out=amp[a0:a1])

@@ -53,6 +53,10 @@ class SignalGrid:
     def fft_freqs(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
 
+    def rfft_freqs(self) -> np.ndarray:
+        """The n/2 + 1 non-negative FFT frequencies, Nyquist last."""
+        return 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.h)
+
     def inner(self, f: np.ndarray, g: np.ndarray) -> complex:
         """L2 quadrature inner product <f, g> = h * sum f conj(g)."""
         return complex(self.h * np.sum(f * np.conj(g)))

@@ -31,14 +31,14 @@ synthesizes the column factors of all z-samples once per level
 once (`Kernel._check_factors`) and gathers each chunk's columns of s V, its
 nodes' and its z-samples'.  A unit is then one GEMM of a chunk (at most
 `_CHUNK_COLS` y- and z-columns) against a tile of about `_TILE_ROWS` rows
-of U, the moduli, the z min and max (or the strict differences), a `take`
-gather of each node's cells and the row and column sums, every
-intermediate in scratch memory that the running thread owns.  The row
-tiles run on `threads` (`kernel_algebra._on_pool`), each tile's units in
-chunk order on one thread; the workers run numpy and the weight m, never
-`Kernel.block`, `FrameFamily.atoms` or `u_factor`.  Unit results are folded
-in tile order, then chunk order, so the result does not depend on the
-thread count.
+of U, in the factors' dtype (float64 for a family with real atoms), the
+moduli, the z min and max (or the strict differences), a `take` gather of
+each node's cells and the row and column sums, every intermediate in
+scratch memory that the running thread owns.  The row tiles run on
+`threads` (`kernel_algebra._on_pool`), each tile's units in chunk order on
+one thread; the workers run numpy and the weight m, never `Kernel.block`,
+`FrameFamily.atoms` or `u_factor`.  Unit results are folded in tile order,
+then chunk order, so the result does not depend on the thread count.
 
 `osc_matrix` keeps the values.  `osc_norm_streaming` reduces each unit to
 its row and column sums of osc m and of |R| m: ||R | A_m|| comes from the
@@ -59,9 +59,9 @@ from .frame_families import FrameFamily, default_index_grid, gram_kernel
 
 # one unit: a row tile of about _TILE_ROWS x-nodes against a column chunk of
 # at most _CHUNK_COLS y-nodes and z-samples.  Its product is at most 2 MB
-# complex and each real array about 0.6 MB, near a core's L2 cache; smaller
-# units measured slower at two threads, larger ones slower at one
-# (BENCH_osc_tiles.json)
+# complex (1 MB for a real Gramian) and each real array about 0.6 MB, near
+# a core's L2 cache; smaller units measured slower at two threads, larger
+# ones slower at one (BENCH_osc_tiles.json)
 _TILE_ROWS = 512
 _CHUNK_COLS = 256
 
@@ -131,8 +131,8 @@ def _pair_osc(r_y: np.ndarray, r_z: np.ndarray, slots: np.ndarray,
     sup is max(|a| - min |b|, max |b| - |a|) over the z of all those cells:
     rounding is monotone, so this is max_z | |a| - |b_z| | bit for bit.
     `abs_y`, when given, is |r_y| already computed by the caller.
-    `buf(shape, dtype)` (dtype float or complex) supplies the intermediate
-    arrays and the result.
+    `buf(shape, dtype)` supplies the intermediate arrays and the result:
+    the moduli are float64, the strict differences take the rows' dtype.
     """
     Y, M = r_y.shape
     if aligned:
@@ -160,7 +160,7 @@ def _pair_osc(r_y: np.ndarray, r_z: np.ndarray, slots: np.ndarray,
     def strict(y, cells):
         shape = (cells.size, M)
         out, mod, diff = buf(shape, float), buf(shape, float), \
-            buf(shape, complex)
+            buf(shape, np.result_type(r_y, r_z))
         for j in range(r_z.shape[1]):
             np.take(r_z[:, j], cells, axis=0, out=diff, mode="clip")
             np.subtract(y, diff, out=diff)
@@ -222,7 +222,7 @@ class _Scratch:
         self.used = 0
 
     def __call__(self, shape, dtype) -> np.ndarray:
-        size = math.prod(shape) * (16 if dtype is complex else 8)
+        size = math.prod(shape) * np.dtype(dtype).itemsize
         start = self.used
         self.used += -(-size // self._ALIGN) * self._ALIGN
         if self.used > self.data.size:
@@ -258,6 +258,7 @@ def _osc_stream(R: Kernel, cov: Covering, grid: QuadGrid, z_per_cell: int,
     R._check_factors(u, v, scale)
     R._check_factors(u, v_z, scale)
     u_t = u.T                           # (r, M): a tile is a column run
+    gemm_dtype = np.result_type(u, v, v_z, scale)   # float64: a real Gramian
     zs = np.arange(z_per_cell)
     chunks = []
     for nodes, cells, slots in _column_chunks(cov.node_cells(), z_per_cell,
@@ -275,7 +276,7 @@ def _osc_stream(R: Kernel, cov: Covering, grid: QuadGrid, z_per_cell: int,
         nodes, cells, slots, right = chunk
         buf.reset()
         prod = np.matmul(right, u_t[:, t0:t1],
-                         out=buf((right.shape[0], t1 - t0), complex))
+                         out=buf((right.shape[0], t1 - t0), gemm_dtype))
         r_y = prod[:nodes.size]
         amp = np.abs(r_y, out=buf(r_y.shape, float))
         if not cells.size:                  # Q_y is empty

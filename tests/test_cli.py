@@ -63,7 +63,11 @@ class TestValidate:
         ("weight", {"type": "polynomial", "s": "1"}),
         ("weight", {"type": "polynomial", "s": None}),
         ("family", {"tag": "alpha_mod", "params": {"alpha": "0.5"}}),
-        ("family", {"tag": "sinc_rkhs", "params": {"bandlimit": "2"}})])
+        ("family", {"tag": "sinc_rkhs", "params": {"bandlimit": "2"}}),
+        # blocks that are not objects
+        ("weight", "trivial"), ("signal_grid", [1]), ("index_domain", "x"),
+        ("family", {"tag": "gabor", "params": "x"}),
+        ("family", {"tag": "sinc_rkhs", "params": [2.0]})])
     def test_out_of_range_setting_exits_2(self, tmp_path, key, value):
         cfg = dict(MINIMAL, tasks=["discretize", "reconstruct"],
                    covering={"cell_size": 0.5}, **{key: value})
@@ -143,6 +147,22 @@ class TestValidate:
         if covering is not None:
             cfg["covering"] = covering
         assert validate_config(cfg) == []
+
+    @pytest.mark.parametrize("tasks", ["frame-info", 5, {"norms": 1}])
+    def test_tasks_not_a_list_exits_2(self, tmp_path, tasks):
+        cfg = dict(MINIMAL, tasks=tasks)
+        assert "tasks must be a nonempty list" in validate_config(cfg)
+        path = write_config(tmp_path, cfg)
+        assert run(str(path), out_dir=str(tmp_path / "out")) == 2
+        assert main(["validate", str(path)]) == 2
+
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert validate_config([1, 2]) == ["the configuration must be an object"]
+        assert run(str(path), out_dir=str(tmp_path / "out")) == 2
+        assert not (tmp_path / "out" / "report.json").exists()
+        assert main(["validate", str(path)]) == 2
 
     def test_validate_entry_point(self, tmp_path, capsys):
         path = write_config(tmp_path, MINIMAL)

@@ -1,7 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from coorbit._linalg import SolverError
+from coorbit.coverings import build_covering, build_pu
+from coorbit.discretization import atomic_coefficients, \
+    banach_frame_reconstruct, build_uphi
 from coorbit.frame_families import (FamilyError, FrameCalculus,
                                     GaussDerivProfile, alpha_admissibility,
                                     analyze_V, analyze_W, default_index_grid,
@@ -9,8 +14,11 @@ from coorbit.frame_families import (FamilyError, FrameCalculus,
                                     frame_operator_apply, gaussian_window,
                                     gram_kernel, leakage_report, make_battery,
                                     make_family, wavelet_admissibility_fft)
-from coorbit.kernel_algebra import _even_blocks, apply_kernel, compose
-from coorbit.measure_space import SignalGrid
+from coorbit.kernel_algebra import _even_blocks, am_norm, apply_kernel, \
+    compose
+from coorbit.measure_space import SignalGrid, polynomial_weight, \
+    trivial_admissible_weight, weight_from_w
+from coorbit.oscillation import property_D_check
 
 
 @pytest.fixture(scope="module")
@@ -478,3 +486,152 @@ class TestWaveletFamilies:
         rep = leakage_report(fam, grid, samples=16)
         assert rep["center_atom_norm_sq"] == pytest.approx(1.0, abs=1e-6)
         assert rep["worst_boundary_deficit"] >= 0.0
+
+
+def _complex_twin(fam):
+    """The same family with every atom stored as complex128 (`atoms + 0j`),
+    so that each product after the atoms runs in complex arithmetic."""
+    return dataclasses.replace(
+        fam, atom_fn=lambda pts, real=fam.atom_fn: real(pts) + 0j, _ops={})
+
+
+def _ifft_atoms(sg, spectra, shifts):
+    """The full-grid inverse FFT the spectral atoms were once built with:
+    spectra on all n FFT frequencies, one complex `ifft`."""
+    w = sg.fft_freqs()
+    spec = spectra * np.exp(-1j * w[:, None] * (shifts[None, :] + sg.half_width))
+    return np.fft.ifft(spec, axis=0) / sg.h
+
+
+class TestRealAtoms:
+    """Atoms carry their family's field, and every product after them
+    follows the atoms' dtype."""
+
+    @pytest.mark.parametrize("tag,params,dtype", [
+        ("cwt", {"wavelet": "gauss_deriv"}, np.float64),
+        ("cwt", {"wavelet": "mexican_hat"}, np.float64),
+        ("inhom_wavelet", None, np.float64),
+        ("sinc_rkhs", None, np.float64),
+        ("gabor", None, np.complex128),
+        ("alpha_mod", None, np.complex128)])
+    def test_atoms_and_factors_follow_the_field(self, tag, params, dtype):
+        fam = make_family(tag, params, SignalGrid(16.0, 128))
+        if tag in ("gabor", "alpha_mod"):
+            grid = default_index_grid(fam, bounds=[[-4.0, 4.0], [-4.0, 4.0]],
+                                      resolution=[16, 16])
+        elif tag == "sinc_rkhs":
+            grid = default_index_grid(fam)
+        else:
+            grid = default_index_grid(fam, band_spacing=0.9,
+                                      scales_per_octave=4)
+        calc = fam.calculus(grid)
+        assert fam.atoms(grid.points[:3]).dtype == dtype
+        assert calc.atom_matrix.dtype == dtype
+        assert calc.s_matrix().dtype == dtype
+        assert calc.s_eig(1e-6).eigvecs.dtype == dtype
+        for name in ("half_map", "half_factor", "u_factor"):
+            assert getattr(calc, name)(1e-6).dtype == dtype, name
+        R = gram_kernel(fam, grid, rel_cut=1e-6)
+        assert R.block(grid.points[:4], grid.points[:5]).dtype == dtype
+
+    @pytest.mark.parametrize("tag,params", [
+        ("cwt", {"wavelet": "gauss_deriv", "order": 6}),
+        ("cwt", {"wavelet": "gauss_deriv", "order": 3}),
+        ("inhom_wavelet", None)])
+    @pytest.mark.parametrize("T,n", [(16.0, 512), (8.0, 64)])
+    def test_irfft_atoms_are_the_real_part_of_the_full_ifft(self, tag, params,
+                                                            T, n):
+        # one inverse real FFT on the n/2 + 1 non-negative frequencies
+        # against the complex ifft on all n: measured within 4.2e-16
+        # max|psi| (cwt_reproducing's grid: 2.6e-16, max|psi| 1.70); the
+        # ifft's imaginary part is rounding there (1.9e-16) but 0.04 at
+        # n = 64, where the unpaired Nyquist bin -pi/h carries weight
+        sg = SignalGrid(T, n)
+        fam = make_family(tag, params, sg)
+        pts = default_index_grid(fam).points
+        profile = fam.params["profile"]
+        w = sg.fft_freqs()
+        a, b = pts[:, 0], pts[:, 1]
+        low = a <= 0.0                     # inhom_wavelet's low-pass sheet
+        spec = np.empty((n, a.size))
+        spec[:, low] = np.sqrt(np.clip(1.0 - profile.theta(w), 0.0, 1.0))[:, None]
+        spec[:, ~low] = np.sqrt(a[None, ~low]) * \
+            profile.spectrum(a[None, ~low] * w[:, None])
+        ref = _ifft_atoms(sg, spec, b)
+        got = fam.atoms(pts)
+        assert got.dtype == np.float64
+        assert np.abs(got - ref.real).max() <= 1e-15 * np.abs(got).max()
+
+
+class TestRealArithmeticAgrees:
+    """A real family against its complex twin (`_complex_twin`): the same
+    atoms, every later product in complex arithmetic.
+
+    The values go through S^+, which amplifies rounding by up to
+    1 / lambda_min = 1 / cut: at cut 1e-8 a 1e-16 relative change of the
+    atoms moves cwt_reproducing's am_norm by about 5e-9 relative.  So the
+    comparison runs at cut 1e-6, where rounding reaches about
+    eps / cut = 2e-10.  Measured gaps at this cut: frame bounds 3e-15,
+    am_norm 6e-11, delta_est 5e-11, r_norm 8e-12 (relative); atomic and
+    Banach reconstruction errors 1e-16 and 2.3e-10 (absolute, as fractions
+    of ||f||).  The bounds below are 1e-13 for the bounds, which do not
+    pass through S^+, and 1e-9 for everything else.
+    """
+
+    CUT = 1e-6
+
+    @pytest.fixture(scope="class")
+    def wavelets(self):
+        sg = SignalGrid(16.0, 128)
+        out = []
+        for tag in ("cwt", "inhom_wavelet"):
+            fam = make_family(tag, None, sg)
+            out.append((fam, default_index_grid(fam, band_spacing=0.9,
+                                                scales_per_octave=6)))
+        return out
+
+    def test_frame_bounds_and_am_norm(self, wavelets):
+        for fam, grid in wavelets:
+            twin = _complex_twin(fam)
+            got, ref = frame_bounds_continuous(fam, grid), \
+                frame_bounds_continuous(twin, grid)
+            assert got.rank == ref.rank
+            assert got.c1 == pytest.approx(ref.c1, rel=1e-13)
+            assert got.c2 == pytest.approx(ref.c2, rel=1e-13)
+            for m in (trivial_admissible_weight(),
+                      weight_from_w(polynomial_weight(1.0))):
+                a = am_norm(gram_kernel(fam, grid, self.CUT), m, grid)
+                b = am_norm(gram_kernel(twin, grid, self.CUT), m, grid)
+                assert a.am_norm == pytest.approx(b.am_norm, rel=1e-9)
+                assert a.a1_norm == pytest.approx(b.a1_norm, rel=1e-9)
+
+    @pytest.mark.parametrize("tag", ["cwt", "sinc_rkhs"])
+    def test_property_d_and_reconstruction(self, wavelets, tag):
+        if tag == "cwt":
+            fam, grid = wavelets[0]
+            cov = build_covering(grid, [0.25, 1.0])
+        else:
+            fam = make_family("sinc_rkhs", {"bandlimit": np.pi / 2},
+                              SignalGrid(10.0, 128))
+            grid = default_index_grid(fam, resolution=[40])
+            cov = build_covering(grid, 1.0)
+        twin = _complex_twin(fam)
+        m = weight_from_w(polynomial_weight(1.0))
+        for comparison in ("strict", "phase_aligned"):
+            a, b = (property_D_check(f, cov, m, grid, z_per_cell=3, seed=5,
+                                     comparison=comparison, rel_cut=self.CUT)
+                    for f in (fam, twin))
+            assert a.delta_est == pytest.approx(b.delta_est, rel=1e-9)
+            assert a.r_norm == pytest.approx(b.r_norm, rel=1e-9)
+        battery = np.stack(make_battery(fam, grid, 4, seed=11), axis=1)
+        errors = []
+        for f in (fam, twin):
+            op = build_uphi(gram_kernel(f, grid, self.CUT), cov, build_pu(cov),
+                            grid)
+            assert op.defect < 1.0
+            _, rep = atomic_coefficients(battery, op)
+            samples = f.signal_grid.h * (op.atoms.conj().T @ battery)
+            _, brep = banach_frame_reconstruct(samples, op, f_true=battery)
+            errors.append((rep.relative_error, brep.relative_error))
+        for got, ref in zip(*errors):
+            assert np.abs(got - ref).max() <= 1e-9

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from coorbit.coverings import Covering, build_covering, refine_covering
 from coorbit.frame_families import default_index_grid, gram_kernel, make_family
 import coorbit.oscillation as osc
-from coorbit.kernel_algebra import Kernel, KernelError, _even_blocks
+from coorbit.kernel_algebra import Kernel, KernelError, _even_blocks, am_norm
 from coorbit.measure_space import (SignalGrid, build_quad_grid,
                                    polynomial_weight,
                                    trivial_admissible_weight, weight_from_w)
@@ -335,8 +335,9 @@ _parts = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
 
 @st.composite
 def _node_slots(draw):
-    """Complex y-rows, the z-rows of C cells with Z samples each, and per
-    y-row an ascending row of cells padded by repeating its last."""
+    """Real or complex y-rows, the z-rows of C cells with Z samples each
+    (the same dtype), and per y-row an ascending row of cells padded by
+    repeating its last."""
     M = draw(st.integers(1, 5))
     C = draw(st.integers(1, 4))
     Z = draw(st.integers(1, 4))
@@ -347,11 +348,14 @@ def _node_slots(draw):
                                     max_size=K)))
         rows.append(cells + cells[-1:] * (K - len(cells)))
 
-    def cplx(shape):
+    real = draw(st.booleans())
+
+    def values(shape):
         re = draw(arrays(np.float64, shape, elements=_parts))
-        im = draw(arrays(np.float64, shape, elements=_parts))
-        return re + 1j * im
-    return cplx((len(rows), M)), cplx((C, Z, M)), np.array(rows)
+        if real:
+            return re
+        return re + 1j * draw(arrays(np.float64, shape, elements=_parts))
+    return values((len(rows), M)), values((C, Z, M)), np.array(rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -378,13 +382,17 @@ def test_scratch_hands_out_disjoint_arrays_and_reuses_them():
     for unit in range(3):
         scratch.reset()
         parts = [scratch((5, 7), float), scratch((3, 4), complex),
-                 scratch((1,), float)]
+                 scratch((1,), float), scratch((2, 3), np.complex128),
+                 scratch((4,), np.float64)]
         for k, part in enumerate(parts):
             part.fill(k + 1)
-        assert [np.all(p == k + 1) for k, p in enumerate(parts)] == [True] * 3
+        assert [np.all(p == k + 1) for k, p in enumerate(parts)] == \
+            [True] * 5
+        assert [p.dtype for p in parts] == [np.float64, np.complex128] * 2 + \
+            [np.float64]
         # after the first unit grew the buffer, every array is carved from it
         carved = [np.shares_memory(p, scratch.data) for p in parts]
-        assert carved == [unit > 0] * 3
+        assert carved == [unit > 0] * 5
 
 
 def _exact_kernel(grid):
@@ -472,6 +480,40 @@ class TestThreadInvariance:
                                       comparison=comparison, seed=4, threads=t)
                    for t in (1, 2, 3)]
             assert len({(float(g).hex(), g.r_norm.hex()) for g in got}) == 1
+
+    @pytest.mark.parametrize("overlap", [0.0, 0.3])
+    def test_real_sinc_gramian_strict_bits(self, sinc_setup, monkeypatch,
+                                           overlap):
+        # a family with real atoms streams float64 GEMMs and, under the
+        # strict comparison, float64 differences in the thread's scratch
+        fam, grid = sinc_setup
+        K = gram_kernel(fam, grid, rel_cut=1e-6)
+        assert K.node_factors()[0].dtype == np.float64
+        monkeypatch.setattr(osc, "_TILE_ROWS", 32)
+        monkeypatch.setattr(osc, "_CHUNK_COLS", 24)
+        cov = build_covering(grid, 1.0, overlap_fraction=overlap)
+        tiles, chunks = _plan(cov, grid, 3)
+        assert len(tiles) >= 4 and len(chunks) >= 4
+        mats = [_stream_matrix(K, cov, grid, "strict", t) for t in (1, 2, 3)]
+        assert mats[0].tobytes() == mats[1].tobytes() == mats[2].tobytes()
+        m = weight_from_w(polynomial_weight(1.0))
+        got = [osc_norm_streaming(K, cov, grid, m, z_per_cell=3,
+                                  comparison="strict", seed=4, threads=t)
+               for t in (1, 2, 3)]
+        assert len({(float(g).hex(), g.r_norm.hex()) for g in got}) == 1
+
+    def test_real_cwt_gramian_am_norm_bits(self):
+        # am_norm's row blocks of a real Gramian: float64 GEMM buffers on
+        # every thread
+        fam = make_family("cwt", None, SignalGrid(16.0, 128))
+        grid = default_index_grid(fam, band_spacing=0.9, scales_per_octave=6)
+        K = gram_kernel(fam, grid, rel_cut=1e-6)
+        assert K.node_factors()[0].dtype == np.float64
+        assert grid.size > 3 * 256             # four or more row blocks
+        for m in (trivial_admissible_weight(),
+                  weight_from_w(polynomial_weight(1.0))):
+            reps = [am_norm(K, m, grid, threads=t) for t in (1, 2, 3)]
+            assert len({(r.am_norm.hex(), r.a1_norm.hex()) for r in reps}) == 1
 
     def test_non_finite_factor_in_a_workers_tile(self, gabor_blocks,
                                                  m_trivial):
