@@ -99,10 +99,13 @@ def validate_config(cfg: dict) -> list[str]:
     cut = cfg.get("stable_cut", 1e-10)
     if not (_is_number(cut) and 0.0 <= cut < 1.0):
         diags.append(f"stable_cut must be a number in [0,1), got {cut!r}")
-    for key, default in (("z_per_cell", 4), ("battery_size", 5)):
+    for key, default, least in (("z_per_cell", 4, 1), ("battery_size", 5, 1),
+                                ("seed", 0, 0)):
         val = cfg.get(key, default)
-        if isinstance(val, bool) or not isinstance(val, int) or val < 1:
-            diags.append(f"{key} must be an integer >= 1, got {val!r}")
+        if isinstance(val, bool) or not isinstance(val, int) or val < least:
+            diags.append(f"{key} must be an integer >= {least}, got {val!r}")
+    if not isinstance(cfg.get("output", ""), str):
+        diags.append(f"output must be a string, got {cfg['output']!r}")
     if cfg.get("pu_flavor", "indicator") not in ("indicator", "tent"):
         diags.append(f"unknown pu_flavor {cfg['pu_flavor']!r}")
     return diags
@@ -286,7 +289,7 @@ def task_discretize(ctx: _Context) -> dict:
     # the defect first: it builds the Gramian factors, whose peak memory
     # should not overlap the sampled atoms
     defect = op.defect
-    c1, c2, sub = hilbert_frame_bounds(op.sampled_frame(), ctx.sg)
+    c1, c2, sub = hilbert_frame_bounds(op)
     return {"cells": op.covering.size, "defect_estimate": defect,
             "hilbert_bounds": {"c1": c1, "c2": c2, "subspace": sub}}
 
@@ -329,8 +332,8 @@ def task_localize(ctx: _Context) -> dict:
     out = {"a_flat": rep.as_dict()}
     if cov.size <= 64:
         out["gab_domination_violation"] = gab_domination_check(
-            ctx.family, ctx.family, cov, ctx.grid, seed=ctx.seed,
-            rel_cut=ctx.rel_cut)
+            ctx.family, ctx.family, cov, ctx.grid, z_per_cell=ctx.z_per_cell,
+            seed=ctx.seed, rel_cut=ctx.rel_cut)
     return out
 
 
@@ -394,6 +397,8 @@ def run(config_path: str, out_dir: str | None = None, seed: int | None = None,
     diags = validate_config(cfg)
     if threads < 1:
         diags.append(f"threads must be >= 1, got {threads}")
+    if seed is not None and seed < 0:
+        diags.append(f"seed must be >= 0, got {seed}")
     if diags:
         for d in diags:
             print(f"invalid config: {d}", file=sys.stderr)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -25,6 +24,10 @@ from .measure_space import AdmissibleWeight, QuadGrid
 # candidate (cell, node) or (cell, cell) pairs that one sweep block tests at
 # once, and (cell, column) pairs that one block bisects
 _BLOCK_PAIRS = 2 ** 16
+# neighbor measure ratio C~ below which a covering counts as moderate
+RATIO_CAP = 1e6
+# cross-cell weight sup C' up to which two coverings count as m-equivalent
+C_PRIME_CAP = 1e3
 
 
 class CoveringError(ValueError):
@@ -331,17 +334,17 @@ def _members(cells: np.ndarray, points: np.ndarray) -> FlatLayout:
     return _split_pairs(hits, cells.shape[0], n)
 
 
-def build_covering(grid: QuadGrid, cell_size, overlap_fraction: float = 0.0,
-                   domain=None, sample: str = "center",
-                   seed: int = 0, log_axes: Optional[list] = None) -> Covering:
-    """Lattice covering of the grid's domain by closed boxes.
+def build_covering(grid: QuadGrid, cell_size,
+                   overlap_fraction: float = 0.0) -> Covering:
+    """Lattice covering of the grid's bounding box by closed boxes.
 
     cell_size is the lattice stride per axis; with overlap fraction v the
     cells are enlarged to stride/(1-v), so every interior point lies in
     1/(1-v) cells per axis.  Scale axes of banded wavelet grids are covered
     band-wise (cell_size interpreted at scale 1, log-spaced in scale).
-    Raises when a cell captures no quadrature node (cell below grid
-    resolution) or when the overlap fraction is out of range.
+    Each cell's sample point is its center.  Raises when a cell captures no
+    quadrature node (cell below grid resolution) or when the overlap
+    fraction is out of range.
     """
     if not 0.0 <= overlap_fraction < 1.0:
         raise CoveringError(f"overlap_fraction must be in [0, 1), got {overlap_fraction}")
@@ -352,30 +355,19 @@ def build_covering(grid: QuadGrid, cell_size, overlap_fraction: float = 0.0,
         raise CoveringError("cell_size must give one entry per axis")
     if any(s <= 0 for s in cell_size):
         raise CoveringError("cell_size must be positive")
-    domain = np.asarray(domain if domain is not None else grid.bounds, dtype=float)
-    if log_axes is None:
-        log_axes = ["bands" in grid.structure and k == 0 for k in range(d)]
-
+    domain = grid.bounds
     stretch = 1.0 / (1.0 - overlap_fraction)
     if "bands" in grid.structure:
         cells = _banded_cells(grid, domain, cell_size, stretch, overlap_fraction)
     else:
         per_axis_cells = []
         for k in range(d):
-            if log_axes[k]:
-                edges = _axis_edges(domain[k, 0], domain[k, 1], cell_size[k], True)
-                base = np.column_stack([edges[:-1], edges[1:]])
-                if overlap_fraction > 0:
-                    half = 0.5 * np.log(edges[1:] / edges[:-1]) * stretch
-                    mid = np.sqrt(edges[:-1] * edges[1:])
-                    base = np.column_stack([mid * np.exp(-half), mid * np.exp(half)])
-            else:
-                edges = _axis_edges(domain[k, 0], domain[k, 1], cell_size[k], False)
-                base = np.column_stack([edges[:-1], edges[1:]])
-                if overlap_fraction > 0:
-                    half = 0.5 * np.diff(edges) * stretch
-                    mid = 0.5 * (edges[:-1] + edges[1:])
-                    base = np.column_stack([mid - half, mid + half])
+            edges = _axis_edges(domain[k, 0], domain[k, 1], cell_size[k], False)
+            base = np.column_stack([edges[:-1], edges[1:]])
+            if overlap_fraction > 0:
+                half = 0.5 * np.diff(edges) * stretch
+                mid = 0.5 * (edges[:-1] + edges[1:])
+                base = np.column_stack([mid - half, mid + half])
             base = np.clip(base, domain[k, 0], domain[k, 1])
             per_axis_cells.append(base)
         mesh = np.meshgrid(*[np.arange(len(c)) for c in per_axis_cells],
@@ -383,7 +375,7 @@ def build_covering(grid: QuadGrid, cell_size, overlap_fraction: float = 0.0,
         idx = np.stack([m.ravel() for m in mesh], axis=-1)
         cells = np.stack([per_axis_cells[k][idx[:, k]] for k in range(d)], axis=1)
 
-    return _covering_from_cells(cells, grid, sample, seed, overlap_fraction,
+    return _covering_from_cells(cells, grid,
                                 {"cell_size": list(map(float, cell_size)),
                                  "overlap_fraction": float(overlap_fraction)})
 
@@ -422,15 +414,14 @@ def _banded_cells(grid, domain, cell_size, stretch, overlap_fraction):
     return np.asarray(cells)
 
 
-def _covering_from_cells(cells, grid, sample, seed, overlap_fraction, descriptor):
+def _covering_from_cells(cells, grid, descriptor):
     """Covering record of the given cells.
 
     Members and i* come from two-axis sweeps whose candidates are supersets
     of every node and cell the exact tests can accept, so they equal the
-    dense all-pairs results.  Center samples are the arithmetic midpoints of
+    dense all-pairs results.  Sample points are the arithmetic midpoints of
     the cell intervals on every axis, log-spaced scale axes included.
     """
-    n_cells = cells.shape[0]
     layout = _members(cells, grid.points)
     measures = layout.sums(grid.weights[layout.flat])
     empty = np.flatnonzero(measures <= 0.0)
@@ -444,15 +435,7 @@ def _covering_from_cells(cells, grid, sample, seed, overlap_fraction, descriptor
         raise CoveringError(
             f"{int((~inside).sum())} grid nodes lie outside every cell")
 
-    rng = np.random.default_rng(np.random.PCG64(seed))
-    if sample == "center":
-        pts = 0.5 * (cells[:, :, 0] + cells[:, :, 1])
-    elif sample == "random":
-        u = rng.random((n_cells, grid.dim))
-        pts = cells[:, :, 0] + u * (cells[:, :, 1] - cells[:, :, 0])
-    else:
-        raise CoveringError(f"unknown sample rule {sample!r}")
-
+    pts = 0.5 * (cells[:, :, 0] + cells[:, :, 1])
     neighbors = _open_overlap(cells)
     nb = FlatLayout.of(neighbors)
     ratio = max(1.0, float(np.max(measures[nb.owner] / measures[nb.flat])))
@@ -523,15 +506,16 @@ def weight_sup_on_cells(cov: Covering, m: AdmissibleWeight) -> float:
     return out
 
 
-def verify_moderate(cov: Covering, m: AdmissibleWeight,
-                    ratio_cap: float = 1e6) -> ModerationReport:
+def verify_moderate(cov: Covering, m: AdmissibleWeight) -> ModerationReport:
+    """Admissibility and moderation of the covering; neighboring measures
+    count as comparable below `RATIO_CAP`."""
     covered = np.zeros(cov.grid.size, dtype=bool)
     covered[cov.member_layout.flat] = True
     return ModerationReport(
         covers_domain=bool(covered.all()),
         finite_overlap=bool(np.isfinite(cov.overlap_count)),
         min_measure_positive=bool(cov.min_measure > 0),
-        neighbor_measures_comparable=bool(cov.measure_ratio < ratio_cap),
+        neighbor_measures_comparable=bool(cov.measure_ratio < RATIO_CAP),
         overlap_count=cov.overlap_count,
         min_measure=cov.min_measure,
         measure_ratio=cov.measure_ratio,
@@ -612,12 +596,12 @@ class EquivalenceReport:
     equivalent: bool
 
 
-def m_equivalent(cov_a: Covering, cov_b: Covering, m: AdmissibleWeight,
-                 c_prime_cap: float = 1e3) -> EquivalenceReport:
+def m_equivalent(cov_a: Covering, cov_b: Covering,
+                 m: AdmissibleWeight) -> EquivalenceReport:
     """Check m-equivalence of two coverings over the same index set.
 
     Realized constants: c1 a_i^A <= a_i^B <= c2 a_i^A and the cross-cell
-    weight sup C'.  The verdict compares C' against `c_prime_cap` (the
+    weight sup C'.  The verdict compares C' against `C_PRIME_CAP` (the
     notion is asymptotic; a single instance can only witness failure by a
     large constant).
     """
@@ -634,4 +618,4 @@ def m_equivalent(cov_a: Covering, cov_b: Covering, m: AdmissibleWeight,
         if xa.size and yb.size:
             c_prime = max(c_prime, float(np.max(m(xa, yb))))
     return EquivalenceReport(c1=c1, c2=c2, c_prime=c_prime,
-                             equivalent=bool(c_prime <= c_prime_cap))
+                             equivalent=bool(c_prime <= C_PRIME_CAP))

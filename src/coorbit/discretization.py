@@ -16,7 +16,6 @@ at its cut.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -25,64 +24,14 @@ import numpy as np
 
 from ._linalg import PROBE_GRAM_CUT, restricted_rayleigh_bounds
 from .coverings import Covering, PartitionOfUnity
-from .frame_families import FrameCalculus, FrameFamily, _interior_probes
+from .frame_families import FrameCalculus, _interior_probes
 from .kernel_algebra import Kernel
-from .measure_space import QuadGrid, SignalGrid, trivial_weight
+from .measure_space import QuadGrid, trivial_weight
 from .sequence_spaces import SeqSpaceSpec, flat_norm, natural_norm
 
 
 class DiscretizationError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# sampled frames
-# ---------------------------------------------------------------------------
-@dataclass
-class SampledFrame:
-    family: FrameFamily
-    covering: Covering
-    node_index: np.ndarray          # grid node of each sample point
-    points: np.ndarray              # x_i (grid nodes, x_i in U_i)
-    atoms: np.ndarray               # psi_{x_i} on the signal grid
-    measures: np.ndarray            # a_i = mu(U_i)
-    masses: np.ndarray              # c_i = integral of phi_i
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-    def renormalized_atoms(self) -> np.ndarray:
-        """sqrt(a_i) psi_{x_i}: the Hilbert-frame normalization."""
-        return self.atoms * np.sqrt(self.measures)[None, :]
-
-
-def sample_frame(family: FrameFamily, cov: Covering,
-                 pu: Optional[PartitionOfUnity] = None,
-                 points: Optional[np.ndarray] = None) -> SampledFrame:
-    """Materialize atoms at one sample point per cell.
-
-    Default points are the cells' sampled nodes (grid nodes inside the
-    cells, `Covering.sample_node_index`); explicitly supplied points are
-    validated against the membership invariant x_i in U_i.
-    """
-    if points is not None:
-        points = np.atleast_2d(points)
-        lo = cov.cells[:, :, 0] - 1e-12
-        hi = cov.cells[:, :, 1] + 1e-12
-        if not np.all((points >= lo) & (points <= hi)):
-            bad = int(np.argmax(~np.all((points >= lo) & (points <= hi), axis=1)))
-            raise DiscretizationError(
-                f"sample point {points[bad].tolist()} outside its cell {bad}")
-        node_index = np.full(cov.size, -1)
-    else:
-        node_index = cov.sample_node_index.copy()
-        points = cov.grid.points[node_index]
-    masses = pu.masses if pu is not None else cov.measures
-    return SampledFrame(
-        family=family, covering=cov, node_index=node_index, points=points,
-        atoms=family.atoms(points), measures=cov.measures.copy(),
-        masses=np.asarray(masses, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -121,20 +70,11 @@ class UPhiOperator:
     def atoms(self) -> np.ndarray:
         """Sampled atoms psi_{x_i} on the signal grid, shape (n, N): the
         columns of the grid's atom matrix at the sample nodes, the same
-        matrix `sample_frame` synthesizes.  `np.take` copies them in C
+        matrix `family.atoms` synthesizes there.  `np.take` copies them in C
         order, the layout of a synthesized atom block; a column slice of
         the F-ordered atom matrix would stay F-ordered, and BLAS rounds the
         block and one-signal products on the two layouts differently."""
         return np.take(self.calc.atom_matrix, self.node_index, axis=1)
-
-    def sampled_frame(self) -> SampledFrame:
-        """The sampled frame at this operator's nodes and masses, sharing its
-        atoms: the arrays `sample_frame(family, covering, pu)` builds."""
-        cov = self.covering
-        return SampledFrame(
-            family=self.calc.family, covering=cov, node_index=self.node_index,
-            points=cov.grid.points[self.node_index], atoms=self.atoms,
-            measures=cov.measures.copy(), masses=self.masses)
 
     def from_samples(self, samp: np.ndarray) -> np.ndarray:
         """sum_i c_i samp_i R(., x_i) for values samp_i at the sample nodes."""
@@ -213,19 +153,9 @@ class ReconstructionReport:
     """Errors and norm ratios are floats for one signal and arrays with one
     entry per column for a block of signals."""
 
-    coefficients: np.ndarray
     relative_error: float | np.ndarray
     defect_estimate: float
-    wall_time: float
     norm_ratios: dict = field(default_factory=dict)
-
-    def as_dict(self):
-        return {
-            "relative_error": self.relative_error,
-            "defect_estimate": self.defect_estimate,
-            "wall_time": self.wall_time,
-            "norm_ratios": self.norm_ratios,
-        }
 
 
 def _columns(a: np.ndarray) -> list:
@@ -254,7 +184,6 @@ def atomic_coefficients(f: np.ndarray, op: UPhiOperator):
     ratios ||lam|Y-natural|| / ||f|| for Y = L^2 and L^1_v, v the trivial
     weight.
     """
-    t0 = time.perf_counter()
     f = np.asarray(f, dtype=complex)
     wf = op.calc.analyze_dual(f, op.rel_cut)
     lam = (op.masses * op.solve(wf)[op.node_index].T).T
@@ -271,8 +200,7 @@ def atomic_coefficients(f: np.ndarray, op: UPhiOperator):
             ratios[name].append(_ratio(natural_norm(np.abs(lc), spec), f_norm))
     block = f.ndim > 1
     report = ReconstructionReport(
-        coefficients=lam, relative_error=_per_signal(rel, block),
-        defect_estimate=op.defect, wall_time=time.perf_counter() - t0,
+        relative_error=_per_signal(rel, block), defect_estimate=op.defect,
         norm_ratios={k: _per_signal(v, block) for k, v in ratios.items()})
     return lam, report
 
@@ -315,7 +243,6 @@ def banach_frame_reconstruct(samples: np.ndarray, op: UPhiOperator,
     signal, the relative error against `f_true` (nan without it) and the
     flat-norm equivalence ratio ||samples|Y-flat|| / ||f|| at Y = L^2.
     """
-    t0 = time.perf_counter()
     samples = np.asarray(samples, dtype=complex)
     if samples.shape[0] != op.covering.size:
         raise DiscretizationError("one sample per cell required")
@@ -332,8 +259,7 @@ def banach_frame_reconstruct(samples: np.ndarray, op: UPhiOperator,
         ratios.append(_ratio(flat_norm(np.abs(sc), spec), sg.norm(rc)))
     block = samples.ndim > 1
     report = ReconstructionReport(
-        coefficients=samples, relative_error=_per_signal(rel, block),
-        defect_estimate=op.defect, wall_time=time.perf_counter() - t0,
+        relative_error=_per_signal(rel, block), defect_estimate=op.defect,
         norm_ratios={"flat_l2_over_f": _per_signal(ratios, block)})
     return f_rec, report
 
@@ -341,8 +267,9 @@ def banach_frame_reconstruct(samples: np.ndarray, op: UPhiOperator,
 # ---------------------------------------------------------------------------
 # Hilbert frame bounds of the sampled system
 # ---------------------------------------------------------------------------
-def hilbert_frame_bounds(sframe: SampledFrame, signal_grid: SignalGrid):
-    """Frame bounds of {sqrt(a_i) psi_{x_i}} on the resolvable atom span.
+def hilbert_frame_bounds(op: UPhiOperator):
+    """Frame bounds of the sampled system {sqrt(a_i) psi_{x_i}} at the
+    operator's sample nodes x_i, a_i = mu(U_i), on the resolvable atom span.
 
     The discrete frame operator S_d = sum_i a_i psi_i psi_i^* restricted to
     the span of atoms at interior sample points, thinned as in
@@ -350,13 +277,13 @@ def hilbert_frame_bounds(sframe: SampledFrame, signal_grid: SignalGrid):
     relative Gram cut.  The bounds are the exact extreme eigenvalues of the
     reduced operator.  Returns (C1, C2, subspace description).
     """
-    if sframe.size == 0:
-        raise DiscretizationError("empty sample set")
-    h = signal_grid.h
-    atoms = sframe.atoms
-    s_mat = h * ((atoms * sframe.measures[None, :]) @ atoms.conj().T)
+    cov = op.covering
+    h = op.calc.family.signal_grid.h
+    atoms = op.atoms
+    s_mat = h * ((atoms * cov.measures[None, :]) @ atoms.conj().T)
     s_mat = 0.5 * (s_mat + s_mat.conj().T)
-    idx, interior = _interior_probes(sframe.family, sframe.covering.grid, sframe.points)
+    idx, interior = _interior_probes(op.calc.family, cov.grid,
+                                     cov.grid.points[op.node_index])
     if idx.size == 0:
         raise DiscretizationError("no interior sampled atoms; enlarge the domain")
     c1, c2, _ = restricted_rayleigh_bounds(atoms[:, idx], s_mat, h)

@@ -38,6 +38,7 @@ from .measure_space import GridError, QuadGrid, SignalGrid, build_quad_grid
 
 TWO_PI = 2.0 * np.pi
 _S_COLS = 128                # columns of one frame-operator block
+COVERAGE_TARGET = 4e-4       # L2 coverage error of a wavelet scale margin
 
 
 class FamilyError(ValueError):
@@ -92,8 +93,9 @@ class GaussDerivProfile:
             partial = partial + term
         return 1.0 - np.exp(-x) * partial
 
-    def coverage_log_margin(self, target: float = 4e-4) -> float:
-        """Smallest symmetric log-scale margin with coverage error <= target.
+    def coverage_log_margin(self) -> float:
+        """Smallest symmetric log-scale margin with coverage error at most
+        `COVERAGE_TARGET`.
 
         The scale truncation acts as a Fourier multiplier theta on a probe
         atom at log-distance M from the cut; the margin controls the L2
@@ -111,7 +113,7 @@ class GaussDerivProfile:
         lo, hi = 0.1, 12.0
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if err(mid) > target else (lo, mid)
+            lo, hi = (mid, hi) if err(mid) > COVERAGE_TARGET else (lo, mid)
         return hi
 
 
@@ -459,29 +461,12 @@ def _cwt_family(params: dict, sg: SignalGrid) -> FrameFamily:
         interior_margins=np.array([profile.coverage_log_margin(), np.nan]))
 
 
-def _log_admissibility(spectrum, u_lo: float = 1e-4, u_hi: float = 64.0,
-                       points: int = 20001) -> float:
-    """One-sided admissibility int_0^inf |psihat(u)|^2 du/u by log quadrature."""
-    v = np.linspace(np.log(u_lo), np.log(u_hi), points)
+def _log_admissibility(spectrum) -> float:
+    """One-sided admissibility int_0^inf |psihat(u)|^2 du/u by log quadrature
+    on [1e-4, 64]."""
+    v = np.linspace(np.log(1e-4), np.log(64.0), 20001)
     u = np.exp(v)
     return float(np.trapezoid(np.abs(spectrum(u)) ** 2, v))
-
-
-def wavelet_admissibility_fft(psi: np.ndarray, sg: SignalGrid, pad: int = 8) -> float:
-    """Admissibility from wavelet samples: FFT spectrum, log-integrated.
-
-    Independent of the analytic profiles; used to audit built-ins and to
-    validate user-supplied wavelets.  Zero-padding refines the frequency
-    sampling of the time-localized wavelet.
-    """
-    n_pad = pad * sg.n
-    w = 2.0 * np.pi * np.fft.fftfreq(n_pad, d=sg.h)
-    spec = sg.h * np.fft.fft(psi, n=n_pad)         # |psihat| is phase-free
-    pos = w > 0
-    order = np.argsort(w[pos])
-    wp = w[pos][order]
-    p = np.abs(spec[pos][order]) ** 2
-    return float(np.trapezoid(p / wp, wp))
 
 
 def _sinc_family(params: dict, sg: SignalGrid) -> FrameFamily:
@@ -812,20 +797,25 @@ def frame_bounds_continuous(family: FrameFamily, x_grid: QuadGrid,
 # ---------------------------------------------------------------------------
 # alpha-modulation admissibility
 # ---------------------------------------------------------------------------
+_PAD = 8                     # zero-padding factor of the window FFT
+_DW = 0.05                   # midpoint-rule step of the sigma integral
+
+
 def alpha_admissibility(g: np.ndarray, alpha: float, xi_grid: np.ndarray,
-                        sg: SignalGrid, pad: int = 8, dw: float = 0.05):
+                        sg: SignalGrid):
     """sigma_g^alpha on xi_grid plus the admissibility constant A.
 
     sigma(xi) = integral |ghat((xi - w) / (1+|w|)^alpha)|^2 (1+|w|)^(-alpha) dw,
-    computed with a midpoint rule after tabulating |ghat|^2 on a zero-padded
-    FFT grid.  Raises if sigma is not strictly positive on the grid.
+    computed with a midpoint rule of step `_DW` after tabulating |ghat|^2 on
+    an FFT grid zero-padded `_PAD` times.  Raises if sigma is not strictly
+    positive on the grid.
     """
     if not 0.0 <= alpha < 1.0:
         raise FamilyError(f"alpha must lie in [0, 1), got {alpha}")
     g = np.asarray(g)
     if not np.any(g):
         raise FamilyError("zero window is inadmissible")
-    n_pad = pad * sg.n
+    n_pad = _PAD * sg.n
     spec = sg.h * np.fft.fft(g, n=n_pad)
     w_pad = 2.0 * np.pi * np.fft.fftfreq(n_pad, d=sg.h)
     order = np.argsort(w_pad)
@@ -834,11 +824,11 @@ def alpha_admissibility(g: np.ndarray, alpha: float, xi_grid: np.ndarray,
 
     xi = np.asarray(xi_grid, dtype=float)
     w_max = float(np.max(np.abs(xi))) + 40.0
-    w = np.arange(-w_max, w_max, dw) + dw / 2.0
+    w = np.arange(-w_max, w_max, _DW) + _DW / 2.0
     s = (1.0 + np.abs(w)) ** (-alpha)
     args = (xi[:, None] - w[None, :]) * s[None, :]
     vals = np.interp(args.ravel(), w_tab, p_tab, left=0.0, right=0.0).reshape(args.shape)
-    sigma = (vals * s[None, :]).sum(axis=1) * dw
+    sigma = (vals * s[None, :]).sum(axis=1) * _DW
     s_min, s_max = float(np.min(sigma)), float(np.max(sigma))
     if s_min <= 0.0:
         raise FamilyError("sigma vanishes on the grid: window inadmissible at this alpha")
@@ -867,14 +857,19 @@ def random_interior_points(family: FrameFamily, grid: QuadGrid, count: int,
     return pts
 
 
-def make_battery(family: FrameFamily, grid: QuadGrid, count: int, seed: int,
-                 atoms_per_signal: int = 8) -> list[np.ndarray]:
-    """Deterministic test signals: random combinations of interior atoms."""
+ATOMS_PER_SIGNAL = 8         # interior atoms combined into one signal
+
+
+def make_battery(family: FrameFamily, grid: QuadGrid, count: int,
+                 seed: int) -> list[np.ndarray]:
+    """Deterministic test signals: random combinations of `ATOMS_PER_SIGNAL`
+    interior atoms."""
     rng = np.random.default_rng(np.random.PCG64(seed))
     battery = []
     for _ in range(count):
-        pts = random_interior_points(family, grid, atoms_per_signal, rng)
-        coef = rng.standard_normal(atoms_per_signal) + 1j * rng.standard_normal(atoms_per_signal)
+        pts = random_interior_points(family, grid, ATOMS_PER_SIGNAL, rng)
+        coef = (rng.standard_normal(ATOMS_PER_SIGNAL)
+                + 1j * rng.standard_normal(ATOMS_PER_SIGNAL))
         f = family.atoms(pts) @ coef
         battery.append(f / family.signal_grid.norm(f))
     return battery

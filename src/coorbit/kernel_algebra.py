@@ -320,8 +320,7 @@ def involution(kern: Kernel) -> Kernel:
     return out
 
 
-def apply_kernel(kern: Kernel, values: np.ndarray, grid: QuadGrid,
-                 row_block: int = _ROW_BLOCK) -> np.ndarray:
+def apply_kernel(kern: Kernel, values: np.ndarray, grid: QuadGrid) -> np.ndarray:
     """K(F)(x) = integral F(y) K(x,y) dmu(y) at every grid node."""
     values = np.asarray(values)
     if values.shape[0] != grid.size:
@@ -331,8 +330,8 @@ def apply_kernel(kern: Kernel, values: np.ndarray, grid: QuadGrid,
     weighted = grid.weights * values
     out = np.empty(grid.size, dtype=complex)
     pts = grid.points
-    for start in range(0, grid.size, row_block):
-        rows = slice(start, min(start + row_block, grid.size))
+    for start in range(0, grid.size, _ROW_BLOCK):
+        rows = slice(start, min(start + _ROW_BLOCK, grid.size))
         out[rows] = kern.block(pts[rows], pts) @ weighted
     return out
 

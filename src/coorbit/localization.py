@@ -77,26 +77,29 @@ class DiscreteAlgebraReport:
         }
 
 
-def decay_profile(values: np.ndarray, dists: np.ndarray, buckets: int = 16):
+BUCKETS = 16                 # logarithmic distance buckets of a decay profile
+
+
+def decay_profile(values: np.ndarray, dists: np.ndarray):
     """Max modulus per logarithmic distance bucket."""
     pos = dists > 0
     if not pos.any():
         return np.array([0.0, 1.0]), np.array([float(np.abs(values).max())])
     d_min = max(float(dists[pos].min()), 1e-9)
     d_max = float(dists.max())
-    edges = np.geomspace(d_min, d_max * (1 + 1e-12), buckets + 1)
-    which = np.clip(np.searchsorted(edges, dists, side="right") - 1, 0, buckets - 1)
-    out = np.zeros(buckets)
+    edges = np.geomspace(d_min, d_max * (1 + 1e-12), BUCKETS + 1)
+    which = np.clip(np.searchsorted(edges, dists, side="right") - 1, 0, BUCKETS - 1)
+    out = np.zeros(BUCKETS)
     amp = np.abs(values)
-    for b in range(buckets):
+    for b in range(BUCKETS):
         mask = pos & (which == b)
         if mask.any():
             out[b] = float(amp[mask].max())
     return edges, out
 
 
-def a_flat_norm(gram: CrossGramian, cov: Covering, m: AdmissibleWeight,
-                buckets: int = 16) -> DiscreteAlgebraReport:
+def a_flat_norm(gram: CrossGramian, cov: Covering,
+                m: AdmissibleWeight) -> DiscreteAlgebraReport:
     """max of the m-weighted, measure-weighted row and column sums.
 
     Row/column weights are the cell measures a_i; the decay profile buckets
@@ -111,7 +114,7 @@ def a_flat_norm(gram: CrossGramian, cov: Covering, m: AdmissibleWeight,
     row = float(np.max(weighted @ a))          # sup_i sum_j |lam| m a_j
     col = float(np.max(a @ weighted))          # sup_j sum_i |lam| m a_i
     dists = cov.grid.metric(gram.points_f, gram.points_g)
-    edges, prof = decay_profile(lam, dists, buckets)
+    edges, prof = decay_profile(lam, dists)
     which = np.clip(np.searchsorted(edges, dists, side="right") - 1, 0,
                     len(prof) - 1)
     mass_matrix = lam * a[:, None] * a[None, :]
@@ -123,11 +126,6 @@ def a_flat_norm(gram: CrossGramian, cov: Covering, m: AdmissibleWeight,
         decay_bucket_edges=edges, decay_bucket_max=prof,
         decay_bucket_mass=mass,
         finite=bool(np.isfinite(norm)))
-
-
-def a_flat_multiply(lam: np.ndarray, eps: np.ndarray, cov: Covering) -> np.ndarray:
-    """(Lambda o E)_{ij} = sum_k lam_{ik} eps_{kj} mu(U_k)."""
-    return (lam * cov.measures[None, :]) @ eps
 
 
 # ---------------------------------------------------------------------------

@@ -129,33 +129,22 @@ def integrate(values: np.ndarray, grid: QuadGrid) -> complex:
     return complex(np.dot(grid.weights, values))
 
 
-def _axis_cells(lo: float, hi: float, res: int, scale: str):
+def _axis_cells(lo: float, hi: float, res: int):
     if res < 1:
         raise GridError(f"resolution must be >= 1 per axis, got {res}")
     if not hi > lo:
         raise GridError(f"empty box: [{lo}, {hi}]")
-    if scale == "linear":
-        edges = np.linspace(lo, hi, res + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-    elif scale == "log":
-        if lo <= 0:
-            raise GridError("log-scaled axis requires positive bounds")
-        edges = np.geomspace(lo, hi, res + 1)
-        mids = np.sqrt(edges[:-1] * edges[1:])
-    else:
-        raise GridError(f"unknown axis scale {scale!r}")
-    widths = np.diff(edges)
-    return mids, widths
+    edges = np.linspace(lo, hi, res + 1)
+    return 0.5 * (edges[:-1] + edges[1:]), np.diff(edges)
 
 
 def build_quad_grid(bounds: Sequence[Sequence[float]], resolution: Sequence[int] | int,
-                    measure="lebesgue", axis_scales: Sequence[str] | None = None,
-                    metric=euclidean_metric, scale_axis: int = 0) -> QuadGrid:
-    """Tensor-product midpoint rule on a box.
+                    measure="lebesgue", metric=euclidean_metric) -> QuadGrid:
+    """Tensor-product midpoint rule on a box of equal cells per axis.
 
-    measure: "lebesgue", "wavelet_halfplane" (density a^-2 on `scale_axis`),
-    or a callable density evaluated at cell midpoints.  Weights are
-    density(midpoint) * cell volume; nonpositive densities are rejected.
+    measure: "lebesgue" or a callable density evaluated at cell midpoints.
+    Weights are density(midpoint) * cell volume; nonpositive densities are
+    rejected.
     """
     bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
     d = bounds.shape[0]
@@ -163,10 +152,8 @@ def build_quad_grid(bounds: Sequence[Sequence[float]], resolution: Sequence[int]
         resolution = [int(resolution)] * d
     if len(resolution) != d:
         raise GridError("resolution must give one entry per axis")
-    if axis_scales is None:
-        axis_scales = ["linear"] * d
 
-    per_axis = [_axis_cells(bounds[k, 0], bounds[k, 1], int(resolution[k]), axis_scales[k])
+    per_axis = [_axis_cells(bounds[k, 0], bounds[k, 1], int(resolution[k]))
                 for k in range(d)]
     mesh = np.meshgrid(*[m for m, _ in per_axis], indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -175,8 +162,6 @@ def build_quad_grid(bounds: Sequence[Sequence[float]], resolution: Sequence[int]
 
     if measure == "lebesgue":
         density = np.ones(points.shape[0])
-    elif measure == "wavelet_halfplane":
-        density = points[:, scale_axis] ** (-2.0)
     elif callable(measure):
         density = np.asarray(measure(points), dtype=float)
     else:

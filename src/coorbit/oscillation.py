@@ -412,18 +412,21 @@ class RefinementStep:
     report: OscReport
 
 
+NODES_PER_CELL_AXIS = 2      # quadrature nodes per cell side at every level
+MAX_CELLS = 40000            # most cells of one refinement level
+
+
 def refine_until(family: FrameFamily, domain, m: AdmissibleWeight,
                  target: str = "full", max_levels: int = 8,
-                 initial_cell=None, overlap: float = 0.0,
-                 nodes_per_cell_axis: int = 2, z_per_cell: int = 4,
-                 seed: int = 0, max_cells: int = 40000,
-                 rel_cut: float = 1e-10, threads: int = 1):
+                 initial_cell=None, overlap: float = 0.0, z_per_cell: int = 4,
+                 seed: int = 0, rel_cut: float = 1e-10, threads: int = 1):
     """Dyadic refinement until the target flag holds.
 
-    Rebuilds a matched index grid per level (`nodes_per_cell_axis` quadrature
-    nodes per cell side) and halves cell sides each level.  Returns
-    (covering, report, trajectory); raises OscillationError with the
-    trajectory attached when the target is not reached.
+    Rebuilds a matched index grid per level (`NODES_PER_CELL_AXIS`
+    quadrature nodes per cell side) and halves cell sides each level.
+    Returns (covering, report, trajectory); raises OscillationError with the
+    trajectory attached when the target is not reached or a level would
+    need more than `MAX_CELLS` cells.
     """
     if max_levels < 1:
         raise OscillationError("max_levels must be >= 1")
@@ -440,12 +443,12 @@ def refine_until(family: FrameFamily, domain, m: AdmissibleWeight,
         cell = [s / 2 ** level for s in initial_cell]
         n_cells = int(np.prod([max(1, round((hi - lo) / c))
                                for (lo, hi), c in zip(domain, cell)]))
-        if n_cells > max_cells:
+        if n_cells > MAX_CELLS:
             raise OscillationError(
                 f"refinement level {level} needs {n_cells} cells "
-                f"(> max_cells={max_cells}); trajectory: "
+                f"(more than {MAX_CELLS}); trajectory: "
                 f"{[(s.level, s.report.delta_est) for s in trajectory]}")
-        resolution = [max(1, round((hi - lo) / c)) * nodes_per_cell_axis
+        resolution = [max(1, round((hi - lo) / c)) * NODES_PER_CELL_AXIS
                       for (lo, hi), c in zip(domain, cell)]
         grid = default_index_grid(family, bounds=domain.tolist(),
                                   resolution=resolution)

@@ -15,7 +15,7 @@ import pytest
 from coorbit.coverings import build_covering, build_pu
 from coorbit.discretization import (atomic_coefficients,
                                     banach_frame_reconstruct, build_uphi,
-                                    hilbert_frame_bounds, sample_frame)
+                                    hilbert_frame_bounds)
 from coorbit.frame_families import (alpha_admissibility, analyze_V, analyze_W,
                                     default_index_grid, frame_bounds_continuous,
                                     gaussian_window, gram_kernel, make_battery,
@@ -230,8 +230,7 @@ def test_criterion_07_banach_reconstruction(passing_pipeline, gabor_ladder):
 
 def test_criterion_08_hilbert_frame_bounds(passing_pipeline, gabor_reference):
     fam, grid, cov, pu, op, battery = passing_pipeline
-    sframe = sample_frame(fam, cov, pu)
-    c1, c2, _ = hilbert_frame_bounds(sframe, fam.signal_grid)
+    c1, c2, _ = hilbert_frame_bounds(op)
     assert c1 >= 0.5 and c2 <= 2.0
 
     # single-node-cell limit on the reference configuration reproduces the
@@ -239,8 +238,8 @@ def test_criterion_08_hilbert_frame_bounds(passing_pipeline, gabor_reference):
     fam_r, grid_r = gabor_reference
     cont = frame_bounds_continuous(fam_r, grid_r)
     cov_r = build_covering(grid_r, [0.25, 0.5])
-    sframe_r = sample_frame(fam_r, cov_r)
-    c1_r, c2_r, _ = hilbert_frame_bounds(sframe_r, fam_r.signal_grid)
+    op_r = build_uphi(gram_kernel(fam_r, grid_r), cov_r, build_pu(cov_r), grid_r)
+    c1_r, c2_r, _ = hilbert_frame_bounds(op_r)
     assert abs(c1_r - cont.c1) <= 2e-2 and abs(c2_r - cont.c2) <= 2e-2
     report(8, f"passing level [{c1:.3f}, {c2:.3f}]; node limit "
               f"[{c1_r:.4f}, {c2_r:.4f}] vs continuous [{cont.c1:.4f}, {cont.c2:.4f}]")
@@ -254,7 +253,7 @@ def test_criterion_09_shannon_sampling_oracle():
     cov = build_covering(grid, 1.0)                      # samples at spacing 1
     pu = build_pu(cov)
     op = build_uphi(gram_kernel(fam, grid, rel_cut=1e-10), cov, pu, grid)
-    x_s = sample_frame(fam, cov, pu).points[:, 0]
+    x_s = grid.points[op.node_index, 0]
     assert np.allclose(np.diff(np.sort(x_s)), 1.0, atol=1e-12)
 
     w = sg.fft_freqs()
@@ -322,9 +321,9 @@ def test_criterion_11_localization():
     grid = default_index_grid(fam, bounds=[[-4.0, 4.0], [-4.0, 4.0]],
                               resolution=[32, 32])
     cov = build_covering(grid, 0.5)
-    sf = sample_frame(fam, cov)
-    gram = cross_gramian(fam, fam, sf.points, sf.points)
-    d = grid.metric(sf.points, sf.points)
+    pts = grid.points[cov.sample_node_index]
+    gram = cross_gramian(fam, fam, pts, pts)
+    d = grid.metric(pts, pts)
     amp = np.abs(gram.matrix)
     mask = amp > 1e-10 * amp.max()
     corr = np.corrcoef(-d[mask] ** 2, np.log(amp[mask]))[0, 1]
@@ -335,8 +334,8 @@ def test_criterion_11_localization():
         g2 = default_index_grid(fam, bounds=[[-4.0, 4.0], [-4.0, 4.0]],
                                 resolution=[res, res])
         c2 = build_covering(g2, cell)
-        s2 = sample_frame(fam, c2)
-        rep = a_flat_norm(cross_gramian(fam, fam, s2.points, s2.points), c2, m1)
+        p2 = g2.points[c2.sample_node_index]
+        rep = a_flat_norm(cross_gramian(fam, fam, p2, p2), c2, m1)
         assert rep.finite
         norms.append(rep.a_flat_norm)
     assert abs(norms[1] - norms[0]) <= 0.05 * norms[0]

@@ -67,7 +67,9 @@ class TestValidate:
         # blocks that are not objects
         ("weight", "trivial"), ("signal_grid", [1]), ("index_domain", "x"),
         ("family", {"tag": "gabor", "params": "x"}),
-        ("family", {"tag": "sinc_rkhs", "params": [2.0]})])
+        ("family", {"tag": "sinc_rkhs", "params": [2.0]}),
+        ("seed", "abc"), ("seed", [1]), ("seed", -1), ("seed", 1.5),
+        ("seed", True), ("output", 5), ("output", ["out"])])
     def test_out_of_range_setting_exits_2(self, tmp_path, key, value):
         cfg = dict(MINIMAL, tasks=["discretize", "reconstruct"],
                    covering={"cell_size": 0.5}, **{key: value})
@@ -82,7 +84,8 @@ class TestValidate:
         ("battery_size", 1), ("stable_cut", 0), ("stable_cut", 0.5),
         ("z_per_cell", 1), ("pu_flavor", "tent"),
         ("signal_grid", {"T": 8, "n": 64}),
-        ("weight", {"type": "polynomial", "s": 2})])
+        ("weight", {"type": "polynomial", "s": 2}),
+        ("seed", 0), ("seed", 2 ** 40), ("output", "results")])
     def test_in_range_setting(self, key, value):
         assert validate_config(dict(MINIMAL, **{key: value})) == []
 
@@ -204,6 +207,12 @@ class TestRun:
         assert run(str(path), out_dir=str(out), threads=0) == 2
         assert not (out / "report.json").exists()
 
+    def test_negative_seed_exits_2(self, tmp_path):
+        path = write_config(tmp_path, MINIMAL)
+        out = tmp_path / "o_seed"
+        assert main(["run", str(path), "--out", str(out), "--seed", "-1"]) == 2
+        assert not (out / "report.json").exists()
+
     def test_non_finite_report_exits_3(self, tmp_path, monkeypatch):
         monkeypatch.setitem(cli._TASKS, "norms",
                             lambda ctx: {"gramian": {"am_norm": float("nan")}})
@@ -317,6 +326,22 @@ class TestRun:
         assert report["tasks"]["localize"]["a_flat"]["finite"]
         assert "gab_domination_violation" in report["tasks"]["localize"]
         assert (out / "decay_profile.csv").exists()
+
+    def test_localize_passes_z_per_cell(self, tmp_path, monkeypatch):
+        seen = []
+        real = cli.gab_domination_check
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("z_per_cell"))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, "gab_domination_check", spy)
+        cfg = dict(MINIMAL, tasks=["localize"], covering={"cell_size": 2.0},
+                   z_per_cell=2,
+                   index_domain={"bounds": [[-4.0, 4.0], [-4.0, 4.0]],
+                                 "resolution": [16, 16]})
+        path = write_config(tmp_path, cfg)
+        assert run(str(path), out_dir=str(tmp_path / "out_z")) == 0
+        assert seen == [2]
 
     def test_deterministic_across_thread_counts(self, tmp_path):
         path = write_config(tmp_path, MINIMAL)

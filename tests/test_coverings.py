@@ -67,9 +67,11 @@ class TestBuildCovering:
         assert np.sum(cov.measures) > line_grid.measure() * 1.5
 
     def test_random_sample_points_inside_cells(self, line_grid):
-        cov = build_covering(line_grid, 0.5, sample="random", seed=4)
+        cov = _random_samples(build_covering(line_grid, 0.5), seed=4)
         assert np.all(cov.sample_points[:, 0] >= cov.cells[:, 0, 0])
         assert np.all(cov.sample_points[:, 0] <= cov.cells[:, 0, 1])
+        idx = cov.sample_node_index
+        assert all(idx[i] in cov.members[i] for i in range(cov.size))
 
     def test_refine_halves_cells(self, line_grid):
         cov = build_covering(line_grid, 0.5)
@@ -351,6 +353,15 @@ def _dense_sample_nodes(cov):
     return idx
 
 
+def _random_samples(cov, seed=0):
+    """The covering with seeded uniform sample points inside its cells, in
+    place of the cell centers."""
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    lo, hi = cov.cells[:, :, 0], cov.cells[:, :, 1]
+    pts = lo + rng.random(lo.shape) * (hi - lo)
+    return dataclasses.replace(cov, sample_points=pts)
+
+
 def _assert_matches_dense(cov):
     grid = cov.grid
     mem = _dense_contains(cov.cells, grid.points)
@@ -411,7 +422,8 @@ class TestSweepExactness:
            st.sampled_from(["center", "random"]))
     def test_random_lattice_matches_dense(self, case, overlap, sample):
         grid, strides = case
-        _assert_matches_dense(build_covering(grid, strides, overlap, sample=sample))
+        cov = build_covering(grid, strides, overlap)
+        _assert_matches_dense(_random_samples(cov) if sample == "random" else cov)
 
     @pytest.mark.parametrize("overlap", [0.0, 0.25])
     def test_banded_grid_with_sheet_cells_matches_dense(self, overlap):
@@ -503,7 +515,9 @@ class TestSampleNodeRule:
         fam = make_family("gabor", {}, SignalGrid(8.0, 64))
         grid = default_index_grid(fam, bounds=[[-4.0, 4.0], [-4.0, 4.0]],
                                   resolution=[36, 36])
-        cov = build_covering(grid, 0.9, 0.5, sample=sample, seed=3)
+        cov = build_covering(grid, 0.9, 0.5)
+        if sample == "random":
+            cov = _random_samples(cov, seed=3)
         width = cov.cells[:, :, 1] - cov.cells[:, :, 0]
         clipped = np.any(width < width.max() - 1e-9, axis=1)
         assert 0 < clipped.sum() < cov.size

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from coorbit.coverings import build_covering, build_pu, PartitionOfUnity
 from coorbit.discretization import (DiscretizationError, atomic_coefficients,
                                     banach_frame_reconstruct, build_uphi,
-                                    dual_frame, hilbert_frame_bounds,
-                                    sample_frame)
+                                    dual_frame, hilbert_frame_bounds)
 from coorbit.frame_families import (analyze_V, default_index_grid, gram_kernel,
                                     make_battery, make_family)
 from coorbit.kernel_algebra import Kernel, apply_kernel
@@ -48,22 +47,13 @@ def node_limit():
 class TestSampleFrame:
     def test_node_partition_samples_every_node(self, node_limit):
         fam, grid, cov, pu, R, op = node_limit
-        sf = sample_frame(fam, cov, pu)
-        assert sf.size == cov.size == grid.size
-        assert np.array_equal(np.sort(sf.node_index), np.arange(grid.size))
+        assert op.node_index.size == cov.size == grid.size
+        assert np.array_equal(np.sort(op.node_index), np.arange(grid.size))
 
     def test_cell_count_matches(self, small_pipeline):
         fam, grid, cov, pu, R, op = small_pipeline
-        sf = sample_frame(fam, cov, pu)
-        assert sf.size == cov.size
-        assert sf.atoms.shape == (fam.signal_grid.n, cov.size)
-
-    def test_corrupt_points_rejected(self, small_pipeline):
-        fam, grid, cov, pu, R, op = small_pipeline
-        pts = cov.sample_points.copy()
-        pts[0] = [99.0, 99.0]
-        with pytest.raises(DiscretizationError):
-            sample_frame(fam, cov, pu, points=pts)
+        assert op.node_index.size == cov.size
+        assert op.atoms.shape == (fam.signal_grid.n, cov.size)
 
     @pytest.mark.parametrize("tag,T,cell", [
         ("gabor", 8.0, 1.0), ("cwt", 16.0, [0.5, 2.0]),
@@ -71,23 +61,17 @@ class TestSampleFrame:
         ("alpha_mod", 8.0, 1.0)])
     def test_operator_atoms_equal_synthesized_atoms(self, tag, T, cell):
         # UPhiOperator.atoms slices the grid's atom matrix; its bits equal
-        # the atoms sample_frame synthesizes at the sample nodes
+        # the atoms the family synthesizes at the sample nodes
         fam = make_family(tag, None, SignalGrid(T, 64))
         grid = default_index_grid(fam)
         cov = build_covering(grid, cell)
         pu = build_pu(cov)
         op = build_uphi(gram_kernel(fam, grid, rel_cut=CUT), cov, pu, grid)
-        sf, osf = sample_frame(fam, cov, pu), op.sampled_frame()
-        assert np.array_equal(op.atoms, sf.atoms)
-        assert op.atoms.flags.c_contiguous == sf.atoms.flags.c_contiguous
-        for name in ("node_index", "points", "atoms", "measures", "masses"):
-            assert np.array_equal(getattr(osf, name), getattr(sf, name)), name
-
-    def test_renormalized_atoms(self, small_pipeline):
-        fam, grid, cov, pu, R, op = small_pipeline
-        sf = sample_frame(fam, cov, pu)
-        ren = sf.renormalized_atoms()
-        assert np.allclose(ren, sf.atoms * np.sqrt(sf.measures)[None, :])
+        atoms = fam.atoms(grid.points[cov.sample_node_index])
+        assert np.array_equal(op.atoms, atoms)
+        assert op.atoms.flags.c_contiguous == atoms.flags.c_contiguous
+        assert np.array_equal(op.node_index, cov.sample_node_index)
+        assert np.array_equal(op.masses, pu.masses)
 
 
 class TestUPhi:
@@ -310,11 +294,10 @@ class TestDualFrame:
         # the truncation boundary
         fam, grid, cov, pu, R, op = node_limit
         duals = dual_frame(op)
-        sf = sample_frame(fam, cov, pu)
         dev = np.sqrt(fam.signal_grid.h * np.sum(
-            np.abs(duals - sf.atoms * sf.measures[None, :]) ** 2, axis=0))
+            np.abs(duals - op.atoms * cov.measures[None, :]) ** 2, axis=0))
         box = fam.interior_box(grid)
-        pts = sf.points
+        pts = grid.points[op.node_index]
         interior = np.all((pts >= box[:, 0]) & (pts <= box[:, 1]), axis=1)
         assert dev[interior].max() <= 5e-3
 
@@ -322,10 +305,9 @@ class TestDualFrame:
         fam, grid, cov, pu, R, op = node_limit
         sg = fam.signal_grid
         duals = dual_frame(op)
-        sf = sample_frame(fam, cov, pu)
         f = make_battery(fam, grid, 1, seed=4)[0]
         coeffs = sg.h * (duals.conj().T @ f)
-        rec = sf.atoms @ coeffs
+        rec = op.atoms @ coeffs
         assert sg.norm(rec - f) <= 1e-3 * sg.norm(f)
 
     def test_dual_coefficients_match_atomic(self, node_limit):
@@ -434,8 +416,7 @@ class TestBlockBattery:
 class TestHilbertBounds:
     def test_bounds_ordered_and_near_tight(self, small_pipeline):
         fam, grid, cov, pu, R, op = small_pipeline
-        sf = sample_frame(fam, cov, pu)
-        c1, c2, sub = hilbert_frame_bounds(sf, fam.signal_grid)
+        c1, c2, sub = hilbert_frame_bounds(op)
         assert c1 <= c2
         assert 0.5 <= c1 and c2 <= 2.0
         assert "interior" in sub
@@ -447,14 +428,6 @@ class TestHilbertBounds:
         fam = make_family("sinc_rkhs", {"bandlimit": np.pi / 2}, sg)
         grid = default_index_grid(fam, resolution=[100])
         cov = build_covering(grid, 1.0)
-        c1, c2, _ = hilbert_frame_bounds(sample_frame(fam, cov, build_pu(cov)), sg)
+        op = build_uphi(gram_kernel(fam, grid), cov, build_pu(cov), grid)
+        c1, c2, _ = hilbert_frame_bounds(op)
         assert c1 <= c2
-
-    def test_empty_samples_rejected(self, small_pipeline):
-        fam, grid, cov, pu, R, op = small_pipeline
-        sf = sample_frame(fam, cov, pu)
-        sf.points = sf.points[:0]
-        sf.atoms = sf.atoms[:, :0]
-        sf.measures = sf.measures[:0]
-        with pytest.raises(DiscretizationError):
-            hilbert_frame_bounds(sf, fam.signal_grid)

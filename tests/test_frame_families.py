@@ -13,12 +13,13 @@ from coorbit.frame_families import (FamilyError, FrameCalculus,
                                     frame_bounds_continuous,
                                     frame_operator_apply, gaussian_window,
                                     gram_kernel, leakage_report, make_battery,
-                                    make_family, wavelet_admissibility_fft)
+                                    make_family)
 from coorbit.kernel_algebra import _even_blocks, am_norm, apply_kernel, \
     compose
 from coorbit.measure_space import SignalGrid, polynomial_weight, \
     trivial_admissible_weight, weight_from_w
 from coorbit.oscillation import property_D_check
+from conftest import wavelet_admissibility_fft
 
 
 @pytest.fixture(scope="module")

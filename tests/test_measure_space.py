@@ -28,9 +28,10 @@ class TestBuildQuadGrid:
 
     def test_halfplane_density_at_midpoints(self):
         # bounds a in [1,2] x b in [0,1], resolution (2,2): four cells of
-        # volume 0.25, density a_mid^-2 with a_mid in {1.25, 1.75}
+        # volume 0.25, the half-plane density a^-2 taken at a_mid in
+        # {1.25, 1.75}
         g = build_quad_grid([[1.0, 2.0], [0.0, 1.0]], [2, 2],
-                            measure="wavelet_halfplane")
+                            measure=lambda p: p[:, 0] ** (-2.0))
         expected = 0.25 * g.points[:, 0] ** (-2.0)
         assert np.allclose(g.weights, expected, rtol=1e-14)
         assert set(np.round(np.unique(g.points[:, 0]), 10)) == {1.25, 1.75}
