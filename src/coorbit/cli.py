@@ -104,8 +104,10 @@ def validate_config(cfg: dict) -> list[str]:
         val = cfg.get(key, default)
         if isinstance(val, bool) or not isinstance(val, int) or val < least:
             diags.append(f"{key} must be an integer >= {least}, got {val!r}")
-    if not isinstance(cfg.get("output", ""), str):
-        diags.append(f"output must be a string, got {cfg['output']!r}")
+    output = cfg.get("output", "coorbit_out")
+    if not isinstance(output, str) or not output:
+        # Path("") is the working directory
+        diags.append(f"output must be a nonempty string, got {output!r}")
     if cfg.get("pu_flavor", "indicator") not in ("indicator", "tent"):
         diags.append(f"unknown pu_flavor {cfg['pu_flavor']!r}")
     return diags

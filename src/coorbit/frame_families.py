@@ -16,7 +16,12 @@ Conventions, fixed once for the whole engine:
   * Atoms carry their family's field: float64 for the real atoms of the
     wavelet, inhomogeneous-wavelet and bandlimited families, complex128 for
     the modulation families.  Every product built from them (S, the
-    Gramian factors) takes the atoms' dtype.
+    Gramian factors) takes the atoms' dtype, except where a family's
+    conjugation symmetry makes S real: a Gabor family with a real window
+    has conj(M_w T_x g) = M_{-w} T_x g, so on an index grid that maps onto
+    itself under w -> -w with bit-equal weights at mirrored nodes, S, its
+    eigenpairs and the half map are float64 while the atoms and the
+    Gramian factors C, C^H stay complex128 (`FrameCalculus.mirrored`).
 
 The torus phase variable of the modulation families is dropped; atoms are
 indexed by (position, frequency) alone.  All norms and reconstruction
@@ -38,6 +43,7 @@ from .measure_space import GridError, QuadGrid, SignalGrid, build_quad_grid
 
 TWO_PI = 2.0 * np.pi
 _S_COLS = 128                # columns of one frame-operator block
+_ATOM_COLS = 256             # columns of one gathered modulation-atom block
 COVERAGE_TARGET = 4e-4       # L2 coverage error of a wavelet scale margin
 
 
@@ -134,6 +140,8 @@ class FrameFamily:
     metric: Callable[[np.ndarray, np.ndarray], np.ndarray]
     measure_descriptor: str
     interior_margins: np.ndarray
+    # per-axis signs sigma with conj(psi_x) = psi_{sigma x} exactly, or None
+    conjugation: Optional[np.ndarray] = None
     _ops: dict = field(default_factory=dict, repr=False)
 
     def atoms(self, points: np.ndarray) -> np.ndarray:
@@ -205,11 +213,20 @@ class FrameCalculus:
     and usually much smaller.  Everything here follows the atoms' dtype:
     for a family with real atoms (cwt, inhom_wavelet, sinc_rkhs) S, its
     eigenpairs (a real `eigh`), the half map, C and C^H are float64.
+
+    Complex atoms whose family declares a conjugation symmetry that the
+    grid carries bit for bit (`mirrored`) give a real S: every atom's
+    conjugate is the atom at the mirrored node, with the same weight, so
+    the imaginary parts of S cancel in pairs.  S is then built from the
+    atoms' (n, 2M) float64 view [Re psi_x, Im psi_x] in real arithmetic,
+    and its eigenpairs and the half map are float64; C = P Psi is one real
+    GEMM on that view and stays complex128.
     """
 
     def __init__(self, family: FrameFamily, grid: QuadGrid):
         self.family = family
         self.grid = grid
+        self._mirrored: Optional[bool] = None
         self._atoms: Optional[np.ndarray] = None
         self._s_matrix: Optional[np.ndarray] = None
         self._s_eig: dict[float, HermitianEig] = {}
@@ -222,6 +239,20 @@ class FrameCalculus:
         if self._atoms is None:
             self._atoms = self.family.atoms(self.grid.points)
         return self._atoms
+
+    @property
+    def mirrored(self) -> bool:
+        """Whether S is real by the family's conjugation symmetry on this
+        grid: the family declares sigma (`FrameFamily.conjugation`), the
+        atoms are complex, the mirrored points sigma x are exactly the grid's
+        points, and mirrored nodes carry bit-equal weights.  Decided once
+        per grid, with no tolerance."""
+        if self._mirrored is None:
+            sigma = self.family.conjugation
+            self._mirrored = sigma is not None and \
+                np.iscomplexobj(self.atom_matrix) and \
+                _mirror_closed(self.grid, np.asarray(sigma, dtype=float))
+        return self._mirrored
 
     def analyze(self, f: np.ndarray) -> np.ndarray:
         """V f on the grid: <f, psi_x> by signal-grid quadrature, for one
@@ -247,18 +278,24 @@ class FrameCalculus:
 
     def s_matrix(self, threads: int = 1) -> np.ndarray:
         """The quadrature frame operator S = h (Psi W) Psi^H, (n, n),
-        symmetrized to be exactly Hermitian and cached, in the atoms' dtype.
+        symmetrized to be exactly Hermitian and cached, in the atoms' dtype,
+        or float64 when the grid is `mirrored`.
 
         Built in column blocks of at most `_S_COLS`,
         S[:, j0:j1] = (Psi W) @ conj(Psi[j0:j1]).T, spread over `threads`
         (`_on_pool`).  For complex atoms each thread conjugates its rows of
         Psi into a buffer it owns, so no conjugate copy of all of Psi is
-        made; real atoms enter the GEMM as they are.  The blocks are
-        disjoint, so S does not depend on `threads`.
+        made; real atoms enter the GEMM as they are.  On a mirrored grid
+        Psi enters as its float64 view with every weight repeated for the
+        real and imaginary column: h Psi~ W~ Psi~^T = Re(h Psi W Psi^H) = S,
+        one real GEMM per block.  The blocks are disjoint, so S does not
+        depend on `threads`.
         """
         if self._s_matrix is None:
-            psi = self.atom_matrix
-            psi_w = psi * self.grid.weights[None, :]
+            psi, w = self.atom_matrix, self.grid.weights
+            if self.mirrored:
+                psi, w = _real_view(psi), np.repeat(w, 2)
+            psi_w = psi * w[None, :]
             s = np.empty((psi.shape[0], psi.shape[0]), dtype=psi_w.dtype)
             real = not np.iscomplexobj(psi)
 
@@ -303,7 +340,7 @@ class FrameCalculus:
         """C = Lambda_k^(-1/2) Q_k^H Psi on the grid, shape (r, M)."""
         c = self._half_factor.get(rel_cut)
         if c is None:
-            c = self.half_map(rel_cut) @ self.atom_matrix
+            c = _map_atoms(self.half_map(rel_cut), self.atom_matrix)
             self._half_factor[rel_cut] = c
         return c
 
@@ -325,6 +362,35 @@ class FrameCalculus:
         """R(F) = h * C^H C (w F) at every grid node."""
         h = self.family.signal_grid.h
         return h * (self.u_factor(rel_cut) @ self.half_synthesize(F, rel_cut))
+
+
+def _mirror_closed(grid: QuadGrid, sigma: np.ndarray) -> bool:
+    """Whether x -> sigma x maps the grid's points onto themselves with
+    exactly equal coordinates (one lexsort of each side) and bit-equal
+    weights at mirrored nodes."""
+    pts = grid.points
+    mirrored = pts * sigma[None, :]
+    order = np.lexsort(pts.T[::-1])
+    order_m = np.lexsort(mirrored.T[::-1])
+    if not np.array_equal(pts[order], mirrored[order_m]):
+        return False
+    # node order_m[k], mirrored, is node order[k]
+    w = grid.weights
+    return w[order].tobytes() == w[order_m].tobytes()
+
+
+def _real_view(z: np.ndarray) -> np.ndarray:
+    """The (n, 2M) float64 view [Re z_j, Im z_j] of a complex (n, M) array;
+    a copy only when its rows are not contiguous."""
+    return np.ascontiguousarray(z).view(np.float64)
+
+
+def _map_atoms(p: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """p @ psi.  A real map on complex atoms is one real GEMM on the atoms'
+    float64 view, read back as complex128 without a copy."""
+    if np.isrealobj(p) and np.iscomplexobj(psi):
+        return (p @ _real_view(psi)).view(np.complex128)
+    return p @ psi
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +458,55 @@ def _gabor_family(params: dict, sg: SignalGrid) -> FrameFamily:
     t = sg.points
 
     def atom_fn(points):
-        x, w = points[:, 0], points[:, 1]
-        return gfun(t[:, None] - x[None, :]) * np.exp(1j * w[None, :] * t[:, None])
+        # the window once per distinct position, the modulation once per
+        # distinct frequency
+        xu, ix = _distinct(points[:, 0])
+        mod, iw = _modulation(t, points[:, 1])
+        return _modulated(gfun(t[:, None] - xu[None, :]), ix, mod, iw)
 
     return FrameFamily(
         tag="gabor", signal_grid=sg, params={"window": window},
         index_dim=2, is_tight=True, phase_quotient=True,
         atom_fn=atom_fn, metric=plane_metric,
         measure_descriptor="dx dw / (2 pi)",
-        interior_margins=margins)
+        interior_margins=margins,
+        # a real window: conj(M_w T_x g) = M_{-w} T_x g
+        conjugation=None if np.iscomplexobj(g) else np.array([1.0, -1.0]))
+
+
+def _distinct(v: np.ndarray):
+    """The distinct values of `v` by bit pattern, and each entry's index
+    into them."""
+    u, inv = np.unique(np.ascontiguousarray(v, dtype=float).view(np.int64),
+                       return_inverse=True)
+    return u.view(np.float64), inv
+
+
+def _modulation(t: np.ndarray, w: np.ndarray):
+    """exp(i w t) on the signal grid, one column per distinct frequency
+    (`_distinct`), and each point's column."""
+    wu, iw = _distinct(w)
+    arg = 1j * wu[None, :] * t[:, None]
+    return np.exp(arg, out=arg), iw
+
+
+def _modulated(amp: np.ndarray, iamp: Optional[np.ndarray], mod: np.ndarray,
+               imod: np.ndarray) -> np.ndarray:
+    """Atoms mod[:, imod] * amp[:, iamp] (all of `amp` when `iamp` is None)
+    in blocks of `_ATOM_COLS` columns: each block's modulation columns are
+    gathered into the output and multiplied there, so no full-size
+    gathered copy of either factor is made.  The modulation is the left
+    operand: under FMA the order decides the sign of an underflowed zero,
+    and this is the order of the full-size product amp * exp(...) once
+    numpy reuses its exp temporary."""
+    out = np.empty((mod.shape[0], imod.size), dtype=np.result_type(amp, mod))
+    for j0 in range(0, imod.size, _ATOM_COLS):
+        cols = slice(j0, j0 + _ATOM_COLS)
+        blk = out[:, cols]
+        np.take(mod, imod[cols], axis=1, out=blk, mode="clip")
+        np.multiply(blk, amp[:, cols] if iamp is None else amp[:, iamp[cols]],
+                    out=blk)
+    return out
 
 
 def _spectral_atoms(sg: SignalGrid, spectra: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -541,7 +647,8 @@ def _alpha_family(params: dict, sg: SignalGrid) -> FrameFamily:
         x, w = points[:, 0], points[:, 1]
         s = (1.0 + np.abs(w)) ** (-alpha)
         env = gaussian_window(t[:, None] / s[None, :] - x[None, :])
-        return env / np.sqrt(s[None, :]) * np.exp(1j * w[None, :] * t[:, None])
+        mod, iw = _modulation(t, w)
+        return _modulated(env / np.sqrt(s[None, :]), None, mod, iw)
 
     return FrameFamily(
         tag="alpha_mod", signal_grid=sg, params={"alpha": alpha, "window": "gaussian"},
@@ -703,7 +810,7 @@ def gram_kernel(family: FrameFamily, x_grid: QuadGrid, rel_cut: float = 1e-10,
         raise FamilyError(f"unknown gram_kernel mode {mode!r}")
 
     def col_factor(points):
-        return calc.half_map(rel_cut) @ family.atoms(points)
+        return _map_atoms(calc.half_map(rel_cut), family.atoms(points))
 
     def ev(pr, pc):
         left = calc.u_factor(rel_cut) if pr is x_grid.points \
@@ -775,7 +882,13 @@ def frame_bounds_continuous(family: FrameFamily, x_grid: QuadGrid,
     bounds are the exact extreme eigenvalues of the reduced operator.
     `threads` builds S (`FrameCalculus.s_matrix`); the bounds do not
     depend on it.  The probes are columns of the atom matrix that S was
-    built from, so no atom is synthesized twice.
+    built from, so no atom is synthesized twice.  On a mirrored grid
+    (`FrameCalculus.mirrored`) S is real and the probes enter as their
+    float64 view [Re p, Im p], which spans the probe atoms and their
+    conjugates, the atoms at the mirrored nodes (interior atoms too when
+    the box is symmetric, as a mirror-closed midpoint grid's is).  The
+    probe Gram, h P~ P~^T = Re(h P P^H), and the reduced operator are then
+    real.
     """
     idx, _ = _interior_probes(family, x_grid, x_grid.points)
     if idx.size == 0:
@@ -785,10 +898,14 @@ def frame_bounds_continuous(family: FrameFamily, x_grid: QuadGrid,
     probes = calc.atom_matrix[:, idx]
     if np.max(np.abs(probes)) == 0.0:
         raise FamilyError("zero family: all probe atoms vanish")
+    mirrored = calc.mirrored
+    if mirrored:
+        probes = _real_view(probes)
     c1, c2, rank = restricted_rayleigh_bounds(probes, s, family.signal_grid.h)
     return FrameBoundsReport(
         c1=c1, c2=c2,
-        subspace=(f"span of {idx.size} interior atoms, margins "
+        subspace=(f"span of {idx.size} interior atoms"
+                  f"{' and their conjugates' if mirrored else ''}, margins "
                   f"{np.round(family.interior_margins, 3).tolist()}, "
                   f"Gram cut {PROBE_GRAM_CUT:g}"),
         probe_count=int(idx.size), rank=rank)

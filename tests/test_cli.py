@@ -69,7 +69,7 @@ class TestValidate:
         ("family", {"tag": "gabor", "params": "x"}),
         ("family", {"tag": "sinc_rkhs", "params": [2.0]}),
         ("seed", "abc"), ("seed", [1]), ("seed", -1), ("seed", 1.5),
-        ("seed", True), ("output", 5), ("output", ["out"])])
+        ("seed", True), ("output", 5), ("output", ["out"]), ("output", "")])
     def test_out_of_range_setting_exits_2(self, tmp_path, key, value):
         cfg = dict(MINIMAL, tasks=["discretize", "reconstruct"],
                    covering={"cell_size": 0.5}, **{key: value})
@@ -200,6 +200,17 @@ class TestRun:
     def test_invalid_config_exits_2(self, tmp_path):
         path = write_config(tmp_path, dict(MINIMAL, tasks=[]))
         assert run(str(path), out_dir=str(tmp_path / "o")) == 2
+
+    def test_empty_output_exits_2_without_writing_to_the_working_directory(
+            self, tmp_path, monkeypatch):
+        # Path("") is ".": a run used to write its outputs where it was started
+        path = write_config(tmp_path, dict(MINIMAL, output=""), "empty.json")
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path)]) == 2
+        assert list(work.iterdir()) == []
 
     def test_threads_below_one_exits_2(self, tmp_path):
         path = write_config(tmp_path, MINIMAL)
