@@ -1,8 +1,11 @@
-"""Shared spectral helpers: Hermitian eigendecompositions with a relative
-eigenvalue cut, and exact Rayleigh bounds on a probe span.
+"""Shared dense helpers: the weighted Hermitian Gram h X W X^H, Hermitian
+eigendecompositions with a relative eigenvalue cut, and exact Rayleigh
+bounds on a probe span.
 
-Every routine is a fixed sequence of dense LAPACK/BLAS calls with no
-iteration or random start, so repeated runs give bit-identical output.
+The frame operator S, the sampled frame operator S_d and U_Phi on ran R
+(the r x r matrix K) are each one `hermitian_gram`.  Every routine is a
+fixed sequence of dense LAPACK/BLAS calls with no iteration or random
+start, so repeated runs give bit-identical output.
 """
 from __future__ import annotations
 
@@ -10,6 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernel_algebra import _even_blocks, _on_pool
+
+GRAM_COLS = 128              # columns of one `hermitian_gram` block
 # relative cut on the probe Gram matrix of `restricted_rayleigh_bounds`
 PROBE_GRAM_CUT = 1e-2
 
@@ -37,6 +43,31 @@ class HermitianEig:
         lam = self.eigvals[self.kept]
         return q @ ((q.conj().T @ f).T / lam).T if f.ndim > 1 else \
             q @ ((q.conj().T @ f) / lam)
+
+
+def hermitian_gram(x: np.ndarray, w: np.ndarray, h: float,
+                   threads: int = 1) -> np.ndarray:
+    """h X diag(w) X^H for the (n, m) array `x`, exactly Hermitian, in
+    `x`'s dtype.
+
+    G = conj(X) W X^T = conj(h X W X^H) is filled in column blocks of at
+    most `GRAM_COLS` on `threads` (`_on_pool`); X enters each block as it
+    is, so the weighted copy conj(X) W is the one full-size temporary, and
+    it is freed before the symmetrization 0.5 (G^T + conj(G)).  The blocks
+    are disjoint, so the result does not depend on `threads`.
+    """
+    xw = np.conjugate(x)
+    xw *= w
+    g = np.empty((x.shape[0], x.shape[0]), dtype=xw.dtype)
+
+    def work(cols, _):
+        j0, j1 = cols
+        np.matmul(xw, x[j0:j1].T, out=g[:, j0:j1])
+
+    _on_pool(_even_blocks(x.shape[0], GRAM_COLS), threads, lambda: None, work)
+    del xw
+    g *= h
+    return 0.5 * (g.T + g.conj())
 
 
 def psd_factorize(mat: np.ndarray, rel_cut: float = 1e-10) -> HermitianEig:

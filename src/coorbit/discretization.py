@@ -22,7 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._linalg import PROBE_GRAM_CUT, restricted_rayleigh_bounds
+from ._linalg import PROBE_GRAM_CUT, hermitian_gram, \
+    restricted_rayleigh_bounds
 from .coverings import Covering, PartitionOfUnity
 from .frame_families import FrameCalculus, _interior_probes
 from .kernel_algebra import Kernel
@@ -92,11 +93,11 @@ class UPhiOperator:
 
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """eigh of K = h C_X diag(c) C_X^H: U_Phi on ran R in the
-        mu-orthonormal basis sqrt(h) C^H, ascending eigenvalues kappa."""
+        """eigh of K = h C_X diag(c) C_X^H (`hermitian_gram`): U_Phi on
+        ran R in the mu-orthonormal basis sqrt(h) C^H, ascending
+        eigenvalues kappa."""
         h = self.calc.family.signal_grid.h
-        k = h * ((self._c_nodes * self.masses) @ self._c_nodes.conj().T)
-        return np.linalg.eigh(0.5 * (k + k.conj().T))
+        return np.linalg.eigh(hermitian_gram(self._c_nodes, self.masses, h))
 
     @cached_property
     def defect(self) -> float:
@@ -271,8 +272,9 @@ def hilbert_frame_bounds(op: UPhiOperator):
     """Frame bounds of the sampled system {sqrt(a_i) psi_{x_i}} at the
     operator's sample nodes x_i, a_i = mu(U_i), on the resolvable atom span.
 
-    The discrete frame operator S_d = sum_i a_i psi_i psi_i^* restricted to
-    the span of atoms at interior sample points, thinned as in
+    The discrete frame operator S_d = h Psi_X diag(a) Psi_X^H
+    (`hermitian_gram`, Psi_X the sampled atoms) restricted to the span of
+    atoms at interior sample points, thinned as in
     `frame_bounds_continuous`; truncation zero-modes are excluded by the
     relative Gram cut.  The bounds are the exact extreme eigenvalues of the
     reduced operator.  Returns (C1, C2, subspace description).
@@ -280,8 +282,7 @@ def hilbert_frame_bounds(op: UPhiOperator):
     cov = op.covering
     h = op.calc.family.signal_grid.h
     atoms = op.atoms
-    s_mat = h * ((atoms * cov.measures[None, :]) @ atoms.conj().T)
-    s_mat = 0.5 * (s_mat + s_mat.conj().T)
+    s_mat = hermitian_gram(atoms, cov.measures, h)
     idx, interior = _interior_probes(op.calc.family, cov.grid,
                                      cov.grid.points[op.node_index])
     if idx.size == 0:

@@ -18,8 +18,9 @@ Conventions, fixed once for the whole engine:
     the modulation families.  Every product built from them (S, the
     Gramian factors) takes the atoms' dtype, except where a family's
     conjugation symmetry makes S real: a Gabor family with a real window
-    has conj(M_w T_x g) = M_{-w} T_x g, so on an index grid that maps onto
-    itself under w -> -w with bit-equal weights at mirrored nodes, S, its
+    has conj(M_w T_x g) = M_{-w} T_x g, and an alpha-modulation family,
+    whose Gaussian envelope is real, conj(psi_(x,w)) = psi_(x,-w); so on
+    an index grid that maps onto itself under w -> -w with bit-equal weights at mirrored nodes, S, its
     eigenpairs and the half map are float64 while the atoms and the
     Gramian factors C, C^H stay complex128 (`FrameCalculus.mirrored`).
 
@@ -36,13 +37,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._linalg import PROBE_GRAM_CUT, HermitianEig, psd_factorize, \
-    restricted_rayleigh_bounds
-from .kernel_algebra import Kernel, _even_blocks, _on_pool
-from .measure_space import GridError, QuadGrid, SignalGrid, build_quad_grid
+from ._linalg import PROBE_GRAM_CUT, HermitianEig, hermitian_gram, \
+    psd_factorize, restricted_rayleigh_bounds
+from .kernel_algebra import Kernel
+from .measure_space import GridError, QuadGrid, SignalGrid, build_quad_grid, \
+    euclidean_metric
 
 TWO_PI = 2.0 * np.pi
-_S_COLS = 128                # columns of one frame-operator block
 _ATOM_COLS = 256             # columns of one gathered modulation-atom block
 COVERAGE_TARGET = 4e-4       # L2 coverage error of a wavelet scale margin
 
@@ -133,12 +134,9 @@ class FrameFamily:
     tag: str
     signal_grid: SignalGrid
     params: dict
-    index_dim: int
-    is_tight: bool
     phase_quotient: bool
     atom_fn: Callable[[np.ndarray], np.ndarray]   # (N, d) points -> (n, N) atoms
     metric: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    measure_descriptor: str
     interior_margins: np.ndarray
     # per-axis signs sigma with conj(psi_x) = psi_{sigma x} exactly, or None
     conjugation: Optional[np.ndarray] = None
@@ -277,43 +275,18 @@ class FrameCalculus:
         return self.analyze(self.s_pinv(f, rel_cut))
 
     def s_matrix(self, threads: int = 1) -> np.ndarray:
-        """The quadrature frame operator S = h (Psi W) Psi^H, (n, n),
-        symmetrized to be exactly Hermitian and cached, in the atoms' dtype,
-        or float64 when the grid is `mirrored`.
-
-        Built in column blocks of at most `_S_COLS`,
-        S[:, j0:j1] = (Psi W) @ conj(Psi[j0:j1]).T, spread over `threads`
-        (`_on_pool`).  For complex atoms each thread conjugates its rows of
-        Psi into a buffer it owns, so no conjugate copy of all of Psi is
-        made; real atoms enter the GEMM as they are.  On a mirrored grid
-        Psi enters as its float64 view with every weight repeated for the
-        real and imaginary column: h Psi~ W~ Psi~^T = Re(h Psi W Psi^H) = S,
-        one real GEMM per block.  The blocks are disjoint, so S does not
-        depend on `threads`.
-        """
+        """The quadrature frame operator S = h Psi W Psi^H, (n, n), exactly
+        Hermitian and cached, in the atoms' dtype, or float64 when the grid
+        is `mirrored`: one `hermitian_gram` over `threads`.  On a mirrored
+        grid Psi enters as its float64 view with every weight repeated for
+        the real and imaginary column: h Psi~ W~ Psi~^T = Re(h Psi W Psi^H)
+        = S, a real GEMM per block."""
         if self._s_matrix is None:
             psi, w = self.atom_matrix, self.grid.weights
             if self.mirrored:
                 psi, w = _real_view(psi), np.repeat(w, 2)
-            psi_w = psi * w[None, :]
-            s = np.empty((psi.shape[0], psi.shape[0]), dtype=psi_w.dtype)
-            real = not np.iscomplexobj(psi)
-
-            def make():
-                if real:
-                    return None
-                return np.empty((min(_S_COLS, psi.shape[0]), psi.shape[1]),
-                                dtype=psi.dtype)
-
-            def work(cols, conj):
-                j0, j1 = cols
-                right = psi[j0:j1] if real else \
-                    np.conjugate(psi[j0:j1], out=conj[:j1 - j0])
-                np.matmul(psi_w, right.T, out=s[:, j0:j1])
-
-            _on_pool(_even_blocks(psi.shape[0], _S_COLS), threads, make, work)
-            s *= self.family.signal_grid.h
-            self._s_matrix = 0.5 * (s + s.conj().T)
+            self._s_matrix = hermitian_gram(psi, w, self.family.signal_grid.h,
+                                            threads)
         return self._s_matrix
 
     def s_eig(self, rel_cut: float = 1e-10) -> HermitianEig:
@@ -396,11 +369,6 @@ def _map_atoms(p: np.ndarray, psi: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
-def plane_metric(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    diff = p[:, None, :] - q[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
-
-
 def halfplane_metric(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """d((b,a),(b',a')) = |b - b'| + |log(a/a')| on the (scale, position) plane.
 
@@ -466,9 +434,7 @@ def _gabor_family(params: dict, sg: SignalGrid) -> FrameFamily:
 
     return FrameFamily(
         tag="gabor", signal_grid=sg, params={"window": window},
-        index_dim=2, is_tight=True, phase_quotient=True,
-        atom_fn=atom_fn, metric=plane_metric,
-        measure_descriptor="dx dw / (2 pi)",
+        phase_quotient=True, atom_fn=atom_fn, metric=euclidean_metric,
         interior_margins=margins,
         # a real window: conj(M_w T_x g) = M_{-w} T_x g
         conjugation=None if np.iscomplexobj(g) else np.array([1.0, -1.0]))
@@ -561,9 +527,7 @@ def _cwt_family(params: dict, sg: SignalGrid) -> FrameFamily:
         tag="cwt", signal_grid=sg,
         params={"wavelet": name, "order": profile.order, "c_psi": c_psi,
                 "profile": profile, "sd_t_unit": sd_t},
-        index_dim=2, is_tight=True, phase_quotient=False,
-        atom_fn=atom_fn, metric=halfplane_metric,
-        measure_descriptor="db da / a^2 (axis 0 = scale)",
+        phase_quotient=False, atom_fn=atom_fn, metric=halfplane_metric,
         interior_margins=np.array([profile.coverage_log_margin(), np.nan]))
 
 
@@ -597,9 +561,7 @@ def _sinc_family(params: dict, sg: SignalGrid) -> FrameFamily:
     return FrameFamily(
         tag="sinc_rkhs", signal_grid=sg,
         params={"bandlimit": omega, "n_freqs": 2 * J + 1},
-        index_dim=1, is_tight=True, phase_quotient=False,
-        atom_fn=atom_fn, metric=make_circle_metric(T),
-        measure_descriptor="dx on the periodized line",
+        phase_quotient=False, atom_fn=atom_fn, metric=make_circle_metric(T),
         interior_margins=np.array([0.0]))
 
 
@@ -629,9 +591,7 @@ def _inhom_family(params: dict, sg: SignalGrid) -> FrameFamily:
         tag="inhom_wavelet", signal_grid=sg,
         params={"wavelet": name, "order": profile.order, "profile": profile,
                 "sd_t_unit": sd_t},
-        index_dim=2, is_tight=True, phase_quotient=False,
-        atom_fn=atom_fn, metric=halfplane_metric,
-        measure_descriptor="dx on the scale-0 sheet + dt dx / t^2 (axis 0 = scale)",
+        phase_quotient=False, atom_fn=atom_fn, metric=halfplane_metric,
         interior_margins=np.array([profile.coverage_log_margin(), np.nan]))
 
 
@@ -652,10 +612,10 @@ def _alpha_family(params: dict, sg: SignalGrid) -> FrameFamily:
 
     return FrameFamily(
         tag="alpha_mod", signal_grid=sg, params={"alpha": alpha, "window": "gaussian"},
-        index_dim=2, is_tight=False, phase_quotient=True,
-        atom_fn=atom_fn, metric=plane_metric,
-        measure_descriptor="dx dw / (2 pi)",
-        interior_margins=np.array([4.0, np.nan]))
+        phase_quotient=True, atom_fn=atom_fn, metric=euclidean_metric,
+        interior_margins=np.array([4.0, np.nan]),
+        # a real envelope: conj(psi_(x, w)) = psi_(x, -w)
+        conjugation=np.array([1.0, -1.0]))
 
 
 _BUILDERS = {
@@ -693,8 +653,7 @@ def default_index_grid(family: FrameFamily, bounds=None, resolution=None,
         if resolution is None:
             resolution = [64, 64]
         return build_quad_grid(bounds, resolution,
-                               measure=lambda p: np.full(p.shape[0], 1.0 / TWO_PI),
-                               metric=plane_metric)
+                               measure=lambda p: np.full(p.shape[0], 1.0 / TWO_PI))
     if tag == "sinc_rkhs":
         T = family.signal_grid.half_width
         if bounds is None:

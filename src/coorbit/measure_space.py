@@ -117,9 +117,6 @@ class QuadGrid:
     def measure(self) -> float:
         return float(np.sum(self.weights))
 
-    def distances(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        return self.metric(np.atleast_2d(p), np.atleast_2d(q))
-
 
 def integrate(values: np.ndarray, grid: QuadGrid) -> complex:
     """Quadrature of a sampled function: sum_k F(x_k) w_k in index order."""

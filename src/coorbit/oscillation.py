@@ -408,7 +408,6 @@ def property_D_check(family: FrameFamily, cov: Covering, m: AdmissibleWeight,
 class RefinementStep:
     level: int
     cells: int
-    grid_nodes: int
     report: OscReport
 
 
@@ -455,8 +454,7 @@ def refine_until(family: FrameFamily, domain, m: AdmissibleWeight,
         cov = build_covering(grid, cell, overlap_fraction=overlap)
         rep = property_D_check(family, cov, m, grid, z_per_cell=z_per_cell,
                                seed=seed, rel_cut=rel_cut, threads=threads)
-        trajectory.append(RefinementStep(level=level, cells=cov.size,
-                                         grid_nodes=grid.size, report=rep))
+        trajectory.append(RefinementStep(level=level, cells=cov.size, report=rep))
         hit = {"full": rep.full, "atomic": rep.atomic_only,
                "banach": rep.banach_only}[target]
         if hit:

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coorbit import discretization
+from coorbit._linalg import hermitian_gram
 from coorbit.coverings import build_covering, build_pu, PartitionOfUnity
 from coorbit.discretization import (DiscretizationError, atomic_coefficients,
                                     banach_frame_reconstruct, build_uphi,
@@ -431,3 +433,54 @@ class TestHilbertBounds:
         op = build_uphi(gram_kernel(fam, grid), cov, build_pu(cov), grid)
         c1, c2, _ = hilbert_frame_bounds(op)
         assert c1 <= c2
+
+
+def _gram_calls(monkeypatch) -> list:
+    """Record every `hermitian_gram` result the discretization module forms."""
+    calls = []
+
+    def spy(x, w, h, threads=1):
+        g = hermitian_gram(x, w, h, threads)
+        calls.append(g)
+        return g
+
+    monkeypatch.setattr(discretization, "hermitian_gram", spy)
+    return calls
+
+
+def _one_gemm(x, w, h):
+    g = h * ((x * w[None, :]) @ x.conj().T)
+    return 0.5 * (g + g.conj().T)
+
+
+@pytest.mark.parametrize("tag,T,cell", [("gabor", 8.0, 1.0), ("sinc_rkhs", 8.0, 2.0),
+                                        ("alpha_mod", 8.0, 1.0)])
+class TestOneGramRoutine:
+    """S_d and K are `hermitian_gram`s; they match the one-GEMM formulas
+    they replaced."""
+
+    def _op(self, tag, T, cell):
+        fam = make_family(tag, None, SignalGrid(T, 64))
+        grid = default_index_grid(fam)
+        cov = build_covering(grid, cell)
+        return build_uphi(gram_kernel(fam, grid, rel_cut=CUT), cov, build_pu(cov), grid)
+
+    def test_sampled_frame_operator(self, monkeypatch, tag, T, cell):
+        op = self._op(tag, T, cell)
+        calls = _gram_calls(monkeypatch)
+        hilbert_frame_bounds(op)
+        assert len(calls) == 1
+        ref = _one_gemm(op.atoms, op.covering.measures, op.calc.family.signal_grid.h)
+        assert calls[0].dtype == op.atoms.dtype
+        assert np.abs(calls[0] - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.array_equal(calls[0], calls[0].conj().T)
+
+    def test_uphi_on_the_range(self, monkeypatch, tag, T, cell):
+        op = self._op(tag, T, cell)
+        calls = _gram_calls(monkeypatch)
+        kappa = op._spectrum[0]
+        assert len(calls) == 1
+        ref = _one_gemm(op._c_nodes, op.masses, op.calc.family.signal_grid.h)
+        assert np.abs(calls[0] - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.array_equal(calls[0], calls[0].conj().T)
+        assert np.array_equal(kappa, np.linalg.eigh(calls[0])[0])

@@ -1,14 +1,17 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from coorbit._linalg import SolverError, restricted_rayleigh_bounds
+from coorbit._linalg import SolverError, hermitian_gram, \
+    restricted_rayleigh_bounds
 from coorbit.coverings import build_covering, build_pu
 from coorbit.discretization import atomic_coefficients, \
     banach_frame_reconstruct, build_uphi
 from coorbit.frame_families import (FamilyError, FrameCalculus,
                                     GaussDerivProfile, _interior_probes,
+                                    _real_view,
                                     alpha_admissibility,
                                     analyze_V, analyze_W, default_index_grid,
                                     frame_bounds_continuous,
@@ -393,6 +396,55 @@ class TestFrameOperatorBlocks:
         assert np.abs(mats[0] - ref).max() <= 1e-14 * np.abs(ref).max()
         assert np.array_equal(mats[0], mats[0].conj().T)
 
+    @pytest.mark.parametrize("n", [64, 200, 512])
+    @pytest.mark.parametrize("kind", ["real", "complex", "real_view"])
+    def test_hermitian_gram_matches_one_gemm(self, kind, n):
+        rng = np.random.default_rng(n)
+        m, h = 301, 0.3
+        z = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        w = rng.uniform(0.5, 2.0, m)
+        if kind == "real":
+            x, wx = z.real.copy(), w
+        elif kind == "complex":
+            x, wx = z, w
+        else:
+            # [Re z_j, Im z_j] columns with repeated weights: Re(h Z W Z^H)
+            x, wx = _real_view(z), np.repeat(w, 2)
+        grams = [hermitian_gram(x, wx, h, threads) for threads in (1, 2, 3)]
+        assert grams[0].dtype == x.dtype
+        assert grams[0].tobytes() == grams[1].tobytes() == grams[2].tobytes()
+        ref = h * ((z * w[None, :]) @ z.conj().T) if kind != "real" else \
+            h * ((x * w[None, :]) @ x.T)
+        ref = 0.5 * (ref + ref.conj().T)
+        if kind == "real_view":
+            ref = ref.real
+        assert np.abs(grams[0] - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.array_equal(grams[0], grams[0].conj().T)
+
+    @pytest.mark.parametrize("case", ["gabor_complex", "alpha_mod_shipped"])
+    def test_s_matrix_peak_memory(self, case):
+        # S takes one weighted copy of the atoms and n x n arrays, and no
+        # conjugate copy of the atoms
+        if case == "gabor_complex":
+            # 72 midpoints per axis are not bitwise symmetric: complex S
+            fam = make_family("gabor", None, SignalGrid(8.0, 64))
+            grid = default_index_grid(fam, bounds=[[-4.0, 4.0], [-4.0, 4.0]],
+                                      resolution=[72, 72])
+        else:
+            fam = make_family("alpha_mod", {"alpha": 0.5}, SignalGrid(10.0, 512))
+            grid = default_index_grid(fam, bounds=[[-5.0, 5.0], [-10.0, 10.0]],
+                                      resolution=[40, 56])
+        calc = FrameCalculus(fam, grid)
+        psi = calc.atom_matrix
+        tracemalloc.start()
+        try:
+            s = calc.s_matrix()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not calc.mirrored and s.dtype == np.complex128
+        assert peak <= psi.nbytes + 2 * s.nbytes + 64 * 1024
+
     def test_even_blocks_never_leave_one_column(self):
         # a one-column (or one-row) operand turns a GEMM into a GEMV
         assert _even_blocks(512, 128) == [(0, 128), (128, 256), (256, 384), (384, 512)]
@@ -522,9 +574,12 @@ class TestRealAtoms:
         ("alpha_mod", None, np.complex128)])
     def test_atoms_and_factors_follow_the_field(self, tag, params, dtype):
         fam = make_family(tag, params, SignalGrid(16.0, 128))
-        if tag in ("gabor", "alpha_mod"):
+        if tag == "alpha_mod":
+            # 20 frequency midpoints are not bitwise symmetric, so S keeps
+            # the atoms' field; a mirrored grid gives a real S
+            # (TestConjugationSymmetry)
             grid = default_index_grid(fam, bounds=[[-4.0, 4.0], [-4.0, 4.0]],
-                                      resolution=[16, 16])
+                                      resolution=[16, 20])
         elif tag == "sinc_rkhs":
             grid = default_index_grid(fam)
         else:
@@ -586,12 +641,18 @@ class TestConjugationSymmetry:
         fam = make_family("gabor", {"window": window}, self.SG)
         return fam, default_index_grid(fam, bounds=bounds, resolution=[16, 16])
 
-    def test_mirror_symmetric_grid_builds_a_real_s(self):
-        fam, grid = self._gabor()
+    @pytest.mark.parametrize("tag", ["gabor", "alpha_mod"])
+    def test_mirror_symmetric_grid_builds_a_real_s(self, tag):
+        # a real window, or alpha_mod's real Gaussian envelope:
+        # conj(psi_(x, w)) = psi_(x, -w)
+        fam = make_family(tag, None, self.SG)
+        grid = default_index_grid(fam, bounds=self.BOX, resolution=[16, 16])
         assert fam.conjugation.tolist() == [1.0, -1.0]
         calc = fam.calculus(grid)
         assert calc.mirrored
-        assert calc.atom_matrix.dtype == np.complex128
+        psi = calc.atom_matrix
+        assert psi.dtype == np.complex128
+        assert np.array_equal(psi[:, _mirror(grid.points)], psi.conj())
         assert calc.s_matrix().dtype == np.float64
         assert calc.s_eig(1e-6).eigvecs.dtype == np.float64
         assert calc.half_map(1e-6).dtype == np.float64
@@ -617,9 +678,12 @@ class TestConjugationSymmetry:
                 window=lambda t: gaussian_window(t) * np.exp(0.5j * t))
             assert fam.conjugation is None
         else:
-            fam = make_family("alpha_mod", None, self.SG)
-            grid = default_index_grid(fam, bounds=self.BOX, resolution=[16, 16])
-            assert fam.conjugation is None
+            # the shipped alpha_modulation grid: its 56 frequency midpoints
+            # on [-10, 10] are not bitwise symmetric
+            fam = make_family("alpha_mod", {"alpha": 0.5}, SignalGrid(10.0, 512))
+            grid = default_index_grid(fam, bounds=[[-5.0, 5.0], [-10.0, 10.0]],
+                                      resolution=[40, 56])
+            assert fam.conjugation.tolist() == [1.0, -1.0]
         calc = fam.calculus(grid)
         assert not calc.mirrored
         assert calc.s_matrix().dtype == np.complex128
