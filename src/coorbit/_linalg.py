@@ -2,10 +2,11 @@
 eigendecompositions with a relative eigenvalue cut, and exact Rayleigh
 bounds on a probe span.
 
-The frame operator S, the sampled frame operator S_d and U_Phi on ran R
-(the r x r matrix K) are each one `hermitian_gram`.  Every routine is a
-fixed sequence of dense LAPACK/BLAS calls with no iteration or random
-start, so repeated runs give bit-identical output.
+The frame operator S, the sampled frame operator S_d, U_Phi on ran R (the
+r x r matrix K) and the probe Gram of `restricted_rayleigh_bounds` are each
+one `hermitian_gram`.  Every routine is a fixed sequence of dense
+LAPACK/BLAS calls with no iteration or random start, so repeated runs give
+bit-identical output.
 """
 from __future__ import annotations
 
@@ -91,17 +92,18 @@ def restricted_rayleigh_bounds(probes: np.ndarray, s_mat: np.ndarray, h: float):
 
     Directions the probe atoms (the k columns of the n x k `probes`, inner
     product weighted by `h`) do not span stably are removed by the relative
-    cut `PROBE_GRAM_CUT` on their Gram matrix.  h P^* P (k x k) and
-    h P P^* (n x n) share their nonzero eigenvalues, so the smaller one is
-    factored.  For n < k the kept eigenvectors of h P P^* are an orthonormal
-    basis B of the cut span; otherwise h P^* P = V diag(lam) V^* gives
+    cut `PROBE_GRAM_CUT` on their Gram matrix (`hermitian_gram` with unit
+    weights).  h P^* P (k x k) and h P P^* (n x n) share their nonzero
+    eigenvalues, so the smaller one is factored.  For n < k the kept
+    eigenvectors of h P P^* are an orthonormal basis B of the cut span;
+    otherwise h P^* P = V diag(lam) V^* gives
     B = sqrt(h) P V_kept diag(lam_kept)^(-1/2).  The reduced operator
     B^* S B is Hermitian, and its extreme eigenvalues are the bounds.
     Returns (c1, c2, kept rank).
     """
     wide = probes.shape[0] < probes.shape[1]
-    gram = h * (probes @ probes.conj().T if wide else probes.conj().T @ probes)
-    gram = 0.5 * (gram + gram.conj().T)
+    x = probes if wide else probes.conj().T
+    gram = hermitian_gram(x, np.ones(x.shape[1]), h)
     eig = psd_factorize(gram, rel_cut=PROBE_GRAM_CUT)
     basis = eig.eigvecs[:, eig.kept]
     if not wide:

@@ -30,7 +30,7 @@ from .measure_space import SignalGrid, polynomial_weight, trivial_weight, \
     trivial_admissible_weight, weight_from_w
 from .frame_families import FamilyError, alpha_admissibility, default_index_grid, \
     frame_bounds_continuous, gaussian_window, gram_kernel, leakage_report, \
-    make_battery, make_family
+    make_battery, make_family, wavelet_index_bounds
 from .kernel_algebra import am_norm
 from .coverings import CoveringError, build_covering, build_pu, verify_moderate
 from .oscillation import OscillationError, property_D_check, refine_until
@@ -62,7 +62,7 @@ def validate_config(cfg: dict) -> list[str]:
         diags.append(f"unknown family tag {fam['tag']!r}")
     params = _object(fam, "params", "family.params", diags)
     sgc = _object(cfg, "signal_grid", "signal_grid", diags)
-    _object(cfg, "index_domain", "index_domain", diags)
+    dom = _object(cfg, "index_domain", "index_domain", diags)
     T = sgc.get("T", 10.0)
     n = sgc.get("n", 512)
     n_ok = isinstance(n, int) and n >= 8 and (n & (n - 1)) == 0
@@ -78,6 +78,8 @@ def validate_config(cfg: dict) -> list[str]:
         elif omega is not None and omega >= np.pi * n / (2 * T):
             diags.append(f"bandlimit {omega} at or above grid Nyquist "
                          f"{np.pi * n / (2 * T):.4f}")
+    if fam.get("tag") in ("cwt", "inhom_wavelet") and n_ok and T_ok:
+        diags += _wavelet_box_diags(fam["tag"], params, float(T), n, dom)
     if fam.get("tag") == "alpha_mod":
         alpha = params.get("alpha", 0.5)
         if not (_is_number(alpha) and 0.0 <= alpha < 1.0):
@@ -111,6 +113,31 @@ def validate_config(cfg: dict) -> list[str]:
     if cfg.get("pu_flavor", "indicator") not in ("indicator", "tent"):
         diags.append(f"unknown pu_flavor {cfg['pu_flavor']!r}")
     return diags
+
+
+def _wavelet_box_diags(tag: str, params: dict, T: float, n: int,
+                       dom: dict) -> list[str]:
+    """The interior box of a wavelet family's index grid, as `run` computes
+    it from the profile's `coverage_log_margin` and the signal grid; an
+    empty box is a diagnostic naming the bounds it needs.  Builds the
+    family (one sample atom) but no index grid or atom matrix."""
+    order = params.get("order", 6)
+    if params.get("wavelet") != "mexican_hat" and (
+            isinstance(order, bool) or not isinstance(order, int) or order < 1):
+        return [f"family.params.order must be an integer >= 1, got {order!r}"]
+    bounds = dom.get("bounds")
+    if bounds is not None and not (
+            isinstance(bounds, list) and len(bounds) == 2 and
+            all(isinstance(b, list) and len(b) == 2 and all(map(_is_number, b))
+                and b[0] < b[1] for b in bounds) and bounds[0][0] > 0):
+        return [f"index_domain.bounds must be [[a_lo, a_hi], [b_lo, b_hi]] with "
+                f"0 < a_lo < a_hi and b_lo < b_hi, got {bounds!r}"]
+    try:
+        family = make_family(tag, params, SignalGrid(T, n))
+        family.interior_box(wavelet_index_bounds(family, bounds))
+    except FamilyError as exc:
+        return [str(exc)]
+    return []
 
 
 def _object(block: dict, key: str, name: str, diags: list,

@@ -31,6 +31,7 @@ for it when comparing kernel values (see `phase_quotient`).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -107,21 +108,29 @@ class GaussDerivProfile:
         The scale truncation acts as a Fourier multiplier theta on a probe
         atom at log-distance M from the cut; the margin controls the L2
         error ||(1 - theta) f|| <= target, i.e. the squared multiplier
-        deficit integrated against the atom content.
+        deficit integrated against the atom content.  It depends on the
+        order alone and is computed once per order (`validate` and `run`
+        both need it).
         """
-        v = np.geomspace(1e-3, 60.0, 4000)
-        w = self.spectrum_sq(v)
-        mass = np.trapezoid(w / v, v)
+        return _coverage_log_margin(self.order)
 
-        def err(m):
-            lost = (1.0 - self.theta(np.exp(m) * v)) + self.theta(np.exp(-m) * v)
-            return float(np.sqrt(np.trapezoid(w * lost ** 2 / v, v) / mass))
 
-        lo, hi = 0.1, 12.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if err(mid) > COVERAGE_TARGET else (lo, mid)
-        return hi
+@functools.lru_cache(maxsize=None)
+def _coverage_log_margin(order: int) -> float:
+    profile = GaussDerivProfile(order)
+    v = np.geomspace(1e-3, 60.0, 4000)
+    w = profile.spectrum_sq(v)
+    mass = np.trapezoid(w / v, v)
+
+    def err(m):
+        lost = (1.0 - profile.theta(np.exp(m) * v)) + profile.theta(np.exp(-m) * v)
+        return float(np.sqrt(np.trapezoid(w * lost ** 2 / v, v) / mass))
+
+    lo, hi = 0.1, 12.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if err(mid) > COVERAGE_TARGET else (lo, mid)
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -158,23 +167,44 @@ class FrameFamily:
             self._ops[id(grid)] = op
         return op
 
-    def interior_box(self, grid: QuadGrid) -> np.ndarray:
-        """Index-space box shrunk by the family margins (probe/battery region).
+    def interior_box(self, bounds) -> np.ndarray:
+        """The index box `bounds` (a grid's `bounds`) shrunk by the family
+        margins: the probe/battery region.
 
         Scale axes shrink in log units; position margins for wavelet-type
-        families scale with the largest admissible probe scale.
+        families scale with the largest admissible probe scale.  Raises
+        FamilyError when the box is empty on some axis; for the wavelet
+        families the message names the bounds that would fit.
         """
-        box = grid.bounds.copy()
+        box = np.array(bounds, dtype=float)
+        empty = []
         if self.tag in ("cwt", "inhom_wavelet"):
             m_log = self.interior_margins[0]
-            a_lo, a_hi = box[0]
+            (a_lo, a_hi), (b_lo, b_hi) = box
             if self.tag == "cwt":
                 box[0] = (a_lo * np.exp(m_log), a_hi * np.exp(-m_log))
+                need = 2.0 * m_log
             else:
                 # top of the scale sheet is backed by the low-pass sheet
                 box[0] = (a_lo * np.exp(m_log), a_hi)
+                need = m_log
             pos_margin = 5.0 * self.params["sd_t_unit"] * max(box[0, 1], 1.0)
-            box[1] = (box[1, 0] + pos_margin, box[1, 1] - pos_margin)
+            box[1] = (b_lo + pos_margin, b_hi - pos_margin)
+            if box[0, 0] >= box[0, 1]:
+                empty.append(
+                    f"index box too small for interior margins on axis 0: the "
+                    f"scale bounds [{a_lo:g}, {a_hi:g}] span ln(a_hi / a_lo) = "
+                    f"{math.log(a_hi / a_lo):.4g}, and the coverage margin of the "
+                    f"{self.params['wavelet']} profile (order {self.params['order']}) "
+                    f"needs more than {need:.4g} (a_hi / a_lo > {math.exp(need):.4g})")
+            if box[1, 0] >= box[1, 1]:
+                empty.append(
+                    f"index box too small for interior margins on axis 1: the "
+                    f"position bounds [{b_lo:g}, {b_hi:g}] are {b_hi - b_lo:.4g} "
+                    f"wide, and the position margin 5 sd_t max(a, 1) = "
+                    f"{pos_margin:.4g} at the interior's largest scale "
+                    f"a = {box[0, 1]:.4g} needs more than {2.0 * pos_margin:.4g} "
+                    f"(the default position bounds are +-0.75 T)")
         elif self.tag == "alpha_mod":
             # atom bandwidth grows like (1+|w|)^alpha; frequency margins by
             # the fixed point w = edge -/+ 4 (1 + |w|)^alpha
@@ -194,10 +224,10 @@ class FrameFamily:
             for k in range(box.shape[0]):
                 mk = self.interior_margins[k]
                 box[k] = (box[k, 0] + mk, box[k, 1] - mk)
-        for k in range(box.shape[0]):
-            if box[k, 0] >= box[k, 1]:
-                raise FamilyError(
-                    f"index box too small for interior margins on axis {k}")
+        empty = empty or [f"index box too small for interior margins on axis {k}"
+                          for k in range(box.shape[0]) if box[k, 0] >= box[k, 1]]
+        if empty:
+            raise FamilyError("; ".join(empty))
         return box
 
 
@@ -667,12 +697,20 @@ def default_index_grid(family: FrameFamily, bounds=None, resolution=None,
     raise FamilyError(f"no default index grid for {tag!r}")
 
 
+def wavelet_index_bounds(family: FrameFamily, bounds) -> list:
+    """The (scale, position) bounds of a wavelet family's banded grid:
+    `bounds`, or for None the default scales (cwt [0.2, 10.5],
+    inhom_wavelet [0.125, 1]) over positions +-0.75 T."""
+    if bounds is not None:
+        return bounds
+    b_half = 0.75 * family.signal_grid.half_width
+    return [[0.2, 10.5], [-b_half, b_half]] if family.tag == "cwt" else \
+        [[0.125, 1.0], [-b_half, b_half]]
+
+
 def _banded_wavelet_grid(family: FrameFamily, bounds, band_spacing: float,
                          scales_per_octave: int) -> QuadGrid:
-    if bounds is None:
-        b_half = 0.75 * family.signal_grid.half_width
-        bounds = [[0.2, 10.5], [-b_half, b_half]] if family.tag == "cwt" else \
-            [[0.125, 1.0], [-b_half, b_half]]
+    bounds = wavelet_index_bounds(family, bounds)
     (a_lo, a_hi), (b_lo, b_hi) = bounds
     if a_lo <= 0 or a_hi <= a_lo:
         raise GridError("scale bounds must satisfy 0 < a_lo < a_hi")
@@ -812,7 +850,7 @@ def _interior_mask(family: FrameFamily, grid: QuadGrid, pts: np.ndarray) -> np.n
     """Which index points `pts` lie in the family's interior box of `grid`;
     for `inhom_wavelet` the low-pass sheet (axis 0 <= 0) counts as interior
     on axis 0."""
-    box = family.interior_box(grid)
+    box = family.interior_box(grid.bounds)
     mask = np.ones(pts.shape[0], dtype=bool)
     for k in range(pts.shape[1]):
         inside = (pts[:, k] >= box[k, 0]) & (pts[:, k] <= box[k, 1])
@@ -920,7 +958,7 @@ def random_interior_points(family: FrameFamily, grid: QuadGrid, count: int,
 
     Scale-type axes (cwt / inhom_wavelet axis 0) are drawn log-uniformly.
     """
-    box = family.interior_box(grid)
+    box = family.interior_box(grid.bounds)
     pts = np.empty((count, grid.dim))
     for k in range(grid.dim):
         lo, hi = box[k]

@@ -5,7 +5,10 @@ The oscillation of the Gramian over a covering,
 where Q_y is the union of the cells that hold y, is estimated with per-cell
 deterministic z-samples (the sup is sampled, so delta_est is a lower bound
 of the true oscillation norm; the report records the sample density).  A
-node that no cell holds has an empty Q_y and a zero column.
+node that no cell holds has an empty Q_y and a zero column.  Cell i draws
+its z-samples from numpy's PCG64 stream seeded by [seed, i];
+`_cell_z_samples` replays those streams for all cells at once in integer
+array arithmetic, bit for bit, without importing numpy.random.
 
 Modulation families (gabor, alpha_mod) drop the torus phase of the
 underlying index group.  Their sampled systems and every reconstruction
@@ -47,6 +50,7 @@ same pass over the Gramian.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,22 +104,135 @@ class OscReport:
         }
 
 
+# numpy's SeedSequence hash (numpy.random.bit_generator) and PCG64 constants
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_M32 = np.uint64(_MASK32)
+_S32 = np.uint64(32)
+# PCG64's 128-bit multiplier as (high, low) uint64 words, and the low
+# word's 32-bit halves for the widening product
+_PCG_MULT_HI = np.uint64(0x2360ED051FC65DA4)
+_PCG_MULT_LO = np.uint64(0x4385DF649FCCF645)
+_PCG_MULT_LO1, _PCG_MULT_LO0 = _PCG_MULT_LO >> _S32, _PCG_MULT_LO & _M32
+
+
 def _cell_z_samples(cov: Covering, z_per_cell: int, seed: int) -> np.ndarray:
     """Nested deterministic z-streams, (cells, z_per_cell, d).
 
-    Points come from a per-cell seeded stream, so enlarging z_per_cell only
-    appends samples (the sampled sup is monotone in z_per_cell).
+    Stream contract: the samples of cell i are lo + u (hi - lo), lo and hi
+    the cell's corners, where u is
+        np.random.Generator(np.random.PCG64([seed, i])).random((z_per_cell, d)),
+    the first z_per_cell * d doubles of cell i's stream in C order.  So
+    enlarging z_per_cell only appends samples (the sampled sup is monotone
+    in z_per_cell), and no cell's points depend on another cell.
+
+    The streams are replayed for all cells at once in unsigned-integer array
+    arithmetic, bit for bit, without importing numpy.random:
+    - SeedSequence([seed, i]): the entropy words are the 32-bit words of
+      seed (least significant first, [0] for 0) followed by i (one word,
+      as a covering holds fewer than 2^32 cells); a pool of 4
+      uint32 words takes them through hashmix and mix, and
+      generate_state(4, uint64) hashes the pool into the PCG64 seed;
+    - PCG64 is a 128-bit LCG, held as (high, low) uint64 word pairs; each
+      draw steps it and outputs the XSL-RR rotation of high ^ low;
+    - a double is (x >> 11) 2^-53.
+    The hash constants depend only on the number of entropy words, the same
+    for every cell, so they are Python ints and only the pool is an array.
+    uint32 and uint64 array operations wrap silently, as the C code does.
     """
     if z_per_cell < 1:
         raise OscillationError("z_per_cell must be >= 1")
-    out = np.empty((cov.size, z_per_cell, cov.cells.shape[1]))
-    for i in range(cov.size):
-        rng = np.random.default_rng(np.random.PCG64([seed, i]))
-        u = rng.random(out.shape[1:])
-        lo = cov.cells[i, :, 0]
-        hi = cov.cells[i, :, 1]
-        out[i] = lo + u * (hi - lo)
-    return out
+    seed = operator.index(seed)
+    if seed < 0:
+        raise OscillationError(f"seed must be >= 0, got {seed}")
+    n, d = cov.size, cov.cells.shape[1]
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    entropy = [np.full(n, w, dtype=np.uint32) for w in words]
+    entropy.append(np.arange(n, dtype=np.uint32))
+    x_hi, x_lo, inc_hi, inc_lo = _seeded_pcg64(entropy)
+    u = np.empty((n, z_per_cell * d))
+    for k in range(u.shape[1]):
+        x_hi, x_lo = _pcg_step(x_hi, x_lo, inc_hi, inc_lo)
+        rot = x_hi >> np.uint64(58)
+        out = x_hi ^ x_lo
+        out = (out >> rot) | (out << ((np.uint64(64) - rot) & np.uint64(63)))
+        u[:, k] = (out >> np.uint64(11)).astype(np.float64)
+    u *= 2.0 ** -53
+    u = u.reshape(n, z_per_cell, d)
+    lo = cov.cells[:, None, :, 0]
+    hi = cov.cells[:, None, :, 1]
+    return lo + u * (hi - lo)
+
+
+def _hashmix(value: np.ndarray, const: int,
+             mult: int = _MULT_A) -> tuple[np.ndarray, int]:
+    """SeedSequence's hashmix of a uint32 array (with `_MULT_B`, the hash of
+    generate_state); returns it and the next hash constant."""
+    value = value ^ np.uint32(const)
+    const = (const * mult) & _MASK32
+    value = value * np.uint32(const)
+    return value ^ (value >> np.uint32(16)), const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return r ^ (r >> np.uint32(16))
+
+
+def _seeded_pcg64(entropy: list) -> tuple:
+    """SeedSequence(entropy words) -> seeded PCG64, per cell: (state high,
+    state low, increment high, increment low)."""
+    n = entropy[0].size
+    const = _INIT_A
+    pool = []
+    for k in range(_POOL):
+        word = entropy[k] if k < len(entropy) else np.zeros(n, dtype=np.uint32)
+        h, const = _hashmix(word, const)
+        pool.append(h)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                h, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], h)
+    for src in range(_POOL, len(entropy)):
+        for dst in range(_POOL):
+            h, const = _hashmix(entropy[src], const)
+            pool[dst] = _mix(pool[dst], h)
+    # generate_state(4, uint64): 8 hashed words, little-endian word pairs
+    const = _INIT_B
+    state = []
+    for k in range(2 * _POOL):
+        v, const = _hashmix(pool[k % _POOL], const, _MULT_B)
+        state.append(v.astype(np.uint64))
+    s = [state[2 * j] | (state[2 * j + 1] << _S32) for j in range(4)]
+    # pcg64_set_seed: initstate (s0, s1), initseq (s2, s3) as (high, low);
+    # inc = initseq << 1 | 1, state = 0, step, add initstate, step
+    one = np.uint64(1)
+    inc_hi = (s[2] << one) | (s[3] >> np.uint64(63))
+    inc_lo = (s[3] << one) | one
+    lo = inc_lo + s[1]
+    hi = inc_hi + s[0] + (lo < inc_lo)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    return hi, lo, inc_hi, inc_lo
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """state * PCG_MULT + inc modulo 2^128 on (high, low) uint64 arrays."""
+    # high word of the 64 x 64 -> 128 product lo * mult_lo, by 32-bit halves
+    a1, a0 = lo >> _S32, lo & _M32
+    p01, p10 = a0 * _PCG_MULT_LO1, a1 * _PCG_MULT_LO0
+    mid = ((a0 * _PCG_MULT_LO0) >> _S32) + (p01 & _M32) + (p10 & _M32)
+    carry = a1 * _PCG_MULT_LO1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
+    new_lo = lo * _PCG_MULT_LO
+    new_hi = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + carry
+    out_lo = new_lo + inc_lo
+    return new_hi + inc_hi + (out_lo < new_lo), out_lo
 
 
 def _pair_osc(r_y: np.ndarray, r_z: np.ndarray, slots: np.ndarray,

@@ -29,6 +29,20 @@ def wavelet_admissibility_fft(psi: np.ndarray, sg: SignalGrid) -> float:
     return float(np.trapezoid(p / wp, wp))
 
 
+def cell_z_samples_loop(cells: np.ndarray, z_per_cell: int, seed: int) -> np.ndarray:
+    """The per-cell z-stream loop `oscillation._cell_z_samples` replays:
+    one `PCG64([seed, i])` generator per cell i of the (cells, d, 2) box
+    array, its first z_per_cell x d doubles mapped onto the box."""
+    out = np.empty((cells.shape[0], z_per_cell, cells.shape[1]))
+    for i in range(cells.shape[0]):
+        rng = np.random.default_rng(np.random.PCG64([seed, i]))
+        u = rng.random(out.shape[1:])
+        lo = cells[i, :, 0]
+        hi = cells[i, :, 1]
+        out[i] = lo + u * (hi - lo)
+    return out
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(np.random.PCG64(1234))

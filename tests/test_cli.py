@@ -178,6 +178,71 @@ class TestValidate:
         assert "unknown task" in capsys.readouterr().out
 
 
+_WAVELET_PARAMS = [{"wavelet": "mexican_hat"}, {}, {"order": 1}, {"order": 2},
+                   {"order": 4}, {"order": 8}, {"order": 12}]
+
+
+@pytest.mark.parametrize("tag", ["cwt", "inhom_wavelet"])
+@pytest.mark.parametrize("params", _WAVELET_PARAMS,
+                         ids=lambda p: "-".join(map(str, p.values())) or "default")
+@pytest.mark.parametrize("T, n", [(8.0, 64), (16.0, 64), (10.0, 512)])
+def test_wavelet_default_box_runs_or_fails_validation(tmp_path, tag, params, T, n):
+    # on its default index box every wavelet either runs, or `validate`
+    # refuses it (exit 2) with the bounds its interior box needs; none passes
+    # validation and then exits 3 from the geometry check
+    cfg = {"family": {"tag": tag, "params": params},
+           "signal_grid": {"T": T, "n": n}, "tasks": ["frame-info", "norms"],
+           "stable_cut": 1e-6}
+    path = write_config(tmp_path, cfg)
+    diags = validate_config(cfg)
+    rc = run(str(path), out_dir=str(tmp_path / "out"))
+    if diags:
+        assert rc == 2 and main(["validate", str(path)]) == 2
+        assert all(d.startswith("index box too small") and "needs more than" in d
+                   for d in diags), diags
+    else:
+        assert rc == 0
+
+
+class TestWaveletValidation:
+    def test_mexican_hat_names_the_scale_ratio_it_needs(self):
+        cfg = {"family": {"tag": "cwt", "params": {"wavelet": "mexican_hat"}},
+               "signal_grid": {"T": 16.0, "n": 64}, "tasks": ["frame-info"]}
+        diag, = validate_config(cfg)
+        assert "axis 0" in diag and "a_hi / a_lo > 2651" in diag, diag
+        # scales spanning that ratio leave the position axis to fit
+        narrow = dict(cfg, index_domain={"bounds": [[0.05, 150.0], [-12.0, 12.0]]})
+        diag, = validate_config(narrow)
+        assert "axis 1" in diag and "needs more than 31.47" in diag, diag
+        wide = dict(cfg, index_domain={"bounds": [[0.05, 150.0], [-24.0, 24.0]]})
+        assert validate_config(wide) == []
+
+    def test_shipped_default_box_validates(self):
+        cfg = json.loads((Path(cli.__file__).resolve().parents[2] / "configs" /
+                          "cwt_reproducing.json").read_text())
+        assert validate_config(cfg) == []
+
+    @pytest.mark.parametrize("tag,params,domain,needle", [
+        ("cwt", {"wavelet": "haar"}, {}, "unknown wavelet"),
+        ("cwt", {"order": 0}, {}, "family.params.order"),
+        ("inhom_wavelet", {"order": 2.5}, {}, "family.params.order"),
+        ("cwt", {"order": "6"}, {}, "family.params.order"),
+        ("cwt", {"order": True}, {}, "family.params.order"),
+        ("cwt", {}, {"bounds": [[0.0, 10.0], [-8.0, 8.0]]}, "index_domain.bounds"),
+        ("cwt", {}, {"bounds": [[0.2, 10.0]]}, "index_domain.bounds"),
+        ("inhom_wavelet", {}, {"bounds": [[0.2, 1.0], [8.0, -8.0]]},
+         "index_domain.bounds"),
+    ])
+    def test_bad_wavelet_settings_exit_2(self, tmp_path, tag, params, domain, needle):
+        cfg = {"family": {"tag": tag, "params": params},
+               "signal_grid": {"T": 16.0, "n": 64}, "index_domain": domain,
+               "tasks": ["frame-info"]}
+        assert any(needle in d for d in validate_config(cfg)), validate_config(cfg)
+        path = write_config(tmp_path, cfg)
+        assert run(str(path), out_dir=str(tmp_path / "out")) == 2
+        assert main(["validate", str(path)]) == 2
+
+
 class TestRun:
     def test_minimal_run_produces_report(self, tmp_path):
         path = write_config(tmp_path, MINIMAL)
@@ -473,5 +538,36 @@ def test_traced_harness_runs_reconstruct(tmp_path):
                                          env.get("PYTHONPATH", "")])
     proc = subprocess.run([sys.executable, "-c", _TRACED_PROBE, str(path),
                            str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+_NO_NUMPY_RANDOM_PROBE = """
+import sys
+from pathlib import Path
+import json, tempfile
+from coorbit import cli
+from workloads import operations
+(name, cfg), = operations("ladder", 0, Path(sys.argv[1]))
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "ladder.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.run(str(path), str(Path(tmp) / "out")) == 0
+    rep = json.loads((Path(tmp) / "out" / "report.json").read_text())
+assert rep["tasks"]["property-d"]["osc_report"]["banach_only"] is True
+assert "numpy.random" not in sys.modules, "property-d imported numpy.random"
+"""
+
+
+def test_property_d_does_not_import_numpy_random():
+    # the z-streams are replayed in integer arithmetic: the benchmark's
+    # ladder (property-d to the banach flag) runs without numpy.random,
+    # which would add its import time and memory to every property-d run
+    root = Path(cli.__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root / "perfbench"),
+                                         env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_RANDOM_PROBE,
+                           str(root / "configs")], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

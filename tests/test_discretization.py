@@ -298,7 +298,7 @@ class TestDualFrame:
         duals = dual_frame(op)
         dev = np.sqrt(fam.signal_grid.h * np.sum(
             np.abs(duals - op.atoms * cov.measures[None, :]) ** 2, axis=0))
-        box = fam.interior_box(grid)
+        box = fam.interior_box(grid.bounds)
         pts = grid.points[op.node_index]
         interior = np.all((pts >= box[:, 0]) & (pts <= box[:, 1]), axis=1)
         assert dev[interior].max() <= 5e-3

@@ -285,7 +285,7 @@ class TestGramKernel:
 
     def test_direct_and_pinv_agree_in_the_interior(self, gabor_small):
         fam, grid = gabor_small
-        box = fam.interior_box(grid)
+        box = fam.interior_box(grid.bounds)
         pts = np.column_stack([np.linspace(box[0, 0], box[0, 1], 5),
                                np.linspace(box[1, 0], box[1, 1], 5)])
         a = gram_kernel(fam, grid).block(pts, pts)

@@ -284,7 +284,7 @@ class TestSemieqEcho:
         g_fg = np.abs(h * (atoms_g.conj().T @ atoms_f))
         g_ef = np.abs(h * (duals_f.conj().T @ atoms_e))      # <e_y, f~_z>
         bound = (g_fg * w[None, :]) @ g_ef
-        box = fam_f.interior_box(grid)
+        box = fam_f.interior_box(grid.bounds)
         inner = np.all((grid.points >= box[:, 0]) & (grid.points <= box[:, 1]),
                        axis=1)
         violation = (g_eg - bound)[np.ix_(inner, inner)]

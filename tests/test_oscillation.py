@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from coorbit.coverings import Covering, build_covering, refine_covering
 from coorbit.frame_families import default_index_grid, gram_kernel, make_family
 import coorbit.oscillation as osc
+from conftest import cell_z_samples_loop
 from coorbit.kernel_algebra import Kernel, KernelError, _even_blocks, am_norm
 from coorbit.measure_space import (SignalGrid, build_quad_grid,
                                    polynomial_weight,
@@ -91,6 +92,46 @@ class TestOscKernel:
         norm_stream = osc_norm_streaming(R, cov, grid, m_trivial, z_per_cell=3,
                                          seed=2)
         assert norm_dense == pytest.approx(norm_stream, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def z_coverings(unit_grid_1d, gabor_small):
+    """d -> covering: 40 cells of [0, 1] at overlap 0.5, and 100 cells of a
+    Gabor box."""
+    return {1: build_covering(unit_grid_1d, 0.05, overlap_fraction=0.5),
+            2: build_covering(gabor_small[1], 1.0)}
+
+
+class TestCellZSamples:
+    @pytest.mark.parametrize("seed", [0, 37, 2024, 2 ** 32 - 1, 2 ** 32 + 5, 2 ** 70])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("z_per_cell", [1, 3, 5])
+    def test_replays_the_per_cell_generators_bit_for_bit(self, z_coverings, seed,
+                                                         d, z_per_cell):
+        cov = z_coverings[d]
+        assert cov.cells.shape[1] == d
+        assert np.array_equal(_cell_z_samples(cov, z_per_cell, seed),
+                              cell_z_samples_loop(cov.cells, z_per_cell, seed))
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 32 + 5])
+    def test_streams_are_nested(self, z_coverings, seed):
+        # a larger z_per_cell only appends samples to every cell
+        for cov in z_coverings.values():
+            five = _cell_z_samples(cov, 5, seed)
+            for z in (1, 3):
+                assert np.array_equal(_cell_z_samples(cov, z, seed), five[:, :z])
+
+    def test_samples_lie_in_their_cells(self, z_coverings):
+        for cov in z_coverings.values():
+            z = _cell_z_samples(cov, 5, 11)
+            assert np.all(z >= cov.cells[:, None, :, 0])
+            assert np.all(z <= cov.cells[:, None, :, 1])
+
+    @pytest.mark.parametrize("z_per_cell, seed", [(0, 0), (2, -1)])
+    def test_rejects_empty_streams_and_negative_seeds(self, z_coverings,
+                                                      z_per_cell, seed):
+        with pytest.raises(OscillationError):
+            _cell_z_samples(z_coverings[1], z_per_cell, seed)
 
 
 def _reference_osc_sups(R, cov, grid, m, z_per_cell, comparison, seed):
