@@ -29,8 +29,8 @@ from ._linalg import SolverError
 from .measure_space import SignalGrid, polynomial_weight, trivial_weight, \
     trivial_admissible_weight, weight_from_w
 from .frame_families import FamilyError, alpha_admissibility, default_index_grid, \
-    frame_bounds_continuous, gaussian_window, gram_kernel, leakage_report, \
-    make_battery, make_family, wavelet_index_bounds
+    export_atoms_csv, frame_bounds_continuous, gaussian_window, gram_kernel, \
+    leakage_report, make_battery, make_family, wavelet_index_bounds
 from .kernel_algebra import am_norm
 from .coverings import CoveringError, build_covering, build_pu, verify_moderate
 from .oscillation import OscillationError, property_D_check, refine_until
@@ -78,6 +78,7 @@ def validate_config(cfg: dict) -> list[str]:
         elif omega is not None and omega >= np.pi * n / (2 * T):
             diags.append(f"bandlimit {omega} at or above grid Nyquist "
                          f"{np.pi * n / (2 * T):.4f}")
+    diags += _domain_diags(fam["tag"], dom)
     if fam.get("tag") in ("cwt", "inhom_wavelet") and n_ok and T_ok:
         diags += _wavelet_box_diags(fam["tag"], params, float(T), n, dom)
     if fam.get("tag") == "alpha_mod":
@@ -104,7 +105,7 @@ def validate_config(cfg: dict) -> list[str]:
     for key, default, least in (("z_per_cell", 4, 1), ("battery_size", 5, 1),
                                 ("seed", 0, 0)):
         val = cfg.get(key, default)
-        if isinstance(val, bool) or not isinstance(val, int) or val < least:
+        if not _is_int(val, least):
             diags.append(f"{key} must be an integer >= {least}, got {val!r}")
     output = cfg.get("output", "coorbit_out")
     if not isinstance(output, str) or not output:
@@ -115,6 +116,27 @@ def validate_config(cfg: dict) -> list[str]:
     return diags
 
 
+def _domain_diags(tag: str, dom: dict) -> list[str]:
+    """Diagnostics of the `index_domain` keys that the family's grid reads
+    (a wavelet family's bounds are `_wavelet_box_diags`'); null bounds or
+    resolution read as the default."""
+    dim = 1 if tag == "sinc_rkhs" else 2
+    if tag in ("cwt", "inhom_wavelet"):
+        rules = {"band_spacing": (lambda v: _is_number(v) and 0 < v < np.inf,
+                                  "a positive number"),
+                 "scales_per_octave": (lambda v: _is_int(v, 1), "an integer >= 1")}
+    else:
+        dom = {k: v for k, v in dom.items() if v is not None}
+        rules = {"bounds": (lambda v: _is_box(v, dim),
+                            f"{dim} [lo, hi] pair(s) with lo < hi"),
+                 "resolution": (lambda v: _is_int(v, 1) or (
+                     isinstance(v, list) and len(v) == dim and
+                     all(_is_int(r, 1) for r in v)),
+                     f"an integer >= 1 or a list of {dim} such integers")}
+    return [f"index_domain.{key} must be {what}, got {dom[key]!r}"
+            for key, (ok, what) in rules.items() if key in dom and not ok(dom[key])]
+
+
 def _wavelet_box_diags(tag: str, params: dict, T: float, n: int,
                        dom: dict) -> list[str]:
     """The interior box of a wavelet family's index grid, as `run` computes
@@ -122,14 +144,10 @@ def _wavelet_box_diags(tag: str, params: dict, T: float, n: int,
     empty box is a diagnostic naming the bounds it needs.  Builds the
     family (one sample atom) but no index grid or atom matrix."""
     order = params.get("order", 6)
-    if params.get("wavelet") != "mexican_hat" and (
-            isinstance(order, bool) or not isinstance(order, int) or order < 1):
+    if params.get("wavelet") != "mexican_hat" and not _is_int(order, 1):
         return [f"family.params.order must be an integer >= 1, got {order!r}"]
     bounds = dom.get("bounds")
-    if bounds is not None and not (
-            isinstance(bounds, list) and len(bounds) == 2 and
-            all(isinstance(b, list) and len(b) == 2 and all(map(_is_number, b))
-                and b[0] < b[1] for b in bounds) and bounds[0][0] > 0):
+    if bounds is not None and not (_is_box(bounds, 2) and bounds[0][0] > 0):
         return [f"index_domain.bounds must be [[a_lo, a_hi], [b_lo, b_hi]] with "
                 f"0 < a_lo < a_hi and b_lo < b_hi, got {bounds!r}"]
     try:
@@ -156,6 +174,17 @@ def _is_number(val) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
+def _is_int(val, least: int) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool) and val >= least
+
+
+def _is_box(bounds, dim: int) -> bool:
+    """`dim` [lo, hi] pairs of finite numbers with lo < hi."""
+    return isinstance(bounds, list) and len(bounds) == dim and all(
+        isinstance(b, list) and len(b) == 2 and all(map(_is_number, b))
+        and -np.inf < b[0] < b[1] < np.inf for b in bounds)
+
+
 def _covering_diags(cfg: dict, tasks: list) -> list[str]:
     """Diagnostics of the `covering` block against the tasks that use it."""
     cc = cfg.get("covering")
@@ -177,7 +206,7 @@ def _covering_diags(cfg: dict, tasks: list) -> list[str]:
                 diags.append(f"covering.refine.target must be one of "
                              f"{', '.join(REFINE_TARGETS)}, got {refine['target']!r}")
             levels = refine.get("max_levels", 8)
-            if isinstance(levels, bool) or not isinstance(levels, int) or levels < 1:
+            if not _is_int(levels, 1):
                 diags.append(f"covering.refine.max_levels must be an integer >= 1, "
                              f"got {levels!r}")
     cell = cc.get("cell_size")
@@ -230,6 +259,7 @@ class _Context:
         self.z_per_cell = int(cfg.get("z_per_cell", 4))
         self._covering = None
         self._osc_report = None
+        self._trajectory = None
         self._uphi = None
 
     def covering(self):
@@ -255,7 +285,6 @@ class _Context:
                 self._covering = build_covering(
                     self.grid, cc.get("cell_size"),
                     overlap_fraction=float(cc.get("overlap", 0.0)))
-                self._trajectory = None
         return self._covering
 
     def uphi(self):
@@ -275,7 +304,6 @@ def task_frame_info(ctx: _Context) -> dict:
     bounds = frame_bounds_continuous(ctx.family, ctx.grid, threads=ctx.threads)
     out["frame_bounds"] = bounds.as_dict()
     out["leakage"] = leakage_report(ctx.family, ctx.grid, seed=ctx.seed)
-    from coorbit.frame_families import export_atoms_csv
     box = ctx.grid.bounds
     center = box.mean(axis=1)
     quarter = center + 0.25 * (box[:, 1] - box[:, 0])
@@ -301,7 +329,7 @@ def task_property_d(ctx: _Context) -> dict:
     rep = ctx._osc_report
     out = {"osc_report": rep.as_dict(),
            "moderation": verify_moderate(cov, ctx.m).as_dict()}
-    if getattr(ctx, "_trajectory", None):
+    if ctx._trajectory:
         rows = [(s.level, s.cells, s.report.delta_est, s.report.sigma,
                  s.report.cond_value) for s in ctx._trajectory]
         out["refinement"] = {"passing_level": rows[-1][0],

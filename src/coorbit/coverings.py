@@ -6,10 +6,11 @@ quadrature grid, overlap structure, moderation constants and partitions of
 unity.  Neighbor sets use open-interior intersection: cells that share only
 a boundary facet do not count as overlapping, so an exact partition has
 N = 1 and i* = {i}.  Membership and neighbor sets come from two-axis sweeps
-with array code.  The sampled node of a cell is its member nearest to the
-cell's sample point, the lowest node index among equal distances: the
-theorems allow any point x_i in U_i, and this rule fixes one that depends
-on the covering alone.
+with array code and are kept in that one format, a `FlatLayout` each (one
+index array in cell order plus per-cell counts).  The sampled node of a
+cell is its member nearest to the cell's sample point, the lowest node
+index among equal distances: the theorems allow any point x_i in U_i, and
+this rule fixes one that depends on the covering alone.
 """
 from __future__ import annotations
 
@@ -41,12 +42,6 @@ class FlatLayout:
 
     flat: np.ndarray
     counts: np.ndarray
-
-    @classmethod
-    def of(cls, lists: list) -> "FlatLayout":
-        counts = np.array([idx.size for idx in lists], dtype=np.intp)
-        flat = np.concatenate(lists) if lists else np.zeros(0, dtype=np.intp)
-        return cls(flat=flat, counts=counts)
 
     @cached_property
     def starts(self) -> np.ndarray:
@@ -95,9 +90,9 @@ class Covering:
     cells: np.ndarray
     sample_points: np.ndarray
     grid: QuadGrid
-    members: list                  # node-index array per cell
+    members: FlatLayout            # member nodes of each cell, ascending
     measures: np.ndarray           # a_i, by quadrature
-    neighbors: list                # i* as index arrays (open-interior overlap)
+    neighbors: FlatLayout          # i* (open-interior overlap), ascending
     overlap_count: int             # N
     min_measure: float             # D
     measure_ratio: float           # C~ over neighboring cells
@@ -108,26 +103,16 @@ class Covering:
         return self.cells.shape[0]
 
     @cached_property
-    def member_layout(self) -> FlatLayout:
-        """The member lists as one `FlatLayout`, built once per covering."""
-        return FlatLayout.of(self.members)
-
-    @cached_property
-    def neighbor_layout(self) -> FlatLayout:
-        """The neighbor sets i* as one `FlatLayout`."""
-        return FlatLayout.of(self.neighbors)
-
-    @cached_property
     def sample_node_index(self) -> np.ndarray:
         """The member of each cell nearest to its sample point.
 
         Distance is the float64 sum((p - s)**2) over the axes; among equal
-        distances the lowest node index wins.  One pass over the
-        concatenated member lists: the per-cell minimum by reduceat, then
-        the first member at it, which is the lowest index since members are
-        ascending.  The node lies in its cell by construction.
+        distances the lowest node index wins.  One pass over the flat member
+        layout: the per-cell minimum by reduceat, then the first member at
+        it, which is the lowest index since members are ascending.  The node
+        lies in its cell by construction.
         """
-        lay = self.member_layout
+        lay = self.members
         if np.any(lay.counts == 0):
             raise CoveringError(
                 f"cell {int(np.argmin(lay.counts))} has no member node to sample")
@@ -141,7 +126,7 @@ class Covering:
         """Inverse membership as an (M, K) table: row y lists the cells that
         hold node y, ascending, padded by repeating its last cell; the row
         of a node that no cell holds is -1."""
-        lay = self.member_layout
+        lay = self.members
         order = np.argsort(lay.flat, kind="stable")     # cells stay ascending
         cells = lay.owner[order]
         count = np.bincount(lay.flat, minlength=self.grid.size)[:, None]
@@ -256,7 +241,7 @@ def _split_pairs(hits: list, n_queries: int, n_items: int) -> FlatLayout:
                       counts=np.bincount(key // n_items, minlength=n_queries))
 
 
-def _open_overlap(cells: np.ndarray) -> list:
+def _open_overlap(cells: np.ndarray) -> FlatLayout:
     """i* for every cell: open-interior overlap, or coincident sheet axes.
 
     Candidates come from a two-axis sweep over the cells' hulls
@@ -297,8 +282,7 @@ def _open_overlap(cells: np.ndarray) -> list:
         same = (np.abs(lo_c - lo_i) < 1e-12) & (np.abs(hi_c - hi_i) < 1e-12)
         ok = np.all(np.where(hi_i <= lo_i, same, ov), axis=1)
         hits.append(i[ok] * n + j[ok])
-    lay = _split_pairs(hits, n, n)
-    return lay.split(lay.flat)
+    return _split_pairs(hits, n, n)
 
 
 def _members(cells: np.ndarray, points: np.ndarray) -> FlatLayout:
@@ -422,32 +406,27 @@ def _covering_from_cells(cells, grid, descriptor):
     dense all-pairs results.  Sample points are the arithmetic midpoints of
     the cell intervals on every axis, log-spaced scale axes included.
     """
-    layout = _members(cells, grid.points)
-    measures = layout.sums(grid.weights[layout.flat])
+    members = _members(cells, grid.points)
+    measures = members.sums(grid.weights[members.flat])
     empty = np.flatnonzero(measures <= 0.0)
     if empty.size:
         raise CoveringError(
             f"{empty.size} cells capture no quadrature node (first: cell {empty[0]}); "
             "cell size is below the grid resolution")
     inside = np.zeros(grid.size, dtype=bool)
-    inside[layout.flat] = True
+    inside[members.flat] = True
     if not inside.all():
         raise CoveringError(
             f"{int((~inside).sum())} grid nodes lie outside every cell")
 
     pts = 0.5 * (cells[:, :, 0] + cells[:, :, 1])
-    neighbors = _open_overlap(cells)
-    nb = FlatLayout.of(neighbors)
+    nb = _open_overlap(cells)
     ratio = max(1.0, float(np.max(measures[nb.owner] / measures[nb.flat])))
-    cov = Covering(
-        cells=cells, sample_points=pts, grid=grid,
-        members=layout.split(layout.flat),
-        measures=measures, neighbors=neighbors,
+    return Covering(
+        cells=cells, sample_points=pts, grid=grid, members=members,
+        measures=measures, neighbors=nb,
         overlap_count=int(nb.counts.max()), min_measure=float(measures.min()),
         measure_ratio=ratio, descriptor=descriptor)
-    # the layouts built here are the covering's cached ones
-    cov.__dict__.update(member_layout=layout, neighbor_layout=nb)
-    return cov
 
 
 def refine_covering(cov: Covering) -> Covering:
@@ -500,7 +479,7 @@ def weight_sup_on_cells(cov: Covering, m: AdmissibleWeight) -> float:
         return 1.0
     out = 1.0
     pts = cov.grid.points
-    for i, idx in enumerate(cov.members):
+    for i, idx in enumerate(cov.members.split(cov.members.flat)):
         sub = np.concatenate([pts[idx], cov.sample_points[i:i + 1]])
         out = max(out, float(np.max(m(sub, sub))))
     return out
@@ -510,7 +489,7 @@ def verify_moderate(cov: Covering, m: AdmissibleWeight) -> ModerationReport:
     """Admissibility and moderation of the covering; neighboring measures
     count as comparable below `RATIO_CAP`."""
     covered = np.zeros(cov.grid.size, dtype=bool)
-    covered[cov.member_layout.flat] = True
+    covered[cov.members.flat] = True
     return ModerationReport(
         covers_domain=bool(covered.all()),
         finite_overlap=bool(np.isfinite(cov.overlap_count)),
@@ -528,15 +507,15 @@ def verify_moderate(cov: Covering, m: AdmissibleWeight) -> ModerationReport:
 @dataclass
 class PartitionOfUnity:
     covering: Covering
-    values: list                 # per cell, phi_i at its member nodes
+    values: np.ndarray           # phi_i at its member nodes, aligned with
+                                 # covering.members.flat
     masses: np.ndarray           # c_i = integral of phi_i
 
     def sum_at_nodes(self) -> np.ndarray:
         # bincount adds in input order: every node sums its cells' values in
         # cell order, starting from 0
         cov = self.covering
-        return np.bincount(cov.member_layout.flat,
-                           weights=np.concatenate(self.values),
+        return np.bincount(cov.members.flat, weights=self.values,
                            minlength=cov.grid.size)
 
 
@@ -550,7 +529,7 @@ def build_pu(cov: Covering, flavor: str = "indicator") -> PartitionOfUnity:
     cell order (bincount), as a per-cell loop adds them.
     """
     grid = cov.grid
-    lay = cov.member_layout
+    lay = cov.members
     if flavor == "indicator":
         count = np.bincount(lay.flat, minlength=grid.size).astype(float)
         if np.any(count == 0):
@@ -572,7 +551,7 @@ def build_pu(cov: Covering, flavor: str = "indicator") -> PartitionOfUnity:
     else:
         raise CoveringError(f"unknown PU flavor {flavor!r}")
     masses = lay.sums(grid.weights[lay.flat] * vals)
-    return PartitionOfUnity(covering=cov, values=lay.split(vals), masses=masses)
+    return PartitionOfUnity(covering=cov, values=vals, masses=masses)
 
 
 def q_set(cov: Covering, y) -> np.ndarray:
@@ -610,11 +589,10 @@ def m_equivalent(cov_a: Covering, cov_b: Covering,
     ratios = cov_b.measures / cov_a.measures
     c1, c2 = float(np.min(ratios)), float(np.max(ratios))
     c_prime = 1.0
-    pts = cov_a.grid.points
-    pts_b = cov_b.grid.points
-    for i in range(cov_a.size):
-        xa = pts[cov_a.members[i]]
-        yb = pts_b[cov_b.members[i]]
+    lay_a, lay_b = cov_a.members, cov_b.members
+    for idx_a, idx_b in zip(lay_a.split(lay_a.flat), lay_b.split(lay_b.flat)):
+        xa = cov_a.grid.points[idx_a]
+        yb = cov_b.grid.points[idx_b]
         if xa.size and yb.size:
             c_prime = max(c_prime, float(np.max(m(xa, yb))))
     return EquivalenceReport(c1=c1, c2=c2, c_prime=c_prime,

@@ -88,8 +88,10 @@ class UPhiOperator:
         return self.from_samples(F[self.node_index])
 
     def project(self, F: np.ndarray) -> np.ndarray:
-        """Orthogonal projection onto ran V, realized as the Gramian action."""
-        return self.calc.gramian_apply(F, self.rel_cut)
+        """Orthogonal projection onto ran V, realized as the Gramian action
+        h C^H C (w F)."""
+        h = self.calc.family.signal_grid.h
+        return h * (self._u() @ self.calc.half_synthesize(F, self.rel_cut))
 
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:

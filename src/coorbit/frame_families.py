@@ -361,11 +361,6 @@ class FrameCalculus:
         w = self.grid.weights
         return self.half_factor(rel_cut) @ (w[:, None] * F if F.ndim > 1 else w * F)
 
-    def gramian_apply(self, F: np.ndarray, rel_cut: float = 1e-10) -> np.ndarray:
-        """R(F) = h * C^H C (w F) at every grid node."""
-        h = self.family.signal_grid.h
-        return h * (self.u_factor(rel_cut) @ self.half_synthesize(F, rel_cut))
-
 
 def _mirror_closed(grid: QuadGrid, sigma: np.ndarray) -> bool:
     """Whether x -> sigma x maps the grid's points onto themselves with
@@ -778,33 +773,22 @@ def frame_operator_apply(family: FrameFamily, f: np.ndarray, x_grid: QuadGrid) -
     return family.calculus(x_grid).frame_apply(np.asarray(f))
 
 
-def gram_kernel(family: FrameFamily, x_grid: QuadGrid, rel_cut: float = 1e-10,
-                mode: str = "pinv") -> Kernel:
+def gram_kernel(family: FrameFamily, x_grid: QuadGrid,
+                rel_cut: float = 1e-10) -> Kernel:
     """Gramian R(x,y) = <psi_y, S^+ psi_x> of the frame w.r.t. its dual.
 
-    mode "pinv" (default) applies the spectral pseudo-inverse of the
-    quadrature frame operator; this keeps R exactly self-adjoint and exactly
-    idempotent under composition, also at truncation.  mode "direct" returns
-    the plain crossed Gramian <psi_y, psi_x> (the continuum R of a tight
-    family); it matches "pinv" away from the truncation boundary.  Both are
-    Hermitian by construction.  "pinv" evaluates grid nodes from its node
-    factors (u_factor, C, h): h * u_factor[rows] @ C[:, cols], slices of
-    the cached half factor, without synthesizing their atoms again; its
-    column factor at other points is half_map @ atoms(points).
+    Applies the spectral pseudo-inverse of the quadrature frame operator;
+    this keeps R exactly self-adjoint and exactly idempotent under
+    composition, also at truncation, and Hermitian by construction.  (The
+    plain crossed Gramian <psi_y, psi_x>, the continuum R of a tight family,
+    is `localization.cross_gramian`; it matches R away from the truncation
+    boundary.)  Grid nodes are evaluated from the node factors
+    (u_factor, C, h): h * u_factor[rows] @ C[:, cols], slices of the cached
+    half factor, without synthesizing their atoms again; the column factor
+    at other points is half_map @ atoms(points).
     """
     calc = family.calculus(x_grid)
     h = family.signal_grid.h
-
-    if mode == "direct":
-        def ev(pr, pc):
-            return h * (family.atoms(pr).conj().T @ family.atoms(pc))
-
-        def fast(F, grid):
-            return h * (calc.atom_matrix.conj().T @ calc.synthesize(F))
-        return Kernel(evaluator=ev, provenance="gramian-direct",
-                      native_grid=x_grid, fast_apply=fast, hermitian=True)
-    if mode != "pinv":
-        raise FamilyError(f"unknown gram_kernel mode {mode!r}")
 
     def col_factor(points):
         return _map_atoms(calc.half_map(rel_cut), family.atoms(points))
@@ -819,11 +803,8 @@ def gram_kernel(family: FrameFamily, x_grid: QuadGrid, rel_cut: float = 1e-10,
     def factors():
         return calc.u_factor(rel_cut), calc.half_factor(rel_cut), h
 
-    def fast(F, grid):
-        return calc.gramian_apply(F, rel_cut)
-
     return Kernel(evaluator=ev, provenance="gramian", native_grid=x_grid,
-                  fast_apply=fast, context={"calc": calc, "rel_cut": rel_cut},
+                  context={"calc": calc, "rel_cut": rel_cut},
                   node_factors=factors, col_factor=col_factor, hermitian=True)
 
 

@@ -58,7 +58,6 @@ class Kernel:
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     provenance: str = "custom"
     native_grid: Optional[QuadGrid] = None
-    fast_apply: Optional[Callable[[np.ndarray, QuadGrid], np.ndarray]] = None
     context: dict = field(default_factory=dict, repr=False)
     node_factors: Optional[Callable[[], tuple]] = field(default=None, repr=False)
     col_factor: Optional[Callable[[np.ndarray], np.ndarray]] = field(
@@ -197,17 +196,17 @@ def _on_pool(blocks: list, threads: int, make, work, fold=None) -> None:
 
 
 def am_norm(kern: Kernel, m: AdmissibleWeight, grid: QuadGrid,
-            row_block: int = _ROW_BLOCK, threads: int = 1) -> KernelNormReport:
+            threads: int = 1) -> KernelNormReport:
     """Weighted algebra norm: max of the two sup-integrals of |K| m.
 
     The essential sup is realized as the max over grid nodes; integrals use
-    the grid quadrature.  Streaming over row blocks of grid nodes keeps
-    memory at O(block * M).  For a kernel that is Hermitian by construction
-    |K| m is symmetric (every AdmissibleWeight is), so its row and column
-    sums agree: each row block then evaluates only its columns from the
-    block's first row on, adds its row sums to its rows and the column sums
-    of its part right of the diagonal block to those columns, and
-    row_sup = col_sup.  Other kernels take the full two-sided pass.
+    the grid quadrature.  Streaming over row blocks of `_ROW_BLOCK` grid
+    nodes keeps memory at O(block * M).  For a kernel that is Hermitian by
+    construction |K| m is symmetric (every AdmissibleWeight is), so its row
+    and column sums agree: each row block then evaluates only its columns
+    from the block's first row on, adds its row sums to its rows and the
+    column sums of its part right of the diagonal block to those columns,
+    and row_sup = col_sup.  Other kernels take the full two-sided pass.
 
     A kernel with node factors K = s U V on this grid runs its row blocks
     on `threads` (`_on_pool`); the caller resolves the factors first and
@@ -226,6 +225,7 @@ def am_norm(kern: Kernel, m: AdmissibleWeight, grid: QuadGrid,
         raise KernelError(f"threads must be >= 1, got {threads}")
     pts, w = grid.points, grid.weights
     M = grid.size
+    row_block = _ROW_BLOCK
     herm = kern.hermitian
     factors = kern.node_factors() \
         if kern.node_factors is not None and grid is kern.native_grid else None
@@ -321,13 +321,15 @@ def involution(kern: Kernel) -> Kernel:
 
 
 def apply_kernel(kern: Kernel, values: np.ndarray, grid: QuadGrid) -> np.ndarray:
-    """K(F)(x) = integral F(y) K(x,y) dmu(y) at every grid node."""
+    """K(F)(x) = integral F(y) K(x,y) dmu(y) at every grid node; on its
+    native grid a kernel with node factors applies s U (V (w F))."""
     values = np.asarray(values)
     if values.shape[0] != grid.size:
         raise GridError("apply_kernel: value list length != grid size")
-    if kern.fast_apply is not None and kern.native_grid is grid:
-        return kern.fast_apply(values, grid)
     weighted = grid.weights * values
+    if kern.node_factors is not None and kern.native_grid is grid:
+        u, v, s = kern.node_factors()
+        return s * (u @ (v @ weighted))
     out = np.empty(grid.size, dtype=complex)
     pts = grid.points
     for start in range(0, grid.size, _ROW_BLOCK):

@@ -134,14 +134,13 @@ def a_flat_norm(gram: CrossGramian, cov: Covering,
 def gab_domination_check(frame_f: FrameFamily, frame_g: FrameFamily,
                          cov: Covering, grid: QuadGrid,
                          z_per_cell: int = 4, seed: int = 0,
-                         rel_cut: float = 1e-10, drop_osc: bool = False) -> float:
+                         rel_cut: float = 1e-10) -> float:
     """Brute-force check of the blockwise-constant domination bound.
 
     Left side: the cellwise-constant extension of |G(F,G)(x_i, y_j)|.
     Right side: H^G o |G| o (H^F)* with (H^G)* = T_G o L, (H^F)* = T_F o L,
     T = osc_U + |R| and L the overlap-normalized covering kernel.
-    Returns max(left - right, 0) over all node pairs.  `drop_osc` removes
-    the oscillation term (for counterexample tests).
+    Returns max(left - right, 0) over all node pairs.
     """
     from .oscillation import osc_matrix
 
@@ -156,15 +155,15 @@ def gab_domination_check(frame_f: FrameFamily, frame_g: FrameFamily,
 
     # membership matrix C[i, node] and the covering kernel L = C^T diag(1/a) C
     C = np.zeros((cov.size, M))
-    C[cov.member_layout.owner, cov.member_layout.flat] = 1.0
+    C[cov.members.owner, cov.members.flat] = 1.0
     left = C.T @ np.abs(gram.matrix) @ C
 
     kern_f = gram_kernel(frame_f, grid, rel_cut=rel_cut)
     kern_g = gram_kernel(frame_g, grid, rel_cut=rel_cut)
     osc_f = osc_matrix(kern_f, cov, grid, z_per_cell=z_per_cell, seed=seed)
     osc_g = osc_matrix(kern_g, cov, grid, z_per_cell=z_per_cell, seed=seed)
-    t_f = np.abs(kern_f.matrix(grid)) + (0.0 if drop_osc else 1.0) * osc_f
-    t_g = np.abs(kern_g.matrix(grid)) + (0.0 if drop_osc else 1.0) * osc_g
+    t_f = np.abs(kern_f.matrix(grid)) + osc_f
+    t_g = np.abs(kern_g.matrix(grid)) + osc_g
 
     L = C.T @ (C / cov.measures[:, None])
     # compositions with quadrature weights folded in

@@ -37,7 +37,7 @@ def _assemble(lam: np.ndarray, cov: Covering, scale: np.ndarray) -> np.ndarray:
         raise SequenceError(f"sequence length {lam.shape[0]} != cell count {cov.size}")
     # bincount adds in input order, so every node sums the amplitudes of its
     # cells in cell order, starting from 0
-    lay = cov.member_layout
+    lay = cov.members
     amp = np.repeat(np.abs(lam) * scale, lay.counts)
     return np.bincount(lay.flat, weights=amp, minlength=cov.grid.size)
 
@@ -60,7 +60,7 @@ def natural_norm(lam: np.ndarray, spec: SeqSpaceSpec) -> float:
 
 def cell_weight_sups(cov: Covering, w: WeightOnX) -> np.ndarray:
     """w~(i) = sup of w over the cell's quadrature nodes."""
-    lay = cov.member_layout
+    lay = cov.members
     if np.any(lay.counts == 0):
         raise SequenceError(f"cell {int(np.argmin(lay.counts))} holds no node")
     return np.maximum.reduceat(w(cov.grid.points)[lay.flat], lay.starts)
@@ -98,7 +98,7 @@ def plus_operator(lam: np.ndarray, cov: Covering) -> np.ndarray:
     lam = np.asarray(lam)
     if lam.shape[0] != cov.size:
         raise SequenceError("sequence length != cell count")
-    nb = cov.neighbor_layout
+    nb = cov.neighbors
     out = nb.sums(lam[nb.flat])
     lone = nb.counts == 0
     out[lone] = lam[lone]
@@ -128,4 +128,4 @@ def decomposition_norm(values: np.ndarray, spec: SeqSpaceSpec) -> float:
     if values.shape[0] != cov.grid.size:
         raise SequenceError("value list length != grid size")
     amp = np.abs(values) * cov.grid.weights
-    return natural_norm(cov.member_layout.sums(amp[cov.member_layout.flat]), spec)
+    return natural_norm(cov.members.sums(amp[cov.members.flat]), spec)

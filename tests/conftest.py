@@ -6,6 +6,7 @@ session-scoped so the acceptance tests and module tests share one build.
 import numpy as np
 import pytest
 
+from coorbit.coverings import FlatLayout
 from coorbit.measure_space import SignalGrid, build_quad_grid, \
     trivial_admissible_weight
 from coorbit.frame_families import default_index_grid, make_family
@@ -27,6 +28,25 @@ def wavelet_admissibility_fft(psi: np.ndarray, sg: SignalGrid) -> float:
     wp = w[pos][order]
     p = np.abs(spec[pos][order]) ** 2
     return float(np.trapezoid(p / wp, wp))
+
+
+def cell_lists(lay: FlatLayout) -> list:
+    """Per-cell index arrays of a `FlatLayout`, for per-cell reference loops."""
+    return lay.split(lay.flat)
+
+
+def reindexed(lay: FlatLayout, cells) -> FlatLayout:
+    """The layout whose cell k holds the indices of cell cells[k] of `lay`."""
+    lists = cell_lists(lay)
+    return FlatLayout(flat=np.concatenate([lists[i] for i in cells]),
+                      counts=lay.counts[cells])
+
+
+def emptied(lay: FlatLayout, cells) -> FlatLayout:
+    """`lay` with the given cells holding no index."""
+    drop = np.isin(np.arange(lay.counts.size), cells)
+    return FlatLayout(flat=lay.flat[~drop[lay.owner]],
+                      counts=np.where(drop, 0, lay.counts))
 
 
 def cell_z_samples_loop(cells: np.ndarray, z_per_cell: int, seed: int) -> np.ndarray:

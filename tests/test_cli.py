@@ -27,6 +27,18 @@ MINIMAL = {
 }
 
 
+def _on_family(tag):
+    """MINIMAL on another family, with a signal grid whose default wavelet
+    box validates."""
+    if tag == "gabor":
+        return MINIMAL
+    cfg = dict(MINIMAL, family={"tag": tag, "params": {}})
+    if tag in ("cwt", "inhom_wavelet"):
+        cfg.update(signal_grid={"T": 16.0, "n": 64})
+        del cfg["index_domain"]
+    return cfg
+
+
 class TestValidate:
     def test_valid_config_has_no_diagnostics(self):
         assert validate_config(MINIMAL) == []
@@ -52,7 +64,7 @@ class TestValidate:
         cfg = dict(MINIMAL, signal_grid={"T": 8.0, "n": 100})
         assert any("power of two" in d for d in validate_config(cfg))
 
-    @pytest.mark.parametrize("key,value", [
+    @pytest.mark.parametrize("tag,key,value", [("gabor", k, v) for k, v in [
         ("battery_size", 0), ("battery_size", -2), ("battery_size", 2.5),
         ("battery_size", "3"), ("battery_size", True),
         ("stable_cut", -1e-3), ("stable_cut", 1.0), ("stable_cut", "0.2"),
@@ -69,25 +81,52 @@ class TestValidate:
         ("family", {"tag": "gabor", "params": "x"}),
         ("family", {"tag": "sinc_rkhs", "params": [2.0]}),
         ("seed", "abc"), ("seed", [1]), ("seed", -1), ("seed", 1.5),
-        ("seed", True), ("output", 5), ("output", ["out"]), ("output", "")])
-    def test_out_of_range_setting_exits_2(self, tmp_path, key, value):
-        cfg = dict(MINIMAL, tasks=["discretize", "reconstruct"],
+        ("seed", True), ("output", 5), ("output", ["out"]), ("output", "")]] + [
+        # the index_domain keys each family's grid reads
+        ("gabor", "index_domain", {"resolution": [[1], [2]]}),
+        ("gabor", "index_domain", {"resolution": [0, 8]}),
+        ("gabor", "index_domain", {"resolution": [[1]]}),
+        ("gabor", "index_domain", {"resolution": "ab"}),
+        ("gabor", "index_domain", {"resolution": 2.0}),
+        ("gabor", "index_domain", {"bounds": [[1, 0], [0, 1]]}),
+        ("gabor", "index_domain", {"bounds": [[-4, 4]]}),
+        ("alpha_mod", "index_domain", {"bounds": [[-4, 4], [-4, "4"]]}),
+        ("sinc_rkhs", "index_domain", {"resolution": [0]}),
+        ("sinc_rkhs", "index_domain", {"bounds": [[-4, 4], [-4, 4]]}),
+        ("cwt", "index_domain", {"band_spacing": "x"}),
+        ("cwt", "index_domain", {"band_spacing": -1}),
+        ("inhom_wavelet", "index_domain", {"band_spacing": 0}),
+        ("cwt", "index_domain", {"scales_per_octave": 0}),
+        ("cwt", "index_domain", {"scales_per_octave": 1.5})])
+    def test_out_of_range_setting_exits_2(self, tmp_path, tag, key, value):
+        cfg = dict(_on_family(tag), tasks=["discretize", "reconstruct"],
                    covering={"cell_size": 0.5}, **{key: value})
-        assert any(key in d for d in validate_config(cfg))
+        assert any(key in d for d in validate_config(cfg)), validate_config(cfg)
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         assert run(str(path), out_dir=str(out)) == 2
         assert not (out / "report.json").exists()
         assert main(["validate", str(path)]) == 2
 
-    @pytest.mark.parametrize("key,value", [
+    @pytest.mark.parametrize("tag,key,value", [("gabor", k, v) for k, v in [
         ("battery_size", 1), ("stable_cut", 0), ("stable_cut", 0.5),
         ("z_per_cell", 1), ("pu_flavor", "tent"),
         ("signal_grid", {"T": 8, "n": 64}),
         ("weight", {"type": "polynomial", "s": 2}),
-        ("seed", 0), ("seed", 2 ** 40), ("output", "results")])
-    def test_in_range_setting(self, key, value):
-        assert validate_config(dict(MINIMAL, **{key: value})) == []
+        ("seed", 0), ("seed", 2 ** 40), ("output", "results")]] + [
+        ("gabor", "index_domain", {"resolution": 1}),
+        ("gabor", "index_domain", {"resolution": [1, 1]}),
+        ("gabor", "index_domain", {"bounds": [[-1, 1.5], [0, 1e-3]]}),
+        ("alpha_mod", "index_domain", {"bounds": [[-4, 4], [-4, 4]],
+                                       "resolution": [8, 16]}),
+        ("sinc_rkhs", "index_domain", {"resolution": [1]}),
+        ("sinc_rkhs", "index_domain", {"bounds": [[-8, 8]], "resolution": 16}),
+        ("cwt", "index_domain", {"band_spacing": 1e-3}),
+        ("cwt", "index_domain", {"scales_per_octave": 1}),
+        ("inhom_wavelet", "index_domain", {"band_spacing": 2,
+                                           "scales_per_octave": 24})])
+    def test_in_range_setting(self, tag, key, value):
+        assert validate_config(dict(_on_family(tag), **{key: value})) == []
 
     @pytest.mark.parametrize("tag,tasks,covering,needle", [
         ("gabor", ["discretize"], None, "requires a 'covering' block"),
@@ -146,7 +185,8 @@ class TestValidate:
     def test_good_covering_block(self, tag, tasks, covering):
         cfg = dict(MINIMAL, tasks=tasks, family={"tag": tag, "params": {}})
         if tag == "sinc_rkhs":
-            cfg.update(signal_grid={"T": 10.0, "n": 512})
+            cfg.update(signal_grid={"T": 10.0, "n": 512},
+                       index_domain={"resolution": [100]})
         if covering is not None:
             cfg["covering"] = covering
         assert validate_config(cfg) == []

@@ -18,6 +18,7 @@ from coorbit.frame_families import default_index_grid, make_family
 from coorbit.measure_space import (AdmissibleWeight, QuadGrid, SignalGrid,
                                    build_quad_grid, polynomial_weight,
                                    trivial_admissible_weight, weight_from_w)
+from conftest import cell_lists, emptied, reindexed
 
 
 @pytest.fixture(scope="module")
@@ -30,12 +31,12 @@ class TestBuildCovering:
         cov = build_covering(line_grid, 0.5)
         assert cov.size == 8
         assert cov.overlap_count == 1
-        assert all(len(nb) == 1 for nb in cov.neighbors)
+        assert np.all(cov.neighbors.counts == 1)
 
     def test_half_overlap_has_three_neighbors(self, line_grid):
         cov = build_covering(line_grid, 0.5, overlap_fraction=0.5)
-        inner = [len(cov.neighbors[i]) for i in range(2, cov.size - 2)]
-        assert max(inner) == 3
+        inner = cov.neighbors.counts[2:cov.size - 2]
+        assert inner.max() == 3
         assert cov.overlap_count == 3
 
     def test_uniform_lattice_measure_ratio_one(self, line_grid):
@@ -50,8 +51,7 @@ class TestBuildCovering:
     def test_every_node_covered(self, line_grid):
         cov = build_covering(line_grid, 0.5, overlap_fraction=0.3)
         covered = np.zeros(line_grid.size, dtype=bool)
-        for idx in cov.members:
-            covered[idx] = True
+        covered[cov.members.flat] = True
         assert covered.all()
 
     def test_overlap_fraction_range(self, line_grid):
@@ -71,7 +71,7 @@ class TestBuildCovering:
         assert np.all(cov.sample_points[:, 0] >= cov.cells[:, 0, 0])
         assert np.all(cov.sample_points[:, 0] <= cov.cells[:, 0, 1])
         idx = cov.sample_node_index
-        assert all(idx[i] in cov.members[i] for i in range(cov.size))
+        assert all(i in members for i, members in zip(idx, cell_lists(cov.members)))
 
     def test_refine_halves_cells(self, line_grid):
         cov = build_covering(line_grid, 0.5)
@@ -117,12 +117,41 @@ class TestVerifyModerate:
         assert not rep.moderate
 
 
+def _weight_sups_dense(cov_a, cov_b, m):
+    """Reference C_{m,U} of cov_a and C' of (cov_a, cov_b): per-cell loops
+    over the dense closed-box members."""
+    pts = cov_a.grid.points
+    mem_a = _dense_contains(cov_a.cells, pts)
+    mem_b = _dense_contains(cov_b.cells, pts)
+    c_m_u = c_prime = 1.0
+    for i in range(cov_a.size):
+        sub = np.concatenate([pts[mem_a[i]], cov_a.sample_points[i:i + 1]])
+        c_m_u = max(c_m_u, float(np.max(m(sub, sub))))
+        c_prime = max(c_prime, float(np.max(m(pts[mem_a[i]], pts[mem_b[i]]))))
+    return c_m_u, c_prime
+
+
+def test_weight_sups_match_dense_cell_loops(uneven_covering):
+    # a non-trivial weight, on nodes held by several cells: the loops over
+    # the layout's per-cell views give the bits of the dense loops
+    _, cov = uneven_covering
+    m = weight_from_w(polynomial_weight(1.0))
+    part = build_covering(cov.grid, cov.descriptor["cell_size"], 0.0)
+    assert part.size == cov.size and cov.overlap_count > part.overlap_count
+    for cov_a, cov_b in ((cov, part), (part, cov), (cov, cov)):
+        c_m_u, c_prime = _weight_sups_dense(cov_a, cov_b, m)
+        assert c_m_u > 1.0 and c_prime > 1.0
+        assert weight_sup_on_cells(cov_a, m) == c_m_u
+        assert verify_moderate(cov_a, m).c_m_u == c_m_u
+        assert m_equivalent(cov_a, cov_b, m).c_prime == c_prime
+
+
 class TestPartitionOfUnity:
     def test_indicator_on_partition_is_characteristic(self, line_grid):
         cov = build_covering(line_grid, 0.5)
         pu = build_pu(cov)
-        for val, idx in zip(pu.values, cov.members):
-            assert np.all(val == 1.0)
+        assert pu.values.size == line_grid.size
+        assert np.all(pu.values == 1.0)
         assert np.allclose(pu.masses, cov.measures, atol=1e-12)
 
     @pytest.mark.parametrize("flavor", ["indicator", "tent"])
@@ -156,7 +185,7 @@ def _tent_per_cell(cov):
     totals added cell by cell, then renormalized."""
     pts, raw = cov.grid.points, []
     total = np.zeros(cov.grid.size)
-    for i, idx in enumerate(cov.members):
+    for i, idx in enumerate(cell_lists(cov.members)):
         t = np.ones(idx.size)
         for k in range(cov.grid.dim):
             lo, hi = cov.cells[i, k]
@@ -166,7 +195,7 @@ def _tent_per_cell(cov):
             t = t * np.maximum(1e-9, 1.0 - np.abs(pts[idx, k] - mid) / (half + 1e-300))
         raw.append(t)
         total[idx] += t
-    return [t / total[idx] for t, idx in zip(raw, cov.members)]
+    return [t / total[idx] for t, idx in zip(raw, cell_lists(cov.members))]
 
 
 def test_tent_matches_per_cell_loop(uneven_covering):
@@ -176,10 +205,7 @@ def test_tent_matches_per_cell_loop(uneven_covering):
     if case == "banded":
         assert np.any(cov.cells[:, 0, 1] <= cov.cells[:, 0, 0])
     pu = build_pu(cov, "tent")
-    ref = _tent_per_cell(cov)
-    assert len(pu.values) == len(ref)
-    for got, want in zip(pu.values, ref):
-        assert got.tobytes() == want.tobytes()
+    assert pu.values.tobytes() == np.concatenate(_tent_per_cell(cov)).tobytes()
 
 
 class TestQSet:
@@ -228,7 +254,8 @@ class TestMEquivalent:
             cov_b = Covering(
                 cells=cov_a.cells[::-1].copy(),
                 sample_points=cov_a.sample_points[::-1].copy(), grid=grid,
-                members=cov_a.members[::-1], measures=cov_a.measures[::-1].copy(),
+                members=reindexed(cov_a.members, [1, 0]),
+                measures=cov_a.measures[::-1].copy(),
                 neighbors=cov_a.neighbors,
                 overlap_count=cov_a.overlap_count,
                 min_measure=cov_a.min_measure, measure_ratio=cov_a.measure_ratio)
@@ -254,7 +281,7 @@ cov, rep, traj = refine_until(fam, [[-4.0, 4.0], [-4.0, 4.0]],
                               initial_cell=0.9, z_per_cell=3, rel_cut=0.2)
 assert rep.banach_only and len(traj) > 1
 idx = cov.sample_node_index
-for i, members in enumerate(cov.members):
+for i, members in enumerate(cov.members.split(cov.members.flat)):
     d = np.sum((cov.grid.points[members] - cov.sample_points[i]) ** 2, axis=1)
     assert idx[i] == members[d == d.min()].min()
 assert "scipy.spatial" not in sys.modules, "property-d imported scipy.spatial"
@@ -346,8 +373,7 @@ def _dense_sample_nodes(cov):
     sample point, and the lowest node index at the minimum."""
     pts = cov.grid.points
     idx = np.empty(cov.size, dtype=int)
-    for i in range(cov.size):
-        members = cov.members[i]
+    for i, members in enumerate(cell_lists(cov.members)):
         d = np.sum((pts[members] - cov.sample_points[i]) ** 2, axis=1)
         idx[i] = np.min(members[d == np.min(d)])
     return idx
@@ -365,14 +391,14 @@ def _random_samples(cov, seed=0):
 def _assert_matches_dense(cov):
     grid = cov.grid
     mem = _dense_contains(cov.cells, grid.points)
-    assert len(cov.members) == cov.size
-    for i in range(cov.size):
+    assert cov.members.counts.size == cov.size
+    for i, got in enumerate(cell_lists(cov.members)):
         ref = np.flatnonzero(mem[i])
-        assert cov.members[i].dtype == ref.dtype
-        assert np.array_equal(cov.members[i], ref)
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
         assert cov.measures[i] == float(np.sum(grid.weights[ref]))
     ref_nb = _dense_open_overlap(cov.cells)
-    for got, ref in zip(cov.neighbors, ref_nb, strict=True):
+    for got, ref in zip(cell_lists(cov.neighbors), ref_nb, strict=True):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
     assert cov.overlap_count == max(len(v) for v in ref_nb)
     ref_nodes = _dense_sample_nodes(cov)
@@ -459,7 +485,7 @@ class TestSweepExactness:
         grid = default_index_grid(fam, bounds=[[-4.0, 4.0], [-4.0, 4.0]],
                                   resolution=[36, 36])
         cov = build_covering(grid, 0.9, 0.25)
-        assert np.bincount(np.concatenate(cov.members)).max() >= 2
+        assert np.bincount(cov.members.flat).max() >= 2
         _assert_matches_dense(cov)
 
     @settings(max_examples=100, deadline=None)
@@ -475,8 +501,8 @@ class TestSweepExactness:
         lo = np.where(sheet, base + gen.choice([0.0, 4e-13, -4e-13], (n, d)), lo)
         hi = np.where(sheet, base - gen.choice([0.0, 0.0, 3e-13, 0.5], (n, d)), hi)
         cells = np.stack([lo, hi], axis=-1)
-        for got, ref in zip(_open_overlap(cells), _dense_open_overlap(cells),
-                            strict=True):
+        for got, ref in zip(cell_lists(_open_overlap(cells)),
+                            _dense_open_overlap(cells), strict=True):
             assert np.array_equal(got, ref)
 
 
@@ -500,7 +526,7 @@ class TestSampleNodeRule:
         cov = build_covering(grid, 0.5)
         idx = cov.sample_node_index
         assert cov.size == 16
-        for i, members in enumerate(cov.members):
+        for i, members in enumerate(cell_lists(cov.members)):
             d = np.sum((pts[members] - cov.sample_points[i]) ** 2, axis=1)
             assert members.size == 4 and np.all(d == d[0])
             assert idx[i] == members.min()
@@ -535,10 +561,8 @@ class TestSampleNodeRule:
 
     def test_cell_without_members_rejected(self, line_grid):
         cov = build_covering(line_grid, 0.5)
-        members = list(cov.members)
-        members[3] = members[3][:0]
         with pytest.raises(CoveringError):
-            dataclasses.replace(cov, members=members).sample_node_index
+            dataclasses.replace(cov, members=emptied(cov.members, [3])).sample_node_index
 
     @pytest.mark.parametrize("tag", ["cwt", "inhom_wavelet"])
     def test_banded_grids_match_reference(self, tag):
@@ -551,7 +575,7 @@ class TestSampleNodeRule:
         assert (sheet.sum() > 1) == (tag == "inhom_wavelet")
         idx = cov.sample_node_index
         assert np.array_equal(idx, _dense_sample_nodes(cov))
-        assert all(idx[i] in cov.members[i] for i in range(cov.size))
+        assert all(i in members for i, members in zip(idx, cell_lists(cov.members)))
         assert np.all(grid.points[idx[sheet], 0] == 0.0)
         assert np.all(grid.points[idx[~sheet], 0] > 0.0)
 
@@ -579,24 +603,23 @@ class TestCoveringInvariants:
         cov = build_covering(grid, strides, overlap)
         w = polynomial_weight(1.0)
         vals = w(grid.points)
+        members = cell_lists(cov.members)
         assert np.array_equal(cell_weight_sups(cov, w),
-                              [np.max(vals[idx]) for idx in cov.members])
+                              [np.max(vals[idx]) for idx in members])
         count = np.zeros(grid.size)
-        for idx in cov.members:
+        for idx in members:
             count[idx] += 1.0
-        for idx, val in zip(cov.members, build_pu(cov).values):
+        for idx, val in zip(members, cov.members.split(build_pu(cov).values)):
             assert np.array_equal(val, 1.0 / count[idx])
         for flavor in ("indicator", "tent"):
             pu = build_pu(cov, flavor)
             total = np.zeros(grid.size)
-            for idx, val in zip(cov.members, pu.values):
+            for idx, val in zip(members, cov.members.split(pu.values)):
                 total[idx] += val
             assert np.array_equal(pu.sum_at_nodes(), total)
-        emptied = dataclasses.replace(cov, members=[cov.members[0][:0]]
-                                      + cov.members[1:])
-        for c in (cov, emptied):
+        for c in (cov, dataclasses.replace(cov, members=emptied(cov.members, [0]))):
             held = [[] for _ in range(grid.size)]
-            for i, idx in enumerate(c.members):
+            for i, idx in enumerate(cell_lists(c.members)):
                 for k in idx:
                     held[k].append(i)
             table = c.node_cells()

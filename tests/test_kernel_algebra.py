@@ -92,22 +92,25 @@ class TestHermitianTriangle:
     @pytest.mark.parametrize("row_block", [16, 256])
     @pytest.mark.parametrize("poly", [False, True])
     def test_triangle_matches_full_pass(self, gram, row_block, poly,
-                                        reference_am_norm):
+                                        reference_am_norm, monkeypatch):
+        monkeypatch.setattr(kernel_algebra, "_ROW_BLOCK", row_block)
         grid, R = gram
         m = weight_from_w(polynomial_weight(1.0)) if poly \
             else trivial_admissible_weight()
         assert R.hermitian
         assert grid.size > row_block          # off-diagonal blocks exist
         ref = reference_am_norm(R, m, grid)
-        rep = am_norm(R, m, grid, row_block=row_block)
+        rep = am_norm(R, m, grid)
         assert rep.row_sup == rep.col_sup
         for key in ("row_sup", "col_sup", "a1_norm", "am_norm"):
             assert getattr(rep, key) == pytest.approx(ref[key], rel=1e-13,
                                                       abs=0.0), key
 
-    def test_general_kernels_take_the_full_pass(self, reference_am_norm):
+    def test_general_kernels_take_the_full_pass(self, reference_am_norm,
+                                                 monkeypatch):
         # rows peaked at 0.5, columns spread: the row and column sups differ,
         # where a one-sided (triangle) sum would report them equal
+        monkeypatch.setattr(kernel_algebra, "_ROW_BLOCK", 16)
         grid = build_quad_grid([[-2.0, 2.0]], [90],
                                measure=lambda p: 1.0 + p[:, 0] ** 2)
         m = weight_from_w(polynomial_weight(1.0))
@@ -120,7 +123,7 @@ class TestHermitianTriangle:
                      kernel_from_matrix(k.matrix(grid), grid)):
             assert not kern.hermitian
             ref = reference_am_norm(kern, m, grid)
-            rep = am_norm(kern, m, grid, row_block=16)
+            rep = am_norm(kern, m, grid)
             for key in ("row_sup", "col_sup", "a1_norm", "am_norm"):
                 assert getattr(rep, key) == pytest.approx(ref[key], rel=1e-13,
                                                           abs=0.0), key
@@ -129,14 +132,14 @@ class TestHermitianTriangle:
     @pytest.mark.parametrize("row_block", [16, 256])
     @pytest.mark.parametrize("poly", [False, True])
     def test_bit_equal_across_threads(self, gram, row_block, poly,
-                                      reference_am_norm):
+                                      reference_am_norm, monkeypatch):
         # the buffered row blocks of a Gramian run on the thread pool; their
         # sums are folded in block order, so the report is the same bytes
+        monkeypatch.setattr(kernel_algebra, "_ROW_BLOCK", row_block)
         grid, R = gram
         m = weight_from_w(polynomial_weight(1.0)) if poly \
             else trivial_admissible_weight()
-        reps = [am_norm(R, m, grid, row_block=row_block, threads=t)
-                for t in (1, 2, 3)]
+        reps = [am_norm(R, m, grid, threads=t) for t in (1, 2, 3)]
         assert _bits(reps[0]) == _bits(reps[1]) == _bits(reps[2])
         ref = reference_am_norm(R, m, grid)
         for key in ("row_sup", "col_sup", "a1_norm", "am_norm"):
@@ -146,7 +149,6 @@ class TestHermitianTriangle:
     def test_gramians_are_hermitian_by_construction(self, gabor_small):
         fam, grid = gabor_small
         assert gram_kernel(fam, grid, rel_cut=0.2).hermitian
-        assert gram_kernel(fam, grid, mode="direct").hermitian
         # the flag comes from how a kernel is built, never from its values
         assert not involution(gram_kernel(fam, grid, rel_cut=0.2)).hermitian
         assert not Kernel(lambda p, q: np.ones((p.shape[0], q.shape[0]))).hermitian
@@ -204,7 +206,9 @@ class TestThreadContract:
     @pytest.mark.parametrize("row_block", [16, 256])
     @pytest.mark.parametrize("poly", [False, True])
     def test_general_kernels_bit_equal_across_threads(self, row_block, poly,
-                                                      reference_am_norm):
+                                                      reference_am_norm,
+                                                      monkeypatch):
+        monkeypatch.setattr(kernel_algebra, "_ROW_BLOCK", row_block)
         grid = build_quad_grid([[-3.0, 3.0]], [600],
                                measure=lambda p: 1.0 + 0.1 * p[:, 0] ** 2)
         m = weight_from_w(polynomial_weight(1.0)) if poly \
@@ -212,8 +216,7 @@ class TestThreadContract:
         kern = _factored_kernel(grid, np.random.default_rng(5))
         plain = Kernel(kern.evaluator)          # no factors: the caller's path
         for k in (kern, plain):
-            reps = [am_norm(k, m, grid, row_block=row_block, threads=t)
-                    for t in (1, 2, 3)]
+            reps = [am_norm(k, m, grid, threads=t) for t in (1, 2, 3)]
             assert _bits(reps[0]) == _bits(reps[1]) == _bits(reps[2])
             ref = reference_am_norm(k, m, grid)
             for key in ("row_sup", "col_sup", "a1_norm", "am_norm"):
@@ -228,7 +231,8 @@ class TestThreadContract:
                                 descriptor="trivial")
         assert not ones.trivial
 
-    def test_non_finite_factor_raises_on_a_worker(self, gabor_small):
+    def test_non_finite_factor_raises_on_a_worker(self, gabor_small, monkeypatch):
+        monkeypatch.setattr(kernel_algebra, "_ROW_BLOCK", 16)
         fam, grid = gabor_small
         R = gram_kernel(fam, grid, rel_cut=0.2)
         u, c, h = R.node_factors()
@@ -237,8 +241,7 @@ class TestThreadContract:
         # rejected by the one factor check before any block runs
         R.node_factors = lambda: (bad, c, h)
         with pytest.raises(KernelError, match="non-finite"):
-            am_norm(R, trivial_admissible_weight(), grid, row_block=16,
-                    threads=2)
+            am_norm(R, trivial_admissible_weight(), grid, threads=2)
 
     def test_pool_buffers_are_per_thread_and_folds_in_order(self):
         # each block stamps its buffer, yields, and checks the stamp: a

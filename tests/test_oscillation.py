@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from coorbit.coverings import Covering, build_covering, refine_covering
 from coorbit.frame_families import default_index_grid, gram_kernel, make_family
 import coorbit.oscillation as osc
-from conftest import cell_z_samples_loop
+from conftest import cell_lists, cell_z_samples_loop, emptied, reindexed
 from coorbit.kernel_algebra import Kernel, KernelError, _even_blocks, am_norm
 from coorbit.measure_space import (SignalGrid, build_quad_grid,
                                    polynomial_weight,
@@ -146,11 +146,11 @@ def _reference_osc_sups(R, cov, grid, m, z_per_cell, comparison, seed):
 
     z_sets = _cell_z_samples(cov, z_per_cell, seed)
     pts, w = grid.points, grid.weights
-    remaining = np.bincount(np.concatenate(cov.members), minlength=grid.size)
+    remaining = np.bincount(cov.members.flat, minlength=grid.size)
     row_acc = np.zeros(grid.size)
     col_val = np.zeros(grid.size)
     osc_cols = {}
-    for i, idx in enumerate(cov.members):
+    for i, idx in enumerate(cell_lists(cov.members)):
         if idx.size == 0:
             continue
         part = pair(R.block(pts, pts[idx]), R.block(pts, z_sets[i]))
@@ -348,9 +348,7 @@ class TestFoldedRNorm:
         grid, K = _peaked_setup()
         m = weight_from_w(polynomial_weight(1.0))
         cov = build_covering(grid, 1.0 / 16)
-        members = [idx[:0] if 4 <= i < 7 else idx
-                   for i, idx in enumerate(cov.members)]
-        cov = dataclasses.replace(cov, members=members)
+        cov = dataclasses.replace(cov, members=emptied(cov.members, [4, 5, 6]))
         got = osc_norm_streaming(K, cov, grid, m, z_per_cell=2)
         ref = reference_am_norm(K, m, grid)
         assert ref["row_sup"] > ref["col_sup"]
@@ -466,7 +464,7 @@ def _drop_cells(cov, drop):
     keep = np.setdiff1d(np.arange(cov.size), drop)
     return Covering(
         cells=cov.cells[keep], sample_points=cov.sample_points[keep],
-        grid=cov.grid, members=[cov.members[i] for i in keep],
+        grid=cov.grid, members=reindexed(cov.members, keep),
         measures=cov.measures[keep], neighbors=cov.neighbors,
         overlap_count=cov.overlap_count, min_measure=cov.min_measure,
         measure_ratio=cov.measure_ratio)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coorbit.coverings import build_covering, build_pu
+from conftest import cell_lists, emptied
 from coorbit.kernel_algebra import lp_w_norm
 from coorbit.measure_space import WeightOnX, build_quad_grid, trivial_weight
 from coorbit.sequence_spaces import (SeqSpaceSpec, SequenceError, _assemble,
@@ -30,7 +31,7 @@ def _assemble_per_cell(lam, cov, scale):
     """Reference: one indexed add per cell, in cell order."""
     field = np.zeros(cov.grid.size)
     amp = np.abs(lam) * scale
-    for i, idx in enumerate(cov.members):
+    for i, idx in enumerate(cell_lists(cov.members)):
         field[idx] += amp[i]
     return field
 
@@ -40,7 +41,7 @@ class TestAssemble:
         case, cov = uneven_covering
         grid = cov.grid
         # nodes in several cells, where the order of the additions matters
-        depth = np.bincount(np.concatenate(cov.members), minlength=grid.size)
+        depth = np.bincount(cov.members.flat, minlength=grid.size)
         assert depth.max() == (4 if case == "overlap" else 2)
         gen = np.random.default_rng(11)
         lam = gen.standard_normal(cov.size) + 1j * gen.standard_normal(cov.size)
@@ -59,33 +60,31 @@ class TestFlatLayoutSums:
     def test_bit_identical_to_per_cell_sums(self, uneven_covering):
         _, cov = uneven_covering
         w = cov.grid.weights
-        counts = cov.member_layout.counts
-        assert np.unique(counts).size > 1 and counts.max() >= 8
-        ref = np.array([np.sum(w[idx]) for idx in cov.members])
+        lay = cov.members
+        assert np.unique(lay.counts).size > 1 and lay.counts.max() >= 8
+        ref = np.array([np.sum(w[idx]) for idx in cell_lists(lay)])
         assert cov.measures.tobytes() == ref.tobytes()
         for flavor in ("indicator", "tent"):
             pu = build_pu(cov, flavor)
-            ref = np.array([np.sum(w[idx] * val)
-                            for idx, val in zip(cov.members, pu.values)])
+            ref = np.array([np.sum(w[idx] * val) for idx, val
+                            in zip(cell_lists(lay), lay.split(pu.values))])
             assert pu.masses.tobytes() == ref.tobytes()
         gen = np.random.default_rng(5)
         values = gen.standard_normal(cov.grid.size) * \
             np.exp(4.0 * gen.standard_normal(cov.grid.size))
         amp = np.abs(values) * w
-        mass = np.array([np.sum(amp[idx]) for idx in cov.members])
-        lay = cov.member_layout
+        mass = np.array([np.sum(amp[idx]) for idx in cell_lists(lay)])
         assert lay.sums(amp[lay.flat]).tobytes() == mass.tobytes()
         spec = SeqSpaceSpec(p=2, weight=trivial_weight(), covering=cov,
                             flavor="natural")
         assert decomposition_norm(values, spec) == natural_norm(mass, spec)
         lam = gen.standard_normal(cov.size) * np.exp(4.0 * gen.standard_normal(cov.size))
-        ref = np.array([lam[idx].sum() for idx in cov.neighbors])
+        ref = np.array([lam[idx].sum() for idx in cell_lists(cov.neighbors)])
         assert plus_operator(lam, cov).tobytes() == ref.tobytes()
 
     def test_plus_operator_keeps_a_cell_without_neighbors(self, uneven_covering):
         _, cov = uneven_covering
-        lone = dataclasses.replace(cov, neighbors=[cov.neighbors[0][:0]]
-                                   + cov.neighbors[1:])
+        lone = dataclasses.replace(cov, neighbors=emptied(cov.neighbors, [0]))
         lam = np.random.default_rng(6).standard_normal(cov.size)
         got, ref = plus_operator(lam, lone), plus_operator(lam, cov)
         assert got[0] == lam[0]
@@ -209,7 +208,7 @@ class TestDecompositionNorm:
         spec = spec_for(cov, trivial_weight(), 1, "natural")
         k = 4
         field = np.zeros(grid.size)
-        field[cov.members[k]] = 1.0
+        field[cell_lists(cov.members)[k]] = 1.0
         assert decomposition_norm(field, spec) == pytest.approx(cov.measures[k],
                                                                 rel=1e-12)
 
