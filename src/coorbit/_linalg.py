@@ -4,7 +4,9 @@ bounds on a probe span.
 
 The frame operator S, the sampled frame operator S_d, U_Phi on ran R (the
 r x r matrix K) and the probe Gram of `restricted_rayleigh_bounds` are each
-one `hermitian_gram`.  Every routine is a fixed sequence of dense
+one `hermitian_gram`.  It holds, beside its input and the n x n results,
+one weighted block of `GRAM_COLS` input rows per thread and no full-size
+copy of the input.  Every routine is a fixed sequence of dense
 LAPACK/BLAS calls with no iteration or random start, so repeated runs give
 bit-identical output.
 """
@@ -16,7 +18,7 @@ import numpy as np
 
 from .kernel_algebra import _even_blocks, _on_pool
 
-GRAM_COLS = 128              # columns of one `hermitian_gram` block
+GRAM_COLS = 128              # rows of one `hermitian_gram` block
 # relative cut on the probe Gram matrix of `restricted_rayleigh_bounds`
 PROBE_GRAM_CUT = 1e-2
 
@@ -51,22 +53,27 @@ def hermitian_gram(x: np.ndarray, w: np.ndarray, h: float,
     """h X diag(w) X^H for the (n, m) array `x`, exactly Hermitian, in
     `x`'s dtype.
 
-    G = conj(X) W X^T = conj(h X W X^H) is filled in column blocks of at
-    most `GRAM_COLS` on `threads` (`_on_pool`); X enters each block as it
-    is, so the weighted copy conj(X) W is the one full-size temporary, and
-    it is freed before the symmetrization 0.5 (G^T + conj(G)).  The blocks
-    are disjoint, so the result does not depend on `threads`.
+    G = conj(X) W X^T = conj(h X W X^H) is filled in row blocks of at most
+    `GRAM_COLS` on `threads` (`_on_pool`): rows j0:j1 are
+    (conj(X[j0:j1]) W) X^T, the weighted rows written into a GRAM_COLS x m
+    buffer that each thread allocates once.  Beside X, G and the
+    symmetrization 0.5 (G^T + conj(G)), a call holds at most `threads` such
+    buffers and no full-size copy of X.  The blocks are disjoint, so the
+    result does not depend on `threads`.
     """
-    xw = np.conjugate(x)
-    xw *= w
-    g = np.empty((x.shape[0], x.shape[0]), dtype=xw.dtype)
+    n, m = x.shape
+    g = np.empty((n, n), dtype=x.dtype)
 
-    def work(cols, _):
-        j0, j1 = cols
-        np.matmul(xw, x[j0:j1].T, out=g[:, j0:j1])
+    def make():
+        return np.empty((min(n, GRAM_COLS), m), dtype=x.dtype)
 
-    _on_pool(_even_blocks(x.shape[0], GRAM_COLS), threads, lambda: None, work)
-    del xw
+    def work(rows, buf):
+        j0, j1 = rows
+        xw = np.conjugate(x[j0:j1], out=buf[:j1 - j0])
+        xw *= w
+        np.matmul(xw, x.T, out=g[j0:j1])
+
+    _on_pool(_even_blocks(n, GRAM_COLS), threads, make, work)
     g *= h
     return 0.5 * (g.T + g.conj())
 

@@ -10,7 +10,7 @@ Determinism: all randomness flows from the single seed recorded in the
 report; reductions are fixed-order, so identical configurations and seeds
 give bit-identical reports.  The thread count sizes the pools that run
 the row tiles of the property-D oscillation, build the frame operator S in
-column blocks and evaluate the row blocks of `am_norm`; it is recorded in
+row blocks and evaluate the row blocks of `am_norm`; it is recorded in
 timings.json and never changes a report.
 """
 from __future__ import annotations

@@ -11,9 +11,10 @@ M x M matrix unless the grid is small enough to cache (<= CACHE_NODE_LIMIT
 nodes per side).  A kernel that is Hermitian by construction (the Gramian
 R = h C^H C) streams only the upper block triangle: with a symmetric weight
 its row and column sums are one and the same vector.  `am_norm` spreads the
-row blocks of a factored kernel over `threads` (`_on_pool`): each thread
-writes its GEMMs and their moduli into buffers it owns, and the block sums
-are folded in block order, so the norm does not depend on the thread count.
+`_GEMM_ROWS`-row blocks of a factored kernel over `threads` (`_on_pool`):
+each thread writes a block's GEMM and its moduli into one pair of buffers
+it owns, and the block sums are folded in block order, so the norm does not
+depend on the thread count.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from .measure_space import AdmissibleWeight, GridError, QuadGrid, WeightOnX
 
 CACHE_NODE_LIMIT = 4096
 _ROW_BLOCK = 256
-_GEMM_ROWS = 128              # rows of one buffered Gramian GEMM in am_norm
+_GEMM_ROWS = 64               # rows of one factored am_norm block
 _LOOKUP_ENTRIES = 1 << 18     # point-node distances of one nearest-node block
 
 
@@ -200,22 +201,25 @@ def am_norm(kern: Kernel, m: AdmissibleWeight, grid: QuadGrid,
     """Weighted algebra norm: max of the two sup-integrals of |K| m.
 
     The essential sup is realized as the max over grid nodes; integrals use
-    the grid quadrature.  Streaming over row blocks of `_ROW_BLOCK` grid
-    nodes keeps memory at O(block * M).  For a kernel that is Hermitian by
-    construction |K| m is symmetric (every AdmissibleWeight is), so its row
-    and column sums agree: each row block then evaluates only its columns
-    from the block's first row on, adds its row sums to its rows and the
-    column sums of its part right of the diagonal block to those columns,
-    and row_sup = col_sup.  Other kernels take the full two-sided pass.
+    the grid quadrature.  Streaming over row blocks of grid nodes keeps
+    memory at O(block * M).  For a kernel that is Hermitian by construction
+    |K| m is symmetric (every AdmissibleWeight is), so its row and column
+    sums agree: each row block then evaluates only its columns from the
+    block's first row on, adds its row sums to its rows and the column sums
+    of its part right of the diagonal block to those columns, and
+    row_sup = col_sup.  Other kernels take the full two-sided pass.
 
-    A kernel with node factors K = s U V on this grid runs its row blocks
-    on `threads` (`_on_pool`); the caller resolves the factors first and
-    checks them once (`Kernel._check_factors`).  Each thread owns one
-    buffer of the factors' result dtype (float64 for a real Gramian) for a
-    GEMM of at most `_GEMM_ROWS` rows and one real buffer for the moduli of
-    a row block, reused by every block it takes.
+    A kernel with node factors K = s U V on this grid runs row blocks of at
+    most `_GEMM_ROWS` (`_even_blocks`) on `threads` (`_on_pool`); the
+    caller resolves the factors first and checks them once
+    (`Kernel._check_factors`).  A block is one GEMM into a buffer of the
+    factors' result dtype (float64 for a real Gramian) and its moduli in a
+    real buffer of the same rows: each thread allocates the pair once, so
+    beside the factors a call holds at most
+    threads * _GEMM_ROWS * M * (itemsize + 8) bytes plus O(M) sums (and the
+    weight's values on a block, for a non-trivial weight).
     Other kernels, and a factored kernel off its native grid, evaluate
-    `Kernel.block` on the calling thread.
+    `Kernel.block` on row blocks of `_ROW_BLOCK` on the calling thread.
     Block sums are folded in block order, so the result does not depend on
     `threads`.
     The trivial weight (`AdmissibleWeight.trivial`) is never evaluated:
@@ -225,21 +229,22 @@ def am_norm(kern: Kernel, m: AdmissibleWeight, grid: QuadGrid,
         raise KernelError(f"threads must be >= 1, got {threads}")
     pts, w = grid.points, grid.weights
     M = grid.size
-    row_block = _ROW_BLOCK
     herm = kern.hermitian
     factors = kern.node_factors() \
         if kern.node_factors is not None and grid is kern.native_grid else None
     if factors is not None:
         kern._check_factors(*factors)
+        blocks = _even_blocks(M, _GEMM_ROWS)
+    else:
+        blocks = [(s, min(s + _ROW_BLOCK, M)) for s in range(0, M, _ROW_BLOCK)]
     row_acc_m, row_acc_1 = np.zeros(M), np.zeros(M)
     col_acc_m, col_acc_1 = np.zeros(M), np.zeros(M)
 
     def make():
         if factors is None:
             return None
-        return (np.empty(min(row_block, _GEMM_ROWS) * M,
-                         dtype=np.result_type(*factors)),
-                np.empty(row_block * M))
+        size = min(M, _GEMM_ROWS) * M
+        return np.empty(size, dtype=np.result_type(*factors)), np.empty(size)
 
     def moduli(start, stop, lo, own):
         """|K| on rows start:stop and columns lo:M, in the thread's buffer."""
@@ -247,26 +252,23 @@ def am_norm(kern: Kernel, m: AdmissibleWeight, grid: QuadGrid,
             return np.abs(kern.block(pts[start:stop], pts[lo:]))
         u, v, scale = factors
         gemm, amp = own
-        cols = M - lo
-        amp = amp[:(stop - start) * cols].reshape(stop - start, cols)
-        for a0, a1 in _even_blocks(stop - start, _GEMM_ROWS):
-            prod = gemm[:(a1 - a0) * cols].reshape(a1 - a0, cols)
-            np.matmul(u[start + a0:start + a1], v[:, lo:], out=prod)
-            prod *= scale
-            np.abs(prod, out=amp[a0:a1])
-        return amp
+        shape = (stop - start, M - lo)
+        prod = np.matmul(u[start:stop], v[:, lo:],
+                         out=gemm[:shape[0] * shape[1]].reshape(shape))
+        prod *= scale
+        return np.abs(prod, out=amp[:prod.size].reshape(shape))
 
-    def work(start, own):
-        stop = min(start + row_block, M)
+    def work(block, own):
+        start, stop = block
         lo = start if herm else 0          # first column evaluated
         right = stop - lo if herm else 0   # offset of the first column summed
         amp = moduli(start, stop, lo, own)
         sums_1 = amp @ w[lo:], w[start:stop] @ amp[:, right:]
         if m.trivial:
             return start, stop, lo + right, sums_1, sums_1
-        amp_m = amp * m(pts[start:stop], pts[lo:])
+        amp *= m(pts[start:stop], pts[lo:])
         return (start, stop, lo + right, sums_1,
-                (amp_m @ w[lo:], w[start:stop] @ amp_m[:, right:]))
+                (amp @ w[lo:], w[start:stop] @ amp[:, right:]))
 
     def fold(res):
         start, stop, c0, (rows_1, cols_1), (rows_m, cols_m) = res
@@ -277,8 +279,7 @@ def am_norm(kern: Kernel, m: AdmissibleWeight, grid: QuadGrid,
 
     # kernels without factors stay on the calling thread: their evaluator
     # calls are not for workers
-    _on_pool(list(range(0, M, row_block)), threads if factors else 1,
-             make, work, fold)
+    _on_pool(blocks, threads if factors else 1, make, work, fold)
     if herm:
         row_acc_1 += col_acc_1
         row_acc_m += col_acc_m

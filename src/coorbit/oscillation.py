@@ -293,6 +293,13 @@ def _pair_osc(r_y: np.ndarray, r_z: np.ndarray, slots: np.ndarray,
     return out
 
 
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where the runs of equal values of the sorted 1-d `keys` start: the
+    first-occurrence indices of np.unique, found without it (np.unique
+    imports numpy.ma on its first plain call)."""
+    return np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+
+
 def _column_chunks(table: np.ndarray, z_per_cell: int, cols: int) -> list:
     """[(nodes, cells, slots)] per column chunk: the nodes, ordered by first
     cell in the (M, K) `Covering.node_cells` table and then by index, the
@@ -306,7 +313,9 @@ def _column_chunks(table: np.ndarray, z_per_cell: int, cols: int) -> list:
     """
     M = table.shape[0]
     order = np.argsort(table[:, 0], kind="stable")
-    first, starts = np.unique(table[order, 0], return_index=True)
+    keys = table[order, 0]
+    starts = _run_starts(keys)
+    first = keys[starts]
     bounds = np.append(starts, M)
     chunks = []
     if first[0] < 0:
@@ -316,7 +325,8 @@ def _column_chunks(table: np.ndarray, z_per_cell: int, cols: int) -> list:
     for k0, k1 in _chunks(np.diff(bounds) + z_per_cell, cols):
         nodes = order[bounds[k0]:bounds[k1]]
         rows = table[nodes]
-        cells = np.unique(rows)
+        cells = np.sort(rows, axis=None)
+        cells = cells[_run_starts(cells)]
         chunks.append((nodes, cells, np.searchsorted(cells, rows)))
     return chunks
 

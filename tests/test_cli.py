@@ -339,13 +339,14 @@ class TestRun:
 
     def test_non_finite_gramian_exits_3_on_the_pool(self, tmp_path, monkeypatch,
                                                     capsys):
-        # a non-finite half-factor row (node 300, row block 1 of 256: a
-        # worker's block at two threads) fails am_norm's factor check
+        # a non-finite half-factor row (node 330, row block 5 of the 16
+        # blocks of 64: a worker's block at two threads) fails am_norm's
+        # factor check
         real = frame_families.FrameCalculus.u_factor
 
         def poisoned(self, rel_cut=1e-10):
             u = real(self, rel_cut).copy()
-            u[300] = float("nan")
+            u[330] = float("nan")
             return u
         monkeypatch.setattr(frame_families.FrameCalculus, "u_factor", poisoned)
         path = write_config(tmp_path, dict(MINIMAL, tasks=["norms"]))
@@ -582,11 +583,15 @@ def test_traced_harness_runs_reconstruct(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-_NO_NUMPY_RANDOM_PROBE = """
+_PROPERTY_D_IMPORT_PROBE = """
 import sys
 from pathlib import Path
 import json, tempfile
 from coorbit import cli
+module = sys.argv[2]
+if module in sys.modules:
+    print("preloaded")
+    sys.exit(0)
 from workloads import operations
 (name, cfg), = operations("ladder", 0, Path(sys.argv[1]))
 with tempfile.TemporaryDirectory() as tmp:
@@ -595,19 +600,34 @@ with tempfile.TemporaryDirectory() as tmp:
     assert cli.run(str(path), str(Path(tmp) / "out")) == 0
     rep = json.loads((Path(tmp) / "out" / "report.json").read_text())
 assert rep["tasks"]["property-d"]["osc_report"]["banach_only"] is True
-assert "numpy.random" not in sys.modules, "property-d imported numpy.random"
+assert module not in sys.modules, f"property-d imported {module}"
 """
 
 
-def test_property_d_does_not_import_numpy_random():
-    # the z-streams are replayed in integer arithmetic: the benchmark's
-    # ladder (property-d to the banach flag) runs without numpy.random,
-    # which would add its import time and memory to every property-d run
+def _property_d_imports(module):
+    """Run the benchmark's ladder (property-d to the banach flag) in a fresh
+    interpreter; its stdout is "preloaded" if `import coorbit.cli` alone
+    loads `module`, and it fails if the run loads it."""
     root = Path(cli.__file__).resolve().parents[2]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root / "perfbench"),
                                          env.get("PYTHONPATH", "")])
-    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_RANDOM_PROBE,
-                           str(root / "configs")], env=env, capture_output=True,
-                          text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", _PROPERTY_D_IMPORT_PROBE,
+                           str(root / "configs"), module], env=env,
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_property_d_does_not_import_numpy_random():
+    # the z-streams are replayed in integer arithmetic: property-d runs
+    # without numpy.random, which would add its import time and memory to
+    # every property-d run
+    assert _property_d_imports("numpy.random") == ""
+
+
+def test_property_d_does_not_import_numpy_ma():
+    # the column chunks dedupe their sorted cells without np.unique, whose
+    # first plain call imports numpy.ma (16-20 ms on a 2-vCPU Xeon host)
+    if _property_d_imports("numpy.ma") == "preloaded":
+        pytest.skip("import coorbit.cli already loads numpy.ma")

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coorbit._linalg import SolverError, hermitian_gram, \
+from coorbit._linalg import GRAM_COLS, SolverError, hermitian_gram, \
     restricted_rayleigh_bounds
 from coorbit.coverings import build_covering, build_pu
 from coorbit.discretization import atomic_coefficients, \
@@ -422,8 +422,8 @@ class TestFrameOperatorBlocks:
 
     @pytest.mark.parametrize("case", ["gabor_complex", "alpha_mod_shipped"])
     def test_s_matrix_peak_memory(self, case):
-        # S takes one weighted copy of the atoms and n x n arrays, and no
-        # conjugate copy of the atoms
+        # S takes one weighted block of at most GRAM_COLS atom rows and
+        # n x n arrays, and no full-size copy of the atoms
         if case == "gabor_complex":
             # 72 midpoints per axis are not bitwise symmetric: complex S
             fam = make_family("gabor", None, SignalGrid(8.0, 64))
@@ -442,7 +442,8 @@ class TestFrameOperatorBlocks:
         finally:
             tracemalloc.stop()
         assert not calc.mirrored and s.dtype == np.complex128
-        assert peak <= psi.nbytes + 2 * s.nbytes + 64 * 1024
+        block = min(psi.shape[0], GRAM_COLS) * psi.shape[1] * psi.itemsize
+        assert peak <= block + 2 * s.nbytes + 64 * 1024
 
     def test_even_blocks_never_leave_one_column(self):
         # a one-column (or one-row) operand turns a GEMM into a GEMV

@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ class TestHermitianTriangle:
     @pytest.mark.parametrize("poly", [False, True])
     def test_triangle_matches_full_pass(self, gram, row_block, poly,
                                         reference_am_norm, monkeypatch):
-        monkeypatch.setattr(kernel_algebra, "_ROW_BLOCK", row_block)
+        monkeypatch.setattr(kernel_algebra, "_GEMM_ROWS", row_block)
         grid, R = gram
         m = weight_from_w(polynomial_weight(1.0)) if poly \
             else trivial_admissible_weight()
@@ -135,7 +136,7 @@ class TestHermitianTriangle:
                                       reference_am_norm, monkeypatch):
         # the buffered row blocks of a Gramian run on the thread pool; their
         # sums are folded in block order, so the report is the same bytes
-        monkeypatch.setattr(kernel_algebra, "_ROW_BLOCK", row_block)
+        monkeypatch.setattr(kernel_algebra, "_GEMM_ROWS", row_block)
         grid, R = gram
         m = weight_from_w(polynomial_weight(1.0)) if poly \
             else trivial_admissible_weight()
@@ -209,6 +210,7 @@ class TestThreadContract:
                                                       reference_am_norm,
                                                       monkeypatch):
         monkeypatch.setattr(kernel_algebra, "_ROW_BLOCK", row_block)
+        monkeypatch.setattr(kernel_algebra, "_GEMM_ROWS", row_block)
         grid = build_quad_grid([[-3.0, 3.0]], [600],
                                measure=lambda p: 1.0 + 0.1 * p[:, 0] ** 2)
         m = weight_from_w(polynomial_weight(1.0)) if poly \
@@ -232,7 +234,7 @@ class TestThreadContract:
         assert not ones.trivial
 
     def test_non_finite_factor_raises_on_a_worker(self, gabor_small, monkeypatch):
-        monkeypatch.setattr(kernel_algebra, "_ROW_BLOCK", 16)
+        monkeypatch.setattr(kernel_algebra, "_GEMM_ROWS", 16)
         fam, grid = gabor_small
         R = gram_kernel(fam, grid, rel_cut=0.2)
         u, c, h = R.node_factors()
@@ -242,6 +244,22 @@ class TestThreadContract:
         R.node_factors = lambda: (bad, c, h)
         with pytest.raises(KernelError, match="non-finite"):
             am_norm(R, trivial_admissible_weight(), grid, threads=2)
+
+    def test_factored_pass_holds_one_buffer_pair_per_thread(self, gabor_small):
+        # each thread allocates one GEMM buffer and one moduli buffer of
+        # _GEMM_ROWS rows; every other array is O(M): accumulators and sums
+        fam, grid = gabor_small
+        R = gram_kernel(fam, grid, rel_cut=0.2)
+        factors = R.node_factors()          # resolved before the trace
+        M, itemsize = grid.size, np.result_type(*factors).itemsize
+        tracemalloc.start()
+        try:
+            am_norm(R, trivial_admissible_weight(), grid, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.size > 2 * kernel_algebra._GEMM_ROWS
+        assert peak <= 2 * kernel_algebra._GEMM_ROWS * M * (itemsize + 8) + 16 * M * 8
 
     def test_pool_buffers_are_per_thread_and_folds_in_order(self):
         # each block stamps its buffer, yields, and checks the stamp: a

@@ -174,6 +174,24 @@ def _plan(cov, grid, z_per_cell):
             _column_chunks(cov.node_cells(), z_per_cell, osc._CHUNK_COLS))
 
 
+def _column_chunks_unique(table, z_per_cell, cols):
+    """`_column_chunks` as written with np.unique: the reference."""
+    order = np.argsort(table[:, 0], kind="stable")
+    first, starts = np.unique(table[order, 0], return_index=True)
+    bounds = np.append(starts, table.shape[0])
+    chunks = []
+    if first[0] < 0:
+        nodes = order[:bounds[1]]
+        chunks.append((nodes, first[:0], table[nodes]))
+        bounds = bounds[1:]
+    for k0, k1 in osc._chunks(np.diff(bounds) + z_per_cell, cols):
+        nodes = order[bounds[k0]:bounds[k1]]
+        rows = table[nodes]
+        cells = np.unique(rows)
+        chunks.append((nodes, cells, np.searchsorted(cells, rows)))
+    return chunks
+
+
 @pytest.fixture(scope="module")
 def gabor_blocks():
     """Gabor box whose Gramian streams in four row tiles and four or more
@@ -266,6 +284,24 @@ class TestStreamingBlocks:
                 assert idx.size + 3 * first.size <= osc._CHUNK_COLS
                 assert np.all(np.diff(cells) > 0)
                 assert np.array_equal(cells[slots], table[idx])
+
+    @pytest.mark.parametrize("case", ["partition", "overlap", "unheld"])
+    def test_chunks_match_the_np_unique_reference(self, gabor_blocks, case):
+        # the run starts replace np.unique (which imports numpy.ma): the
+        # same nodes, cells and slots in the same order
+        _, grid, _ = gabor_blocks
+        cov = build_covering(grid, 0.625, overlap_fraction=0.0 if
+                             case == "partition" else 0.25)
+        if case == "unheld":
+            cov = _drop_cells(cov, [17, 18, 33, 34])
+        table = cov.node_cells()
+        assert np.any(table[:, 0] < 0) == (case == "unheld")
+        got = _column_chunks(table, 3, osc._CHUNK_COLS)
+        ref = _column_chunks_unique(table, 3, osc._CHUNK_COLS)
+        assert len(got) == len(ref) > 1
+        for a, b in zip(got, ref):
+            for x, y in zip(a, b):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
 
     def test_row_tiles_cover_the_grid(self, gabor_blocks):
         _, grid, R = gabor_blocks
