@@ -4,9 +4,10 @@ bounds on a probe span.
 
 The frame operator S, the sampled frame operator S_d, U_Phi on ran R (the
 r x r matrix K) and the probe Gram of `restricted_rayleigh_bounds` are each
-one `hermitian_gram`.  It holds, beside its input and the n x n results,
-one weighted block of `GRAM_COLS` input rows per thread and no full-size
-copy of the input.  Every routine is a fixed sequence of dense
+one `hermitian_gram`, which computes one block triangle of the Hermitian
+product and mirrors it.  It holds, beside its input and the n x n results,
+one weighted block of at most `GRAM_COLS // 2` input rows per thread and no
+full-size copy of the input.  Every routine is a fixed sequence of dense
 LAPACK/BLAS calls with no iteration or random start, so repeated runs give
 bit-identical output.
 """
@@ -18,7 +19,7 @@ import numpy as np
 
 from .kernel_algebra import _even_blocks, _on_pool
 
-GRAM_COLS = 128              # rows of one `hermitian_gram` block
+GRAM_COLS = 128              # rows of one `hermitian_gram` unit: two blocks
 # relative cut on the probe Gram matrix of `restricted_rayleigh_bounds`
 PROBE_GRAM_CUT = 1e-2
 
@@ -53,27 +54,38 @@ def hermitian_gram(x: np.ndarray, w: np.ndarray, h: float,
     """h X diag(w) X^H for the (n, m) array `x`, exactly Hermitian, in
     `x`'s dtype.
 
-    G = conj(X) W X^T = conj(h X W X^H) is filled in row blocks of at most
-    `GRAM_COLS` on `threads` (`_on_pool`): rows j0:j1 are
-    (conj(X[j0:j1]) W) X^T, the weighted rows written into a GRAM_COLS x m
-    buffer that each thread allocates once.  Beside X, G and the
-    symmetrization 0.5 (G^T + conj(G)), a call holds at most `threads` such
-    buffers and no full-size copy of X.  The blocks are disjoint, so the
-    result does not depend on `threads`.
+    G = conj(X) W X^T = conj(h X W X^H) is filled in its upper block
+    triangle only: rows j0:j1, a block of at most `GRAM_COLS // 2`
+    (`_even_blocks`), take the columns j0:n, (conj(X[j0:j1]) W) X[j0:]^T,
+    with the weighted rows written into a buffer that each thread
+    allocates once; the block's columns below it are then the conjugate
+    transpose of its row right of it.  Block k costs n - j0 columns, so
+    it runs with block nb - 1 - k as one unit on `threads` (`_on_pool`),
+    and every unit costs about the same.  The symmetrization
+    0.5 (G^T + conj(G)) is exact off the diagonal blocks and makes those
+    exactly Hermitian.  Beside X, G and the symmetrization, a call holds
+    at most `threads` such buffers and no full-size copy of X.  Blocks
+    and units depend on n alone, so the result does not depend on
+    `threads`.
     """
     n, m = x.shape
     g = np.empty((n, n), dtype=x.dtype)
+    blocks = _even_blocks(n, GRAM_COLS // 2)
+    nb = len(blocks)
+    units = [(blocks[k], blocks[nb - 1 - k]) if k != nb - 1 - k else (blocks[k],)
+             for k in range((nb + 1) // 2)]
 
     def make():
-        return np.empty((min(n, GRAM_COLS), m), dtype=x.dtype)
+        return np.empty((max(j1 - j0 for j0, j1 in blocks), m), dtype=x.dtype)
 
-    def work(rows, buf):
-        j0, j1 = rows
-        xw = np.conjugate(x[j0:j1], out=buf[:j1 - j0])
-        xw *= w
-        np.matmul(xw, x.T, out=g[j0:j1])
+    def work(unit, buf):
+        for j0, j1 in unit:
+            xw = np.conjugate(x[j0:j1], out=buf[:j1 - j0])
+            xw *= w
+            np.matmul(xw, x[j0:].T, out=g[j0:j1, j0:])
+            np.conjugate(g[j0:j1, j1:].T, out=g[j1:, j0:j1])
 
-    _on_pool(_even_blocks(n, GRAM_COLS), threads, make, work)
+    _on_pool(units, threads, make, work)
     g *= h
     return 0.5 * (g.T + g.conj())
 

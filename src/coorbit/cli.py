@@ -8,14 +8,18 @@ without computing anything.
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 Determinism: all randomness flows from the single seed recorded in the
 report; reductions are fixed-order, so identical configurations and seeds
-give bit-identical reports.  The thread count sizes the pools that run
-the row tiles of the property-D oscillation, build the frame operator S in
-row blocks and evaluate the row blocks of `am_norm`; it is recorded in
-timings.json and never changes a report.
+give bit-identical reports.  The thread count (by default the cores the
+process may use) sizes the pools that run the row tiles of the property-D
+oscillation, build the frame operator S in row blocks and evaluate the
+row blocks of `am_norm`; it is recorded in timings.json and never changes
+a report.  `run` holds numpy's bundled OpenBLAS at one thread while the
+tasks run, so the BLAS thread count of the environment does not change a
+report either.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -31,7 +35,7 @@ from .measure_space import SignalGrid, polynomial_weight, trivial_weight, \
 from .frame_families import FamilyError, alpha_admissibility, default_index_grid, \
     export_atoms_csv, frame_bounds_continuous, gaussian_window, gram_kernel, \
     leakage_report, make_battery, make_family, wavelet_index_bounds
-from .kernel_algebra import am_norm
+from .kernel_algebra import _usable_cores, am_norm
 from .coverings import CoveringError, build_covering, build_pu, verify_moderate
 from .oscillation import OscillationError, property_D_check, refine_until
 from .discretization import DiscretizationError, atomic_coefficients, \
@@ -475,11 +479,12 @@ def run(config_path: str, out_dir: str | None = None, seed: int | None = None,
     # across thread counts
     timings = {"threads": int(threads)}
     try:
-        ctx = _Context(cfg, seed, out, threads)
-        for name in cfg["tasks"]:
-            t0 = time.perf_counter()
-            report["tasks"][name] = _TASKS[name](ctx)
-            timings[name] = time.perf_counter() - t0
+        with _one_blas_thread():
+            ctx = _Context(cfg, seed, out, threads)
+            for name in cfg["tasks"]:
+                t0 = time.perf_counter()
+                report["tasks"][name] = _TASKS[name](ctx)
+                timings[name] = time.perf_counter() - t0
         _assert_finite(report["tasks"])
     except (FamilyError, CoveringError, OscillationError, DiscretizationError,
             SolverError, ValueError) as exc:
@@ -491,6 +496,45 @@ def run(config_path: str, out_dir: str | None = None, seed: int | None = None,
     (out / "timings.json").write_text(
         json.dumps(timings, sort_keys=True, indent=1))
     return 0
+
+
+def _bundled_openblas():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS
+    (scipy-openblas), or None for a numpy built on another BLAS."""
+    import ctypes
+
+    libs = (Path(np.__file__).resolve().parent.parent / "numpy.libs").glob(
+        "*openblas*")
+    for path in sorted(libs):
+        lib = ctypes.CDLL(str(path))
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:
+            get.restype, get.argtypes = ctypes.c_int, []
+            put.restype, put.argtypes = None, [ctypes.c_int]
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's bundled OpenBLAS on one thread, and
+    restore its thread count after.  A GEMM's rounding depends on how many
+    BLAS threads split it, so one thread keeps report bytes independent of
+    the environment (`OPENBLAS_NUM_THREADS`); the engine's parallelism is
+    `threads` alone.  Another BLAS (`_bundled_openblas` is None) is left
+    alone."""
+    blas = _bundled_openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def _json_default(obj):
@@ -535,7 +579,7 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=1)
+    p_run.add_argument("--threads", type=int, default=_usable_cores())
     p_val = sub.add_parser("validate", help="check a configuration file")
     p_val.add_argument("config")
     args = parser.parse_args(argv)

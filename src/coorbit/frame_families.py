@@ -20,9 +20,10 @@ Conventions, fixed once for the whole engine:
     conjugation symmetry makes S real: a Gabor family with a real window
     has conj(M_w T_x g) = M_{-w} T_x g, and an alpha-modulation family,
     whose Gaussian envelope is real, conj(psi_(x,w)) = psi_(x,-w); so on
-    an index grid that maps onto itself under w -> -w with bit-equal weights at mirrored nodes, S, its
-    eigenpairs and the half map are float64 while the atoms and the
-    Gramian factors C, C^H stay complex128 (`FrameCalculus.mirrored`).
+    an index grid that maps onto itself under w -> -w with bit-equal
+    weights at mirrored nodes, S, its eigenpairs and the half map are
+    float64 while the atoms and the Gramian factors C, C^H stay complex128
+    (`FrameCalculus.mirrored`).
 
 The torus phase variable of the modulation families is dropped; atoms are
 indexed by (position, frequency) alone.  All norms and reconstruction
@@ -40,7 +41,7 @@ import numpy as np
 
 from ._linalg import PROBE_GRAM_CUT, HermitianEig, hermitian_gram, \
     psd_factorize, restricted_rayleigh_bounds
-from .kernel_algebra import Kernel
+from .kernel_algebra import Kernel, _mirror_half
 from .measure_space import GridError, QuadGrid, SignalGrid, build_quad_grid, \
     euclidean_metric
 
@@ -243,18 +244,21 @@ class FrameCalculus:
     eigenpairs (a real `eigh`), the half map, C and C^H are float64.
 
     Complex atoms whose family declares a conjugation symmetry that the
-    grid carries bit for bit (`mirrored`) give a real S: every atom's
-    conjugate is the atom at the mirrored node, with the same weight, so
-    the imaginary parts of S cancel in pairs.  S is then built from the
-    atoms' (n, 2M) float64 view [Re psi_x, Im psi_x] in real arithmetic,
-    and its eigenpairs and the half map are float64; C = P Psi is one real
-    GEMM on that view and stays complex128.
+    grid carries bit for bit (`mirror`, the node permutation sigma, and
+    `mirrored`) give a real S: every atom's conjugate is the atom at the
+    mirrored node, with the same weight, so the imaginary parts of S
+    cancel in pairs.  S is then built from one representative of each
+    mirror pair, at twice its weight, through the float64 view
+    [Re psi_x, Im psi_x] of those atoms in real arithmetic, and its
+    eigenpairs and the half map are float64; C = P Psi is one real GEMM on
+    the atoms' view and stays complex128, with C[:, sigma y] =
+    conj(C[:, y]), which `gram_kernel` passes on to `am_norm`
+    (`Kernel.mirror`).
     """
 
     def __init__(self, family: FrameFamily, grid: QuadGrid):
         self.family = family
         self.grid = grid
-        self._mirrored: Optional[bool] = None
         self._atoms: Optional[np.ndarray] = None
         self._s_matrix: Optional[np.ndarray] = None
         self._s_eig: dict[float, HermitianEig] = {}
@@ -268,19 +272,24 @@ class FrameCalculus:
             self._atoms = self.family.atoms(self.grid.points)
         return self._atoms
 
+    @functools.cached_property
+    def mirror(self) -> Optional[np.ndarray]:
+        """The node permutation sigma of the family's conjugation symmetry
+        on this grid (`_mirror_closed`), when S is real by it: the family
+        declares sigma (`FrameFamily.conjugation`), the atoms are complex,
+        the mirrored points sigma x are exactly the grid's points, and
+        mirrored nodes carry bit-equal weights; otherwise None.  Decided
+        once per grid, with no tolerance."""
+        sigma = self.family.conjugation
+        if sigma is None or not np.iscomplexobj(self.atom_matrix):
+            return None
+        return _mirror_closed(self.grid, np.asarray(sigma, dtype=float))
+
     @property
     def mirrored(self) -> bool:
         """Whether S is real by the family's conjugation symmetry on this
-        grid: the family declares sigma (`FrameFamily.conjugation`), the
-        atoms are complex, the mirrored points sigma x are exactly the grid's
-        points, and mirrored nodes carry bit-equal weights.  Decided once
-        per grid, with no tolerance."""
-        if self._mirrored is None:
-            sigma = self.family.conjugation
-            self._mirrored = sigma is not None and \
-                np.iscomplexobj(self.atom_matrix) and \
-                _mirror_closed(self.grid, np.asarray(sigma, dtype=float))
-        return self._mirrored
+        grid (`mirror`)."""
+        return self.mirror is not None
 
     def analyze(self, f: np.ndarray) -> np.ndarray:
         """V f on the grid: <f, psi_x> by signal-grid quadrature, for one
@@ -308,13 +317,19 @@ class FrameCalculus:
         """The quadrature frame operator S = h Psi W Psi^H, (n, n), exactly
         Hermitian and cached, in the atoms' dtype, or float64 when the grid
         is `mirrored`: one `hermitian_gram` over `threads`.  On a mirrored
-        grid Psi enters as its float64 view with every weight repeated for
-        the real and imaginary column: h Psi~ W~ Psi~^T = Re(h Psi W Psi^H)
-        = S, a real GEMM per block."""
+        grid the pair x, sigma x adds w_x (psi psi^H + conj(psi psi^H)) =
+        2 w_x Re(psi_x psi_x^H), so each pair enters once, by its
+        representative x <= sigma x, with weight 2 w_x (w_x for a node on
+        the mirror axis, whose atom is real); those atoms enter as their
+        float64 view with every weight repeated for the real and imaginary
+        column: h Psi~ W~ Psi~^T = Re(h Psi W Psi^H) = S, a real GEMM per
+        block."""
         if self._s_matrix is None:
             psi, w = self.atom_matrix, self.grid.weights
-            if self.mirrored:
-                psi, w = _real_view(psi), np.repeat(w, 2)
+            if self.mirror is not None:
+                rep, axis = _mirror_half(self.mirror)
+                w = np.where(axis, 1.0, 2.0) * w[rep]
+                psi, w = _real_view(np.take(psi, rep, axis=1)), np.repeat(w, 2)
             self._s_matrix = hermitian_gram(psi, w, self.family.signal_grid.h,
                                             threads)
         return self._s_matrix
@@ -362,19 +377,24 @@ class FrameCalculus:
         return self.half_factor(rel_cut) @ (w[:, None] * F if F.ndim > 1 else w * F)
 
 
-def _mirror_closed(grid: QuadGrid, sigma: np.ndarray) -> bool:
-    """Whether x -> sigma x maps the grid's points onto themselves with
-    exactly equal coordinates (one lexsort of each side) and bit-equal
-    weights at mirrored nodes."""
+def _mirror_closed(grid: QuadGrid, sigma: np.ndarray) -> Optional[np.ndarray]:
+    """The node permutation of x -> sigma x, perm[i] the index of node i's
+    mirror, when it maps the grid's points onto themselves with exactly
+    equal coordinates (one lexsort of each side) and mirrored nodes carry
+    bit-equal weights; otherwise None."""
     pts = grid.points
     mirrored = pts * sigma[None, :]
     order = np.lexsort(pts.T[::-1])
     order_m = np.lexsort(mirrored.T[::-1])
     if not np.array_equal(pts[order], mirrored[order_m]):
-        return False
+        return None
     # node order_m[k], mirrored, is node order[k]
     w = grid.weights
-    return w[order].tobytes() == w[order_m].tobytes()
+    if w[order].tobytes() != w[order_m].tobytes():
+        return None
+    perm = np.empty_like(order)
+    perm[order_m] = order
+    return perm
 
 
 def _real_view(z: np.ndarray) -> np.ndarray:
@@ -536,9 +556,10 @@ def _cwt_family(params: dict, sg: SignalGrid) -> FrameFamily:
             return mexican_hat(arg) / np.sqrt(a[None, :])
     else:
         def atom_fn(points):
-            a, b = points[:, 0], points[:, 1]
-            spec = np.sqrt(a[None, :]) * profile.spectrum(a[None, :] * w[:, None])
-            return _spectral_atoms(sg, spec, b)
+            # the spectrum once per distinct scale
+            au, ia = _distinct(points[:, 0])
+            spec = np.sqrt(au[None, :]) * profile.spectrum(au[None, :] * w[:, None])
+            return _spectral_atoms(sg, spec[:, ia], points[:, 1])
 
     c_psi = _log_admissibility(profile.spectrum)
     if abs(c_psi - 1.0) > 0.01:
@@ -805,7 +826,8 @@ def gram_kernel(family: FrameFamily, x_grid: QuadGrid,
 
     return Kernel(evaluator=ev, provenance="gramian", native_grid=x_grid,
                   context={"calc": calc, "rel_cut": rel_cut},
-                  node_factors=factors, col_factor=col_factor, hermitian=True)
+                  node_factors=factors, col_factor=col_factor, hermitian=True,
+                  mirror=calc.mirror)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,13 @@ Norms are computed by streaming row blocks, so nothing ever materializes an
 M x M matrix unless the grid is small enough to cache (<= CACHE_NODE_LIMIT
 nodes per side).  A kernel that is Hermitian by construction (the Gramian
 R = h C^H C) streams only the upper block triangle: with a symmetric weight
-its row and column sums are one and the same vector.  `am_norm` spreads the
-`_GEMM_ROWS`-row blocks of a factored kernel over `threads` (`_on_pool`):
-each thread writes a block's GEMM and its moduli into one pair of buffers
-it owns, and the block sums are folded in block order, so the norm does not
-depend on the thread count.
+its row and column sums are one and the same vector.  A Gramian on a
+mirror-closed grid (`Kernel.mirror`) with the trivial weight streams the
+upper block triangle of one mirror half, a quarter of the M^2 moduli.
+`am_norm` spreads the `_GEMM_ROWS`-row blocks of a factored kernel over
+`threads` (`_on_pool`): each thread writes a block's GEMM and its moduli
+into one pair of buffers it owns, and the block sums are folded in block
+order, so the norm does not depend on the thread count.
 """
 from __future__ import annotations
 
@@ -51,9 +53,14 @@ class Kernel:
     `am_norm` multiplies the node factors on their grid, and the oscillation
     stream needs both and refuses a kernel without them.
     `hermitian` marks a kernel with K(x, y) = conj(K(y, x)) by
-    construction.  The cache, when built, agrees with the evaluator at
-    every node (same code path), and building it is the only mutation;
-    reads after that are concurrency-safe.
+    construction.  `mirror`, on a Hermitian kernel whose node factors are
+    U = V^H, is a node permutation sigma of `native_grid` with
+    V[:, sigma y] = conj(V[:, y]), so that |K(sigma x, sigma y)| =
+    |K(x, y)|; only `gram_kernel` sets it, on a mirror-closed grid
+    (`FrameCalculus.mirror`), as it sets `hermitian`.  The cache, when
+    built, agrees with the evaluator at every node (same code path), and
+    building it is the only mutation; reads after that are
+    concurrency-safe.
     """
 
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -64,6 +71,7 @@ class Kernel:
     col_factor: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, repr=False)
     hermitian: bool = False
+    mirror: Optional[np.ndarray] = field(default=None, repr=False)
     _cache: Optional[np.ndarray] = field(default=None, repr=False)
     # the grid the cache was sampled on, held (not its id, which can be
     # reused by another grid once this one is freed)
@@ -166,15 +174,34 @@ def _even_blocks(total: int, cap: int) -> list:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity mask where the
+    platform has one (taskset and container limits narrow it below the
+    CPU count), otherwise the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _mirror_half(perm: np.ndarray):
+    """The representatives x <= sigma x of the node permutation sigma
+    (`perm`, an involution), one per mirror pair in ascending order, and
+    which of them lie on the mirror axis, sigma x = x."""
+    rep = np.flatnonzero(perm >= np.arange(perm.size))
+    return rep, perm[rep] == rep
+
+
 def _on_pool(blocks: list, threads: int, make, work, fold=None) -> None:
     """fold(work(block, own)) for every block, folded in block order.
 
-    With threads > 1 (no more than the blocks and the CPU count allow) the
-    calling thread takes every `threads`-th block and threads - 1 workers
-    take the rest, one round of `threads` blocks at a time.  `own` is the
-    set of buffers make() allocated once for the thread running the block.
+    With threads > 1 (no more than the blocks and the usable cores allow)
+    the calling thread takes every `threads`-th block and threads - 1
+    workers take the rest, one round of `threads` blocks at a time.  `own`
+    is the set of buffers make() allocated once for the thread running the
+    block.
     """
-    threads = min(threads, len(blocks), os.cpu_count() or 1)
+    threads = min(threads, len(blocks), _usable_cores())
     local = threading.local()
 
     def run(block):
@@ -209,6 +236,21 @@ def am_norm(kern: Kernel, m: AdmissibleWeight, grid: QuadGrid,
     of its part right of the diagonal block to those columns, and
     row_sup = col_sup.  Other kernels take the full two-sided pass.
 
+    A Gramian on a mirror-closed grid (`Kernel.mirror`, sigma) with the
+    trivial weight streams one mirror half: with V[:, sigma y] =
+    conj(V[:, y]), |K(sigma x, sigma y)| = |K(x, y)|, so the row sums of
+    x and sigma x are equal.  Over the representatives x <= sigma x,
+    B(x, y) = |K(x, y)| + |K(x, sigma y)| is symmetric, and the row sum of
+    x is the sum of B(x, y) w'_y over representatives y, with w'_y = w_y / 2
+    on the mirror axis (sigma y = y) and w_y elsewhere.  B's upper block
+    triangle is streamed as above, in blocks of at most `_GEMM_ROWS // 2`
+    representatives: one GEMM of the stacked rows [conj(V_X)^T; V_X^T],
+    whose products s U[x] V_y = K(x, y) and s V_x^T V_y = conj K(x, sigma y),
+    against the representatives' columns of V, gathered once.  That is a
+    quarter of the M^2 moduli, against half on the triangle.  Any other
+    weight takes the triangle: m(sigma x, sigma y) = m(x, y) is no property
+    of an AdmissibleWeight.
+
     A kernel with node factors K = s U V on this grid runs row blocks of at
     most `_GEMM_ROWS` (`_even_blocks`) on `threads` (`_on_pool`); the
     caller resolves the factors first and checks them once
@@ -217,7 +259,8 @@ def am_norm(kern: Kernel, m: AdmissibleWeight, grid: QuadGrid,
     real buffer of the same rows: each thread allocates the pair once, so
     beside the factors a call holds at most
     threads * _GEMM_ROWS * M * (itemsize + 8) bytes plus O(M) sums (and the
-    weight's values on a block, for a non-trivial weight).
+    weight's values on a block, for a non-trivial weight), and on a mirror
+    half the gathered columns of V.
     Other kernels, and a factored kernel off its native grid, evaluate
     `Kernel.block` on row blocks of `_ROW_BLOCK` on the calling thread.
     Block sums are folded in block order, so the result does not depend on
@@ -228,12 +271,20 @@ def am_norm(kern: Kernel, m: AdmissibleWeight, grid: QuadGrid,
     if threads < 1:
         raise KernelError(f"threads must be >= 1, got {threads}")
     pts, w = grid.points, grid.weights
-    M = grid.size
+    M = grid.size                       # nodes streamed: one half when mirrored
     herm = kern.hermitian
     factors = kern.node_factors() \
         if kern.node_factors is not None and grid is kern.native_grid else None
+    perm = kern.mirror if herm and factors is not None and m.trivial else None
     if factors is not None:
         kern._check_factors(*factors)
+    if perm is not None:
+        rep, axis = _mirror_half(perm)
+        w = np.where(axis, 0.5, 1.0) * w[rep]
+        v_rep = np.take(factors[1], rep, axis=1)
+        M = rep.size
+        blocks = _even_blocks(M, _GEMM_ROWS // 2)
+    elif factors is not None:
         blocks = _even_blocks(M, _GEMM_ROWS)
     else:
         blocks = [(s, min(s + _ROW_BLOCK, M)) for s in range(0, M, _ROW_BLOCK)]
@@ -243,20 +294,33 @@ def am_norm(kern: Kernel, m: AdmissibleWeight, grid: QuadGrid,
     def make():
         if factors is None:
             return None
-        size = min(M, _GEMM_ROWS) * M
-        return np.empty(size, dtype=np.result_type(*factors)), np.empty(size)
+        rows = max(b - a for a, b in blocks) * (1 if perm is None else 2)
+        bufs = (np.empty(rows * M, dtype=np.result_type(*factors)),
+                np.empty(rows * M))
+        if perm is None:
+            return bufs
+        return (*bufs, np.empty((rows, v_rep.shape[0]), dtype=v_rep.dtype))
 
     def moduli(start, stop, lo, own):
-        """|K| on rows start:stop and columns lo:M, in the thread's buffer."""
+        """|K| on rows start:stop and columns lo:M, in the thread's buffer
+        (B on representatives for a mirror half)."""
         if factors is None:
             return np.abs(kern.block(pts[start:stop], pts[lo:]))
         u, v, scale = factors
-        gemm, amp = own
-        shape = (stop - start, M - lo)
-        prod = np.matmul(u[start:stop], v[:, lo:],
-                         out=gemm[:shape[0] * shape[1]].reshape(shape))
+        rows = stop - start
+        if perm is None:
+            left, right = u[start:stop], v[:, lo:]
+        else:
+            left, right = own[2][:2 * rows], v_rep[:, lo:]
+            np.conjugate(v_rep[:, start:stop].T, out=left[:rows])
+            left[rows:] = v_rep[:, start:stop].T
+        shape = (left.shape[0], M - lo)
+        prod = np.matmul(left, right, out=own[0][:shape[0] * shape[1]].reshape(shape))
         prod *= scale
-        return np.abs(prod, out=amp[:prod.size].reshape(shape))
+        amp = np.abs(prod, out=own[1][:prod.size].reshape(shape))
+        if perm is None:
+            return amp
+        return np.add(amp[:rows], amp[rows:], out=amp[:rows])
 
     def work(block, own):
         start, stop = block
@@ -291,7 +355,7 @@ def am_norm(kern: Kernel, m: AdmissibleWeight, grid: QuadGrid,
         am_norm=max(row_sup_m, col_sup_m),
         row_sup=row_sup_m,
         col_sup=col_sup_m,
-        grid_descriptor=f"{M} nodes, dim {grid.dim}",
+        grid_descriptor=f"{grid.size} nodes, dim {grid.dim}",
         weight_descriptor=m.descriptor,
     )
 

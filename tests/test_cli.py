@@ -485,6 +485,69 @@ class TestRun:
         assert blobs[0] == blobs[1] == blobs[2]
 
 
+    def test_threads_default_to_the_usable_cores(self, tmp_path, monkeypatch):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no affinity mask on this platform")
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda *a, **kw: seen.append(kw["threads"]) or 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert main(["run", str(write_config(tmp_path, MINIMAL))]) == 0
+        assert seen == [3]
+
+    def test_run_holds_blas_at_one_thread_and_restores_it(self, tmp_path,
+                                                         monkeypatch):
+        blas = cli._bundled_openblas()
+        if blas is None:
+            pytest.skip("numpy is not built on scipy-openblas")
+        get, put = blas
+        seen = []
+        task = cli._TASKS["frame-info"]
+        monkeypatch.setitem(cli._TASKS, "frame-info",
+                            lambda ctx: seen.append(get()) or task(ctx))
+        before = get()
+        put(2)
+        try:
+            assert run(str(write_config(tmp_path, MINIMAL)),
+                       out_dir=str(tmp_path / "out")) == 0
+            assert get() == 2
+        finally:
+            put(before)
+        assert seen == [1]
+
+
+_LADDER_CONFIG_PROBE = """
+import json, sys
+from pathlib import Path
+from workloads import operations
+(name, cfg), = operations("ladder", 0, Path(sys.argv[1]))
+Path(sys.argv[2]).write_text(json.dumps(cfg))
+"""
+
+
+def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the benchmark's ladder config through the entry point, in fresh
+    # interpreters whose OpenBLAS starts with 1 and with 2 threads: the
+    # rounding of S at level 0 once differed between them
+    root = Path(cli.__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root / "perfbench"),
+                                         env.get("PYTHONPATH", "")])
+    cfg = tmp_path / "ladder.json"
+    subprocess.run([sys.executable, "-c", _LADDER_CONFIG_PROBE,
+                    str(root / "configs"), str(cfg)], env=env, check=True,
+                   timeout=300)
+    blobs = []
+    for blas in ("1", "2"):
+        out = tmp_path / f"blas{blas}"
+        proc = subprocess.run([sys.executable, "-m", "coorbit.cli", "run", str(cfg),
+                               "--out", str(out), "--threads", "1"],
+                              env=dict(env, OPENBLAS_NUM_THREADS=blas),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        blobs.append((out / "report.json").read_bytes())
+    assert blobs[0] == blobs[1]
+
+
 _SCIPY_BLOCKED_PROBE = """
 import importlib.abc, json, sys, tempfile
 from pathlib import Path

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from coorbit import _linalg
 from coorbit._linalg import GRAM_COLS, SolverError, hermitian_gram, \
     restricted_rayleigh_bounds
 from coorbit.coverings import build_covering, build_pu
@@ -18,8 +19,8 @@ from coorbit.frame_families import (FamilyError, FrameCalculus,
                                     frame_operator_apply, gaussian_window,
                                     gram_kernel, leakage_report, make_battery,
                                     make_family)
-from coorbit.kernel_algebra import _even_blocks, am_norm, apply_kernel, \
-    compose
+from coorbit.kernel_algebra import _even_blocks, _on_pool, am_norm, \
+    apply_kernel, compose
 from coorbit.localization import cross_gramian
 from coorbit.measure_space import SignalGrid, polynomial_weight, \
     trivial_admissible_weight, weight_from_w
@@ -378,6 +379,16 @@ S_BLOCK_CASES = [
 ]
 
 
+# mirror-closed grids: 32 midpoints per axis on [-4, 4] (no node on the
+# mirror axis w = 0), and 33 cells of exactly 0.25 on [-4.125, 4.125], whose
+# middle row lies on it
+MIRROR_GRIDS = {
+    "mirrored_even": {"bounds": [[-4.0, 4.0], [-4.0, 4.0]], "resolution": [32, 32]},
+    "mirrored_axis": {"bounds": [[-4.125, 4.125], [-4.125, 4.125]],
+                   "resolution": [33, 33]},
+}
+
+
 class TestFrameOperatorBlocks:
     """S = h (Psi W) Psi^H in column blocks on the thread pool."""
 
@@ -395,7 +406,7 @@ class TestFrameOperatorBlocks:
         assert np.abs(mats[0] - ref).max() <= 1e-14 * np.abs(ref).max()
         assert np.array_equal(mats[0], mats[0].conj().T)
 
-    @pytest.mark.parametrize("n", [64, 200, 512])
+    @pytest.mark.parametrize("n", [64, 129, 200, 300, 512])
     @pytest.mark.parametrize("kind", ["real", "complex", "real_view"])
     def test_hermitian_gram_matches_one_gemm(self, kind, n):
         rng = np.random.default_rng(n)
@@ -420,19 +431,50 @@ class TestFrameOperatorBlocks:
         assert np.abs(grams[0] - ref).max() <= 1e-14 * np.abs(ref).max()
         assert np.array_equal(grams[0], grams[0].conj().T)
 
-    @pytest.mark.parametrize("case", ["gabor_complex", "alpha_mod_shipped"])
+    @pytest.mark.parametrize("n", [1, 2, 64, 65, 129, 300, 512, 700])
+    def test_hermitian_gram_units_pair_the_upper_block_triangle(
+            self, n, monkeypatch):
+        # each row block takes its columns from its first row on, and runs
+        # with its mirror block: every pair costs n + one block of columns,
+        # to a row or two, and the units depend on n alone
+        seen = []
+
+        def record(units, threads, make, work, fold=None):
+            seen.append(list(units))
+            return _on_pool(units, threads, make, work, fold)
+
+        monkeypatch.setattr(_linalg, "_on_pool", record)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 7))
+        for threads in (1, 3):
+            hermitian_gram(x, np.ones(7), 1.0, threads)
+        assert seen[0] == seen[1]
+        blocks = [b for unit in seen[0] for b in unit]
+        assert sorted(blocks) == _even_blocks(n, GRAM_COLS // 2)
+        # an odd middle block runs alone, at about half a pair's cost
+        pairs = [sum(n - j0 for j0, _ in unit) for unit in seen[0] if len(unit) == 2]
+        assert all(len(unit) == 2 for unit in seen[0][:-1])
+        assert not pairs or max(pairs) - min(pairs) <= 2
+        assert not pairs or n - seen[0][-1][0][0] <= min(pairs)
+
+    @pytest.mark.parametrize("case", ["gabor_complex", "alpha_mod_shipped",
+                                      "mirrored_even", "mirrored_axis"])
     def test_s_matrix_peak_memory(self, case):
         # S takes one weighted block of at most GRAM_COLS atom rows and
-        # n x n arrays, and no full-size copy of the atoms
+        # n x n arrays, and no full-size copy of the atoms; on a mirrored
+        # grid the float64 view of the representatives' atoms, half of them
         if case == "gabor_complex":
             # 72 midpoints per axis are not bitwise symmetric: complex S
             fam = make_family("gabor", None, SignalGrid(8.0, 64))
             grid = default_index_grid(fam, bounds=[[-4.0, 4.0], [-4.0, 4.0]],
                                       resolution=[72, 72])
-        else:
+        elif case == "alpha_mod_shipped":
             fam = make_family("alpha_mod", {"alpha": 0.5}, SignalGrid(10.0, 512))
             grid = default_index_grid(fam, bounds=[[-5.0, 5.0], [-10.0, 10.0]],
                                       resolution=[40, 56])
+        else:
+            fam = make_family("gabor", None, SignalGrid(8.0, 256))
+            grid = default_index_grid(fam, **MIRROR_GRIDS[case])
         calc = FrameCalculus(fam, grid)
         psi = calc.atom_matrix
         tracemalloc.start()
@@ -441,9 +483,35 @@ class TestFrameOperatorBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert not calc.mirrored and s.dtype == np.complex128
         block = min(psi.shape[0], GRAM_COLS) * psi.shape[1] * psi.itemsize
-        assert peak <= block + 2 * s.nbytes + 64 * 1024
+        if case in MIRROR_GRIDS:
+            reps = int(np.sum(calc.mirror >= np.arange(grid.size)))
+            assert calc.mirrored and s.dtype == np.float64
+            view = psi.shape[0] * reps * psi.itemsize
+            block = min(psi.shape[0], GRAM_COLS) * 2 * reps * s.itemsize
+            assert peak <= view + block + 2 * s.nbytes + 64 * 1024
+        else:
+            assert not calc.mirrored and s.dtype == np.complex128
+            assert peak <= block + 2 * s.nbytes + 64 * 1024
+
+    @pytest.mark.parametrize("tag", ["gabor", "alpha_mod"])
+    @pytest.mark.parametrize("case", sorted(MIRROR_GRIDS))
+    def test_mirrored_s_matches_the_full_real_view(self, tag, case):
+        # one representative per mirror pair at twice its weight, against
+        # every node's real view: equal up to the order of the GEMM sums
+        fam = make_family(tag, None, SignalGrid(8.0, 128))
+        grid = default_index_grid(fam, **MIRROR_GRIDS[case])
+        calc = FrameCalculus(fam, grid)
+        axis = calc.mirror == np.arange(grid.size)
+        assert axis.any() == (case == "mirrored_axis")
+        s = calc.s_matrix()
+        full = hermitian_gram(_real_view(calc.atom_matrix),
+                              np.repeat(grid.weights, 2), fam.signal_grid.h)
+        assert s.dtype == full.dtype == np.float64
+        assert np.array_equal(s, s.T)
+        assert np.abs(s - full).max() <= 1e-14 * np.abs(full).max()
+        mats = [FrameCalculus(fam, grid).s_matrix(t) for t in (2, 3)]
+        assert s.tobytes() == mats[0].tobytes() == mats[1].tobytes()
 
     def test_even_blocks_never_leave_one_column(self):
         # a one-column (or one-row) operand turns a GEMM into a GEMV
@@ -650,9 +718,10 @@ class TestConjugationSymmetry:
         assert fam.conjugation.tolist() == [1.0, -1.0]
         calc = fam.calculus(grid)
         assert calc.mirrored
+        assert np.array_equal(calc.mirror, _mirror(grid.points))
         psi = calc.atom_matrix
         assert psi.dtype == np.complex128
-        assert np.array_equal(psi[:, _mirror(grid.points)], psi.conj())
+        assert np.array_equal(psi[:, calc.mirror], psi.conj())
         assert calc.s_matrix().dtype == np.float64
         assert calc.s_eig(1e-6).eigvecs.dtype == np.float64
         assert calc.half_map(1e-6).dtype == np.float64
@@ -685,7 +754,7 @@ class TestConjugationSymmetry:
                                       resolution=[40, 56])
             assert fam.conjugation.tolist() == [1.0, -1.0]
         calc = fam.calculus(grid)
-        assert not calc.mirrored
+        assert not calc.mirrored and calc.mirror is None
         assert calc.s_matrix().dtype == np.complex128
         assert calc.half_map(1e-6).dtype == np.complex128
         assert calc.half_factor(1e-6).dtype == np.complex128

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import sys
@@ -182,6 +183,87 @@ class TestHermitianTriangle:
                                             rel=1e-13)
 
 
+# mirror-closed grids: an even resolution has no node on the mirror axis
+# w = 0; 33 or 17 cells of exactly 0.25 on a box centred at 0 have a middle
+# row on it
+MIRROR_CASES = [
+    ("gabor", [[-4.0, 4.0], [-4.0, 4.0]], [32, 32], 0),
+    ("gabor", [[-4.125, 4.125], [-4.125, 4.125]], [33, 33], 33),
+    ("alpha_mod", [[-4.0, 4.0], [-4.0, 4.0]], [16, 16], 0),
+    ("alpha_mod", [[-4.25, 4.25], [-4.25, 4.25]], [17, 17], 17),
+]
+
+
+def _recording_pool(monkeypatch):
+    """The row blocks each `_on_pool` call of am_norm runs."""
+    seen = []
+    pool = kernel_algebra._on_pool
+
+    def record(blocks, threads, make, work, fold=None):
+        seen.append(list(blocks))
+        return pool(blocks, threads, make, work, fold)
+
+    monkeypatch.setattr(kernel_algebra, "_on_pool", record)
+    return seen
+
+
+class TestMirrorHalf:
+    """On a mirror-closed grid a Gramian with the trivial weight streams one
+    mirror half; it must agree with the triangle of the same kernel without
+    its mirror, and with the plain two-sided loop."""
+
+    @pytest.fixture(scope="class", params=MIRROR_CASES,
+                    ids=lambda c: f"{c[0]}-{c[2][0]}")
+    def mirrored(self, request):
+        tag, bounds, res, axis = request.param
+        fam = make_family(tag, None, SignalGrid(8.0, 64))
+        grid = default_index_grid(fam, bounds=bounds, resolution=res)
+        R = gram_kernel(fam, grid, rel_cut=0.2)
+        assert R.mirror is not None
+        assert int(np.sum(R.mirror == np.arange(grid.size))) == axis
+        return grid, R
+
+    @pytest.mark.parametrize("row_block", [16, 64])
+    def test_half_matches_the_triangle(self, mirrored, row_block,
+                                       reference_am_norm, monkeypatch):
+        monkeypatch.setattr(kernel_algebra, "_GEMM_ROWS", row_block)
+        grid, R = mirrored
+        m = trivial_admissible_weight()
+        seen = _recording_pool(monkeypatch)
+        reps = [am_norm(R, m, grid, threads=t) for t in (1, 2, 3)]
+        assert _bits(reps[0]) == _bits(reps[1]) == _bits(reps[2])
+        # one block per row_block / 2 representatives, x <= sigma x
+        half = int(np.sum(R.mirror >= np.arange(grid.size)))
+        assert seen[0] == kernel_algebra._even_blocks(half, row_block // 2)
+        full = am_norm(dataclasses.replace(R, mirror=None), m, grid)
+        ref = reference_am_norm(R, m, grid)
+        for key in ("row_sup", "col_sup", "a1_norm", "am_norm"):
+            for want in (getattr(full, key), ref[key]):
+                assert getattr(reps[0], key) == pytest.approx(
+                    want, rel=1e-13, abs=0.0), key
+
+    def test_other_weights_take_the_triangle(self, mirrored, reference_am_norm,
+                                             monkeypatch):
+        # m(sigma x, sigma y) = m(x, y) is not promised by a weight
+        grid, R = mirrored
+        m = weight_from_w(polynomial_weight(1.0))
+        seen = _recording_pool(monkeypatch)
+        rep = am_norm(R, m, grid, threads=2)
+        assert seen[0] == kernel_algebra._even_blocks(grid.size,
+                                                      kernel_algebra._GEMM_ROWS)
+        ref = reference_am_norm(R, m, grid)
+        for key in ("row_sup", "col_sup", "a1_norm", "am_norm"):
+            assert getattr(rep, key) == pytest.approx(ref[key], rel=1e-13,
+                                                      abs=0.0), key
+
+    def test_only_gram_kernel_sets_the_mirror(self, mirrored):
+        grid, R = mirrored
+        assert R.mirror is R.context["calc"].mirror
+        assert involution(R).mirror is None
+        assert kernel_from_matrix(R.matrix(grid), grid).mirror is None
+        assert compose(R, R, grid).mirror is None
+
+
 def _bits(rep):
     return json.dumps(rep.as_dict())   # repr round-trips every float
 
@@ -245,11 +327,19 @@ class TestThreadContract:
         with pytest.raises(KernelError, match="non-finite"):
             am_norm(R, trivial_admissible_weight(), grid, threads=2)
 
-    def test_factored_pass_holds_one_buffer_pair_per_thread(self, gabor_small):
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_factored_pass_holds_one_buffer_pair_per_thread(self, gabor_small,
+                                                            mirrored):
         # each thread allocates one GEMM buffer and one moduli buffer of
-        # _GEMM_ROWS rows; every other array is O(M): accumulators and sums
+        # _GEMM_ROWS rows; every other array is O(M): accumulators and sums.
+        # A mirror half streams the representatives' columns of C, gathered
+        # once, and its buffers span only those columns
         fam, grid = gabor_small
+        if mirrored:
+            grid = default_index_grid(fam, bounds=[[-4.125, 4.125]] * 2,
+                                      resolution=[33, 33])
         R = gram_kernel(fam, grid, rel_cut=0.2)
+        assert (R.mirror is not None) == mirrored
         factors = R.node_factors()          # resolved before the trace
         M, itemsize = grid.size, np.result_type(*factors).itemsize
         tracemalloc.start()
@@ -259,7 +349,14 @@ class TestThreadContract:
         finally:
             tracemalloc.stop()
         assert grid.size > 2 * kernel_algebra._GEMM_ROWS
-        assert peak <= 2 * kernel_algebra._GEMM_ROWS * M * (itemsize + 8) + 16 * M * 8
+        if not mirrored:
+            assert peak <= 2 * kernel_algebra._GEMM_ROWS * M * (itemsize + 8) \
+                + 16 * M * 8
+            return
+        half = int(np.sum(R.mirror >= np.arange(M)))
+        c_rep = factors[1].shape[0] * half * factors[1].itemsize
+        assert peak <= c_rep + 2 * kernel_algebra._GEMM_ROWS * half * (itemsize + 8) \
+            + 16 * M * 8
 
     def test_pool_buffers_are_per_thread_and_folds_in_order(self):
         # each block stamps its buffer, yields, and checks the stamp: a
@@ -284,6 +381,21 @@ class TestThreadContract:
             sys.setswitchinterval(old)
         assert folded == list(range(400))
         assert len(made) == len(set(made)) <= min(8, os.cpu_count() or 1)
+
+    def test_pool_is_capped_by_the_usable_cores(self, monkeypatch):
+        # a process pinned to one core (taskset, a container's cpuset) runs
+        # every block on the calling thread, whatever the CPU count
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no affinity mask on this platform")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        made = []
+
+        def make():
+            made.append(threading.get_ident())
+            return made
+
+        _on_pool(list(range(16)), 4, make, lambda block, own: block)
+        assert made == [threading.get_ident()]
 
     def test_threads_below_one_rejected(self, unit_grid_1d, m_trivial):
         with pytest.raises(KernelError, match="threads"):
