@@ -106,7 +106,8 @@ def psd_factorize(mat: np.ndarray, rel_cut: float = 1e-10) -> HermitianEig:
     return HermitianEig(eigvals=lam, eigvecs=q, kept=kept)
 
 
-def restricted_rayleigh_bounds(probes: np.ndarray, s_mat: np.ndarray, h: float):
+def restricted_rayleigh_bounds(probes: np.ndarray, s_mat: np.ndarray, h: float,
+                               threads: int = 1):
     """Exact extreme Rayleigh quotients of `s_mat` on the span of `probes`.
 
     Directions the probe atoms (the k columns of the n x k `probes`, inner
@@ -118,11 +119,12 @@ def restricted_rayleigh_bounds(probes: np.ndarray, s_mat: np.ndarray, h: float):
     otherwise h P^* P = V diag(lam) V^* gives
     B = sqrt(h) P V_kept diag(lam_kept)^(-1/2).  The reduced operator
     B^* S B is Hermitian, and its extreme eigenvalues are the bounds.
+    `threads` builds the probe Gram; the bounds do not depend on it.
     Returns (c1, c2, kept rank).
     """
     wide = probes.shape[0] < probes.shape[1]
     x = probes if wide else probes.conj().T
-    gram = hermitian_gram(x, np.ones(x.shape[1]), h)
+    gram = hermitian_gram(x, np.ones(x.shape[1]), h, threads)
     eig = psd_factorize(gram, rel_cut=PROBE_GRAM_CUT)
     basis = eig.eigvecs[:, eig.kept]
     if not wide:

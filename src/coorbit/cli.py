@@ -9,12 +9,13 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 Determinism: all randomness flows from the single seed recorded in the
 report; reductions are fixed-order, so identical configurations and seeds
 give bit-identical reports.  The thread count (by default the cores the
-process may use) sizes the pools that run the row tiles of the property-D
-oscillation, build the frame operator S in row blocks and evaluate the
-row blocks of `am_norm`; it is recorded in timings.json and never changes
-a report.  `run` holds numpy's bundled OpenBLAS at one thread while the
-tasks run, so the BLAS thread count of the environment does not change a
-report either.
+process may use) sizes the pool that runs the units of the property-D
+oscillation, the row blocks of `am_norm` and those of every Hermitian Gram
+(S, S_d, U_Phi's K, the probe Grams): each thread claims the next block as
+soon as it is free, and the calling thread folds the results in block
+order.  It is recorded in timings.json and never changes a report.  `run`
+holds numpy's bundled OpenBLAS at one thread while the tasks run, so the
+BLAS thread count of the environment does not change a report either.
 """
 from __future__ import annotations
 
@@ -298,7 +299,7 @@ class _Context:
             cov = self.covering()
             pu = build_pu(cov, self.cfg.get("pu_flavor", "indicator"))
             op = build_uphi(gram_kernel(self.family, self.grid, rel_cut=self.rel_cut),
-                            cov, pu, self.grid)
+                            cov, pu, self.grid, threads=self.threads)
             self._uphi = (pu, op)
         return self._uphi
 

@@ -54,6 +54,7 @@ class UPhiOperator:
     node_index: np.ndarray
     masses: np.ndarray
     rel_cut: float = 1e-10
+    threads: int = 1             # builds K and S_d; never changes a value
 
     @property
     def grid(self) -> QuadGrid:
@@ -99,7 +100,8 @@ class UPhiOperator:
         ran R in the mu-orthonormal basis sqrt(h) C^H, ascending
         eigenvalues kappa."""
         h = self.calc.family.signal_grid.h
-        return np.linalg.eigh(hermitian_gram(self._c_nodes, self.masses, h))
+        return np.linalg.eigh(hermitian_gram(self._c_nodes, self.masses, h,
+                                             self.threads))
 
     @cached_property
     def defect(self) -> float:
@@ -128,11 +130,12 @@ class UPhiOperator:
 
 
 def build_uphi(R: Kernel, cov: Covering, pu: PartitionOfUnity,
-               grid: QuadGrid) -> UPhiOperator:
+               grid: QuadGrid, threads: int = 1) -> UPhiOperator:
     """Operator closure over the Gramian's analysis factor.
 
     R must come from gram_kernel (it carries the frame calculus needed to
-    realize the columns); a plain kernel has no column support.
+    realize the columns); a plain kernel has no column support.  `threads`
+    builds the operator's `hermitian_gram` products.
     """
     ctx = getattr(R, "context", None)
     if not ctx or "calc" not in ctx:
@@ -145,7 +148,7 @@ def build_uphi(R: Kernel, cov: Covering, pu: PartitionOfUnity,
     return UPhiOperator(calc=calc, covering=cov,
                         node_index=cov.sample_node_index.copy(),
                         masses=np.asarray(pu.masses, dtype=float),
-                        rel_cut=ctx.get("rel_cut", 1e-10))
+                        rel_cut=ctx.get("rel_cut", 1e-10), threads=threads)
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +282,17 @@ def hilbert_frame_bounds(op: UPhiOperator):
     atoms at interior sample points, thinned as in
     `frame_bounds_continuous`; truncation zero-modes are excluded by the
     relative Gram cut.  The bounds are the exact extreme eigenvalues of the
-    reduced operator.  Returns (C1, C2, subspace description).
+    reduced operator.  Both Grams run on the operator's `threads`.
+    Returns (C1, C2, subspace description).
     """
     cov = op.covering
     h = op.calc.family.signal_grid.h
     atoms = op.atoms
-    s_mat = hermitian_gram(atoms, cov.measures, h)
+    s_mat = hermitian_gram(atoms, cov.measures, h, op.threads)
     idx, interior = _interior_probes(op.calc.family, cov.grid,
                                      cov.grid.points[op.node_index])
     if idx.size == 0:
         raise DiscretizationError("no interior sampled atoms; enlarge the domain")
-    c1, c2, _ = restricted_rayleigh_bounds(atoms[:, idx], s_mat, h)
+    c1, c2, _ = restricted_rayleigh_bounds(atoms[:, idx], s_mat, h, op.threads)
     sub = f"span of {interior} interior sampled atoms, Gram cut {PROBE_GRAM_CUT:g}"
     return c1, c2, sub

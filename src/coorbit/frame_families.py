@@ -626,8 +626,10 @@ def _inhom_family(params: dict, sg: SignalGrid) -> FrameFamily:
         if lowpass.any():
             spec[:, lowpass] = phi_spectrum(w)[:, None]
         if (~lowpass).any():
-            a = scale[~lowpass]
-            spec[:, ~lowpass] = np.sqrt(a[None, :]) * profile.spectrum(a[None, :] * w[:, None])
+            # the spectrum once per distinct scale
+            au, ia = _distinct(scale[~lowpass])
+            spec[:, ~lowpass] = (np.sqrt(au[None, :])
+                                 * profile.spectrum(au[None, :] * w[:, None]))[:, ia]
         return _spectral_atoms(sg, spec, pos)
 
     scale_center = np.sqrt(profile.order)
@@ -880,9 +882,9 @@ def frame_bounds_continuous(family: FrameFamily, x_grid: QuadGrid,
     them by even stride; directions that the truncation cannot represent
     stably are removed by a relative cut on the probe Gram matrix.  The
     bounds are the exact extreme eigenvalues of the reduced operator.
-    `threads` builds S (`FrameCalculus.s_matrix`); the bounds do not
-    depend on it.  The probes are columns of the atom matrix that S was
-    built from, so no atom is synthesized twice.  On a mirrored grid
+    `threads` builds S (`FrameCalculus.s_matrix`) and the probe Gram; the
+    bounds do not depend on it.  The probes are columns of the atom matrix
+    that S was built from, so no atom is synthesized twice.  On a mirrored grid
     (`FrameCalculus.mirrored`) S is real and the probes enter as their
     float64 view [Re p, Im p], which spans the probe atoms and their
     conjugates, the atoms at the mirrored nodes (interior atoms too when
@@ -895,13 +897,17 @@ def frame_bounds_continuous(family: FrameFamily, x_grid: QuadGrid,
         raise FamilyError("no interior probe points; enlarge the index box")
     calc = family.calculus(x_grid)
     s = calc.s_matrix(threads)
-    probes = calc.atom_matrix[:, idx]
+    mirrored = calc.mirrored
+    # a mirrored grid's probes enter as their float64 view, which needs
+    # C-ordered rows: `np.take` gathers them so, where a column slice of the
+    # F-ordered atom matrix would be copied again.  The complex probes stay
+    # a slice: their layout sets the rounding of the probe products
+    probes = _real_view(np.take(calc.atom_matrix, idx, axis=1)) if mirrored \
+        else calc.atom_matrix[:, idx]
     if np.max(np.abs(probes)) == 0.0:
         raise FamilyError("zero family: all probe atoms vanish")
-    mirrored = calc.mirrored
-    if mirrored:
-        probes = _real_view(probes)
-    c1, c2, rank = restricted_rayleigh_bounds(probes, s, family.signal_grid.h)
+    c1, c2, rank = restricted_rayleigh_bounds(probes, s, family.signal_grid.h,
+                                              threads)
     return FrameBoundsReport(
         c1=c1, c2=c2,
         subspace=(f"span of {idx.size} interior atoms"

@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -195,32 +194,86 @@ def _mirror_half(perm: np.ndarray):
 def _on_pool(blocks: list, threads: int, make, work, fold=None) -> None:
     """fold(work(block, own)) for every block, folded in block order.
 
-    With threads > 1 (no more than the blocks and the usable cores allow)
-    the calling thread takes every `threads`-th block and threads - 1
-    workers take the rest, one round of `threads` blocks at a time.  `own`
-    is the set of buffers make() allocated once for the thread running the
-    block.
+    The calling thread and threads - 1 workers (no more threads than the
+    blocks and the usable cores allow) each claim the next unclaimed block
+    from one shared counter whenever they are free, so no thread waits for
+    another's block before it starts its next one.
+    Finished results wait in a dict by block index; only the calling
+    thread folds, strictly in block order: what is ready between its own
+    blocks, the rest once every block is claimed.  The calling thread
+    computes too: a pool of workers alone would add a thread, and its
+    malloc arena, for no gain.  `own` is the set of buffers make()
+    allocated once for the thread running the block.  An exception in any
+    block stops further claims, and the first one is raised here once
+    every worker has ended; no worker outlives the call.
     """
     threads = min(threads, len(blocks), _usable_cores())
-    local = threading.local()
-
-    def run(block):
-        own = getattr(local, "own", None)
-        if own is None:
-            own = local.own = make()
-        return work(block, own)
-
     fold = fold or (lambda res: None)
-    if threads <= 1:
-        for b in blocks:
-            fold(run(b))
-        return
-    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-        for r in range(0, len(blocks), threads):
-            futures = [pool.submit(run, b) for b in blocks[r + 1:r + threads]]
-            fold(run(blocks[r]))
-            for fut in futures:
-                fold(fut.result())
+    cond = threading.Condition()
+    done, failed = {}, []
+    claimed = folded = 0
+
+    def claim():
+        """The next block index, or None once all are claimed or a block
+        has failed."""
+        nonlocal claimed
+        with cond:
+            if failed or claimed == len(blocks):
+                return None
+            claimed += 1
+            return claimed - 1
+
+    def serve(between=lambda: None):
+        """Claim and run blocks until none is left, between() after each;
+        make() once the thread has claimed its first block."""
+        i = claim()
+        own = make() if i is not None else None
+        while i is not None:
+            res = work(blocks[i], own)
+            with cond:
+                done[i] = res
+                cond.notify()
+            between()
+            i = claim()
+
+    def fold_ready(wait=False):
+        """Fold the results ready in block order; with `wait`, all of them."""
+        nonlocal folded
+        while folded < len(blocks):
+            with cond:
+                if wait:
+                    cond.wait_for(lambda: folded in done or failed)
+                if failed:
+                    raise failed[0]
+                if folded not in done:
+                    return
+                res = done.pop(folded)
+            fold(res)
+            folded += 1
+
+    def worker():
+        try:
+            serve()
+        except BaseException as exc:
+            with cond:
+                failed.append(exc)
+                cond.notify()
+
+    workers = [threading.Thread(target=worker, name=f"coorbit-pool-{k}")
+               for k in range(1, threads)]
+    try:
+        for t in workers:
+            t.start()
+        serve(fold_ready)
+        fold_ready(wait=True)
+    except BaseException as exc:
+        with cond:
+            failed.append(exc)
+        raise
+    finally:
+        for t in workers:
+            if t.ident is not None:        # started
+                t.join()
 
 
 def am_norm(kern: Kernel, m: AdmissibleWeight, grid: QuadGrid,

@@ -37,11 +37,11 @@ nodes' and its z-samples'.  A unit is then one GEMM of a chunk (at most
 of U, in the factors' dtype (float64 for a family with real atoms), the
 moduli, the z min and max (or the strict differences), a `take` gather of
 each node's cells and the row and column sums, every intermediate in
-scratch memory that the running thread owns.  The row tiles run on
-`threads` (`kernel_algebra._on_pool`), each tile's units in chunk order on
-one thread; the workers run numpy and the weight m, never `Kernel.block`,
-`FrameFamily.atoms` or `u_factor`.  Unit results are folded in tile order,
-then chunk order, so the result does not depend on the thread count.
+scratch memory that the running thread owns.  The units run on `threads`
+(`kernel_algebra._on_pool`): in tile order, then chunk order, each free
+thread claims the next one; the workers run numpy and the weight m, never
+`Kernel.block`, `FrameFamily.atoms` or `u_factor`.  Unit results are folded
+in that same order, so the result does not depend on the thread count.
 
 `osc_matrix` keeps the values.  `osc_norm_streaming` reduces each unit to
 its row and column sums of osc m and of |R| m: ||R | A_m|| comes from the
@@ -368,8 +368,8 @@ def _osc_stream(R: Kernel, cov: Covering, grid: QuadGrid, z_per_cell: int,
     Both live in the running thread's scratch memory: reduce may overwrite
     them but must not keep them.
 
-    R must have node factors and a column factor on this grid; the row
-    tiles run on `threads` (`_on_pool`).
+    R must have node factors and a column factor on this grid; the units
+    run on `threads` (`_on_pool`).
     """
     if comparison not in ("strict", "phase_aligned"):
         raise OscillationError(f"unknown comparison {comparison!r}")
@@ -397,10 +397,10 @@ def _osc_stream(R: Kernel, cov: Covering, grid: QuadGrid, z_per_cell: int,
                  * scale).T
         chunks.append((nodes, cells, slots, right))
 
-    def work(t0, t1, chunk, buf):
+    def work(unit, buf):
         """R(x, y) and R(x, z) for the x in t0:t1, one row per y and z, and
         the unit's reduction."""
-        nodes, cells, slots, right = chunk
+        t0, t1, (nodes, cells, slots, right) = unit
         buf.reset()
         prod = np.matmul(right, u_t[:, t0:t1],
                          out=buf((right.shape[0], t1 - t0), gemm_dtype))
@@ -414,18 +414,9 @@ def _osc_stream(R: Kernel, cov: Covering, grid: QuadGrid, z_per_cell: int,
                 cells.size, z_per_cell, t1 - t0), slots, aligned, amp, buf)
         return reduce(slice(t0, t1), nodes, osc, amp)
 
-    fold = fold or (lambda res: None)
-
-    def work_tile(tile, buf):
-        return [work(*tile, chunk, buf) for chunk in chunks]
-
-    def fold_tile(results):
-        for res in results:
-            fold(res)
-
-    # the pool hands out whole row tiles, so threads meet once per tile
-    _on_pool(_even_blocks(grid.size, _TILE_ROWS), threads, _Scratch,
-             work_tile, fold_tile)
+    units = [(t0, t1, chunk) for t0, t1 in _even_blocks(grid.size, _TILE_ROWS)
+             for chunk in chunks]
+    _on_pool(units, threads, _Scratch, work, fold)
 
 
 def osc_matrix(R: Kernel, cov: Covering, grid: QuadGrid, z_per_cell: int = 4,
@@ -463,7 +454,7 @@ def osc_norm_streaming(R: Kernel, cov: Covering, grid: QuadGrid,
     and column sums once.  A row tile's sums accumulate over the chunks in
     chunk order, a node's column sums over the tiles in tile order.  The
     calling thread synthesizes the z-samples' column factors once, and
-    `threads` sizes the pool that runs the row tiles; the result does not
+    `threads` sizes the pool that runs the units; the result does not
     depend on it.  R must have node factors and a column factor on this
     grid, as the Gramian of `gram_kernel` does; any other kernel raises
     OscillationError.
@@ -508,7 +499,7 @@ def property_D_check(family: FrameFamily, cov: Covering, m: AdmissibleWeight,
     delta (||R|| + sigma) with the three flags.  One pass over the Gramian
     gives both norms: `osc_norm_streaming` sums ||R | A_m|| from the
     y-columns it evaluates for the oscillation anyway.  Deterministic given
-    seed, whatever the number of `threads` running the oscillation tiles.
+    seed, whatever the number of `threads` running the oscillation units.
     """
     if comparison is None:
         comparison = "phase_aligned" if family.phase_quotient else "strict"

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coorbit import _linalg
+from coorbit import _linalg, frame_families
 from coorbit._linalg import GRAM_COLS, SolverError, hermitian_gram, \
     restricted_rayleigh_bounds
 from coorbit.coverings import build_covering, build_pu
@@ -12,7 +12,7 @@ from coorbit.discretization import atomic_coefficients, \
     banach_frame_reconstruct, build_uphi
 from coorbit.frame_families import (FamilyError, FrameCalculus,
                                     GaussDerivProfile, _interior_probes,
-                                    _real_view,
+                                    _real_view, _spectral_atoms,
                                     alpha_admissibility,
                                     analyze_V, analyze_W, default_index_grid,
                                     frame_bounds_continuous,
@@ -600,6 +600,23 @@ class TestWaveletFamilies:
         assert phi_sq[-1] <= 1e-6
         assert phi_sq[0] == pytest.approx(1.0, abs=1e-9)
 
+    def test_inhom_atoms_equal_the_per_node_spectrum(self):
+        # the spectrum runs once per distinct scale; the atoms are those of
+        # the spectrum evaluated at every node, bit for bit
+        sg = SignalGrid(16.0, 256)
+        fam = make_family("inhom_wavelet", None, sg)
+        pts = default_index_grid(fam).points
+        scale = pts[:, 0]
+        lowpass = scale <= 0.0
+        assert lowpass.any() and np.unique(scale).size < scale.size // 10
+        profile, w = fam.params["profile"], sg.rfft_freqs()
+        spec = np.empty((w.size, scale.size))
+        spec[:, lowpass] = np.sqrt(np.clip(1.0 - profile.theta(w), 0.0, 1.0))[:, None]
+        a = scale[~lowpass]
+        spec[:, ~lowpass] = np.sqrt(a[None, :]) * profile.spectrum(a[None, :] * w[:, None])
+        direct = _spectral_atoms(sg, spec, pts[:, 1])
+        assert fam.atoms(pts).tobytes() == direct.tobytes()
+
     def test_inhom_tight_on_battery(self):
         sg = SignalGrid(10.0, 512)
         fam = make_family("inhom_wavelet", None, sg)
@@ -793,6 +810,33 @@ class TestConjugationSymmetry:
         assert "conjugates" in rep.subspace
         assert rep.c1 == pytest.approx(c1, rel=1e-12)
         assert rep.c2 == pytest.approx(c2, rel=1e-12)
+
+    def test_mirrored_probes_are_gathered_in_c_order(self, gabor_reference,
+                                                     monkeypatch):
+        # so their float64 view copies nothing (a column slice of the
+        # F-ordered atom matrix would be copied again), and the bounds are
+        # those of the view of the column slice, bit for bit
+        fam, grid = gabor_reference
+        calc = fam.calculus(grid)
+        assert calc.mirrored
+        s = calc.s_matrix()                     # built before the recording
+        gathered = []
+
+        def record(z):
+            gathered.append(z)
+            return _real_view(z)
+
+        monkeypatch.setattr(frame_families, "_real_view", record)
+        rep = frame_bounds_continuous(fam, grid)
+        (probes,) = gathered
+        assert probes.flags["C_CONTIGUOUS"]
+        idx, _ = _interior_probes(fam, grid, grid.points)
+        sliced = calc.atom_matrix[:, idx]
+        assert not sliced.flags["C_CONTIGUOUS"]
+        assert probes.tobytes() == np.ascontiguousarray(sliced).tobytes()
+        c1, c2, rank = restricted_rayleigh_bounds(
+            _real_view(sliced), s, fam.signal_grid.h)
+        assert (rep.c1.hex(), rep.c2.hex(), rep.rank) == (c1.hex(), c2.hex(), rank)
 
     @pytest.mark.parametrize("tag", ["gabor", "alpha_mod"])
     def test_per_axis_atoms_equal_the_direct_formula(self, tag, rng,

@@ -397,6 +397,100 @@ class TestThreadContract:
         _on_pool(list(range(16)), 4, make, lambda block, own: block)
         assert made == [threading.get_ident()]
 
+    def test_pool_threads_claim_blocks_as_they_free_up(self, monkeypatch):
+        # block 0 waits until every other block has run: a free thread
+        # claims the next block at once, where one that waited for a round
+        # of `threads` blocks to end would leave them unrun
+        monkeypatch.setattr(kernel_algebra, "_usable_cores", lambda: 2)
+        blocks = list(range(12))
+        others = threading.Event()
+        ran, lock = [], threading.Lock()
+
+        def work(block, own):
+            if block == 0:
+                return others.wait(timeout=10)
+            with lock:
+                ran.append(block)
+                if len(ran) == len(blocks) - 1:
+                    others.set()
+            return block
+
+        folded = []
+        _on_pool(blocks, 2, lambda: None, work, folded.append)
+        assert others.is_set()
+        assert folded == [True] + blocks[1:]
+
+    def test_pool_error_in_a_worker_stops_the_claims(self, monkeypatch):
+        # a worker's block raises; the caller's block waits until that
+        # worker has ended, and then no block is claimed any more
+        monkeypatch.setattr(kernel_algebra, "_usable_cores", lambda: 2)
+        caller = threading.current_thread()
+        failing, started = [], []
+        raised = threading.Event()
+
+        def work(block, own):
+            started.append(block)
+            if threading.current_thread() is not caller:
+                failing.append(threading.current_thread())
+                raised.set()
+                raise RuntimeError(f"block {block} failed")
+            assert raised.wait(timeout=10)
+            failing[0].join(timeout=10)
+            return block
+
+        with pytest.raises(RuntimeError, match="failed"):
+            _on_pool(list(range(100)), 2, lambda: None, work)
+        assert len(failing) == 1 and not failing[0].is_alive()
+        # the failing block and at most one the caller ran meanwhile
+        assert len(started) <= 2
+
+    def test_pool_claims_every_block_once_under_stress(self, monkeypatch):
+        # eight threads on however few cores, switching every microsecond:
+        # a lost update to the shared claim counter would run a block twice
+        # or never, and a lost result would stall or misorder the fold
+        monkeypatch.setattr(kernel_algebra, "_usable_cores", lambda: 8)
+        blocks = list(range(3000))
+        runs = [0] * len(blocks)
+        folded = []
+
+        def work(block, own):
+            runs[block] += 1                # each block runs on one thread
+            return block
+
+        call = threading.Thread(target=_on_pool, args=(
+            blocks, 8, lambda: None, work, folded.append))
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            call.start()
+            call.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not call.is_alive()
+        assert runs == [1] * len(blocks)
+        assert folded == blocks
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_pool_threads_end_with_the_call(self, monkeypatch, fails):
+        monkeypatch.setattr(kernel_algebra, "_usable_cores", lambda: 4)
+        before = set(threading.enumerate())
+        ran = set()
+
+        def work(block, own):
+            ran.add(threading.current_thread())
+            if fails and block == 40:
+                raise ValueError("block 40")
+            time.sleep(0.001)
+            return block
+
+        if fails:
+            with pytest.raises(ValueError, match="block 40"):
+                _on_pool(list(range(64)), 4, lambda: None, work)
+        else:
+            _on_pool(list(range(64)), 4, lambda: None, work)
+        assert set(threading.enumerate()) == before
+        assert len(ran) > 1 and not any(t.is_alive() for t in ran - before)
+
     def test_threads_below_one_rejected(self, unit_grid_1d, m_trivial):
         with pytest.raises(KernelError, match="threads"):
             am_norm(gaussian_kernel(), m_trivial, unit_grid_1d, threads=0)

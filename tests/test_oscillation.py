@@ -592,8 +592,8 @@ class TestThreadInvariance:
 
     def test_non_finite_factor_in_a_workers_tile(self, gabor_blocks,
                                                  m_trivial):
-        # row 500 lies in row tile 1, which a worker takes at two threads;
-        # the factors are checked once, before any unit runs
+        # row 500 lies in row tile 1, whose units a worker may claim at two
+        # threads; the factors are checked once, before any unit runs
         _, grid, R = gabor_blocks
         cov = build_covering(grid, 0.625)
         tiles, _ = _plan(cov, grid, 3)
