@@ -298,7 +298,8 @@ class _Context:
         if self._uphi is None:
             cov = self.covering()
             pu = build_pu(cov, self.cfg.get("pu_flavor", "indicator"))
-            op = build_uphi(gram_kernel(self.family, self.grid, rel_cut=self.rel_cut),
+            op = build_uphi(gram_kernel(self.family, self.grid, rel_cut=self.rel_cut,
+                                        threads=self.threads),
                             cov, pu, self.grid, threads=self.threads)
             self._uphi = (pu, op)
         return self._uphi
@@ -366,11 +367,11 @@ def task_reconstruct(ctx: _Context) -> dict:
     samples = ctx.sg.h * (op.atoms.conj().T @ battery)
     _, brep = banach_frame_reconstruct(samples, op, f_true=battery)
     ratios = brep.norm_ratios["flat_l2_over_f"]
+    last = lam[:, -1]                           # the last signal's
+    rows = zip(last.real.tolist(), last.imag.tolist())
     with open(ctx.out / "coefficients.csv", "w", newline="") as fh:
-        wtr = csv.writer(fh)
-        wtr.writerow(["index", "re", "im"])
-        for k, v in enumerate(lam[:, -1]):      # the last signal's
-            wtr.writerow([k, repr(float(v.real)), repr(float(v.imag))])
+        fh.write("index,re,im\r\n" + "".join(
+            f"{k},{x!r},{y!r}\r\n" for k, (x, y) in enumerate(rows)))
     return {"battery_size": battery.shape[1],
             "atomic_max_relative_error": float(np.max(rep.relative_error)),
             "banach_max_relative_error": float(np.max(brep.relative_error)),
@@ -400,10 +401,10 @@ def task_localize(ctx: _Context) -> dict:
 
 
 def task_norms(ctx: _Context) -> dict:
-    # S on the pool (a no-op when frame-info built it): the Gramian factors
-    # that am_norm resolves first are computed from it
-    ctx.family.calculus(ctx.grid).s_matrix(ctx.threads)
-    R = gram_kernel(ctx.family, ctx.grid, rel_cut=ctx.rel_cut)
+    # the atoms, S and the Gramian factors that am_norm resolves first run
+    # on the pool (cached when frame-info built them)
+    R = gram_kernel(ctx.family, ctx.grid, rel_cut=ctx.rel_cut,
+                    threads=ctx.threads)
     return {"gramian": am_norm(R, ctx.m, ctx.grid, threads=ctx.threads).as_dict()}
 
 

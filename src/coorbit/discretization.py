@@ -54,7 +54,8 @@ class UPhiOperator:
     node_index: np.ndarray
     masses: np.ndarray
     rel_cut: float = 1e-10
-    threads: int = 1             # builds K and S_d; never changes a value
+    # builds the Gramian factors, K and S_d; never changes a value
+    threads: int = 1
 
     @property
     def grid(self) -> QuadGrid:
@@ -66,16 +67,17 @@ class UPhiOperator:
     @cached_property
     def _c_nodes(self) -> np.ndarray:
         """Half-factor columns C_{x_i} at the sample nodes, shape (r, N)."""
-        return self.calc.half_factor(self.rel_cut)[:, self.node_index]
+        return self.calc.half_factor(self.rel_cut, self.threads)[:, self.node_index]
 
     @cached_property
     def atoms(self) -> np.ndarray:
         """Sampled atoms psi_{x_i} on the signal grid, shape (n, N): the
         columns of the grid's atom matrix at the sample nodes, the same
         matrix `family.atoms` synthesizes there.  `np.take` copies them in C
-        order, the layout of a synthesized atom block; a column slice of
-        the F-ordered atom matrix would stay F-ordered, and BLAS rounds the
-        block and one-signal products on the two layouts differently."""
+        order, the layout of a synthesized atom block; an indexed column
+        slice of the C-ordered atom matrix comes out F-ordered, and BLAS
+        rounds the block and one-signal products on the two layouts
+        differently."""
         return np.take(self.calc.atom_matrix, self.node_index, axis=1)
 
     def from_samples(self, samp: np.ndarray) -> np.ndarray:
@@ -135,7 +137,7 @@ def build_uphi(R: Kernel, cov: Covering, pu: PartitionOfUnity,
 
     R must come from gram_kernel (it carries the frame calculus needed to
     realize the columns); a plain kernel has no column support.  `threads`
-    builds the operator's `hermitian_gram` products.
+    builds the Gramian factors and the operator's `hermitian_gram` products.
     """
     ctx = getattr(R, "context", None)
     if not ctx or "calc" not in ctx:

@@ -41,12 +41,12 @@ import numpy as np
 
 from ._linalg import PROBE_GRAM_CUT, HermitianEig, hermitian_gram, \
     psd_factorize, restricted_rayleigh_bounds
-from .kernel_algebra import Kernel, _mirror_half
+from .kernel_algebra import Kernel, _mirror_half, _on_pool
 from .measure_space import GridError, QuadGrid, SignalGrid, build_quad_grid, \
     euclidean_metric
 
 TWO_PI = 2.0 * np.pi
-_ATOM_COLS = 256             # columns of one gathered modulation-atom block
+_ATOM_COLS = 256             # columns of one synthesized or mapped atom block
 COVERAGE_TARGET = 4e-4       # L2 coverage error of a wavelet scale margin
 
 
@@ -59,11 +59,21 @@ class FamilyError(ValueError):
 # ---------------------------------------------------------------------------
 def gaussian_window(t: np.ndarray) -> np.ndarray:
     """Unit-norm Gaussian, ||g||_{L2} = 1."""
-    return np.pi ** (-0.25) * np.exp(-0.5 * t * t)
+    return _gaussian(t)
 
 
 def mexican_hat(t: np.ndarray) -> np.ndarray:
     """(1 - t^2) exp(-t^2/2) scaled so that int_0^inf |psihat(u)|^2 du/u = 1."""
+    return _mexican_hat(t)
+
+
+# the profiles as the synthesis blocks call them: a pool worker calls no
+# public function of the package
+def _gaussian(t: np.ndarray) -> np.ndarray:
+    return np.pi ** (-0.25) * np.exp(-0.5 * t * t)
+
+
+def _mexican_hat(t: np.ndarray) -> np.ndarray:
     return np.pi ** (-0.5) * (1.0 - t * t) * np.exp(-0.5 * t * t)
 
 
@@ -139,21 +149,34 @@ def _coverage_log_margin(order: int) -> float:
 # ---------------------------------------------------------------------------
 @dataclass
 class FrameFamily:
-    """Evaluable atom map x -> psi_x over a truncated signal grid."""
+    """Evaluable atom map x -> psi_x over a truncated signal grid.
+
+    `atom_fn(points, threads)` returns the (n, N) atoms at N points.  The
+    built-in families compute their tables once per call on the calling
+    thread (the Gabor window per distinct position, the modulation per
+    distinct frequency, the wavelet spectrum per distinct scale) and then
+    fill one C-ordered output in column blocks of `_ATOM_COLS` on `threads`
+    (`_fill_columns`): a block only gathers, multiplies, exponentiates or
+    inverse-FFTs its columns, calling numpy and private helpers alone.
+    Every entry comes from the same elementwise operations whatever the
+    block, so the atoms do not depend on `threads`.
+    """
 
     tag: str
     signal_grid: SignalGrid
     params: dict
     phase_quotient: bool
-    atom_fn: Callable[[np.ndarray], np.ndarray]   # (N, d) points -> (n, N) atoms
+    # (N, d) points, threads -> (n, N) atoms
+    atom_fn: Callable[[np.ndarray, int], np.ndarray]
     metric: Callable[[np.ndarray, np.ndarray], np.ndarray]
     interior_margins: np.ndarray
     # per-axis signs sigma with conj(psi_x) = psi_{sigma x} exactly, or None
     conjugation: Optional[np.ndarray] = None
     _ops: dict = field(default_factory=dict, repr=False)
 
-    def atoms(self, points: np.ndarray) -> np.ndarray:
-        return self.atom_fn(np.atleast_2d(np.asarray(points, dtype=float)))
+    def atoms(self, points: np.ndarray, threads: int = 1) -> np.ndarray:
+        return self.atom_fn(np.atleast_2d(np.asarray(points, dtype=float)),
+                            threads)
 
     def atom(self, point) -> np.ndarray:
         return self.atoms(np.atleast_2d(point))[:, 0]
@@ -254,6 +277,13 @@ class FrameCalculus:
     the atoms' view and stays complex128, with C[:, sigma y] =
     conj(C[:, y]), which `gram_kernel` passes on to `am_norm`
     (`Kernel.mirror`).
+
+    The two column stages run on the caller's `threads` (`_on_pool`), and
+    their bytes do not depend on it: the grid atoms (`atoms`,
+    `FrameFamily.atoms`) and the map C = P Psi (`half_factor`,
+    `_map_atoms`), in column blocks of `_ATOM_COLS`.  S is one
+    `hermitian_gram` on `threads` (`s_matrix`); its `eigh` runs on the
+    calling thread.
     """
 
     def __init__(self, family: FrameFamily, grid: QuadGrid):
@@ -266,11 +296,16 @@ class FrameCalculus:
         self._half_factor: dict[float, np.ndarray] = {}
         self._u_factor: dict[float, np.ndarray] = {}
 
+    def atoms(self, threads: int = 1) -> np.ndarray:
+        """The atoms at the grid's nodes, (n, M), synthesized on `threads`
+        by the first call and cached."""
+        if self._atoms is None:
+            self._atoms = self.family.atoms(self.grid.points, threads)
+        return self._atoms
+
     @property
     def atom_matrix(self) -> np.ndarray:
-        if self._atoms is None:
-            self._atoms = self.family.atoms(self.grid.points)
-        return self._atoms
+        return self.atoms()
 
     @functools.cached_property
     def mirror(self) -> Optional[np.ndarray]:
@@ -325,7 +360,7 @@ class FrameCalculus:
         column: h Psi~ W~ Psi~^T = Re(h Psi W Psi^H) = S, a real GEMM per
         block."""
         if self._s_matrix is None:
-            psi, w = self.atom_matrix, self.grid.weights
+            psi, w = self.atoms(threads), self.grid.weights
             if self.mirror is not None:
                 rep, axis = _mirror_half(self.mirror)
                 w = np.where(axis, 1.0, 2.0) * w[rep]
@@ -354,11 +389,14 @@ class FrameCalculus:
             self._half_map[rel_cut] = p
         return p
 
-    def half_factor(self, rel_cut: float = 1e-10) -> np.ndarray:
-        """C = Lambda_k^(-1/2) Q_k^H Psi on the grid, shape (r, M)."""
+    def half_factor(self, rel_cut: float = 1e-10, threads: int = 1) -> np.ndarray:
+        """C = Lambda_k^(-1/2) Q_k^H Psi on the grid, shape (r, M): the
+        atoms, S and the map on `threads` (`_map_atoms`), cached once per
+        cut."""
         c = self._half_factor.get(rel_cut)
         if c is None:
-            c = _map_atoms(self.half_map(rel_cut), self.atom_matrix)
+            self.s_matrix(threads)          # the atoms and S on the pool
+            c = _map_atoms(self.half_map(rel_cut), self.atom_matrix, threads)
             self._half_factor[rel_cut] = c
         return c
 
@@ -403,12 +441,23 @@ def _real_view(z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(z).view(np.float64)
 
 
-def _map_atoms(p: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """p @ psi.  A real map on complex atoms is one real GEMM on the atoms'
-    float64 view, read back as complex128 without a copy."""
-    if np.isrealobj(p) and np.iscomplexobj(psi):
-        return (p @ _real_view(psi)).view(np.complex128)
-    return p @ psi
+def _map_atoms(p: np.ndarray, psi: np.ndarray, threads: int = 1) -> np.ndarray:
+    """p @ psi, one GEMM per column block (`_column_blocks`) on `threads`
+    (`_on_pool`), each written into its columns of one output.  A real map
+    on complex atoms multiplies blocks of the atoms' float64 view and reads
+    the output back as complex128 without a copy.  The blocks depend on the
+    column count alone, so the bytes do not depend on `threads`."""
+    real_view = np.isrealobj(p) and np.iscomplexobj(psi)
+    x = _real_view(psi) if real_view else psi
+    width = 2 if real_view else 1       # columns of x per atom
+    out = np.empty((p.shape[0], x.shape[1]), dtype=np.result_type(p, x))
+
+    def work(block, _):
+        cols = slice(width * block[0], width * block[1])
+        np.matmul(p, x[:, cols], out=out[:, cols])
+
+    _on_pool(_column_blocks(psi.shape[1]), threads, lambda: None, work)
+    return out.view(np.complex128) if real_view else out
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +519,13 @@ def _gabor_family(params: dict, sg: SignalGrid) -> FrameFamily:
 
     t = sg.points
 
-    def atom_fn(points):
+    def atom_fn(points, threads=1):
         # the window once per distinct position, the modulation once per
-        # distinct frequency
+        # distinct frequency, on the calling thread: `gfun` may be public
         xu, ix = _distinct(points[:, 0])
         mod, iw = _modulation(t, points[:, 1])
-        return _modulated(gfun(t[:, None] - xu[None, :]), ix, mod, iw)
+        win = gfun(t[:, None] - xu[None, :])
+        return _modulated(lambda cols: win[:, ix[cols]], mod, iw, threads)
 
     return FrameFamily(
         tag="gabor", signal_grid=sg, params={"window": window},
@@ -501,26 +551,51 @@ def _modulation(t: np.ndarray, w: np.ndarray):
     return np.exp(arg, out=arg), iw
 
 
-def _modulated(amp: np.ndarray, iamp: Optional[np.ndarray], mod: np.ndarray,
-               imod: np.ndarray) -> np.ndarray:
-    """Atoms mod[:, imod] * amp[:, iamp] (all of `amp` when `iamp` is None)
-    in blocks of `_ATOM_COLS` columns: each block's modulation columns are
-    gathered into the output and multiplied there, so no full-size
-    gathered copy of either factor is made.  The modulation is the left
-    operand: under FMA the order decides the sign of an underflowed zero,
-    and this is the order of the full-size product amp * exp(...) once
-    numpy reuses its exp temporary."""
-    out = np.empty((mod.shape[0], imod.size), dtype=np.result_type(amp, mod))
-    for j0 in range(0, imod.size, _ATOM_COLS):
-        cols = slice(j0, j0 + _ATOM_COLS)
-        blk = out[:, cols]
-        np.take(mod, imod[cols], axis=1, out=blk, mode="clip")
-        np.multiply(blk, amp[:, cols] if iamp is None else amp[:, iamp[cols]],
-                    out=blk)
+def _column_blocks(total: int) -> list:
+    """[(start, stop)] cutting range(total) at the multiples of
+    `_ATOM_COLS`; a last block of one column joins the one before, since
+    numpy would multiply it by GEMV.  The cuts depend on `total` alone and
+    fall between whole column tiles of the BLAS kernels, whose widths
+    divide `_ATOM_COLS`, so a block's GEMM rounds each column as the GEMM
+    over all columns does.  Only OpenBLAS's kernel for real products of at
+    most 10^6 multiply-adds can round a small block apart; no shipped
+    configuration meets it."""
+    cuts = [*range(0, total, _ATOM_COLS), total]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        del cuts[-2]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _fill_columns(out: np.ndarray, fill, threads: int) -> np.ndarray:
+    """`out` once fill(cols) has written out[:, cols] for every column
+    block (`_column_blocks`), on `threads` (`_on_pool`)."""
+    _on_pool(_column_blocks(out.shape[1]), threads, lambda: None,
+             lambda block, _: fill(slice(*block)))
     return out
 
 
-def _spectral_atoms(sg: SignalGrid, spectra: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+def _modulated(amp, mod: np.ndarray, imod: np.ndarray,
+               threads: int) -> np.ndarray:
+    """Atoms mod[:, imod] * amp(cols), column block by column block
+    (`_fill_columns`): each block's modulation columns are gathered into
+    the output and multiplied there by amp(cols), the block's real or
+    complex amplitudes, so no full-size gathered copy of either factor is
+    made.  The modulation is the left operand: under FMA the order decides
+    the sign of an underflowed zero, and this is the order of the
+    full-size product amp * exp(...) once numpy reuses its exp
+    temporary."""
+    out = np.empty((mod.shape[0], imod.size), dtype=mod.dtype)
+
+    def fill(cols):
+        blk = out[:, cols]
+        np.take(mod, imod[cols], axis=1, out=blk, mode="clip")
+        np.multiply(blk, amp(cols), out=blk)
+
+    return _fill_columns(out, fill, threads)
+
+
+def _spectral_atoms(sg: SignalGrid, spectra: np.ndarray, shifts: np.ndarray,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """Real atoms from real even spectra:
     psi(t_k) = (1/2pi) integral S(w) e^{-iwb} e^{iwt_k} dw.
 
@@ -528,11 +603,23 @@ def _spectral_atoms(sg: SignalGrid, spectra: np.ndarray, shifts: np.ndarray) -> 
     picks up the phase e^{-iw(b+T)}.  S is even, so the phased spectrum is
     Hermitian-symmetric: `spectra` holds S on the n/2 + 1 non-negative
     frequencies only (`SignalGrid.rfft_freqs`), and one inverse real FFT
-    returns the float64 atoms, the real part of the full inverse FFT.
+    returns the float64 atoms, the real part of the full inverse FFT, into
+    `out` when given.
     """
     w = sg.rfft_freqs()
     spec = spectra * np.exp(-1j * w[:, None] * (shifts[None, :] + sg.half_width))
-    return np.fft.irfft(spec, n=sg.n, axis=0) / sg.h
+    atoms = np.fft.irfft(spec, n=sg.n, axis=0, out=out)
+    return np.divide(atoms, sg.h, out=atoms)
+
+
+def _tabled_spectral_atoms(sg: SignalGrid, table: np.ndarray, index: np.ndarray,
+                           shifts: np.ndarray, threads: int) -> np.ndarray:
+    """`_spectral_atoms` of the spectra table[:, index] at `shifts`, one
+    inverse real FFT per column block (`_fill_columns`); the table holds
+    each distinct spectrum once."""
+    out = np.empty((sg.n, index.size))
+    return _fill_columns(out, lambda cols: _spectral_atoms(
+        sg, table[:, index[cols]], shifts[cols], out[:, cols]), threads)
 
 
 def _resolve_wavelet(params: dict) -> tuple[GaussDerivProfile, str]:
@@ -550,16 +637,22 @@ def _cwt_family(params: dict, sg: SignalGrid) -> FrameFamily:
     w = sg.rfft_freqs()
 
     if profile.order == 2:
-        def atom_fn(points):
+        def atom_fn(points, threads=1):
             a, b = points[:, 0], points[:, 1]
-            arg = (t[:, None] - b[None, :]) / a[None, :]
-            return mexican_hat(arg) / np.sqrt(a[None, :])
+            out = np.empty((t.size, a.size))
+
+            def fill(cols):
+                arg = (t[:, None] - b[None, cols]) / a[None, cols]
+                np.divide(_mexican_hat(arg), np.sqrt(a[None, cols]),
+                          out=out[:, cols])
+
+            return _fill_columns(out, fill, threads)
     else:
-        def atom_fn(points):
+        def atom_fn(points, threads=1):
             # the spectrum once per distinct scale
             au, ia = _distinct(points[:, 0])
             spec = np.sqrt(au[None, :]) * profile.spectrum(au[None, :] * w[:, None])
-            return _spectral_atoms(sg, spec[:, ia], points[:, 1])
+            return _tabled_spectral_atoms(sg, spec, ia, points[:, 1], threads)
 
     c_psi = _log_admissibility(profile.spectrum)
     if abs(c_psi - 1.0) > 0.01:
@@ -596,13 +689,20 @@ def _sinc_family(params: dict, sg: SignalGrid) -> FrameFamily:
     J = int(np.floor(omega * T / np.pi + 1e-12))
     t = sg.points
 
-    def atom_fn(points):
-        u = t[:, None] - points[None, :, 0]
-        num = np.sin((2 * J + 1) * np.pi * u / (2 * T))
-        den = np.sin(np.pi * u / (2 * T))
-        small = np.abs(den) < 1e-13
-        den = np.where(small, 1.0, den)
-        return np.where(small, float(2 * J + 1), num / den) / (2 * T)
+    def atom_fn(points, threads=1):
+        x = points[:, 0]
+        out = np.empty((t.size, x.size))
+
+        def fill(cols):
+            u = t[:, None] - x[None, cols]
+            num = np.sin((2 * J + 1) * np.pi * u / (2 * T))
+            den = np.sin(np.pi * u / (2 * T))
+            small = np.abs(den) < 1e-13
+            den = np.where(small, 1.0, den)
+            np.divide(np.where(small, float(2 * J + 1), num / den), 2 * T,
+                      out=out[:, cols])
+
+        return _fill_columns(out, fill, threads)
 
     return FrameFamily(
         tag="sinc_rkhs", signal_grid=sg,
@@ -619,18 +719,18 @@ def _inhom_family(params: dict, sg: SignalGrid) -> FrameFamily:
         # |phihat|^2 + int_0^1 |psihat(t xi)|^2 dt/t = 1, clamped against rounding
         return np.sqrt(np.clip(1.0 - profile.theta(freq), 0.0, 1.0))
 
-    def atom_fn(points):
-        scale, pos = points[:, 0], points[:, 1]
-        spec = np.empty((w.size, points.shape[0]))
+    def atom_fn(points, threads=1):
+        # the spectrum once per distinct scale, after the low-pass one in
+        # column 0 of the table
+        scale = points[:, 0]
         lowpass = scale <= 0.0
-        if lowpass.any():
-            spec[:, lowpass] = phi_spectrum(w)[:, None]
-        if (~lowpass).any():
-            # the spectrum once per distinct scale
-            au, ia = _distinct(scale[~lowpass])
-            spec[:, ~lowpass] = (np.sqrt(au[None, :])
-                                 * profile.spectrum(au[None, :] * w[:, None]))[:, ia]
-        return _spectral_atoms(sg, spec, pos)
+        au, ia = _distinct(scale[~lowpass])
+        table = np.empty((w.size, 1 + au.size))
+        table[:, 0] = phi_spectrum(w)
+        table[:, 1:] = np.sqrt(au[None, :]) * profile.spectrum(au[None, :] * w[:, None])
+        index = np.zeros(scale.size, dtype=np.intp)
+        index[~lowpass] = 1 + ia
+        return _tabled_spectral_atoms(sg, table, index, points[:, 1], threads)
 
     scale_center = np.sqrt(profile.order)
     sample = atom_fn(np.array([[scale_center, 0.0]]))[:, 0]
@@ -651,12 +751,16 @@ def _alpha_family(params: dict, sg: SignalGrid) -> FrameFamily:
         raise FamilyError("alpha_mod supports the gaussian window only")
     t = sg.points
 
-    def atom_fn(points):
+    def atom_fn(points, threads=1):
         x, w = points[:, 0], points[:, 1]
         s = (1.0 + np.abs(w)) ** (-alpha)
-        env = gaussian_window(t[:, None] / s[None, :] - x[None, :])
         mod, iw = _modulation(t, w)
-        return _modulated(env / np.sqrt(s[None, :]), None, mod, iw)
+
+        def envelope(cols):
+            return _gaussian(t[:, None] / s[None, cols] - x[None, cols]) \
+                / np.sqrt(s[None, cols])
+
+        return _modulated(envelope, mod, iw, threads)
 
     return FrameFamily(
         tag="alpha_mod", signal_grid=sg, params={"alpha": alpha, "window": "gaussian"},
@@ -797,7 +901,7 @@ def frame_operator_apply(family: FrameFamily, f: np.ndarray, x_grid: QuadGrid) -
 
 
 def gram_kernel(family: FrameFamily, x_grid: QuadGrid,
-                rel_cut: float = 1e-10) -> Kernel:
+                rel_cut: float = 1e-10, threads: int = 1) -> Kernel:
     """Gramian R(x,y) = <psi_y, S^+ psi_x> of the frame w.r.t. its dual.
 
     Applies the spectral pseudo-inverse of the quadrature frame operator;
@@ -808,23 +912,28 @@ def gram_kernel(family: FrameFamily, x_grid: QuadGrid,
     boundary.)  Grid nodes are evaluated from the node factors
     (u_factor, C, h): h * u_factor[rows] @ C[:, cols], slices of the cached
     half factor, without synthesizing their atoms again; the column factor
-    at other points is half_map @ atoms(points).
+    at other points is half_map @ atoms(points).  The grid atoms, the node
+    factors and `col_factor` run their column blocks on `threads`; the
+    evaluator, which `am_norm` may call inside its own pool, on the calling
+    thread alone.  No value depends on `threads`.
     """
     calc = family.calculus(x_grid)
+    calc.atoms(threads)                 # `mirror` reads the atoms' dtype
     h = family.signal_grid.h
 
-    def col_factor(points):
-        return _map_atoms(calc.half_map(rel_cut), family.atoms(points))
+    def col_factor(points, pool=threads):
+        return _map_atoms(calc.half_map(rel_cut), family.atoms(points, pool), pool)
 
     def ev(pr, pc):
         left = calc.u_factor(rel_cut) if pr is x_grid.points \
-            else col_factor(pr).conj().T
+            else col_factor(pr, 1).conj().T
         right = calc.half_factor(rel_cut) if pc is x_grid.points \
-            else col_factor(pc)
+            else col_factor(pc, 1)
         return h * (left @ right)
 
     def factors():
-        return calc.u_factor(rel_cut), calc.half_factor(rel_cut), h
+        c = calc.half_factor(rel_cut, threads)
+        return calc.u_factor(rel_cut), c, h
 
     return Kernel(evaluator=ev, provenance="gramian", native_grid=x_grid,
                   context={"calc": calc, "rel_cut": rel_cut},
@@ -899,9 +1008,9 @@ def frame_bounds_continuous(family: FrameFamily, x_grid: QuadGrid,
     s = calc.s_matrix(threads)
     mirrored = calc.mirrored
     # a mirrored grid's probes enter as their float64 view, which needs
-    # C-ordered rows: `np.take` gathers them so, where a column slice of the
-    # F-ordered atom matrix would be copied again.  The complex probes stay
-    # a slice: their layout sets the rounding of the probe products
+    # C-ordered rows: `np.take` gathers them so, where an indexed column
+    # slice, F-ordered, would be copied again.  The complex probes stay
+    # that slice: its layout sets the rounding of the probe products
     probes = _real_view(np.take(calc.atom_matrix, idx, axis=1)) if mirrored \
         else calc.atom_matrix[:, idx]
     if np.max(np.abs(probes)) == 0.0:
@@ -999,22 +1108,20 @@ def make_battery(family: FrameFamily, grid: QuadGrid, count: int,
 
 
 def export_atoms_csv(family: FrameFamily, points: np.ndarray, path) -> None:
-    """Atom snapshots on the signal grid, one column pair (re, im) per atom."""
-    import csv
+    """Atom snapshots on the signal grid, one column pair (re, im) per atom:
+    comma-separated `repr`s of the values, CRLF line ends."""
     atoms = family.atoms(points)
-    t = family.signal_grid.points
+    header = ["t"]
+    for p in np.atleast_2d(points):
+        tag = "_".join(f"{float(c):g}" for c in np.atleast_1d(p))
+        header += [f"re_{tag}", f"im_{tag}"]
+    table = np.empty((atoms.shape[0], 1 + 2 * atoms.shape[1]))
+    table[:, 0] = family.signal_grid.points
+    table[:, 1::2] = atoms.real
+    table[:, 2::2] = atoms.imag
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["t"]
-        for p in np.atleast_2d(points):
-            tag = "_".join(f"{float(c):g}" for c in np.atleast_1d(p))
-            header += [f"re_{tag}", f"im_{tag}"]
-        writer.writerow(header)
-        for k in range(t.size):
-            row = [repr(float(t[k]))]
-            for j in range(atoms.shape[1]):
-                row += [repr(float(atoms[k, j].real)), repr(float(atoms[k, j].imag))]
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n" + "".join(
+            ",".join(map(repr, row)) + "\r\n" for row in table.tolist()))
 
 
 def leakage_report(family: FrameFamily, grid: QuadGrid, samples: int = 64,

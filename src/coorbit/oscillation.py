@@ -28,11 +28,12 @@ cell boundaries into column chunks; the nodes no cell holds are a chunk of
 their own.  A unit is one row tile of x-nodes against one column chunk.
 
 The stream takes a kernel with node factors R = s U V on its grid and a
-column factor (the Gramian) and refuses any other.  The calling thread
-synthesizes the column factors of all z-samples once per level
-(`Kernel.col_factor`, which calls the family's `atoms`), checks the factors
-once (`Kernel._check_factors`) and gathers each chunk's columns of s V, its
-nodes' and its z-samples'.  A unit is then one GEMM of a chunk (at most
+column factor (the Gramian) and refuses any other.  The column factors of
+all z-samples are built once per level (`Kernel.col_factor`; a Gramian's
+synthesizes their atoms and maps them in column blocks on the `threads`
+that `gram_kernel` was given), before any unit runs.  The calling thread
+then checks the factors once (`Kernel._check_factors`) and gathers each
+chunk's columns of s V, its nodes' and its z-samples'.  A unit is then one GEMM of a chunk (at most
 `_CHUNK_COLS` y- and z-columns) against a tile of about `_TILE_ROWS` rows
 of U, in the factors' dtype (float64 for a family with real atoms), the
 moduli, the z min and max (or the strict differences), a `take` gather of
@@ -453,7 +454,7 @@ def osc_norm_streaming(R: Kernel, cov: Covering, grid: QuadGrid,
     `r_norm` of the result): every node's column of |R| m enters the row
     and column sums once.  A row tile's sums accumulate over the chunks in
     chunk order, a node's column sums over the tiles in tile order.  The
-    calling thread synthesizes the z-samples' column factors once, and
+    z-samples' column factors are built once, before the units, and
     `threads` sizes the pool that runs the units; the result does not
     depend on it.  R must have node factors and a column factor on this
     grid, as the Gramian of `gram_kernel` does; any other kernel raises
@@ -499,11 +500,12 @@ def property_D_check(family: FrameFamily, cov: Covering, m: AdmissibleWeight,
     delta (||R|| + sigma) with the three flags.  One pass over the Gramian
     gives both norms: `osc_norm_streaming` sums ||R | A_m|| from the
     y-columns it evaluates for the oscillation anyway.  Deterministic given
-    seed, whatever the number of `threads` running the oscillation units.
+    seed, whatever the number of `threads` running the Gramian's column
+    stages (`gram_kernel`) and the oscillation units.
     """
     if comparison is None:
         comparison = "phase_aligned" if family.phase_quotient else "strict"
-    R = gram_kernel(family, grid, rel_cut=rel_cut)
+    R = gram_kernel(family, grid, rel_cut=rel_cut, threads=threads)
     delta = osc_norm_streaming(R, cov, grid, m, z_per_cell=z_per_cell,
                                comparison=comparison, seed=seed,
                                threads=threads)

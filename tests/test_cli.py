@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -406,7 +408,15 @@ class TestRun:
         report = json.loads((out / "report.json").read_text())
         assert report["tasks"]["discretize"]["defect_estimate"] < 1.0
         assert report["tasks"]["reconstruct"]["atomic_max_relative_error"] <= 1e-3
-        assert (out / "coefficients.csv").exists()
+        # the bytes csv.writer gives the index and the reprs of the parts
+        text = (out / "coefficients.csv").read_bytes()
+        rows = list(csv.reader(io.StringIO(text.decode(), newline="")))
+        assert rows[0] == ["index", "re", "im"] and len(rows) > 2
+        ref = io.StringIO(newline="")
+        csv.writer(ref).writerows([rows[0]] + [
+            [int(k), repr(float(x)), repr(float(y))] for k, x, y in rows[1:]])
+        assert [int(r[0]) for r in rows[1:]] == list(range(len(rows) - 1))
+        assert text == ref.getvalue().encode()
 
     @pytest.mark.parametrize("battery_size", [1, 3])
     def test_reconstruct_builds_one_uphi(self, tmp_path, monkeypatch, battery_size):

@@ -1,10 +1,12 @@
+import csv
 import dataclasses
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from coorbit import _linalg, frame_families
+from coorbit import _linalg, frame_families, kernel_algebra
 from coorbit._linalg import GRAM_COLS, SolverError, hermitian_gram, \
     restricted_rayleigh_bounds
 from coorbit.coverings import build_covering, build_pu
@@ -550,8 +552,8 @@ class TestFrameBounds:
     def test_zero_family_rejected(self, sg):
         fam = make_family("gabor", None, sg)
         fam = type(fam)(**{**fam.__dict__,
-                           "atom_fn": lambda pts: np.zeros((sg.n, pts.shape[0]),
-                                                           dtype=complex),
+                           "atom_fn": lambda pts, threads=1: np.zeros(
+                               (sg.n, pts.shape[0]), dtype=complex),
                            "_ops": {}})
         grid = default_index_grid(fam, bounds=[[-4, 4], [-4, 4]], resolution=[16, 16])
         with pytest.raises((FamilyError, SolverError)):
@@ -625,6 +627,29 @@ class TestWaveletFamilies:
         sf = fam.calculus(grid).frame_apply(f)
         assert sg.norm(sf - f) <= 1e-2 * sg.norm(f)
 
+    @pytest.mark.parametrize("tag", ["gabor", "cwt"])
+    def test_atoms_csv_is_what_csv_writer_wrote(self, tag, tmp_path):
+        # one join of the reprs, with csv.writer's CRLF line ends
+        fam = make_family(tag, None, SignalGrid(8.0, 64))
+        pts = default_index_grid(fam).points[[0, 7, 40]]
+        frame_families.export_atoms_csv(fam, pts, tmp_path / "atoms.csv")
+        atoms, t = fam.atoms(pts), fam.signal_grid.points
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            header = ["t"]
+            for p in pts:
+                label = "_".join(f"{float(c):g}" for c in p)
+                header += [f"re_{label}", f"im_{label}"]
+            writer.writerow(header)
+            for k in range(t.size):
+                row = [repr(float(t[k]))]
+                for j in range(atoms.shape[1]):
+                    row += [repr(float(atoms[k, j].real)),
+                            repr(float(atoms[k, j].imag))]
+                writer.writerow(row)
+        assert (tmp_path / "atoms.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
     def test_leakage_report_fields(self, gabor_small):
         fam, grid = gabor_small
         rep = leakage_report(fam, grid, samples=16)
@@ -636,7 +661,8 @@ def _complex_twin(fam):
     """The same family with every atom stored as complex128 (`atoms + 0j`),
     so that each product after the atoms runs in complex arithmetic."""
     return dataclasses.replace(
-        fam, atom_fn=lambda pts, real=fam.atom_fn: real(pts) + 0j, _ops={})
+        fam, atom_fn=lambda pts, threads=1, real=fam.atom_fn: real(pts, threads) + 0j,
+        _ops={})
 
 
 def _ifft_atoms(sg, spectra, shifts):
@@ -930,3 +956,142 @@ class TestRealArithmeticAgrees:
             errors.append((rep.relative_error, brep.relative_error))
         for got, ref in zip(*errors):
             assert np.abs(got - ref).max() <= 1e-9
+
+
+# every family, the inhomogeneous one with points on its low-pass sheet
+POOLED_FAMILIES = [("gabor", None), ("cwt", {"wavelet": "gauss_deriv"}),
+                   ("cwt", {"wavelet": "mexican_hat"}), ("sinc_rkhs", None),
+                   ("inhom_wavelet", None), ("alpha_mod", None)]
+
+
+def _pooled_points(fam, count, rng):
+    """`count` points of the family's default grid, drawn with repeats, so
+    that positions, frequencies and scales recur as on a grid."""
+    pts = default_index_grid(fam).points
+    pts = pts[rng.choice(pts.shape[0], count)]
+    if fam.tag == "inhom_wavelet":
+        pts[::4, 0] = 0.0
+        assert (pts[:, 0] == 0.0).any() and (pts[:, 0] > 0.0).any()
+    return pts
+
+
+def _off_main_pool(calls):
+    """A stand-in for `_on_pool` that runs every block on a thread of its
+    own, so that a public function called from a block runs off the main
+    thread; it records each call's block count and refuses to be entered
+    off the main thread, from inside a block (a nested pool)."""
+    def pool(blocks, threads, make, work, fold=None):
+        assert threading.current_thread() is threading.main_thread()
+        calls.append(len(blocks))
+        for block in blocks:
+            res, err = [], []
+
+            def run(block=block):
+                try:
+                    res.append(work(block, make()))
+                except BaseException as exc:
+                    err.append(exc)
+
+            t = threading.Thread(target=run)
+            t.start()
+            t.join()
+            if err:
+                raise err[0]
+            if fold is not None:
+                fold(res[0])
+    return pool
+
+
+class TestPooledSynthesis:
+    """Atoms and the half-factor map are filled in column blocks on the
+    pool (`_fill_columns`, `_map_atoms`); the bytes and the layout do not
+    depend on the thread count."""
+
+    # two full blocks and a partial one; one block and a one-column tail
+    COUNTS = [2 * frame_families._ATOM_COLS + 37, frame_families._ATOM_COLS + 1]
+
+    def test_column_blocks(self):
+        cols = frame_families._ATOM_COLS
+        assert frame_families._column_blocks(0) == []
+        assert frame_families._column_blocks(1) == [(0, 1)]
+        assert frame_families._column_blocks(cols + 1) == [(0, cols + 1)]
+        assert frame_families._column_blocks(2 * cols + 37) == \
+            [(0, cols), (cols, 2 * cols), (2 * cols, 2 * cols + 37)]
+
+    @pytest.mark.parametrize("tag,params", POOLED_FAMILIES)
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_atoms_do_not_depend_on_threads(self, tag, params, count, rng,
+                                            monkeypatch):
+        monkeypatch.setattr(kernel_algebra, "_usable_cores", lambda: 4)
+        fam = make_family(tag, params, SignalGrid(8.0, 64))
+        pts = _pooled_points(fam, count, rng)
+        ref = fam.atoms(pts)
+        assert ref.shape == (64, count)
+        for threads in (2, 3):
+            got = fam.atoms(pts, threads)
+            assert got.dtype == ref.dtype
+            assert got.flags["C_CONTIGUOUS"] == ref.flags["C_CONTIGUOUS"]
+            assert got.flags["F_CONTIGUOUS"] == ref.flags["F_CONTIGUOUS"]
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("kind", ["real map, complex atoms",
+                                      "real map, real atoms", "complex map"])
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_map_atoms_does_not_depend_on_threads(self, kind, count, rng,
+                                                  monkeypatch):
+        monkeypatch.setattr(kernel_algebra, "_usable_cores", lambda: 4)
+        n, r = 64, 40
+        p = rng.standard_normal((r, n))
+        psi = rng.standard_normal((n, count))
+        if kind != "real map, real atoms":
+            psi = psi + 1j * rng.standard_normal((n, count))
+        if kind == "complex map":
+            p = p + 1j * rng.standard_normal((r, n))
+        ref = frame_families._map_atoms(p, psi)
+        assert ref.dtype == np.result_type(p, psi) and ref.shape == (r, count)
+        whole = p @ psi
+        assert np.abs(ref - whole).max() <= 1e-13 * np.abs(whole).max()
+        for threads in (2, 3):
+            got = frame_families._map_atoms(p, psi, threads)
+            assert got.dtype == ref.dtype
+            assert got.flags["C_CONTIGUOUS"] == ref.flags["C_CONTIGUOUS"]
+            assert got.flags["F_CONTIGUOUS"] == ref.flags["F_CONTIGUOUS"]
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("tag,params", POOLED_FAMILIES)
+    def test_no_block_calls_a_public_function(self, tag, params, rng,
+                                              monkeypatch):
+        # the perfbench span recorder wraps every public function with one
+        # span stack, which a pool worker must not touch
+        on_main = []
+
+        def main_only(fn):
+            def wrapper(t):
+                assert threading.current_thread() is threading.main_thread()
+                on_main.append(fn.__name__)
+                return fn(t)
+            return wrapper
+
+        for name in ("gaussian_window", "mexican_hat"):
+            monkeypatch.setattr(frame_families, name,
+                                main_only(getattr(frame_families, name)))
+        sg = SignalGrid(8.0, 64)
+        ref_fam = make_family(tag, params, sg)
+        fam = make_family(tag, params, sg)
+        pts = _pooled_points(fam, self.COUNTS[0], rng)
+        grid = default_index_grid(fam)
+        calls = []
+        monkeypatch.setattr(frame_families, "_on_pool", _off_main_pool(calls))
+        got = fam.atoms(pts, 2)
+        R = gram_kernel(fam, grid, rel_cut=1e-6, threads=2)
+        u, c, _ = R.node_factors()
+        v = R.col_factor(pts)
+        # the atoms at pts, the grid atoms, the half factor's map, the
+        # column factor's atoms and map: every block ran off the main thread
+        assert len(calls) == 5 and calls[0] == calls[-1] == 3
+        assert tag != "gabor" or "gaussian_window" in on_main
+        monkeypatch.undo()
+        assert got.tobytes() == ref_fam.atoms(pts).tobytes()
+        R_ref = gram_kernel(ref_fam, grid, rel_cut=1e-6)
+        assert c.tobytes() == R_ref.node_factors()[1].tobytes()
+        assert v.tobytes() == R_ref.col_factor(pts).tobytes()

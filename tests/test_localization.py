@@ -40,7 +40,7 @@ class TestCrossGramian:
     def test_zero_family(self, gabor_samples):
         fam, grid, cov, pts = gabor_samples
         zero = type(fam)(**{**fam.__dict__,
-                            "atom_fn": lambda pts: np.zeros(
+                            "atom_fn": lambda pts, threads=1: np.zeros(
                                 (fam.signal_grid.n, pts.shape[0]), dtype=complex),
                             "_ops": {}})
         gram = cross_gramian(zero, fam, pts[:10], pts[:10])

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from coorbit.coverings import Covering, build_covering, refine_covering
-from coorbit.frame_families import default_index_grid, gram_kernel, make_family
+from coorbit.frame_families import _column_blocks, default_index_grid, \
+    gram_kernel, make_family
 import coorbit.oscillation as osc
 from conftest import cell_lists, cell_z_samples_loop, emptied, reindexed
 from coorbit.kernel_algebra import Kernel, KernelError, _even_blocks, am_norm
@@ -522,7 +523,8 @@ def _stream_matrix(K, cov, grid, comparison, threads):
 class TestThreadInvariance:
     """The units run on the pool and are folded in tile order, then chunk
     order, so the bits do not depend on `threads`: for a Gramian, and for
-    the exact rank-3 kernel."""
+    the exact rank-3 kernel.  A Gramian built on `threads` also synthesizes
+    and maps the z-samples' atoms in column blocks on the pool."""
 
     @pytest.mark.parametrize("kind", ["factored", "exact"])
     @pytest.mark.parametrize("unheld", [False, True])
@@ -531,27 +533,33 @@ class TestThreadInvariance:
     def test_bits_do_not_depend_on_threads(self, gabor_blocks, monkeypatch,
                                            kind, unheld, overlap, comparison):
         if kind == "factored":
-            _, grid, K = gabor_blocks
+            fam, grid, K = gabor_blocks
             cell, drop = 0.625, [17, 18, 33, 34]
+            kernels = {t: gram_kernel(fam, grid, rel_cut=0.2, threads=t)
+                       for t in (1, 2, 3)}
         else:
             grid = build_quad_grid([[0.0, 1.0], [0.0, 1.0]], [12, 12])
             K = _exact_kernel(grid)
             cell, drop = 0.25, [5, 6, 9, 10]
             monkeypatch.setattr(osc, "_TILE_ROWS", 36)
             monkeypatch.setattr(osc, "_CHUNK_COLS", 24)
+            kernels = dict.fromkeys((1, 2, 3), K)
         cov = build_covering(grid, cell, overlap_fraction=overlap)
         if unheld:
             cov = _drop_cells(cov, drop)
         assert np.any(cov.node_cells()[:, 0] < 0) == unheld
+        # the z-samples' column factor takes more than one column block
+        assert kind != "factored" or len(_column_blocks(3 * cov.size)) >= 3
         tiles, chunks = _plan(cov, grid, 3)
         assert len(tiles) >= 4 and len(chunks) >= 4
-        mats = [_stream_matrix(K, cov, grid, comparison, t) for t in (1, 2, 3)]
+        mats = [_stream_matrix(kernels[t], cov, grid, comparison, t)
+                for t in (1, 2, 3)]
         assert mats[0].tobytes() == mats[1].tobytes() == mats[2].tobytes()
         assert np.array_equal(mats[0], osc_matrix(
             K, cov, grid, z_per_cell=3, comparison=comparison, seed=4))
         for m in (trivial_admissible_weight(),
                   weight_from_w(polynomial_weight(1.0))):
-            got = [osc_norm_streaming(K, cov, grid, m, z_per_cell=3,
+            got = [osc_norm_streaming(kernels[t], cov, grid, m, z_per_cell=3,
                                       comparison=comparison, seed=4, threads=t)
                    for t in (1, 2, 3)]
             assert len({(float(g).hex(), g.r_norm.hex()) for g in got}) == 1
