@@ -33,9 +33,9 @@ from . import __version__
 from ._linalg import SolverError
 from .measure_space import SignalGrid, polynomial_weight, trivial_weight, \
     trivial_admissible_weight, weight_from_w
-from .frame_families import FamilyError, alpha_admissibility, default_index_grid, \
-    export_atoms_csv, frame_bounds_continuous, gaussian_window, gram_kernel, \
-    leakage_report, make_battery, make_family, wavelet_index_bounds
+from .frame_families import _BUILDERS, FamilyError, default_index_grid, \
+    export_atoms_csv, frame_bounds_continuous, gram_kernel, leakage_report, \
+    make_battery, make_family
 from .kernel_algebra import _usable_cores, am_norm
 from .coverings import CoveringError, build_covering, build_pu, verify_moderate
 from .oscillation import OscillationError, property_D_check, refine_until
@@ -45,9 +45,10 @@ from .localization import a_flat_norm, cross_gramian, gab_domination_check
 
 KNOWN_TASKS = ("frame-info", "property-d", "discretize", "reconstruct",
                "localize", "norms", "sequence-spaces")
-KNOWN_FAMILIES = ("gabor", "cwt", "sinc_rkhs", "inhom_wavelet", "alpha_mod")
+KNOWN_FAMILIES = tuple(_BUILDERS)
 COVERING_TASKS = ("property-d", "discretize", "reconstruct", "localize",
                   "sequence-spaces")
+INTERIOR_TASKS = ("frame-info", "discretize", "reconstruct")   # read the interior
 REFINE_TARGETS = ("full", "atomic", "banach")
 
 
@@ -63,8 +64,10 @@ def validate_config(cfg: dict) -> list[str]:
     if not isinstance(fam, dict) or "tag" not in fam:
         diags.append("family.tag missing")
         return diags
-    if fam["tag"] not in KNOWN_FAMILIES:
-        diags.append(f"unknown family tag {fam['tag']!r}")
+    tag = fam["tag"]
+    if tag not in KNOWN_FAMILIES:
+        diags.append(f"unknown family tag {tag!r}")
+    dim = 1 if tag == "sinc_rkhs" else 2
     params = _object(fam, "params", "family.params", diags)
     sgc = _object(cfg, "signal_grid", "signal_grid", diags)
     dom = _object(cfg, "index_domain", "index_domain", diags)
@@ -76,22 +79,38 @@ def validate_config(cfg: dict) -> list[str]:
     T_ok = _is_number(T) and T > 0
     if not T_ok:
         diags.append(f"signal_grid.T must be a positive number, got {T!r}")
-    if fam.get("tag") == "sinc_rkhs" and n_ok and T_ok:
+    if tag == "sinc_rkhs" and n_ok and T_ok:
         omega = params.get("bandlimit")
         if omega is not None and not _is_number(omega):
             diags.append(f"family.params.bandlimit must be a number, got {omega!r}")
         elif omega is not None and omega >= np.pi * n / (2 * T):
             diags.append(f"bandlimit {omega} at or above grid Nyquist "
                          f"{np.pi * n / (2 * T):.4f}")
-    diags += _domain_diags(fam["tag"], dom)
-    if fam.get("tag") in ("cwt", "inhom_wavelet") and n_ok and T_ok:
-        diags += _wavelet_box_diags(fam["tag"], params, float(T), n, dom)
-    if fam.get("tag") == "alpha_mod":
+    diags += _domain_diags(tag, dom, dim)
+    bounds = dom.get("bounds")
+    if tag in ("cwt", "inhom_wavelet"):
+        order = params.get("order", 6)
+        if params.get("wavelet") != "mexican_hat" and not _is_int(order, 1):
+            diags.append(f"family.params.order must be an integer >= 1, got {order!r}")
+        elif bounds is not None and not (_is_box(bounds, 2) and bounds[0][0] > 0):
+            diags.append(f"index_domain.bounds must be [[a_lo, a_hi], [b_lo, b_hi]] "
+                         f"with 0 < a_lo < a_hi and b_lo < b_hi, got {bounds!r}")
+    if tag == "alpha_mod":
         alpha = params.get("alpha", 0.5)
         if not (_is_number(alpha) and 0.0 <= alpha < 1.0):
             diags.append(f"family.params.alpha must be a number in [0, 1), "
                          f"got {alpha!r}")
     tasks = cfg.get("tasks")
+    if not diags:
+        # the family's refusals, and an empty interior of `bounds` or the
+        # default box if a task reads it; builds no grid or atom matrix
+        try:
+            family = make_family(tag, params, SignalGrid(float(T), n))
+            if isinstance(tasks, list) and any(t in INTERIOR_TASKS for t in tasks):
+                family.interior_box(
+                    family.index_domain.bounds if bounds is None else bounds)
+        except FamilyError as exc:
+            diags.append(str(exc))
     if not tasks or not isinstance(tasks, list):
         diags.append("tasks must be a nonempty list")
     else:
@@ -103,7 +122,7 @@ def validate_config(cfg: dict) -> list[str]:
         diags.append(f"unknown weight type {wc.get('type')!r}")
     elif wc["type"] == "polynomial" and not _is_number(wc.get("s", 1.0)):
         diags.append(f"weight.s must be a number, got {wc['s']!r}")
-    diags += _covering_diags(cfg, tasks if isinstance(tasks, list) else [])
+    diags += _covering_diags(cfg, tasks if isinstance(tasks, list) else [], dim)
     cut = cfg.get("stable_cut", 1e-10)
     if not (_is_number(cut) and 0.0 <= cut < 1.0):
         diags.append(f"stable_cut must be a number in [0,1), got {cut!r}")
@@ -121,11 +140,10 @@ def validate_config(cfg: dict) -> list[str]:
     return diags
 
 
-def _domain_diags(tag: str, dom: dict) -> list[str]:
+def _domain_diags(tag: str, dom: dict, dim: int) -> list[str]:
     """Diagnostics of the `index_domain` keys that the family's grid reads
-    (a wavelet family's bounds are `_wavelet_box_diags`'); null bounds or
-    resolution read as the default."""
-    dim = 1 if tag == "sinc_rkhs" else 2
+    on its `dim` axes (a wavelet family's bounds are checked apart);
+    null bounds or resolution read as the default."""
     if tag in ("cwt", "inhom_wavelet"):
         rules = {"band_spacing": (lambda v: _is_number(v) and 0 < v < np.inf,
                                   "a positive number"),
@@ -140,27 +158,6 @@ def _domain_diags(tag: str, dom: dict) -> list[str]:
                      f"an integer >= 1 or a list of {dim} such integers")}
     return [f"index_domain.{key} must be {what}, got {dom[key]!r}"
             for key, (ok, what) in rules.items() if key in dom and not ok(dom[key])]
-
-
-def _wavelet_box_diags(tag: str, params: dict, T: float, n: int,
-                       dom: dict) -> list[str]:
-    """The interior box of a wavelet family's index grid, as `run` computes
-    it from the profile's `coverage_log_margin` and the signal grid; an
-    empty box is a diagnostic naming the bounds it needs.  Builds the
-    family (one sample atom) but no index grid or atom matrix."""
-    order = params.get("order", 6)
-    if params.get("wavelet") != "mexican_hat" and not _is_int(order, 1):
-        return [f"family.params.order must be an integer >= 1, got {order!r}"]
-    bounds = dom.get("bounds")
-    if bounds is not None and not (_is_box(bounds, 2) and bounds[0][0] > 0):
-        return [f"index_domain.bounds must be [[a_lo, a_hi], [b_lo, b_hi]] with "
-                f"0 < a_lo < a_hi and b_lo < b_hi, got {bounds!r}"]
-    try:
-        family = make_family(tag, params, SignalGrid(T, n))
-        family.interior_box(wavelet_index_bounds(family, bounds))
-    except FamilyError as exc:
-        return [str(exc)]
-    return []
 
 
 def _object(block: dict, key: str, name: str, diags: list,
@@ -190,7 +187,7 @@ def _is_box(bounds, dim: int) -> bool:
         and -np.inf < b[0] < b[1] < np.inf for b in bounds)
 
 
-def _covering_diags(cfg: dict, tasks: list) -> list[str]:
+def _covering_diags(cfg: dict, tasks: list, dim: int) -> list[str]:
     """Diagnostics of the `covering` block against the tasks that use it."""
     cc = cfg.get("covering")
     if cc is None:
@@ -221,7 +218,6 @@ def _covering_diags(cfg: dict, tasks: list) -> list[str]:
         elif "sequence-spaces" in tasks:
             diags.append("covering.cell_size is required by task 'sequence-spaces'")
         return diags
-    dim = 1 if cfg["family"].get("tag") == "sinc_rkhs" else 2
     entries = cell if isinstance(cell, list) else [cell]
     if (isinstance(cell, list) and len(cell) != dim) or \
             not all(_is_number(c) and c > 0 for c in entries):
@@ -306,24 +302,15 @@ class _Context:
 
 
 def task_frame_info(ctx: _Context) -> dict:
-    out = {}
     bounds = frame_bounds_continuous(ctx.family, ctx.grid, threads=ctx.threads)
-    out["frame_bounds"] = bounds.as_dict()
-    out["leakage"] = leakage_report(ctx.family, ctx.grid, seed=ctx.seed)
+    out = {"frame_bounds": bounds.as_dict(),
+           "leakage": leakage_report(ctx.family, ctx.grid, seed=ctx.seed)}
     box = ctx.grid.bounds
     center = box.mean(axis=1)
     quarter = center + 0.25 * (box[:, 1] - box[:, 0])
     export_atoms_csv(ctx.family, np.vstack([center, quarter]),
                      ctx.out / "atoms.csv")
-    if ctx.family.tag == "cwt":
-        out["admissibility_c_psi"] = ctx.family.params["c_psi"]
-    if ctx.family.tag == "alpha_mod":
-        xi = np.linspace(-20.0, 20.0, 161)
-        smin, smax, a_const = alpha_admissibility(
-            gaussian_window(ctx.sg.points), ctx.family.params["alpha"], xi, ctx.sg)
-        out["alpha_admissibility"] = {"sigma_min": smin, "sigma_max": smax,
-                                      "A": a_const}
-    return out
+    return {**out, **ctx.family.frame_info()}
 
 
 def task_property_d(ctx: _Context) -> dict:

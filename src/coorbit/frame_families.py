@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -98,9 +98,6 @@ class GaussDerivProfile:
         au = np.abs(np.asarray(u, dtype=float))
         return self._sqrt_c * au ** self.order * np.exp(-0.5 * au * au)
 
-    def spectrum_sq(self, u: np.ndarray) -> np.ndarray:
-        return self.spectrum(u) ** 2
-
     def theta(self, v: np.ndarray) -> np.ndarray:
         """Theta(|v|) = int_0^|v| |psihat(u)|^2 du/u, in [0, 1]."""
         v = np.abs(np.asarray(v, dtype=float))
@@ -112,25 +109,22 @@ class GaussDerivProfile:
             partial = partial + term
         return 1.0 - np.exp(-x) * partial
 
-    def coverage_log_margin(self) -> float:
-        """Smallest symmetric log-scale margin with coverage error at most
-        `COVERAGE_TARGET`.
-
-        The scale truncation acts as a Fourier multiplier theta on a probe
-        atom at log-distance M from the cut; the margin controls the L2
-        error ||(1 - theta) f|| <= target, i.e. the squared multiplier
-        deficit integrated against the atom content.  It depends on the
-        order alone and is computed once per order (`validate` and `run`
-        both need it).
-        """
-        return _coverage_log_margin(self.order)
-
 
 @functools.lru_cache(maxsize=None)
 def _coverage_log_margin(order: int) -> float:
+    """Smallest symmetric log-scale margin with coverage error at most
+    `COVERAGE_TARGET` for the profile of this order.
+
+    The scale truncation acts as a Fourier multiplier theta on a probe
+    atom at log-distance M from the cut; the margin controls the L2
+    error ||(1 - theta) f|| <= target, i.e. the squared multiplier
+    deficit integrated against the atom content.  It depends on the
+    order alone and is computed once per order (`validate` and `run`
+    both need it).
+    """
     profile = GaussDerivProfile(order)
     v = np.geomspace(1e-3, 60.0, 4000)
-    w = profile.spectrum_sq(v)
+    w = profile.spectrum(v) ** 2
     mass = np.trapezoid(w / v, v)
 
     def err(m):
@@ -147,6 +141,14 @@ def _coverage_log_margin(order: int) -> float:
 # ---------------------------------------------------------------------------
 # family container
 # ---------------------------------------------------------------------------
+class IndexDomain(NamedTuple):
+    """A family's default index box and its quadrature rule,
+    grid(bounds, resolution, band_spacing, scales_per_octave) -> QuadGrid."""
+
+    bounds: list
+    grid: Callable[..., QuadGrid]
+
+
 @dataclass
 class FrameFamily:
     """Evaluable atom map x -> psi_x over a truncated signal grid.
@@ -160,6 +162,14 @@ class FrameFamily:
     inverse-FFTs its columns, calling numpy and private helpers alone.
     Every entry comes from the same elementwise operations whatever the
     block, so the atoms do not depend on `threads`.
+
+    The constructor sets the geometry of the index space: `index_domain`
+    (`default_index_grid`); `interior_rule(box)`, which shrinks a copy of
+    a box to the interior in place and returns diagnostics for its empty
+    axes (`interior_box`); `log_axes`, the axes drawn log-uniformly
+    (`random_interior_points`); `lowpass_sheet`, whether scale coordinates
+    <= 0 form an interior low-pass sheet; and `frame_info()`, its own
+    entries of the frame-info report.
     """
 
     tag: str
@@ -170,8 +180,13 @@ class FrameFamily:
     atom_fn: Callable[[np.ndarray, int], np.ndarray]
     metric: Callable[[np.ndarray, np.ndarray], np.ndarray]
     interior_margins: np.ndarray
+    index_domain: IndexDomain
+    interior_rule: Callable[[np.ndarray], list]
+    log_axes: tuple
     # per-axis signs sigma with conj(psi_x) = psi_{sigma x} exactly, or None
     conjugation: Optional[np.ndarray] = None
+    lowpass_sheet: bool = False
+    frame_info: Callable[[], dict] = dict
     _ops: dict = field(default_factory=dict, repr=False)
 
     def atoms(self, points: np.ndarray, threads: int = 1) -> np.ndarray:
@@ -192,64 +207,14 @@ class FrameFamily:
         return op
 
     def interior_box(self, bounds) -> np.ndarray:
-        """The index box `bounds` (a grid's `bounds`) shrunk by the family
-        margins: the probe/battery region.
-
-        Scale axes shrink in log units; position margins for wavelet-type
-        families scale with the largest admissible probe scale.  Raises
-        FamilyError when the box is empty on some axis; for the wavelet
-        families the message names the bounds that would fit.
-        """
+        """The index box `bounds` (a grid's `bounds`) shrunk to the
+        family's interior (`interior_rule`): the probe/battery region.
+        Raises FamilyError when the box is empty on some axis, with the
+        rule's diagnostics when it gives any."""
         box = np.array(bounds, dtype=float)
-        empty = []
-        if self.tag in ("cwt", "inhom_wavelet"):
-            m_log = self.interior_margins[0]
-            (a_lo, a_hi), (b_lo, b_hi) = box
-            if self.tag == "cwt":
-                box[0] = (a_lo * np.exp(m_log), a_hi * np.exp(-m_log))
-                need = 2.0 * m_log
-            else:
-                # top of the scale sheet is backed by the low-pass sheet
-                box[0] = (a_lo * np.exp(m_log), a_hi)
-                need = m_log
-            pos_margin = 5.0 * self.params["sd_t_unit"] * max(box[0, 1], 1.0)
-            box[1] = (b_lo + pos_margin, b_hi - pos_margin)
-            if box[0, 0] >= box[0, 1]:
-                empty.append(
-                    f"index box too small for interior margins on axis 0: the "
-                    f"scale bounds [{a_lo:g}, {a_hi:g}] span ln(a_hi / a_lo) = "
-                    f"{math.log(a_hi / a_lo):.4g}, and the coverage margin of the "
-                    f"{self.params['wavelet']} profile (order {self.params['order']}) "
-                    f"needs more than {need:.4g} (a_hi / a_lo > {math.exp(need):.4g})")
-            if box[1, 0] >= box[1, 1]:
-                empty.append(
-                    f"index box too small for interior margins on axis 1: the "
-                    f"position bounds [{b_lo:g}, {b_hi:g}] are {b_hi - b_lo:.4g} "
-                    f"wide, and the position margin 5 sd_t max(a, 1) = "
-                    f"{pos_margin:.4g} at the interior's largest scale "
-                    f"a = {box[0, 1]:.4g} needs more than {2.0 * pos_margin:.4g} "
-                    f"(the default position bounds are +-0.75 T)")
-        elif self.tag == "alpha_mod":
-            # atom bandwidth grows like (1+|w|)^alpha; frequency margins by
-            # the fixed point w = edge -/+ 4 (1 + |w|)^alpha
-            alpha = self.params["alpha"]
-            lo, hi = box[1]
-            w = hi
-            for _ in range(200):
-                w = 0.5 * w + 0.5 * (hi - 4.0 * (1.0 + abs(w)) ** alpha)
-            hi_p = w
-            w = lo
-            for _ in range(200):
-                w = 0.5 * w + 0.5 * (lo + 4.0 * (1.0 + abs(w)) ** alpha)
-            box[1] = (w, hi_p)
-            box[0] = (box[0, 0] + self.interior_margins[0],
-                      box[0, 1] - self.interior_margins[0])
-        else:
-            for k in range(box.shape[0]):
-                mk = self.interior_margins[k]
-                box[k] = (box[k, 0] + mk, box[k, 1] - mk)
-        empty = empty or [f"index box too small for interior margins on axis {k}"
-                          for k in range(box.shape[0]) if box[k, 0] >= box[k, 1]]
+        empty = self.interior_rule(box) or [
+            f"index box too small for interior margins on axis {k}"
+            for k in range(box.shape[0]) if box[k, 0] >= box[k, 1]]
         if empty:
             raise FamilyError("; ".join(empty))
         return box
@@ -519,6 +484,10 @@ def _gabor_family(params: dict, sg: SignalGrid) -> FrameFamily:
 
     t = sg.points
 
+    def interior_rule(box):
+        box += np.multiply.outer(margins, [1.0, -1.0])
+        return []
+
     def atom_fn(points, threads=1):
         # the window once per distinct position, the modulation once per
         # distinct frequency, on the calling thread: `gfun` may be public
@@ -530,7 +499,8 @@ def _gabor_family(params: dict, sg: SignalGrid) -> FrameFamily:
     return FrameFamily(
         tag="gabor", signal_grid=sg, params={"window": window},
         phase_quotient=True, atom_fn=atom_fn, metric=euclidean_metric,
-        interior_margins=margins,
+        interior_margins=margins, index_domain=_TF_DOMAIN,
+        interior_rule=interior_rule, log_axes=(False, False),
         # a real window: conj(M_w T_x g) = M_{-w} T_x g
         conjugation=None if np.iscomplexobj(g) else np.array([1.0, -1.0]))
 
@@ -658,16 +628,59 @@ def _cwt_family(params: dict, sg: SignalGrid) -> FrameFamily:
     if abs(c_psi - 1.0) > 0.01:
         raise FamilyError(
             f"inadmissible wavelet: int_0^inf |psihat|^2 du/u = {c_psi:.4f}, expected 1")
+    return _wavelet_family(
+        "cwt", sg, {"wavelet": name, "order": profile.order, "c_psi": c_psi,
+                    "profile": profile},
+        atom_fn, [0.2, 10.5], lowpass=False,
+        frame_info=lambda: {"admissibility_c_psi": c_psi})
 
+
+def _wavelet_family(tag: str, sg: SignalGrid, params: dict, atom_fn,
+                    scales: list, lowpass: bool,
+                    frame_info: Callable[[], dict] = dict) -> FrameFamily:
+    """The (scale, position) geometry of cwt and inhom_wavelet: the interior
+    shrinks the scales by the coverage margin in log units (not at the top
+    if the low-pass sheet backs it), the positions by 5 sd_t max(a, 1)."""
+    profile = params["profile"]
     scale_center = np.sqrt(profile.order)   # content of psi_{a, .} peaks at sqrt(k)/a
     sample = atom_fn(np.array([[scale_center, 0.0]]))[:, 0]
     sd_t = _window_moments(sample / sg.norm(sample), sg)[0] / scale_center
+    m_log = _coverage_log_margin(profile.order)
+    m_top = 0.0 if lowpass else m_log
+
+    def interior_rule(box):
+        (a_lo, a_hi), (b_lo, b_hi) = box
+        box[0] = (a_lo * np.exp(m_log), a_hi * np.exp(-m_top))
+        need = m_log + m_top
+        pos_margin = 5.0 * sd_t * max(box[0, 1], 1.0)
+        box[1] = (b_lo + pos_margin, b_hi - pos_margin)
+        empty = []
+        if box[0, 0] >= box[0, 1]:
+            empty.append(
+                f"index box too small for interior margins on axis 0: the "
+                f"scale bounds [{a_lo:g}, {a_hi:g}] span ln(a_hi / a_lo) = "
+                f"{math.log(a_hi / a_lo):.4g}, and the coverage margin of the "
+                f"{params['wavelet']} profile (order {profile.order}) "
+                f"needs more than {need:.4g} (a_hi / a_lo > {math.exp(need):.4g})")
+        if box[1, 0] >= box[1, 1]:
+            empty.append(
+                f"index box too small for interior margins on axis 1: the "
+                f"position bounds [{b_lo:g}, {b_hi:g}] are {b_hi - b_lo:.4g} "
+                f"wide, and the position margin 5 sd_t max(a, 1) = "
+                f"{pos_margin:.4g} at the interior's largest scale "
+                f"a = {box[0, 1]:.4g} needs more than {2.0 * pos_margin:.4g} "
+                f"(the default position bounds are +-0.75 T)")
+        return empty
+
+    b_half = 0.75 * sg.half_width
     return FrameFamily(
-        tag="cwt", signal_grid=sg,
-        params={"wavelet": name, "order": profile.order, "c_psi": c_psi,
-                "profile": profile, "sd_t_unit": sd_t},
-        phase_quotient=False, atom_fn=atom_fn, metric=halfplane_metric,
-        interior_margins=np.array([profile.coverage_log_margin(), np.nan]))
+        tag=tag, signal_grid=sg, params=params, phase_quotient=False,
+        atom_fn=atom_fn, metric=halfplane_metric,
+        interior_margins=np.array([m_log, np.nan]),
+        index_domain=IndexDomain([scales, [-b_half, b_half]],
+                                 functools.partial(_banded_wavelet_grid, lowpass)),
+        interior_rule=interior_rule, log_axes=(True, False),
+        lowpass_sheet=lowpass, frame_info=frame_info)
 
 
 def _log_admissibility(spectrum) -> float:
@@ -704,11 +717,17 @@ def _sinc_family(params: dict, sg: SignalGrid) -> FrameFamily:
 
         return _fill_columns(out, fill, threads)
 
+    metric = make_circle_metric(T)
     return FrameFamily(
         tag="sinc_rkhs", signal_grid=sg,
         params={"bandlimit": omega, "n_freqs": 2 * J + 1},
-        phase_quotient=False, atom_fn=atom_fn, metric=make_circle_metric(T),
-        interior_margins=np.array([0.0]))
+        phase_quotient=False, atom_fn=atom_fn, metric=metric,
+        interior_margins=np.array([0.0]),
+        # the circle with Lebesgue measure, n/4 nodes by default
+        index_domain=IndexDomain([[-T, T]], functools.partial(
+            _tensor_grid, [sg.n // 4], "lebesgue", metric)),
+        # the circle has no boundary, so no margin
+        interior_rule=lambda box: [], log_axes=(False,))
 
 
 def _inhom_family(params: dict, sg: SignalGrid) -> FrameFamily:
@@ -732,15 +751,10 @@ def _inhom_family(params: dict, sg: SignalGrid) -> FrameFamily:
         index[~lowpass] = 1 + ia
         return _tabled_spectral_atoms(sg, table, index, points[:, 1], threads)
 
-    scale_center = np.sqrt(profile.order)
-    sample = atom_fn(np.array([[scale_center, 0.0]]))[:, 0]
-    sd_t = _window_moments(sample / sg.norm(sample), sg)[0] / scale_center
-    return FrameFamily(
-        tag="inhom_wavelet", signal_grid=sg,
-        params={"wavelet": name, "order": profile.order, "profile": profile,
-                "sd_t_unit": sd_t},
-        phase_quotient=False, atom_fn=atom_fn, metric=halfplane_metric,
-        interior_margins=np.array([profile.coverage_log_margin(), np.nan]))
+    return _wavelet_family(
+        "inhom_wavelet", sg,
+        {"wavelet": name, "order": profile.order, "profile": profile},
+        atom_fn, [0.125, 1.0], lowpass=True)
 
 
 def _alpha_family(params: dict, sg: SignalGrid) -> FrameFamily:
@@ -762,10 +776,30 @@ def _alpha_family(params: dict, sg: SignalGrid) -> FrameFamily:
 
         return _modulated(envelope, mod, iw, threads)
 
+    def interior_rule(box):
+        # atom bandwidth grows like (1+|w|)^alpha; frequency margins by
+        # the fixed point w = edge -/+ 4 (1 + |w|)^alpha
+        def inner(edge, pull):
+            w = edge
+            for _ in range(200):
+                w = 0.5 * w + 0.5 * (edge - pull * (1.0 + abs(w)) ** alpha)
+            return w
+
+        box[1] = (inner(box[1, 0], -4.0), inner(box[1, 1], 4.0))
+        box[0] = (box[0, 0] + 4.0, box[0, 1] - 4.0)
+        return []
+
+    def frame_info():
+        smin, smax, a_const = alpha_admissibility(gaussian_window(t), alpha,
+                                                  np.linspace(-20.0, 20.0, 161), sg)
+        return {"alpha_admissibility": {"sigma_min": smin, "sigma_max": smax, "A": a_const}}
+
     return FrameFamily(
         tag="alpha_mod", signal_grid=sg, params={"alpha": alpha, "window": "gaussian"},
         phase_quotient=True, atom_fn=atom_fn, metric=euclidean_metric,
-        interior_margins=np.array([4.0, np.nan]),
+        interior_margins=np.array([4.0, np.nan]), index_domain=_TF_DOMAIN,
+        interior_rule=interior_rule, log_axes=(False, False),
+        frame_info=frame_info,
         # a real envelope: conj(psi_(x, w)) = psi_(x, -w)
         conjugation=np.array([1.0, -1.0]))
 
@@ -782,57 +816,41 @@ _BUILDERS = {
 def make_family(tag: str, params: dict | None, signal_grid: SignalGrid) -> FrameFamily:
     if tag not in _BUILDERS:
         raise FamilyError(f"unknown family tag {tag!r}; known: {sorted(_BUILDERS)}")
-    fam = _BUILDERS[tag](dict(params or {}), signal_grid)
-    return fam
+    return _BUILDERS[tag](dict(params or {}), signal_grid)
 
 
 # ---------------------------------------------------------------------------
-# index grids (family defaults)
+# index grids and interiors
 # ---------------------------------------------------------------------------
 def default_index_grid(family: FrameFamily, bounds=None, resolution=None,
                        band_spacing: float = 0.45, scales_per_octave: int = 12) -> QuadGrid:
-    """Family-adapted quadrature of the index space.
+    """Family-adapted quadrature of the index space on `bounds`, the
+    family's default box for None (`FrameFamily.index_domain`).
 
     gabor / alpha_mod: tensor midpoint grid with density 1/(2 pi).
     sinc_rkhs: uniform circle grid.
     cwt / inhom_wavelet: scale bands, log-uniform in scale, with per-band
     position spacing proportional to the scale (finer rows at finer scales).
     """
-    tag = family.tag
-    if tag in ("gabor", "alpha_mod"):
-        if bounds is None:
-            bounds = [[-8.0, 8.0], [-16.0, 16.0]]
-        if resolution is None:
-            resolution = [64, 64]
-        return build_quad_grid(bounds, resolution,
-                               measure=lambda p: np.full(p.shape[0], 1.0 / TWO_PI))
-    if tag == "sinc_rkhs":
-        T = family.signal_grid.half_width
-        if bounds is None:
-            bounds = [[-T, T]]
-        if resolution is None:
-            resolution = [family.signal_grid.n // 4]
-        return build_quad_grid(bounds, resolution, measure="lebesgue",
-                               metric=family.metric)
-    if tag in ("cwt", "inhom_wavelet"):
-        return _banded_wavelet_grid(family, bounds, band_spacing, scales_per_octave)
-    raise FamilyError(f"no default index grid for {tag!r}")
+    dom = family.index_domain
+    return dom.grid(dom.bounds if bounds is None else bounds, resolution,
+                    band_spacing, scales_per_octave)
 
 
-def wavelet_index_bounds(family: FrameFamily, bounds) -> list:
-    """The (scale, position) bounds of a wavelet family's banded grid:
-    `bounds`, or for None the default scales (cwt [0.2, 10.5],
-    inhom_wavelet [0.125, 1]) over positions +-0.75 T."""
-    if bounds is not None:
-        return bounds
-    b_half = 0.75 * family.signal_grid.half_width
-    return [[0.2, 10.5], [-b_half, b_half]] if family.tag == "cwt" else \
-        [[0.125, 1.0], [-b_half, b_half]]
+def _tensor_grid(default_resolution, measure, metric, bounds, resolution, *_) -> QuadGrid:
+    """`build_quad_grid` at `resolution`, `default_resolution` for None."""
+    resolution = default_resolution if resolution is None else resolution
+    return build_quad_grid(bounds, resolution, measure=measure, metric=metric)
 
 
-def _banded_wavelet_grid(family: FrameFamily, bounds, band_spacing: float,
+# gabor / alpha_mod: the (position, frequency) plane, density 1/(2 pi)
+_TF_DOMAIN = IndexDomain([[-8.0, 8.0], [-16.0, 16.0]], functools.partial(
+    _tensor_grid, [64, 64], lambda p: np.full(p.shape[0], 1.0 / TWO_PI),
+    euclidean_metric))
+
+
+def _banded_wavelet_grid(lowpass: bool, bounds, resolution, band_spacing: float,
                          scales_per_octave: int) -> QuadGrid:
-    bounds = wavelet_index_bounds(family, bounds)
     (a_lo, a_hi), (b_lo, b_hi) = bounds
     if a_lo <= 0 or a_hi <= a_lo:
         raise GridError("scale bounds must satisfy 0 < a_lo < a_hi")
@@ -842,7 +860,7 @@ def _banded_wavelet_grid(family: FrameFamily, bounds, band_spacing: float,
     dlog = np.diff(np.log(edges))
 
     pts, wts, bands = [], [], []
-    if family.tag == "inhom_wavelet":
+    if lowpass:
         # low-pass sheet at scale coordinate 0, Lebesgue measure in position
         db = band_spacing
         nb = max(2, int(np.round((b_hi - b_lo) / db)))
@@ -860,10 +878,8 @@ def _banded_wavelet_grid(family: FrameFamily, bounds, band_spacing: float,
         # measure da db / a^2 = dlog(a) db / a
         wts.append(np.full(nb, dl * (b_hi - b_lo) / nb / a_mid))
         bands.append((a_mid, nb))
-    points = np.concatenate(pts, axis=0)
-    weights = np.concatenate(wts)
-    return QuadGrid(points=points, weights=weights,
-                    bounds=np.asarray(bounds, dtype=float), metric=family.metric,
+    return QuadGrid(points=np.concatenate(pts, axis=0), weights=np.concatenate(wts),
+                    bounds=np.asarray(bounds, dtype=float), metric=halfplane_metric,
                     structure={"bands": bands, "band_spacing": band_spacing})
 
 
@@ -962,16 +978,13 @@ class FrameBoundsReport:
 
 def _interior_mask(family: FrameFamily, grid: QuadGrid, pts: np.ndarray) -> np.ndarray:
     """Which index points `pts` lie in the family's interior box of `grid`;
-    for `inhom_wavelet` the low-pass sheet (axis 0 <= 0) counts as interior
-    on axis 0."""
+    a family's low-pass sheet (`FrameFamily.lowpass_sheet`, axis 0 <= 0)
+    counts as interior on axis 0."""
     box = family.interior_box(grid.bounds)
-    mask = np.ones(pts.shape[0], dtype=bool)
-    for k in range(pts.shape[1]):
-        inside = (pts[:, k] >= box[k, 0]) & (pts[:, k] <= box[k, 1])
-        if family.tag == "inhom_wavelet" and k == 0:
-            inside |= pts[:, 0] <= 0.0
-        mask &= inside
-    return mask
+    inside = (pts >= box[:, 0]) & (pts <= box[:, 1])
+    if family.lowpass_sheet:
+        inside[:, 0] |= pts[:, 0] <= 0.0
+    return inside.all(axis=1)
 
 
 def _interior_probes(family: FrameFamily, grid: QuadGrid, pts: np.ndarray):
@@ -1074,18 +1087,20 @@ def random_interior_points(family: FrameFamily, grid: QuadGrid, count: int,
                            rng: np.random.Generator) -> np.ndarray:
     """Seeded index points inside the family's interior box.
 
-    Scale-type axes (cwt / inhom_wavelet axis 0) are drawn log-uniformly.
+    The family's `log_axes` (scale axes) are drawn log-uniformly, the others
+    uniformly; a low-pass sheet (`lowpass_sheet`) takes each point with
+    probability 1/2.
     """
     box = family.interior_box(grid.bounds)
     pts = np.empty((count, grid.dim))
-    for k in range(grid.dim):
+    for k, log in enumerate(family.log_axes):
         lo, hi = box[k]
-        if family.tag in ("cwt", "inhom_wavelet") and k == 0:
+        if log:
             pts[:, k] = np.exp(rng.uniform(np.log(lo), np.log(hi), size=count))
         else:
             pts[:, k] = rng.uniform(lo, hi, size=count)
-    if family.tag == "inhom_wavelet":
-        pts[rng.random(count) < 0.5, 0] = 0.0     # low-pass sheet
+    if family.lowpass_sheet:
+        pts[rng.random(count) < 0.5, 0] = 0.0
     return pts
 
 
@@ -1142,8 +1157,6 @@ def leakage_report(family: FrameFamily, grid: QuadGrid, samples: int = 64,
         p[k] = b[k, rng.integers(0, 2)]
         pts.append(p)
     pts = np.asarray(pts)
-    if family.tag == "inhom_wavelet":
-        pts[:, 0] = np.maximum(pts[:, 0], 1e-6)
     norms = family.signal_grid.h * np.sum(np.abs(family.atoms(pts)) ** 2, axis=0)
     ref = norms[0]
     return {

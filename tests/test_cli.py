@@ -128,7 +128,10 @@ class TestValidate:
         ("inhom_wavelet", "index_domain", {"band_spacing": 2,
                                            "scales_per_octave": 24})])
     def test_in_range_setting(self, tag, key, value):
-        assert validate_config(dict(_on_family(tag), **{key: value})) == []
+        # `norms` reads no interior box, so boxes too small for the family's
+        # interior are in range too (TestInteriorValidation)
+        cfg = dict(_on_family(tag), tasks=["norms"], **{key: value})
+        assert validate_config(cfg) == []
 
     @pytest.mark.parametrize("tag,tasks,covering,needle", [
         ("gabor", ["discretize"], None, "requires a 'covering' block"),
@@ -283,6 +286,62 @@ class TestWaveletValidation:
         path = write_config(tmp_path, cfg)
         assert run(str(path), out_dir=str(tmp_path / "out")) == 2
         assert main(["validate", str(path)]) == 2
+
+
+class TestInteriorValidation:
+    """A box whose interior is empty is refused, for every family, exactly
+    when a task reads the interior (`cli.INTERIOR_TASKS`)."""
+
+    THIN = dict(MINIMAL, index_domain={"bounds": [[-1.0, 1.0], [-1.0, 1.0]],
+                                       "resolution": [16, 16]},
+                covering={"cell_size": 0.5})
+
+    @pytest.mark.parametrize("tasks", [["frame-info"], ["discretize"],
+                                       ["norms", "reconstruct"]])
+    def test_empty_gabor_interior_exits_2(self, tmp_path, tasks):
+        cfg = dict(self.THIN, tasks=tasks)
+        diag, = validate_config(cfg)
+        assert diag == ("index box too small for interior margins on axis 0; "
+                        "index box too small for interior margins on axis 1")
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["validate", str(path)]) == 2
+        assert run(str(path), out_dir=str(out)) == 2
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("tasks", [["norms"], ["property-d"], ["localize"],
+                                       ["sequence-spaces"]])
+    def test_tasks_that_read_no_interior_run(self, tmp_path, tasks):
+        cfg = dict(self.THIN, tasks=tasks)
+        assert validate_config(cfg) == []
+        path = write_config(tmp_path, cfg)
+        assert run(str(path), out_dir=str(tmp_path / "out")) == 0
+
+    @pytest.mark.parametrize("tag,domain", [
+        ("alpha_mod", {"bounds": [[-4.0, 4.0], [-4.0, 4.0]]}),
+        ("cwt", {"bounds": [[1.0, 2.0], [-12.0, 12.0]]}),
+        ("inhom_wavelet", {"bounds": [[0.9, 1.0], [-12.0, 12.0]]})])
+    def test_every_family_checks_its_interior(self, tmp_path, tag, domain):
+        cfg = dict(_on_family(tag), index_domain=domain)
+        assert any(d.startswith("index box too small") for d in validate_config(cfg))
+        assert validate_config(dict(cfg, tasks=["norms"])) == []
+        path = write_config(tmp_path, cfg)
+        assert run(str(path), out_dir=str(tmp_path / "out")) == 2
+
+    @pytest.mark.parametrize("family,diag", [
+        ({"tag": "gabor", "params": {"window": "hann"}}, "unknown gabor window 'hann'"),
+        ({"tag": "sinc_rkhs", "params": {"bandlimit": -1.0}},
+         "bandlimit must be positive")])
+    def test_family_refusal_is_a_diagnostic_for_every_task(self, tmp_path, family,
+                                                           diag):
+        # the family is built whatever the tasks, so its refusal comes
+        # before anything runs
+        cfg = dict(MINIMAL, family=family, tasks=["norms"])
+        if family["tag"] == "sinc_rkhs":
+            del cfg["index_domain"]
+        assert validate_config(cfg) == [diag]
+        path = write_config(tmp_path, cfg)
+        assert run(str(path), out_dir=str(tmp_path / "out")) == 2
 
 
 class TestRun:
