@@ -417,11 +417,11 @@ def _map_atoms(p: np.ndarray, psi: np.ndarray, threads: int = 1) -> np.ndarray:
     width = 2 if real_view else 1       # columns of x per atom
     out = np.empty((p.shape[0], x.shape[1]), dtype=np.result_type(p, x))
 
-    def work(block, _):
+    def work(block):
         cols = slice(width * block[0], width * block[1])
         np.matmul(p, x[:, cols], out=out[:, cols])
 
-    _on_pool(_column_blocks(psi.shape[1]), threads, lambda: None, work)
+    _on_pool(_column_blocks(psi.shape[1]), threads, work)
     return out.view(np.complex128) if real_view else out
 
 
@@ -539,8 +539,8 @@ def _column_blocks(total: int) -> list:
 def _fill_columns(out: np.ndarray, fill, threads: int) -> np.ndarray:
     """`out` once fill(cols) has written out[:, cols] for every column
     block (`_column_blocks`), on `threads` (`_on_pool`)."""
-    _on_pool(_column_blocks(out.shape[1]), threads, lambda: None,
-             lambda block, _: fill(slice(*block)))
+    _on_pool(_column_blocks(out.shape[1]), threads,
+             lambda block: fill(slice(*block)))
     return out
 
 

@@ -14,9 +14,10 @@ its row and column sums are one and the same vector.  A Gramian on a
 mirror-closed grid (`Kernel.mirror`) with the trivial weight streams the
 upper block triangle of one mirror half, a quarter of the M^2 moduli.
 `am_norm` spreads the `_GEMM_ROWS`-row blocks of a factored kernel over
-`threads` (`_on_pool`): each thread writes a block's GEMM and its moduli
-into one pair of buffers it owns, and the block sums are folded in block
-order, so the norm does not depend on the thread count.
+`threads` (`_on_pool`): a block's GEMM and its moduli are its own
+temporaries, so at most `threads` blocks' temporaries are in flight, and
+the block sums are folded in block order, so the norm does not depend on
+the thread count.
 """
 from __future__ import annotations
 
@@ -191,8 +192,8 @@ def _mirror_half(perm: np.ndarray):
     return rep, perm[rep] == rep
 
 
-def _on_pool(blocks: list, threads: int, make, work, fold=None) -> None:
-    """fold(work(block, own)) for every block, folded in block order.
+def _on_pool(blocks: list, threads: int, work, fold=None) -> None:
+    """fold(work(block)) for every block, folded in block order.
 
     The calling thread and threads - 1 workers (no more threads than the
     blocks and the usable cores allow) each claim the next unclaimed block
@@ -202,8 +203,8 @@ def _on_pool(blocks: list, threads: int, make, work, fold=None) -> None:
     thread folds, strictly in block order: what is ready between its own
     blocks, the rest once every block is claimed.  The calling thread
     computes too: a pool of workers alone would add a thread, and its
-    malloc arena, for no gain.  `own` is the set of buffers make()
-    allocated once for the thread running the block.  An exception in any
+    malloc arena, for no gain.  A block allocates its own temporaries, so
+    at most `threads` blocks' temporaries are in flight.  An exception in any
     block stops further claims, and the first one is raised here once
     every worker has ended; no worker outlives the call.
     """
@@ -224,12 +225,10 @@ def _on_pool(blocks: list, threads: int, make, work, fold=None) -> None:
             return claimed - 1
 
     def serve(between=lambda: None):
-        """Claim and run blocks until none is left, between() after each;
-        make() once the thread has claimed its first block."""
+        """Claim and run blocks until none is left, between() after each."""
         i = claim()
-        own = make() if i is not None else None
         while i is not None:
-            res = work(blocks[i], own)
+            res = work(blocks[i])
             with cond:
                 done[i] = res
                 cond.notify()
@@ -307,13 +306,12 @@ def am_norm(kern: Kernel, m: AdmissibleWeight, grid: QuadGrid,
     A kernel with node factors K = s U V on this grid runs row blocks of at
     most `_GEMM_ROWS` (`_even_blocks`) on `threads` (`_on_pool`); the
     caller resolves the factors first and checks them once
-    (`Kernel._check_factors`).  A block is one GEMM into a buffer of the
-    factors' result dtype (float64 for a real Gramian) and its moduli in a
-    real buffer of the same rows: each thread allocates the pair once, so
-    beside the factors a call holds at most
-    threads * _GEMM_ROWS * M * (itemsize + 8) bytes plus O(M) sums (and the
-    weight's values on a block, for a non-trivial weight), and on a mirror
-    half the gathered columns of V.
+    (`Kernel._check_factors`).  A block is one GEMM in the factors' result
+    dtype (float64 for a real Gramian) and its real moduli, of the same
+    rows.  With at most `threads` blocks' temporaries in flight, beside the
+    factors a call holds at most threads * _GEMM_ROWS * M * (itemsize + 8)
+    bytes plus O(M) sums (and the weight's values on a block, for a
+    non-trivial weight), and on a mirror half the gathered columns of V.
     Other kernels, and a factored kernel off its native grid, evaluate
     `Kernel.block` on row blocks of `_ROW_BLOCK` on the calling thread.
     Block sums are folded in block order, so the result does not depend on
@@ -344,42 +342,29 @@ def am_norm(kern: Kernel, m: AdmissibleWeight, grid: QuadGrid,
     row_acc_m, row_acc_1 = np.zeros(M), np.zeros(M)
     col_acc_m, col_acc_1 = np.zeros(M), np.zeros(M)
 
-    def make():
-        if factors is None:
-            return None
-        rows = max(b - a for a, b in blocks) * (1 if perm is None else 2)
-        bufs = (np.empty(rows * M, dtype=np.result_type(*factors)),
-                np.empty(rows * M))
-        if perm is None:
-            return bufs
-        return (*bufs, np.empty((rows, v_rep.shape[0]), dtype=v_rep.dtype))
-
-    def moduli(start, stop, lo, own):
-        """|K| on rows start:stop and columns lo:M, in the thread's buffer
-        (B on representatives for a mirror half)."""
+    def moduli(start, stop, lo):
+        """|K| on rows start:stop and columns lo:M (B on representatives
+        for a mirror half)."""
         if factors is None:
             return np.abs(kern.block(pts[start:stop], pts[lo:]))
         u, v, scale = factors
-        rows = stop - start
         if perm is None:
-            left, right = u[start:stop], v[:, lo:]
+            prod = u[start:stop] @ v[:, lo:]
         else:
-            left, right = own[2][:2 * rows], v_rep[:, lo:]
-            np.conjugate(v_rep[:, start:stop].T, out=left[:rows])
-            left[rows:] = v_rep[:, start:stop].T
-        shape = (left.shape[0], M - lo)
-        prod = np.matmul(left, right, out=own[0][:shape[0] * shape[1]].reshape(shape))
+            cols = v_rep[:, start:stop].T
+            prod = np.concatenate((cols.conj(), cols)) @ v_rep[:, lo:]
         prod *= scale
-        amp = np.abs(prod, out=own[1][:prod.size].reshape(shape))
+        amp = np.abs(prod)
         if perm is None:
             return amp
+        rows = stop - start
         return np.add(amp[:rows], amp[rows:], out=amp[:rows])
 
-    def work(block, own):
+    def work(block):
         start, stop = block
         lo = start if herm else 0          # first column evaluated
         right = stop - lo if herm else 0   # offset of the first column summed
-        amp = moduli(start, stop, lo, own)
+        amp = moduli(start, stop, lo)
         sums_1 = amp @ w[lo:], w[start:stop] @ amp[:, right:]
         if m.trivial:
             return start, stop, lo + right, sums_1, sums_1
@@ -396,7 +381,7 @@ def am_norm(kern: Kernel, m: AdmissibleWeight, grid: QuadGrid,
 
     # kernels without factors stay on the calling thread: their evaluator
     # calls are not for workers
-    _on_pool(blocks, threads if factors else 1, make, work, fold)
+    _on_pool(blocks, threads if factors else 1, work, fold)
     if herm:
         row_acc_1 += col_acc_1
         row_acc_m += col_acc_m

@@ -33,12 +33,13 @@ all z-samples are built once per level (`Kernel.col_factor`; a Gramian's
 synthesizes their atoms and maps them in column blocks on the `threads`
 that `gram_kernel` was given), before any unit runs.  The calling thread
 then checks the factors once (`Kernel._check_factors`) and gathers each
-chunk's columns of s V, its nodes' and its z-samples'.  A unit is then one GEMM of a chunk (at most
-`_CHUNK_COLS` y- and z-columns) against a tile of about `_TILE_ROWS` rows
-of U, in the factors' dtype (float64 for a family with real atoms), the
-moduli, the z min and max (or the strict differences), a `take` gather of
-each node's cells and the row and column sums, every intermediate in
-scratch memory that the running thread owns.  The units run on `threads`
+chunk's columns of s V, its nodes' and its z-samples'.  A unit is then one
+GEMM of a chunk (at most `_CHUNK_COLS` y- and z-columns) against a tile of
+about `_TILE_ROWS` rows of U, in the factors' dtype (float64 for a family
+with real atoms), the moduli, the z min and max (or the strict
+differences), a `take` gather of each node's cells and the row and column
+sums, every intermediate a temporary of the unit, so at most `threads`
+units' temporaries are in flight.  The units run on `threads`
 (`kernel_algebra._on_pool`): in tile order, then chunk order, each free
 thread claims the next one; the workers run numpy and the weight m, never
 `Kernel.block`, `FrameFamily.atoms` or `u_factor`.  Unit results are folded
@@ -50,7 +51,6 @@ same pass over the Gramian.
 """
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
@@ -237,8 +237,7 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
 
 
 def _pair_osc(r_y: np.ndarray, r_z: np.ndarray, slots: np.ndarray,
-              aligned: bool, abs_y: np.ndarray | None = None,
-              buf=np.empty) -> np.ndarray:
+              aligned: bool, abs_y: np.ndarray | None = None) -> np.ndarray:
     """Per node y, the sup of the (phase-aligned) difference over the
     z-samples of its cells at every x, (Y, M): row j is the column
     osc_U(., y_j), so every intermediate is a run of contiguous rows.
@@ -249,42 +248,26 @@ def _pair_osc(r_y: np.ndarray, r_z: np.ndarray, slots: np.ndarray,
     sup is max(|a| - min |b|, max |b| - |a|) over the z of all those cells:
     rounding is monotone, so this is max_z | |a| - |b_z| | bit for bit.
     `abs_y`, when given, is |r_y| already computed by the caller.
-    `buf(shape, dtype)` supplies the intermediate arrays and the result:
-    the moduli are float64, the strict differences take the rows' dtype.
     """
-    Y, M = r_y.shape
     if aligned:
-        b = np.abs(r_z, out=buf(r_z.shape, float))
-        shape = (b.shape[0], M)
-        lo = np.minimum.reduce(b, axis=1, out=buf(shape, float))
-        hi = np.maximum.reduce(b, axis=1, out=buf(shape, float))
-        # mode="clip" takes straight into `out`; every index is in range
-        lo_y = np.take(lo, slots[:, 0], axis=0, out=buf((Y, M), float),
-                       mode="clip")
-        hi_y = np.take(hi, slots[:, 0], axis=0, out=buf((Y, M), float),
-                       mode="clip")
-        if slots.shape[1] > 1:
-            tmp = buf((Y, M), float)
-            for k in range(1, slots.shape[1]):
-                np.minimum(lo_y, np.take(lo, slots[:, k], axis=0, out=tmp,
-                                         mode="clip"), out=lo_y)
-                np.maximum(hi_y, np.take(hi, slots[:, k], axis=0, out=tmp,
-                                         mode="clip"), out=hi_y)
+        b = np.abs(r_z)
+        lo = np.minimum.reduce(b, axis=1)
+        hi = np.maximum.reduce(b, axis=1)
+        lo_y = np.take(lo, slots[:, 0], axis=0)
+        hi_y = np.take(hi, slots[:, 0], axis=0)
+        for k in range(1, slots.shape[1]):
+            np.minimum(lo_y, np.take(lo, slots[:, k], axis=0), out=lo_y)
+            np.maximum(hi_y, np.take(hi, slots[:, k], axis=0), out=hi_y)
         a = np.abs(r_y) if abs_y is None else abs_y
         np.subtract(a, lo_y, out=lo_y)
         np.subtract(hi_y, a, out=hi_y)
         return np.maximum(lo_y, hi_y, out=lo_y)
 
     def strict(y, cells):
-        shape = (cells.size, M)
-        out, mod, diff = buf(shape, float), buf(shape, float), \
-            buf(shape, np.result_type(r_y, r_z))
-        for j in range(r_z.shape[1]):
-            np.take(r_z[:, j], cells, axis=0, out=diff, mode="clip")
-            np.subtract(y, diff, out=diff)
-            np.abs(diff, out=mod if j else out)
-            if j:
-                np.maximum(out, mod, out=out)
+        out = np.abs(y - np.take(r_z[:, 0], cells, axis=0))
+        for j in range(1, r_z.shape[1]):
+            np.maximum(out, np.abs(y - np.take(r_z[:, j], cells, axis=0)),
+                       out=out)
         return out
 
     out = strict(r_y, slots[:, 0])
@@ -332,33 +315,6 @@ def _column_chunks(table: np.ndarray, z_per_cell: int, cols: int) -> list:
     return chunks
 
 
-class _Scratch:
-    """One thread's scratch memory for the units it runs: arrays carved one
-    after another from a byte buffer kept across units, and handed out
-    again after `reset`.  A request past the end of the buffer is a fresh
-    array; the next `reset` grows the buffer to the largest unit seen."""
-
-    _ALIGN = 64
-
-    def __init__(self):
-        self.data = np.empty(0, dtype=np.uint8)
-        self.used = self.peak = 0
-
-    def reset(self) -> None:
-        if self.peak > self.data.size:
-            self.data = np.empty(self.peak, dtype=np.uint8)
-        self.used = 0
-
-    def __call__(self, shape, dtype) -> np.ndarray:
-        size = math.prod(shape) * np.dtype(dtype).itemsize
-        start = self.used
-        self.used += -(-size // self._ALIGN) * self._ALIGN
-        if self.used > self.data.size:
-            self.peak = max(self.peak, self.used)
-            return np.empty(shape, dtype)
-        return self.data[start:start + size].view(dtype).reshape(shape)
-
-
 def _osc_stream(R: Kernel, cov: Covering, grid: QuadGrid, z_per_cell: int,
                 comparison: str, seed: int, reduce, fold=None,
                 threads: int = 1) -> None:
@@ -366,8 +322,7 @@ def _osc_stream(R: Kernel, cov: Covering, grid: QuadGrid, z_per_cell: int,
     (module docstring): row j of osc (Y, T) holds the sampled oscillation
     osc_U(x, y_j) at the x of the row tile `rows` (a slice of grid nodes),
     for the chunk's `nodes` y_j, and amp (Y, T) the moduli |R(x, y_j)|.
-    Both live in the running thread's scratch memory: reduce may overwrite
-    them but must not keep them.
+    Both are the unit's own temporaries: reduce may overwrite them.
 
     R must have node factors and a column factor on this grid; the units
     run on `threads` (`_on_pool`).
@@ -386,7 +341,6 @@ def _osc_stream(R: Kernel, cov: Covering, grid: QuadGrid, z_per_cell: int,
     R._check_factors(u, v, scale)
     R._check_factors(u, v_z, scale)
     u_t = u.T                           # (r, M): a tile is a column run
-    gemm_dtype = np.result_type(u, v, v_z, scale)   # float64: a real Gramian
     zs = np.arange(z_per_cell)
     chunks = []
     for nodes, cells, slots in _column_chunks(cov.node_cells(), z_per_cell,
@@ -398,26 +352,23 @@ def _osc_stream(R: Kernel, cov: Covering, grid: QuadGrid, z_per_cell: int,
                  * scale).T
         chunks.append((nodes, cells, slots, right))
 
-    def work(unit, buf):
+    def work(unit):
         """R(x, y) and R(x, z) for the x in t0:t1, one row per y and z, and
         the unit's reduction."""
         t0, t1, (nodes, cells, slots, right) = unit
-        buf.reset()
-        prod = np.matmul(right, u_t[:, t0:t1],
-                         out=buf((right.shape[0], t1 - t0), gemm_dtype))
+        prod = right @ u_t[:, t0:t1]
         r_y = prod[:nodes.size]
-        amp = np.abs(r_y, out=buf(r_y.shape, float))
+        amp = np.abs(r_y)
         if not cells.size:                  # Q_y is empty
-            osc = buf(amp.shape, float)
-            osc.fill(0.0)
+            osc = np.zeros(amp.shape)
         else:
             osc = _pair_osc(r_y, prod[nodes.size:].reshape(
-                cells.size, z_per_cell, t1 - t0), slots, aligned, amp, buf)
+                cells.size, z_per_cell, t1 - t0), slots, aligned, amp)
         return reduce(slice(t0, t1), nodes, osc, amp)
 
     units = [(t0, t1, chunk) for t0, t1 in _even_blocks(grid.size, _TILE_ROWS)
              for chunk in chunks]
-    _on_pool(units, threads, _Scratch, work, fold)
+    _on_pool(units, threads, work, fold)
 
 
 def osc_matrix(R: Kernel, cov: Covering, grid: QuadGrid, z_per_cell: int = 4,

@@ -442,9 +442,9 @@ class TestFrameOperatorBlocks:
         # to a row or two, and the units depend on n alone
         seen = []
 
-        def record(units, threads, make, work, fold=None):
+        def record(units, threads, work, fold=None):
             seen.append(list(units))
-            return _on_pool(units, threads, make, work, fold)
+            return _on_pool(units, threads, work, fold)
 
         monkeypatch.setattr(_linalg, "_on_pool", record)
         rng = np.random.default_rng(n)
@@ -1008,7 +1008,7 @@ def _off_main_pool(calls):
     own, so that a public function called from a block runs off the main
     thread; it records each call's block count and refuses to be entered
     off the main thread, from inside a block (a nested pool)."""
-    def pool(blocks, threads, make, work, fold=None):
+    def pool(blocks, threads, work, fold=None):
         assert threading.current_thread() is threading.main_thread()
         calls.append(len(blocks))
         for block in blocks:
@@ -1016,7 +1016,7 @@ def _off_main_pool(calls):
 
             def run(block=block):
                 try:
-                    res.append(work(block, make()))
+                    res.append(work(block))
                 except BaseException as exc:
                     err.append(exc)
 

@@ -135,7 +135,7 @@ class TestHermitianTriangle:
     @pytest.mark.parametrize("poly", [False, True])
     def test_bit_equal_across_threads(self, gram, row_block, poly,
                                       reference_am_norm, monkeypatch):
-        # the buffered row blocks of a Gramian run on the thread pool; their
+        # the factored row blocks of a Gramian run on the thread pool; their
         # sums are folded in block order, so the report is the same bytes
         monkeypatch.setattr(kernel_algebra, "_GEMM_ROWS", row_block)
         grid, R = gram
@@ -199,9 +199,9 @@ def _recording_pool(monkeypatch):
     seen = []
     pool = kernel_algebra._on_pool
 
-    def record(blocks, threads, make, work, fold=None):
+    def record(blocks, threads, work, fold=None):
         seen.append(list(blocks))
-        return pool(blocks, threads, make, work, fold)
+        return pool(blocks, threads, work, fold)
 
     monkeypatch.setattr(kernel_algebra, "_on_pool", record)
     return seen
@@ -328,12 +328,12 @@ class TestThreadContract:
             am_norm(R, trivial_admissible_weight(), grid, threads=2)
 
     @pytest.mark.parametrize("mirrored", [False, True])
-    def test_factored_pass_holds_one_buffer_pair_per_thread(self, gabor_small,
-                                                            mirrored):
-        # each thread allocates one GEMM buffer and one moduli buffer of
+    def test_factored_pass_holds_one_block_pair_per_thread(self, gabor_small,
+                                                           mirrored):
+        # each block in flight holds one GEMM and one moduli array of
         # _GEMM_ROWS rows; every other array is O(M): accumulators and sums.
         # A mirror half streams the representatives' columns of C, gathered
-        # once, and its buffers span only those columns
+        # once, and its blocks span only those columns
         fam, grid = gabor_small
         if mirrored:
             grid = default_index_grid(fam, bounds=[[-4.125, 4.125]] * 2,
@@ -358,29 +358,24 @@ class TestThreadContract:
         assert peak <= c_rep + 2 * kernel_algebra._GEMM_ROWS * half * (itemsize + 8) \
             + 16 * M * 8
 
-    def test_pool_buffers_are_per_thread_and_folds_in_order(self):
-        # each block stamps its buffer, yields, and checks the stamp: a
-        # buffer shared between threads would be overwritten meanwhile
-        made, folded = [], []
+    def test_pool_folds_in_order_on_at_most_the_usable_cores(self):
+        # blocks yield between their start and end, so the threads
+        # interleave and finish out of order; the fold stays in block order
+        ran, folded = set(), []
 
-        def make():
-            made.append(threading.get_ident())
-            return np.zeros(64)
-
-        def work(block, own):
-            own[:] = block
+        def work(block):
+            ran.add(threading.get_ident())
             time.sleep(0)
-            assert np.all(own == block), "buffer shared between threads"
             return block
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            _on_pool(list(range(400)), 8, make, work, folded.append)
+            _on_pool(list(range(400)), 8, work, folded.append)
         finally:
             sys.setswitchinterval(old)
         assert folded == list(range(400))
-        assert len(made) == len(set(made)) <= min(8, os.cpu_count() or 1)
+        assert len(ran) <= min(8, kernel_algebra._usable_cores())
 
     def test_pool_is_capped_by_the_usable_cores(self, monkeypatch):
         # a process pinned to one core (taskset, a container's cpuset) runs
@@ -388,14 +383,14 @@ class TestThreadContract:
         if not hasattr(os, "sched_getaffinity"):
             pytest.skip("no affinity mask on this platform")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        made = []
+        ran = set()
 
-        def make():
-            made.append(threading.get_ident())
-            return made
+        def work(block):
+            ran.add(threading.get_ident())
+            return block
 
-        _on_pool(list(range(16)), 4, make, lambda block, own: block)
-        assert made == [threading.get_ident()]
+        _on_pool(list(range(16)), 4, work)
+        assert ran == {threading.get_ident()}
 
     def test_pool_threads_claim_blocks_as_they_free_up(self, monkeypatch):
         # block 0 waits until every other block has run: a free thread
@@ -406,7 +401,7 @@ class TestThreadContract:
         others = threading.Event()
         ran, lock = [], threading.Lock()
 
-        def work(block, own):
+        def work(block):
             if block == 0:
                 return others.wait(timeout=10)
             with lock:
@@ -416,7 +411,7 @@ class TestThreadContract:
             return block
 
         folded = []
-        _on_pool(blocks, 2, lambda: None, work, folded.append)
+        _on_pool(blocks, 2, work, folded.append)
         assert others.is_set()
         assert folded == [True] + blocks[1:]
 
@@ -428,7 +423,7 @@ class TestThreadContract:
         failing, started = [], []
         raised = threading.Event()
 
-        def work(block, own):
+        def work(block):
             started.append(block)
             if threading.current_thread() is not caller:
                 failing.append(threading.current_thread())
@@ -439,7 +434,7 @@ class TestThreadContract:
             return block
 
         with pytest.raises(RuntimeError, match="failed"):
-            _on_pool(list(range(100)), 2, lambda: None, work)
+            _on_pool(list(range(100)), 2, work)
         assert len(failing) == 1 and not failing[0].is_alive()
         # the failing block and at most one the caller ran meanwhile
         assert len(started) <= 2
@@ -453,12 +448,12 @@ class TestThreadContract:
         runs = [0] * len(blocks)
         folded = []
 
-        def work(block, own):
+        def work(block):
             runs[block] += 1                # each block runs on one thread
             return block
 
         call = threading.Thread(target=_on_pool, args=(
-            blocks, 8, lambda: None, work, folded.append))
+            blocks, 8, work, folded.append))
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -476,7 +471,7 @@ class TestThreadContract:
         before = set(threading.enumerate())
         ran = set()
 
-        def work(block, own):
+        def work(block):
             ran.add(threading.current_thread())
             if fails and block == 40:
                 raise ValueError("block 40")
@@ -485,9 +480,9 @@ class TestThreadContract:
 
         if fails:
             with pytest.raises(ValueError, match="block 40"):
-                _on_pool(list(range(64)), 4, lambda: None, work)
+                _on_pool(list(range(64)), 4, work)
         else:
-            _on_pool(list(range(64)), 4, lambda: None, work)
+            _on_pool(list(range(64)), 4, work)
         assert set(threading.enumerate()) == before
         assert len(ran) > 1 and not any(t.is_alive() for t in ran - before)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,7 @@ from coorbit.measure_space import (SignalGrid, build_quad_grid,
                                    polynomial_weight,
                                    trivial_admissible_weight, weight_from_w)
 from coorbit.oscillation import (OscillationError, _cell_z_samples,
-                                 _column_chunks, _pair_osc, _Scratch,
-                                 osc_matrix,
+                                 _column_chunks, _pair_osc, osc_matrix,
                                  osc_norm_streaming, property_D_check,
                                  refine_until)
 
@@ -334,6 +335,32 @@ class TestStreamingBlocks:
             osc_norm_streaming(R, build_covering(grid, 1.25), grid, m_trivial,
                                threads=0)
 
+    def test_stream_peak_memory(self, gabor_blocks, m_trivial):
+        # beside the factors, a stream holds the chunks' gathered right
+        # operands (s V on each chunk's nodes and z-samples) and the
+        # z-samples' column factor, O(M) sums, and at most `threads` units'
+        # temporaries: one GEMM of a chunk's columns against a row tile and
+        # about seven float arrays of at most that shape (the moduli of the
+        # nodes and z-samples, the z min and max, their gathers per node and
+        # one gather in flight)
+        _, grid, R = gabor_blocks
+        cov = build_covering(grid, 0.625)
+        u, v, _ = R.node_factors()          # resolved before the trace
+        tiles, chunks = _plan(cov, grid, 4)
+        assert len(tiles) >= 2
+        tracemalloc.start()
+        try:
+            osc_norm_streaming(R, cov, grid, m_trivial, z_per_cell=4,
+                               comparison="phase_aligned", threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        r, itemsize = u.shape[1], np.result_type(u, v).itemsize
+        cols = [nodes.size + 4 * cells.size for nodes, cells, _ in chunks]
+        operands = r * (sum(cols) + 4 * cov.size) * itemsize
+        unit = max(cols) * max(b - a for a, b in tiles) * (itemsize + 7 * 8)
+        assert peak <= operands + 2 * unit + 16 * grid.size * 8
+
 
 @pytest.fixture(scope="module", params=["gabor", "cwt", "peaked"])
 def fold_case(request, gabor_blocks):
@@ -439,36 +466,12 @@ def _node_slots(draw):
 def test_pair_osc_is_the_difference_tensor_max(case):
     r_y, r_z, slots = case
     Y, M = r_y.shape
-    scratch = _Scratch()
     for aligned in (True, False):
         a, b = r_y, r_z[slots].reshape(Y, -1, M)         # (Y, K Z, M)
         if aligned:
             a, b = np.abs(a), np.abs(b)
         ref = np.abs(a[:, None, :] - b).max(axis=1)
         assert np.array_equal(_pair_osc(r_y, r_z, slots, aligned), ref)
-        # the same bits from a thread's scratch memory, twice over
-        for _ in range(2):
-            scratch.reset()
-            assert np.array_equal(
-                _pair_osc(r_y, r_z, slots, aligned, buf=scratch), ref)
-
-
-def test_scratch_hands_out_disjoint_arrays_and_reuses_them():
-    scratch = _Scratch()
-    for unit in range(3):
-        scratch.reset()
-        parts = [scratch((5, 7), float), scratch((3, 4), complex),
-                 scratch((1,), float), scratch((2, 3), np.complex128),
-                 scratch((4,), np.float64)]
-        for k, part in enumerate(parts):
-            part.fill(k + 1)
-        assert [np.all(p == k + 1) for k, p in enumerate(parts)] == \
-            [True] * 5
-        assert [p.dtype for p in parts] == [np.float64, np.complex128] * 2 + \
-            [np.float64]
-        # after the first unit grew the buffer, every array is carved from it
-        carved = [np.shares_memory(p, scratch.data) for p in parts]
-        assert carved == [unit > 0] * 5
 
 
 def _exact_kernel(grid):
@@ -568,7 +571,7 @@ class TestThreadInvariance:
     def test_real_sinc_gramian_strict_bits(self, sinc_setup, monkeypatch,
                                            overlap):
         # a family with real atoms streams float64 GEMMs and, under the
-        # strict comparison, float64 differences in the thread's scratch
+        # strict comparison, float64 differences
         fam, grid = sinc_setup
         K = gram_kernel(fam, grid, rel_cut=1e-6)
         assert K.node_factors()[0].dtype == np.float64
@@ -586,7 +589,7 @@ class TestThreadInvariance:
         assert len({(float(g).hex(), g.r_norm.hex()) for g in got}) == 1
 
     def test_real_cwt_gramian_am_norm_bits(self):
-        # am_norm's row blocks of a real Gramian: float64 GEMM buffers on
+        # am_norm's row blocks of a real Gramian: float64 GEMMs on
         # every thread
         fam = make_family("cwt", None, SignalGrid(16.0, 128))
         grid = default_index_grid(fam, band_spacing=0.9, scales_per_octave=6)
