@@ -7,9 +7,9 @@ r x r matrix K) and the probe Gram of `restricted_rayleigh_bounds` are each
 one `hermitian_gram`, which computes one block triangle of the Hermitian
 product and mirrors it.  Beside its input and the n x n results, it holds
 at most `threads` blocks' temporaries, one weighted block of at most
-`GRAM_COLS // 2` input rows each, and no full-size copy of the input.  Every routine is a fixed sequence of dense
-LAPACK/BLAS calls with no iteration or random start, so repeated runs give
-bit-identical output.
+`GRAM_COLS // 2` input rows each, and no full-size copy of the input.
+Every routine is a fixed sequence of dense LAPACK/BLAS calls with no
+iteration or random start, so repeated runs give bit-identical output.
 """
 from __future__ import annotations
 
@@ -64,8 +64,8 @@ def hermitian_gram(x: np.ndarray, w: np.ndarray, h: float,
     and every unit costs about the same.  The symmetrization
     0.5 (G^T + conj(G)) is exact off the diagonal blocks and makes those
     exactly Hermitian.  Beside X, G and the symmetrization, a call holds
-    at most `threads` blocks' temporaries and no full-size copy of X.  Blocks
-    and units depend on n alone, so the result does not depend on
+    at most `threads` blocks' temporaries and no full-size copy of X.
+    Blocks and units depend on n alone, so the result does not depend on
     `threads`.
     """
     n = x.shape[0]

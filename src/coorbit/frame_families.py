@@ -179,7 +179,6 @@ class FrameFamily:
     # (N, d) points, threads -> (n, N) atoms
     atom_fn: Callable[[np.ndarray, int], np.ndarray]
     metric: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    interior_margins: np.ndarray
     index_domain: IndexDomain
     interior_rule: Callable[[np.ndarray], list]
     log_axes: tuple
@@ -499,8 +498,8 @@ def _gabor_family(params: dict, sg: SignalGrid) -> FrameFamily:
     return FrameFamily(
         tag="gabor", signal_grid=sg, params={"window": window},
         phase_quotient=True, atom_fn=atom_fn, metric=euclidean_metric,
-        interior_margins=margins, index_domain=_TF_DOMAIN,
-        interior_rule=interior_rule, log_axes=(False, False),
+        index_domain=_TF_DOMAIN, interior_rule=interior_rule,
+        log_axes=(False, False),
         # a real window: conj(M_w T_x g) = M_{-w} T_x g
         conjugation=None if np.iscomplexobj(g) else np.array([1.0, -1.0]))
 
@@ -676,7 +675,6 @@ def _wavelet_family(tag: str, sg: SignalGrid, params: dict, atom_fn,
     return FrameFamily(
         tag=tag, signal_grid=sg, params=params, phase_quotient=False,
         atom_fn=atom_fn, metric=halfplane_metric,
-        interior_margins=np.array([m_log, np.nan]),
         index_domain=IndexDomain([scales, [-b_half, b_half]],
                                  functools.partial(_banded_wavelet_grid, lowpass)),
         interior_rule=interior_rule, log_axes=(True, False),
@@ -722,7 +720,6 @@ def _sinc_family(params: dict, sg: SignalGrid) -> FrameFamily:
         tag="sinc_rkhs", signal_grid=sg,
         params={"bandlimit": omega, "n_freqs": 2 * J + 1},
         phase_quotient=False, atom_fn=atom_fn, metric=metric,
-        interior_margins=np.array([0.0]),
         # the circle with Lebesgue measure, n/4 nodes by default
         index_domain=IndexDomain([[-T, T]], functools.partial(
             _tensor_grid, [sg.n // 4], "lebesgue", metric)),
@@ -797,8 +794,8 @@ def _alpha_family(params: dict, sg: SignalGrid) -> FrameFamily:
     return FrameFamily(
         tag="alpha_mod", signal_grid=sg, params={"alpha": alpha, "window": "gaussian"},
         phase_quotient=True, atom_fn=atom_fn, metric=euclidean_metric,
-        interior_margins=np.array([4.0, np.nan]), index_domain=_TF_DOMAIN,
-        interior_rule=interior_rule, log_axes=(False, False),
+        index_domain=_TF_DOMAIN, interior_rule=interior_rule,
+        log_axes=(False, False),
         frame_info=frame_info,
         # a real envelope: conj(psi_(x, w)) = psi_(x, -w)
         conjugation=np.array([1.0, -1.0]))
@@ -1033,8 +1030,9 @@ def frame_bounds_continuous(family: FrameFamily, x_grid: QuadGrid,
     return FrameBoundsReport(
         c1=c1, c2=c2,
         subspace=(f"span of {idx.size} interior atoms"
-                  f"{' and their conjugates' if mirrored else ''}, margins "
-                  f"{np.round(family.interior_margins, 3).tolist()}, "
+                  f"{' and their conjugates' if mirrored else ''}, interior "
+                  f"box {np.round(family.interior_box(x_grid.bounds), 3).tolist()}"
+                  f"{' and the low-pass sheet' if family.lowpass_sheet else ''}, "
                   f"Gram cut {PROBE_GRAM_CUT:g}"),
         probe_count=int(idx.size), rank=rank)
 
@@ -1145,8 +1143,16 @@ def leakage_report(family: FrameFamily, grid: QuadGrid, samples: int = 64,
 
     Compares quadrature norms of atoms sampled on the index-box boundary
     against the norm of a center atom; users size the truncation boxes from
-    these numbers.
+    these numbers.  A family with a low-pass sheet (`lowpass_sheet`) also
+    compares its sheet atoms at the two position bounds with the one at
+    the center position (`lowpass_worst_boundary_deficit`).
     """
+    def norms_sq(pts):
+        return family.signal_grid.h * np.sum(np.abs(family.atoms(pts)) ** 2, axis=0)
+
+    def deficit(norms):
+        return float(np.max(np.abs(norms[1:] - norms[0])) / norms[0])
+
     rng = np.random.default_rng(np.random.PCG64(seed))
     b = grid.bounds
     center = b.mean(axis=1)
@@ -1156,11 +1162,13 @@ def leakage_report(family: FrameFamily, grid: QuadGrid, samples: int = 64,
         k = rng.integers(0, grid.dim)
         p[k] = b[k, rng.integers(0, 2)]
         pts.append(p)
-    pts = np.asarray(pts)
-    norms = family.signal_grid.h * np.sum(np.abs(family.atoms(pts)) ** 2, axis=0)
-    ref = norms[0]
-    return {
-        "center_atom_norm_sq": float(ref),
-        "worst_boundary_deficit": float(np.max(np.abs(norms[1:] - ref)) / ref),
+    norms = norms_sq(np.asarray(pts))
+    out = {
+        "center_atom_norm_sq": float(norms[0]),
+        "worst_boundary_deficit": deficit(norms),
         "boundary_samples": samples,
     }
+    if family.lowpass_sheet:
+        sheet = [[0.0, center[1]], [0.0, b[1, 0]], [0.0, b[1, 1]]]
+        out["lowpass_worst_boundary_deficit"] = deficit(norms_sq(np.array(sheet)))
+    return out

@@ -15,9 +15,8 @@ mirror-closed grid (`Kernel.mirror`) with the trivial weight streams the
 upper block triangle of one mirror half, a quarter of the M^2 moduli.
 `am_norm` spreads the `_GEMM_ROWS`-row blocks of a factored kernel over
 `threads` (`_on_pool`): a block's GEMM and its moduli are its own
-temporaries, so at most `threads` blocks' temporaries are in flight, and
-the block sums are folded in block order, so the norm does not depend on
-the thread count.
+temporaries, with at most `threads` blocks' in flight.  The block sums are
+folded in block order, so the norm does not depend on the thread count.
 """
 from __future__ import annotations
 

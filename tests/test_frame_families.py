@@ -550,6 +550,18 @@ class TestFrameBounds:
         rep = frame_bounds_continuous(fam, grid)
         assert abs(rep.c2 - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("tag", ["cwt", "alpha_mod"])
+    def test_subspace_names_the_interior_box(self, tag):
+        # these interior rules size one axis themselves (the position margin
+        # at the largest interior scale, the frequency fixed point), so the
+        # report prints the box the probes were drawn from
+        fam = make_family(tag, None, SignalGrid(16.0 if tag == "cwt" else 8.0, 64))
+        grid = default_index_grid(fam)
+        rep = frame_bounds_continuous(fam, grid)
+        box = np.round(fam.interior_box(grid.bounds), 3).tolist()
+        assert f"interior box {box}," in rep.subspace
+        assert "nan" not in rep.subspace
+
     def test_zero_family_rejected(self, sg):
         fam = make_family("gabor", None, sg)
         fam = type(fam)(**{**fam.__dict__,
@@ -656,6 +668,18 @@ class TestWaveletFamilies:
         rep = leakage_report(fam, grid, samples=16)
         assert rep["center_atom_norm_sq"] == pytest.approx(1.0, abs=1e-6)
         assert rep["worst_boundary_deficit"] >= 0.0
+
+    @pytest.mark.parametrize("tag", ["gabor", "cwt", "sinc_rkhs",
+                                     "inhom_wavelet", "alpha_mod"])
+    def test_leakage_report_covers_the_lowpass_sheet(self, tag):
+        # only the inhomogeneous family has low-pass atoms, at scale <= 0
+        wavelet = tag in ("cwt", "inhom_wavelet")
+        fam = make_family(tag, None, SignalGrid(16.0 if wavelet else 8.0, 64))
+        rep = leakage_report(fam, default_index_grid(fam), samples=8)
+        key = "lowpass_worst_boundary_deficit"
+        assert (key in rep) == (tag == "inhom_wavelet")
+        if key in rep:
+            assert np.isfinite(rep[key]) and rep[key] >= 0.0
 
 
 def _complex_twin(fam):
