@@ -226,9 +226,10 @@ class FrameCalculus:
     frame operator S:  R = h * C^H C on the grid, with the half factor
     C = Lambda_k^(-1/2) Q_k^H Psi of shape (r, M), r = rank of the cut.
     Every Gramian product runs through C; r is at most the signal length n
-    and usually much smaller.  Everything here follows the atoms' dtype:
-    for a family with real atoms (cwt, inhom_wavelet, sinc_rkhs) S, its
-    eigenpairs (a real `eigh`), the half map, C and C^H are float64.
+    and usually much smaller; no conjugate copy of C is cached.  Everything
+    here follows the atoms' dtype: for a family with real atoms (cwt,
+    inhom_wavelet, sinc_rkhs) S, its eigenpairs (a real `eigh`), the half
+    map and C are float64.
 
     Complex atoms whose family declares a conjugation symmetry that the
     grid carries bit for bit (`mirror`, the node permutation sigma, and
@@ -258,7 +259,6 @@ class FrameCalculus:
         self._s_eig: dict[float, HermitianEig] = {}
         self._half_map: dict[float, np.ndarray] = {}
         self._half_factor: dict[float, np.ndarray] = {}
-        self._u_factor: dict[float, np.ndarray] = {}
 
     def atoms(self, threads: int = 1) -> np.ndarray:
         """The atoms at the grid's nodes, (n, M), synthesized on `threads`
@@ -366,12 +366,8 @@ class FrameCalculus:
 
     def u_factor(self, rel_cut: float = 1e-10) -> np.ndarray:
         """Left Gramian factor C^H, shape (M, r): R = h * (u_factor @ C)
-        on the grid.  Cached once per cut."""
-        u = self._u_factor.get(rel_cut)
-        if u is None:
-            u = self.half_factor(rel_cut).conj().T
-            self._u_factor[rel_cut] = u
-        return u
+        on the grid, a new conjugate copy of C on each call."""
+        return self.half_factor(rel_cut).conj().T
 
     def half_synthesize(self, F: np.ndarray, rel_cut: float = 1e-10) -> np.ndarray:
         """integral F(y) C_y dmu(y): C applied to the mu-weighted field(s)."""
@@ -922,10 +918,10 @@ def gram_kernel(family: FrameFamily, x_grid: QuadGrid,
     composition, also at truncation, and Hermitian by construction.  (The
     plain crossed Gramian <psi_y, psi_x>, the continuum R of a tight family,
     is `localization.cross_gramian`; it matches R away from the truncation
-    boundary.)  Grid nodes are evaluated from the node factors
-    (u_factor, C, h): h * u_factor[rows] @ C[:, cols], slices of the cached
-    half factor, without synthesizing their atoms again; the column factor
-    at other points is half_map @ atoms(points).  The grid atoms, the node
+    boundary.)  Grid nodes are evaluated from the node factors (C, h), the
+    cached half factor: h * C[:, rows]^H C[:, cols], without synthesizing
+    their atoms again; the column factor at other points is
+    half_map @ atoms(points).  The grid atoms, the node
     factors and `col_factor` run their column blocks on `threads`; the
     evaluator, which `am_norm` may call inside its own pool, on the calling
     thread alone.  No value depends on `threads`.
@@ -944,14 +940,10 @@ def gram_kernel(family: FrameFamily, x_grid: QuadGrid,
             else col_factor(pc, 1)
         return h * (left @ right)
 
-    def factors():
-        c = calc.half_factor(rel_cut, threads)
-        return calc.u_factor(rel_cut), c, h
-
     return Kernel(evaluator=ev, provenance="gramian", native_grid=x_grid,
                   context={"calc": calc, "rel_cut": rel_cut},
-                  node_factors=factors, col_factor=col_factor, hermitian=True,
-                  mirror=calc.mirror)
+                  node_factors=lambda: (calc.half_factor(rel_cut, threads), h),
+                  col_factor=col_factor, mirror=calc.mirror)
 
 
 # ---------------------------------------------------------------------------

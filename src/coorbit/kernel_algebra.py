@@ -3,14 +3,14 @@
 A Kernel is a real- or complex-valued function on pairs of index points
 (the Gramian of a family with real atoms is real), evaluated block-wise at
 arbitrary points through `block`.  A Gramian also carries its node factors
-R = h U V (U = C^H, V = C, the cached half factor), which its consumers
+(C, h), R = h C^H C with C the cached half factor, which its consumers
 multiply at grid nodes without synthesizing atoms again, and a
-`col_factor` that gives V at any points.
+`col_factor` that gives C at any points.
 Norms are computed by streaming row blocks, so nothing ever materializes an
 M x M matrix unless the grid is small enough to cache (<= CACHE_NODE_LIMIT
-nodes per side).  A kernel that is Hermitian by construction (the Gramian
-R = h C^H C) streams only the upper block triangle: with a symmetric weight
-its row and column sums are one and the same vector.  A Gramian on a
+nodes per side).  A kernel with node factors is Hermitian by construction
+(R = h C^H C) and streams only the upper block triangle: with a symmetric
+weight its row and column sums are one and the same vector.  A Gramian on a
 mirror-closed grid (`Kernel.mirror`) with the trivial weight streams the
 upper block triangle of one mirror half, a quarter of the M^2 moduli.
 `am_norm` spreads the `_GEMM_ROWS`-row blocks of a factored kernel over
@@ -46,20 +46,17 @@ class Kernel:
 
     evaluator(points_r, points_c) returns the real or complex matrix
     K(points_r[j], points_c[k]).  node_factors(), when given, returns
-    (U, V, s) with K = s U V at the nodes of `native_grid`: U is (M, r),
-    V is (r, M).  col_factor(points), when given with them, returns the
-    (r, P) right factor at any P points: K(x_i, p) = s U[i] col_factor(p).
+    (C, s) with K(x, y) = s C_x^H C_y at the nodes of `native_grid`, C of
+    shape (r, M) and s real, so the kernel is `hermitian`.
+    col_factor(points), when given with them, returns C there, (r, P).
     `am_norm` multiplies the node factors on their grid, and the oscillation
-    stream needs both and refuses a kernel without them.
-    `hermitian` marks a kernel with K(x, y) = conj(K(y, x)) by
-    construction.  `mirror`, on a Hermitian kernel whose node factors are
-    U = V^H, is a node permutation sigma of `native_grid` with
-    V[:, sigma y] = conj(V[:, y]), so that |K(sigma x, sigma y)| =
+    stream needs both and refuses a kernel without them.  `mirror`, on a
+    kernel with node factors, is a node permutation sigma of `native_grid`
+    with C[:, sigma y] = conj(C[:, y]), so that |K(sigma x, sigma y)| =
     |K(x, y)|; only `gram_kernel` sets it, on a mirror-closed grid
-    (`FrameCalculus.mirror`), as it sets `hermitian`.  The cache, when
-    built, agrees with the evaluator at every node (same code path), and
-    building it is the only mutation; reads after that are
-    concurrency-safe.
+    (`FrameCalculus.mirror`).  The cache, when built, agrees with the
+    evaluator at every node (same code path), and building it is the only
+    mutation; reads after that are concurrency-safe.
     """
 
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -69,13 +66,17 @@ class Kernel:
     node_factors: Optional[Callable[[], tuple]] = field(default=None, repr=False)
     col_factor: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, repr=False)
-    hermitian: bool = False
     mirror: Optional[np.ndarray] = field(default=None, repr=False)
     _cache: Optional[np.ndarray] = field(default=None, repr=False)
     # the grid the cache was sampled on, held (not its id, which can be
     # reused by another grid once this one is freed)
     _cache_grid: Optional[QuadGrid] = field(default=None, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    @property
+    def hermitian(self) -> bool:
+        """Hermitian by construction: the kernel has node factors."""
+        return self.node_factors is not None
 
     def block(self, points_r: np.ndarray, points_c: np.ndarray) -> np.ndarray:
         return self._finite(self.evaluator(np.atleast_2d(points_r),
@@ -87,16 +88,16 @@ class Kernel:
             raise KernelError(f"non-finite kernel value ({self.provenance})")
         return vals
 
-    def _check_factors(self, u, v, scale) -> None:
-        """Raise KernelError unless every entry of s (u @ v) is finite.
+    def _check_factors(self, c, v, scale) -> None:
+        """Raise KernelError unless every entry of s (c^H @ v) is finite.
 
-        Checks the factors instead of the product: u (., r) and v (r, .)
-        must be finite, and 2 r max|u| max|v| max(|s|, 1) below the float
+        Checks the factors instead of the product: c and v, both (r, .),
+        must be finite, and 2 r max|c| max|v| max(|s|, 1) below the float
         maximum, so that no partial sum of the GEMM, before or after the
         scaling by s, can overflow.  A NaN anywhere fails the comparison.
         """
-        top = (2.0 * u.shape[1] * max(abs(scale), 1.0)
-               * float(np.max(np.abs(u), initial=0.0))
+        top = (2.0 * c.shape[0] * max(abs(scale), 1.0)
+               * float(np.max(np.abs(c), initial=0.0))
                * float(np.max(np.abs(v), initial=0.0)))
         if not top < np.finfo(float).max:
             raise KernelError(f"non-finite kernel value ({self.provenance})")
@@ -288,29 +289,30 @@ def am_norm(kern: Kernel, m: AdmissibleWeight, grid: QuadGrid,
     row_sup = col_sup.  Other kernels take the full two-sided pass.
 
     A Gramian on a mirror-closed grid (`Kernel.mirror`, sigma) with the
-    trivial weight streams one mirror half: with V[:, sigma y] =
-    conj(V[:, y]), |K(sigma x, sigma y)| = |K(x, y)|, so the row sums of
+    trivial weight streams one mirror half: with C[:, sigma y] =
+    conj(C[:, y]), |K(sigma x, sigma y)| = |K(x, y)|, so the row sums of
     x and sigma x are equal.  Over the representatives x <= sigma x,
     B(x, y) = |K(x, y)| + |K(x, sigma y)| is symmetric, and the row sum of
     x is the sum of B(x, y) w'_y over representatives y, with w'_y = w_y / 2
     on the mirror axis (sigma y = y) and w_y elsewhere.  B's upper block
     triangle is streamed as above, in blocks of at most `_GEMM_ROWS // 2`
-    representatives: one GEMM of the stacked rows [conj(V_X)^T; V_X^T],
-    whose products s U[x] V_y = K(x, y) and s V_x^T V_y = conj K(x, sigma y),
-    against the representatives' columns of V, gathered once.  That is a
+    representatives: one GEMM of the stacked rows [conj(C_X)^T; C_X^T],
+    whose products s C_x^H C_y = K(x, y), s C_x^T C_y = conj K(x, sigma y),
+    against the representatives' columns of C, gathered once.  That is a
     quarter of the M^2 moduli, against half on the triangle.  Any other
     weight takes the triangle: m(sigma x, sigma y) = m(x, y) is no property
     of an AdmissibleWeight.
 
-    A kernel with node factors K = s U V on this grid runs row blocks of at
-    most `_GEMM_ROWS` (`_even_blocks`) on `threads` (`_on_pool`); the
+    A kernel with node factors K = s C^H C on this grid runs row blocks of
+    at most `_GEMM_ROWS` (`_even_blocks`) on `threads` (`_on_pool`); the
     caller resolves the factors first and checks them once
-    (`Kernel._check_factors`).  A block is one GEMM in the factors' result
-    dtype (float64 for a real Gramian) and its real moduli, of the same
-    rows.  With at most `threads` blocks' temporaries in flight, beside the
-    factors a call holds at most threads * _GEMM_ROWS * M * (itemsize + 8)
-    bytes plus O(M) sums (and the weight's values on a block, for a
-    non-trivial weight), and on a mirror half the gathered columns of V.
+    (`Kernel._check_factors`).  A block is one GEMM of its conjugated
+    columns of C against C, in C's dtype (float64 for a real Gramian), and
+    its real moduli, of the same rows.  With at most `threads` blocks'
+    temporaries in flight, beside the factors a call holds at most
+    threads * _GEMM_ROWS * (M * (itemsize + 8) + r * itemsize) bytes (r the
+    rank of C) plus O(M) sums (and the weight's values on a block, for a
+    non-trivial weight), and on a mirror half the gathered columns of C.
     Other kernels, and a factored kernel off its native grid, evaluate
     `Kernel.block` on row blocks of `_ROW_BLOCK` on the calling thread.
     Block sums are folded in block order, so the result does not depend on
@@ -324,14 +326,15 @@ def am_norm(kern: Kernel, m: AdmissibleWeight, grid: QuadGrid,
     M = grid.size                       # nodes streamed: one half when mirrored
     herm = kern.hermitian
     factors = kern.node_factors() \
-        if kern.node_factors is not None and grid is kern.native_grid else None
-    perm = kern.mirror if herm and factors is not None and m.trivial else None
+        if herm and grid is kern.native_grid else None
+    perm = kern.mirror if factors is not None and m.trivial else None
     if factors is not None:
-        kern._check_factors(*factors)
+        c, scale = factors
+        kern._check_factors(c, c, scale)
     if perm is not None:
         rep, axis = _mirror_half(perm)
         w = np.where(axis, 0.5, 1.0) * w[rep]
-        v_rep = np.take(factors[1], rep, axis=1)
+        c_rep = np.take(c, rep, axis=1)
         M = rep.size
         blocks = _even_blocks(M, _GEMM_ROWS // 2)
     elif factors is not None:
@@ -346,12 +349,11 @@ def am_norm(kern: Kernel, m: AdmissibleWeight, grid: QuadGrid,
         for a mirror half)."""
         if factors is None:
             return np.abs(kern.block(pts[start:stop], pts[lo:]))
-        u, v, scale = factors
         if perm is None:
-            prod = u[start:stop] @ v[:, lo:]
+            prod = np.conj(c[:, start:stop]).T @ c[:, lo:]
         else:
-            cols = v_rep[:, start:stop].T
-            prod = np.concatenate((cols.conj(), cols)) @ v_rep[:, lo:]
+            cols = c_rep[:, start:stop].T
+            prod = np.concatenate((cols.conj(), cols)) @ c_rep[:, lo:]
         prod *= scale
         amp = np.abs(prod)
         if perm is None:
@@ -424,14 +426,14 @@ def involution(kern: Kernel) -> Kernel:
 
 def apply_kernel(kern: Kernel, values: np.ndarray, grid: QuadGrid) -> np.ndarray:
     """K(F)(x) = integral F(y) K(x,y) dmu(y) at every grid node; on its
-    native grid a kernel with node factors applies s U (V (w F))."""
+    native grid a kernel with node factors applies s C^H (C (w F))."""
     values = np.asarray(values)
     if values.shape[0] != grid.size:
         raise GridError("apply_kernel: value list length != grid size")
     weighted = grid.weights * values
     if kern.node_factors is not None and kern.native_grid is grid:
-        u, v, s = kern.node_factors()
-        return s * (u @ (v @ weighted))
+        c, s = kern.node_factors()
+        return s * (c.conj().T @ (c @ weighted))
     out = np.empty(grid.size, dtype=complex)
     pts = grid.points
     for start in range(0, grid.size, _ROW_BLOCK):

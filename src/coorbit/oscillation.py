@@ -26,23 +26,29 @@ compared against the z-samples of every cell in its row of
 `Covering.node_cells`.  Nodes go in the order of their first cell, cut at
 cell boundaries into column chunks; the nodes no cell holds are a chunk of
 their own.  A unit is one row tile of x-nodes against one column chunk.
+A chunk's `_CHUNK_COLS` budget counts its nodes and `z_per_cell` per first
+cell (`_column_chunks`); a node on a face shared by cells adds their
+z-samples beyond it (320 columns on a 40 x 40 gabor grid at cell 0.625,
+z 4).  No ladder node lies on a face: at z 3 its chunks are at most 252
+columns at levels 0-3, at overlap 0 and 0.25.
 
-The stream takes a kernel with node factors R = s U V on its grid and a
+The stream takes a kernel with node factors R = s C^H C on its grid and a
 column factor (the Gramian) and refuses any other.  The column factors of
 all z-samples are built once per level (`Kernel.col_factor`; a Gramian's
 synthesizes their atoms and maps them in column blocks on the `threads`
 that `gram_kernel` was given), before any unit runs.  The calling thread
 then checks the factors once (`Kernel._check_factors`) and gathers each
-chunk's columns of s V, its nodes' and its z-samples'.  A unit is then one
-GEMM of a chunk (at most `_CHUNK_COLS` y- and z-columns) against a tile of
-about `_TILE_ROWS` rows of U, in the factors' dtype (float64 for a family
-with real atoms), the moduli, the z min and max (or the strict
+chunk's columns of s conj(C), its nodes' and its z-samples'.  A unit is
+then one GEMM of a chunk against a tile of about `_TILE_ROWS` columns of
+C, in the factors' dtype (float64 for a family with real atoms), whose
+entries s C_y^H C_x = conj R(x, y) have the moduli and the differences'
+moduli of R; then the moduli, the z min and max (or the strict
 differences), a `take` gather of each node's cells and the row and column
 sums, every intermediate a temporary of the unit, so at most `threads`
 units' temporaries are in flight.  The units run on `threads`
 (`kernel_algebra._on_pool`): in tile order, then chunk order, each free
 thread claims the next one; the workers run numpy and the weight m, never
-`Kernel.block`, `FrameFamily.atoms` or `u_factor`.  Unit results are folded
+`Kernel.block` or `FrameFamily.atoms`.  Unit results are folded
 in that same order, so the result does not depend on the thread count.
 
 `osc_matrix` keeps the values.  `osc_norm_streaming` reduces each unit to
@@ -62,11 +68,11 @@ from .measure_space import AdmissibleWeight, QuadGrid
 from .frame_families import FrameFamily, default_index_grid, gram_kernel
 
 
-# one unit: a row tile of about _TILE_ROWS x-nodes against a column chunk of
-# at most _CHUNK_COLS y-nodes and z-samples.  Its product is at most 2 MB
-# complex (1 MB for a real Gramian) and each real array about 0.6 MB, near
-# a core's L2 cache; smaller units measured slower at two threads, larger
-# ones slower at one (BENCH_osc_tiles.json)
+# one unit: a row tile of about _TILE_ROWS x-nodes against a column chunk
+# budgeted at _CHUNK_COLS columns (module docstring).  At that width its
+# product is 2 MB complex (1 MB for a real Gramian) and each real array about
+# 0.6 MB, near a core's L2 cache; smaller units measured slower at two
+# threads, larger ones slower at one (BENCH_osc_tiles.json)
 _TILE_ROWS = 512
 _CHUNK_COLS = 256
 
@@ -336,27 +342,26 @@ def _osc_stream(R: Kernel, cov: Covering, grid: QuadGrid, z_per_cell: int,
             f"on the kernel's native grid ({R.provenance})")
     aligned = comparison == "phase_aligned"
     z_sets = _cell_z_samples(cov, z_per_cell, seed)
-    u, v, scale = R.node_factors()
+    c, scale = R.node_factors()
     v_z = R.col_factor(z_sets.reshape(-1, grid.points.shape[1]))
-    R._check_factors(u, v, scale)
-    R._check_factors(u, v_z, scale)
-    u_t = u.T                           # (r, M): a tile is a column run
+    R._check_factors(c, c, scale)
+    R._check_factors(c, v_z, scale)
     zs = np.arange(z_per_cell)
     chunks = []
     for nodes, cells, slots in _column_chunks(cov.node_cells(), z_per_cell,
                                               _CHUNK_COLS):
-        # the chunk's columns of s V, its nodes' then its z-samples',
-        # transposed and scaled once here, not per tile
+        # the chunk's columns of C, its nodes' then its z-samples', scaled,
+        # conjugated and transposed once here, not per tile
         z_cols = (cells[:, None] * z_per_cell + zs).ravel()
-        right = (np.concatenate([v[:, nodes], v_z[:, z_cols]], axis=1)
-                 * scale).T
-        chunks.append((nodes, cells, slots, right))
+        right = np.concatenate([c[:, nodes], v_z[:, z_cols]], axis=1)
+        right *= scale
+        chunks.append((nodes, cells, slots, np.conj(right, out=right).T))
 
     def work(unit):
-        """R(x, y) and R(x, z) for the x in t0:t1, one row per y and z, and
-        the unit's reduction."""
+        """conj R(x, y) and conj R(x, z) for the x in t0:t1, one row per y
+        and z, and the unit's reduction."""
         t0, t1, (nodes, cells, slots, right) = unit
-        prod = right @ u_t[:, t0:t1]
+        prod = right @ c[:, t0:t1]
         r_y = prod[:nodes.size]
         amp = np.abs(r_y)
         if not cells.size:                  # Q_y is empty

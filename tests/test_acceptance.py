@@ -116,6 +116,22 @@ def test_criterion_03_kernel_calculus(gabor_reference, rng):
     report(3, f"selfadj={sa:.1e} RoR={roro:.1e} submult viol={worst_rel:.1e}")
 
 
+def test_interior_rows_reach_the_continuum_a1_norm(gabor_reference):
+    # Moyal's formula for the unit Gaussian window: |R(x, y)| =
+    # exp(-|x - y|^2 / 4), whose integral under dx dw / 2 pi is 2.  A row
+    # inside the interior box sees the whole Gaussian; rows near the box's
+    # edge do not, and the whole-box norm measures the truncation instead
+    fam, grid = gabor_reference
+    c, h = gram_kernel(fam, grid, rel_cut=1e-8).node_factors()
+    box, pts = fam.interior_box(grid.bounds), grid.points
+    inside = np.flatnonzero(np.all((pts >= box[:, 0]) & (pts <= box[:, 1]),
+                                   axis=1))
+    assert 0 < inside.size < grid.size
+    a1 = max(float((h * np.abs(c[:, rows].conj().T @ c) @ grid.weights).max())
+             for rows in np.array_split(inside, -(-inside.size // 256)))
+    assert abs(a1 - 2.0) <= 1e-3
+
+
 def test_criterion_04_oscillation_refinement(gabor_ladder):
     traj = gabor_ladder["trajectory"]
     rep = gabor_ladder["report"]

@@ -400,16 +400,17 @@ class TestRun:
 
     def test_non_finite_gramian_exits_3_on_the_pool(self, tmp_path, monkeypatch,
                                                     capsys):
-        # a non-finite half-factor row (node 330, row block 5 of the 16
+        # a non-finite half-factor column (node 330, row block 5 of the 16
         # blocks of 64: a worker's block at two threads) fails am_norm's
         # factor check
-        real = frame_families.FrameCalculus.u_factor
+        real = frame_families.FrameCalculus.half_factor
 
-        def poisoned(self, rel_cut=1e-10):
-            u = real(self, rel_cut).copy()
-            u[330] = float("nan")
-            return u
-        monkeypatch.setattr(frame_families.FrameCalculus, "u_factor", poisoned)
+        def poisoned(self, rel_cut=1e-10, threads=1):
+            c = real(self, rel_cut, threads).copy()
+            c[:, 330] = float("nan")
+            return c
+        monkeypatch.setattr(frame_families.FrameCalculus, "half_factor",
+                            poisoned)
         path = write_config(tmp_path, dict(MINIMAL, tasks=["norms"]))
         out = tmp_path / "o_pool"
         assert run(str(path), out_dir=str(out), threads=2) == 3
@@ -420,13 +421,14 @@ class TestRun:
             self, tmp_path, monkeypatch, capsys):
         # node 700 of the 1024 lies in row tile 1 of 2 of the oscillation
         # stream, a worker's at two threads; the one factor check rejects it
-        real = frame_families.FrameCalculus.u_factor
+        real = frame_families.FrameCalculus.half_factor
 
-        def poisoned(self, rel_cut=1e-10):
-            u = real(self, rel_cut).copy()
-            u[700] = float("nan")
-            return u
-        monkeypatch.setattr(frame_families.FrameCalculus, "u_factor", poisoned)
+        def poisoned(self, rel_cut=1e-10, threads=1):
+            c = real(self, rel_cut, threads).copy()
+            c[:, 700] = float("nan")
+            return c
+        monkeypatch.setattr(frame_families.FrameCalculus, "half_factor",
+                            poisoned)
         cfg = dict(MINIMAL, tasks=["property-d"], covering={"cell_size": 1.0})
         path = write_config(tmp_path, cfg)
         out = tmp_path / "o_tile"

@@ -359,13 +359,32 @@ class TestHalfFactor:
         R = gram_kernel(fam, grid, rel_cut=cut)
         tol = 1e-12 * np.abs(ref).max()
         rows = np.sort(rng.choice(grid.size, min(grid.size, 7), replace=False))
-        calc.u_factor(cut)
         # grid nodes are columns of C: no atom is synthesized again
         monkeypatch.setattr(fam, "atom_fn", None)
-        u, c, h = R.node_factors()
+        c, h = R.node_factors()
+        u = c.conj().T
         assert np.abs(h * (u[rows] @ c) - ref[rows]).max() <= tol
         assert np.abs(h * (u @ c[:, rows]) - ref[:, rows]).max() <= tol
         assert np.abs(h * (u[2:5] @ c[:, rows]) - ref[2:5][:, rows]).max() <= tol
+
+    def test_node_factors_hold_no_conjugate_copy(self):
+        # a complex Gramian off any mirror-closed grid hands out its cached
+        # half factor C itself: no M x r conjugate copy is made
+        fam = make_family("gabor", None, SignalGrid(8.0, 64))
+        grid = default_index_grid(fam, bounds=[[-4.0, 4.0], [-4.5, 3.5]],
+                                  resolution=[32, 32])
+        R = gram_kernel(fam, grid, rel_cut=0.2)
+        calc = R.context["calc"]
+        c = calc.half_factor(0.2)
+        assert c.dtype == np.complex128 and not calc.mirrored
+        tracemalloc.start()
+        try:
+            factors = R.node_factors()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak == 0
+        assert factors[0] is c
 
 
 # every family, and both built-in wavelets, at n = 256: S has two column
@@ -1136,7 +1155,7 @@ class TestPooledSynthesis:
         monkeypatch.setattr(frame_families, "_on_pool", _off_main_pool(calls))
         got = fam.atoms(pts, 2)
         R = gram_kernel(fam, grid, rel_cut=1e-6, threads=2)
-        u, c, _ = R.node_factors()
+        c, _ = R.node_factors()
         v = R.col_factor(pts)
         # the atoms at pts, the grid atoms, the half factor's map, the
         # column factor's atoms and map: every block ran off the main thread
@@ -1145,5 +1164,5 @@ class TestPooledSynthesis:
         monkeypatch.undo()
         assert got.tobytes() == ref_fam.atoms(pts).tobytes()
         R_ref = gram_kernel(ref_fam, grid, rel_cut=1e-6)
-        assert c.tobytes() == R_ref.node_factors()[1].tobytes()
+        assert c.tobytes() == R_ref.node_factors()[0].tobytes()
         assert v.tobytes() == R_ref.col_factor(pts).tobytes()

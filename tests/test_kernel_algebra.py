@@ -161,16 +161,16 @@ class TestHermitianTriangle:
         M = unit_grid_1d.size
         cov = build_covering(unit_grid_1d, 0.25)
 
-        def factored(u, v, scale):
-            r = u.shape[1]
+        def factored(c, scale):
+            r = c.shape[0]
             return Kernel(lambda p, q: np.ones((p.shape[0], q.shape[0])),
                           native_grid=unit_grid_1d,
-                          node_factors=lambda: (u, v, scale),
-                          col_factor=lambda q: np.full((r, len(q)), v[0, 0]))
+                          node_factors=lambda: (c, scale),
+                          col_factor=lambda q: np.ones((r, len(q))))
 
-        nan = factored(np.full((M, 1), np.nan), np.ones((1, M)), 1.0)
+        nan = factored(np.full((1, M), np.nan), 1.0)
         # finite factors whose product could overflow fail the bound
-        big = factored(np.full((M, 2), 1e160), np.full((2, M), 1e150), 1e-300)
+        big = factored(np.full((2, M), 1e155), 1e-300)
         for k in (nan, big):
             with pytest.raises(KernelError, match="non-finite"):
                 am_norm(k, m_trivial, unit_grid_1d)
@@ -269,17 +269,17 @@ def _bits(rep):
 
 
 def _factored_kernel(grid, rng, rank=5):
-    """A general (not Hermitian) kernel K = s U V with node factors; its
+    """A random complex kernel K = s C^H C with node factors (C, s); its
     evaluator looks the same matrix up by node, for the reference pass."""
-    u = rng.standard_normal((grid.size, rank)) + 1j * rng.standard_normal((grid.size, rank))
-    v = rng.standard_normal((rank, grid.size)) + 1j * rng.standard_normal((rank, grid.size))
-    v *= np.exp(-np.abs(grid.points[:, 0]))[None, :]
-    mat = 0.3 * (u @ v)
+    c = (rng.standard_normal((rank, grid.size))
+         + 1j * rng.standard_normal((rank, grid.size)))
+    c *= np.exp(-np.abs(grid.points[:, 0]))[None, :]
+    mat = 0.3 * (c.conj().T @ c)
     x = grid.points[:, 0]
 
     def ev(p, q):
         return mat[np.ix_(np.searchsorted(x, p[:, 0]), np.searchsorted(x, q[:, 0]))]
-    return Kernel(ev, native_grid=grid, node_factors=lambda: (u, v, 0.3))
+    return Kernel(ev, native_grid=grid, node_factors=lambda: (c, 0.3))
 
 
 class TestThreadContract:
@@ -319,11 +319,11 @@ class TestThreadContract:
         monkeypatch.setattr(kernel_algebra, "_GEMM_ROWS", 16)
         fam, grid = gabor_small
         R = gram_kernel(fam, grid, rel_cut=0.2)
-        u, c, h = R.node_factors()
-        bad = u.copy()
-        bad[20] = np.nan            # row 20: row block 1 of 16, a worker's,
+        c, h = R.node_factors()
+        bad = c.copy()
+        bad[:, 20] = np.nan         # row 20: row block 1 of 16, a worker's,
         # rejected by the one factor check before any block runs
-        R.node_factors = lambda: (bad, c, h)
+        R.node_factors = lambda: (bad, h)
         with pytest.raises(KernelError, match="non-finite"):
             am_norm(R, trivial_admissible_weight(), grid, threads=2)
 
@@ -354,7 +354,7 @@ class TestThreadContract:
                 + 16 * M * 8
             return
         half = int(np.sum(R.mirror >= np.arange(M)))
-        c_rep = factors[1].shape[0] * half * factors[1].itemsize
+        c_rep = factors[0].shape[0] * half * factors[0].itemsize
         assert peak <= c_rep + 2 * kernel_algebra._GEMM_ROWS * half * (itemsize + 8) \
             + 16 * M * 8
 

@@ -32,13 +32,12 @@ def sinc_setup():
 
 class TestOscKernel:
     def test_constant_kernel_has_zero_oscillation(self, unit_grid_1d, m_trivial):
-        # rank 1: U, V and the column factor are all ones
+        # rank 1: the half factor and the column factor are all ones
         def ones(p):
             return np.ones((1, np.atleast_2d(p).shape[0]))
         const = Kernel(lambda p, q: ones(p).T @ ones(q) + 0j,
                        native_grid=unit_grid_1d, col_factor=ones,
-                       node_factors=lambda: (ones(unit_grid_1d.points).T,
-                                             ones(unit_grid_1d.points), 1.0))
+                       node_factors=lambda: (ones(unit_grid_1d.points), 1.0))
         cov = build_covering(unit_grid_1d, 0.25, overlap_fraction=0.5)
         for comparison in ("strict", "phase_aligned"):
             vals = osc_matrix(const, cov, unit_grid_1d, comparison=comparison)
@@ -206,25 +205,23 @@ def gabor_blocks():
 
 
 def _peaked_setup():
-    """A 64-node grid with unequal quadrature weights and a kernel whose
-    rows peak at 0.3, so that its row sup exceeds its column sup.  The
-    kernel is separable, f(p) g(q): its node factors are U = f and V = g,
-    its column factor g."""
+    """A 64-node grid with unequal quadrature weights and a rank-1 kernel
+    conj(g(p)) g(q) whose factor g peaks at 0.3: its node factors are g on
+    the nodes and its column factor g.  Its oscillation's row sup exceeds
+    the column sup."""
     grid = build_quad_grid([[0.0, 1.0]], [64],
                            measure=lambda p: 1.0 + 3.0 * p[:, 0])
 
-    def f(p):
-        return 10.0 * np.exp(-200.0 * (p[:, 0] - 0.3) ** 2)
-
     def g(q):
-        return (np.exp(1j * 9.0 * q[:, 0] ** 2) * np.sin(20.0 * q[:, 0]))
+        q = q[:, 0]
+        return ((10.0 * np.exp(-200.0 * (q - 0.3) ** 2) + np.sin(20.0 * q))
+                * np.exp(1j * 9.0 * q ** 2))
 
     def ev(p, q):
-        return f(p)[:, None] * g(q)[None, :]
+        return np.conj(g(p))[:, None] * g(q)[None, :]
     pts = grid.points
     return grid, Kernel(ev, native_grid=grid,
-                        node_factors=lambda: (f(pts)[:, None],
-                                              g(pts)[None, :], 1.0),
+                        node_factors=lambda: (g(pts)[None, :], 1.0),
                         col_factor=lambda q: g(np.atleast_2d(q))[None, :])
 
 
@@ -249,7 +246,7 @@ class TestStreamingBlocks:
     @pytest.mark.parametrize("comparison", ["strict", "phase_aligned"])
     def test_row_sums_match_per_cell_loop(self, monkeypatch, overlap,
                                           comparison):
-        # a peaked row factor makes the row sup the larger one, small units
+        # a peaked factor makes the row sup the larger one, small units
         # stream the 64-node grid in four tiles and many chunks, and the
         # density and weight make every node's quadrature weight and
         # m-column distinct
@@ -337,7 +334,7 @@ class TestStreamingBlocks:
 
     def test_stream_peak_memory(self, gabor_blocks, m_trivial):
         # beside the factors, a stream holds the chunks' gathered right
-        # operands (s V on each chunk's nodes and z-samples) and the
+        # operands (s C^H on each chunk's nodes and z-samples) and the
         # z-samples' column factor, O(M) sums, and at most `threads` units'
         # temporaries: one GEMM of a chunk's columns against a row tile and
         # about seven float arrays of at most that shape (the moduli of the
@@ -345,7 +342,7 @@ class TestStreamingBlocks:
         # one gather in flight)
         _, grid, R = gabor_blocks
         cov = build_covering(grid, 0.625)
-        u, v, _ = R.node_factors()          # resolved before the trace
+        c, _ = R.node_factors()             # resolved before the trace
         tiles, chunks = _plan(cov, grid, 4)
         assert len(tiles) >= 2
         tracemalloc.start()
@@ -355,7 +352,7 @@ class TestStreamingBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        r, itemsize = u.shape[1], np.result_type(u, v).itemsize
+        r, itemsize = c.shape[0], c.itemsize
         cols = [nodes.size + 4 * cells.size for nodes, cells, _ in chunks]
         operands = r * (sum(cols) + 4 * cov.size) * itemsize
         unit = max(cols) * max(b - a for a, b in tiles) * (itemsize + 7 * 8)
@@ -366,8 +363,7 @@ class TestStreamingBlocks:
 def fold_case(request, gabor_blocks):
     """(grid, kernel, cell size): a Gramian on equal weights whose overlap-0
     covering is a partition; a Gramian on unequal weights whose closed cells
-    share boundary nodes; a separable, not Hermitian kernel on unequal
-    weights."""
+    share boundary nodes; a rank-1 complex kernel on unequal weights."""
     if request.param == "gabor":
         _, grid, R = gabor_blocks
         return grid, R, 0.625
@@ -406,8 +402,8 @@ class TestFoldedRNorm:
         assert got[1] == got[0] and got[2] == got[0]
 
     def test_nodes_no_cell_holds_still_count(self, reference_am_norm):
-        # empty the cells around the row peak: without their columns the
-        # row sums, and with them the norm, would fall
+        # empty the cells around the peak: without their columns the row
+        # sums, and with them the norm, would fall
         import dataclasses
         grid, K = _peaked_setup()
         m = weight_from_w(polynomial_weight(1.0))
@@ -415,7 +411,11 @@ class TestFoldedRNorm:
         cov = dataclasses.replace(cov, members=emptied(cov.members, [4, 5, 6]))
         got = osc_norm_streaming(K, cov, grid, m, z_per_cell=2)
         ref = reference_am_norm(K, m, grid)
-        assert ref["row_sup"] > ref["col_sup"]
+        pts, w = grid.points, grid.weights
+        held = cov.node_cells()[:, 0] >= 0
+        amp = np.abs(K.block(pts, pts)) * m(pts, pts)
+        assert max((amp[:, held] @ w[held]).max(),
+                   (w @ amp[:, held]).max()) < 0.9 * ref["am_norm"]
         assert got.r_norm == pytest.approx(ref["am_norm"], rel=1e-13, abs=0.0)
 
     def test_property_d_reports_the_streamed_r_norm(self, gabor_small,
@@ -475,27 +475,22 @@ def test_pair_osc_is_the_difference_tensor_max(case):
 
 
 def _exact_kernel(grid):
-    """A rank-3 kernel K = s U V on the unit square whose every value any
-    GEMM split gives is exact: the real and imaginary parts of U, V and the
+    """A rank-3 kernel K = s C^H C on the unit square whose every value any
+    GEMM split gives is exact: the real and imaginary parts of C and the
     column factor are multiples of 1/8 of modulus at most 2, and s = 0.5,
     so every partial sum is a multiple of 1/64 far below 2^53 / 64.  The
     evaluator and the stream then agree bit for bit."""
-    def factor(p, freq):                          # (3, P)
-        ang = np.atleast_2d(p) @ freq
+    freq = np.array([[3.0, -5.0, 7.0], [4.0, 6.0, -2.0]])
+
+    def col_factor(q):                            # (3, P)
+        ang = np.atleast_2d(q) @ freq
         return ((np.round(16.0 * np.cos(ang))
                  + 1j * np.round(16.0 * np.sin(ang))) / 8.0).T
 
-    left = np.array([[3.0, -5.0, 7.0], [4.0, 6.0, -2.0]])
-    right = np.array([[-6.0, 2.0, 9.0], [5.0, -8.0, 3.0]])
-
-    def col_factor(q):
-        return factor(q, right)
-
     def ev(p, q):
-        return 0.5 * (factor(p, left).T @ col_factor(q))
+        return 0.5 * (col_factor(p).conj().T @ col_factor(q))
     return Kernel(ev, native_grid=grid, col_factor=col_factor,
-                  node_factors=lambda: (factor(grid.points, left).T,
-                                        col_factor(grid.points), 0.5))
+                  node_factors=lambda: (col_factor(grid.points), 0.5))
 
 
 def _drop_cells(cov, drop):
@@ -609,17 +604,17 @@ class TestThreadInvariance:
         cov = build_covering(grid, 0.625)
         tiles, _ = _plan(cov, grid, 3)
         assert [a <= 500 < b for a, b in tiles].index(True) % 2 == 1
-        u, c, h = R.node_factors()
-        bad_u = u.copy()
-        bad_u[500] = np.nan
+        c, h = R.node_factors()
+        bad_c = c.copy()
+        bad_c[:, 500] = np.nan
 
         def bad_col_factor(points):
             v = R.col_factor(points)
             v[0, -1] = np.inf
             return v
 
-        for factors, col_factor in (((bad_u, c, h), R.col_factor),
-                                    ((u, c, h), bad_col_factor)):
+        for factors, col_factor in (((bad_c, h), R.col_factor),
+                                    ((c, h), bad_col_factor)):
             K = Kernel(R.evaluator, provenance="gramian", native_grid=grid,
                        node_factors=lambda f=factors: f, col_factor=col_factor)
             with pytest.raises(KernelError, match="non-finite"):
