@@ -351,7 +351,9 @@ def task_reconstruct(ctx: _Context) -> dict:
                                     seed=ctx.seed), axis=1)
     # the whole battery is one block of columns: one pass of block products
     lam, rep = atomic_coefficients(battery, op)
-    samples = ctx.sg.h * (op.atoms.conj().T @ battery)
+    # V f at the sample nodes, h conj(Psi_X^T conj(f)): no conjugate copy
+    # of the sampled atoms
+    samples = ctx.sg.h * np.conj(op.atoms.T @ np.conj(battery))
     _, brep = banach_frame_reconstruct(samples, op, f_true=battery)
     ratios = brep.norm_ratios["flat_l2_over_f"]
     last = lam[:, -1]                           # the last signal's

@@ -11,8 +11,15 @@ that basis U_Phi is the Hermitian r x r matrix K = h C_X diag(c) C_X^H
 the defect ||P (Id - U_Phi) P|| = max |1 - kappa| exactly, and its inverse
 gives U_Phi^{-1} on ran R, so no iteration is needed.  One U_Phi
 (`build_uphi`) serves the atomic decomposition, the dual atoms and the
-Banach-frame reconstruction; W f = V S^+ f is `FrameCalculus.analyze_dual`
-at its cut.
+Banach-frame reconstruction.  Their signal-space ends run through the
+half factor too, with the half map H = Lambda_k^(-1/2) Q_k^H of S
+(`FrameCalculus.half_map`, C = H Psi): W f = V S^+ f = h C^H (H f)
+(`FrameCalculus.analyze_dual`, at U_Phi's cut), and the dual syntheses
+S^+ Psi (w u) = H^H C (w u) (`FrameCalculus.dual_synthesize`).  The
+sampled atoms are synthesized at the sample nodes alone
+(`UPhiOperator.atoms`), so for separable (Gabor) atoms on a tensor grid,
+whose S and C need no atom matrix either (`FrameCalculus`), no step forms
+the grid's n x M atom matrix.
 """
 from __future__ import annotations
 
@@ -61,9 +68,6 @@ class UPhiOperator:
     def grid(self) -> QuadGrid:
         return self.calc.grid
 
-    def _u(self) -> np.ndarray:
-        return self.calc.u_factor(self.rel_cut)
-
     @cached_property
     def _c_nodes(self) -> np.ndarray:
         """Half-factor columns C_{x_i} at the sample nodes, shape (r, N)."""
@@ -71,21 +75,22 @@ class UPhiOperator:
 
     @cached_property
     def atoms(self) -> np.ndarray:
-        """Sampled atoms psi_{x_i} on the signal grid, shape (n, N): the
-        columns of the grid's atom matrix at the sample nodes, the same
-        matrix `family.atoms` synthesizes there.  `np.take` copies them in C
-        order, the layout of a synthesized atom block; an indexed column
-        slice of the C-ordered atom matrix comes out F-ordered, and BLAS
-        rounds the block and one-signal products on the two layouts
-        differently."""
-        return np.take(self.calc.atom_matrix, self.node_index, axis=1)
+        """Sampled atoms psi_{x_i} on the signal grid, shape (n, N), C-ordered
+        (`FrameCalculus.node_atoms`): the columns of the grid's atom matrix
+        at the sample nodes when it is formed, otherwise synthesized at the
+        sample nodes alone on `threads`, with the same bytes.  The grid's
+        atom matrix is not formed for them.  C order is the layout of a
+        synthesized atom block; an indexed column slice of the C-ordered
+        atom matrix comes out F-ordered, and BLAS rounds the block and
+        one-signal products on the two layouts differently."""
+        return self.calc.node_atoms(self.node_index, self.threads)
 
     def from_samples(self, samp: np.ndarray) -> np.ndarray:
         """sum_i c_i samp_i R(., x_i) for values samp_i at the sample nodes."""
         h = self.calc.family.signal_grid.h
         pot = self._c_nodes @ (self.masses * samp.T).T if samp.ndim > 1 else \
             self._c_nodes @ (self.masses * samp)
-        return h * (self._u() @ pot)
+        return h * self.calc.half_adjoint(pot, self.rel_cut)
 
     def apply(self, F: np.ndarray) -> np.ndarray:
         return self.from_samples(F[self.node_index])
@@ -94,7 +99,8 @@ class UPhiOperator:
         """Orthogonal projection onto ran V, realized as the Gramian action
         h C^H C (w F)."""
         h = self.calc.family.signal_grid.h
-        return h * (self._u() @ self.calc.half_synthesize(F, self.rel_cut))
+        return h * self.calc.half_adjoint(
+            self.calc.half_synthesize(F, self.rel_cut), self.rel_cut)
 
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -128,7 +134,8 @@ class UPhiOperator:
         kappa, v = self._spectrum
         a = v.conj().T @ self.calc.half_synthesize(F, self.rel_cut)
         a = (a.T / kappa).T
-        return self.calc.family.signal_grid.h * (self._u() @ (v @ a))
+        return self.calc.family.signal_grid.h * \
+            self.calc.half_adjoint(v @ a, self.rel_cut)
 
 
 def build_uphi(R: Kernel, cov: Covering, pu: PartitionOfUnity,
@@ -233,10 +240,9 @@ def dual_frame(op: UPhiOperator, indices: Optional[np.ndarray] = None) -> np.nda
     indices = np.asarray(indices, dtype=int)
     h = op.calc.family.signal_grid.h
     # W psi_{x_i} = R(., x_i) = h * C^H C_{x_i}
-    cols = h * (op._u() @ op._c_nodes[:, indices])
+    cols = h * op.calc.half_adjoint(op._c_nodes[:, indices], op.rel_cut)
     e_fields = op.masses[indices] * op.solve(cols)
-    pots = op.calc.synthesize(e_fields)
-    return op.calc.s_pinv(pots, op.rel_cut)
+    return op.calc.dual_synthesize(e_fields, op.rel_cut)
 
 
 def banach_frame_reconstruct(samples: np.ndarray, op: UPhiOperator,
@@ -255,7 +261,7 @@ def banach_frame_reconstruct(samples: np.ndarray, op: UPhiOperator,
     if samples.shape[0] != op.covering.size:
         raise DiscretizationError("one sample per cell required")
     u = op.solve(op.from_samples(samples))
-    f_rec = op.calc.s_pinv(op.calc.synthesize(u), op.rel_cut)
+    f_rec = op.calc.dual_synthesize(u, op.rel_cut)
     sg = op.calc.family.signal_grid
     spec = SeqSpaceSpec(p=2, weight=trivial_weight(), covering=op.covering, flavor="flat")
     cols = _columns(samples)

@@ -25,6 +25,26 @@ Conventions, fixed once for the whole engine:
     float64 while the atoms and the Gramian factors C, C^H stay complex128
     (`FrameCalculus.mirrored`).
 
+The n x M atom matrix of an index grid (the atoms at its M nodes) is
+formed only where a product needs every atom: the generic path of the
+frame operator S and the half factor C = P Psi (`FrameCalculus`), and
+the public `analyze_V`, `frame_operator_apply` and
+`localization.empirical_pseudoinverse`.  A Gabor family
+declares its atoms separable, psi_(x, w)(t) = g(t - x) e^{iwt}
+(`SeparableAtoms`), and on a tensor grid of constant density
+(`build_quad_grid`'s `structure`) with node weights a_x b_w the quadrature
+form of Walnut's representation,
+
+    S(t, t') = h [sum_x a_x g(t - x) conj(g(t' - x))]
+                 [sum_w b_w e^{iw(t - t')}],
+
+builds S from two n x n Grams, and C = P Psi is formed one position block
+at a time, (P * g(. - x)) V with V the modulations: no atom matrix.  Every
+family analyzes against the canonical dual frame and synthesizes with it
+through the rank-r factor, W f = h C^H (P f) and
+S^+ Psi (w u) = P^H C (w u); the frame bounds, the sampled frame and the
+batteries synthesize only their probe, sample and battery atoms.
+
 The torus phase variable of the modulation families is dropped; atoms are
 indexed by (position, frequency) alone.  All norms and reconstruction
 operators are invariant under that quotient; the oscillation module accounts
@@ -47,6 +67,7 @@ from .measure_space import GridError, QuadGrid, SignalGrid, build_quad_grid, \
 
 TWO_PI = 2.0 * np.pi
 _ATOM_COLS = 256             # columns of one synthesized or mapped atom block
+_MAP_ENTRIES = 1 << 18       # entries of one position block's stacked maps
 COVERAGE_TARGET = 4e-4       # L2 coverage error of a wavelet scale margin
 
 
@@ -141,6 +162,18 @@ def _coverage_log_margin(order: int) -> float:
 # ---------------------------------------------------------------------------
 # family container
 # ---------------------------------------------------------------------------
+class SeparableAtoms(NamedTuple):
+    """Atoms that factor pointwise over the index axes,
+    psi_x(t) = factors[0](x_0)(t) * factors[1](x_1)(t) * ...:
+    factors[k](values) returns the (n, len(values)) signal-domain factors
+    at the axis-k coordinates `values`, entry by entry (one column per
+    value, computed by the same operations whatever the other values), on
+    the calling thread.  `dtype` is the atoms' field."""
+
+    factors: tuple
+    dtype: type
+
+
 class IndexDomain(NamedTuple):
     """A family's default index box and its quadrature rule,
     grid(bounds, resolution, band_spacing, scales_per_octave) -> QuadGrid."""
@@ -169,7 +202,11 @@ class FrameFamily:
     axes (`interior_box`); `log_axes`, the axes drawn log-uniformly
     (`random_interior_points`); `lowpass_sheet`, whether scale coordinates
     <= 0 form an interior low-pass sheet; and `frame_info()`, its own
-    entries of the frame-info report.
+    entries of the frame-info report.  A family whose atoms factor over
+    the index axes declares the factors and its atoms' field
+    (`separable`, `SeparableAtoms`): Gabor, psi_(x, w) = T_x g * e^{iw.},
+    complex.  The wavelet, bandlimited and alpha-modulation families (the
+    last dilates its window by the frequency) declare nothing.
     """
 
     tag: str
@@ -184,6 +221,7 @@ class FrameFamily:
     log_axes: tuple
     # per-axis signs sigma with conj(psi_x) = psi_{sigma x} exactly, or None
     conjugation: Optional[np.ndarray] = None
+    separable: Optional[SeparableAtoms] = None
     lowpass_sheet: bool = False
     frame_info: Callable[[], dict] = dict
     _ops: dict = field(default_factory=dict, repr=False)
@@ -224,31 +262,51 @@ class FrameCalculus:
 
     The Gramian factors through the kept eigenpairs (Lambda_k, Q_k) of the
     frame operator S:  R = h * C^H C on the grid, with the half factor
-    C = Lambda_k^(-1/2) Q_k^H Psi of shape (r, M), r = rank of the cut.
-    Every Gramian product runs through C; r is at most the signal length n
-    and usually much smaller; no conjugate copy of C is cached.  Everything
-    here follows the atoms' dtype: for a family with real atoms (cwt,
-    inhom_wavelet, sinc_rkhs) S, its eigenpairs (a real `eigh`), the half
-    map and C are float64.
+    C = P Psi, P = Lambda_k^(-1/2) Q_k^H the half map, of shape (r, M),
+    r = rank of the cut.  Every Gramian product runs through C; r is at
+    most the signal length n and usually much smaller; no conjugate copy
+    of C is cached.  The analysis against the canonical dual frame and the
+    dual syntheses run through it too: W f = h C^H (P f) and
+    S^+ Psi (w u) = P^H C (w u) (`analyze_dual`, `dual_synthesize`).
+    Everything here follows the atoms' field (`dtype`): for a family with
+    real atoms (cwt, inhom_wavelet, sinc_rkhs) S, its eigenpairs (a real
+    `eigh`), the half map and C are float64.
 
     Complex atoms whose family declares a conjugation symmetry that the
     grid carries bit for bit (`mirror`, the node permutation sigma, and
     `mirrored`) give a real S: every atom's conjugate is the atom at the
     mirrored node, with the same weight, so the imaginary parts of S
-    cancel in pairs.  S is then built from one representative of each
-    mirror pair, at twice its weight, through the float64 view
-    [Re psi_x, Im psi_x] of those atoms in real arithmetic, and its
-    eigenpairs and the half map are float64; C = P Psi is one real GEMM on
-    the atoms' view and stays complex128, with C[:, sigma y] =
-    conj(C[:, y]), which `gram_kernel` passes on to `am_norm`
-    (`Kernel.mirror`).
+    cancel in pairs.  S and its eigenpairs and the half map are then
+    float64, and C stays complex128, with C[:, sigma y] = conj(C[:, y]),
+    which `gram_kernel` passes on to `am_norm` (`Kernel.mirror`): bit for
+    bit on the separable path, which maps one column of each pair and
+    conjugates it; on the generic path up to the rounding of the GEMM
+    tiles the two columns fall in.
 
-    The two column stages run on the caller's `threads` (`_on_pool`), and
+    The n x M atom matrix Psi (`atoms`) is formed only on the generic
+    path.  A family whose atoms factor over the two index axes
+    (`FrameFamily.separable`, Gabor: psi_(x, w) = u_x v_w, u_x = T_x g,
+    v_w = e^{iw.}) on a tensor grid of constant density (`_tensor`, from
+    `build_quad_grid`'s `structure`), node weights a_x b_w, takes the
+    separable path and never forms it:
+
+        S = h (U A U^H) * (V B V^H)     (elementwise; Walnut's form)
+        C[:, (x, .)] = (P * u_x) V      (one position block at a time)
+
+    with U, V the axis factors at the axes' midpoints and A, B their
+    weights, two n x n Hermitian Grams instead of one over M atoms; on a
+    mirror-closed grid S takes the real part, Re(V B V^H) through V's
+    float64 view.  Off it, or for any other family, S is one
+    `hermitian_gram` of the atoms, on a mirrored grid of one
+    representative per mirror pair at twice its weight, and C = P Psi
+    (`_map_atoms`).
+
+    The column stages run on the caller's `threads` (`_on_pool`), and
     their bytes do not depend on it: the grid atoms (`atoms`,
-    `FrameFamily.atoms`) and the map C = P Psi (`half_factor`,
-    `_map_atoms`), in column blocks of `_ATOM_COLS`.  S is one
-    `hermitian_gram` on `threads` (`s_matrix`); its `eigh` runs on the
-    calling thread.
+    `FrameFamily.atoms`) and C, in column blocks of `_ATOM_COLS`
+    (`_map_atoms`) or in position blocks fixed by the shapes
+    (`_map_tensor`).  The Grams of S run on `threads` (`s_matrix`); its
+    `eigh` runs on the calling thread.
     """
 
     def __init__(self, family: FrameFamily, grid: QuadGrid):
@@ -261,8 +319,9 @@ class FrameCalculus:
         self._half_factor: dict[float, np.ndarray] = {}
 
     def atoms(self, threads: int = 1) -> np.ndarray:
-        """The atoms at the grid's nodes, (n, M), synthesized on `threads`
-        by the first call and cached."""
+        """The atom matrix Psi, the atoms at the grid's nodes, (n, M),
+        synthesized on `threads` by the first call and cached.  The
+        separable path (`_tensor`) never calls it."""
         if self._atoms is None:
             self._atoms = self.family.atoms(self.grid.points, threads)
         return self._atoms
@@ -271,16 +330,60 @@ class FrameCalculus:
     def atom_matrix(self) -> np.ndarray:
         return self.atoms()
 
+    def node_atoms(self, nodes: np.ndarray, threads: int = 1) -> np.ndarray:
+        """The atoms at the grid nodes `nodes`, (n, len(nodes)), C-ordered:
+        columns of the atom matrix when it is formed, otherwise synthesized
+        at those nodes alone on `threads`.  A family computes each atom
+        column by the same elementwise operations whatever the other
+        points, so both give the same bytes."""
+        if self._atoms is not None:
+            return np.take(self._atoms, nodes, axis=1)
+        return self.family.atoms(self.grid.points[nodes], threads)
+
+    @functools.cached_property
+    def dtype(self) -> np.dtype:
+        """The atoms' field: the family's declared one
+        (`SeparableAtoms.dtype`), otherwise that of the atom at the first
+        node."""
+        sep = self.family.separable
+        if sep is not None:
+            return np.dtype(sep.dtype)
+        return self.node_atoms(np.arange(1)).dtype
+
+    @functools.cached_property
+    def _tensor(self) -> Optional[tuple]:
+        """(U, a, V, b) when the family's atoms factor over the grid's two
+        axes (`FrameFamily.separable`) and the grid is a tensor grid of
+        constant density (`build_quad_grid`'s `structure`) whose nodes and
+        weights are exactly that layout: U, V the axis factors at the
+        axes' midpoints, a = density * widths[0] and b = widths[1], so that
+        node i * V.shape[1] + j has the atom U[:, i] * V[:, j] and the
+        weight density * (widths[0][i] * widths[1][j]).  Otherwise None,
+        the generic path.  Read from the recorded axes, never by a search
+        for distinct coordinates."""
+        sep, st = self.family.separable, self.grid.structure
+        if sep is None or "density" not in st or len(sep.factors) != 2 \
+                or len(st["axes"]) != 2:
+            return None
+        (x, y), (dx, dy) = st["axes"], st["widths"]
+        pts, density = self.grid.points, st["density"]
+        if not (np.array_equal(pts[:, 0], np.repeat(x, y.size))
+                and np.array_equal(pts[:, 1], np.tile(y, x.size))
+                and self.grid.weights.tobytes()
+                == (density * np.multiply.outer(dx, dy).ravel()).tobytes()):
+            return None
+        return sep.factors[0](x), density * dx, sep.factors[1](y), dy
+
     @functools.cached_property
     def mirror(self) -> Optional[np.ndarray]:
         """The node permutation sigma of the family's conjugation symmetry
         on this grid (`_mirror_closed`), when S is real by it: the family
-        declares sigma (`FrameFamily.conjugation`), the atoms are complex,
-        the mirrored points sigma x are exactly the grid's points, and
-        mirrored nodes carry bit-equal weights; otherwise None.  Decided
-        once per grid, with no tolerance."""
+        declares sigma (`FrameFamily.conjugation`), the atoms are complex
+        (`dtype`), the mirrored points sigma x are exactly the grid's
+        points, and mirrored nodes carry bit-equal weights; otherwise None.
+        Decided once per grid, with no tolerance."""
         sigma = self.family.conjugation
-        if sigma is None or not np.iscomplexobj(self.atom_matrix):
+        if sigma is None or self.dtype.kind != "c":
             return None
         return _mirror_closed(self.grid, np.asarray(sigma, dtype=float))
 
@@ -309,14 +412,26 @@ class FrameCalculus:
 
     def analyze_dual(self, f: np.ndarray, rel_cut: float = 1e-10) -> np.ndarray:
         """W f = V(S^+ f) on the grid, S^+ the spectral pseudo-inverse at
-        relative cut `rel_cut`: analysis against the canonical dual frame."""
-        return self.analyze(self.s_pinv(f, rel_cut))
+        relative cut `rel_cut`: analysis against the canonical dual frame,
+        through the half factor, h Psi^H P^H P f = h C^H (P f)
+        (`half_adjoint`), for one signal or a block of columns."""
+        h = self.family.signal_grid.h
+        return h * self.half_adjoint(self.half_map(rel_cut) @ f, rel_cut)
 
     def s_matrix(self, threads: int = 1) -> np.ndarray:
         """The quadrature frame operator S = h Psi W Psi^H, (n, n), exactly
         Hermitian and cached, in the atoms' dtype, or float64 when the grid
-        is `mirrored`: one `hermitian_gram` over `threads`.  On a mirrored
-        grid the pair x, sigma x adds w_x (psi psi^H + conj(psi psi^H)) =
+        is `mirrored`; its Grams run on `threads` (`hermitian_gram`).
+
+        Separable atoms on a tensor grid (`_tensor`): S = h (U A U^H) *
+        (V B V^H), the elementwise product of two exactly Hermitian Grams
+        over the axis factors, so exactly Hermitian; on a mirrored grid
+        V B V^H enters by its real part, V's float64 view
+        [Re v_w, Im v_w] with every weight repeated.  The atom matrix is
+        not formed.
+
+        Otherwise one Gram of the atoms.  On a mirrored grid the pair x,
+        sigma x adds w_x (psi psi^H + conj(psi psi^H)) =
         2 w_x Re(psi_x psi_x^H), so each pair enters once, by its
         representative x <= sigma x, with weight 2 w_x (w_x for a node on
         the mirror axis, whose atom is real); those atoms enter as their
@@ -324,13 +439,20 @@ class FrameCalculus:
         column: h Psi~ W~ Psi~^T = Re(h Psi W Psi^H) = S, a real GEMM per
         block."""
         if self._s_matrix is None:
-            psi, w = self.atoms(threads), self.grid.weights
-            if self.mirror is not None:
-                rep, axis = _mirror_half(self.mirror)
-                w = np.where(axis, 1.0, 2.0) * w[rep]
-                psi, w = _real_view(np.take(psi, rep, axis=1)), np.repeat(w, 2)
-            self._s_matrix = hermitian_gram(psi, w, self.family.signal_grid.h,
-                                            threads)
+            h = self.family.signal_grid.h
+            if self._tensor is not None:
+                u, a, v, b = self._tensor
+                if self.mirror is not None:
+                    v, b = _real_view(v), np.repeat(b, 2)
+                self._s_matrix = hermitian_gram(u, a, h, threads) * \
+                    hermitian_gram(v, b, 1.0, threads)
+            else:
+                psi, w = self.atoms(threads), self.grid.weights
+                if self.mirror is not None:
+                    rep, axis = _mirror_half(self.mirror)
+                    w = np.where(axis, 1.0, 2.0) * w[rep]
+                    psi, w = _real_view(np.take(psi, rep, axis=1)), np.repeat(w, 2)
+                self._s_matrix = hermitian_gram(psi, w, h, threads)
         return self._s_matrix
 
     def s_eig(self, rel_cut: float = 1e-10) -> HermitianEig:
@@ -344,7 +466,8 @@ class FrameCalculus:
         return self.s_eig(rel_cut).apply_pinv(f)
 
     def half_map(self, rel_cut: float = 1e-10) -> np.ndarray:
-        """Lambda_k^(-1/2) Q_k^H, shape (r, n): atoms to half-factor columns."""
+        """P = Lambda_k^(-1/2) Q_k^H, shape (r, n): atoms to half-factor
+        columns."""
         p = self._half_map.get(rel_cut)
         if p is None:
             eig = self.s_eig(rel_cut)
@@ -354,25 +477,50 @@ class FrameCalculus:
         return p
 
     def half_factor(self, rel_cut: float = 1e-10, threads: int = 1) -> np.ndarray:
-        """C = Lambda_k^(-1/2) Q_k^H Psi on the grid, shape (r, M): the
-        atoms, S and the map on `threads` (`_map_atoms`), cached once per
-        cut."""
+        """C = P Psi on the grid, shape (r, M), cached once per cut: S and
+        the map on `threads`.  Separable atoms on a tensor grid
+        (`_tensor`) take one position block of nodes at a time,
+        C[:, (x, .)] = (P * u_x) V (`_map_tensor`), and form no atom;
+        otherwise the atoms, then P Psi in column blocks (`_map_atoms`).
+        Either way a real P on complex atoms multiplies their float64
+        view."""
         c = self._half_factor.get(rel_cut)
         if c is None:
-            self.s_matrix(threads)          # the atoms and S on the pool
-            c = _map_atoms(self.half_map(rel_cut), self.atom_matrix, threads)
+            self.s_matrix(threads)          # the atoms or axis factors and S
+            p = self.half_map(rel_cut)
+            if self._tensor is not None:
+                u, _, v, _ = self._tensor
+                # the Gabor conjugation w -> -w keeps the position and
+                # reverses the ascending frequency axis of a mirrored grid
+                c = _map_tensor(p, u, v, self.mirror is not None, threads)
+            else:
+                c = _map_atoms(p, self.atom_matrix, threads)
             self._half_factor[rel_cut] = c
         return c
 
     def u_factor(self, rel_cut: float = 1e-10) -> np.ndarray:
         """Left Gramian factor C^H, shape (M, r): R = h * (u_factor @ C)
-        on the grid, a new conjugate copy of C on each call."""
+        on the grid, a new conjugate copy of C on each call.  Products
+        with a thin operand take `half_adjoint` instead."""
         return self.half_factor(rel_cut).conj().T
+
+    def half_adjoint(self, x: np.ndarray, rel_cut: float = 1e-10) -> np.ndarray:
+        """C^H x for one r-vector or a block of columns, taken as
+        conj(C^T conj(x)), so no conjugate copy of C is made."""
+        return np.conj(self.half_factor(rel_cut).T @ np.conj(x))
 
     def half_synthesize(self, F: np.ndarray, rel_cut: float = 1e-10) -> np.ndarray:
         """integral F(y) C_y dmu(y): C applied to the mu-weighted field(s)."""
         w = self.grid.weights
         return self.half_factor(rel_cut) @ (w[:, None] * F if F.ndim > 1 else w * F)
+
+    def dual_synthesize(self, F: np.ndarray, rel_cut: float = 1e-10) -> np.ndarray:
+        """integral F(y) S^+ psi_y dmu(y), the synthesis against the
+        canonical dual frame, for one field or a block of columns: through
+        the half factor, S^+ Psi (w F) = P^H C (w F) (`half_synthesize`),
+        so no atom is synthesized."""
+        p = self.half_map(rel_cut)
+        return np.conj(p.T @ np.conj(self.half_synthesize(F, rel_cut)))
 
 
 def _mirror_closed(grid: QuadGrid, sigma: np.ndarray) -> Optional[np.ndarray]:
@@ -418,6 +566,55 @@ def _map_atoms(p: np.ndarray, psi: np.ndarray, threads: int = 1) -> np.ndarray:
 
     _on_pool(_column_blocks(psi.shape[1]), threads, work)
     return out.view(np.complex128) if real_view else out
+
+
+def _map_tensor(p: np.ndarray, u: np.ndarray, v: np.ndarray,
+                flip: bool = False, threads: int = 1) -> np.ndarray:
+    """p @ Psi for the tensor atoms Psi[:, i * V + j] = u[:, i] * v[:, j]
+    (V = v.shape[1]), without forming Psi: the columns of position i are
+    (p * u[:, i]) @ v, one GEMM written straight into them.  A block of
+    positions (`_position_blocks`) forms its weighted maps p * u[:, i] as
+    one temporary; the blocks run on `threads` (`_on_pool`), so at most
+    `threads` blocks' temporaries are in flight.  A real p * u on complex
+    v multiplies v's float64 view, and the output is read as complex128.
+
+    `flip`, for real p and u, declares v[:, V - 1 - j] = conj(v[:, j]):
+    the GEMMs then take the columns j <= V - 1 - j alone, and each other
+    column is the conjugate of its partner's, C[:, (i, V - 1 - j)] =
+    conj(C[:, (i, j)]) by construction, whatever the GEMM's rounding at
+    the edges of its tiles.  The blocks depend on the shapes alone, so the
+    bytes do not depend on `threads`."""
+    r, n = p.shape
+    nx, nv = u.shape[1], v.shape[1]
+    half = nv - nv // 2 if flip else nv         # the columns the GEMMs take
+    real_view = np.isrealobj(p) and np.isrealobj(u) and np.iscomplexobj(v)
+    x = _real_view(v[:, :half]) if real_view else v[:, :half]
+    ut = np.ascontiguousarray(u.T)                # u[:, i] as contiguous rows
+    out = np.empty((r, nx, nv), dtype=np.result_type(p, u, v))
+    # position i's columns as an (r, V) matrix of row stride nx * V
+    dest = (out.view(np.float64) if real_view else out).transpose(1, 0, 2)
+
+    def work(block):
+        i0, i1 = block
+        lhs = p[None, :, :] * ut[i0:i1, None, :]                # (k, r, n)
+        np.matmul(lhs, x, out=dest[i0:i1, :, :x.shape[1]])
+        if flip:
+            np.conjugate(out[:, i0:i1, :nv // 2],
+                         out=out[:, i0:i1, half:][:, :, ::-1])
+
+    _on_pool(_position_blocks(nx, half, r * n), threads, work)
+    return out.reshape(r, nx * nv)
+
+
+def _position_blocks(positions: int, width: int, map_size: int) -> list:
+    """[(start, stop)] cutting range(positions) at the multiples of k
+    positions: k = ceil(_ATOM_COLS / width), so that a block maps at least
+    `_ATOM_COLS` atoms of `width` per position, but no more than keeps the
+    block's stacked maps, k maps of `map_size` entries, within
+    `_MAP_ENTRIES`, and at least 1.  The last block holds the rest."""
+    k = max(1, min(-(-_ATOM_COLS // width), _MAP_ENTRIES // map_size))
+    cuts = [*range(0, positions, k), positions]
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +694,11 @@ def _gabor_family(params: dict, sg: SignalGrid) -> FrameFamily:
         index_domain=_TF_DOMAIN, interior_rule=interior_rule,
         log_axes=(False, False),
         # a real window: conj(M_w T_x g) = M_{-w} T_x g
-        conjugation=None if np.iscomplexobj(g) else np.array([1.0, -1.0]))
+        conjugation=None if np.iscomplexobj(g) else np.array([1.0, -1.0]),
+        # psi_(x, w)(t) = g(t - x) e^{iwt}
+        separable=SeparableAtoms(
+            (lambda x: gfun(t[:, None] - x[None, :]), lambda w: _exp_iwt(t, w)),
+            np.complex128))
 
 
 def _distinct(v: np.ndarray):
@@ -508,12 +709,17 @@ def _distinct(v: np.ndarray):
     return u.view(np.float64), inv
 
 
+def _exp_iwt(t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """exp(i w t) on the signal grid, one column per entry of `w`."""
+    arg = 1j * w[None, :] * t[:, None]
+    return np.exp(arg, out=arg)
+
+
 def _modulation(t: np.ndarray, w: np.ndarray):
     """exp(i w t) on the signal grid, one column per distinct frequency
     (`_distinct`), and each point's column."""
     wu, iw = _distinct(w)
-    arg = 1j * wu[None, :] * t[:, None]
-    return np.exp(arg, out=arg), iw
+    return _exp_iwt(t, wu), iw
 
 
 def _column_blocks(total: int) -> list:
@@ -919,15 +1125,17 @@ def gram_kernel(family: FrameFamily, x_grid: QuadGrid,
     plain crossed Gramian <psi_y, psi_x>, the continuum R of a tight family,
     is `localization.cross_gramian`; it matches R away from the truncation
     boundary.)  Grid nodes are evaluated from the node factors (C, h), the
-    cached half factor: h * C[:, rows]^H C[:, cols], without synthesizing
-    their atoms again; the column factor at other points is
-    half_map @ atoms(points).  The grid atoms, the node
-    factors and `col_factor` run their column blocks on `threads`; the
-    evaluator, which `am_norm` may call inside its own pool, on the calling
-    thread alone.  No value depends on `threads`.
+    cached half factor (`FrameCalculus.half_factor`, which forms no atom
+    matrix for separable atoms on a tensor grid): h * C[:, rows]^H
+    C[:, cols], without synthesizing their atoms; the column factor at
+    other points is half_map @ atoms(points).  Building the kernel
+    synthesizes no atom matrix: `Kernel.mirror` reads the atoms' field
+    (`FrameCalculus.dtype`).  The node factors and `col_factor` run their
+    blocks on `threads`; the evaluator, which `am_norm` may call inside
+    its own pool, on the calling thread alone.  No value depends on
+    `threads`.
     """
     calc = family.calculus(x_grid)
-    calc.atoms(threads)                 # `mirror` reads the atoms' dtype
     h = family.signal_grid.h
 
     def col_factor(points, pool=threads):
@@ -993,9 +1201,11 @@ def frame_bounds_continuous(family: FrameFamily, x_grid: QuadGrid,
     them by even stride; directions that the truncation cannot represent
     stably are removed by a relative cut on the probe Gram matrix.  The
     bounds are the exact extreme eigenvalues of the reduced operator.
-    `threads` builds S (`FrameCalculus.s_matrix`) and the probe Gram; the
-    bounds do not depend on it.  The probes are columns of the atom matrix
-    that S was built from, so no atom is synthesized twice.  On a mirrored grid
+    `threads` builds S (`FrameCalculus.s_matrix`), the probe atoms and the
+    probe Gram; the bounds do not depend on it.  The probes are the atoms
+    at the probe nodes alone (`FrameCalculus.node_atoms`): columns of the
+    atom matrix when S was built from it, otherwise synthesized there,
+    with the same bytes.  On a mirrored grid
     (`FrameCalculus.mirrored`) S is real and the probes enter as their
     float64 view [Re p, Im p], which spans the probe atoms and their
     conjugates, the atoms at the mirrored nodes (interior atoms too when
@@ -1009,12 +1219,12 @@ def frame_bounds_continuous(family: FrameFamily, x_grid: QuadGrid,
     calc = family.calculus(x_grid)
     s = calc.s_matrix(threads)
     mirrored = calc.mirrored
-    # a mirrored grid's probes enter as their float64 view, which needs
-    # C-ordered rows: `np.take` gathers them so, where an indexed column
-    # slice, F-ordered, would be copied again.  The complex probes stay
-    # that slice: its layout sets the rounding of the probe products
-    probes = _real_view(np.take(calc.atom_matrix, idx, axis=1)) if mirrored \
-        else calc.atom_matrix[:, idx]
+    atoms = calc.node_atoms(idx, threads)
+    # node_atoms returns C-ordered rows, which a mirrored grid's float64
+    # view needs.  The complex probes are F-ordered, the layout of a
+    # column slice of the atom matrix: it sets the rounding of the probe
+    # products
+    probes = _real_view(atoms) if mirrored else np.asfortranarray(atoms)
     if np.max(np.abs(probes)) == 0.0:
         raise FamilyError("zero family: all probe atoms vanish")
     c1, c2, rank = restricted_rayleigh_bounds(probes, s, family.signal_grid.h,

@@ -83,8 +83,9 @@ class QuadGrid:
     bounds:  (d, 2) bounding box
     metric:  callable (P, Q) -> pairwise distance matrix; symmetric, zero
              on the diagonal (semi-metric allowed)
-    structure: optional layout metadata (the scale bands of a banded
-             wavelet grid, which its coverings follow)
+    structure: optional layout metadata: the scale bands of a banded
+             wavelet grid, which its coverings follow; the axes of a
+             tensor grid (`build_quad_grid`)
     """
 
     points: np.ndarray
@@ -141,7 +142,12 @@ def build_quad_grid(bounds: Sequence[Sequence[float]], resolution: Sequence[int]
 
     measure: "lebesgue" or a callable density evaluated at cell midpoints.
     Weights are density(midpoint) * cell volume; nonpositive densities are
-    rejected.
+    rejected.  Nodes run through the axes in C order (the last axis
+    fastest).  `structure` records the layout: "axes", each axis's
+    midpoints, and "widths", its cell widths; and "density", the density
+    as a float, when it takes one value at every midpoint, so that the
+    weight of node (i, j, ...) is density * widths[0][i] * widths[1][j]
+    * ...
     """
     bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
     d = bounds.shape[0]
@@ -166,8 +172,12 @@ def build_quad_grid(bounds: Sequence[Sequence[float]], resolution: Sequence[int]
     if np.any(density <= 0) or not np.all(np.isfinite(density)):
         raise GridError("measure density must be positive and finite at all midpoints")
 
+    structure = {"axes": [m for m, _ in per_axis],
+                 "widths": [w for _, w in per_axis]}
+    if np.all(density == density[0]):
+        structure["density"] = float(density[0])
     return QuadGrid(points=points, weights=density * volumes, bounds=bounds,
-                    metric=metric)
+                    metric=metric, structure=structure)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ from coorbit._linalg import GRAM_COLS, SolverError, hermitian_gram, \
     restricted_rayleigh_bounds
 from coorbit.coverings import build_covering, build_pu
 from coorbit.discretization import atomic_coefficients, \
-    banach_frame_reconstruct, build_uphi
+    banach_frame_reconstruct, build_uphi, hilbert_frame_bounds
 from coorbit.frame_families import (FamilyError, FrameCalculus,
                                     GaussDerivProfile, _interior_mask,
-                                    _interior_probes,
+                                    _interior_probes, _map_atoms,
+                                    _position_blocks,
                                     _real_view, _spectral_atoms,
                                     alpha_admissibility,
                                     analyze_V, analyze_W, default_index_grid,
@@ -22,11 +23,11 @@ from coorbit.frame_families import (FamilyError, FrameCalculus,
                                     frame_operator_apply, gaussian_window,
                                     gram_kernel, leakage_report, make_battery,
                                     make_family, random_interior_points)
-from coorbit.kernel_algebra import _even_blocks, _on_pool, am_norm, \
-    apply_kernel, compose
+from coorbit.kernel_algebra import _even_blocks, _mirror_half, _on_pool, \
+    am_norm, apply_kernel, compose
 from coorbit.localization import cross_gramian
-from coorbit.measure_space import SignalGrid, polynomial_weight, \
-    trivial_admissible_weight, weight_from_w
+from coorbit.measure_space import QuadGrid, SignalGrid, build_quad_grid, \
+    polynomial_weight, trivial_admissible_weight, weight_from_w
 from coorbit.oscillation import property_D_check
 from conftest import wavelet_admissibility_fft
 
@@ -248,6 +249,30 @@ class TestAnalyzeW:
         w = grid.weights
         err = np.sqrt(np.sum(w * np.abs(rwf - wf) ** 2))
         assert err <= 1e-12 * np.sqrt(np.sum(w * np.abs(wf) ** 2))
+
+
+    @pytest.mark.parametrize("tag", ["gabor", "cwt", "sinc_rkhs",
+                                     "inhom_wavelet", "alpha_mod"])
+    def test_half_factor_routes_match_the_pseudo_inverse(self, tag):
+        # W f = h C^H (P f) against V(S^+ f), and the dual synthesis
+        # P^H C (w u) against S^+ V*_mu u, both from the atom matrix:
+        # measured at most 1.4e-15 of the largest entry at cut 0.2 and
+        # 2.8e-13 at cut 1e-8 (alpha_mod), where 1 / sqrt(lambda) reaches 1e4
+        wavelet = tag in ("cwt", "inhom_wavelet")
+        fam = make_family(tag, None, SignalGrid(16.0 if wavelet else 8.0, 64))
+        grid = default_index_grid(fam)
+        calc = fam.calculus(grid)
+        gen = np.random.default_rng(7)
+        f = gen.standard_normal((64, 3)) + 1j * gen.standard_normal((64, 3))
+        u = gen.standard_normal((grid.size, 3)) + \
+            1j * gen.standard_normal((grid.size, 3))
+        for cut, tol in ((0.2, 1e-14), (1e-8, 3e-12)):
+            ref = calc.analyze(calc.s_pinv(f, cut))
+            assert np.abs(calc.analyze_dual(f, cut) - ref).max() <= \
+                tol * np.abs(ref).max()
+            ref = calc.s_pinv(calc.synthesize(u), cut)
+            assert np.abs(calc.dual_synthesize(u, cut) - ref).max() <= \
+                tol * np.abs(ref).max()
 
 
 class TestGramKernel:
@@ -543,6 +568,173 @@ class TestFrameOperatorBlocks:
         for total in range(2, 600):
             sizes = [b - a for a, b in _even_blocks(total, 128)]
             assert sum(sizes) == total and max(sizes) <= 128 and min(sizes) >= 2
+
+
+# separable atoms on tensor grids: every mirror-closed case, and a
+# non-square grid off any mirror (an even and an odd 24-row frequency axis
+# split, 40 positions: a partial last position block)
+SEPARABLE_GRIDS = {**MIRROR_GRIDS,
+                   "unmirrored": {"bounds": [[-4.0, 4.0], [-4.5, 3.5]],
+                                  "resolution": [40, 24]}}
+
+
+def _forbid_atom_matrix(monkeypatch):
+    """Make `FrameCalculus.atoms`, the only route to the grid's atom
+    matrix, fail."""
+    def atoms(self, threads=1):
+        raise AssertionError("the atom matrix was formed")
+    monkeypatch.setattr(FrameCalculus, "atoms", atoms)
+
+
+class TestSeparableGabor:
+    """Gabor atoms on a tensor grid of constant density: S from the two
+    axis Grams, C in position blocks, against the atom-matrix path."""
+
+    SG = SignalGrid(8.0, 64)
+
+    def _calc(self, case):
+        fam = make_family("gabor", None, self.SG)
+        return FrameCalculus(fam, default_index_grid(fam, **SEPARABLE_GRIDS[case]))
+
+    @staticmethod
+    def _dense_s(calc, psi):
+        """S as the generic path builds it from the atom matrix."""
+        w, h = calc.grid.weights, calc.family.signal_grid.h
+        if not calc.mirrored:
+            return hermitian_gram(psi, w, h)
+        rep, axis = _mirror_half(calc.mirror)
+        w = np.where(axis, 1.0, 2.0) * w[rep]
+        return hermitian_gram(_real_view(np.take(psi, rep, axis=1)),
+                              np.repeat(w, 2), h)
+
+    @pytest.mark.parametrize("cut", [0.2, 1e-8])
+    @pytest.mark.parametrize("case", sorted(SEPARABLE_GRIDS))
+    def test_matches_the_atom_matrix_path(self, case, cut, monkeypatch):
+        calc = self._calc(case)
+        psi = calc.family.atoms(calc.grid.points)
+        _forbid_atom_matrix(monkeypatch)
+        s = calc.s_matrix()
+        assert calc.mirrored == (case in MIRROR_GRIDS)
+        assert s.dtype == (np.float64 if calc.mirrored else np.complex128)
+        assert np.array_equal(s, s.conj().T)
+        s_ref = self._dense_s(calc, psi)
+        # two sums of 24-40 terms against one of 960-1089: measured
+        # 1.22e-15 max|S| on all three grids
+        assert np.abs(s - s_ref).max() <= 5e-15 * np.abs(s_ref).max()
+        c = calc.half_factor(cut)
+        c_ref = _map_atoms(calc.half_map(cut), psi)
+        assert c.dtype == c_ref.dtype == np.complex128
+        # the same map P on the atom matrix: measured 4.4e-16 max|C| at
+        # cut 0.2 and 1.4e-13 at cut 1e-8, where P = Lambda^(-1/2) Q^H
+        # weights the smallest kept eigenvalues by up to 1e4 and C's
+        # entries cancel
+        tol = 4e-15 if cut == 0.2 else 1e-12
+        assert np.abs(c - c_ref).max() <= tol * np.abs(c_ref).max()
+
+    @pytest.mark.parametrize("case", sorted(MIRROR_GRIDS))
+    def test_mirrored_half_factor_is_conjugate_bit_for_bit(self, case):
+        # C[:, sigma y] = conj(C[:, y]) in every bit off the mirror axis,
+        # which Kernel.mirror relies on; on the axis (the middle frequency
+        # row of mirrored_axis) C is real.  One GEMM over all 66 real
+        # columns of the 33-row axis rounds its edge tile apart at n = 64
+        calc = self._calc(case)
+        off = calc.mirror != np.arange(calc.grid.size)
+        assert off.all() == (case == "mirrored_even")
+        for cut in (0.2, 1e-8):
+            c = calc.half_factor(cut)
+            assert c[:, calc.mirror][:, off].tobytes() == c[:, off].conj().tobytes()
+            assert np.all(c[:, ~off].imag == 0.0)
+
+    @pytest.mark.parametrize("case", sorted(SEPARABLE_GRIDS))
+    def test_bytes_do_not_depend_on_threads(self, case, monkeypatch):
+        monkeypatch.setattr(kernel_algebra, "_usable_cores", lambda: 4)
+        got = []
+        for threads in (1, 2, 3):
+            calc = self._calc(case)
+            got.append((calc.s_matrix(threads).tobytes(),
+                        calc.half_factor(0.2, threads).tobytes(),
+                        calc.half_factor(1e-8, threads).tobytes()))
+        assert got[0] == got[1] == got[2]
+
+    def test_position_blocks(self):
+        # ceil(256 / width) positions a block, the last one partial; no
+        # more stacked maps than _MAP_ENTRIES entries (gabor_reference:
+        # rank 129 at n = 512, 32 representative frequencies)
+        assert _position_blocks(40, 24, 13 * 64) == \
+            [(0, 11), (11, 22), (22, 33), (33, 40)]
+        assert _position_blocks(142, 142, 13 * 64) == \
+            [(k, k + 2) for k in range(0, 142, 2)]
+        assert _position_blocks(64, 32, 129 * 512) == \
+            [(k, min(k + 3, 64)) for k in range(0, 64, 3)]
+        assert _position_blocks(3, 1, 1 << 20) == [(0, 1), (1, 2), (2, 3)]
+
+    @pytest.mark.parametrize("case", ["scattered", "density", "nudged_weight"])
+    def test_other_grids_take_the_generic_path(self, case, monkeypatch):
+        fam = make_family("gabor", None, self.SG)
+        bounds, res = [[-4.0, 4.0], [-4.5, 3.5]], [16, 12]
+        tensor = default_index_grid(fam, bounds=bounds, resolution=res)
+        if case == "scattered":
+            # the tensor grid's nodes, one moved off its row: not a tensor
+            # product, and no recorded layout
+            pts = tensor.points.copy()
+            pts[5, 1] += 0.01
+            grid = QuadGrid(points=pts, weights=tensor.weights,
+                            bounds=tensor.bounds)
+        elif case == "density":
+            grid = build_quad_grid(bounds, res, measure=lambda p: (
+                1.0 + 0.01 * p[:, 0] ** 2) / (2.0 * np.pi))
+            assert "density" not in grid.structure
+        else:
+            # the recorded layout kept, one weight one ulp up
+            w = tensor.weights.copy()
+            w[3] = np.nextafter(w[3], np.inf)
+            grid = dataclasses.replace(tensor, weights=w)
+        formed = []
+        real = FrameCalculus.atoms
+        monkeypatch.setattr(FrameCalculus, "atoms", lambda self, threads=1:
+                            formed.append(self.grid) or real(self, threads))
+        calc = FrameCalculus(fam, grid)
+        s, c = calc.s_matrix(), calc.half_factor(0.2)
+        assert calc._tensor is None and formed and formed[0] is grid
+        assert s.tobytes() == hermitian_gram(
+            fam.atoms(grid.points), grid.weights, self.SG.h).tobytes()
+        assert c.tobytes() == _map_atoms(calc.half_map(0.2),
+                                         calc.atom_matrix).tobytes()
+        # the tensor grid itself forms no atom matrix
+        FrameCalculus(fam, tensor).half_factor(0.2)
+        assert all(g is not tensor for g in formed)
+
+    @pytest.mark.parametrize("case", ["mirrored_even", "unmirrored"])
+    def test_run_path_forms_no_atom_matrix(self, case, monkeypatch):
+        # M = 3072 nodes >= 16 n: the Gramian, U_Phi, the frame bounds and
+        # both reconstructions stay below one n x M complex atom matrix
+        fam = make_family("gabor", None, self.SG)
+        bounds = {"mirrored_even": [[-4.0, 4.0], [-4.0, 4.0]],
+                  "unmirrored": [[-4.0, 4.0], [-4.5, 3.5]]}[case]
+        grid = default_index_grid(fam, bounds=bounds, resolution=[48, 64])
+        assert grid.size >= 16 * self.SG.n
+        cov = build_covering(grid, 0.5)
+        pu = build_pu(cov, "indicator")
+        battery = np.stack(make_battery(fam, grid, 3, seed=5), axis=1)
+        _forbid_atom_matrix(monkeypatch)
+        tracemalloc.start()
+        try:
+            R = gram_kernel(fam, grid, rel_cut=0.2, threads=2)
+            R.node_factors()
+            frame_bounds_continuous(fam, grid, threads=2)
+            op = build_uphi(R, cov, pu, grid, threads=2)
+            hilbert_frame_bounds(op)
+            _, rep = atomic_coefficients(battery, op)
+            samples = self.SG.h * np.conj(op.atoms.T @ np.conj(battery))
+            _, brep = banach_frame_reconstruct(samples, op, f_true=battery)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert R.mirror is not None if case == "mirrored_even" else R.mirror is None
+        assert peak < self.SG.n * grid.size * 16
+        # criterion 6 and 7's bound: measured 1.4e-4 and 1.3e-4
+        assert np.max(rep.relative_error) <= 1e-3
+        assert np.max(brep.relative_error) <= 1e-3
 
 
 class TestGaussDerivProfile:
@@ -1157,9 +1349,12 @@ class TestPooledSynthesis:
         R = gram_kernel(fam, grid, rel_cut=1e-6, threads=2)
         c, _ = R.node_factors()
         v = R.col_factor(pts)
-        # the atoms at pts, the grid atoms, the half factor's map, the
+        # the atoms at pts; alpha_mod's atom at the first node, whose
+        # field decides its mirror; the grid atoms (not formed for gabor's
+        # separable atoms on the tensor grid); the half factor's map; the
         # column factor's atoms and map: every block ran off the main thread
-        assert len(calls) == 5 and calls[0] == calls[-1] == 3
+        assert len(calls) == {"gabor": 4, "alpha_mod": 6}.get(tag, 5)
+        assert calls[0] == calls[-1] == 3
         assert tag != "gabor" or "gaussian_window" in on_main
         monkeypatch.undo()
         assert got.tobytes() == ref_fam.atoms(pts).tobytes()
