@@ -16,14 +16,13 @@ Conventions, fixed once for the whole engine:
   * Atoms carry their family's field: float64 for the real atoms of the
     wavelet, inhomogeneous-wavelet and bandlimited families, complex128 for
     the modulation families.  Every product built from them (S, the
-    Gramian factors) takes the atoms' dtype, except where a family's
-    conjugation symmetry makes S real: a Gabor family with a real window
-    has conj(M_w T_x g) = M_{-w} T_x g, and an alpha-modulation family,
-    whose Gaussian envelope is real, conj(psi_(x,w)) = psi_(x,-w); so on
-    an index grid that maps onto itself under w -> -w with bit-equal
-    weights at mirrored nodes, S, its eigenpairs and the half map are
-    float64 while the atoms and the Gramian factors C, C^H stay complex128
-    (`FrameCalculus.mirrored`).
+    Gramian factors) takes the atoms' dtype, with one exception: S is real
+    only on a mirror-closed separable grid.  A Gabor family with a real
+    window has conj(M_w T_x g) = M_{-w} T_x g, so on a tensor grid whose
+    frequency axis and widths are bitwise symmetric, S, its eigenpairs and
+    the half map are float64 while the atoms and the Gramian factors C,
+    C^H stay complex128 (`FrameCalculus.mirror`, read off the axis
+    factors).  The alpha-modulation family is complex everywhere.
 
 The n x M atom matrix of an index grid (the atoms at its M nodes) is
 formed only where a product needs every atom: the generic path of the
@@ -31,7 +30,7 @@ frame operator S and the half factor C = P Psi (`FrameCalculus`), and
 the public `analyze_V`, `frame_operator_apply` and
 `localization.empirical_pseudoinverse`.  A Gabor family
 declares its atoms separable, psi_(x, w)(t) = g(t - x) e^{iwt}
-(`SeparableAtoms`), and on a tensor grid of constant density
+(`FrameFamily.separable`), and on a tensor grid of constant density
 (`build_quad_grid`'s `structure`) with node weights a_x b_w the quadrature
 form of Walnut's representation,
 
@@ -61,7 +60,7 @@ import numpy as np
 
 from ._linalg import PROBE_GRAM_CUT, HermitianEig, hermitian_gram, \
     psd_factorize, restricted_rayleigh_bounds
-from .kernel_algebra import Kernel, _mirror_half, _on_pool
+from .kernel_algebra import Kernel, _on_pool
 from .measure_space import GridError, QuadGrid, SignalGrid, build_quad_grid, \
     euclidean_metric
 
@@ -162,18 +161,6 @@ def _coverage_log_margin(order: int) -> float:
 # ---------------------------------------------------------------------------
 # family container
 # ---------------------------------------------------------------------------
-class SeparableAtoms(NamedTuple):
-    """Atoms that factor pointwise over the index axes,
-    psi_x(t) = factors[0](x_0)(t) * factors[1](x_1)(t) * ...:
-    factors[k](values) returns the (n, len(values)) signal-domain factors
-    at the axis-k coordinates `values`, entry by entry (one column per
-    value, computed by the same operations whatever the other values), on
-    the calling thread.  `dtype` is the atoms' field."""
-
-    factors: tuple
-    dtype: type
-
-
 class IndexDomain(NamedTuple):
     """A family's default index box and its quadrature rule,
     grid(bounds, resolution, band_spacing, scales_per_octave) -> QuadGrid."""
@@ -202,11 +189,17 @@ class FrameFamily:
     axes (`interior_box`); `log_axes`, the axes drawn log-uniformly
     (`random_interior_points`); `lowpass_sheet`, whether scale coordinates
     <= 0 form an interior low-pass sheet; and `frame_info()`, its own
-    entries of the frame-info report.  A family whose atoms factor over
-    the index axes declares the factors and its atoms' field
-    (`separable`, `SeparableAtoms`): Gabor, psi_(x, w) = T_x g * e^{iw.},
-    complex.  The wavelet, bandlimited and alpha-modulation families (the
-    last dilates its window by the frequency) declare nothing.
+    entries of the frame-info report.  A family whose atoms factor
+    pointwise over the index axes, psi_x(t) = f_0(x_0)(t) f_1(x_1)(t) ...,
+    declares the factors (`separable`), a tuple of callables: f_k(values)
+    returns the (n, len(values)) signal-domain factors at the axis-k
+    coordinates `values`, entry by entry (one column per value, computed
+    by the same operations whatever the other values), on the calling
+    thread.  Gabor declares psi_(x, w) = T_x g * e^{iw.}.  The wavelet,
+    bandlimited and alpha-modulation families (the last dilates its
+    window by the frequency) declare nothing.  Conjugation symmetry, and
+    with it a real S, is read off the separable factors alone
+    (`FrameCalculus.mirror`): alpha-modulation is complex everywhere.
     """
 
     tag: str
@@ -219,9 +212,8 @@ class FrameFamily:
     index_domain: IndexDomain
     interior_rule: Callable[[np.ndarray], list]
     log_axes: tuple
-    # per-axis signs sigma with conj(psi_x) = psi_{sigma x} exactly, or None
-    conjugation: Optional[np.ndarray] = None
-    separable: Optional[SeparableAtoms] = None
+    # per-axis factor callables, or None
+    separable: Optional[tuple] = None
     lowpass_sheet: bool = False
     frame_info: Callable[[], dict] = dict
     _ops: dict = field(default_factory=dict, repr=False)
@@ -268,20 +260,21 @@ class FrameCalculus:
     of C is cached.  The analysis against the canonical dual frame and the
     dual syntheses run through it too: W f = h C^H (P f) and
     S^+ Psi (w u) = P^H C (w u) (`analyze_dual`, `dual_synthesize`).
-    Everything here follows the atoms' field (`dtype`): for a family with
-    real atoms (cwt, inhom_wavelet, sinc_rkhs) S, its eigenpairs (a real
+    Everything here follows the atoms' field: for a family with real
+    atoms (cwt, inhom_wavelet, sinc_rkhs) S, its eigenpairs (a real
     `eigh`), the half map and C are float64.
 
-    Complex atoms whose family declares a conjugation symmetry that the
-    grid carries bit for bit (`mirror`, the node permutation sigma, and
-    `mirrored`) give a real S: every atom's conjugate is the atom at the
-    mirrored node, with the same weight, so the imaginary parts of S
-    cancel in pairs.  S and its eigenpairs and the half map are then
-    float64, and C stays complex128, with C[:, sigma y] = conj(C[:, y]),
-    which `gram_kernel` passes on to `am_norm` (`Kernel.mirror`): bit for
-    bit on the separable path, which maps one column of each pair and
-    conjugates it; on the generic path up to the rounding of the GEMM
-    tiles the two columns fall in.
+    S is real only on a mirror-closed separable grid (`mirror`, the node
+    permutation sigma, and `mirrored`): the separable path below, with
+    real position factors, a frequency axis and widths symmetric bit for
+    bit, and frequency factors with v_{-w} = conj(v_w) (Gabor with a real
+    window).  Every atom's conjugate is then the atom at the mirrored
+    node, with the same weight, so the imaginary parts of S cancel in
+    pairs.  S, its eigenpairs and the half map are float64, and C stays
+    complex128 with C[:, sigma y] = conj(C[:, y]) bit for bit (one column
+    of each pair is mapped, the other is its conjugate), which
+    `gram_kernel` passes on to `am_norm` (`Kernel.mirror`).  The generic
+    path, alpha-modulation on any grid included, keeps the atoms' field.
 
     The n x M atom matrix Psi (`atoms`) is formed only on the generic
     path.  A family whose atoms factor over the two index axes
@@ -297,9 +290,7 @@ class FrameCalculus:
     weights, two n x n Hermitian Grams instead of one over M atoms; on a
     mirror-closed grid S takes the real part, Re(V B V^H) through V's
     float64 view.  Off it, or for any other family, S is one
-    `hermitian_gram` of the atoms, on a mirrored grid of one
-    representative per mirror pair at twice its weight, and C = P Psi
-    (`_map_atoms`).
+    `hermitian_gram` of the atoms and C = P Psi (`_map_atoms`).
 
     The column stages run on the caller's `threads` (`_on_pool`), and
     their bytes do not depend on it: the grid atoms (`atoms`,
@@ -341,16 +332,6 @@ class FrameCalculus:
         return self.family.atoms(self.grid.points[nodes], threads)
 
     @functools.cached_property
-    def dtype(self) -> np.dtype:
-        """The atoms' field: the family's declared one
-        (`SeparableAtoms.dtype`), otherwise that of the atom at the first
-        node."""
-        sep = self.family.separable
-        if sep is not None:
-            return np.dtype(sep.dtype)
-        return self.node_atoms(np.arange(1)).dtype
-
-    @functools.cached_property
     def _tensor(self) -> Optional[tuple]:
         """(U, a, V, b) when the family's atoms factor over the grid's two
         axes (`FrameFamily.separable`) and the grid is a tensor grid of
@@ -362,7 +343,7 @@ class FrameCalculus:
         the generic path.  Read from the recorded axes, never by a search
         for distinct coordinates."""
         sep, st = self.family.separable, self.grid.structure
-        if sep is None or "density" not in st or len(sep.factors) != 2 \
+        if sep is None or "density" not in st or len(sep) != 2 \
                 or len(st["axes"]) != 2:
             return None
         (x, y), (dx, dy) = st["axes"], st["widths"]
@@ -372,20 +353,29 @@ class FrameCalculus:
                 and self.grid.weights.tobytes()
                 == (density * np.multiply.outer(dx, dy).ravel()).tobytes()):
             return None
-        return sep.factors[0](x), density * dx, sep.factors[1](y), dy
+        return sep[0](x), density * dx, sep[1](y), dy
 
     @functools.cached_property
     def mirror(self) -> Optional[np.ndarray]:
-        """The node permutation sigma of the family's conjugation symmetry
-        on this grid (`_mirror_closed`), when S is real by it: the family
-        declares sigma (`FrameFamily.conjugation`), the atoms are complex
-        (`dtype`), the mirrored points sigma x are exactly the grid's
-        points, and mirrored nodes carry bit-equal weights; otherwise None.
+        """The node permutation sigma of (x, w) -> (x, -w), when S is real
+        by it: the grid takes the separable path (`_tensor`), the position
+        factors U are real, the frequency axis and its widths are
+        symmetric bit for bit, and the frequency factors satisfy
+        V[:, ::-1] = conj(V), so that the atom at (x, -w) is the conjugate
+        of the atom at (x, w) and carries the same weight.  sigma reverses
+        the frequency index inside each position block.  Otherwise None.
         Decided once per grid, with no tolerance."""
-        sigma = self.family.conjugation
-        if sigma is None or self.dtype.kind != "c":
+        if self._tensor is None:
             return None
-        return _mirror_closed(self.grid, np.asarray(sigma, dtype=float))
+        u, _, v, _ = self._tensor
+        st = self.grid.structure
+        w, dw = st["axes"][1], st["widths"][1]
+        if not (np.isrealobj(u) and np.array_equal(w, -w[::-1])
+                and dw.tobytes() == dw[::-1].tobytes()
+                and np.array_equal(v[:, ::-1], np.conj(v))):
+            return None
+        nx, nw = u.shape[1], v.shape[1]
+        return (np.arange(nx)[:, None] * nw + np.arange(nw)[::-1]).ravel()
 
     @property
     def mirrored(self) -> bool:
@@ -428,16 +418,7 @@ class FrameCalculus:
         over the axis factors, so exactly Hermitian; on a mirrored grid
         V B V^H enters by its real part, V's float64 view
         [Re v_w, Im v_w] with every weight repeated.  The atom matrix is
-        not formed.
-
-        Otherwise one Gram of the atoms.  On a mirrored grid the pair x,
-        sigma x adds w_x (psi psi^H + conj(psi psi^H)) =
-        2 w_x Re(psi_x psi_x^H), so each pair enters once, by its
-        representative x <= sigma x, with weight 2 w_x (w_x for a node on
-        the mirror axis, whose atom is real); those atoms enter as their
-        float64 view with every weight repeated for the real and imaginary
-        column: h Psi~ W~ Psi~^T = Re(h Psi W Psi^H) = S, a real GEMM per
-        block."""
+        not formed.  Otherwise one Gram of the atoms, in their dtype."""
         if self._s_matrix is None:
             h = self.family.signal_grid.h
             if self._tensor is not None:
@@ -447,12 +428,8 @@ class FrameCalculus:
                 self._s_matrix = hermitian_gram(u, a, h, threads) * \
                     hermitian_gram(v, b, 1.0, threads)
             else:
-                psi, w = self.atoms(threads), self.grid.weights
-                if self.mirror is not None:
-                    rep, axis = _mirror_half(self.mirror)
-                    w = np.where(axis, 1.0, 2.0) * w[rep]
-                    psi, w = _real_view(np.take(psi, rep, axis=1)), np.repeat(w, 2)
-                self._s_matrix = hermitian_gram(psi, w, h, threads)
+                self._s_matrix = hermitian_gram(self.atoms(threads),
+                                                self.grid.weights, h, threads)
         return self._s_matrix
 
     def s_eig(self, rel_cut: float = 1e-10) -> HermitianEig:
@@ -481,9 +458,9 @@ class FrameCalculus:
         the map on `threads`.  Separable atoms on a tensor grid
         (`_tensor`) take one position block of nodes at a time,
         C[:, (x, .)] = (P * u_x) V (`_map_tensor`), and form no atom;
-        otherwise the atoms, then P Psi in column blocks (`_map_atoms`).
-        Either way a real P on complex atoms multiplies their float64
-        view."""
+        otherwise the atoms, then P Psi in column blocks (`_map_atoms`),
+        where P has the atoms' field.  On a mirrored grid the real P
+        multiplies the frequencies' float64 view."""
         c = self._half_factor.get(rel_cut)
         if c is None:
             self.s_matrix(threads)          # the atoms or axis factors and S
@@ -523,26 +500,6 @@ class FrameCalculus:
         return np.conj(p.T @ np.conj(self.half_synthesize(F, rel_cut)))
 
 
-def _mirror_closed(grid: QuadGrid, sigma: np.ndarray) -> Optional[np.ndarray]:
-    """The node permutation of x -> sigma x, perm[i] the index of node i's
-    mirror, when it maps the grid's points onto themselves with exactly
-    equal coordinates (one lexsort of each side) and mirrored nodes carry
-    bit-equal weights; otherwise None."""
-    pts = grid.points
-    mirrored = pts * sigma[None, :]
-    order = np.lexsort(pts.T[::-1])
-    order_m = np.lexsort(mirrored.T[::-1])
-    if not np.array_equal(pts[order], mirrored[order_m]):
-        return None
-    # node order_m[k], mirrored, is node order[k]
-    w = grid.weights
-    if w[order].tobytes() != w[order_m].tobytes():
-        return None
-    perm = np.empty_like(order)
-    perm[order_m] = order
-    return perm
-
-
 def _real_view(z: np.ndarray) -> np.ndarray:
     """The (n, 2M) float64 view [Re z_j, Im z_j] of a complex (n, M) array;
     a copy only when its rows are not contiguous."""
@@ -552,8 +509,10 @@ def _real_view(z: np.ndarray) -> np.ndarray:
 def _map_atoms(p: np.ndarray, psi: np.ndarray, threads: int = 1) -> np.ndarray:
     """p @ psi, one GEMM per column block (`_column_blocks`) on `threads`
     (`_on_pool`), each written into its columns of one output.  A real map
-    on complex atoms multiplies blocks of the atoms' float64 view and reads
-    the output back as complex128 without a copy.  The blocks depend on the
+    on complex atoms (`gram_kernel`'s column factor on a mirror-closed
+    Gabor grid, whose P is real) multiplies blocks of the atoms' float64
+    view and reads the output back as complex128 without a copy; the half
+    factor's P always has the atoms' field.  The blocks depend on the
     column count alone, so the bytes do not depend on `threads`."""
     real_view = np.isrealobj(p) and np.iscomplexobj(psi)
     x = _real_view(psi) if real_view else psi
@@ -693,12 +652,9 @@ def _gabor_family(params: dict, sg: SignalGrid) -> FrameFamily:
         phase_quotient=True, atom_fn=atom_fn, metric=euclidean_metric,
         index_domain=_TF_DOMAIN, interior_rule=interior_rule,
         log_axes=(False, False),
-        # a real window: conj(M_w T_x g) = M_{-w} T_x g
-        conjugation=None if np.iscomplexobj(g) else np.array([1.0, -1.0]),
         # psi_(x, w)(t) = g(t - x) e^{iwt}
-        separable=SeparableAtoms(
-            (lambda x: gfun(t[:, None] - x[None, :]), lambda w: _exp_iwt(t, w)),
-            np.complex128))
+        separable=(lambda x: gfun(t[:, None] - x[None, :]),
+                   lambda w: _exp_iwt(t, w)))
 
 
 def _distinct(v: np.ndarray):
@@ -998,9 +954,7 @@ def _alpha_family(params: dict, sg: SignalGrid) -> FrameFamily:
         phase_quotient=True, atom_fn=atom_fn, metric=euclidean_metric,
         index_domain=_TF_DOMAIN, interior_rule=interior_rule,
         log_axes=(False, False),
-        frame_info=frame_info,
-        # a real envelope: conj(psi_(x, w)) = psi_(x, -w)
-        conjugation=np.array([1.0, -1.0]))
+        frame_info=frame_info)
 
 
 _BUILDERS = {
@@ -1128,12 +1082,14 @@ def gram_kernel(family: FrameFamily, x_grid: QuadGrid,
     cached half factor (`FrameCalculus.half_factor`, which forms no atom
     matrix for separable atoms on a tensor grid): h * C[:, rows]^H
     C[:, cols], without synthesizing their atoms; the column factor at
-    other points is half_map @ atoms(points).  Building the kernel
-    synthesizes no atom matrix: `Kernel.mirror` reads the atoms' field
-    (`FrameCalculus.dtype`).  The node factors and `col_factor` run their
-    blocks on `threads`; the evaluator, which `am_norm` may call inside
-    its own pool, on the calling thread alone.  No value depends on
-    `threads`.
+    other points is half_map @ atoms(points), a real map on complex atoms
+    on a mirror-closed Gabor grid.  Building the kernel synthesizes no
+    atom: `Kernel.mirror` (`FrameCalculus.mirror`) is read off the
+    separable axis factors, and is None for every other family, whose
+    Gramian is in the atoms' field.  The node factors and `col_factor`
+    run their blocks on `threads`; the evaluator, which `am_norm` may
+    call inside its own pool, on the calling thread alone.  No value
+    depends on `threads`.
     """
     calc = family.calculus(x_grid)
     h = family.signal_grid.h
@@ -1205,13 +1161,14 @@ def frame_bounds_continuous(family: FrameFamily, x_grid: QuadGrid,
     probe Gram; the bounds do not depend on it.  The probes are the atoms
     at the probe nodes alone (`FrameCalculus.node_atoms`): columns of the
     atom matrix when S was built from it, otherwise synthesized there,
-    with the same bytes.  On a mirrored grid
-    (`FrameCalculus.mirrored`) S is real and the probes enter as their
-    float64 view [Re p, Im p], which spans the probe atoms and their
-    conjugates, the atoms at the mirrored nodes (interior atoms too when
-    the box is symmetric, as a mirror-closed midpoint grid's is).  The
-    probe Gram, h P~ P~^T = Re(h P P^H), and the reduced operator are then
-    real.
+    with the same bytes.  S is real only on a mirror-closed separable
+    grid (`FrameCalculus.mirrored`, Gabor with a real window); there the
+    probes enter as their float64 view [Re p, Im p], which spans the probe
+    atoms and their conjugates, the atoms at the mirrored nodes (interior
+    atoms too when the box is symmetric, as a mirror-closed midpoint
+    grid's is).  The probe Gram, h P~ P~^T = Re(h P P^H), and the reduced
+    operator are then real.  Elsewhere, alpha-modulation on any grid
+    included, they keep the atoms' field.
     """
     idx, _ = _interior_probes(family, x_grid, x_grid.points)
     if idx.size == 0:

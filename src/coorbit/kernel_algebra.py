@@ -53,8 +53,10 @@ class Kernel:
     stream needs both and refuses a kernel without them.  `mirror`, on a
     kernel with node factors, is a node permutation sigma of `native_grid`
     with C[:, sigma y] = conj(C[:, y]), so that |K(sigma x, sigma y)| =
-    |K(x, y)|; only `gram_kernel` sets it, on a mirror-closed grid
-    (`FrameCalculus.mirror`).  The cache, when built, agrees with the
+    |K(x, y)|; only `gram_kernel` sets it, on a mirror-closed separable
+    grid (`FrameCalculus.mirror`: Gabor with a real window, whose C
+    keeps the conjugation bit for bit; alpha-modulation is complex
+    everywhere and never sets it).  The cache, when built, agrees with the
     evaluator at every node (same code path), and building it is the only
     mutation; reads after that are concurrency-safe.
     """

@@ -541,12 +541,11 @@ class TestFrameOperatorBlocks:
             assert not calc.mirrored and s.dtype == np.complex128
             assert peak <= block + 2 * s.nbytes + 64 * 1024
 
-    @pytest.mark.parametrize("tag", ["gabor", "alpha_mod"])
     @pytest.mark.parametrize("case", sorted(MIRROR_GRIDS))
-    def test_mirrored_s_matches_the_full_real_view(self, tag, case):
-        # one representative per mirror pair at twice its weight, against
-        # every node's real view: equal up to the order of the GEMM sums
-        fam = make_family(tag, None, SignalGrid(8.0, 128))
+    def test_mirrored_s_matches_the_full_real_view(self, case):
+        # the real part of the modulation Gram times the window Gram,
+        # against every node's real view: equal up to the order of the sums
+        fam = make_family("gabor", None, SignalGrid(8.0, 128))
         grid = default_index_grid(fam, **MIRROR_GRIDS[case])
         calc = FrameCalculus(fam, grid)
         axis = calc.mirror == np.arange(grid.size)
@@ -949,8 +948,7 @@ class TestRealAtoms:
     def test_atoms_and_factors_follow_the_field(self, tag, params, dtype):
         fam = make_family(tag, params, SignalGrid(16.0, 128))
         if tag == "alpha_mod":
-            # 20 frequency midpoints are not bitwise symmetric, so S keeps
-            # the atoms' field; a mirrored grid gives a real S
+            # complex on every grid, mirror-closed ones too
             # (TestConjugationSymmetry)
             grid = default_index_grid(fam, bounds=[[-4.0, 4.0], [-4.0, 4.0]],
                                       resolution=[16, 20])
@@ -1005,8 +1003,9 @@ def _mirror(points):
 
 
 class TestConjugationSymmetry:
-    """A family declares conj(psi_x) = psi_{sigma x}; the calculus takes the
-    real S only when the grid carries the mirror exactly."""
+    """A real S only on a mirror-closed separable grid: the calculus reads
+    conj(psi_(x, w)) = psi_(x, -w) off the Gabor axis factors, and only
+    when the grid carries the mirror exactly."""
 
     SG = SignalGrid(16.0, 128)
     BOX = [[-4.0, 4.0], [-4.0, 4.0]]
@@ -1015,13 +1014,17 @@ class TestConjugationSymmetry:
         fam = make_family("gabor", {"window": window}, self.SG)
         return fam, default_index_grid(fam, bounds=bounds, resolution=[16, 16])
 
-    @pytest.mark.parametrize("tag", ["gabor", "alpha_mod"])
-    def test_mirror_symmetric_grid_builds_a_real_s(self, tag):
-        # a real window, or alpha_mod's real Gaussian envelope:
-        # conj(psi_(x, w)) = psi_(x, -w)
-        fam = make_family(tag, None, self.SG)
-        grid = default_index_grid(fam, bounds=self.BOX, resolution=[16, 16])
-        assert fam.conjugation.tolist() == [1.0, -1.0]
+    @pytest.mark.parametrize("case", ["box_16", *sorted(MIRROR_GRIDS),
+                                      "gabor_reference"])
+    def test_mirror_symmetric_grid_builds_a_real_s(self, case, request):
+        # a real window: conj(psi_(x, w)) = psi_(x, -w)
+        if case == "box_16":
+            fam, grid = self._gabor()
+        elif case == "gabor_reference":
+            fam, grid = request.getfixturevalue("gabor_reference")
+        else:
+            fam = make_family("gabor", None, self.SG)
+            grid = default_index_grid(fam, **MIRROR_GRIDS[case])
         calc = fam.calculus(grid)
         assert calc.mirrored
         assert np.array_equal(calc.mirror, _mirror(grid.points))
@@ -1038,7 +1041,9 @@ class TestConjugationSymmetry:
         assert R.col_factor(grid.points[:5]).dtype == np.complex128
 
     @pytest.mark.parametrize("case", ["asymmetric_box", "nudged_weight",
-                                      "complex_window", "alpha_mod"])
+                                      "asymmetric_widths", "complex_window",
+                                      "phased_modulation", "alpha_mod",
+                                      "alpha_mod_mirror_closed"])
     def test_broken_symmetry_keeps_the_complex_path(self, case):
         if case == "asymmetric_box":
             fam, grid = self._gabor(bounds=[[-4.0, 4.0], [-3.5, 4.0]])
@@ -1048,17 +1053,39 @@ class TestConjugationSymmetry:
             w = grid.weights.copy()
             w[3] = np.nextafter(w[3], np.inf)
             grid = dataclasses.replace(grid, weights=w)
+        elif case == "asymmetric_widths":
+            # symmetric frequency midpoints, one width one ulp up, with
+            # weights that follow: still a tensor grid, not mirror-closed
+            fam, grid = self._gabor()
+            (dx, dw), density = grid.structure["widths"], grid.structure["density"]
+            dw = dw.copy()
+            dw[0] = np.nextafter(dw[0], np.inf)
+            grid = dataclasses.replace(
+                grid, weights=density * np.multiply.outer(dx, dw).ravel(),
+                structure={**grid.structure, "widths": [dx, dw]})
+            assert fam.calculus(grid)._tensor is not None
         elif case == "complex_window":
             fam, grid = self._gabor(
                 window=lambda t: gaussian_window(t) * np.exp(0.5j * t))
-            assert fam.conjugation is None
-        else:
+        elif case == "phased_modulation":
+            # e^{i(wt + 0.3)}: the atom at -w is no longer the conjugate
+            fam, grid = self._gabor()
+            window, modulation = fam.separable
+            fam = dataclasses.replace(fam, separable=(
+                window, lambda w: np.exp(0.3j) * modulation(w)))
+        elif case == "alpha_mod":
             # the shipped alpha_modulation grid: its 56 frequency midpoints
             # on [-10, 10] are not bitwise symmetric
             fam = make_family("alpha_mod", {"alpha": 0.5}, SignalGrid(10.0, 512))
             grid = default_index_grid(fam, bounds=[[-5.0, 5.0], [-10.0, 10.0]],
                                       resolution=[40, 56])
-            assert fam.conjugation.tolist() == [1.0, -1.0]
+        else:
+            # a mirror-closed grid, but alpha_mod declares no separable
+            # factors: complex everywhere
+            fam = make_family("alpha_mod", None, self.SG)
+            grid = default_index_grid(fam, bounds=self.BOX, resolution=[16, 16])
+            mirror = _mirror(grid.points)
+            assert grid.weights[mirror].tobytes() == grid.weights.tobytes()
         calc = fam.calculus(grid)
         assert not calc.mirrored and calc.mirror is None
         assert calc.s_matrix().dtype == np.complex128
@@ -1349,11 +1376,10 @@ class TestPooledSynthesis:
         R = gram_kernel(fam, grid, rel_cut=1e-6, threads=2)
         c, _ = R.node_factors()
         v = R.col_factor(pts)
-        # the atoms at pts; alpha_mod's atom at the first node, whose
-        # field decides its mirror; the grid atoms (not formed for gabor's
+        # the atoms at pts; the grid atoms (not formed for gabor's
         # separable atoms on the tensor grid); the half factor's map; the
         # column factor's atoms and map: every block ran off the main thread
-        assert len(calls) == {"gabor": 4, "alpha_mod": 6}.get(tag, 5)
+        assert len(calls) == {"gabor": 4}.get(tag, 5)
         assert calls[0] == calls[-1] == 3
         assert tag != "gabor" or "gaussian_window" in on_main
         monkeypatch.undo()

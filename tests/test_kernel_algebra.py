@@ -185,13 +185,39 @@ class TestHermitianTriangle:
 
 # mirror-closed grids: an even resolution has no node on the mirror axis
 # w = 0; 33 or 17 cells of exactly 0.25 on a box centred at 0 have a middle
-# row on it
+# row on it.  Only a Gabor tensor grid carries the mirror
 MIRROR_CASES = [
     ("gabor", [[-4.0, 4.0], [-4.0, 4.0]], [32, 32], 0),
     ("gabor", [[-4.125, 4.125], [-4.125, 4.125]], [33, 33], 33),
-    ("alpha_mod", [[-4.0, 4.0], [-4.0, 4.0]], [16, 16], 0),
-    ("alpha_mod", [[-4.25, 4.25], [-4.25, 4.25]], [17, 17], 17),
+    ("gabor", [[-4.0, 4.0], [-4.0, 4.0]], [16, 16], 0),
+    ("gabor", [[-4.25, 4.25], [-4.25, 4.25]], [17, 17], 17),
 ]
+
+
+@pytest.mark.parametrize("cut", [0.2, 1e-8])
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("case", MIRROR_CASES, ids=lambda c: f"{c[2][0]}")
+@pytest.mark.parametrize("tag", ["gabor", "alpha_mod"])
+def test_mirror_implies_a_conjugate_half_factor(tag, case, n, cut):
+    # wherever the calculus sets a mirror, am_norm's mirror half relies on
+    # C[:, sigma y] = conj(C[:, y]) in every bit off the mirror axis and a
+    # real C on it.  A GEMM over the atoms' float64 view rounds a column
+    # and its partner apart in its edge tiles (alpha_mod at 33 x 33, n 64,
+    # cut 0.2: 28 of 19008 float64 words), so only the Gabor tensor path,
+    # which maps one column per pair and conjugates it, sets the mirror
+    _, bounds, res, axis = case
+    fam = make_family(tag, None, SignalGrid(8.0, n))
+    grid = default_index_grid(fam, bounds=bounds, resolution=res)
+    calc = fam.calculus(grid)
+    if calc.mirror is None:
+        assert tag == "alpha_mod"
+        assert calc.half_factor(cut).dtype == np.complex128
+        return
+    off = calc.mirror != np.arange(grid.size)
+    assert int(np.sum(~off)) == axis
+    c = calc.half_factor(cut)
+    assert c[:, calc.mirror][:, off].tobytes() == c[:, off].conj().tobytes()
+    assert np.all(c[:, ~off].imag == 0.0)
 
 
 def _recording_pool(monkeypatch):
