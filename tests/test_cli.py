@@ -99,7 +99,10 @@ class TestValidate:
         ("cwt", "index_domain", {"band_spacing": -1}),
         ("inhom_wavelet", "index_domain", {"band_spacing": 0}),
         ("cwt", "index_domain", {"scales_per_octave": 0}),
-        ("cwt", "index_domain", {"scales_per_octave": 1.5})])
+        ("cwt", "index_domain", {"scales_per_octave": 1.5}),
+        # the banded wavelet grids read no resolution
+        ("cwt", "index_domain", {"resolution": "junk"}),
+        ("inhom_wavelet", "index_domain", {"resolution": [64, 64]})])
     def test_out_of_range_setting_exits_2(self, tmp_path, tag, key, value):
         cfg = dict(_on_family(tag), tasks=["discretize", "reconstruct"],
                    covering={"cell_size": 0.5}, **{key: value})
@@ -126,7 +129,8 @@ class TestValidate:
         ("cwt", "index_domain", {"band_spacing": 1e-3}),
         ("cwt", "index_domain", {"scales_per_octave": 1}),
         ("inhom_wavelet", "index_domain", {"band_spacing": 2,
-                                           "scales_per_octave": 24})])
+                                           "scales_per_octave": 24}),
+        ("cwt", "index_domain", {"resolution": None})])
     def test_in_range_setting(self, tag, key, value):
         # `norms` reads no interior box, so boxes too small for the family's
         # interior are in range too (TestInteriorValidation)

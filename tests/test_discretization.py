@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coorbit import discretization
-from coorbit._linalg import hermitian_gram
+from coorbit import discretization, frame_families
+from coorbit._linalg import hermitian_gram, restricted_rayleigh_bounds
 from coorbit.coverings import build_covering, build_pu, PartitionOfUnity
 from coorbit.discretization import (DiscretizationError, atomic_coefficients,
                                     banach_frame_reconstruct, build_uphi,
-                                    dual_frame, hilbert_frame_bounds)
-from coorbit.frame_families import (analyze_V, default_index_grid, gram_kernel,
-                                    make_battery, make_family)
+                                    dual_frame)
+from coorbit.frame_families import (_interior_probes, analyze_V,
+                                    default_index_grid, frame_bounds_continuous,
+                                    gram_kernel, make_battery, make_family)
 from coorbit.kernel_algebra import Kernel, apply_kernel
 from coorbit.measure_space import SignalGrid
 
@@ -62,8 +63,8 @@ class TestSampleFrame:
         ("inhom_wavelet", 16.0, [0.5, 2.0]), ("sinc_rkhs", 8.0, 2.0),
         ("alpha_mod", 8.0, 1.0)])
     def test_operator_atoms_equal_synthesized_atoms(self, tag, T, cell):
-        # UPhiOperator.atoms slices the grid's atom matrix; its bits equal
-        # the atoms the family synthesizes at the sample nodes
+        # UPhiOperator.atoms is the sampled grid's atom matrix; its bits
+        # equal the atoms the family synthesizes at the sample nodes
         fam = make_family(tag, None, SignalGrid(T, 64))
         grid = default_index_grid(fam)
         cov = build_covering(grid, cell)
@@ -416,12 +417,15 @@ class TestBlockBattery:
 
 
 class TestHilbertBounds:
+    """The sampled system's bounds are `frame_bounds_continuous` on the
+    covering's sampling measure (`Covering.sampled_grid`)."""
+
     def test_bounds_ordered_and_near_tight(self, small_pipeline):
         fam, grid, cov, pu, R, op = small_pipeline
-        c1, c2, sub = hilbert_frame_bounds(op)
-        assert c1 <= c2
-        assert 0.5 <= c1 and c2 <= 2.0
-        assert "interior" in sub
+        rep = frame_bounds_continuous(fam, cov.sampled_grid)
+        assert rep.c1 <= rep.c2
+        assert 0.5 <= rep.c1 and rep.c2 <= 2.0
+        assert "interior" in rep.subspace
 
     def test_sinc_shannon_bounds_ordered(self):
         # the sinc_shannon configuration: a tight sampled frame, whose two
@@ -430,13 +434,35 @@ class TestHilbertBounds:
         fam = make_family("sinc_rkhs", {"bandlimit": np.pi / 2}, sg)
         grid = default_index_grid(fam, resolution=[100])
         cov = build_covering(grid, 1.0)
-        op = build_uphi(gram_kernel(fam, grid), cov, build_pu(cov), grid)
-        c1, c2, _ = hilbert_frame_bounds(op)
-        assert c1 <= c2
+        rep = frame_bounds_continuous(fam, cov.sampled_grid)
+        assert rep.c1 <= rep.c2
+
+    @pytest.mark.parametrize("tag,T,cell", [
+        ("gabor", 8.0, 1.0), ("sinc_rkhs", 8.0, 2.0), ("alpha_mod", 8.0, 1.0),
+        ("inhom_wavelet", 16.0, [0.5, 2.0])])
+    def test_bounds_of_the_sampled_frame_operator(self, tag, T, cell):
+        # S_d = h Psi_X diag(a) Psi_X^H on the span of the interior sampled
+        # atoms, F-ordered as a column slice of the sampled atoms: the same
+        # bits (inhom_wavelet's interior takes in its low-pass sheet)
+        fam = make_family(tag, None, SignalGrid(T, 64))
+        grid = default_index_grid(fam)
+        cov = build_covering(grid, cell)
+        pts, h = grid.points[cov.sample_node_index], fam.signal_grid.h
+        atoms = fam.atoms(pts)
+        idx = _interior_probes(fam, grid, pts)
+        probes = atoms[:, idx]
+        assert probes.flags.f_contiguous and not probes.flags.c_contiguous
+        c1, c2, rank = restricted_rayleigh_bounds(
+            probes, hermitian_gram(atoms, cov.measures, h), h)
+        rep = frame_bounds_continuous(fam, cov.sampled_grid)
+        assert (rep.c1.hex(), rep.c2.hex(), rep.rank, rep.probe_count) == \
+            (c1.hex(), c2.hex(), rank, idx.size)
+        if tag == "inhom_wavelet":
+            assert np.any(pts[idx, 0] == 0.0)
 
 
-def _gram_calls(monkeypatch) -> list:
-    """Record every `hermitian_gram` result the discretization module forms."""
+def _gram_calls(monkeypatch, module) -> list:
+    """Record every `hermitian_gram` result `module` forms."""
     calls = []
 
     def spy(x, w, h, threads=1):
@@ -444,7 +470,7 @@ def _gram_calls(monkeypatch) -> list:
         calls.append(g)
         return g
 
-    monkeypatch.setattr(discretization, "hermitian_gram", spy)
+    monkeypatch.setattr(module, "hermitian_gram", spy)
     return calls
 
 
@@ -467,8 +493,8 @@ class TestOneGramRoutine:
 
     def test_sampled_frame_operator(self, monkeypatch, tag, T, cell):
         op = self._op(tag, T, cell)
-        calls = _gram_calls(monkeypatch)
-        hilbert_frame_bounds(op)
+        calls = _gram_calls(monkeypatch, frame_families)
+        frame_bounds_continuous(op.calc.family, op.covering.sampled_grid)
         assert len(calls) == 1
         ref = _one_gemm(op.atoms, op.covering.measures, op.calc.family.signal_grid.h)
         assert calls[0].dtype == op.atoms.dtype
@@ -477,7 +503,7 @@ class TestOneGramRoutine:
 
     def test_uphi_on_the_range(self, monkeypatch, tag, T, cell):
         op = self._op(tag, T, cell)
-        calls = _gram_calls(monkeypatch)
+        calls = _gram_calls(monkeypatch, discretization)
         kappa = op._spectrum[0]
         assert len(calls) == 1
         ref = _one_gemm(op._c_nodes, op.masses, op.calc.family.signal_grid.h)

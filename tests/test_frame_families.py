@@ -11,7 +11,7 @@ from coorbit._linalg import GRAM_COLS, SolverError, hermitian_gram, \
     restricted_rayleigh_bounds
 from coorbit.coverings import build_covering, build_pu
 from coorbit.discretization import atomic_coefficients, \
-    banach_frame_reconstruct, build_uphi, hilbert_frame_bounds
+    banach_frame_reconstruct, build_uphi
 from coorbit.frame_families import (FamilyError, FrameCalculus,
                                     GaussDerivProfile, _interior_mask,
                                     _interior_probes, _map_atoms,
@@ -507,9 +507,13 @@ class TestFrameOperatorBlocks:
     @pytest.mark.parametrize("case", ["gabor_complex", "alpha_mod_shipped",
                                       "mirrored_even", "mirrored_axis"])
     def test_s_matrix_peak_memory(self, case):
-        # S takes one weighted block of at most GRAM_COLS atom rows and
-        # n x n arrays, and no full-size copy of the atoms; on a mirrored
-        # grid the float64 view of the representatives' atoms, half of them
+        # the generic path (alpha_mod) takes one weighted block of at most
+        # GRAM_COLS atom rows and n x n arrays, and no full-size copy of the
+        # atoms.  The separable path (the Gabor cases) takes its own arrays
+        # alone: the axis factors U and V (V by its float64 view on a
+        # mirrored grid, which copies nothing), one block of GRAM_COLS rows
+        # of either, the two axis Grams and S; half the atom matrix (2 MB
+        # on the mirrored grids, n = 256) does not fit
         if case == "gabor_complex":
             # 72 midpoints per axis are not bitwise symmetric: complex S
             fam = make_family("gabor", None, SignalGrid(8.0, 64))
@@ -530,16 +534,19 @@ class TestFrameOperatorBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        block = min(psi.shape[0], GRAM_COLS) * psi.shape[1] * psi.itemsize
-        if case in MIRROR_GRIDS:
-            reps = int(np.sum(calc.mirror >= np.arange(grid.size)))
-            assert calc.mirrored and s.dtype == np.float64
-            view = psi.shape[0] * reps * psi.itemsize
-            block = min(psi.shape[0], GRAM_COLS) * 2 * reps * s.itemsize
-            assert peak <= view + block + 2 * s.nbytes + 64 * 1024
-        else:
-            assert not calc.mirrored and s.dtype == np.complex128
+        rows = min(psi.shape[0], GRAM_COLS)
+        if case == "alpha_mod_shipped":
+            assert calc._tensor is None and s.dtype == np.complex128
+            block = rows * psi.shape[1] * psi.itemsize
             assert peak <= block + 2 * s.nbytes + 64 * 1024
+        else:
+            u, _, v, _ = calc._tensor
+            assert calc.mirrored == (case in MIRROR_GRIDS)
+            assert s.dtype == (np.float64 if calc.mirrored else np.complex128)
+            if calc.mirrored:
+                v = _real_view(v)
+            block = rows * max(u[0].nbytes, v[0].nbytes)
+            assert peak <= u.nbytes + v.nbytes + block + 3 * s.nbytes + 64 * 1024
 
     @pytest.mark.parametrize("case", sorted(MIRROR_GRIDS))
     def test_mirrored_s_matches_the_full_real_view(self, case):
@@ -577,11 +584,15 @@ SEPARABLE_GRIDS = {**MIRROR_GRIDS,
                                   "resolution": [40, 24]}}
 
 
-def _forbid_atom_matrix(monkeypatch):
-    """Make `FrameCalculus.atoms`, the only route to the grid's atom
-    matrix, fail."""
+def _forbid_atom_matrix(monkeypatch, grid=None):
+    """Make `FrameCalculus.atoms`, the only route to a grid's atom matrix,
+    fail: on `grid` alone when it is given, otherwise on every grid."""
+    real = FrameCalculus.atoms
+
     def atoms(self, threads=1):
-        raise AssertionError("the atom matrix was formed")
+        if grid is None or self.grid is grid:
+            raise AssertionError("the atom matrix was formed")
+        return real(self, threads)
     monkeypatch.setattr(FrameCalculus, "atoms", atoms)
 
 
@@ -706,7 +717,9 @@ class TestSeparableGabor:
     @pytest.mark.parametrize("case", ["mirrored_even", "unmirrored"])
     def test_run_path_forms_no_atom_matrix(self, case, monkeypatch):
         # M = 3072 nodes >= 16 n: the Gramian, U_Phi, the frame bounds and
-        # both reconstructions stay below one n x M complex atom matrix
+        # both reconstructions stay below one n x M complex atom matrix and
+        # form none on the index grid; the sampled grid's n x N atom
+        # matrix is the sampled atoms, op.atoms
         fam = make_family("gabor", None, self.SG)
         bounds = {"mirrored_even": [[-4.0, 4.0], [-4.0, 4.0]],
                   "unmirrored": [[-4.0, 4.0], [-4.5, 3.5]]}[case]
@@ -715,16 +728,16 @@ class TestSeparableGabor:
         cov = build_covering(grid, 0.5)
         pu = build_pu(cov, "indicator")
         battery = np.stack(make_battery(fam, grid, 3, seed=5), axis=1)
-        _forbid_atom_matrix(monkeypatch)
+        _forbid_atom_matrix(monkeypatch, grid)
         tracemalloc.start()
         try:
             R = gram_kernel(fam, grid, rel_cut=0.2, threads=2)
             R.node_factors()
             frame_bounds_continuous(fam, grid, threads=2)
             op = build_uphi(R, cov, pu, grid, threads=2)
-            hilbert_frame_bounds(op)
+            frame_bounds_continuous(fam, cov.sampled_grid, threads=2)
             _, rep = atomic_coefficients(battery, op)
-            samples = self.SG.h * np.conj(op.atoms.T @ np.conj(battery))
+            samples = fam.calculus(cov.sampled_grid).analyze(battery)
             _, brep = banach_frame_reconstruct(samples, op, f_true=battery)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -1117,7 +1130,7 @@ class TestConjugationSymmetry:
         lam, lam_ref = calc.s_eig().eigvals, np.linalg.eigvalsh(ref)
         assert np.abs(lam - lam_ref).max() <= 1e-13 * lam_ref[-1]
         # the real probe view spans the probe atoms and their conjugates
-        idx, _ = _interior_probes(fam, grid, grid.points)
+        idx = _interior_probes(fam, grid, grid.points)
         probes = psi[:, idx]
         c1, c2, rank = restricted_rayleigh_bounds(
             np.hstack([probes, probes.conj()]), ref, h)
@@ -1146,7 +1159,7 @@ class TestConjugationSymmetry:
         rep = frame_bounds_continuous(fam, grid)
         (probes,) = gathered
         assert probes.flags["C_CONTIGUOUS"]
-        idx, _ = _interior_probes(fam, grid, grid.points)
+        idx = _interior_probes(fam, grid, grid.points)
         sliced = calc.atom_matrix[:, idx]
         assert not sliced.flags["C_CONTIGUOUS"]
         assert probes.tobytes() == np.ascontiguousarray(sliced).tobytes()
