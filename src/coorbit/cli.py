@@ -297,9 +297,7 @@ class _Context:
         if self._uphi is None:
             cov = self.covering()
             pu = build_pu(cov, self.cfg.get("pu_flavor", "indicator"))
-            op = build_uphi(gram_kernel(self.family, self.grid, rel_cut=self.rel_cut,
-                                        threads=self.threads),
-                            cov, pu, self.grid, threads=self.threads)
+            op = build_uphi(self.family, cov, pu, self.rel_cut, self.threads)
             self._uphi = (pu, op)
         return self._uphi
 
@@ -339,8 +337,8 @@ def task_property_d(ctx: _Context) -> dict:
 
 def task_discretize(ctx: _Context) -> dict:
     _, op = ctx.uphi()
-    # the defect first: it builds the Gramian factors, whose peak memory
-    # should not overlap the sampled atoms
+    # the defect synthesizes the sampled atoms; the sampled grid's calculus
+    # caches them for the frame bounds' S_d
     defect = op.defect
     # the sampled system is the family's frame on the sampling measure
     bounds = frame_bounds_continuous(ctx.family, op.covering.sampled_grid,

@@ -1,21 +1,24 @@
 """Sampling the continuous frame and reconstructing from the samples.
 
 Sample points snap to quadrature nodes inside their cells (the theorems
-allow any point of the cell), which keeps every operator exact on the grid:
-fields are sampled by indexing, and U_Phi factorizes through the Gramian's
-half factor C (R = h * C^H C, see `FrameCalculus`), so applications cost
-O(M r), r the rank of the frame-operator cut, without ever materializing an
-M x M matrix.  B = sqrt(h) C^H is a mu-orthonormal basis of ran R, and in
-that basis U_Phi is the Hermitian r x r matrix K = h C_X diag(c) C_X^H
-(C_X the columns at the sample nodes, c the masses).  Its eigenvalues give
+allow any point of the cell).  U_Phi lives on ran R, R = h * C^H C the
+Gramian through its half factor C = P Psi, P = Lambda_k^(-1/2) Q_k^H the
+half map of S (`FrameCalculus`).  B = sqrt(h) C^H is a mu-orthonormal
+basis of ran R, and in that basis U_Phi is the Hermitian r x r matrix
+K = h C_X diag(c) C_X^H, r the rank of the frame-operator cut, C_X = P Psi_X
+the half map on the sampled atoms and c the masses.  Its eigenvalues give
 the defect ||P (Id - U_Phi) P|| = max |1 - kappa| exactly, and its inverse
 gives U_Phi^{-1} on ran R, so no iteration is needed.  One U_Phi
 (`build_uphi`) serves the atomic decomposition, the dual atoms and the
-Banach-frame reconstruction.  Their signal-space ends run through the
-half factor too, with the half map H = Lambda_k^(-1/2) Q_k^H of S
-(`FrameCalculus.half_map`, C = H Psi): W f = V S^+ f = h C^H (H f)
-(`FrameCalculus.analyze_dual`, at U_Phi's cut), and the dual syntheses
-S^+ Psi (w u) = H^H C (w u) (`FrameCalculus.dual_synthesize`).
+Banach-frame reconstruction, and all three stay in the r coordinates of
+ran R: W f has the coordinates sqrt(h) P f, and h C W C^H = P S P^H = I_r
+takes a field back to its coordinates, so
+
+    lam(f) = c (h C_X^H K^{-1} P f),
+    f_rec  = P^H K^{-1} C_X (c s),
+    e_i    = c_i P^H K^{-1} C_{x_i},
+
+and none of them forms a field on the index grid or its half factor C.
 
 The sampled system {sqrt(a_i) psi_{x_i}}, a_i the cell measures, is the
 family's frame on the sampling measure sum_i a_i delta_{x_i}
@@ -24,8 +27,12 @@ sampled atoms are its atom matrix (`UPhiOperator.atoms`, synthesized at
 the sample nodes alone), V f at the sample nodes is its `analyze`, and
 its frame operator is S_d, whose Hilbert frame bounds are
 `frame_bounds_continuous` on that grid.  So for separable (Gabor) atoms
-on a tensor grid, whose S and C need no atom matrix either
-(`FrameCalculus`), no step forms the index grid's n x M atom matrix.
+on a tensor grid, whose S needs no atom matrix either (`FrameCalculus`),
+no step forms the index grid's n x M atom matrix.
+
+On the index grid, `UPhiOperator.apply`, `project` and `solve` realize
+U_Phi, the projection onto ran R and U_Phi^{-1} as L2(mu) operators
+through C, for the library and its invariant checks.
 """
 from __future__ import annotations
 
@@ -37,8 +44,7 @@ import numpy as np
 
 from ._linalg import hermitian_gram
 from .coverings import Covering, PartitionOfUnity
-from .frame_families import FrameCalculus
-from .kernel_algebra import Kernel
+from .frame_families import FrameCalculus, FrameFamily, _map_atoms
 from .measure_space import QuadGrid, trivial_weight
 from .sequence_spaces import SeqSpaceSpec, flat_norm, natural_norm
 
@@ -52,13 +58,13 @@ class DiscretizationError(ValueError):
 # ---------------------------------------------------------------------------
 @dataclass
 class UPhiOperator:
-    """U_Phi F = sum_i c_i F(x_i) R(., x_i) on the index grid.
+    """U_Phi F = sum_i c_i F(x_i) R(., x_i) on ran R.
 
-    Factorized through the Gramian's half factor, R = h * C^H C: column
-    R(., x_i) is h * C^H C_{x_i}, so one application costs two thin matrix
-    products of inner dimension r, the rank of the frame-operator cut.  On
-    ran R it is the r x r matrix K of the module docstring, whose
-    eigendecomposition gives the exact `defect` and `solve`.
+    Held as the r x r matrix K = h C_X diag(c) C_X^H of the module
+    docstring, whose eigendecomposition gives the exact `defect` and the
+    inverse (`_k_solve`).  On the index grid, column R(., x_i) is
+    h * C^H C_{x_i}, so one application of `apply` costs two thin matrix
+    products of inner dimension r.
     """
 
     calc: FrameCalculus
@@ -66,17 +72,12 @@ class UPhiOperator:
     node_index: np.ndarray
     masses: np.ndarray
     rel_cut: float = 1e-10
-    # builds the Gramian factors, K and the sampled atoms; changes no value
+    # builds S, the sampled atoms, C_X and K; changes no value
     threads: int = 1
 
     @property
     def grid(self) -> QuadGrid:
         return self.calc.grid
-
-    @cached_property
-    def _c_nodes(self) -> np.ndarray:
-        """Half-factor columns C_{x_i} at the sample nodes, shape (r, N)."""
-        return self.calc.half_factor(self.rel_cut, self.threads)[:, self.node_index]
 
     @cached_property
     def atoms(self) -> np.ndarray:
@@ -87,12 +88,21 @@ class UPhiOperator:
         return self.calc.family.calculus(self.covering.sampled_grid).atoms(
             self.threads)
 
+    @cached_property
+    def _c_nodes(self) -> np.ndarray:
+        """C_X = P Psi_X, the half factor's columns at the sample nodes,
+        shape (r, N): the half map on the sampled atoms (`_map_atoms`), S
+        on `threads` first.  The index grid's half factor is not formed."""
+        self.calc.s_matrix(self.threads)
+        return _map_atoms(self.calc.half_map(self.rel_cut), self.atoms,
+                          self.threads)
+
     def from_samples(self, samp: np.ndarray) -> np.ndarray:
-        """sum_i c_i samp_i R(., x_i) for values samp_i at the sample nodes."""
-        h = self.calc.family.signal_grid.h
-        pot = self._c_nodes @ (self.masses * samp.T).T if samp.ndim > 1 else \
-            self._c_nodes @ (self.masses * samp)
-        return h * self.calc.half_adjoint(pot, self.rel_cut)
+        """sum_i c_i samp_i R(., x_i) = h C^H C_X (c samp) on the index grid,
+        for values samp_i at the sample nodes."""
+        pot = self._c_nodes @ (self.masses * samp.T).T
+        return self.calc.family.signal_grid.h * \
+            self.calc.half_adjoint(pot, self.rel_cut)
 
     def apply(self, F: np.ndarray) -> np.ndarray:
         return self.from_samples(F[self.node_index])
@@ -122,44 +132,39 @@ class UPhiOperator:
         """
         return float(np.max(np.abs(1.0 - self._spectrum[0])))
 
-    def solve(self, F: np.ndarray) -> np.ndarray:
-        """U_Phi^{-1} P F on ran R, for one field or a block of columns.
-
-        In the basis B = sqrt(h) C^H the coordinates of P F are
-        sqrt(h) C (w F), so U_Phi^{-1} P F = h C^H K^{-1} C (w F).  The paper
-        inverts U_Phi by its Neumann series, which converges when the defect
-        is below 1; a defect >= 1 is refused.
-        """
+    def _k_solve(self, a: np.ndarray) -> np.ndarray:
+        """K^{-1} a for coordinates on ran R, one r-vector or a block of
+        columns.  The paper inverts U_Phi by its Neumann series, which
+        converges when the defect is below 1; a defect >= 1 is refused."""
         if self.defect >= 1.0:
             raise DiscretizationError(
                 f"U_Phi inversion refused: defect {self.defect:.3f} >= 1")
         kappa, v = self._spectrum
-        a = v.conj().T @ self.calc.half_synthesize(F, self.rel_cut)
-        a = (a.T / kappa).T
+        return v @ ((v.conj().T @ a).T / kappa).T
+
+    def solve(self, F: np.ndarray) -> np.ndarray:
+        """U_Phi^{-1} P F on the index grid, for one field or a block of
+        columns: in the basis sqrt(h) C^H the coordinates of P F are
+        sqrt(h) C (w F), so U_Phi^{-1} P F = h C^H K^{-1} C (w F)."""
+        a = self._k_solve(self.calc.half_synthesize(F, self.rel_cut))
         return self.calc.family.signal_grid.h * \
-            self.calc.half_adjoint(v @ a, self.rel_cut)
+            self.calc.half_adjoint(a, self.rel_cut)
+
+    def _dual_synthesize(self, x: np.ndarray) -> np.ndarray:
+        """P^H K^{-1} x on the signal grid, for coordinates x on ran R."""
+        p = self.calc.half_map(self.rel_cut)
+        return np.conj(p.T @ np.conj(self._k_solve(x)))
 
 
-def build_uphi(R: Kernel, cov: Covering, pu: PartitionOfUnity,
-               grid: QuadGrid, threads: int = 1) -> UPhiOperator:
-    """Operator closure over the Gramian's analysis factor.
-
-    R must come from gram_kernel (it carries the frame calculus needed to
-    realize the columns); a plain kernel has no column support.  `threads`
-    builds the Gramian factors and the operator's `hermitian_gram` products.
-    """
-    ctx = getattr(R, "context", None)
-    if not ctx or "calc" not in ctx:
-        raise DiscretizationError(
-            "build_uphi requires a Gramian kernel from gram_kernel() "
-            "(missing R column support for sample points)")
-    calc: FrameCalculus = ctx["calc"]
-    if calc.grid is not grid:
-        raise DiscretizationError("kernel grid does not match the given grid")
-    return UPhiOperator(calc=calc, covering=cov,
+def build_uphi(family: FrameFamily, cov: Covering, pu: PartitionOfUnity,
+               rel_cut: float = 1e-10, threads: int = 1) -> UPhiOperator:
+    """U_Phi of `family` on the covering `cov` with the masses of `pu`, on
+    ran R at the stable cut `rel_cut`.  `threads` builds S, the sampled
+    atoms, C_X and the operator's `hermitian_gram` products."""
+    return UPhiOperator(calc=family.calculus(cov.grid), covering=cov,
                         node_index=cov.sample_node_index.copy(),
                         masses=np.asarray(pu.masses, dtype=float),
-                        rel_cut=ctx.get("rel_cut", 1e-10), threads=threads)
+                        rel_cut=rel_cut, threads=threads)
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +207,12 @@ def atomic_coefficients(f: np.ndarray, op: UPhiOperator):
     weight.
     """
     f = np.asarray(f, dtype=complex)
-    wf = op.calc.analyze_dual(f, op.rel_cut)
-    lam = (op.masses * op.solve(wf)[op.node_index].T).T
-    synth = op.atoms @ lam
     sg = op.calc.family.signal_grid
+    # lam = c (h C_X^H K^{-1} P f), C_X^H y taken as conj(C_X^T conj(y))
+    u = np.conj(op._c_nodes.T @ np.conj(op._k_solve(
+        op.calc.half_map(op.rel_cut) @ f)))
+    lam = sg.h * (op.masses * u.T).T
+    synth = op.atoms @ lam
     specs = {name: SeqSpaceSpec(p=p, weight=trivial_weight(), covering=op.covering,
                                 flavor="natural")
              for name, p in (("natural_l2", 2), ("natural_l1_v", 1))}
@@ -228,10 +235,10 @@ DUAL_CAP = 512               # dual atoms computed when no indices are given
 def dual_frame(op: UPhiOperator, indices: Optional[np.ndarray] = None) -> np.ndarray:
     """Discrete dual atoms e_i with <f, e_i> = lam_i(f).
 
-    e_i = W*(c_i U_Phi^{-1} W psi_{x_i}), from the covering's U_Phi;
-    computed for `indices` (default: all cells when the count is within
-    `DUAL_CAP`, otherwise an evenly spaced subset).  Returns the atoms as
-    columns on the signal grid.
+    e_i = W*(c_i U_Phi^{-1} W psi_{x_i}) = c_i P^H K^{-1} C_{x_i}, from the
+    covering's U_Phi; computed for `indices` (default: all cells when the
+    count is within `DUAL_CAP`, otherwise an evenly spaced subset).
+    Returns the atoms as columns on the signal grid.
     """
     n_cells = op.covering.size
     if indices is None:
@@ -240,11 +247,7 @@ def dual_frame(op: UPhiOperator, indices: Optional[np.ndarray] = None) -> np.nda
         else:
             indices = np.linspace(0, n_cells - 1, DUAL_CAP).astype(int)
     indices = np.asarray(indices, dtype=int)
-    h = op.calc.family.signal_grid.h
-    # W psi_{x_i} = R(., x_i) = h * C^H C_{x_i}
-    cols = h * op.calc.half_adjoint(op._c_nodes[:, indices], op.rel_cut)
-    e_fields = op.masses[indices] * op.solve(cols)
-    return op.calc.dual_synthesize(e_fields, op.rel_cut)
+    return op._dual_synthesize(op._c_nodes[:, indices] * op.masses[indices])
 
 
 def banach_frame_reconstruct(samples: np.ndarray, op: UPhiOperator,
@@ -254,7 +257,8 @@ def banach_frame_reconstruct(samples: np.ndarray, op: UPhiOperator,
     `samples` is one sample vector (N,) or a block (N, B), one column per
     signal (`f_true` then has the same number of columns).  Assembles
     G = sum_i c_i samples_i R(., x_i) with the covering's U_Phi, applies
-    U_Phi^{-1} (`op.solve`) and synthesizes through W*.  Returns
+    U_Phi^{-1} and synthesizes through W*, all in the coordinates of
+    ran R: f = P^H K^{-1} C_X (c samples).  Returns
     (signal, ReconstructionReport); the report logs `op.defect` and, per
     signal, the relative error against `f_true` (nan without it) and the
     flat-norm equivalence ratio ||samples|Y-flat|| / ||f|| at Y = L^2.
@@ -262,8 +266,7 @@ def banach_frame_reconstruct(samples: np.ndarray, op: UPhiOperator,
     samples = np.asarray(samples, dtype=complex)
     if samples.shape[0] != op.covering.size:
         raise DiscretizationError("one sample per cell required")
-    u = op.solve(op.from_samples(samples))
-    f_rec = op.calc.dual_synthesize(u, op.rel_cut)
+    f_rec = op._dual_synthesize(op._c_nodes @ (op.masses * samples.T).T)
     sg = op.calc.family.signal_grid
     spec = SeqSpaceSpec(p=2, weight=trivial_weight(), covering=op.covering, flavor="flat")
     cols = _columns(samples)

@@ -257,12 +257,12 @@ class FrameCalculus:
     C = P Psi, P = Lambda_k^(-1/2) Q_k^H the half map, of shape (r, M),
     r = rank of the cut.  Every Gramian product runs through C; r is at
     most the signal length n and usually much smaller; no conjugate copy
-    of C is cached.  The analysis against the canonical dual frame and the
-    dual syntheses run through it too: W f = h C^H (P f) and
-    S^+ Psi (w u) = P^H C (w u) (`analyze_dual`, `dual_synthesize`).
-    Everything here follows the atoms' field: for a family with real
-    atoms (cwt, inhom_wavelet, sinc_rkhs) S, its eigenpairs (a real
-    `eigh`), the half map and C are float64.
+    of C is cached.  The analysis against the canonical dual frame runs
+    through it too, W f = h C^H (P f) (`analyze_W`); U_Phi and the
+    reconstructions from samples need only P and the sampled atoms
+    (`discretization`).  Everything here follows the atoms' field: for a
+    family with real atoms (cwt, inhom_wavelet, sinc_rkhs) S, its
+    eigenpairs (a real `eigh`), the half map and C are float64.
 
     S is real only on a mirror-closed separable grid (`mirror`, the node
     permutation sigma, and `mirrored`): the separable path below, with
@@ -400,14 +400,6 @@ class FrameCalculus:
     def frame_apply(self, f: np.ndarray) -> np.ndarray:
         return self.synthesize(self.analyze(f))
 
-    def analyze_dual(self, f: np.ndarray, rel_cut: float = 1e-10) -> np.ndarray:
-        """W f = V(S^+ f) on the grid, S^+ the spectral pseudo-inverse at
-        relative cut `rel_cut`: analysis against the canonical dual frame,
-        through the half factor, h Psi^H P^H P f = h C^H (P f)
-        (`half_adjoint`), for one signal or a block of columns."""
-        h = self.family.signal_grid.h
-        return h * self.half_adjoint(self.half_map(rel_cut) @ f, rel_cut)
-
     def s_matrix(self, threads: int = 1) -> np.ndarray:
         """The quadrature frame operator S = h Psi W Psi^H, (n, n), exactly
         Hermitian and cached, in the atoms' dtype, or float64 when the grid
@@ -491,14 +483,6 @@ class FrameCalculus:
         w = self.grid.weights
         return self.half_factor(rel_cut) @ (w[:, None] * F if F.ndim > 1 else w * F)
 
-    def dual_synthesize(self, F: np.ndarray, rel_cut: float = 1e-10) -> np.ndarray:
-        """integral F(y) S^+ psi_y dmu(y), the synthesis against the
-        canonical dual frame, for one field or a block of columns: through
-        the half factor, S^+ Psi (w F) = P^H C (w F) (`half_synthesize`),
-        so no atom is synthesized."""
-        p = self.half_map(rel_cut)
-        return np.conj(p.T @ np.conj(self.half_synthesize(F, rel_cut)))
-
 
 def _real_view(z: np.ndarray) -> np.ndarray:
     """The (n, 2M) float64 view [Re z_j, Im z_j] of a complex (n, M) array;
@@ -509,11 +493,12 @@ def _real_view(z: np.ndarray) -> np.ndarray:
 def _map_atoms(p: np.ndarray, psi: np.ndarray, threads: int = 1) -> np.ndarray:
     """p @ psi, one GEMM per column block (`_column_blocks`) on `threads`
     (`_on_pool`), each written into its columns of one output.  A real map
-    on complex atoms (`gram_kernel`'s column factor on a mirror-closed
-    Gabor grid, whose P is real) multiplies blocks of the atoms' float64
-    view and reads the output back as complex128 without a copy; the half
-    factor's P always has the atoms' field.  The blocks depend on the
-    column count alone, so the bytes do not depend on `threads`."""
+    on complex atoms (`gram_kernel`'s column factor and U_Phi's sampled
+    columns C_X on a mirror-closed Gabor grid, whose P is real) multiplies
+    blocks of the atoms' float64 view and reads the output back as
+    complex128 without a copy; the half factor's P always has the atoms'
+    field.  The blocks depend on the column count alone, so the bytes do
+    not depend on `threads`."""
     real_view = np.isrealobj(p) and np.iscomplexobj(psi)
     x = _real_view(psi) if real_view else psi
     width = 2 if real_view else 1       # columns of x per atom
@@ -1058,10 +1043,14 @@ def analyze_V(family: FrameFamily, f: np.ndarray, x_grid: QuadGrid) -> Transform
 def analyze_W(family: FrameFamily, f: np.ndarray, x_grid: QuadGrid,
               rel_cut: float = 1e-10) -> TransformField:
     """W f = V(S^+ f), S^+ the spectral pseudo-inverse of the frame operator
-    at relative cut `rel_cut`; W f lies in the range of `gram_kernel` at
-    the same cut."""
-    vals = family.calculus(x_grid).analyze_dual(np.asarray(f, dtype=complex), rel_cut)
-    return TransformField(vals, "W", x_grid)
+    at relative cut `rel_cut`: analysis against the canonical dual frame,
+    through the half factor, h Psi^H P^H P f = h C^H (P f)
+    (`FrameCalculus.half_adjoint`), for one signal or a block of columns.
+    W f lies in the range of `gram_kernel` at the same cut."""
+    calc = family.calculus(x_grid)
+    pf = calc.half_map(rel_cut) @ np.asarray(f, dtype=complex)
+    return TransformField(family.signal_grid.h * calc.half_adjoint(pf, rel_cut),
+                          "W", x_grid)
 
 
 def frame_operator_apply(family: FrameFamily, f: np.ndarray, x_grid: QuadGrid) -> np.ndarray:
@@ -1105,6 +1094,8 @@ def gram_kernel(family: FrameFamily, x_grid: QuadGrid,
         return h * (left @ right)
 
     return Kernel(evaluator=ev, provenance="gramian", native_grid=x_grid,
+                  # nothing in coorbit reads the context;
+                  # perfbench/spans.py and the tests do
                   context={"calc": calc, "rel_cut": rel_cut},
                   node_factors=lambda: (calc.half_factor(rel_cut, threads), h),
                   col_factor=col_factor, mirror=calc.mirror)

@@ -485,9 +485,9 @@ class TestRun:
 
     @pytest.mark.parametrize("battery_size", [1, 3])
     def test_reconstruct_builds_one_uphi(self, tmp_path, monkeypatch, battery_size):
-        """discretize and reconstruct share one Gramian and one U_Phi (which
-        caches its spectrum), counted at every module binding of the two
-        functions."""
+        """discretize and reconstruct share one U_Phi (which caches its
+        spectrum) and build no Gramian kernel, counted at every module
+        binding of the two functions."""
         calls = {}
 
         def counting(name, real):
@@ -505,7 +505,20 @@ class TestRun:
                    covering={"cell_size": 0.5}, battery_size=battery_size)
         path = write_config(tmp_path, cfg)
         assert run(str(path), out_dir=str(tmp_path / "out")) == 0
-        assert calls == {"gram_kernel": 1, "build_uphi": 1}
+        assert calls == {"build_uphi": 1}
+
+    def test_reconstruct_forms_no_index_grid_half_factor(self, tmp_path,
+                                                         monkeypatch):
+        # U_Phi, the atomic coefficients and the Banach reconstruction run
+        # in the coordinates of ran R, from the half map and the sampled
+        # atoms alone: the index grid's r x M half factor C is not formed
+        def refuse(self, rel_cut=1e-10, threads=1):
+            raise AssertionError("half factor formed on the index grid")
+        monkeypatch.setattr(frame_families.FrameCalculus, "half_factor", refuse)
+        cfg = dict(MINIMAL, tasks=["discretize", "reconstruct"],
+                   covering={"cell_size": 0.5})
+        path = write_config(tmp_path, cfg)
+        assert run(str(path), out_dir=str(tmp_path / "out")) == 0
 
     def test_localize_task(self, tmp_path):
         cfg = dict(MINIMAL, tasks=["localize"], covering={"cell_size": 2.0},

@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 from coorbit import discretization, frame_families
 from coorbit._linalg import hermitian_gram, restricted_rayleigh_bounds
 from coorbit.coverings import build_covering, build_pu, PartitionOfUnity
-from coorbit.discretization import (DiscretizationError, atomic_coefficients,
+from coorbit.discretization import (DUAL_CAP, DiscretizationError,
+                                    atomic_coefficients,
                                     banach_frame_reconstruct, build_uphi,
                                     dual_frame)
 from coorbit.frame_families import (_interior_probes, analyze_V,
                                     default_index_grid, frame_bounds_continuous,
                                     gram_kernel, make_battery, make_family)
-from coorbit.kernel_algebra import Kernel, apply_kernel
+from coorbit.kernel_algebra import apply_kernel
 from coorbit.measure_space import SignalGrid
 
 
@@ -29,7 +30,7 @@ def small_pipeline():
     cov = build_covering(grid, 0.25)
     pu = build_pu(cov)
     R = gram_kernel(fam, grid, rel_cut=CUT)
-    op = build_uphi(R, cov, pu, grid)
+    op = build_uphi(fam, cov, pu, CUT)
     return fam, grid, cov, pu, R, op
 
 
@@ -43,7 +44,7 @@ def node_limit():
     cov = build_covering(grid, 8.0 / 20)
     pu = build_pu(cov)
     R = gram_kernel(fam, grid, rel_cut=CUT)
-    op = build_uphi(R, cov, pu, grid)
+    op = build_uphi(fam, cov, pu, CUT)
     return fam, grid, cov, pu, R, op
 
 
@@ -69,7 +70,7 @@ class TestSampleFrame:
         grid = default_index_grid(fam)
         cov = build_covering(grid, cell)
         pu = build_pu(cov)
-        op = build_uphi(gram_kernel(fam, grid, rel_cut=CUT), cov, pu, grid)
+        op = build_uphi(fam, cov, pu, CUT)
         atoms = fam.atoms(grid.points[cov.sample_node_index])
         assert np.array_equal(op.atoms, atoms)
         assert op.atoms.flags.c_contiguous == atoms.flags.c_contiguous
@@ -132,7 +133,7 @@ def small_uphi(request):
     grid = default_index_grid(fam, bounds=[[-3.0, 3.0], [-3.0, 3.0]],
                               resolution=[24, 24])
     cov = build_covering(grid, 0.5, overlap_fraction=request.param)
-    return build_uphi(gram_kernel(fam, grid, rel_cut=CUT), cov, build_pu(cov), grid)
+    return build_uphi(fam, cov, build_pu(cov), CUT)
 
 
 def _random_fields(seed, size, cols):
@@ -209,7 +210,7 @@ class TestDefect:
                                   resolution=[32, 32])
         cov = build_covering(grid, 4.0)        # 2x2 cells
         pu = build_pu(cov)
-        op = build_uphi(gram_kernel(fam, grid, rel_cut=CUT), cov, pu, grid)
+        op = build_uphi(fam, cov, pu, CUT)
         assert op.defect >= 1.0
         with pytest.raises(DiscretizationError):
             op.solve(np.ones(grid.size, dtype=complex))
@@ -228,18 +229,11 @@ class TestDefect:
             grid = default_index_grid(fam, bounds=domain.tolist(), resolution=res)
             cov = build_covering(grid, cell)
             assert cov.size == step.cells
-            R = gram_kernel(fam, grid, rel_cut=gabor_ladder["rel_cut"])
-            op = build_uphi(R, cov, build_pu(cov), grid)
+            op = build_uphi(fam, cov, build_pu(cov), gabor_ladder["rel_cut"])
             rep = step.report
             assert op.defect <= rep.delta_est * (rep.r_norm + rep.sigma), step.level
             power = reference_defect_power_iteration(op)
             assert op.defect >= power * (1.0 - 1e-13), step.level
-
-    def test_requires_gramian_kernel(self, small_pipeline):
-        fam, grid, cov, pu, R, op = small_pipeline
-        plain = Kernel(lambda p, q: np.ones((p.shape[0], q.shape[0])) + 0j)
-        with pytest.raises(DiscretizationError):
-            build_uphi(plain, cov, pu, grid)
 
 
 class TestSolve:
@@ -328,9 +322,23 @@ class TestDualFrame:
         masses = pu.masses.copy()
         masses[7] = 0.0
         pu0 = PartitionOfUnity(covering=cov, values=pu.values, masses=masses)
-        op0 = build_uphi(R, cov, pu0, grid)
+        op0 = build_uphi(fam, cov, pu0, CUT)
         duals = dual_frame(op0, indices=np.array([7]))
         assert np.abs(duals[:, 0]).max() == 0.0
+
+
+def test_banach_frame_is_the_dual_atoms(small_uphi):
+    # both are P^H K^{-1} C_X diag(c) s, associated differently: measured
+    # at most 4.5e-16 of the largest entry on the partition and the
+    # half-overlap covering (144 cells each, within DUAL_CAP)
+    op = small_uphi
+    assert op.covering.size <= DUAL_CAP
+    rng = np.random.default_rng(5)
+    s = rng.standard_normal((op.covering.size, 4)) + \
+        1j * rng.standard_normal((op.covering.size, 4))
+    rec, _ = banach_frame_reconstruct(s, op)
+    ref = dual_frame(op) @ s
+    assert np.abs(rec - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestBanachReconstruct:
@@ -368,7 +376,7 @@ def level3_uphi():
     grid = default_index_grid(fam, bounds=[[-4.0, 4.0], [-4.0, 4.0]],
                               resolution=[142, 142])
     cov = build_covering(grid, 0.1125)
-    op = build_uphi(gram_kernel(fam, grid, rel_cut=0.2), cov, build_pu(cov), grid)
+    op = build_uphi(fam, cov, build_pu(cov), 0.2)
     return fam, grid, op
 
 
@@ -489,7 +497,7 @@ class TestOneGramRoutine:
         fam = make_family(tag, None, SignalGrid(T, 64))
         grid = default_index_grid(fam)
         cov = build_covering(grid, cell)
-        return build_uphi(gram_kernel(fam, grid, rel_cut=CUT), cov, build_pu(cov), grid)
+        return build_uphi(fam, cov, build_pu(cov), CUT)
 
     def test_sampled_frame_operator(self, monkeypatch, tag, T, cell):
         op = self._op(tag, T, cell)

@@ -254,25 +254,20 @@ class TestAnalyzeW:
     @pytest.mark.parametrize("tag", ["gabor", "cwt", "sinc_rkhs",
                                      "inhom_wavelet", "alpha_mod"])
     def test_half_factor_routes_match_the_pseudo_inverse(self, tag):
-        # W f = h C^H (P f) against V(S^+ f), and the dual synthesis
-        # P^H C (w u) against S^+ V*_mu u, both from the atom matrix:
-        # measured at most 1.4e-15 of the largest entry at cut 0.2 and
-        # 2.8e-13 at cut 1e-8 (alpha_mod), where 1 / sqrt(lambda) reaches 1e4
+        # analyze_W's W f = h C^H (P f) against V(S^+ f) from the atom
+        # matrix: measured at most 1.4e-15 of the largest entry at cut 0.2
+        # and 2.8e-13 at cut 1e-8 (alpha_mod), where 1 / sqrt(lambda)
+        # reaches 1e4
         wavelet = tag in ("cwt", "inhom_wavelet")
         fam = make_family(tag, None, SignalGrid(16.0 if wavelet else 8.0, 64))
         grid = default_index_grid(fam)
         calc = fam.calculus(grid)
         gen = np.random.default_rng(7)
         f = gen.standard_normal((64, 3)) + 1j * gen.standard_normal((64, 3))
-        u = gen.standard_normal((grid.size, 3)) + \
-            1j * gen.standard_normal((grid.size, 3))
         for cut, tol in ((0.2, 1e-14), (1e-8, 3e-12)):
             ref = calc.analyze(calc.s_pinv(f, cut))
-            assert np.abs(calc.analyze_dual(f, cut) - ref).max() <= \
-                tol * np.abs(ref).max()
-            ref = calc.s_pinv(calc.synthesize(u), cut)
-            assert np.abs(calc.dual_synthesize(u, cut) - ref).max() <= \
-                tol * np.abs(ref).max()
+            got = analyze_W(fam, f, grid, rel_cut=cut).values
+            assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
 
 
 class TestGramKernel:
@@ -734,7 +729,7 @@ class TestSeparableGabor:
             R = gram_kernel(fam, grid, rel_cut=0.2, threads=2)
             R.node_factors()
             frame_bounds_continuous(fam, grid, threads=2)
-            op = build_uphi(R, cov, pu, grid, threads=2)
+            op = build_uphi(fam, cov, pu, 0.2, threads=2)
             frame_bounds_continuous(fam, cov.sampled_grid, threads=2)
             _, rep = atomic_coefficients(battery, op)
             samples = fam.calculus(cov.sampled_grid).analyze(battery)
@@ -1250,8 +1245,7 @@ class TestRealArithmeticAgrees:
         battery = np.stack(make_battery(fam, grid, 4, seed=11), axis=1)
         errors = []
         for f in (fam, twin):
-            op = build_uphi(gram_kernel(f, grid, self.CUT), cov, build_pu(cov),
-                            grid)
+            op = build_uphi(f, cov, build_pu(cov), self.CUT)
             assert op.defect < 1.0
             _, rep = atomic_coefficients(battery, op)
             samples = f.signal_grid.h * (op.atoms.conj().T @ battery)
