@@ -37,7 +37,7 @@ from .frame_families import _BUILDERS, FamilyError, default_index_grid, \
     export_atoms_csv, frame_bounds_continuous, gram_kernel, leakage_report, \
     make_battery, make_family
 from .kernel_algebra import _usable_cores, am_norm
-from .coverings import CoveringError, build_covering, build_pu, verify_moderate
+from .coverings import CoveringError, build_covering, build_pu
 from .oscillation import OscillationError, property_D_check, refine_until
 from .discretization import DiscretizationError, atomic_coefficients, \
     banach_frame_reconstruct, build_uphi
@@ -248,6 +248,8 @@ class _Context:
         famc = cfg["family"]
         self.family = make_family(famc["tag"], famc.get("params", {}), self.sg)
         dom = cfg.get("index_domain", {})
+        # the configured index grid; the tasks on a covering read its own
+        # grid (`Covering.grid`), which a refinement builds per level
         self.grid = default_index_grid(
             self.family, bounds=dom.get("bounds"),
             resolution=dom.get("resolution"),
@@ -273,7 +275,7 @@ class _Context:
                 raise CoveringError("task requires a 'covering' configuration block")
             refine = cc.get("refine")
             if refine:
-                cov, rep, traj = refine_until(
+                self._covering, self._osc_report, self._trajectory = refine_until(
                     self.family, self.grid.bounds.tolist(), self.m,
                     target=refine.get("target", "full"),
                     max_levels=int(refine.get("max_levels", 8)),
@@ -281,10 +283,6 @@ class _Context:
                     overlap=float(cc.get("overlap", 0.0)),
                     z_per_cell=self.z_per_cell, seed=self.seed,
                     rel_cut=self.rel_cut, threads=self.threads)
-                self._covering = cov
-                self._osc_report = rep
-                self._trajectory = traj
-                self.grid = cov.grid
             else:
                 self._covering = build_covering(
                     self.grid, cc.get("cell_size"),
@@ -292,13 +290,11 @@ class _Context:
         return self._covering
 
     def uphi(self):
-        """(partition of unity, U_Phi) on the covering, built once per run and
-        shared by the discretize and reconstruct tasks."""
+        """U_Phi with a partition of unity on the covering, built once per
+        run and shared by the discretize and reconstruct tasks."""
         if self._uphi is None:
-            cov = self.covering()
-            pu = build_pu(cov, self.cfg.get("pu_flavor", "indicator"))
-            op = build_uphi(self.family, cov, pu, self.rel_cut, self.threads)
-            self._uphi = (pu, op)
+            pu = build_pu(self.covering(), self.cfg.get("pu_flavor", "indicator"))
+            self._uphi = build_uphi(self.family, pu, self.rel_cut, self.threads)
         return self._uphi
 
 
@@ -318,11 +314,10 @@ def task_property_d(ctx: _Context) -> dict:
     cov = ctx.covering()
     if ctx._osc_report is None:
         ctx._osc_report = property_D_check(
-            ctx.family, cov, ctx.m, ctx.grid, z_per_cell=ctx.z_per_cell,
+            ctx.family, cov, ctx.m, z_per_cell=ctx.z_per_cell,
             seed=ctx.seed, rel_cut=ctx.rel_cut, threads=ctx.threads)
     rep = ctx._osc_report
-    out = {"osc_report": rep.as_dict(),
-           "moderation": verify_moderate(cov, ctx.m).as_dict()}
+    out = {"osc_report": rep.as_dict(), "moderation": rep.moderation.as_dict()}
     if ctx._trajectory:
         rows = [(s.level, s.cells, s.report.delta_est, s.report.sigma,
                  s.report.cond_value) for s in ctx._trajectory]
@@ -336,7 +331,7 @@ def task_property_d(ctx: _Context) -> dict:
 
 
 def task_discretize(ctx: _Context) -> dict:
-    _, op = ctx.uphi()
+    op = ctx.uphi()
     # the defect synthesizes the sampled atoms; the sampled grid's calculus
     # caches them for the frame bounds' S_d
     defect = op.defect
@@ -348,8 +343,8 @@ def task_discretize(ctx: _Context) -> dict:
 
 
 def task_reconstruct(ctx: _Context) -> dict:
-    _, op = ctx.uphi()
-    battery = np.stack(make_battery(ctx.family, ctx.grid,
+    op = ctx.uphi()
+    battery = np.stack(make_battery(ctx.family, op.grid,
                                     int(ctx.cfg.get("battery_size", 5)),
                                     seed=ctx.seed), axis=1)
     # the whole battery is one block of columns: one pass of block products
@@ -386,7 +381,7 @@ def task_localize(ctx: _Context) -> dict:
     out = {"a_flat": rep.as_dict()}
     if cov.size <= 64:
         out["gab_domination_violation"] = gab_domination_check(
-            ctx.family, ctx.family, cov, ctx.grid, z_per_cell=ctx.z_per_cell,
+            ctx.family, ctx.family, cov, z_per_cell=ctx.z_per_cell,
             seed=ctx.seed, rel_cut=ctx.rel_cut)
     return out
 

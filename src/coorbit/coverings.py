@@ -351,20 +351,11 @@ def build_covering(grid: QuadGrid, cell_size,
     if any(s <= 0 for s in cell_size):
         raise CoveringError("cell_size must be positive")
     domain = grid.bounds
-    stretch = 1.0 / (1.0 - overlap_fraction)
     if "bands" in grid.structure:
-        cells = _banded_cells(grid, domain, cell_size, stretch, overlap_fraction)
+        cells = _banded_cells(grid, domain, cell_size, overlap_fraction)
     else:
-        per_axis_cells = []
-        for k in range(d):
-            edges = _axis_edges(domain[k, 0], domain[k, 1], cell_size[k], False)
-            base = np.column_stack([edges[:-1], edges[1:]])
-            if overlap_fraction > 0:
-                half = 0.5 * np.diff(edges) * stretch
-                mid = 0.5 * (edges[:-1] + edges[1:])
-                base = np.column_stack([mid - half, mid + half])
-            base = np.clip(base, domain[k, 0], domain[k, 1])
-            per_axis_cells.append(base)
+        per_axis_cells = [_lattice_axis(*domain[k], cell_size[k], overlap_fraction)
+                          for k in range(d)]
         mesh = np.meshgrid(*[np.arange(len(c)) for c in per_axis_cells],
                            indexing="ij")
         idx = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -375,7 +366,20 @@ def build_covering(grid: QuadGrid, cell_size,
                                  "overlap_fraction": float(overlap_fraction)})
 
 
-def _banded_cells(grid, domain, cell_size, stretch, overlap_fraction):
+def _lattice_axis(lo, hi, size, overlap_fraction):
+    """The cells of one lattice axis of stride about `size` on [lo, hi], as
+    [lo, hi] rows: each stretched about its midpoint by 1/(1 - v) for an
+    overlap fraction v > 0, then clipped to the axis (a no-op at v = 0)."""
+    edges = _axis_edges(lo, hi, size, False)
+    base = np.column_stack([edges[:-1], edges[1:]])
+    if overlap_fraction > 0:
+        half = 0.5 * np.diff(edges) * (1.0 / (1.0 - overlap_fraction))
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        base = np.column_stack([mid - half, mid + half])
+    return np.clip(base, lo, hi)
+
+
+def _banded_cells(grid, domain, cell_size, overlap_fraction):
     """Scale-adapted cells for banded wavelet grids.
 
     cell_size[0] is the scale-cell height in log units, cell_size[1] the
@@ -396,15 +400,8 @@ def _banded_cells(grid, domain, cell_size, stretch, overlap_fraction):
                      float(np.sqrt(s_edges[j] * s_edges[j + 1]))))
     cells = []
     for s_int, s_mid in rows:
-        width = cell_size[1] * s_mid
-        nb = max(1, int(np.round((b_hi - b_lo) / width)))
-        b_edges = np.linspace(b_lo, b_hi, nb + 1)
-        base = np.column_stack([b_edges[:-1], b_edges[1:]])
-        if overlap_fraction > 0:
-            half = 0.5 * np.diff(b_edges) * stretch
-            mid = 0.5 * (b_edges[:-1] + b_edges[1:])
-            base = np.clip(np.column_stack([mid - half, mid + half]), b_lo, b_hi)
-        for row in base:
+        for row in _lattice_axis(b_lo, b_hi, cell_size[1] * s_mid,
+                                 overlap_fraction):
             cells.append(np.stack([s_int, row]))
     return np.asarray(cells)
 

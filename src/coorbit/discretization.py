@@ -68,9 +68,7 @@ class UPhiOperator:
     """
 
     calc: FrameCalculus
-    covering: Covering
-    node_index: np.ndarray
-    masses: np.ndarray
+    pu: PartitionOfUnity          # the covering, its nodes x_i, masses c_i
     rel_cut: float = 1e-10
     # builds S, the sampled atoms, C_X and K; changes no value
     threads: int = 1
@@ -78,6 +76,18 @@ class UPhiOperator:
     @property
     def grid(self) -> QuadGrid:
         return self.calc.grid
+
+    @property
+    def covering(self) -> Covering:
+        return self.pu.covering
+
+    @property
+    def node_index(self) -> np.ndarray:
+        return self.covering.sample_node_index
+
+    @property
+    def masses(self) -> np.ndarray:
+        return self.pu.masses
 
     @cached_property
     def atoms(self) -> np.ndarray:
@@ -156,14 +166,12 @@ class UPhiOperator:
         return np.conj(p.T @ np.conj(self._k_solve(x)))
 
 
-def build_uphi(family: FrameFamily, cov: Covering, pu: PartitionOfUnity,
+def build_uphi(family: FrameFamily, pu: PartitionOfUnity,
                rel_cut: float = 1e-10, threads: int = 1) -> UPhiOperator:
-    """U_Phi of `family` on the covering `cov` with the masses of `pu`, on
-    ran R at the stable cut `rel_cut`.  `threads` builds S, the sampled
-    atoms, C_X and the operator's `hermitian_gram` products."""
-    return UPhiOperator(calc=family.calculus(cov.grid), covering=cov,
-                        node_index=cov.sample_node_index.copy(),
-                        masses=np.asarray(pu.masses, dtype=float),
+    """U_Phi of `family` with the partition of unity `pu`, on the grid of
+    its covering and on ran R at the stable cut `rel_cut`.  `threads` builds
+    S, the sampled atoms, C_X and the operator's `hermitian_gram` products."""
+    return UPhiOperator(calc=family.calculus(pu.covering.grid), pu=pu,
                         rel_cut=rel_cut, threads=threads)
 
 

@@ -132,25 +132,25 @@ def a_flat_norm(gram: CrossGramian, cov: Covering,
 # blockwise domination of the sampled Gramian
 # ---------------------------------------------------------------------------
 def gab_domination_check(frame_f: FrameFamily, frame_g: FrameFamily,
-                         cov: Covering, grid: QuadGrid,
-                         z_per_cell: int = 4, seed: int = 0,
+                         cov: Covering, z_per_cell: int = 4, seed: int = 0,
                          rel_cut: float = 1e-10) -> float:
     """Brute-force check of the blockwise-constant domination bound.
 
     Left side: the cellwise-constant extension of |G(F,G)(x_i, y_j)|.
     Right side: H^G o |G| o (H^F)* with (H^G)* = T_G o L, (H^F)* = T_F o L,
     T = osc_U + |R| and L the overlap-normalized covering kernel.
-    Returns max(left - right, 0) over all node pairs.
+    Returns max(left - right, 0) over all node pairs of the covering's grid.
     """
     from .oscillation import osc_matrix
 
     if cov.size > 64:
         raise LocalizationError("domination check is brute-force; use <= 64 cells")
+    grid = cov.grid
     pts = grid.points
     M = grid.size
     w = grid.weights
 
-    samples = cov.grid.points[cov.sample_node_index]
+    samples = pts[cov.sample_node_index]
     gram = cross_gramian(frame_f, frame_g, samples, samples)
 
     # membership matrix C[i, node] and the covering kernel L = C^T diag(1/a) C
@@ -160,8 +160,8 @@ def gab_domination_check(frame_f: FrameFamily, frame_g: FrameFamily,
 
     kern_f = gram_kernel(frame_f, grid, rel_cut=rel_cut)
     kern_g = gram_kernel(frame_g, grid, rel_cut=rel_cut)
-    osc_f = osc_matrix(kern_f, cov, grid, z_per_cell=z_per_cell, seed=seed)
-    osc_g = osc_matrix(kern_g, cov, grid, z_per_cell=z_per_cell, seed=seed)
+    osc_f = osc_matrix(kern_f, cov, z_per_cell=z_per_cell, seed=seed)
+    osc_g = osc_matrix(kern_g, cov, z_per_cell=z_per_cell, seed=seed)
     t_f = np.abs(kern_f.matrix(grid)) + osc_f
     t_g = np.abs(kern_g.matrix(grid)) + osc_g
 

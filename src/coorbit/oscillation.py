@@ -18,8 +18,8 @@ phase-plane origin.  For those families the oscillation comparison is
 therefore taken modulo a unimodular factor,
     osc(x, y) = sup_z | |R(x, y)| - |R(x, z)| |,
 (the best phase-aligned comparison), which is the quotient image of the
-group-covering oscillation.  The comparison mode is recorded in the report;
-`comparison="strict"` forces the literal kernel difference.
+group-covering oscillation.  `property_D_check` records the family's mode
+in the report; the stream's `comparison="strict"` is the literal difference.
 
 One routine streams the oscillation whatever the covering: a node y is
 compared against the z-samples of every cell in its row of
@@ -32,8 +32,8 @@ z-samples beyond it (320 columns on a 40 x 40 gabor grid at cell 0.625,
 z 4).  No ladder node lies on a face: at z 3 its chunks are at most 252
 columns at levels 0-3, at overlap 0 and 0.25.
 
-The stream takes a kernel with node factors R = s C^H C on its grid and a
-column factor (the Gramian) and refuses any other.  The column factors of
+The stream takes a kernel with node factors R = s C^H C on `cov.grid` and
+a column factor (the Gramian) and refuses any other.  The column factors of
 all z-samples are built once per level (`Kernel.col_factor`; a Gramian's
 synthesizes their atoms and maps them in column blocks on the `threads`
 that `gram_kernel` was given), before any unit runs.  The calling thread
@@ -62,9 +62,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverings import Covering, _chunks, build_covering, weight_sup_on_cells
+from .coverings import Covering, ModerationReport, _chunks, build_covering, \
+    verify_moderate
 from .kernel_algebra import Kernel, _even_blocks, _on_pool
-from .measure_space import AdmissibleWeight, QuadGrid
+from .measure_space import AdmissibleWeight
 from .frame_families import FrameFamily, default_index_grid, gram_kernel
 
 
@@ -85,7 +86,7 @@ class OscillationError(ValueError):
 class OscReport:
     delta_est: float
     r_norm: float                 # ||R | A_m||
-    c_m_u: float
+    moderation: ModerationReport  # of the covering, C_{m,U} included
     sigma: float                  # max{C_mU ||R||, ||R|| + delta}
     cond_value: float             # delta (||R|| + sigma)
     full: bool                    # cond_value <= 1
@@ -102,7 +103,7 @@ class OscReport:
     def as_dict(self):
         return {
             "delta_est": self.delta_est, "r_norm": self.r_norm,
-            "c_m_u": self.c_m_u, "sigma": self.sigma,
+            "c_m_u": self.moderation.c_m_u, "sigma": self.sigma,
             "cond_value": self.cond_value, "full": self.full,
             "atomic_only": self.atomic_only, "banach_only": self.banach_only,
             "comparison": self.comparison, "z_per_cell": self.z_per_cell,
@@ -321,29 +322,28 @@ def _column_chunks(table: np.ndarray, z_per_cell: int, cols: int) -> list:
     return chunks
 
 
-def _osc_stream(R: Kernel, cov: Covering, grid: QuadGrid, z_per_cell: int,
-                comparison: str, seed: int, reduce, fold=None,
-                threads: int = 1) -> None:
+def _osc_stream(R: Kernel, cov: Covering, z_per_cell: int, comparison: str,
+                seed: int, reduce, fold=None, threads: int = 1) -> None:
     """fold(reduce(rows, nodes, osc, amp)) for every unit, in unit order
     (module docstring): row j of osc (Y, T) holds the sampled oscillation
     osc_U(x, y_j) at the x of the row tile `rows` (a slice of grid nodes),
     for the chunk's `nodes` y_j, and amp (Y, T) the moduli |R(x, y_j)|.
     Both are the unit's own temporaries: reduce may overwrite them.
 
-    R must have node factors and a column factor on this grid; the units
+    R must have node factors and a column factor on `cov.grid`; the units
     run on `threads` (`_on_pool`).
     """
     if comparison not in ("strict", "phase_aligned"):
         raise OscillationError(f"unknown comparison {comparison!r}")
     if R.node_factors is None or R.col_factor is None \
-            or grid is not R.native_grid:
+            or cov.grid is not R.native_grid:
         raise OscillationError(
             f"the oscillation stream needs node factors and a column factor "
             f"on the kernel's native grid ({R.provenance})")
     aligned = comparison == "phase_aligned"
     z_sets = _cell_z_samples(cov, z_per_cell, seed)
     c, scale = R.node_factors()
-    v_z = R.col_factor(z_sets.reshape(-1, grid.points.shape[1]))
+    v_z = R.col_factor(z_sets.reshape(-1, cov.grid.dim))
     R._check_factors(c, c, scale)
     R._check_factors(c, v_z, scale)
     zs = np.arange(z_per_cell)
@@ -371,21 +371,21 @@ def _osc_stream(R: Kernel, cov: Covering, grid: QuadGrid, z_per_cell: int,
                 cells.size, z_per_cell, t1 - t0), slots, aligned, amp)
         return reduce(slice(t0, t1), nodes, osc, amp)
 
-    units = [(t0, t1, chunk) for t0, t1 in _even_blocks(grid.size, _TILE_ROWS)
+    units = [(t0, t1, chunk) for t0, t1 in _even_blocks(c.shape[1], _TILE_ROWS)
              for chunk in chunks]
     _on_pool(units, threads, work, fold)
 
 
-def osc_matrix(R: Kernel, cov: Covering, grid: QuadGrid, z_per_cell: int = 4,
+def osc_matrix(R: Kernel, cov: Covering, z_per_cell: int = 4,
                comparison: str = "strict", seed: int = 0) -> np.ndarray:
-    """The sampled oscillation osc_U(x, y) at all grid nodes x, y, (M, M):
-    the values that `osc_norm_streaming` reduces."""
-    out = np.empty((grid.size, grid.size))
+    """The sampled oscillation osc_U(x, y) at all nodes x, y of `cov.grid`,
+    (M, M): the values that `osc_norm_streaming` reduces."""
+    out = np.empty((cov.grid.size, cov.grid.size))
 
     def reduce(rows, nodes, vals, amp):
         out[rows, nodes] = vals.T
 
-    _osc_stream(R, cov, grid, z_per_cell, comparison, seed, reduce)
+    _osc_stream(R, cov, z_per_cell, comparison, seed, reduce)
     return out
 
 
@@ -399,10 +399,9 @@ class OscNorm(float):
         return out
 
 
-def osc_norm_streaming(R: Kernel, cov: Covering, grid: QuadGrid,
-                       m: AdmissibleWeight, z_per_cell: int = 4,
-                       comparison: str = "strict", seed: int = 0,
-                       threads: int = 1) -> OscNorm:
+def osc_norm_streaming(R: Kernel, cov: Covering, m: AdmissibleWeight,
+                       z_per_cell: int = 4, comparison: str = "strict",
+                       seed: int = 0, threads: int = 1) -> OscNorm:
     """||osc_U | A_m|| without materializing the M x M oscillation matrix.
 
     Streams the oscillation in units of a row tile against a column chunk
@@ -412,14 +411,14 @@ def osc_norm_streaming(R: Kernel, cov: Covering, grid: QuadGrid,
     chunk order, a node's column sums over the tiles in tile order.  The
     z-samples' column factors are built once, before the units, and
     `threads` sizes the pool that runs the units; the result does not
-    depend on it.  R must have node factors and a column factor on this
-    grid, as the Gramian of `gram_kernel` does; any other kernel raises
-    OscillationError.
+    depend on it.  R must have node factors and a column factor on
+    `cov.grid`, as the Gramian of `gram_kernel` does; any other kernel
+    raises OscillationError.
     """
     if threads < 1:
         raise OscillationError(f"threads must be >= 1, got {threads}")
-    pts, w = grid.points, grid.weights
-    M = grid.size
+    pts, w = cov.grid.points, cov.grid.weights
+    M = cov.grid.size
     row_acc = np.zeros(M)
     col_val = np.zeros(M)
     r_row = np.zeros(M)
@@ -440,40 +439,39 @@ def osc_norm_streaming(R: Kernel, cov: Covering, grid: QuadGrid,
         r_row[rows] += r_rows
         r_col[nodes] += r_cols
 
-    _osc_stream(R, cov, grid, z_per_cell, comparison, seed, reduce, fold,
-                threads)
+    _osc_stream(R, cov, z_per_cell, comparison, seed, reduce, fold, threads)
     return OscNorm(max(row_acc.max(), col_val.max()),
                    float(max(r_row.max(), r_col.max())))
 
 
 def property_D_check(family: FrameFamily, cov: Covering, m: AdmissibleWeight,
-                     grid: QuadGrid, z_per_cell: int = 4, seed: int = 0,
-                     comparison: str | None = None,
+                     z_per_cell: int = 4, seed: int = 0,
                      rel_cut: float = 1e-10, threads: int = 1) -> OscReport:
-    """Assemble the discretization report for one covering.
+    """Assemble the discretization report for one covering, on its grid.
 
     delta_est = ||osc_U | A_m|| (sampled sup), sigma and the threshold value
-    delta (||R|| + sigma) with the three flags.  One pass over the Gramian
-    gives both norms: `osc_norm_streaming` sums ||R | A_m|| from the
-    y-columns it evaluates for the oscillation anyway.  Deterministic given
-    seed, whatever the number of `threads` running the Gramian's column
-    stages (`gram_kernel`) and the oscillation units.
+    delta (||R|| + sigma) with the three flags; the comparison is the
+    family's (module docstring), C_{m,U} that of the covering's moderation
+    report, which the result keeps.  One pass over the Gramian gives both
+    norms: `osc_norm_streaming` sums ||R | A_m|| from the y-columns it
+    evaluates for the oscillation anyway.  Deterministic given seed,
+    whatever the number of `threads` running the Gramian's column stages
+    (`gram_kernel`) and the oscillation units.
     """
-    if comparison is None:
-        comparison = "phase_aligned" if family.phase_quotient else "strict"
-    R = gram_kernel(family, grid, rel_cut=rel_cut, threads=threads)
-    delta = osc_norm_streaming(R, cov, grid, m, z_per_cell=z_per_cell,
+    comparison = "phase_aligned" if family.phase_quotient else "strict"
+    R = gram_kernel(family, cov.grid, rel_cut=rel_cut, threads=threads)
+    delta = osc_norm_streaming(R, cov, m, z_per_cell=z_per_cell,
                                comparison=comparison, seed=seed,
                                threads=threads)
     r_norm = delta.r_norm
     if not np.isfinite(r_norm):
         raise OscillationError("||R|A_m|| is not finite at this truncation")
     delta = float(delta)
-    c_m_u = weight_sup_on_cells(cov, m)
-    sigma = max(c_m_u * r_norm, r_norm + delta)
+    moderation = verify_moderate(cov, m)
+    sigma = max(moderation.c_m_u * r_norm, r_norm + delta)
     cond = delta * (r_norm + sigma)
     return OscReport(
-        delta_est=delta, r_norm=r_norm, c_m_u=c_m_u, sigma=sigma,
+        delta_est=delta, r_norm=r_norm, moderation=moderation, sigma=sigma,
         cond_value=cond, full=bool(cond <= 1.0), atomic_only=bool(delta <= 1.0),
         banach_only=bool(delta <= 1.0 / r_norm if r_norm > 0 else True),
         comparison=comparison, z_per_cell=z_per_cell, seed=seed,
@@ -516,19 +514,18 @@ def refine_until(family: FrameFamily, domain, m: AdmissibleWeight,
     trajectory = []
     for level in range(max_levels + 1):
         cell = [s / 2 ** level for s in initial_cell]
-        n_cells = int(np.prod([max(1, round((hi - lo) / c))
-                               for (lo, hi), c in zip(domain, cell)]))
+        counts = [max(1, round((hi - lo) / c))
+                  for (lo, hi), c in zip(domain, cell)]
+        n_cells = int(np.prod(counts))
         if n_cells > MAX_CELLS:
             raise OscillationError(
                 f"refinement level {level} needs {n_cells} cells "
                 f"(more than {MAX_CELLS}); trajectory: "
                 f"{[(s.level, s.report.delta_est) for s in trajectory]}")
-        resolution = [max(1, round((hi - lo) / c)) * NODES_PER_CELL_AXIS
-                      for (lo, hi), c in zip(domain, cell)]
-        grid = default_index_grid(family, bounds=domain.tolist(),
-                                  resolution=resolution)
+        grid = default_index_grid(family, bounds=domain.tolist(), resolution=[
+            k * NODES_PER_CELL_AXIS for k in counts])
         cov = build_covering(grid, cell, overlap_fraction=overlap)
-        rep = property_D_check(family, cov, m, grid, z_per_cell=z_per_cell,
+        rep = property_D_check(family, cov, m, z_per_cell=z_per_cell,
                                seed=seed, rel_cut=rel_cut, threads=threads)
         trajectory.append(RefinementStep(level=level, cells=cov.size, report=rep))
         hit = {"full": rep.full, "atomic": rep.atomic_only,

@@ -190,7 +190,8 @@ def reference_osc_matrix():
     from coorbit.coverings import CoveringError, q_set
     from coorbit.oscillation import _cell_z_samples
 
-    def ref(R, cov, grid, z_per_cell=4, comparison="strict", seed=0):
+    def ref(R, cov, z_per_cell=4, comparison="strict", seed=0):
+        grid = cov.grid
         z_sets = _cell_z_samples(cov, z_per_cell, seed)
         pts = grid.points
         r_y = R.block(pts, pts)

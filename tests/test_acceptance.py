@@ -144,7 +144,7 @@ def test_criterion_04_oscillation_refinement(gabor_ladder):
     # stability of the passing level across z-sample seeds
     m1 = trivial_admissible_weight()
     for seed in (1, 2):
-        rep_seed = property_D_check(fam, cov, m1, cov.grid, z_per_cell=3,
+        rep_seed = property_D_check(fam, cov, m1, z_per_cell=3,
                                     seed=seed, rel_cut=LADDER_CUT)
         assert rep_seed.full
 
@@ -172,7 +172,7 @@ def test_criterion_05_defect_bound_consistency(gabor_ladder):
         grid = default_index_grid(fam, bounds=domain.tolist(), resolution=res)
         cov = build_covering(grid, cell)
         pu = build_pu(cov)
-        op = build_uphi(fam, cov, pu, LADDER_CUT)
+        op = build_uphi(fam, pu, LADDER_CUT)
         bound = step.report.delta_est * (step.report.r_norm + step.report.sigma)
         assert op.defect <= bound + 1e-6, f"level {step.level}"
         lines.append(f"L{step.level}:{op.defect:.3f}<={bound:.3f}")
@@ -186,7 +186,7 @@ def passing_pipeline(gabor_ladder):
     cov = gabor_ladder["covering"]
     grid = cov.grid
     pu = build_pu(cov)
-    op = build_uphi(fam, cov, pu, LADDER_CUT)
+    op = build_uphi(fam, pu, LADDER_CUT)
     battery = make_battery(fam, grid, 10, seed=2024)
     return fam, grid, cov, pu, op, battery
 
@@ -253,7 +253,7 @@ def test_criterion_07_banach_reconstruction(passing_pipeline, gabor_ladder):
     grid_c = default_index_grid(fam_l, bounds=domain.tolist(), resolution=res)
     cov_c = build_covering(grid_c, cell)
     pu_c = build_pu(cov_c)
-    op_c = build_uphi(fam_l, cov_c, pu_c, LADDER_CUT)
+    op_c = build_uphi(fam_l, pu_c, LADDER_CUT)
     brackets_c = []
     for f in battery[:5]:
         samples = analyze_V(fam_l, f, grid_c).values[op_c.node_index]
@@ -292,7 +292,7 @@ def test_criterion_09_shannon_sampling_oracle():
     grid = default_index_grid(fam, resolution=[100])
     cov = build_covering(grid, 1.0)                      # samples at spacing 1
     pu = build_pu(cov)
-    op = build_uphi(fam, cov, pu, 1e-10)
+    op = build_uphi(fam, pu, 1e-10)
     x_s = grid.points[op.node_index, 0]
     assert np.allclose(np.diff(np.sort(x_s)), 1.0, atol=1e-12)
 
@@ -383,11 +383,11 @@ def test_criterion_11_localization():
     g3 = default_index_grid(fam, bounds=[[-4.0, 4.0], [-4.0, 4.0]],
                             resolution=[16, 16])
     c3 = build_covering(g3, 2.0)                     # 16 cells
-    viol_g = gab_domination_check(fam, fam, c3, g3, rel_cut=0.2)
+    viol_g = gab_domination_check(fam, fam, c3, rel_cut=0.2)
     fam_s = make_family("sinc_rkhs", {"bandlimit": np.pi / 2}, sg)
     g4 = default_index_grid(fam_s, resolution=[64])
     c4 = build_covering(g4, 1.0)                     # 16 cells
-    viol_s = gab_domination_check(fam_s, fam_s, c4, g4)
+    viol_s = gab_domination_check(fam_s, fam_s, c4)
     assert viol_g <= 1e-10 and viol_s <= 1e-10
     report(11, f"corr {corr:.4f}; a_flat {norms[0]:.4f}->{norms[1]:.4f}; "
                f"domination gabor {viol_g:.1e} sinc {viol_s:.1e}")

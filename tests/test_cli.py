@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from coorbit import cli, discretization, frame_families
+from coorbit import cli, coverings, discretization, frame_families
 from coorbit.cli import main, run, validate_config
 
 
@@ -571,6 +571,50 @@ class TestRun:
             assert timings["threads"] == threads
         assert "osc_report" in json.loads(blobs[0])["tasks"]["property-d"]
         assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_tasks_off_the_covering_read_the_configured_grid(self, tmp_path):
+        # a refining property-d builds its levels' own grids; frame-info,
+        # norms and the sequence-spaces partition read the configured index
+        # grid whether they run before it or after it
+        cfg = {"family": {"tag": "gabor"}, "signal_grid": {"T": 8.0, "n": 64},
+               "index_domain": {"bounds": [[-4.0, 4.0], [-4.0, 4.0]]},
+               "covering": {"cell_size": 0.9,
+                            "refine": {"target": "banach"}},
+               "stable_cut": 0.2, "z_per_cell": 3}
+        others = ["frame-info", "norms", "sequence-spaces"]
+        reports = []
+        for name, tasks in (("last", others + ["property-d"]),
+                            ("first", ["property-d"] + others)):
+            path = write_config(tmp_path, dict(cfg, tasks=tasks), f"{name}.json")
+            out = tmp_path / name
+            assert run(str(path), out_dir=str(out)) == 0
+            reports.append(json.loads((out / "report.json").read_text())["tasks"])
+        last, first = reports
+        assert first["property-d"]["refinement"]["passing_level"] > 0
+        for task in others:
+            assert first[task] == last[task]
+
+    def test_property_d_takes_the_weight_sup_once(self, tmp_path, monkeypatch):
+        # C_{m,U} enters the report's sigma and its moderation block; both
+        # read one evaluation, counted at every module binding
+        real = coverings.weight_sup_on_cells
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        for mod in list(sys.modules.values()):
+            if mod is not None and mod.__name__.startswith("coorbit") and \
+                    getattr(mod, "weight_sup_on_cells", None) is real:
+                monkeypatch.setattr(mod, "weight_sup_on_cells", spy)
+        cfg = dict(MINIMAL, tasks=["property-d"], z_per_cell=2,
+                   covering={"cell_size": 1.0},
+                   weight={"type": "polynomial", "s": 1.0})
+        out = tmp_path / "out"
+        assert run(str(write_config(tmp_path, cfg)), out_dir=str(out)) == 0
+        task = json.loads((out / "report.json").read_text())["tasks"]["property-d"]
+        assert len(calls) == 1
+        assert task["moderation"]["c_m_u"] == task["osc_report"]["c_m_u"] > 1.0
 
 
     def test_threads_default_to_the_usable_cores(self, tmp_path, monkeypatch):

@@ -30,7 +30,7 @@ def small_pipeline():
     cov = build_covering(grid, 0.25)
     pu = build_pu(cov)
     R = gram_kernel(fam, grid, rel_cut=CUT)
-    op = build_uphi(fam, cov, pu, CUT)
+    op = build_uphi(fam, pu, CUT)
     return fam, grid, cov, pu, R, op
 
 
@@ -44,7 +44,7 @@ def node_limit():
     cov = build_covering(grid, 8.0 / 20)
     pu = build_pu(cov)
     R = gram_kernel(fam, grid, rel_cut=CUT)
-    op = build_uphi(fam, cov, pu, CUT)
+    op = build_uphi(fam, pu, CUT)
     return fam, grid, cov, pu, R, op
 
 
@@ -70,7 +70,7 @@ class TestSampleFrame:
         grid = default_index_grid(fam)
         cov = build_covering(grid, cell)
         pu = build_pu(cov)
-        op = build_uphi(fam, cov, pu, CUT)
+        op = build_uphi(fam, pu, CUT)
         atoms = fam.atoms(grid.points[cov.sample_node_index])
         assert np.array_equal(op.atoms, atoms)
         assert op.atoms.flags.c_contiguous == atoms.flags.c_contiguous
@@ -133,7 +133,7 @@ def small_uphi(request):
     grid = default_index_grid(fam, bounds=[[-3.0, 3.0], [-3.0, 3.0]],
                               resolution=[24, 24])
     cov = build_covering(grid, 0.5, overlap_fraction=request.param)
-    return build_uphi(fam, cov, build_pu(cov), CUT)
+    return build_uphi(fam, build_pu(cov), CUT)
 
 
 def _random_fields(seed, size, cols):
@@ -210,7 +210,7 @@ class TestDefect:
                                   resolution=[32, 32])
         cov = build_covering(grid, 4.0)        # 2x2 cells
         pu = build_pu(cov)
-        op = build_uphi(fam, cov, pu, CUT)
+        op = build_uphi(fam, pu, CUT)
         assert op.defect >= 1.0
         with pytest.raises(DiscretizationError):
             op.solve(np.ones(grid.size, dtype=complex))
@@ -229,7 +229,7 @@ class TestDefect:
             grid = default_index_grid(fam, bounds=domain.tolist(), resolution=res)
             cov = build_covering(grid, cell)
             assert cov.size == step.cells
-            op = build_uphi(fam, cov, build_pu(cov), gabor_ladder["rel_cut"])
+            op = build_uphi(fam, build_pu(cov), gabor_ladder["rel_cut"])
             rep = step.report
             assert op.defect <= rep.delta_est * (rep.r_norm + rep.sigma), step.level
             power = reference_defect_power_iteration(op)
@@ -322,7 +322,7 @@ class TestDualFrame:
         masses = pu.masses.copy()
         masses[7] = 0.0
         pu0 = PartitionOfUnity(covering=cov, values=pu.values, masses=masses)
-        op0 = build_uphi(fam, cov, pu0, CUT)
+        op0 = build_uphi(fam, pu0, CUT)
         duals = dual_frame(op0, indices=np.array([7]))
         assert np.abs(duals[:, 0]).max() == 0.0
 
@@ -376,7 +376,7 @@ def level3_uphi():
     grid = default_index_grid(fam, bounds=[[-4.0, 4.0], [-4.0, 4.0]],
                               resolution=[142, 142])
     cov = build_covering(grid, 0.1125)
-    op = build_uphi(fam, cov, build_pu(cov), 0.2)
+    op = build_uphi(fam, build_pu(cov), 0.2)
     return fam, grid, op
 
 
@@ -497,7 +497,7 @@ class TestOneGramRoutine:
         fam = make_family(tag, None, SignalGrid(T, 64))
         grid = default_index_grid(fam)
         cov = build_covering(grid, cell)
-        return build_uphi(fam, cov, build_pu(cov), CUT)
+        return build_uphi(fam, build_pu(cov), CUT)
 
     def test_sampled_frame_operator(self, monkeypatch, tag, T, cell):
         op = self._op(tag, T, cell)

@@ -175,7 +175,7 @@ class TestHermitianTriangle:
             with pytest.raises(KernelError, match="non-finite"):
                 am_norm(k, m_trivial, unit_grid_1d)
             with pytest.raises(KernelError, match="non-finite"):
-                osc_norm_streaming(k, cov, unit_grid_1d, m_trivial)
+                osc_norm_streaming(k, cov, m_trivial)
         # off its native grid am_norm evaluates the kernel, here all ones
         other = build_quad_grid([[0.0, 1.0]], [64])
         rep = am_norm(nan, m_trivial, other)

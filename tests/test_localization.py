@@ -142,7 +142,7 @@ class TestDomination:
         fam = make_family("sinc_rkhs", {"bandlimit": np.pi / 2}, sg)
         grid = default_index_grid(fam, resolution=[64])
         cov = build_covering(grid, 1.0)
-        assert gab_domination_check(fam, fam, cov, grid) <= 1e-10
+        assert gab_domination_check(fam, fam, cov) <= 1e-10
 
     def test_gabor_dominated(self):
         sg = SignalGrid(8.0, 64)
@@ -150,23 +150,23 @@ class TestDomination:
         grid = default_index_grid(fam, bounds=[[-4.0, 4.0], [-4.0, 4.0]],
                                   resolution=[16, 16])
         cov = build_covering(grid, 2.0)   # 4x4 cells
-        assert gab_domination_check(fam, fam, cov, grid, rel_cut=0.2) <= 1e-10
+        assert gab_domination_check(fam, fam, cov, rel_cut=0.2) <= 1e-10
 
     def test_dropping_oscillation_breaks_the_bound(self, monkeypatch):
         import coorbit.oscillation
         monkeypatch.setattr(coorbit.oscillation, "osc_matrix",
-                            lambda kern, cov, grid, **kw: np.zeros((grid.size,
-                                                                    grid.size)))
+                            lambda kern, cov, **kw: np.zeros((cov.grid.size,
+                                                              cov.grid.size)))
         sg = SignalGrid(8.0, 128)
         fam = make_family("sinc_rkhs", {"bandlimit": 5.0}, sg)
         grid = default_index_grid(fam, resolution=[128])
         cov = build_covering(grid, 4.0)
-        assert gab_domination_check(fam, fam, cov, grid) > 0.01
+        assert gab_domination_check(fam, fam, cov) > 0.01
 
     def test_too_many_cells_rejected(self, gabor_samples):
         fam, grid, cov, pts = gabor_samples
         with pytest.raises(LocalizationError):
-            gab_domination_check(fam, fam, cov, grid)
+            gab_domination_check(fam, fam, cov)
 
 
 @pytest.fixture(scope="module")

@@ -40,15 +40,15 @@ class TestOscKernel:
                        node_factors=lambda: (ones(unit_grid_1d.points), 1.0))
         cov = build_covering(unit_grid_1d, 0.25, overlap_fraction=0.5)
         for comparison in ("strict", "phase_aligned"):
-            vals = osc_matrix(const, cov, unit_grid_1d, comparison=comparison)
+            vals = osc_matrix(const, cov, comparison=comparison)
             assert np.abs(vals).max() == 0.0
-        assert osc_norm_streaming(const, cov, unit_grid_1d, m_trivial) == 0.0
+        assert osc_norm_streaming(const, cov, m_trivial) == 0.0
 
     def test_nonnegative(self, sinc_setup, m_trivial):
         fam, grid = sinc_setup
         R = gram_kernel(fam, grid)
         cov = build_covering(grid, 1.0)
-        vals = osc_matrix(R, cov, grid, z_per_cell=3)
+        vals = osc_matrix(R, cov, z_per_cell=3)
         assert vals.shape == (grid.size, grid.size)
         assert np.all(vals >= 0.0)
 
@@ -56,9 +56,9 @@ class TestOscKernel:
         # single-node cells: Q_y degenerates toward {y} and osc -> 0
         fam, grid = sinc_setup
         R = gram_kernel(fam, grid)
-        coarse = osc_norm_streaming(R, build_covering(grid, 1.0), grid, m_trivial,
+        coarse = osc_norm_streaming(R, build_covering(grid, 1.0), m_trivial,
                                     z_per_cell=3)
-        tiny = osc_norm_streaming(R, build_covering(grid, 0.125), grid, m_trivial,
+        tiny = osc_norm_streaming(R, build_covering(grid, 0.125), m_trivial,
                                   z_per_cell=3)
         assert tiny <= 0.2 * coarse
 
@@ -67,7 +67,7 @@ class TestOscKernel:
         fam, grid = sinc_setup
         R = gram_kernel(fam, grid)
         cov = build_covering(grid, 1.0)
-        norms = [osc_norm_streaming(R, cov, grid, m_trivial, z_per_cell=z, seed=5)
+        norms = [osc_norm_streaming(R, cov, m_trivial, z_per_cell=z, seed=5)
                  for z in (1, 3, 6)]
         assert norms[0] <= norms[1] <= norms[2]
 
@@ -75,8 +75,8 @@ class TestOscKernel:
         fam, grid = gabor_small
         R = gram_kernel(fam, grid, rel_cut=0.2)
         cov = build_covering(grid, 0.625)
-        strict = osc_norm_streaming(R, cov, grid, m_trivial, comparison="strict")
-        aligned = osc_norm_streaming(R, cov, grid, m_trivial,
+        strict = osc_norm_streaming(R, cov, m_trivial, comparison="strict")
+        aligned = osc_norm_streaming(R, cov, m_trivial,
                                      comparison="phase_aligned")
         assert aligned <= strict + 1e-12
         # the phase quotient removes the position-growing gauge term
@@ -87,10 +87,10 @@ class TestOscKernel:
         fam, grid = sinc_setup
         R = gram_kernel(fam, grid)
         cov = build_covering(grid, 1.0)
-        mat = reference_osc_matrix(R, cov, grid, z_per_cell=3, seed=2)
+        mat = reference_osc_matrix(R, cov, z_per_cell=3, seed=2)
         w = grid.weights
         norm_dense = max(float((mat @ w).max()), float((w @ mat).max()))
-        norm_stream = osc_norm_streaming(R, cov, grid, m_trivial, z_per_cell=3,
+        norm_stream = osc_norm_streaming(R, cov, m_trivial, z_per_cell=3,
                                          seed=2)
         assert norm_dense == pytest.approx(norm_stream, rel=1e-12)
 
@@ -236,7 +236,7 @@ class TestStreamingBlocks:
         assert len(tiles) >= 4 and len(chunks) >= 4
         m = weight_from_w(polynomial_weight(1.0))
         ref = max(_reference_osc_sups(R, cov, grid, m, 3, comparison, seed=7))
-        got = [osc_norm_streaming(R, cov, grid, m, z_per_cell=3,
+        got = [osc_norm_streaming(R, cov, m, z_per_cell=3,
                                   comparison=comparison, seed=7, threads=t)
                for t in (1, 2, 3)]
         assert got[0] == pytest.approx(ref, rel=1e-13, abs=0.0)
@@ -261,7 +261,7 @@ class TestStreamingBlocks:
                                                comparison, seed=3)
         assert row_sup > col_sup
         for t in (1, 2, 3):
-            got = osc_norm_streaming(K, cov, grid, m, z_per_cell=2,
+            got = osc_norm_streaming(K, cov, m, z_per_cell=2,
                                      comparison=comparison, seed=3, threads=t)
             assert got == pytest.approx(row_sup, rel=1e-13, abs=0.0)
 
@@ -329,7 +329,7 @@ class TestStreamingBlocks:
     def test_threads_must_be_positive(self, gabor_blocks, m_trivial):
         _, grid, R = gabor_blocks
         with pytest.raises(OscillationError, match="threads"):
-            osc_norm_streaming(R, build_covering(grid, 1.25), grid, m_trivial,
+            osc_norm_streaming(R, build_covering(grid, 1.25), m_trivial,
                                threads=0)
 
     def test_stream_peak_memory(self, gabor_blocks, m_trivial):
@@ -347,7 +347,7 @@ class TestStreamingBlocks:
         assert len(tiles) >= 2
         tracemalloc.start()
         try:
-            osc_norm_streaming(R, cov, grid, m_trivial, z_per_cell=4,
+            osc_norm_streaming(R, cov, m_trivial, z_per_cell=4,
                                comparison="phase_aligned", threads=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -395,7 +395,7 @@ class TestFoldedRNorm:
         m = weight_from_w(polynomial_weight(1.0)) if poly \
             else trivial_admissible_weight()
         ref = reference_am_norm(K, m, grid)["am_norm"]
-        got = [osc_norm_streaming(K, cov, grid, m, z_per_cell=2,
+        got = [osc_norm_streaming(K, cov, m, z_per_cell=2,
                                   comparison=comparison, seed=1,
                                   threads=t).r_norm for t in (1, 2, 3)]
         assert got[0] == pytest.approx(ref, rel=1e-13, abs=0.0)
@@ -409,7 +409,7 @@ class TestFoldedRNorm:
         m = weight_from_w(polynomial_weight(1.0))
         cov = build_covering(grid, 1.0 / 16)
         cov = dataclasses.replace(cov, members=emptied(cov.members, [4, 5, 6]))
-        got = osc_norm_streaming(K, cov, grid, m, z_per_cell=2)
+        got = osc_norm_streaming(K, cov, m, z_per_cell=2)
         ref = reference_am_norm(K, m, grid)
         pts, w = grid.points, grid.weights
         held = cov.node_cells()[:, 0] >= 0
@@ -423,9 +423,9 @@ class TestFoldedRNorm:
         fam, grid = gabor_small
         cov = build_covering(grid, 1.25)
         m = trivial_admissible_weight()
-        rep = property_D_check(fam, cov, m, grid, z_per_cell=2, rel_cut=0.2)
+        rep = property_D_check(fam, cov, m, z_per_cell=2, rel_cut=0.2)
         R = gram_kernel(fam, grid, rel_cut=0.2)
-        streamed = osc_norm_streaming(R, cov, grid, m, z_per_cell=2,
+        streamed = osc_norm_streaming(R, cov, m, z_per_cell=2,
                                       comparison="phase_aligned")
         assert type(rep.delta_est) is float and rep.delta_est == streamed
         assert rep.r_norm == streamed.r_norm
@@ -505,15 +505,15 @@ def _drop_cells(cov, drop):
         measure_ratio=cov.measure_ratio)
 
 
-def _stream_matrix(K, cov, grid, comparison, threads):
+def _stream_matrix(K, cov, comparison, threads):
     """The values `osc_matrix` keeps, as `_osc_stream` yields them on
     `threads`; every entry is written exactly by some unit."""
-    out = np.full((grid.size, grid.size), np.nan)
+    out = np.full((cov.grid.size, cov.grid.size), np.nan)
 
     def reduce(rows, nodes, vals, amp):
         out[rows, nodes] = vals.T
 
-    osc._osc_stream(K, cov, grid, 3, comparison, 4, reduce, threads=threads)
+    osc._osc_stream(K, cov, 3, comparison, 4, reduce, threads=threads)
     assert not np.isnan(out).any()
     return out
 
@@ -550,14 +550,14 @@ class TestThreadInvariance:
         assert kind != "factored" or len(_column_blocks(3 * cov.size)) >= 3
         tiles, chunks = _plan(cov, grid, 3)
         assert len(tiles) >= 4 and len(chunks) >= 4
-        mats = [_stream_matrix(kernels[t], cov, grid, comparison, t)
+        mats = [_stream_matrix(kernels[t], cov, comparison, t)
                 for t in (1, 2, 3)]
         assert mats[0].tobytes() == mats[1].tobytes() == mats[2].tobytes()
         assert np.array_equal(mats[0], osc_matrix(
-            K, cov, grid, z_per_cell=3, comparison=comparison, seed=4))
+            K, cov, z_per_cell=3, comparison=comparison, seed=4))
         for m in (trivial_admissible_weight(),
                   weight_from_w(polynomial_weight(1.0))):
-            got = [osc_norm_streaming(kernels[t], cov, grid, m, z_per_cell=3,
+            got = [osc_norm_streaming(kernels[t], cov, m, z_per_cell=3,
                                       comparison=comparison, seed=4, threads=t)
                    for t in (1, 2, 3)]
             assert len({(float(g).hex(), g.r_norm.hex()) for g in got}) == 1
@@ -575,10 +575,10 @@ class TestThreadInvariance:
         cov = build_covering(grid, 1.0, overlap_fraction=overlap)
         tiles, chunks = _plan(cov, grid, 3)
         assert len(tiles) >= 4 and len(chunks) >= 4
-        mats = [_stream_matrix(K, cov, grid, "strict", t) for t in (1, 2, 3)]
+        mats = [_stream_matrix(K, cov, "strict", t) for t in (1, 2, 3)]
         assert mats[0].tobytes() == mats[1].tobytes() == mats[2].tobytes()
         m = weight_from_w(polynomial_weight(1.0))
-        got = [osc_norm_streaming(K, cov, grid, m, z_per_cell=3,
+        got = [osc_norm_streaming(K, cov, m, z_per_cell=3,
                                   comparison="strict", seed=4, threads=t)
                for t in (1, 2, 3)]
         assert len({(float(g).hex(), g.r_norm.hex()) for g in got}) == 1
@@ -618,7 +618,7 @@ class TestThreadInvariance:
             K = Kernel(R.evaluator, provenance="gramian", native_grid=grid,
                        node_factors=lambda f=factors: f, col_factor=col_factor)
             with pytest.raises(KernelError, match="non-finite"):
-                osc_norm_streaming(K, cov, grid, m_trivial, z_per_cell=3,
+                osc_norm_streaming(K, cov, m_trivial, z_per_cell=3,
                                    threads=2)
 
 
@@ -640,9 +640,9 @@ class TestOscMatrix:
         K = _exact_kernel(grid)
         tiles, chunks = _plan(cov, grid, 3)
         assert len(tiles) >= 4 and len(chunks) >= 4
-        got = osc_matrix(K, cov, grid, z_per_cell=3, comparison=comparison,
+        got = osc_matrix(K, cov, z_per_cell=3, comparison=comparison,
                          seed=4)
-        ref = reference_osc_matrix(K, cov, grid, z_per_cell=3,
+        ref = reference_osc_matrix(K, cov, z_per_cell=3,
                                    comparison=comparison, seed=4)
         assert np.array_equal(got, ref)
 
@@ -650,12 +650,9 @@ class TestOscMatrix:
         fam, grid = gabor_small
         cov = build_covering(grid, 1.25)
         R = gram_kernel(fam, grid, rel_cut=0.2)
-        for run in (lambda: osc_matrix(R, cov, grid, comparison="aligned"),
-                    lambda: osc_norm_streaming(R, cov, grid, m_trivial,
-                                               comparison="aligned"),
-                    lambda: property_D_check(fam, cov, m_trivial, grid,
-                                             comparison="aligned",
-                                             rel_cut=0.2)):
+        for run in (lambda: osc_matrix(R, cov, comparison="aligned"),
+                    lambda: osc_norm_streaming(R, cov, m_trivial,
+                                               comparison="aligned")):
             with pytest.raises(OscillationError, match="comparison"):
                 run()
 
@@ -675,8 +672,8 @@ class TestOscMatrix:
         assert np.array_equal(other.points, grid.points)
         for K, g in ((no_nodes, grid), (no_cols, grid), (R, other)):
             cov = build_covering(g, 1.25)
-            for run in (lambda: osc_matrix(K, cov, g),
-                        lambda: osc_norm_streaming(K, cov, g, m_trivial)):
+            for run in (lambda: osc_matrix(K, cov),
+                        lambda: osc_norm_streaming(K, cov, m_trivial)):
                 with pytest.raises(OscillationError, match="node factors"):
                     run()
 
@@ -685,10 +682,10 @@ class TestPropertyD:
     def test_report_is_consistent(self, gabor_small, m_trivial):
         fam, grid = gabor_small
         cov = build_covering(grid, 1.25)
-        rep = property_D_check(fam, cov, m_trivial, grid, z_per_cell=3,
+        rep = property_D_check(fam, cov, m_trivial, z_per_cell=3,
                                rel_cut=0.2)
         assert rep.sigma == pytest.approx(
-            max(rep.c_m_u * rep.r_norm, rep.r_norm + rep.delta_est))
+            max(rep.moderation.c_m_u * rep.r_norm, rep.r_norm + rep.delta_est))
         assert rep.cond_value == pytest.approx(
             rep.delta_est * (rep.r_norm + rep.sigma))
         assert rep.full == (rep.cond_value <= 1.0)
@@ -700,7 +697,7 @@ class TestPropertyD:
     def test_strict_for_real_kernel_families(self, sinc_setup, m_trivial):
         fam, grid = sinc_setup
         cov = build_covering(grid, 1.0)
-        rep = property_D_check(fam, cov, m_trivial, grid, z_per_cell=3)
+        rep = property_D_check(fam, cov, m_trivial, z_per_cell=3)
         assert rep.comparison == "strict"
 
     def test_weighted_weight_norm_grows(self, gabor_small):
@@ -708,11 +705,11 @@ class TestPropertyD:
         cov = build_covering(grid, 1.25)
         m1 = trivial_admissible_weight()
         ms = weight_from_w(polynomial_weight(1.0))
-        r1 = property_D_check(fam, cov, m1, grid, z_per_cell=2, rel_cut=0.2)
-        rs = property_D_check(fam, cov, ms, grid, z_per_cell=2, rel_cut=0.2)
+        r1 = property_D_check(fam, cov, m1, z_per_cell=2, rel_cut=0.2)
+        rs = property_D_check(fam, cov, ms, z_per_cell=2, rel_cut=0.2)
         assert rs.r_norm > r1.r_norm
         assert rs.delta_est >= r1.delta_est
-        assert rs.c_m_u > 1.0
+        assert rs.moderation.c_m_u > 1.0
 
 
 class TestRefineUntil:
@@ -766,7 +763,7 @@ class TestRefineUntil:
             comparison = "phase_aligned" if fam.phase_quotient else "strict"
             norms = []
             for lvl in range(3):
-                norms.append(osc_norm_streaming(R, cov, grid, m_trivial,
+                norms.append(osc_norm_streaming(R, cov, m_trivial,
                                                 z_per_cell=2,
                                                 comparison=comparison))
                 if lvl < 2:
@@ -783,7 +780,7 @@ class TestRefineUntil:
         cov = build_covering(grid, [0.6, 1.2])
         norms = []
         for lvl in range(3):
-            norms.append(osc_norm_streaming(R, cov, grid, m_trivial,
+            norms.append(osc_norm_streaming(R, cov, m_trivial,
                                             z_per_cell=2))
             if lvl < 2:
                 cov = refine_covering(cov)
